@@ -298,6 +298,31 @@ func BenchmarkSchedulerReadyWorkflowLevel(b *testing.B) {
 		repro.DefaultWorkload(0.9, 7).WithWorkflows(5, 1).WithWeights())
 }
 
+// BenchmarkASETSInit measures building ASETS* scheduler state — workflows,
+// entities, membership index and heaps — over a 10k-transaction set, the
+// per-run set-up a crash rebuild or a fresh simulation pays. Sub-benchmarks
+// cover the independent (singleton workflow) and chain workflow shapes.
+func BenchmarkASETSInit(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		cfg  repro.WorkloadConfig
+	}{
+		{"independent", repro.DefaultWorkload(0.9, 7)},
+		{"workflows", repro.DefaultWorkload(0.9, 7).WithWorkflows(5, 1).WithWeights()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := tc.cfg
+			cfg.N = 10_000
+			set := repro.MustGenerate(cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				repro.NewASETSStar().Init(set)
+			}
+		})
+	}
+}
+
 // BenchmarkBackendHeapVsTreap compares the two ready-queue substrates (the
 // indexed binary heap versus the paper's balanced-BST reading) running the
 // same EDF policy over the same workload; schedules are identical, only the

@@ -111,11 +111,13 @@ func WithCountActivation(rate float64) Option {
 // priority lists while they have at least one ready member; EDF-resident
 // entities additionally sit in the expiry heap that migrates them to the
 // HDF-List the moment their representative can no longer meet its deadline.
+// The heap items are embedded by value: every entity of a run lives in one
+// slab, so the heaps point straight into it.
 type entity struct {
 	wf    *txn.Workflow
 	rep   txn.Representative
-	item  *pq.Item[*entity]
-	exp   *pq.Item[*entity]
+	item  pq.Item[*entity]
+	exp   pq.Item[*entity]
 	inEDF bool
 	ready int // number of ready members
 }
@@ -133,15 +135,21 @@ type ASETSStar struct {
 
 	set      *txn.Set
 	rt       *sched.ReadyTracker
-	entities []*entity
-	memberOf [][]*entity // transaction ID -> entities whose workflow contains it
+	entities []entity
+	// memberOf maps a transaction to the entities whose workflow contains
+	// it, in compressed-sparse-row form: the entities of transaction id are
+	// memberOf[memberStart[id]:memberStart[id+1]] (see members).
+	memberStart []int32
+	memberOf    []*entity
 
 	edf    *pq.Heap[*entity] // ordered by representative deadline
 	hdf    *pq.Heap[*entity] // ordered by representative density (weight/remaining)
 	expiry *pq.Heap[*entity] // EDF residents ordered by expiry time
 
-	readyTxns  map[txn.ID]*txn.Transaction // candidates for T_old
-	checkedOut []bool                      // transactions handed out via Next and not yet returned
+	// readyTxns holds the candidates for T_old. It is nil unless
+	// balance-aware activation is on; deleting from a nil map is a no-op.
+	readyTxns  map[txn.ID]*txn.Transaction
+	checkedOut []bool // transactions handed out via Next and not yet returned
 
 	schedPoints    int
 	nextActivation float64
@@ -206,17 +214,34 @@ func (a *ASETSStar) Init(set *txn.Set) {
 	} else {
 		wfs = txn.BuildWorkflows(set)
 	}
-	a.entities = make([]*entity, len(wfs))
-	a.memberOf = make([][]*entity, set.Len())
-	for i, wf := range wfs {
-		e := &entity{wf: wf}
-		e.item = pq.NewItem(e)
-		e.exp = pq.NewItem(e)
-		a.entities[i] = e
+	a.entities = make([]entity, len(wfs))
+	// Count each transaction's memberships and prefix-sum them into row
+	// starts. Filling the rows in workflow order advances each start to the
+	// next row's, so one shift restores them.
+	n := set.Len()
+	start := make([]int32, n+1)
+	for _, wf := range wfs {
 		for _, id := range wf.Members {
-			a.memberOf[id] = append(a.memberOf[id], e)
+			start[id+1]++
 		}
 	}
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	a.memberOf = make([]*entity, start[n])
+	for i, wf := range wfs {
+		e := &a.entities[i]
+		e.wf = wf
+		e.item.Value = e
+		e.exp.Value = e
+		for _, id := range wf.Members {
+			a.memberOf[start[id]] = e
+			start[id]++
+		}
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	a.memberStart = start
 
 	a.edf = pq.NewHeap[*entity](func(x, y *entity) bool {
 		if x.rep.Deadline != y.rep.Deadline {
@@ -242,12 +267,20 @@ func (a *ASETSStar) Init(set *txn.Set) {
 		return x.wf.ID < y.wf.ID
 	})
 
-	a.readyTxns = make(map[txn.ID]*txn.Transaction)
-	a.checkedOut = make([]bool, set.Len())
+	a.readyTxns = nil
+	if a.cfg.activation != ActivationNone {
+		a.readyTxns = make(map[txn.ID]*txn.Transaction)
+	}
+	a.checkedOut = make([]bool, n)
 	a.schedPoints = 0
 	if a.cfg.activation == ActivationTime {
 		a.nextActivation = 1 / a.cfg.rate
 	}
+}
+
+// members returns the entities whose workflow contains transaction id.
+func (a *ASETSStar) members(id txn.ID) []*entity {
+	return a.memberOf[a.memberStart[id]:a.memberStart[id+1]]
 }
 
 // OnArrival implements sched.Scheduler.
@@ -269,8 +302,10 @@ func (a *ASETSStar) available(t *txn.Transaction) bool {
 // markReady records that t became executable and surfaces its entities into
 // the priority lists.
 func (a *ASETSStar) markReady(now float64, t *txn.Transaction) {
-	a.readyTxns[t.ID] = t
-	for _, e := range a.memberOf[t.ID] {
+	if a.readyTxns != nil {
+		a.readyTxns[t.ID] = t
+	}
+	for _, e := range a.members(t.ID) {
 		e.ready++
 		if !e.enqueued() && !e.wf.Done() {
 			a.enqueue(now, e)
@@ -300,20 +335,20 @@ func (a *ASETSStar) enqueue(now float64, e *entity) {
 	e.rep = a.repOf(e)
 	e.inEDF = e.rep.CanMeetDeadline(now)
 	if e.inEDF {
-		a.edf.Push(e.item)
-		a.expiry.Push(e.exp)
+		a.edf.Push(&e.item)
+		a.expiry.Push(&e.exp)
 	} else {
-		a.hdf.Push(e.item)
+		a.hdf.Push(&e.item)
 	}
 }
 
 // dequeue removes the entity from whichever structures hold it.
 func (a *ASETSStar) dequeue(e *entity) {
 	if e.item.InHeap() {
-		e.item.Owner().Remove(e.item)
+		e.item.Owner().Remove(&e.item)
 	}
 	if e.exp.InHeap() {
-		a.expiry.Remove(e.exp)
+		a.expiry.Remove(&e.exp)
 	}
 }
 
@@ -329,16 +364,16 @@ func (a *ASETSStar) reposition(now float64, e *entity) {
 		a.dequeue(e)
 		e.inEDF = inEDF
 		if inEDF {
-			a.edf.Push(e.item)
-			a.expiry.Push(e.exp)
+			a.edf.Push(&e.item)
+			a.expiry.Push(&e.exp)
 		} else {
-			a.hdf.Push(e.item)
+			a.hdf.Push(&e.item)
 		}
 		return
 	}
-	e.item.Owner().Fix(e.item)
+	e.item.Owner().Fix(&e.item)
 	if e.exp.InHeap() {
-		a.expiry.Fix(e.exp)
+		a.expiry.Fix(&e.exp)
 	}
 }
 
@@ -355,7 +390,7 @@ func (a *ASETSStar) migrate(now float64) {
 		e := top.Value
 		a.dequeue(e)
 		e.inEDF = false
-		a.hdf.Push(e.item)
+		a.hdf.Push(&e.item)
 		if a.sink != nil {
 			a.sink.Emit(obs.Event{
 				Time: now, Kind: obs.KindModeSwitch, Txn: -1, Workflow: e.wf.ID,
@@ -381,7 +416,7 @@ func (a *ASETSStar) OnCompletion(now float64, t *txn.Transaction) {
 	// exclude it; only the pending sets and the dependency tracker change.
 	delete(a.readyTxns, t.ID)
 	newly := a.rt.Complete(t)
-	for _, e := range a.memberOf[t.ID] {
+	for _, e := range a.members(t.ID) {
 		e.wf.Complete(t.ID)
 		switch {
 		case e.wf.Done() || e.ready == 0:
@@ -433,7 +468,7 @@ func (a *ASETSStar) Next(now float64) *txn.Transaction {
 func (a *ASETSStar) checkOut(now float64, t *txn.Transaction) {
 	a.checkedOut[t.ID] = true
 	delete(a.readyTxns, t.ID)
-	for _, e := range a.memberOf[t.ID] {
+	for _, e := range a.members(t.ID) {
 		e.ready--
 		if e.ready == 0 {
 			a.dequeue(e)

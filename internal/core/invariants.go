@@ -27,7 +27,8 @@ func (a *ASETSStar) CheckInvariants(now float64) error {
 	if !a.edf.Verify() || !a.hdf.Verify() || !a.expiry.Verify() {
 		return fmt.Errorf("core: heap ordering invariant broken at t=%v", now)
 	}
-	for _, e := range a.entities {
+	for i := range a.entities {
+		e := &a.entities[i]
 		avail := 0
 		for _, id := range e.wf.Members {
 			if !e.wf.Contains(id) {

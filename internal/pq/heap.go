@@ -7,19 +7,23 @@ package pq
 // Item is the element stored in a Heap. Embedding bookkeeping in the item
 // (rather than returning opaque handles) lets schedulers move transactions
 // and workflows between the EDF and SRPT/HDF lists without map lookups.
+//
+// The zero Item (with Value set) is ready to push, so items can live by
+// value inside a caller's slab — push &slab[i] — instead of one heap object
+// each. The slab must not be reallocated while any of its items is enqueued.
 type Item[T any] struct {
 	Value T
-	index int // position in the heap slice, -1 when not enqueued
+	pos   int // 1 + position in the heap slice; 0 when not enqueued
 	owner *Heap[T]
 }
 
 // NewItem wraps v for insertion into a Heap.
 func NewItem[T any](v T) *Item[T] {
-	return &Item[T]{Value: v, index: -1}
+	return &Item[T]{Value: v}
 }
 
 // InHeap reports whether the item is currently enqueued in any heap.
-func (it *Item[T]) InHeap() bool { return it.index >= 0 }
+func (it *Item[T]) InHeap() bool { return it.pos > 0 }
 
 // Owner returns the heap the item currently belongs to, or nil.
 func (it *Item[T]) Owner() *Heap[T] { return it.owner }
@@ -47,14 +51,14 @@ func (h *Heap[T]) Len() int { return len(h.items) }
 // (in this heap or another), because silently double-inserting a transaction
 // is always a scheduler bug.
 func (h *Heap[T]) Push(it *Item[T]) {
-	if it.index >= 0 {
+	if it.pos > 0 {
 		panic("pq: Push of item that is already in a heap")
 	}
-	it.index = len(h.items)
+	it.pos = len(h.items) + 1
 	it.owner = h
 	//lint:ignore hotpath-alloc the heap slice reaches the peak population during warm-up and is reused across push/pop cycles
 	h.items = append(h.items, it)
-	h.up(it.index)
+	h.up(it.pos - 1)
 }
 
 // Peek returns the minimum item without removing it, or nil if empty.
@@ -78,17 +82,17 @@ func (h *Heap[T]) Pop() *Item[T] {
 // Remove deletes it from the heap in O(log n). It panics if the item is not
 // currently in this heap.
 func (h *Heap[T]) Remove(it *Item[T]) {
-	if it.owner != h || it.index < 0 {
+	if it.owner != h || it.pos == 0 {
 		panic("pq: Remove of item that is not in this heap")
 	}
-	i := it.index
+	i := it.pos - 1
 	last := len(h.items) - 1
 	if i != last {
 		h.items[i] = h.items[last]
-		h.items[i].index = i
+		h.items[i].pos = i + 1
 	}
 	h.items = h.items[:last]
-	it.index = -1
+	it.pos = 0
 	it.owner = nil
 	if i != last {
 		if !h.down(i) {
@@ -101,11 +105,11 @@ func (h *Heap[T]) Remove(it *Item[T]) {
 // place (e.g. a preempted transaction's remaining time shrank). It panics if
 // the item is not in this heap.
 func (h *Heap[T]) Fix(it *Item[T]) {
-	if it.owner != h || it.index < 0 {
+	if it.owner != h || it.pos == 0 {
 		panic("pq: Fix of item that is not in this heap")
 	}
-	if !h.down(it.index) {
-		h.up(it.index)
+	if i := it.pos - 1; !h.down(i) {
+		h.up(i)
 	}
 }
 
@@ -148,8 +152,8 @@ func (h *Heap[T]) down(i0 int) bool {
 
 func (h *Heap[T]) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].index = i
-	h.items[j].index = j
+	h.items[i].pos = i + 1
+	h.items[j].pos = j + 1
 }
 
 // Verify checks the heap invariant for every node and reports whether it
@@ -160,11 +164,11 @@ func (h *Heap[T]) Verify() bool {
 		if h.less(h.items[i].Value, h.items[parent].Value) {
 			return false
 		}
-		if h.items[i].index != i || h.items[i].owner != h {
+		if h.items[i].pos != i+1 || h.items[i].owner != h {
 			return false
 		}
 	}
-	if len(h.items) > 0 && (h.items[0].index != 0 || h.items[0].owner != h) {
+	if len(h.items) > 0 && (h.items[0].pos != 1 || h.items[0].owner != h) {
 		return false
 	}
 	return true

@@ -230,3 +230,120 @@ func expectPanic(t *testing.T, what string) {
 		t.Fatalf("%s did not panic", what)
 	}
 }
+
+// TestHeapZeroItemSlab: zero Items embedded by value in a slab, with only
+// Value set, push, fix and remove through &slab[i] like NewItem handles.
+func TestHeapZeroItemSlab(t *testing.T) {
+	h := intHeap()
+	slab := make([]Item[int], 6)
+	for i, v := range []int{40, 10, 50, 30, 20, 60} {
+		slab[i].Value = v
+		if slab[i].InHeap() || slab[i].Owner() != nil {
+			t.Fatalf("zero item %d reports a heap", i)
+		}
+		h.Push(&slab[i])
+	}
+	if h.Peek() != &slab[1] {
+		t.Fatalf("Peek = %v, want the slab item holding 10", h.Peek().Value)
+	}
+	slab[5].Value = 5 // 60 -> 5 in place
+	h.Fix(&slab[5])
+	if h.Peek() != &slab[5] {
+		t.Fatal("Fix did not float the mutated slab item to the top")
+	}
+	h.Remove(&slab[3]) // 30
+	if slab[3].InHeap() || slab[3].Owner() != nil {
+		t.Fatal("removed slab item still reports a heap")
+	}
+	if !h.Verify() {
+		t.Fatal("heap invariant broken over slab items")
+	}
+	for _, want := range []int{5, 10, 20, 40, 50} {
+		if got := h.Pop(); got.Value != want || got.InHeap() {
+			t.Fatalf("pop = %d (InHeap %v), want %d", got.Value, got.InHeap(), want)
+		}
+	}
+	// A removed slab item is a zero-state item again and can be re-pushed.
+	h.Push(&slab[3])
+	if h.Pop() != &slab[3] {
+		t.Fatal("re-pushed slab item not popped")
+	}
+}
+
+// TestHeapSlabRandomOperations drives one heap over a slab of by-value
+// items through random push/fix/remove steps, checking Verify after every
+// step and the popped order against a reference model at the end.
+func TestHeapSlabRandomOperations(t *testing.T) {
+	src := rng.New(77)
+	h := intHeap()
+	slab := make([]Item[int], 64)
+	for step := 0; step < 20000; step++ {
+		it := &slab[src.Intn(len(slab))]
+		switch op := src.Intn(3); {
+		case !it.InHeap():
+			it.Value = src.Intn(1000)
+			h.Push(it)
+		case op == 0:
+			it.Value = src.Intn(1000)
+			h.Fix(it)
+		default:
+			h.Remove(it)
+		}
+		if !h.Verify() {
+			t.Fatalf("step %d: heap invariant broken", step)
+		}
+	}
+	var want []int
+	for i := range slab {
+		if slab[i].InHeap() {
+			want = append(want, slab[i].Value)
+		}
+	}
+	if h.Len() != len(want) {
+		t.Fatalf("length mismatch: heap %d, slab %d", h.Len(), len(want))
+	}
+	sort.Ints(want)
+	for i, w := range want {
+		if got := h.Pop().Value; got != w {
+			t.Fatalf("pop %d = %d, want %d", i, got, w)
+		}
+	}
+}
+
+func TestHeapSlabMisusePanics(t *testing.T) {
+	t.Run("double push", func(t *testing.T) {
+		h := intHeap()
+		slab := make([]Item[int], 2)
+		h.Push(&slab[0])
+		defer expectPanic(t, "double Push of a slab item")
+		h.Push(&slab[0])
+	})
+	t.Run("push into second heap", func(t *testing.T) {
+		h1, h2 := intHeap(), intHeap()
+		slab := make([]Item[int], 2)
+		h1.Push(&slab[0])
+		defer expectPanic(t, "Push of a slab item owned by another heap")
+		h2.Push(&slab[0])
+	})
+	t.Run("foreign remove", func(t *testing.T) {
+		h1, h2 := intHeap(), intHeap()
+		slab := make([]Item[int], 2)
+		h1.Push(&slab[0])
+		h2.Push(&slab[1])
+		defer expectPanic(t, "Remove of a slab item from the wrong heap")
+		h2.Remove(&slab[0])
+	})
+	t.Run("foreign fix", func(t *testing.T) {
+		h1, h2 := intHeap(), intHeap()
+		slab := make([]Item[int], 2)
+		h1.Push(&slab[0])
+		defer expectPanic(t, "Fix of a slab item in the wrong heap")
+		h2.Fix(&slab[0])
+	})
+	t.Run("remove zero item", func(t *testing.T) {
+		h := intHeap()
+		slab := make([]Item[int], 1)
+		defer expectPanic(t, "Remove of a zero slab item")
+		h.Remove(&slab[0])
+	})
+}

@@ -31,24 +31,25 @@ type readyQueue interface {
 }
 
 // heapQueue adapts pq.Heap to readyQueue, reusing one pq.Item per
-// transaction across push/pop cycles.
+// transaction across push/pop cycles. The items live by value in one slab
+// indexed by transaction ID.
 type heapQueue struct {
 	heap  *pq.Heap[*txn.Transaction]
-	items []*pq.Item[*txn.Transaction]
+	items []pq.Item[*txn.Transaction]
 }
 
 func newHeapQueue(set *txn.Set, less Less) *heapQueue {
 	q := &heapQueue{
 		heap:  pq.NewHeap[*txn.Transaction](less),
-		items: make([]*pq.Item[*txn.Transaction], set.Len()),
+		items: make([]pq.Item[*txn.Transaction], set.Len()),
 	}
 	for _, t := range set.Txns {
-		q.items[t.ID] = pq.NewItem(t)
+		q.items[t.ID].Value = t
 	}
 	return q
 }
 
-func (q *heapQueue) Push(t *txn.Transaction) { q.heap.Push(q.items[t.ID]) }
+func (q *heapQueue) Push(t *txn.Transaction) { q.heap.Push(&q.items[t.ID]) }
 
 func (q *heapQueue) Pop() *txn.Transaction {
 	it := q.heap.Pop()

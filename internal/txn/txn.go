@@ -8,7 +8,7 @@ package txn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ID identifies a transaction within one workload. IDs are dense indices
@@ -336,23 +336,49 @@ func (s *Set) Roots() []ID {
 // Closure returns the dependency closure of id: the transaction itself plus
 // everything it transitively depends on, sorted by ID.
 func (s *Set) Closure(id ID) []ID {
-	seen := map[ID]bool{id: true}
-	stack := []ID{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	return newClosureWalker(s.Len()).appendClosure(s, nil, id)
+}
+
+// independent reports whether no transaction of s has a dependency.
+func (s *Set) independent() bool {
+	for _, t := range s.Txns {
+		if len(t.Deps) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// closureWalker computes dependency closures for many roots with one
+// visited-stamp array and one DFS stack, instead of a seen set per root.
+type closureWalker struct {
+	stamp []int32 // the walk that last visited each transaction
+	walk  int32
+	stack []ID
+}
+
+func newClosureWalker(n int) *closureWalker {
+	return &closureWalker{stamp: make([]int32, n)}
+}
+
+// appendClosure appends the closure of root to dst, sorted by ID.
+func (w *closureWalker) appendClosure(s *Set, dst []ID, root ID) []ID {
+	w.walk++
+	start := len(dst)
+	w.stamp[root] = w.walk
+	dst = append(dst, root)
+	w.stack = append(w.stack[:0], root)
+	for len(w.stack) > 0 {
+		cur := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
 		for _, d := range s.Txns[cur].Deps {
-			if !seen[d] {
-				seen[d] = true
-				stack = append(stack, d)
+			if w.stamp[d] != w.walk {
+				w.stamp[d] = w.walk
+				dst = append(dst, d)
+				w.stack = append(w.stack, d)
 			}
 		}
 	}
-	out := make([]ID, 0, len(seen))
-	//lint:ignore maprange collected IDs are sorted immediately below
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }

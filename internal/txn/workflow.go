@@ -3,7 +3,7 @@ package txn
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Workflow is the scheduling entity of the workflow-level ASETS* policy: the
@@ -25,7 +25,8 @@ type Workflow struct {
 	// Members lists all transactions in the closure, sorted by ID.
 	Members []ID
 
-	pending map[ID]*Transaction
+	// pending holds the unfinished members in no particular order.
+	pending []*Transaction
 }
 
 // Representative captures Definition 9's virtual transaction for one
@@ -64,24 +65,27 @@ func (r Representative) Density() float64 {
 // one workflow per root, containing the root's dependency closure. Workflows
 // are returned sorted by root ID and initialized with all members pending.
 //
+// Every workflow, member list and pending set is carved out of a few shared
+// slabs, so construction costs a constant number of allocations rather than
+// several per workflow. On a set without dependencies the result equals
+// SingletonWorkflows.
+//
 //lint:coldpath workflow construction is per-run setup (scheduler Init)
 func BuildWorkflows(s *Set) []*Workflow {
-	roots := s.Roots()
-	wfs := make([]*Workflow, 0, len(roots))
-	for i, root := range roots {
-		members := s.Closure(root)
-		wf := &Workflow{
-			ID:      i,
-			Root:    root,
-			Members: members,
-			pending: make(map[ID]*Transaction, len(members)),
-		}
-		for _, id := range members {
-			wf.pending[id] = s.ByID(id)
-		}
-		wfs = append(wfs, wf)
+	if s.independent() {
+		return SingletonWorkflows(s)
 	}
-	return wfs
+	roots := s.Roots()
+	w := newClosureWalker(s.Len())
+	// Closures overlap only where DAGs share nodes, so n members is the
+	// exact total for chains and forests.
+	members := make([]ID, 0, s.Len())
+	ends := make([]int32, len(roots))
+	for i, root := range roots {
+		members = w.appendClosure(s, members, root)
+		ends[i] = int32(len(members))
+	}
+	return carveWorkflows(s, roots, members, ends)
 }
 
 // SingletonWorkflows wraps every transaction of s in its own one-member
@@ -95,14 +99,34 @@ func BuildWorkflows(s *Set) []*Workflow {
 //
 //lint:coldpath workflow construction is per-run setup (scheduler Init)
 func SingletonWorkflows(s *Set) []*Workflow {
-	wfs := make([]*Workflow, s.Len())
-	for i, t := range s.Txns {
-		wfs[i] = &Workflow{
-			ID:      i,
-			Root:    t.ID,
-			Members: []ID{t.ID},
-			pending: map[ID]*Transaction{t.ID: t},
-		}
+	ids := make([]ID, s.Len())
+	ends := make([]int32, s.Len())
+	for i := range ids {
+		ids[i] = ID(i)
+		ends[i] = int32(i + 1)
+	}
+	return carveWorkflows(s, ids, ids, ends)
+}
+
+// carveWorkflows builds workflow i over root roots[i] with the members
+// members[ends[i-1]:ends[i]], taking every Workflow and pending set from one
+// slab each. Each carved slice is capped at its own length, so no workflow
+// can grow into its neighbour's storage.
+func carveWorkflows(s *Set, roots, members []ID, ends []int32) []*Workflow {
+	slab := make([]Workflow, len(roots))
+	wfs := make([]*Workflow, len(roots))
+	pending := make([]*Transaction, len(members))
+	lo := 0
+	for i, root := range roots {
+		hi := int(ends[i])
+		wf := &slab[i]
+		wf.ID = i
+		wf.Root = root
+		wf.Members = members[lo:hi:hi]
+		wf.pending = pending[lo:lo:hi]
+		wf.Reset(s)
+		wfs[i] = wf
+		lo = hi
 	}
 	return wfs
 }
@@ -114,18 +138,30 @@ func (w *Workflow) Pending() int { return len(w.pending) }
 func (w *Workflow) Done() bool { return len(w.pending) == 0 }
 
 // Contains reports whether id is still pending in this workflow.
-func (w *Workflow) Contains(id ID) bool {
-	_, ok := w.pending[id]
-	return ok
+func (w *Workflow) Contains(id ID) bool { return w.pendingIndex(id) >= 0 }
+
+// pendingIndex returns the position of id in the pending set, or -1.
+func (w *Workflow) pendingIndex(id ID) int {
+	for i, t := range w.pending {
+		if t.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Complete removes a finished member. It returns true when the transaction
-// was a pending member of this workflow.
+// was a pending member of this workflow. The pending set is unordered: the
+// last member moves into the freed slot, and every reduction over the set
+// (Head, RepresentativeExcluding) is independent of that order.
 func (w *Workflow) Complete(id ID) bool {
-	if _, ok := w.pending[id]; !ok {
+	i := w.pendingIndex(id)
+	if i < 0 {
 		return false
 	}
-	delete(w.pending, id)
+	last := len(w.pending) - 1
+	w.pending[i] = w.pending[last]
+	w.pending = w.pending[:last]
 	return true
 }
 
@@ -154,7 +190,8 @@ func (w *Workflow) RepresentativeExcluding(exclude ID) Representative {
 		Weight:    math.Inf(-1),
 	}
 	found := false
-	//lint:ignore maprange per-field min/max reduction is commutative; iteration order cannot change the result
+	// Per-field min/max is commutative, so the pending order cannot change
+	// the result.
 	for _, t := range w.pending {
 		if t.ID == exclude {
 			continue
@@ -190,7 +227,8 @@ func (w *Workflow) RepresentativeExcluding(exclude ID) Representative {
 // state, not only on this workflow's members.
 func (w *Workflow) Head(ready func(*Transaction) bool) *Transaction {
 	var best *Transaction
-	//lint:ignore maprange headBefore is a strict total order with an ID tie-break, so the min is iteration-order independent
+	// headBefore is a strict total order with an ID tie-break, so the min is
+	// independent of the pending order.
 	for _, t := range w.pending {
 		if !ready(t) {
 			continue
@@ -219,20 +257,20 @@ func headBefore(a, b *Transaction) bool {
 // PendingIDs returns the pending member IDs sorted ascending (for tests and
 // deterministic rendering).
 func (w *Workflow) PendingIDs() []ID {
-	out := make([]ID, 0, len(w.pending))
-	//lint:ignore maprange collected IDs are sorted immediately below
-	for id := range w.pending {
-		out = append(out, id)
+	out := make([]ID, len(w.pending))
+	for i, t := range w.pending {
+		out[i] = t.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// Reset restores all members to pending (used when replaying a workload).
+// Reset restores all members to pending (used when replaying a workload),
+// reusing the pending set's storage.
 func (w *Workflow) Reset(s *Set) {
-	w.pending = make(map[ID]*Transaction, len(w.Members))
+	w.pending = w.pending[:0]
 	for _, id := range w.Members {
-		w.pending[id] = s.ByID(id)
+		w.pending = append(w.pending, s.ByID(id))
 	}
 }
 
