@@ -20,17 +20,37 @@ import (
 // mass point of tardiness distributions, and the running Sum accumulates in
 // observation order (merge adds the other sketch's sum, so merging in job
 // order reproduces a serial run's sum bit for bit; see Merge).
+//
+// Bucket counts live in one of two representations. A sketch with at most
+// sketchInline occupied buckets keeps them inline, as ascending
+// (index, count) pairs — the common case for the span layer's windowed
+// cells, which mostly hold one or two observations — so it needs no bucket
+// array at all. Past that the sketch goes dense: buckets[i] counts bucket
+// lo+i, and the array grows geometrically toward whichever end needs room.
+// Both representations hold exactly the same occupied buckets and counts,
+// and every read walks them through one ascending iterator (bucketIter), so
+// the representation never shows in any count, quantile, cell or merge.
+//
+// A sketch that has never been observed may be copied by value to stamp out
+// further sketches of the same accuracy.
 type Sketch struct {
 	alpha    float64
 	gamma    float64
 	logGamma float64
 	zero     int64
-	lo       int // bucket index of buckets[0]; meaningful when len(buckets) > 0
-	buckets  []int64
 	n        int64
 	sum      float64
 	max      float64
+	lo       int32               // dense: bucket index of buckets[0]
+	nIn      int8                // inline: occupied entries of inIdx/inCnt
+	inIdx    [sketchInline]int16 // inline: ascending bucket indices
+	inCnt    [sketchInline]int64 // inline: their counts (never zero)
+	buckets  []int64             // dense bucket counts; non-nil once dense
 }
+
+// sketchInline is the number of occupied buckets a sketch keeps inline
+// before it allocates a dense bucket array.
+const sketchInline = 4
 
 // sketchIndexBound clamps bucket indices: with alpha = 0.01 the bound covers
 // values from roughly 1e-17 to 1e+17. Observations beyond it collapse into
@@ -65,11 +85,7 @@ func (s *Sketch) Add(v float64) {
 		s.zero++
 		return
 	}
-	idx := s.index(v)
-	if idx < s.lo || idx >= s.lo+len(s.buckets) {
-		s.extend(idx)
-	}
-	s.buckets[idx-s.lo]++
+	s.addAt(s.index(v), 1)
 }
 
 // AddBatch records every observation in vs, in slice order. It is exactly
@@ -94,27 +110,106 @@ func (s *Sketch) index(v float64) int {
 	return idx
 }
 
-// extend reshapes the dense backing array so bucket idx is addressable:
-// seeding on first use, padding downward, or growing upward. This is
-// warm-up-only work — once the array covers the data's dynamic range, Add
-// never calls it again, which is what keeps the steady-state observation
-// path allocation-free.
-//
-//lint:coldpath bucket-range extension runs only until the array covers [lo, hi]; steady-state Add never reaches it
-func (s *Sketch) extend(idx int) {
-	if len(s.buckets) == 0 {
-		s.lo = idx
-		s.buckets = append(s.buckets, 0)
+// addAt adds c (> 0) to bucket idx in whichever representation the sketch
+// is in, going dense when a new bucket would overflow the inline entries.
+func (s *Sketch) addAt(idx int, c int64) {
+	if s.buckets != nil {
+		if idx < int(s.lo) || idx >= int(s.lo)+len(s.buckets) {
+			s.grow(idx)
+		}
+		s.buckets[idx-int(s.lo)] += c
 		return
 	}
-	if idx < s.lo {
-		pad := make([]int64, s.lo-idx)
-		s.buckets = append(pad, s.buckets...)
-		s.lo = idx
+	n := int(s.nIn)
+	i := 0
+	for i < n && int(s.inIdx[i]) < idx {
+		i++
 	}
-	for idx >= s.lo+len(s.buckets) {
-		s.buckets = append(s.buckets, 0)
+	if i < n && int(s.inIdx[i]) == idx {
+		s.inCnt[i] += c
+		return
 	}
+	if n == sketchInline {
+		s.promote(idx)
+		s.buckets[idx-int(s.lo)] += c
+		return
+	}
+	copy(s.inIdx[i+1:n+1], s.inIdx[i:n])
+	copy(s.inCnt[i+1:n+1], s.inCnt[i:n])
+	s.inIdx[i], s.inCnt[i] = int16(idx), c
+	s.nIn++
+}
+
+// promote moves the inline buckets into a dense array that also covers idx.
+//
+//lint:coldpath a sketch goes dense at most once, when its (sketchInline+1)-th distinct bucket arrives
+func (s *Sketch) promote(idx int) {
+	lo, hi := idx, idx+1
+	for i := 0; i < int(s.nIn); i++ {
+		lo = min(lo, int(s.inIdx[i]))
+		hi = max(hi, int(s.inIdx[i])+1)
+	}
+	// Leave headroom above the occupied range: a denser stream's next
+	// buckets land around the ones already seen.
+	hi = min(max(hi, lo+4*sketchInline), sketchIndexBound+1)
+	lo = max(min(lo, hi-4*sketchInline), -sketchIndexBound)
+	s.buckets = make([]int64, hi-lo)
+	s.lo = int32(lo)
+	for i := 0; i < int(s.nIn); i++ {
+		s.buckets[int(s.inIdx[i])-lo] = s.inCnt[i]
+	}
+	s.nIn = 0
+}
+
+// grow widens the dense array so bucket idx is addressable, at least
+// doubling it toward the side idx lies on (clamped to the indexable range),
+// so covering a wide dynamic range costs a logarithmic number of copies in
+// either direction. This is warm-up-only work — once the array covers the
+// data's dynamic range, Add never calls it again, which is what keeps the
+// steady-state observation path allocation-free.
+//
+//lint:coldpath bucket-range growth runs only until the array covers the data's range; steady-state Add never reaches it
+func (s *Sketch) grow(idx int) {
+	oldLo, oldHi := int(s.lo), int(s.lo)+len(s.buckets)
+	lo, hi := oldLo, oldHi
+	if idx < oldLo {
+		lo = max(min(idx, oldHi-2*len(s.buckets)), -sketchIndexBound)
+	} else {
+		hi = min(max(idx+1, oldLo+2*len(s.buckets)), sketchIndexBound+1)
+	}
+	grown := make([]int64, hi-lo)
+	copy(grown[oldLo-lo:], s.buckets)
+	s.buckets, s.lo = grown, int32(lo)
+}
+
+// bucketIter walks a sketch's occupied buckets in ascending index order in
+// either representation. It is the one read path over the bucket counts:
+// Quantile, Cells and Merge all fold through it. Empty dense slots are
+// skipped, which changes no fold — they add nothing to a count and can never
+// be the first bucket to reach a quantile's rank.
+type bucketIter struct {
+	s *Sketch
+	i int
+}
+
+// next returns the next occupied bucket's index and count, or ok == false
+// when the walk is done.
+func (it *bucketIter) next() (idx int, c int64, ok bool) {
+	s := it.s
+	if s.buckets == nil {
+		if it.i >= int(s.nIn) {
+			return 0, 0, false
+		}
+		it.i++
+		return int(s.inIdx[it.i-1]), s.inCnt[it.i-1], true
+	}
+	for it.i < len(s.buckets) {
+		it.i++
+		if c := s.buckets[it.i-1]; c != 0 {
+			return int(s.lo) + it.i - 1, c, true
+		}
+	}
+	return 0, 0, false
 }
 
 // Merge folds other into s: zero and bucket counts add cell by cell, the
@@ -136,21 +231,18 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if other.max > s.max {
 		s.max = other.max
 	}
-	for i, c := range other.buckets {
-		if c != 0 {
-			idx := other.lo + i
-			if idx < s.lo || idx >= s.lo+len(s.buckets) {
-				s.extend(idx)
-			}
-			s.buckets[idx-s.lo] += c
+	for it := (bucketIter{s: other}); ; {
+		idx, c, ok := it.next()
+		if !ok {
+			return nil
 		}
+		s.addAt(idx, c)
 	}
-	return nil
 }
 
 // Reset clears the sketch's counts, sum and maximum while keeping the bucket
 // array (and its covered index range) allocated, so a tumbling-window
-// observer can reuse one sketch per window without re-extending: after the
+// observer can reuse one sketch per window without re-growing: after the
 // first few windows warm the array, the steady-state observe path never
 // allocates again.
 func (s *Sketch) Reset() {
@@ -158,10 +250,13 @@ func (s *Sketch) Reset() {
 	s.n = 0
 	s.sum = 0
 	s.max = 0
-	for i := range s.buckets {
-		s.buckets[i] = 0
-	}
+	s.nIn = 0
+	clear(s.buckets)
 }
+
+// HeapBytes returns the bytes of bucket storage the sketch holds outside its
+// own struct: the dense bucket array's capacity, zero while inline.
+func (s *Sketch) HeapBytes() int { return 8 * cap(s.buckets) }
 
 // N returns the number of observations.
 func (s *Sketch) N() int64 { return s.n }
@@ -196,15 +291,19 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if acc >= target {
 		return 0
 	}
-	for i, c := range s.buckets {
+	for it := (bucketIter{s: s}); ; {
+		idx, c, ok := it.next()
+		if !ok {
+			return s.max
+		}
 		acc += c
 		if acc >= target {
-			if s.lo+i >= sketchIndexBound {
+			if idx >= sketchIndexBound {
 				// Observations clamped into the top bucket may exceed its
 				// nominal edge; the exact maximum is the honest bound.
 				return s.max
 			}
-			edge := math.Pow(s.gamma, float64(s.lo+i))
+			edge := math.Pow(s.gamma, float64(idx))
 			if edge > s.max {
 				// The top bucket's edge can overshoot the data; the true
 				// quantile never exceeds the exact maximum.
@@ -213,7 +312,6 @@ func (s *Sketch) Quantile(q float64) float64 {
 			return edge
 		}
 	}
-	return s.max
 }
 
 // SketchCell is one occupied bucket for exporters: Upper is the bucket's
@@ -226,14 +324,15 @@ type SketchCell struct {
 // Cells returns the occupied buckets in ascending upper-edge order, zero
 // bucket first (when occupied). Counts are per-cell, not cumulative.
 func (s *Sketch) Cells() []SketchCell {
-	out := make([]SketchCell, 0, len(s.buckets)+1)
+	out := make([]SketchCell, 0, int(s.nIn)+len(s.buckets)+1)
 	if s.zero > 0 {
 		out = append(out, SketchCell{Upper: 0, Count: s.zero})
 	}
-	for i, c := range s.buckets {
-		if c > 0 {
-			out = append(out, SketchCell{Upper: math.Pow(s.gamma, float64(s.lo+i)), Count: c})
+	for it := (bucketIter{s: s}); ; {
+		idx, c, ok := it.next()
+		if !ok {
+			return out
 		}
+		out = append(out, SketchCell{Upper: math.Pow(s.gamma, float64(idx)), Count: c})
 	}
-	return out
 }

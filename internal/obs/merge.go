@@ -6,7 +6,8 @@ import "fmt"
 // value (so merging run registries in job order leaves the last run's gauge,
 // mirroring what a serial run over the same jobs would have left), histograms
 // merge bucket-by-bucket via metrics.Histogram.Merge, and quantile sketches
-// merge cell-by-cell via metrics.Sketch.Merge. Metrics absent from r are
+// merge cell-by-cell via metrics.Sketch.Merge — windowed sketch cells by
+// their (window, class, mode) key. Metrics absent from r are
 // created with src's help text (and, for histograms and sketches, src's
 // bucket base or relative accuracy).
 //
@@ -53,6 +54,7 @@ func (r *Registry) Merge(src *Registry) error {
 	for n, s := range src.sketches {
 		sketches[n] = s
 	}
+	window := src.window
 	help := make(map[string]string, len(src.help))
 	//lint:ignore maprange map-to-map handle copy; order-independent
 	for n, h := range src.help {
@@ -69,8 +71,9 @@ func (r *Registry) Merge(src *Registry) error {
 			_, g := r.gauges[name]
 			_, h := r.hists[name]
 			_, s := r.sketches[name]
+			w := windowClaimed(r.window, name)
 			r.mu.Unlock()
-			if g || h || s {
+			if g || h || s || w {
 				return fmt.Errorf("obs: merge: %q is a counter in the source but not in the destination", name)
 			}
 			r.Counter(name, help[name]).Add(counters[name].Value())
@@ -79,8 +82,9 @@ func (r *Registry) Merge(src *Registry) error {
 			_, c := r.counters[name]
 			_, h := r.hists[name]
 			_, s := r.sketches[name]
+			w := windowClaimed(r.window, name)
 			r.mu.Unlock()
-			if c || h || s {
+			if c || h || s || w {
 				return fmt.Errorf("obs: merge: %q is a gauge in the source but not in the destination", name)
 			}
 			r.Gauge(name, help[name]).Set(gauges[name].Value())
@@ -89,8 +93,9 @@ func (r *Registry) Merge(src *Registry) error {
 			_, c := r.counters[name]
 			_, g := r.gauges[name]
 			_, s := r.sketches[name]
+			w := windowClaimed(r.window, name)
 			r.mu.Unlock()
-			if c || g || s {
+			if c || g || s || w {
 				return fmt.Errorf("obs: merge: %q is a histogram in the source but not in the destination", name)
 			}
 			sh := hists[name]
@@ -113,8 +118,9 @@ func (r *Registry) Merge(src *Registry) error {
 			_, c := r.counters[name]
 			_, g := r.gauges[name]
 			_, h := r.hists[name]
+			w := windowClaimed(r.window, name)
 			r.mu.Unlock()
-			if c || g || h {
+			if c || g || h || w {
 				return fmt.Errorf("obs: merge: %q is a sketch in the source but not in the destination", name)
 			}
 			ss := sketches[name]
@@ -133,6 +139,10 @@ func (r *Registry) Merge(src *Registry) error {
 				return fmt.Errorf("obs: merge %q: %w", name, err)
 			}
 		}
+	}
+	// Windowed sketch cells merge family to family, after the plain metrics.
+	if window != nil {
+		return r.windowFamily(window.proto.Alpha()).mergeFrom(window)
 	}
 	return nil
 }

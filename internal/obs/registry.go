@@ -108,13 +108,18 @@ var sketchQuantiles = []float64{0.5, 0.95, 0.99}
 func (s *Sketch) snapshot() SketchValue {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return sketchValue(s.s)
+}
+
+// sketchValue reads a sketch's count, sum, max and reported quantiles.
+func sketchValue(s *metrics.Sketch) SketchValue {
 	sv := SketchValue{
-		Count: s.s.N(),
-		Sum:   s.s.Sum(),
-		Max:   s.s.Max(),
+		Count: s.N(),
+		Sum:   s.Sum(),
+		Max:   s.Max(),
 	}
 	for _, q := range sketchQuantiles {
-		sv.Quantiles = append(sv.Quantiles, QuantileValue{Q: q, Value: s.s.Quantile(q)})
+		sv.Quantiles = append(sv.Quantiles, QuantileValue{Q: q, Value: s.Quantile(q)})
 	}
 	return sv
 }
@@ -131,6 +136,7 @@ type Registry struct {
 	sketches map[string]*Sketch    // guarded by mu
 	help     map[string]string     // guarded by mu
 	names    []string              // registration-complete name list, sorted lazily; guarded by mu
+	window   *windowSketches       // guarded by mu; the windowed span-sketch families, nil until first use
 }
 
 // NewRegistry returns an empty registry.
@@ -142,6 +148,14 @@ func NewRegistry() *Registry {
 		sketches: make(map[string]*Sketch),
 		help:     make(map[string]string),
 	}
+}
+
+// windowClaimed reports whether a windowed family cell renders to name. When
+// none does and name lies under a family base, the family records name as
+// taken by a plain metric (windowSketches.claim), so callers go on to
+// register it or return a conflict. w may be nil.
+func windowClaimed(w *windowSketches, name string) bool {
+	return w != nil && windowBaseOf(name) && w.claim(name)
 }
 
 // register records a name the first time it appears and rejects a name
@@ -172,7 +186,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	_, g := r.gauges[name]
 	_, h := r.hists[name]
 	_, s := r.sketches[name]
-	r.register(name, help, g || h || s)
+	r.register(name, help, g || h || s || windowClaimed(r.window, name))
 	c := &Counter{}
 	r.counters[name] = c
 	return c
@@ -190,7 +204,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	_, c := r.counters[name]
 	_, h := r.hists[name]
 	_, s := r.sketches[name]
-	r.register(name, help, c || h || s)
+	r.register(name, help, c || h || s || windowClaimed(r.window, name))
 	g := &Gauge{}
 	r.gauges[name] = g
 	return g
@@ -209,7 +223,7 @@ func (r *Registry) Histogram(name, help string, base float64) *Histogram {
 	_, c := r.counters[name]
 	_, g := r.gauges[name]
 	_, s := r.sketches[name]
-	r.register(name, help, c || g || s)
+	r.register(name, help, c || g || s || windowClaimed(r.window, name))
 	h := &Histogram{h: metrics.NewHistogram(base)}
 	r.hists[name] = h
 	return h
@@ -217,11 +231,11 @@ func (r *Registry) Histogram(name, help string, base float64) *Histogram {
 
 // Sketch returns the quantile sketch registered under name, creating it with
 // the given relative accuracy alpha on first use. Name may carry a Prometheus
-// label set (`asets_window_tardiness{window="0003",class="heavy"}`) — the
-// exporter splits base name and labels apart, which is how the span layer
-// encodes one sketch per (window, class, mode) cell.
+// label set (`asets_plain{shard="3"}`) — the exporter splits base name and
+// labels apart. The span layer's per-(window, class, mode) sketches are not
+// registered here but live in the registry's windowSketches families.
 //
-//lint:coldpath sketch cells register lazily but rarely (once per window/class/mode); hot code holds the handle
+//lint:coldpath metric registration happens at wiring time; hot code holds the returned handle
 func (r *Registry) Sketch(name, help string, alpha float64) *Sketch {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -231,7 +245,7 @@ func (r *Registry) Sketch(name, help string, alpha float64) *Sketch {
 	_, c := r.counters[name]
 	_, g := r.gauges[name]
 	_, h := r.hists[name]
-	r.register(name, help, c || g || h)
+	r.register(name, help, c || g || h || windowClaimed(r.window, name))
 	s := &Sketch{s: metrics.NewSketch(alpha)}
 	r.sketches[name] = s
 	return s
@@ -313,7 +327,16 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Sketches = append(snap.Sketches, sv)
 		}
 	}
+	window := r.window
 	r.mu.Unlock()
+	// Windowed cells render their names here, at snapshot time, and sort in
+	// among the plain sketches.
+	if window != nil {
+		if cells := window.snapshot(); len(cells) > 0 {
+			snap.Sketches = append(snap.Sketches, cells...)
+			sort.Slice(snap.Sketches, func(i, j int) bool { return snap.Sketches[i].Name < snap.Sketches[j].Name })
+		}
+	}
 	return snap
 }
 

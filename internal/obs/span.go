@@ -23,11 +23,12 @@ import (
 // state lives in a dense array indexed by transaction ID (no map, no per-txn
 // tracking allocation), span and starter-segment storage bump-allocates from
 // arenas preallocated at construction, closed spans recycle through a free
-// list once the Keep bound compacts them, windowed sketch cells are interned
-// by dense (window, class, mode) indices instead of per-completion formatted
-// names, and sketch inserts batch through fixed inline buffers that flush
-// whenever the builder drains. docs/OBSERVABILITY.md ("Overhead budgets") carries the
-// enforced numbers.
+// list once the Keep bound compacts them, windowed sketch cells are slab
+// slots of the registry's windowed sketch families reached through a
+// per-window cache (no formatted names, no per-cell registration), and the
+// run-total sketch inserts batch through fixed inline buffers that flush
+// whenever the builder drains. docs/OBSERVABILITY.md ("Overhead budgets")
+// carries the enforced numbers.
 
 // SegmentKind classifies one stretch of a transaction's lifetime.
 type SegmentKind int
@@ -233,11 +234,13 @@ const (
 	MetricSpanSlowdown  = "asets_span_slowdown"
 )
 
-// WindowMetric returns the registered name of a windowed sketch cell, e.g.
+// WindowMetric returns the exported name of a windowed sketch cell, e.g.
 // `asets_window_tardiness{window="0003",class="heavy",mode="edf"}`. The
 // window index is zero-padded so registry name sorting orders cells by time.
-// It is called only at cell-registration time (newCell); per-completion
-// lookups go through the interned cellKey index instead.
+// It is the one renderer of cell names, and runs only on the cold paths that
+// need them (registry snapshots, /metrics rendering, merges and name-conflict
+// checks); completions reach their cell through the registry's windowSketches
+// families instead.
 //
 // Class and mode values are escaped for the Prometheus exposition format
 // (EscapeLabel): the mode name is interned from event Detail strings, which
@@ -309,9 +312,9 @@ type spanState struct {
 	active   bool
 }
 
-// spanBatchSize is the per-sketch insert buffer length: observations
-// accumulate in a fixed inline array and flush under one sketch lock when
-// the buffer fills or the builder drains.
+// spanBatchSize is the per-sketch insert buffer length of the run-total
+// sketches: observations accumulate in a fixed inline array and flush under
+// one sketch lock when the buffer fills or the builder drains.
 const spanBatchSize = 64
 
 // batch is a fixed-capacity insert buffer for one sketch. Values reach the
@@ -332,30 +335,27 @@ func (p *batch) push(s *Sketch, v float64) {
 	}
 }
 
-// windowCell holds the three resolved sketch handles of one
-// (window, class, mode) cell — interned once, so completions never rebuild
-// the formatted metric names — plus their pending insert buffers.
-type windowCell struct {
+// spanTotals holds the resolved run-total sketch handles (MetricSpan*) and
+// their pending insert buffers.
+type spanTotals struct {
 	tard, resp, slow *Sketch
 	bT, bR, bS       batch
-	dirty            bool
 }
 
-// flush drains the cell's pending buffers into their sketches.
-func (c *windowCell) flush() {
-	if c.bT.n > 0 {
-		c.tard.ObserveBatch(c.bT.buf[:c.bT.n])
-		c.bT.n = 0
+// flush drains the pending buffers into their sketches.
+func (g *spanTotals) flush() {
+	if g.bT.n > 0 {
+		g.tard.ObserveBatch(g.bT.buf[:g.bT.n])
+		g.bT.n = 0
 	}
-	if c.bR.n > 0 {
-		c.resp.ObserveBatch(c.bR.buf[:c.bR.n])
-		c.bR.n = 0
+	if g.bR.n > 0 {
+		g.resp.ObserveBatch(g.bR.buf[:g.bR.n])
+		g.bR.n = 0
 	}
-	if c.bS.n > 0 {
-		c.slow.ObserveBatch(c.bS.buf[:c.bS.n])
-		c.bS.n = 0
+	if g.bS.n > 0 {
+		g.slow.ObserveBatch(g.bS.buf[:g.bS.n])
+		g.bS.n = 0
 	}
-	c.dirty = false
 }
 
 // spanArenaSpans caps the preallocated span arena. Small runs get full
@@ -369,13 +369,6 @@ const spanArenaSpans = 4096
 // preempted/queued shapes; busier spans spill to a heap-grown list.
 const segRegionLen = 4
 
-// cellKey identifies one windowed sketch cell by dense indices.
-type cellKey struct {
-	win   int32
-	class int8
-	mode  int8
-}
-
 // SpanBuilder folds the decision event stream into spans. It is a Sink (and
 // a SharedSink); like Ring it locks internally, so the single emitting
 // goroutine can run while HTTP handlers snapshot. Events must arrive in
@@ -385,6 +378,7 @@ type cellKey struct {
 // workload set, so a fixed-seed run yields a byte-identical span stream, and
 // batch flush points are a pure function of the stream too (buffer-full and
 // no-open-spans drains), so registry sums stay bit-identical as well.
+// Windowed cells are observed directly, in stream order.
 type SpanBuilder struct {
 	mu        sync.Mutex
 	set       *txn.Set
@@ -403,14 +397,20 @@ type SpanBuilder struct {
 	arenaN    int
 	segArena  []Segment
 	segN      int
-	global    *windowCell // run-total sketches; nil until the first completed span
-	cells     map[cellKey]*windowCell
-	dirty     []*windowCell // cells with buffered observations, first-dirty order
-	done      []*Span
-	free      []*Span // spans recycled by Keep-compaction, ready for reuse
-	total     uint64
-	stallAt   float64 // time of the most recent stall window entry
-	hasStall  bool
+	global    *spanTotals     // run-total sketches; nil until the first completed span
+	window    *windowSketches // the registry's windowed families; nil until the first windowed observation
+	// curCells caches the cells of window curWin, indexed by
+	// mode*NumWeightClasses + class, so a completion reaches its cell without
+	// a family lookup. Completions arrive in time order, so windows only
+	// advance and the cache resets once per window (an out-of-order
+	// completion just refills it from the family).
+	curWin   int32
+	curCells []*windowCell
+	done     []*Span
+	free     []*Span // spans recycled by Keep-compaction, ready for reuse
+	total    uint64
+	stallAt  float64 // time of the most recent stall window entry
+	hasStall bool
 }
 
 // NewSpanBuilder returns a builder for transactions of set. The set provides
@@ -427,7 +427,6 @@ func NewSpanBuilder(set *txn.Set, opts SpanOptions) *SpanBuilder {
 		wfOf:      make([]int32, set.Len()),
 		states:    make([]spanState, set.Len()),
 		modeNames: []string{"edf", "hdf"},
-		cells:     make(map[cellKey]*windowCell),
 	}
 	for i := range b.wfOf {
 		b.wfOf[i] = -1
@@ -713,9 +712,9 @@ func (b *SpanBuilder) closeSeg(st *spanState, t float64) {
 }
 
 // finalize closes the span at a completion or shed event: computes the
-// attribution fold, derived fields and batched sketch observations, and
-// moves the span to the done list. When the builder drains (no spans left
-// open — true at the end of every run), pending sketch batches flush.
+// attribution fold, derived fields and sketch observations, and moves the
+// span to the done list. When the builder drains (no spans left open — true
+// at the end of every run), pending run-total batches flush.
 func (b *SpanBuilder) finalize(st *spanState, ev *Event) {
 	sp := st.span
 	sp.Finish = ev.Time
@@ -783,9 +782,10 @@ func (b *SpanBuilder) compact() {
 	b.done = b.done[:n]
 }
 
-// observe feeds one completed span into the batched registry sketches. The
-// cell lookup is a dense-index map access — no formatted names, no string
-// hashing on the completion path.
+// observe feeds one completed span into the registry sketches: the batched
+// run totals and, with a window set, its (window, class, mode) cell under
+// one cell lock. The cell comes from the per-window cache — no formatted
+// names and no family lookup on the completion path.
 func (b *SpanBuilder) observe(sp *Span, class, mode int8) {
 	if b.opts.Metrics == nil {
 		return
@@ -797,72 +797,62 @@ func (b *SpanBuilder) observe(sp *Span, class, mode int8) {
 	g.bT.push(g.tard, sp.Tardiness)
 	g.bR.push(g.resp, sp.Response)
 	g.bS.push(g.slow, sp.Slowdown)
-	b.markDirty(g)
 	if b.opts.Window <= 0 {
 		return
 	}
-	key := cellKey{win: int32(sp.Finish / b.opts.Window), class: class, mode: mode}
-	c := b.cells[key]
-	if c == nil {
-		c = b.newCell(int(key.win), classNames[class], b.modeNames[mode])
-		b.cells[key] = c
+	win := int32(sp.Finish / b.opts.Window)
+	slot := int(mode)*NumWeightClasses + int(class)
+	if b.window == nil || win != b.curWin || slot >= len(b.curCells) || b.curCells[slot] == nil {
+		b.fillCell(win, slot, class, mode)
 	}
-	c.bT.push(c.tard, sp.Tardiness)
-	c.bR.push(c.resp, sp.Response)
-	c.bS.push(c.slow, sp.Slowdown)
-	b.markDirty(c)
-}
-
-// markDirty queues a cell for the next drain flush.
-func (b *SpanBuilder) markDirty(c *windowCell) {
-	if !c.dirty {
-		c.dirty = true
-		//lint:ignore hotpath-alloc the dirty work list grows to the cells touched per drain, then is reused via [:0]
-		b.dirty = append(b.dirty, c)
-	}
+	b.curCells[slot].observe(sp.Tardiness, sp.Response, sp.Slowdown)
 }
 
 // initGlobal resolves the run-total sketch handles — lazily, at the first
 // completed span, so a builder that never observes anything registers no
-// metrics (the pre-batching contract).
+// metrics.
 //
 //lint:coldpath run-total sketch registration happens once per run
 func (b *SpanBuilder) initGlobal() {
 	reg, alpha := b.opts.Metrics, b.opts.Alpha
-	b.global = &windowCell{
+	b.global = &spanTotals{
 		tard: reg.Sketch(MetricSpanTardiness, "per-span tardiness quantile sketch", alpha),
 		resp: reg.Sketch(MetricSpanResponse, "per-span response time quantile sketch", alpha),
 		slow: reg.Sketch(MetricSpanSlowdown, "per-span slowdown quantile sketch", alpha),
 	}
 }
 
-// newCell registers the three sketches of one windowed cell. The fmt-built
-// label names live only here, once per cell — completions reach their cell
-// through the interned cellKey index.
+// fillCell resolves the cache slot of (class, mode) in window win from the
+// registry's windowed families, first resolving the families, resetting the
+// cache when the window moved, and growing it when a new mode name appeared.
 //
-//lint:coldpath window-cell registration happens once per (window, class, mode) cell, not per completion
-func (b *SpanBuilder) newCell(win int, class, mode string) *windowCell {
-	reg, alpha := b.opts.Metrics, b.opts.Alpha
-	return &windowCell{
-		tard: reg.Sketch(WindowMetric("tardiness", win, class, mode),
-			"windowed tardiness quantile sketch", alpha),
-		resp: reg.Sketch(WindowMetric("response", win, class, mode),
-			"windowed response time quantile sketch", alpha),
-		slow: reg.Sketch(WindowMetric("slowdown", win, class, mode),
-			"windowed slowdown quantile sketch", alpha),
+//lint:coldpath runs once per (window, class, mode) cell, not per completion
+func (b *SpanBuilder) fillCell(win int32, slot int, class, mode int8) {
+	if b.window == nil {
+		b.window = b.opts.Metrics.windowFamily(b.opts.Alpha)
 	}
+	if win != b.curWin {
+		b.curWin = win
+		clear(b.curCells)
+	}
+	if n := len(b.modeNames) * NumWeightClasses; len(b.curCells) < n {
+		b.curCells = append(b.curCells, make([]*windowCell, n-len(b.curCells))...)
+	}
+	c, taken := b.window.cell(int(win), classNames[class], b.modeNames[mode])
+	if c == nil {
+		panic(fmt.Sprintf("obs: metric name %q already registered with a different type", taken))
+	}
+	b.curCells[slot] = c
 }
 
-// flushLocked drains every dirty cell's pending buffers into the sketches.
+// flushLocked drains the run-total insert buffers into their sketches.
 // Drains happen whenever no span is open — which includes the end of every
 // run, since each transaction completes or is shed — so registry snapshots
 // taken after a run always see every observation. Callers hold b.mu.
 func (b *SpanBuilder) flushLocked() {
-	for i, c := range b.dirty {
-		c.flush()
-		b.dirty[i] = nil
+	if b.global != nil {
+		b.global.flush()
 	}
-	b.dirty = b.dirty[:0]
 }
 
 // Flush drains any pending batched sketch observations. The server calls it
@@ -914,7 +904,8 @@ func (b *SpanBuilder) Total() uint64 {
 
 // RetainedBytes estimates the memory the builder pins: retained and
 // free-listed spans with their segment arrays, the dense per-transaction
-// state table, and the window-cell index. Cold; called at scrape time.
+// state table, and the windowed sketch cells it writes to — their slabs,
+// index and bucket arrays. Cold; called at scrape time.
 func (b *SpanBuilder) RetainedBytes() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -927,7 +918,9 @@ func (b *SpanBuilder) RetainedBytes() int {
 	for _, sp := range b.free {
 		total += spanSize + cap(sp.Segments)*segSize
 	}
-	total += len(b.cells) * int(unsafe.Sizeof(windowCell{}))
+	if b.window != nil {
+		total += b.window.retainedBytes() + cap(b.curCells)*int(unsafe.Sizeof((*windowCell)(nil)))
+	}
 	// Arena capacity not yet handed out (handed-out regions are already
 	// counted through the done/free spans that own them).
 	total += (len(b.spanArena) - b.arenaN) * spanSize
