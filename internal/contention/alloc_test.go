@@ -1,0 +1,60 @@
+package contention_test
+
+import (
+	"testing"
+
+	"repro/internal/contention"
+	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// TestAssignAllocsConstant: key assignment carves every read and write set
+// from one slab and re-seeds one by-value generator, so its allocation
+// count is the same at any workload size.
+func TestAssignAllocsConstant(t *testing.T) {
+	ks := contention.Keyspace{Keys: 4096, Alpha: 0.9, Reads: 4, Writes: 2, ReadOnlyProb: 0.2, Seed: 5}
+	allocs := func(n int) float64 {
+		set := workload.NewSpec(0.9, 3).WithN(n).MustBuild()
+		return testing.AllocsPerRun(5, func() {
+			if err := contention.Assign(set, ks); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1_000), allocs(10_000)
+	if small != large {
+		t.Fatalf("Assign allocations grow with n: %v at n=1k, %v at n=10k", small, large)
+	}
+}
+
+// TestBuildContendedAllocs: building a contended workload — generation and
+// key assignment — stays at or below 0.01 allocations per transaction.
+func TestBuildContendedAllocs(t *testing.T) {
+	const n = 10_000
+	spec := workload.NewSpec(0.85*4, 7).WithN(n).
+		WithContention(contention.Keyspace{Keys: 4096, Alpha: 0.9, Reads: 4, Writes: 2})
+	allocs := testing.AllocsPerRun(3, func() { spec.MustBuild() })
+	if perTxn := allocs / n; perTxn > 0.01 {
+		t.Fatalf("Build made %v allocations (%.4f per transaction), want <= 0.01 per transaction", allocs, perTxn)
+	}
+}
+
+// TestSteadyStateContendedRunAllocs: a whole 4-server CA-ASETS* run over a
+// contended set — validation rewinds and conflict probes included, set-up
+// included — stays at or below 0.01 allocations per transaction.
+func TestSteadyStateContendedRunAllocs(t *testing.T) {
+	const n = 20_000
+	set := workload.NewSpec(0.85*4, 11).WithN(n).
+		WithContention(contention.Keyspace{Keys: 4096, Alpha: 0.9, Reads: 4, Writes: 2}).
+		MustBuild()
+	runner := sim.New(sim.Config{Servers: 4})
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := runner.Run(set, contention.NewDeferring(core.New(), 0)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perTxn := allocs / n; perTxn > 0.01 {
+		t.Fatalf("sim.Run made %v allocations (%.4f per transaction), want <= 0.01 per transaction", allocs, perTxn)
+	}
+}

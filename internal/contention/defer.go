@@ -40,16 +40,17 @@ type Deferring struct {
 	name   string
 	sink   obs.Sink
 
-	// out holds the transactions currently checked out through Next and
-	// not yet returned via OnPreempt/OnCompletion (the check-out protocol
-	// guarantees every one comes back before the next Next).
-	out []*txn.Transaction
-	// openTxns holds queued transactions with partial progress: their
-	// incarnation began at an earlier dispatch and its read snapshot stays
-	// open until they complete or are rewound (validation failure, crash).
-	// openMark[id] mirrors membership for O(1) tests.
-	openTxns []*txn.Transaction
-	openMark []bool
+	// busy[id] reports whether transaction id is busy: checked out through
+	// Next and not yet returned via OnPreempt/OnCompletion, or queued with
+	// partial progress — its incarnation began at an earlier dispatch and
+	// its read snapshot stays open until it completes or is rewound
+	// (validation failure, crash). Every protocol call decides the flag
+	// outright: Next sets it, OnPreempt sets it to "made progress",
+	// OnCompletion clears it.
+	busy []bool
+	// readers[k] and writers[k] count the busy transactions that read or
+	// write key k.
+	readers, writers []int32
 	// cand is the probe scratch buffer (capacity window+1).
 	cand []*txn.Transaction
 }
@@ -78,16 +79,12 @@ func (d *Deferring) Name() string { return d.name }
 
 // Init implements sched.Scheduler.
 //
-//lint:coldpath per-run setup: busy-set buffers are built before the event loop
+//lint:coldpath per-run setup: the busy-state and per-key tables are built before the event loop
 func (d *Deferring) Init(set *txn.Set) {
-	n := set.Len()
-	if cap(d.out) < n {
-		d.out = make([]*txn.Transaction, 0, n)
-		d.openTxns = make([]*txn.Transaction, 0, n)
-	}
-	d.out = d.out[:0]
-	d.openTxns = d.openTxns[:0]
-	d.openMark = make([]bool, n)
+	d.busy = make([]bool, set.Len())
+	span := keySpan(set)
+	d.readers = make([]int32, span)
+	d.writers = make([]int32, span)
 	d.cand = d.cand[:0]
 	d.inner.Init(set)
 }
@@ -114,7 +111,7 @@ func (d *Deferring) Next(now float64) *txn.Transaction {
 		return nil
 	}
 	if !d.conflictsBusy(head) {
-		d.checkout(head)
+		d.setBusy(head, true)
 		return head
 	}
 	// The head is predicted to conflict: probe deeper in the policy's own
@@ -154,110 +151,75 @@ func (d *Deferring) Next(now float64) *txn.Transaction {
 	for _, c := range cand {
 		d.inner.OnPreempt(now, c)
 	}
-	d.checkout(pick)
+	d.setBusy(pick, true)
 	return pick
 }
 
 // OnPreempt implements sched.Scheduler.
 func (d *Deferring) OnPreempt(now float64, t *txn.Transaction) {
-	d.release(t)
 	// A preempted transaction with partial progress still holds its read
 	// snapshot (the incarnation spans preemptions); one rewound to full
 	// length (validation failure, crash loss) lost it. The strict < holds
 	// exactly when progress was made: rewinds restore Remaining = Length
 	// bit-for-bit.
-	if t.Remaining < t.Length {
-		d.markOpen(t)
-	} else {
-		d.unmarkOpen(t)
-	}
+	d.setBusy(t, t.Remaining < t.Length)
 	d.inner.OnPreempt(now, t)
 }
 
 // OnCompletion implements sched.Scheduler.
 func (d *Deferring) OnCompletion(now float64, t *txn.Transaction) {
-	d.release(t)
-	d.unmarkOpen(t)
+	d.setBusy(t, false)
 	d.inner.OnCompletion(now, t)
 }
 
-// checkout records t as running.
-func (d *Deferring) checkout(t *txn.Transaction) {
-	//lint:ignore hotpath-alloc out is presized to the workload length at Init
-	d.out = append(d.out, t)
-}
-
-// release removes t from the checked-out set.
-func (d *Deferring) release(t *txn.Transaction) {
-	for i, o := range d.out {
-		if o.ID == t.ID {
-			last := len(d.out) - 1
-			d.out[i] = d.out[last]
-			d.out[last] = nil
-			d.out = d.out[:last]
-			return
-		}
-	}
-}
-
-func (d *Deferring) markOpen(t *txn.Transaction) {
-	if !d.openMark[t.ID] {
-		d.openMark[t.ID] = true
-		//lint:ignore hotpath-alloc openTxns is presized to the workload length at Init
-		d.openTxns = append(d.openTxns, t)
-	}
-}
-
-func (d *Deferring) unmarkOpen(t *txn.Transaction) {
-	if !d.openMark[t.ID] {
+// setBusy sets t's busy flag, entering t's keys into the per-key counts
+// when it becomes busy and withdrawing them when it stops being busy.
+func (d *Deferring) setBusy(t *txn.Transaction, busy bool) {
+	if d.busy[t.ID] == busy {
 		return
 	}
-	d.openMark[t.ID] = false
-	for i, o := range d.openTxns {
-		if o.ID == t.ID {
-			last := len(d.openTxns) - 1
-			d.openTxns[i] = d.openTxns[last]
-			d.openTxns[last] = nil
-			d.openTxns = d.openTxns[:last]
-			return
-		}
+	d.busy[t.ID] = busy
+	delta := int32(-1)
+	if busy {
+		delta = 1
+	}
+	for _, k := range t.Reads {
+		d.readers[k] += delta
+	}
+	for _, k := range t.Writes {
+		d.writers[k] += delta
 	}
 }
 
 // conflictsBusy reports whether dispatching c is predicted to produce a
-// validation failure: c overlaps a busy transaction in a way where either
-// side's commit invalidates the other's open reads. Write-write overlap
-// alone is not predicted to fail — only read sets are validated.
+// validation failure: some other busy transaction reads a key c writes (c's
+// commit would invalidate its open reads) or writes a key c reads (its
+// commit would invalidate c's). Write-write overlap alone is not predicted
+// to fail — only read sets are validated. When c is itself busy its own
+// entries are discounted, so a transaction never conflicts with itself
+// (read-your-own-writes included).
 func (d *Deferring) conflictsBusy(c *txn.Transaction) bool {
-	for _, o := range d.out {
-		if o.ID != c.ID && conflicts(c, o) {
-			return true
-		}
-	}
-	for _, o := range d.openTxns {
-		if o.ID != c.ID && conflicts(c, o) {
-			return true
-		}
-	}
-	return false
+	self := d.busy[c.ID]
+	return othersHold(d.readers, c.Writes, c.Reads, self) ||
+		othersHold(d.writers, c.Reads, c.Writes, self)
 }
 
-// conflicts reports read/write overlap between a and b in either
-// direction.
-func conflicts(a, b *txn.Transaction) bool {
-	return overlap(a.Writes, b.Reads) || overlap(a.Reads, b.Writes)
-}
-
-// overlap merge-scans two sorted key sets for a common element.
-func overlap(a, b []txn.Key) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
+// othersHold reports whether count[k] has a holder other than c for some k
+// in keys. c holds count[k] itself exactly when it is busy (self) and k is
+// also in own; both sets are sorted, so one merge walk decides that.
+func othersHold(count []int32, keys, own []txn.Key, self bool) bool {
+	j := 0
+	for _, k := range keys {
+		n := count[k]
+		if self {
+			for j < len(own) && own[j] < k {
+				j++
+			}
+			if j < len(own) && own[j] == k {
+				n--
+			}
+		}
+		if n > 0 {
 			return true
 		}
 	}

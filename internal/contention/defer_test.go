@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/txn"
 )
 
@@ -166,5 +167,112 @@ func TestDeferringNameAndUnwrap(t *testing.T) {
 	}
 	if d.window != DefaultWindow {
 		t.Fatalf("window = %d, want DefaultWindow on non-positive input", d.window)
+	}
+}
+
+// refOverlap merge-scans two sorted key sets for a common element.
+func refOverlap(a, b []txn.Key) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case b[j] < a[i]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// refBusy is a brute-force model of the wrapper's busy set: which
+// transactions are checked out, which hold an open read snapshot, and the
+// pairwise conflict test over them.
+type refBusy struct {
+	out, open []bool
+}
+
+func (r *refBusy) conflicts(set *txn.Set, c *txn.Transaction) bool {
+	for _, o := range set.Txns {
+		if o.ID == c.ID || !(r.out[o.ID] || r.open[o.ID]) {
+			continue
+		}
+		if refOverlap(c.Writes, o.Reads) || refOverlap(c.Reads, o.Writes) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDeferringIndexMatchesPairwise drives the wrapper through random
+// check-out, partial-preempt, rewound-preempt and completion sequences over
+// Zipf-keyed sets whose reads overlap other transactions' writes and their
+// own. After every step the per-key conflict test must agree with a
+// pairwise scan over a reference busy list for every queued transaction,
+// and once the set drains every per-key count must be back to zero.
+func TestDeferringIndexMatchesPairwise(t *testing.T) {
+	const n, servers = 60, 4
+	for seed := uint64(0); seed < 40; seed++ {
+		set := keyspaceFixture(t, n)
+		ks := Keyspace{Keys: 24, Alpha: 0.9, Reads: 3, Writes: 2, ReadOnlyProb: 0.2, Seed: seed}
+		if err := Assign(set, ks); err != nil {
+			t.Fatal(err)
+		}
+		for _, tx := range set.Txns {
+			tx.Length, tx.Remaining = 4, 4
+		}
+		inner := &queueSched{}
+		d := NewDeferring(inner, 3)
+		d.Init(set)
+		ref := &refBusy{out: make([]bool, n), open: make([]bool, n)}
+		src := rng.New(seed)
+		var running []*txn.Transaction
+		arrived, done := 0, 0
+		for step := 0; done < n; step++ {
+			switch op := src.Intn(4); {
+			case op == 0 && arrived < n:
+				d.OnArrival(0, set.Txns[arrived])
+				arrived++
+			case op == 1 && len(running) < servers && len(inner.q) > 0:
+				c := d.Next(0)
+				ref.out[c.ID] = true
+				running = append(running, c)
+			case len(running) > 0:
+				i := src.Intn(len(running))
+				c := running[i]
+				running = append(running[:i], running[i+1:]...)
+				ref.out[c.ID] = false
+				switch src.Intn(3) {
+				case 0: // partial preempt: the snapshot stays open
+					c.Remaining = max(c.Remaining-1, 1)
+					ref.open[c.ID] = true
+					d.OnPreempt(0, c)
+				case 1: // validation failure or crash: rewound to full length
+					c.Remaining = c.Length
+					ref.open[c.ID] = false
+					d.OnPreempt(0, c)
+				default:
+					c.Remaining = 0
+					ref.open[c.ID] = false
+					d.OnCompletion(0, c)
+					done++
+				}
+			default:
+				continue
+			}
+			for _, c := range inner.q {
+				if got, want := d.conflictsBusy(c), ref.conflicts(set, c); got != want {
+					t.Fatalf("seed %d step %d: conflictsBusy(T%d) = %v, pairwise scan says %v",
+						seed, step, c.ID, got, want)
+				}
+			}
+		}
+		for k := range d.readers {
+			if d.readers[k] != 0 || d.writers[k] != 0 {
+				t.Fatalf("seed %d: key %d still counted after drain: %d readers, %d writers",
+					seed, k, d.readers[k], d.writers[k])
+			}
+		}
 	}
 }

@@ -91,47 +91,53 @@ func Assign(set *txn.Set, ks Keyspace) error {
 	if err != nil {
 		return err
 	}
+	// Every set is carved from one slab sized for the largest possible draw;
+	// each is capped at its own length, so no set can grow into the next.
+	slab := make([]txn.Key, 0, set.Len()*(ks.Writes+ks.Reads))
+	var src rng.Source
 	for _, t := range set.Txns {
-		src := rng.New(rng.Derive(ks.Seed, uint64(t.ID)))
+		src.Seed(rng.Derive(ks.Seed, uint64(t.ID)))
 		readOnly := src.Float64() < ks.ReadOnlyProb
 		nw := ks.Writes
 		if readOnly {
 			nw = 0
 		}
-		t.Writes = drawDistinct(src, zipf, nw)
-		t.Reads = drawDistinct(src, zipf, ks.Reads)
+		t.Writes, slab = drawDistinct(slab, &src, zipf, nw)
+		t.Reads, slab = drawDistinct(slab, &src, zipf, ks.Reads)
 	}
 	return set.Validate()
 }
 
-// drawDistinct samples n distinct keys by rejection and returns them sorted.
-// Rejection terminates because Validate caps n at the keyspace size; with
-// the recommended n << Keys the expected number of redraws is tiny.
-func drawDistinct(src *rng.Source, zipf *rng.Zipf, n int) []txn.Key {
+// drawDistinct samples n distinct keys by rejection into the spare capacity
+// of slab and returns them sorted, with slab extended past them. Rejection
+// terminates because Validate caps n at the keyspace size; with the
+// recommended n << Keys the expected number of redraws is tiny.
+func drawDistinct(slab []txn.Key, src *rng.Source, zipf *rng.Zipf, n int) (keys, rest []txn.Key) {
 	if n == 0 {
-		return nil
+		return nil, slab
 	}
-	keys := make([]txn.Key, 0, n)
-	for len(keys) < n {
+	start := len(slab)
+	for len(slab)-start < n {
 		k := txn.Key(zipf.Sample(src))
 		dup := false
-		for _, have := range keys {
+		for _, have := range slab[start:] {
 			if have == k {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			keys = append(keys, k)
+			slab = append(slab, k)
 		}
 	}
+	keys = slab[start:len(slab):len(slab)]
 	// Insertion sort: n is a handful of keys.
 	for i := 1; i < len(keys); i++ {
 		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-	return keys
+	return keys, slab
 }
 
 // HasKeys reports whether any transaction in set carries a read or write
@@ -143,4 +149,20 @@ func HasKeys(set *txn.Set) bool {
 		}
 	}
 	return false
+}
+
+// keySpan returns one past the largest key any transaction in set reads or
+// writes — the length of a table indexed by key — or 0 when no transaction
+// carries keys.
+func keySpan(set *txn.Set) int {
+	span := 0
+	for _, t := range set.Txns {
+		for _, k := range t.Reads {
+			span = max(span, int(k)+1)
+		}
+		for _, k := range t.Writes {
+			span = max(span, int(k)+1)
+		}
+	}
+	return span
 }

@@ -43,21 +43,8 @@ func NewValidator(set *txn.Set) *Validator {
 	if !HasKeys(set) {
 		return nil
 	}
-	maxKey := txn.Key(-1)
-	for _, t := range set.Txns {
-		for _, k := range t.Reads {
-			if k > maxKey {
-				maxKey = k
-			}
-		}
-		for _, k := range t.Writes {
-			if k > maxKey {
-				maxKey = k
-			}
-		}
-	}
 	return &Validator{
-		lastWrite: make([]uint64, int(maxKey)+1),
+		lastWrite: make([]uint64, keySpan(set)),
 		begin:     make([]uint64, set.Len()),
 		open:      make([]bool, set.Len()),
 	}

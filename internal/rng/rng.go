@@ -55,14 +55,21 @@ type Source struct {
 // New returns a Source seeded from seed. Any seed (including zero) yields a
 // valid, well-mixed state because the state words come from splitmix64.
 func New(seed uint64) *Source {
-	sm := NewSplitMix64(seed)
-	src := &Source{s0: sm.Next(), s1: sm.Next(), s2: sm.Next(), s3: sm.Next()}
+	src := new(Source)
+	src.Seed(seed)
+	return src
+}
+
+// Seed resets r to the state New(seed) starts from, so a Source held by
+// value can be re-seeded in place instead of allocating a new one.
+func (r *Source) Seed(seed uint64) {
+	sm := SplitMix64{state: seed}
+	r.s0, r.s1, r.s2, r.s3 = sm.Next(), sm.Next(), sm.Next(), sm.Next()
 	// The all-zero state is the only invalid one; splitmix64 cannot produce
 	// four consecutive zeros, but guard anyway for robustness.
-	if src.s0|src.s1|src.s2|src.s3 == 0 {
-		src.s0 = 0x9e3779b97f4a7c15
+	if r.s0|r.s1|r.s2|r.s3 == 0 {
+		r.s0 = 0x9e3779b97f4a7c15
 	}
-	return src
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

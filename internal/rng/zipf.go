@@ -13,15 +13,20 @@ import (
 // distribution over the range [1-50] ... skewed toward short transactions"
 // with default skew alpha = 0.5 (Table I).
 //
-// The support is small (tens of values), so sampling uses inverse-transform
-// over a precomputed cumulative table with binary search: O(log n) per draw
-// and exactly one uniform variate consumed, which keeps workload replay
-// deterministic and cheap.
+// Sampling is inverse-transform over a precomputed cumulative table and
+// consumes exactly one uniform variate, which keeps workload replay
+// deterministic. A guide table (Chen and Asau's indexed search) narrows each
+// draw's binary search to the few table entries that share its bucket, so a
+// draw over a 4096-key keyspace costs a constant expected number of
+// comparisons rather than a search of the whole table.
 type Zipf struct {
 	min   int
 	max   int
 	alpha float64
 	cdf   []float64 // cdf[i] = P(X <= min+i)
+	// guide[j] is the smallest i with bucket(cdf[i]) >= j, for j = 0..m
+	// where m = len(cdf); guide[m+1] = len(cdf)-1 closes the last range.
+	guide []int32
 	mean  float64
 }
 
@@ -51,7 +56,24 @@ func NewZipf(min, max int, alpha float64) (*Zipf, error) {
 	// Pin the final entry to exactly 1 so a uniform draw of 1-eps can never
 	// fall past the end of the table due to floating-point rounding.
 	z.cdf[n-1] = 1
+	// bucket(1) = n, so the scan fills guide[0..n]; the sentinel bounds the
+	// range of a draw whose bucket rounds up to n.
+	z.guide = make([]int32, n+2)
+	j := 0
+	for i, c := range z.cdf {
+		for b := z.bucket(c); j <= b; j++ {
+			z.guide[j] = int32(i)
+		}
+	}
+	z.guide[n+1] = int32(n - 1)
 	return z, nil
+}
+
+// bucket maps a probability in [0, 1] to its guide-table bucket
+// min(floor(x*m), m), m = len(cdf). It is monotone in x, which is all the
+// guide table's exactness rests on.
+func (z *Zipf) bucket(x float64) int {
+	return min(int(x*float64(len(z.cdf))), len(z.cdf))
 }
 
 // MustZipf is like NewZipf but panics on invalid parameters. It is intended
@@ -64,17 +86,27 @@ func MustZipf(min, max int, alpha float64) *Zipf {
 	return z
 }
 
-// Sample draws one value from the distribution using src.
+// Sample draws one value from the distribution using src: min+i for the
+// smallest i with cdf[i] >= u, where u is one uniform draw in [0, 1). Such
+// an i always exists because cdf ends at exactly 1 and u < 1.
+//
+// The guide table finds i without searching the whole table. With
+// j = bucket(u): every i' < guide[j] has bucket(cdf[i']) < j, so
+// cdf[i'] < u by monotonicity; and bucket(cdf[guide[j+1]]) > j forces
+// cdf[guide[j+1]] > u. So i lies in [guide[j], guide[j+1]], and
+// sort.SearchFloat64s — which returns the first index with cdf[i] >= u, or
+// the slice length when there is none — over cdf[guide[j]:guide[j+1]]
+// returns exactly i's offset in that range. The answer is the one a search
+// of the whole table would give.
 func (z *Zipf) Sample(src *Source) int {
-	u := src.Float64()
-	i := sort.SearchFloat64s(z.cdf, u)
-	// SearchFloat64s returns the first index with cdf[i] >= u except when
-	// cdf[i] == u, where it returns the index *after* the equal run; both
-	// cases land inside the table because cdf ends at exactly 1 and u < 1.
-	if i >= len(z.cdf) {
-		i = len(z.cdf) - 1
-	}
-	return z.min + i
+	return z.quantile(src.Float64())
+}
+
+// quantile returns the value Sample draws for the uniform variate u.
+func (z *Zipf) quantile(u float64) int {
+	j := z.bucket(u)
+	lo, hi := int(z.guide[j]), int(z.guide[j+1])
+	return z.min + lo + sort.SearchFloat64s(z.cdf[lo:hi], u)
 }
 
 // Mean returns the exact expected value of the distribution. The workload

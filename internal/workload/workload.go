@@ -236,12 +236,16 @@ func Generate(cfg Config) (*txn.Set, error) {
 		totalLen += lengths[i]
 	}
 
+	// The transactions are carved from one slab: one allocation per set
+	// rather than one per transaction.
+	slab := make([]txn.Transaction, cfg.N)
 	txns := make([]*txn.Transaction, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		k := src.Uniform(0, cfg.KMax)
 		weight := float64(src.IntRange(cfg.WeightMin, cfg.WeightMax))
 		l := lengths[i]
-		txns[i] = &txn.Transaction{
+		txns[i] = &slab[i]
+		slab[i] = txn.Transaction{
 			ID:     txn.ID(i),
 			Length: l,
 			Weight: weight,

@@ -36,6 +36,10 @@ else
     go test -race ./...
 fi
 
+# perfbench/ is a nested module: the root ./... patterns never reach it.
+echo "== benchmark module (vet + smoke runs + traced == untraced digests)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== asetslint"
 go run ./cmd/asetslint ./...
 
