@@ -11,13 +11,14 @@
 // powers the asetsweb demo server, which exposes a live dashboard of an
 // ASETS*-scheduled transaction stream.
 //
-// Time handling: scheduling decisions and tardiness bookkeeping run on
-// event time (exactly the simulator's decision points), while wall-clock
-// sleeps only pace execution toward each event's scheduled instant. Timer
-// overshoot therefore puts the executor briefly into catch-up mode instead
-// of silently injecting extra load, and a paced run produces the same
-// schedule and the same tardiness as the discrete-event simulator on the
-// same workload — a property the tests assert exactly.
+// Time handling: the executor runs the simulator's single-backend event
+// kernel (sim.Kernel). Scheduling decisions and tardiness bookkeeping
+// run on event time inside the kernel, while wall-clock sleeps only pace
+// execution toward each event's scheduled instant. Timer overshoot therefore
+// puts the executor briefly into catch-up mode instead of silently injecting
+// extra load, and a paced run reproduces the discrete-event simulator's
+// schedule, event stream and tardiness on the same workload by construction
+// — the cross-engine matrix test asserts it byte for byte.
 //
 // All wall-clock access goes through the Clock seam (Options.Clock): the
 // production RealClock paces against the host clock, while the FakeClock
@@ -25,32 +26,27 @@
 // wall-clock read exists in the executor, keeping the determinism policy of
 // docs/DETERMINISM.md intact end to end.
 //
-// Faults and overload protection (docs/ROBUSTNESS.md) thread through the
-// same event-time model: Options.Faults injects aborts, backend outage
-// windows and flash crowds at simulated instants (so a FakeClock replay of a
-// fault run is still bit-deterministic), and Options.Admit sheds arrivals
-// before they reach the scheduler.
+// Faults and overload protection (docs/ROBUSTNESS.md) are the kernel's, so
+// they thread through the same event-time model: Options.Faults injects
+// aborts, backend outage windows and flash crowds at simulated instants (so a
+// FakeClock replay of a fault run is still bit-deterministic), and
+// Options.Admit sheds arrivals before they reach the scheduler.
 package executor
 
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/contention"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/slo"
 	"repro/internal/txn"
 )
-
-// inf marks "no such future event" in boundary computations.
-var inf = math.Inf(1)
 
 // Options configures an Executor.
 type Options struct {
@@ -141,28 +137,23 @@ func (s Stats) AvgTardiness() float64 {
 // Executor replays one workload through a scheduler in real time. Create
 // with New, drive with Run, observe with Stats.
 type Executor struct {
-	set   *txn.Set
-	sched sched.Scheduler
-	opts  Options
-
-	inj     *fault.Injector
-	rec     *fault.Recorder
-	val     *contention.Validator
-	crec    *contention.Recorder
-	sloSink *slo.Sink
+	set     *txn.Set
+	opts    Options
+	k       sim.Kernel
 	initErr error
 
-	mu    sync.Mutex
-	ctrl  admit.Controller // guarded by mu: the run loop and Probe both call it
-	stats Stats
-	done  bool
+	mu      sync.Mutex
+	ctrl    admit.Controller // guarded by mu: the run loop and Probe both call it
+	counts  sim.Counts       // guarded by mu: the kernel's counters, copied once per step
+	running txn.ID           // guarded by mu: the dispatched transaction, or -1
+	done    bool             // guarded by mu
 }
 
-// New prepares an executor. The scheduler must be freshly constructed (its
-// Init is called here) and must not be shared with another executor or
-// simulation. A fault plan's flash-crowd bursts mutate the set's arrival
-// times here, before the scheduler sees the workload; an invalid plan is
-// reported by Run.
+// New prepares an executor over the simulator's single-backend kernel. The
+// scheduler must be freshly constructed (its Init is called here) and must
+// not be shared with another executor or simulation. A fault plan's
+// flash-crowd bursts mutate the set's arrival times here, before the
+// scheduler sees the workload; an invalid plan is reported by Run.
 func New(s sched.Scheduler, set *txn.Set, opts Options) *Executor {
 	if opts.TimeScale <= 0 {
 		opts.TimeScale = 200 * time.Microsecond
@@ -170,69 +161,55 @@ func New(s sched.Scheduler, set *txn.Set, opts Options) *Executor {
 	if opts.Clock == nil {
 		opts.Clock = RealClock{}
 	}
-	e := &Executor{
-		set:  set,
-		opts: opts,
-		ctrl: opts.Admit,
+	e := &Executor{set: set, opts: opts, ctrl: opts.Admit, running: -1}
+	cfg := sim.Config{Sink: opts.Sink, Metrics: opts.Metrics, Faults: opts.Faults, SLO: opts.SLO}
+	if opts.Admit != nil {
+		cfg.Admit = lockedController{e}
 	}
-	if opts.Faults != nil {
-		if err := opts.Faults.Validate(); err != nil {
-			e.initErr = err
-		} else {
-			e.inj = fault.NewInjector(opts.Faults, set.Len())
-			opts.Faults.ApplyBursts(set)
-		}
-	}
-	if opts.Admit != nil && e.initErr == nil {
-		// Shedding cascades to dependents (a shed dependency can never
-		// complete, so its dependents would deadlock the scheduler), which
-		// requires dependencies to be delivered before their dependents.
-		if err := admit.CheckArrivalOrder(set); err != nil {
-			e.initErr = err
-		}
-	}
-	set.ResetAll()
-	// The SLO engine wraps the configured sink so it sees the event stream
-	// exactly as emitted and injects alert transitions in stream order;
-	// everything downstream of here (instrumentation, recorders) emits
-	// through the wrapper. Same composition as sim.Run, so a FakeClock
-	// replay carries the identical alert stream as the simulator.
-	sink := opts.Sink
-	if opts.SLO != nil && e.initErr == nil {
-		if err := opts.SLO.Validate(); err != nil {
-			e.initErr = err
-		} else {
-			e.sloSink = slo.NewSink(slo.NewEngine(*opts.SLO, opts.Metrics), set, sink)
-			sink = e.sloSink
-		}
-	}
-	// Decision-loop instrumentation: a no-op pass-through when neither a
-	// sink nor a registry is configured.
-	s = sched.Instrument(s, sink, opts.Metrics)
-	s.Init(set)
-	if e.inj != nil || e.ctrl != nil {
-		// Route recorder events through the instrumented scheduler's staged
-		// event entry so they stay in emission order with decision events
-		// while sink delivery is batched.
-		e.rec = fault.NewRecorder(sched.EventSink(s, sink), opts.Metrics)
-	}
-	// A workload with read/write sets switches on commit-time validation:
-	// contention-driven aborts replace the injector's random draws
-	// (docs/CONTENTION.md). Nil for plain workloads.
-	e.val = contention.NewValidator(set)
-	if e.val != nil {
-		e.crec = contention.NewRecorder(sched.EventSink(s, sink), opts.Metrics)
-	}
-	e.sched = s
-	e.stats = Stats{Running: -1}
+	e.k, e.initErr = sim.NewKernel(cfg, set, s)
 	return e
 }
+
+// lockedController is the kernel's view of the admission controller: every
+// call is serialized with Probe and AdmissionDegraded under the executor's
+// lock.
+type lockedController struct{ e *Executor }
+
+func (c lockedController) Name() string {
+	c.e.mu.Lock()
+	defer c.e.mu.Unlock()
+	return c.e.ctrl.Name()
+}
+
+func (c lockedController) Admit(t *txn.Transaction, st admit.State) bool {
+	c.e.mu.Lock()
+	defer c.e.mu.Unlock()
+	return c.e.ctrl.Admit(t, st)
+}
+
+func (c lockedController) Complete(t *txn.Transaction, tardy bool) {
+	c.e.mu.Lock()
+	defer c.e.mu.Unlock()
+	c.e.ctrl.Complete(t, tardy)
+}
+
+func (c lockedController) Degraded() bool { return c.e.AdmissionDegraded() }
 
 // Stats returns a consistent snapshot of progress.
 func (e *Executor) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.stats
+	return statsOf(e.counts, e.running)
+}
+
+// statsOf renders the kernel's counters as Stats.
+func statsOf(c sim.Counts, running txn.ID) Stats {
+	return Stats{
+		Now: c.Now, Submitted: c.Admitted, Completed: c.Done, Running: running,
+		SumTardiness: c.SumTardiness, MaxTardiness: c.MaxTardiness, Misses: c.Misses, Shed: c.Shed,
+		Aborts: c.Aborts, Restarts: c.Restarts, Stalls: c.Stalls, ValidateFails: c.ValidateFails,
+		Held: c.Held, Backlog: c.Backlog, Degraded: c.Degraded,
+	}
 }
 
 // Done reports whether Run has finished.
@@ -249,10 +226,11 @@ func (e *Executor) Done() bool {
 func (e *Executor) Probe(t *txn.Transaction) (bool, Stats) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	st := statsOf(e.counts, e.running)
 	if e.ctrl == nil {
-		return true, e.stats
+		return true, st
 	}
-	return e.ctrl.Admit(t, e.admitStateLocked(e.stats.Now)), e.stats
+	return e.ctrl.Admit(t, e.counts.AdmitState(1)), st
 }
 
 // AdmissionDegraded reports whether the admission controller is currently in
@@ -262,367 +240,63 @@ func (e *Executor) Probe(t *txn.Transaction) (bool, Stats) {
 func (e *Executor) AdmissionDegraded() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ctrl == nil {
-		return false
-	}
-	return e.ctrl.Degraded()
-}
-
-// admitStateLocked assembles the controller's view of the system. Callers
-// hold e.mu.
-func (e *Executor) admitStateLocked(now float64) admit.State {
-	running := 0
-	if e.stats.Running >= 0 {
-		running = 1
-	}
-	return admit.State{
-		Now:       now,
-		Queued:    e.stats.Submitted - e.stats.Completed - e.stats.Held - running,
-		Running:   running,
-		Servers:   1,
-		Backlog:   e.stats.Backlog,
-		Completed: e.stats.Completed,
-		Misses:    e.stats.Misses,
-	}
+	return e.ctrl != nil && e.ctrl.Degraded()
 }
 
 // Run replays the workload to completion or until ctx is cancelled. It
 // returns the number of completed transactions and an error if the context
-// ended the run early or the scheduler misbehaved.
+// ended the run early or the scheduler misbehaved. Run paces the kernel: it
+// walks the workload in arrival order like sim.Run, and before each advance
+// sleeps on the Clock until the event's scaled wall instant.
 func (e *Executor) Run(ctx context.Context) (int, error) {
 	if e.initErr != nil {
 		return 0, fmt.Errorf("executor: %w", e.initErr)
 	}
-	order := make([]*txn.Transaction, e.set.Len())
-	copy(order, e.set.Txns)
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].Arrival != order[j].Arrival {
-			return order[i].Arrival < order[j].Arrival
-		}
-		return order[i].ID < order[j].ID
-	})
-
-	clock := e.opts.Clock
-	start := clock.Now()
-	wallAt := func(simT float64) time.Time {
-		return start.Add(time.Duration(simT * float64(e.opts.TimeScale)))
-	}
-
-	var now float64 // event time, in simulated units
-	nextArr := 0
-	completed := 0
-	shed := 0
-	n := e.set.Len()
-	stallSeen := -1
-
-	// deliver hands every due arrival to the scheduler, consulting the
-	// admission controller first when one is configured.
-	deliver := func(now float64) {
-		for nextArr < n && order[nextArr].Arrival <= now {
-			t := order[nextArr]
-			nextArr++
-			e.mu.Lock()
-			if e.ctrl != nil && t.Shed {
-				// Marked by an earlier cascade: a dependency was shed, so
-				// this transaction could never become ready.
-				shed++
-				e.stats.Shed = shed
-				e.stats.Now = now
-				e.mu.Unlock()
-				e.rec.Shed(now, t, "cascade")
-				continue
-			}
-			if e.ctrl != nil && !e.ctrl.Admit(t, e.admitStateLocked(now)) {
-				admit.CascadeShed(e.set, t)
-				shed++
-				e.stats.Shed = shed
-				e.stats.Now = now
-				ctrlName := e.ctrl.Name()
-				e.mu.Unlock()
-				e.rec.Shed(now, t, ctrlName)
-				continue
-			}
-			e.stats.Submitted++
-			e.stats.Backlog += t.Remaining
-			e.stats.Now = now
-			e.mu.Unlock()
-			e.sched.OnArrival(now, t)
-		}
-	}
-
-	// deliverRestarts re-queues aborted transactions whose backoff expired.
-	deliverRestarts := func(now float64) {
-		if e.inj == nil {
-			return
-		}
-		for _, t := range e.inj.PopDueRestarts(now) {
-			e.mu.Lock()
-			e.stats.Restarts++
-			e.stats.Held = e.inj.Held()
-			e.mu.Unlock()
-			e.rec.Restart(now, t)
-			e.sched.OnPreempt(now, t)
-		}
-	}
-
-	// enterStall records an outage window's entry exactly once.
-	enterStall := func(now float64, w fault.Window, idx int) {
-		if idx == stallSeen {
-			return
-		}
-		stallSeen = idx
-		e.inj.RecordStallEntered()
-		e.mu.Lock()
-		e.stats.Stalls++
-		e.mu.Unlock()
-		e.rec.StallEntered(now, w)
-	}
-
-	// nextRestart/nextStallStart are +Inf without an injector.
-	nextRestart := func() float64 {
-		if e.inj == nil {
-			return inf
-		}
-		return e.inj.NextRestart()
-	}
-	nextStallStart := func(now float64) float64 {
-		if e.inj == nil {
-			return inf
-		}
-		return e.inj.NextStallStart(now)
-	}
-
-	// sleepUntil waits for a clock instant, honouring cancellation. Staged
-	// events are delivered first, so live readers (the ring, SSE streams)
-	// see every decision up to the instant the executor pauses — the loop
-	// passes through here at least once per dispatch, which bounds event
-	// delivery lag to a single decision step.
-	sleepUntil := func(at time.Time) error {
-		if fl, ok := e.sched.(sched.ObsFlusher); ok {
-			fl.FlushObs()
-		}
-		d := at.Sub(clock.Now())
-		if d <= 0 {
-			return ctx.Err()
-		}
-		return clock.Sleep(ctx, d)
-	}
-
+	k, arr := &e.k, sim.NewArrivals(e.set)
+	start := e.opts.Clock.Now()
 	defer func() {
-		// Drain batched instrumentation buffers before the run is marked
-		// done, so anything reading the registry after completion sees every
-		// observation. This runs on the executor goroutine, the only emitter,
-		// so it cannot race with in-flight emission.
-		if fl, ok := e.sched.(sched.ObsFlusher); ok {
-			fl.FlushObs()
-		}
-		if e.sloSink != nil {
-			// Publish the final (possibly partial-window) gauge snapshot; no
-			// alert decisions happen here, so the stream stays deterministic.
-			e.sloSink.Engine().Finish()
-		}
-		e.mu.Lock()
-		e.done = true
-		e.stats.Running = -1
-		e.mu.Unlock()
+		// Drain the instrumentation and finish the SLO engine before the run
+		// is marked done, so anything reading the registry afterwards sees
+		// every observation; this goroutine is the only emitter.
+		k.Close()
+		e.publish(true)
 	}()
-
-	for completed+shed < n {
-		if err := ctx.Err(); err != nil {
-			return completed, err
+	for !k.Finished() {
+		at, err := k.Next(arr.Next())
+		if err != nil {
+			return k.Counts().Done, fmt.Errorf("executor: %w", err)
 		}
-
-		// Stalled backend: arrivals queue and backoffs expire, but nothing
-		// runs until the window ends.
-		if e.inj != nil {
-			if w, idx, ok := e.inj.InStall(now); ok {
-				enterStall(now, w, idx)
-				event := w.End()
-				if nextArr < n && order[nextArr].Arrival < event {
-					event = order[nextArr].Arrival
-				}
-				if r := nextRestart(); r < event {
-					event = r
-				}
-				if err := sleepUntil(wallAt(event)); err != nil {
-					return completed, err
-				}
-				now = event
-				deliverRestarts(now)
-				deliver(now)
-				continue
+		e.publish(false)
+		// Pace to the event's wall instant, honouring cancellation. Staged
+		// events are delivered first, so live readers (the ring, SSE
+		// streams) see every decision up to the instant the executor pauses.
+		k.Flush()
+		err = ctx.Err()
+		if d := start.Add(time.Duration(at * float64(e.opts.TimeScale))).Sub(e.opts.Clock.Now()); d > 0 {
+			err = e.opts.Clock.Sleep(ctx, d)
+		}
+		if err != nil {
+			return k.Counts().Done, err
+		}
+		for _, t := range k.Advance(at) {
+			if e.opts.OnComplete != nil {
+				e.opts.OnComplete(t, at)
 			}
 		}
-
-		t := e.sched.Next(now)
-		if t == nil {
-			// Idle: pace to the next arrival, restart expiry or outage
-			// window, then advance event time to it.
-			next := inf
-			if nextArr < n {
-				next = order[nextArr].Arrival
-			}
-			if r := nextRestart(); r < next {
-				next = r
-			}
-			if ss := nextStallStart(now); ss < next {
-				next = ss
-			}
-			if next == inf {
-				return completed, fmt.Errorf("executor: no ready transaction, no future arrivals and no pending restarts with %d/%d complete", completed, n)
-			}
-			now = next
-			if err := sleepUntil(wallAt(now)); err != nil {
-				return completed, err
-			}
-			deliverRestarts(now)
-			deliver(now)
-			continue
-		}
-		t.Started = true
-		if e.val != nil {
-			// Open (or continue) the incarnation: the read snapshot is as
-			// old as the incarnation's first dispatch.
-			e.val.Begin(t)
-		}
-		e.mu.Lock()
-		e.stats.Running = t.ID
-		e.stats.Now = now
-		e.mu.Unlock()
-
-		// Run until completion, the next arrival, the next restart expiry
-		// or the next outage window, whichever first.
-		finishSim := now + t.Remaining
-		boundary := finishSim
-		if nextArr < n && order[nextArr].Arrival < boundary {
-			boundary = order[nextArr].Arrival
-		}
-		if r := nextRestart(); r < boundary {
-			boundary = r
-		}
-		if ss := nextStallStart(now); ss < boundary {
-			boundary = ss
-		}
-
-		if boundary < finishSim {
-			if err := sleepUntil(wallAt(boundary)); err != nil {
-				return completed, err
-			}
-			dt := boundary - now
-			t.Remaining -= dt
-			now = boundary
-			e.mu.Lock()
-			e.stats.Running = -1
-			e.stats.Now = now
-			e.stats.Backlog -= dt
-			e.mu.Unlock()
-			// An outage window opening here preempts t; a crash window
-			// additionally destroys its in-flight progress.
-			if e.inj != nil {
-				if w, idx, ok := e.inj.InStall(now); ok {
-					enterStall(now, w, idx)
-					if w.Kind == fault.Crash {
-						e.inj.RecordCrashLoss(t)
-						e.mu.Lock()
-						e.stats.Aborts++
-						e.stats.Backlog += t.Length - t.Remaining
-						e.mu.Unlock()
-						t.Remaining = t.Length
-						if e.val != nil {
-							// The in-flight incarnation died with its
-							// snapshot; committed versions survive.
-							e.val.Reset(t)
-						}
-						e.rec.Abort(now, t, "crash", now)
-					}
-				}
-			}
-			e.sched.OnPreempt(now, t)
-			deliverRestarts(now)
-			deliver(now)
-			continue
-		}
-
-		if err := sleepUntil(wallAt(finishSim)); err != nil {
-			return completed, err
-		}
-		consumed := t.Remaining
-		now = finishSim
-
-		// Contention-driven abort: commit-time validation failed because a
-		// commit during the incarnation overwrote one of t's reads. Rewind
-		// to full length and re-queue immediately — the next dispatch opens
-		// a fresh incarnation.
-		if e.val != nil && !e.val.CommitCheck(t) {
-			e.mu.Lock()
-			e.stats.ValidateFails++
-			e.stats.Backlog += t.Length - consumed
-			e.stats.Running = -1
-			e.stats.Now = now
-			e.mu.Unlock()
-			t.Remaining = t.Length
-			e.crec.ValidateFail(now, t)
-			e.sched.OnPreempt(now, t)
-			deliverRestarts(now)
-			deliver(now)
-			continue
-		}
-
-		// The injector may abort the attempt at its completion instant: the
-		// transaction stays checked out while it waits out the backoff and
-		// re-enters the scheduler via OnPreempt when it expires.
-		if e.val == nil && e.inj != nil && e.inj.AbortsAttempt(t) {
-			retryAt := e.inj.RecordAbort(now, t)
-			e.mu.Lock()
-			e.stats.Aborts++
-			e.stats.Held = e.inj.Held()
-			e.stats.Backlog += t.Length - consumed
-			e.stats.Running = -1
-			e.stats.Now = now
-			e.mu.Unlock()
-			t.Remaining = t.Length
-			e.rec.Abort(now, t, "abort", retryAt)
-			deliverRestarts(now)
-			deliver(now)
-			continue
-		}
-
-		t.Remaining = 0
-		t.Finished = true
-		t.FinishTime = now
-		completed++
-		e.sched.OnCompletion(now, t)
-
-		tard := t.Tardiness()
-		var degradeFlip, degradeTo bool
-		e.mu.Lock()
-		e.stats.Completed = completed
-		e.stats.Now = now
-		e.stats.Running = -1
-		e.stats.Backlog -= consumed
-		e.stats.SumTardiness += tard
-		if tard > e.stats.MaxTardiness {
-			e.stats.MaxTardiness = tard
-		}
-		if tard > 0 {
-			e.stats.Misses++
-		}
-		if e.ctrl != nil {
-			e.ctrl.Complete(t, tard > 0)
-			if d := e.ctrl.Degraded(); d != e.stats.Degraded {
-				e.stats.Degraded = d
-				degradeFlip, degradeTo = true, d
-			}
-		}
-		e.mu.Unlock()
-		if degradeFlip {
-			e.rec.Degrade(now, degradeTo)
-		}
-		if e.opts.OnComplete != nil {
-			e.opts.OnComplete(t, now)
-		}
-		deliverRestarts(now)
-		deliver(now)
+		arr.Deliver(k)
 	}
-	return completed, nil
+	return k.Counts().Done, nil
+}
+
+// publish copies the kernel's counters for Stats and Probe, once per step:
+// as the executor starts pacing toward the next event (with the dispatched
+// transaction running), and when the run ends.
+func (e *Executor) publish(done bool) {
+	running := txn.ID(-1)
+	if r := e.k.Running(); len(r) > 0 && !done {
+		running = r[0].ID
+	}
+	e.mu.Lock()
+	e.counts, e.running, e.done = e.k.Counts(), running, done
+	e.mu.Unlock()
 }

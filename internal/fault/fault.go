@@ -281,8 +281,9 @@ type held struct {
 
 // Injector executes one Plan over one run: it owns the per-transaction
 // attempt counts, the backoff queue of aborted transactions, and the stall
-// window cursor. Build a fresh Injector per run (sim.Run and executor.New do
-// this from Options); the Plan itself is immutable and reusable.
+// window cursor. Build a fresh Injector per run (sim.NewKernel does this from
+// Config.Faults for the simulator and the executor alike); the Plan itself is
+// immutable and reusable.
 type Injector struct {
 	plan     *Plan
 	attempts []int

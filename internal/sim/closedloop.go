@@ -2,7 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -36,181 +37,117 @@ type ClosedLoopResult struct {
 // change the offered load mid-run).
 //
 // The closed-loop model is single-server and fault-free: a Config carrying
-// Servers > 1, Faults, Admit or a Recorder is rejected. Sink and Metrics
-// work as in Run — the decision loop is instrumented at the scheduler
-// boundary.
+// Servers > 1, Faults, Admit or a Recorder is rejected, and Config.SLO is
+// ignored. Sink and Metrics work as in Run — the decision loop is
+// instrumented at the scheduler boundary. RunClosedLoop runs the Kernel
+// from the sessions: it owns the pending page requests and does its page
+// bookkeeping over the completions each Advance reports.
 func (e *Sim) RunClosedLoop(set *txn.Set, sessions []txn.Session, s sched.Scheduler) (*ClosedLoopResult, error) {
 	cfg := e.cfg
-	patience := cfg.Patience
 	servers, err := cfg.servers()
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if servers != 1 {
+	case servers != 1:
 		return nil, fmt.Errorf("sim: closed loop supports a single server, not %d", servers)
-	}
-	if cfg.Faults != nil || cfg.Admit != nil {
+	case cfg.Faults != nil || cfg.Admit != nil:
 		return nil, fmt.Errorf("sim: closed loop does not support fault injection or admission control")
-	}
-	if cfg.Recorder != nil {
+	case cfg.Recorder != nil:
 		return nil, fmt.Errorf("sim: closed loop does not record execution slices")
 	}
-	n := set.Len()
 	if err := validateSessions(set, sessions); err != nil {
 		return nil, err
 	}
-	set.ResetAll()
-	s = sched.Instrument(s, cfg.Sink, cfg.Metrics)
-	s.Init(set)
+	n := set.Len()
+	cfg.SLO = nil
+	k, err := NewKernel(cfg, set, s)
+	if err != nil {
+		return nil, err
+	}
 
 	// Arrival and Deadline are rewritten from relative to absolute as pages
 	// are issued; restore the originals afterwards so the set can be
 	// replayed under another policy.
-	origArrival := make([]float64, n)
-	origDeadline := make([]float64, n)
+	orig := make([][2]float64, n)
 	for i, t := range set.Txns {
-		origArrival[i] = t.Arrival
-		origDeadline[i] = t.Deadline
+		orig[i] = [2]float64{t.Arrival, t.Deadline}
 	}
 	defer func() {
 		for i, t := range set.Txns {
-			t.Arrival = origArrival[i]
-			t.Deadline = origDeadline[i]
+			t.Arrival, t.Deadline = orig[i][0], orig[i][1]
 		}
 	}()
 
-	type pageState struct {
-		session   int
-		index     int
-		requested float64
-		remaining int // unfinished transactions
+	// Each session has at most one page in flight or requested: the next is
+	// requested a think time after the last one finished.
+	type sessionState struct {
+		issued    int     // pages requested so far
+		due       float64 // the pending page request's instant, or +Inf
+		requested float64 // the latest page's request instant
+		remaining int     // its unfinished transactions
 	}
-	pageOf := make([]*pageState, n) // transaction -> its page
-	nextPage := make([]int, len(sessions))
-
-	// Pending page-request events, ordered by time.
-	type request struct {
-		at      float64
-		session int
-	}
-	var requests []request
-	for si, sess := range sessions {
-		if len(sess.Pages) > 0 {
-			requests = append(requests, request{at: sess.ThinkTimes[0], session: si})
-		}
-	}
-	sortRequests := func() {
-		sort.Slice(requests, func(i, j int) bool {
-			if requests[i].at != requests[j].at {
-				return requests[i].at < requests[j].at
-			}
-			return requests[i].session < requests[j].session
-		})
-	}
-	sortRequests()
-
+	state := make([]sessionState, len(sessions))
+	sessionOf := make([]int, n)
 	latencies := make([][]float64, len(sessions))
+	abandoned, pages := 0, 0
+	next := math.Inf(1) // the earliest pending request
 	for si, sess := range sessions {
+		pages += len(sess.Pages)
 		latencies[si] = make([]float64, len(sess.Pages))
+		state[si].due = math.Inf(1)
+		if len(sess.Pages) > 0 {
+			state[si].due = sess.ThinkTimes[0]
+		}
+		next = min(next, state[si].due)
 	}
 
-	var (
-		now     float64
-		done    int
-		busy    float64
-		steps   int
-		running *txn.Transaction
-	)
-	maxSteps := 16*n + 64
-
-	// issue submits the next page of a session at time at.
-	issue := func(at float64, si int) {
-		sess := sessions[si]
-		pi := nextPage[si]
-		nextPage[si]++
-		ps := &pageState{session: si, index: pi, requested: at, remaining: len(sess.Pages[pi])}
-		for _, id := range sess.Pages[pi] {
-			t := set.ByID(id)
-			t.Arrival = at
-			t.Deadline = at + t.Deadline // stored relative; now absolute
-			pageOf[id] = ps
-			s.OnArrival(at, t)
+	for !k.Finished() {
+		at, err := k.Next(next)
+		if err != nil {
+			return nil, err
 		}
-	}
-	deliver := func(upTo float64) {
-		for len(requests) > 0 && requests[0].at <= upTo {
-			issue(requests[0].at, requests[0].session)
-			requests = requests[1:]
-		}
-	}
-
-	for done < n {
-		steps++
-		if steps > maxSteps {
-			return nil, fmt.Errorf("sim: closed loop exceeded %d steps with %d/%d complete", maxSteps, done, n)
-		}
-		if running == nil {
-			running = s.Next(now)
-		}
-		if running == nil {
-			if len(requests) == 0 {
-				return nil, fmt.Errorf("sim: closed loop idle with %d/%d complete and no pending requests", done, n)
-			}
-			now = requests[0].at
-			deliver(now)
-			continue
-		}
-		t := running
-		finish := now + t.Remaining
-		if len(requests) > 0 && requests[0].at < finish {
-			at := requests[0].at
-			t.Remaining -= at - now
-			now = at
-			running = nil
-			s.OnPreempt(now, t)
-			deliver(now)
-			continue
-		}
-		busy += t.Remaining
-		now = finish
-		t.Remaining = 0
-		t.Finished = true
-		t.FinishTime = now
-		done++
-		running = nil
-		s.OnCompletion(now, t)
-
-		// Page bookkeeping: when the last transaction of a page finishes,
-		// record the latency and schedule the session's next request.
-		ps := pageOf[t.ID]
-		ps.remaining--
-		if ps.remaining == 0 {
-			lat := now - ps.requested
-			latencies[ps.session][ps.index] = lat
-			sess := sessions[ps.session]
-			if next := ps.index + 1; next < len(sess.Pages) {
-				requests = append(requests, request{at: now + sess.ThinkTimes[next], session: ps.session})
-				sortRequests()
+		// When the last transaction of a page finishes, record the page's
+		// latency and schedule the session's next request.
+		for _, t := range k.Advance(at) {
+			si := sessionOf[t.ID]
+			st, sess := &state[si], sessions[si]
+			if st.remaining--; st.remaining == 0 {
+				lat := at - st.requested
+				latencies[si][st.issued-1] = lat
+				if cfg.Patience > 0 && lat > cfg.Patience {
+					abandoned++
+				}
+				if st.issued < len(sess.Pages) {
+					st.due = at + sess.ThinkTimes[st.issued]
+				}
 			}
 		}
-		deliver(now)
+		// Issue every page requested by now, in session order (think times
+		// are non-negative, so every due request falls due exactly now): all
+		// its transactions arrive.
+		next = math.Inf(1)
+		for si := range state {
+			st := &state[si]
+			if st.due <= at {
+				page := sessions[si].Pages[st.issued]
+				st.issued++
+				st.requested, st.remaining, st.due = st.due, len(page), math.Inf(1)
+				for _, id := range page {
+					t := set.ByID(id)
+					t.Arrival = st.requested
+					t.Deadline += st.requested // stored relative; now absolute
+					sessionOf[id] = si
+					k.Arrive(t)
+				}
+			}
+			next = min(next, st.due)
+		}
 	}
 
-	if fl, ok := s.(sched.ObsFlusher); ok {
-		fl.FlushObs()
-	}
-	summary, err := metrics.Compute(set, busy)
+	k.Close()
+	summary, err := k.Summary()
 	if err != nil {
 		return nil, err
-	}
-	abandoned, pages := 0, 0
-	for _, sess := range latencies {
-		for _, lat := range sess {
-			pages++
-			if patience > 0 && lat > patience {
-				abandoned++
-			}
-		}
 	}
 	res := &ClosedLoopResult{Summary: summary, PageLatencies: latencies}
 	if pages > 0 {
@@ -226,6 +163,9 @@ func validateSessions(set *txn.Set, sessions []txn.Session) error {
 	for si, sess := range sessions {
 		if len(sess.ThinkTimes) != len(sess.Pages) {
 			return fmt.Errorf("sim: session %d has %d pages but %d think times", si, len(sess.Pages), len(sess.ThinkTimes))
+		}
+		if slices.ContainsFunc(sess.ThinkTimes, func(d float64) bool { return !(d >= 0) }) {
+			return fmt.Errorf("sim: session %d has a negative think time", si)
 		}
 		for pi, page := range sess.Pages {
 			if len(page) == 0 {

@@ -13,7 +13,8 @@
 //
 // The same Sim also drives closed-loop session workloads
 // (Sim.RunClosedLoop), so every run mode shares one validated
-// configuration.
+// configuration. Both are thin loops over one single-backend event kernel
+// (Kernel), which the online executor runs too.
 //
 // Optional layers extend the paper's fault-free model: a deterministic
 // fault injector (Config.Faults) contributes abort/restart, backend
@@ -30,11 +31,8 @@ package sim
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/admit"
-	"repro/internal/contention"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -107,15 +105,13 @@ func (c Config) servers() (int, error) {
 	if c.Servers < 0 {
 		return 0, fmt.Errorf("sim: servers %d must be positive", c.Servers)
 	}
-	if c.Servers == 0 {
-		return 1, nil
-	}
-	return c.Servers, nil
+	return max(c.Servers, 1), nil
 }
 
-// Sim is a reusable simulation engine bound to one Config. It holds no
-// per-run state: the same Sim may execute many workloads sequentially, and
-// distinct Sims run concurrently as long as they do not share a Config's
+// Sim is a reusable simulation engine bound to one Config. The same Sim may
+// execute many workloads sequentially, but it keeps the latest run's SLO
+// evaluation (SLOState), so one Sim must not run concurrently with itself.
+// Distinct Sims run concurrently as long as they do not share a Config's
 // Recorder, Sink or Metrics (see docs/PARALLELISM.md for the isolation
 // contract the parallel runner enforces).
 type Sim struct {
@@ -137,415 +133,26 @@ func New(cfg Config) *Sim {
 // remainders per class (docs/OBSERVABILITY.md, "SLOs and alerting").
 func (e *Sim) SLOState() *slo.State { return e.sloState }
 
-// completionEpsilon absorbs float64 error when a slice boundary lands
-// numerically on a completion instant.
-const completionEpsilon = 1e-9
-
 // Run simulates set to completion under scheduler s and returns the
 // performance summary. The transactions in set are reset first, so a
-// workload can be replayed under many policies.
-//
-// Run enforces the check-out protocol documented on sched.Scheduler: every
-// transaction obtained from Next is returned through OnPreempt or
-// OnCompletion before the next Next call burst, and arrivals are delivered
-// only while no transaction is checked out. An aborted transaction is the
-// one exception: it stays checked out while it waits out its backoff and is
-// returned through OnPreempt (with its remaining time reset) when the
-// backoff expires.
-//
-// Run is the decision loop ROADMAP item 2 wants allocation-free; the
-// hotpath marker makes asetslint enforce that transitively over everything
-// Run reaches, including every scheduling policy behind the Scheduler
-// interface and every Sink behind the observer.
-//
-//lint:hotpath
+// workload can be replayed under many policies. Run drives the Kernel
+// open-loop: it walks the set in arrival order.
 func (e *Sim) Run(set *txn.Set, s sched.Scheduler) (*metrics.Summary, error) {
-	cfg := e.cfg
-	n := set.Len()
-	servers, err := cfg.servers()
+	k, err := NewKernel(e.cfg, set, s)
 	if err != nil {
 		return nil, err
 	}
-	var inj *fault.Injector
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			//lint:ignore hotpath-alloc cold error exit during pre-loop setup
-			return nil, fmt.Errorf("sim: %w", err)
+	arr := NewArrivals(set)
+	for !k.Finished() {
+		at, err := k.Next(arr.Next())
+		if err != nil {
+			return nil, err
 		}
-		inj = fault.NewInjector(cfg.Faults, n)
-		cfg.Faults.ApplyBursts(set)
+		k.Advance(at)
+		arr.Deliver(&k)
 	}
-	ctrl := cfg.Admit
-	if ctrl != nil {
-		// Shedding cascades to dependents (a shed dependency can never
-		// complete, so its dependents would deadlock the scheduler), which
-		// requires dependencies to be delivered before their dependents.
-		if err := admit.CheckArrivalOrder(set); err != nil {
-			//lint:ignore hotpath-alloc cold error exit during pre-loop setup
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-	}
-	set.ResetAll()
-	// The SLO engine wraps the configured sink so it sees the event stream
-	// exactly as emitted and injects alert transitions in stream order;
-	// everything downstream of here (instrumentation, recorders) emits
-	// through the wrapper.
-	sink := cfg.Sink
-	var sloSink *slo.Sink
-	if cfg.SLO != nil {
-		if err := cfg.SLO.Validate(); err != nil {
-			//lint:ignore hotpath-alloc cold error exit during pre-loop setup
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		sloSink = slo.NewSink(slo.NewEngine(*cfg.SLO, cfg.Metrics), set, sink)
-		sink = sloSink
-	}
-	// The instrumentation wrapper covers every policy at the decision-loop
-	// boundary; with neither a sink nor a registry it is a no-op returning
-	// s itself, so uninstrumented runs pay nothing.
-	s = sched.Instrument(s, sink, cfg.Metrics)
-	s.Init(set)
-	var rec *fault.Recorder
-	if inj != nil || ctrl != nil {
-		// The recorder emits through the instrumented scheduler's staged
-		// event entry, so its outage/shedding events stay interleaved with
-		// the decision-loop events in true emission order even though
-		// delivery to the sinks is batched.
-		rec = fault.NewRecorder(sched.EventSink(s, sink), cfg.Metrics)
-	}
-	// A workload with read/write sets switches on the contention model:
-	// commit-time validation with re-execution replaces the injector's
-	// random abort draws (docs/CONTENTION.md). NewValidator returns nil for
-	// plain workloads, keeping them on the exact pre-contention path.
-	val := contention.NewValidator(set)
-	var crec *contention.Recorder
-	if val != nil {
-		crec = contention.NewRecorder(sched.EventSink(s, sink), cfg.Metrics)
-	}
-
-	// Arrival order: by time, ties by ID for determinism.
-	order := make([]*txn.Transaction, n)
-	copy(order, set.Txns)
-	//lint:ignore hotpath-alloc pre-loop setup: the arrival order is sorted once per run
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].Arrival != order[j].Arrival {
-			return order[i].Arrival < order[j].Arrival
-		}
-		return order[i].ID < order[j].ID
-	})
-
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		// Every iteration either completes a transaction, consumes an
-		// arrival, or idles toward one; 8n+64 leaves ample slack. Aborts
-		// re-execute transactions and stall windows add boundary events, so
-		// a fault plan scales the budget up.
-		maxSteps = 8*n + 64
-		if inj != nil {
-			maxSteps = maxSteps*(1+cfg.Faults.MaxRestarts) + 16*len(cfg.Faults.Stalls)
-		}
-		if val != nil {
-			// Every validation failure re-executes a transaction from
-			// scratch; the structural bound is one failure per other
-			// transaction's commit inside the open window (quadratic only
-			// under total overlap).
-			maxSteps = 2*maxSteps + 2*n*n
-		}
-	}
-
-	var (
-		now      float64
-		nextArr  int
-		done     int
-		shed     int
-		misses   int
-		admitted int
-		backlog  float64 // remaining work over admitted unfinished transactions
-		busy     float64
-		steps    int
-		running  []*txn.Transaction
-		degraded bool
-		// stallSeen marks the outage windows whose entry was recorded, so
-		// the stall event fires exactly once per window hit.
-		stallSeen = -1
-	)
-	//lint:ignore hotpath-alloc closure is allocated once per run, before the event loop
-	heldOut := func() int {
-		if inj == nil {
-			return 0
-		}
-		return inj.Held()
-	}
-	//lint:ignore hotpath-alloc closure is allocated once per run, before the event loop
-	deliver := func(upTo float64) {
-		for nextArr < n && order[nextArr].Arrival <= upTo {
-			t := order[nextArr]
-			nextArr++
-			if ctrl != nil {
-				// Marked by an earlier cascade: a dependency was shed, so
-				// this transaction could never become ready.
-				if t.Shed {
-					shed++
-					rec.Shed(upTo, t, "cascade")
-					continue
-				}
-				st := admit.State{
-					Now: upTo, Queued: admitted - done - heldOut(), Servers: servers,
-					Backlog: backlog, Completed: done, Misses: misses,
-				}
-				if !ctrl.Admit(t, st) {
-					admit.CascadeShed(set, t)
-					shed++
-					rec.Shed(upTo, t, ctrl.Name())
-					continue
-				}
-			}
-			admitted++
-			backlog += t.Remaining
-			s.OnArrival(upTo, t)
-		}
-	}
-	//lint:ignore hotpath-alloc closure is allocated once per run, before the event loop
-	deliverRestarts := func(upTo float64) {
-		if inj == nil {
-			return
-		}
-		for _, t := range inj.PopDueRestarts(upTo) {
-			rec.Restart(upTo, t)
-			s.OnPreempt(upTo, t)
-		}
-	}
-	// enterStall records the outage window's entry event exactly once.
-	//lint:ignore hotpath-alloc closure is allocated once per run, before the event loop
-	enterStall := func(w fault.Window, idx int) {
-		if idx != stallSeen {
-			stallSeen = idx
-			inj.RecordStallEntered()
-			rec.StallEntered(now, w)
-		}
-	}
-
-	for done+shed < n {
-		steps++
-		if steps > maxSteps {
-			//lint:ignore hotpath-alloc cold error exit: livelock detection aborts the run
-			return nil, fmt.Errorf("sim: exceeded %d scheduling steps with %d/%d transactions complete (scheduler livelock?)", maxSteps, done, n)
-		}
-
-		// Stalled backend: time passes, arrivals queue and backoffs expire,
-		// but nothing is dispatched or makes progress until the window ends
-		// (running is always empty here — the window's opening preempted
-		// everything back to the scheduler).
-		if inj != nil {
-			if w, idx, ok := inj.InStall(now); ok {
-				enterStall(w, idx)
-				event := w.End()
-				if nextArr < n && order[nextArr].Arrival < event {
-					event = order[nextArr].Arrival
-				}
-				if r := inj.NextRestart(); r < event {
-					event = r
-				}
-				now = event
-				deliverRestarts(now)
-				deliver(now)
-				continue
-			}
-		}
-
-		// Fill the free servers.
-		for len(running) < servers {
-			t := s.Next(now)
-			if t == nil {
-				break
-			}
-			if t.Finished {
-				//lint:ignore hotpath-alloc cold error exit: scheduler contract violation aborts the run
-				return nil, fmt.Errorf("sim: scheduler returned finished transaction %d", t.ID)
-			}
-			if t.Arrival > now {
-				//lint:ignore hotpath-alloc cold error exit: scheduler contract violation aborts the run
-				return nil, fmt.Errorf("sim: scheduler returned transaction %d before its arrival (%v > %v)", t.ID, t.Arrival, now)
-			}
-			for _, other := range running {
-				if other == t {
-					//lint:ignore hotpath-alloc cold error exit: scheduler contract violation aborts the run
-					return nil, fmt.Errorf("sim: scheduler returned transaction %d to two servers", t.ID)
-				}
-			}
-			t.Started = true
-			if val != nil {
-				// Open (or continue) the incarnation: the read snapshot is
-				// as old as the incarnation's first dispatch.
-				val.Begin(t)
-			}
-			running = append(running, t)
-		}
-
-		if len(running) == 0 {
-			// Idle until the next arrival, restart expiry or outage window.
-			next := math.Inf(1)
-			if nextArr < n {
-				next = order[nextArr].Arrival
-			}
-			if inj != nil {
-				if r := inj.NextRestart(); r < next {
-					next = r
-				}
-				if ss := inj.NextStallStart(now); ss < next {
-					next = ss
-				}
-			}
-			if math.IsInf(next, 1) {
-				//lint:ignore hotpath-alloc cold error exit: deadlock detection aborts the run
-				return nil, fmt.Errorf("sim: no ready transaction and no future arrivals with %d/%d complete (dependency deadlock?)", done, n)
-			}
-			now = next
-			deliverRestarts(now)
-			deliver(now)
-			continue
-		}
-
-		// Next event: earliest completion among running, next arrival,
-		// earliest restart expiry, or the next outage window opening.
-		event := now + running[0].Remaining
-		for _, t := range running[1:] {
-			if f := now + t.Remaining; f < event {
-				event = f
-			}
-		}
-		if nextArr < n && order[nextArr].Arrival < event {
-			event = order[nextArr].Arrival
-		}
-		if inj != nil {
-			if r := inj.NextRestart(); r < event {
-				event = r
-			}
-			if ss := inj.NextStallStart(now); ss < event {
-				event = ss
-			}
-		}
-
-		// Advance all servers to the event.
-		dt := event - now
-		for _, t := range running {
-			if cfg.Recorder != nil && dt > 0 {
-				cfg.Recorder.Record(t.ID, now, event)
-			}
-			t.Remaining -= dt
-			busy += dt
-			backlog -= dt
-		}
-		now = event
-
-		// Complete finished transactions — unless the injector aborts the
-		// attempt, in which case the transaction restarts from scratch
-		// after its backoff; return the rest to the scheduler so the next
-		// fill re-decides with fresh state.
-		still := running[:0]
-		for _, t := range running {
-			if t.Remaining > completionEpsilon {
-				still = append(still, t)
-				continue
-			}
-			if val != nil {
-				if !val.CommitCheck(t) {
-					// Contention-driven abort: the read snapshot was
-					// invalidated by a commit during the incarnation. Rewind
-					// to full length and re-queue immediately — the next
-					// dispatch opens a fresh incarnation.
-					backlog += t.Length - t.Remaining
-					t.Remaining = t.Length
-					crec.ValidateFail(now, t)
-					s.OnPreempt(now, t)
-					continue
-				}
-			} else if inj != nil && inj.AbortsAttempt(t) {
-				backlog += t.Length - t.Remaining
-				t.Remaining = t.Length
-				retryAt := inj.RecordAbort(now, t)
-				rec.Abort(now, t, "abort", retryAt)
-				continue
-			}
-			backlog -= t.Remaining
-			t.Remaining = 0
-			t.Finished = true
-			t.FinishTime = now
-			done++
-			s.OnCompletion(now, t)
-			if tardy := t.Tardiness() > 0; true {
-				if tardy {
-					misses++
-				}
-				if ctrl != nil {
-					ctrl.Complete(t, tardy)
-					if d := ctrl.Degraded(); d != degraded {
-						degraded = d
-						rec.Degrade(now, d)
-					}
-				}
-			}
-		}
-
-		// An outage window opening at this instant preempts the survivors;
-		// a crash window additionally destroys their in-flight work.
-		if inj != nil {
-			if w, idx, ok := inj.InStall(now); ok {
-				enterStall(w, idx)
-				if w.Kind == fault.Crash {
-					for _, t := range still {
-						backlog += t.Length - t.Remaining
-						t.Remaining = t.Length
-						if val != nil {
-							// The in-flight incarnation died with its
-							// snapshot; committed versions survive.
-							val.Reset(t)
-						}
-						inj.RecordCrashLoss(t)
-						rec.Abort(now, t, "crash", now)
-					}
-				}
-			}
-		}
-		for _, t := range still {
-			s.OnPreempt(now, t)
-		}
-		running = running[:0]
-		deliverRestarts(now)
-		deliver(now)
-	}
-
-	// Drain batched instrumentation buffers before any reader can snapshot
-	// the registry — callers observe the post-run state, never a partial
-	// batch.
-	if fl, ok := s.(sched.ObsFlusher); ok {
-		fl.FlushObs()
-	}
-	if sloSink != nil {
-		// Final gauge publication; the open partial window is never
-		// evaluated (the slo package's determinism contract).
-		sloSink.Engine().Finish()
-		st := sloSink.Engine().State()
-		e.sloState = &st
-	}
-	summary, err := metrics.Compute(set, busy)
-	if err != nil {
-		return nil, err
-	}
-	if inj != nil {
-		summary.Aborts = inj.Aborts()
-		summary.Restarts = inj.Restarts()
-		summary.Stalls = inj.StallsEntered()
-	}
-	if val != nil {
-		summary.ValidateFails = val.Fails()
-	}
-	// The run is over and nothing retains the instrumentation wrapper (the
-	// caller owns the sink and the registry, not the wrapper), so recycle it
-	// for the next run. Error paths above skip this and simply let the
-	// wrapper be collected.
-	sched.ReleaseObs(s)
-	return summary, nil
+	e.sloState = k.Close()
+	return k.Summary()
 }
 
 // MustRun is Run but panics on error; for examples and benchmarks where a

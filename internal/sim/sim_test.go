@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -160,34 +159,6 @@ func (l *livelockScheduler) OnArrival(float64, *txn.Transaction)          {}
 func (l *livelockScheduler) Next(float64) *txn.Transaction                { return nil }
 func (l *livelockScheduler) OnPreempt(float64, *txn.Transaction)          {}
 func (l *livelockScheduler) OnCompletion(now float64, t *txn.Transaction) {}
-
-func TestDeadlockDetected(t *testing.T) {
-	set := mustSet(t, mk(0, 0, 10, 5))
-	_, err := New(Config{}).Run(set, &livelockScheduler{})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("err = %v, want deadlock detection", err)
-	}
-}
-
-// earlyScheduler returns a transaction before its arrival to exercise the
-// simulator's sanity checks.
-type earlyScheduler struct{ tx *txn.Transaction }
-
-func (e *earlyScheduler) Name() string                        { return "early" }
-func (e *earlyScheduler) Init(s *txn.Set)                     { e.tx = s.ByID(0) }
-func (e *earlyScheduler) OnArrival(float64, *txn.Transaction) {}
-func (e *earlyScheduler) Next(float64) *txn.Transaction       { return e.tx }
-func (e *earlyScheduler) OnPreempt(float64, *txn.Transaction) {}
-func (e *earlyScheduler) OnCompletion(float64, *txn.Transaction) {
-}
-
-func TestSchedulerReturningUnarrivedRejected(t *testing.T) {
-	set := mustSet(t, mk(0, 5, 10, 1))
-	_, err := New(Config{}).Run(set, &earlyScheduler{})
-	if err == nil || !strings.Contains(err.Error(), "before its arrival") {
-		t.Fatalf("err = %v, want arrival violation", err)
-	}
-}
 
 func TestReplayAcrossPolicies(t *testing.T) {
 	// The same Set must be reusable: ResetAll inside Run restores state.

@@ -29,6 +29,10 @@ if [ "${1:-}" = "short" ]; then
     # replay goroutine. Both hammers are small and fast.
     echo "== go test -race (endpoint + fault + pooled-event + contention + slo hammers)"
     go test -race -run Hammer ./internal/server ./internal/obs ./internal/contention ./internal/slo
+    # The executor's Stats/Probe snapshot and its locked admission adapter
+    # race the replay goroutine.
+    echo "== go test -race (executor hammers)"
+    go test -race -run 'Hammer|Concurrent|FaultReplay' ./internal/executor
 else
     echo "== go test"
     go test ./...
