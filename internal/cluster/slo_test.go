@@ -108,7 +108,7 @@ func TestClusterSLOAlertsAndRollup(t *testing.T) {
 // TestClusterSLODeterminism: the routed stream including alert transitions
 // is byte-identical across replays.
 func TestClusterSLODeterminism(t *testing.T) {
-	run := func() []byte {
+	run := func() ([]byte, *Result) {
 		col := &obs.Collector{}
 		res, err := New(sloClusterConfig(col, obs.NewRegistry(), nil)).Run(overloadedClusterWorkload())
 		if err != nil {
@@ -117,12 +117,15 @@ func TestClusterSLODeterminism(t *testing.T) {
 		if len(res.SLO) != 2 {
 			t.Fatalf("Result.SLO has %d entries, want 2", len(res.SLO))
 		}
-		return streamBytes(t, col.Events())
+		return streamBytes(t, col.Events()), res
 	}
-	a, b := run(), run()
+	a, res := run()
+	b, _ := run()
 	if !bytes.Equal(a, b) {
 		t.Fatal("replay changed the routed stream with alerts")
 	}
+	checkGolden(t, "routed stream", a, goldenSLOStream)
+	checkGolden(t, "result", resultBytes(t, res), goldenSLOResult)
 	if !bytes.Contains(a, []byte(`"kind":"alert_fire"`)) {
 		t.Fatal("no alert_fire in the routed stream")
 	}

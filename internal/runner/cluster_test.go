@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -66,6 +67,14 @@ func digest(t *testing.T, cols []*obs.Collector) [32]byte {
 	return sha256.Sum256(buf.Bytes())
 }
 
+// Goldens of the routed jobs fixture: the sha256 of the four jobs' routed
+// JSONL streams in job order, and of their JSON-encoded results. Regenerate
+// only for an intended schedule change.
+const (
+	goldenClusterJobsStream = "0fbae5afd3e6557a9922f594def52e103d43e7a3b477d7aedc12e58969022a5e"
+	goldenClusterJobsResult = "c75c77eea33b5332f1510ed092d0f4fd88998be01009f438991f34214f604f05"
+)
+
 // TestClusterJobsSerialParallelIdentical pins the cluster tier to the
 // pool's determinism contract: the routed decision streams — routing,
 // ejection, failover, per-instance scheduling — of a 4-worker run are
@@ -93,6 +102,18 @@ func TestClusterJobsSerialParallelIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serialRes, parallelRes) {
 		t.Fatalf("cluster results differ between serial and 4-worker runs:\n%+v\n%+v", serialRes, parallelRes)
+	}
+	// Pinned across commits: two runs of one commit agreeing cannot show
+	// that a change to the routing loop left every schedule in place.
+	resJSON, err := json.Marshal(serialRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", serialDigest); got != goldenClusterJobsStream {
+		t.Errorf("routed stream digest %s, pinned %s", got, goldenClusterJobsStream)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(resJSON)); got != goldenClusterJobsResult {
+		t.Errorf("result digest %s, pinned %s", got, goldenClusterJobsResult)
 	}
 	for i, res := range serialRes {
 		if res.Ejections == 0 {
