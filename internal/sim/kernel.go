@@ -196,7 +196,7 @@ func (k *Kernel) Counts() Counts {
 // mid-step.
 func (c Counts) AdmitState(servers int) admit.State {
 	return admit.State{
-		Now: c.Now, Queued: c.Admitted - c.Done - c.Held - c.Running, Running: c.Running, Servers: servers,
+		Now: c.Now, Queued: c.Admitted - c.Done - c.Running, Running: c.Running, Servers: servers,
 		Backlog: c.Backlog, Completed: c.Done, Misses: c.Misses,
 	}
 }
