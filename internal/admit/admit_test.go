@@ -32,15 +32,20 @@ func TestParse(t *testing.T) {
 		}
 	}
 	bad := map[string]string{
-		"bogus":            "unknown controller",
-		"none:1":           "takes no argument",
-		"queue":            "needs a capacity",
-		"queue:0":          "positive integer",
-		"queue:abc":        "positive integer",
-		"slack:-1":         "non-negative",
-		"missratio:0.5":    "enter,exit",
-		"missratio:0.2,.9": "exit < enter",
-		"missratio:2,0.1":  "exit < enter",
+		"bogus":             "unknown controller",
+		"none:1":            "takes no argument",
+		"queue":             "needs a capacity",
+		"queue:0":           "positive integer",
+		"queue:abc":         "positive integer",
+		"slack:-1":          "non-negative",
+		"missratio:0.5":     "enter,exit",
+		"missratio:0.2,.9":  "exit < enter",
+		"missratio:2,0.1":   "exit < enter",
+		"slack:NaN":         "finite",
+		"slack:+Inf":        "finite",
+		"missratio:NaN,0":   "enter threshold",
+		"missratio:0.5,NaN": "exit threshold",
+		"missratio:Inf,0":   "enter threshold",
 	}
 	for spec, want := range bad {
 		_, err := Parse(spec)

@@ -178,6 +178,7 @@ func TestClusterErrors(t *testing.T) {
 		{"negative retry backoff", []string{"-retry-backoff", "-0.5"}, "backoff_base"},
 		{"negative backoff cap", []string{"-retry-backoff-cap", "-1"}, "backoff_cap"},
 		{"cap below base", []string{"-retry-backoff", "4", "-retry-backoff-cap", "1"}, "backoff_cap"},
+		{"NaN retry backoff", []string{"-retry-backoff", "NaN"}, "backoff_base"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -283,6 +284,11 @@ func TestSLOErrors(t *testing.T) {
 		{
 			name: "negative window",
 			args: []string{"-slo", "default", "-slo-window", "-10"},
+			want: "window",
+		},
+		{
+			name: "NaN window",
+			args: []string{"-slo", "default", "-slo-window", "NaN"},
 			want: "window",
 		},
 		{

@@ -26,6 +26,13 @@ func TestValidateRejections(t *testing.T) {
 		{"overlapping stalls", Plan{Stalls: []Window{{Start: 0, Duration: 5}, {Start: 3, Duration: 1}}}, "overlap"},
 		{"negative burst", Plan{Bursts: []Burst{{At: -1, Width: 1}}}, "burst 0"},
 		{"zero burst width", Plan{Bursts: []Burst{{At: 1, Width: 0}}}, "width"},
+		{"NaN abort prob", Plan{AbortProb: math.NaN(), MaxRestarts: 1}, "abort_prob"},
+		{"NaN base", Plan{BackoffBase: math.NaN()}, "backoff_base"},
+		{"infinite cap", Plan{BackoffCap: math.Inf(1)}, "backoff_cap"},
+		{"NaN stall start", Plan{Stalls: []Window{{Start: math.NaN(), Duration: 1}}}, "stall 0"},
+		{"infinite stall duration", Plan{Stalls: []Window{{Start: 1, Duration: math.Inf(1)}}}, "duration"},
+		{"NaN burst", Plan{Bursts: []Burst{{At: math.NaN(), Width: 1}}}, "burst 0"},
+		{"infinite burst width", Plan{Bursts: []Burst{{At: 1, Width: math.Inf(1)}}}, "width"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

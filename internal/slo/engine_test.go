@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -63,6 +64,9 @@ func TestParseSpec(t *testing.T) {
 		{"giant:miss=0.1", true, nil},
 		{"miss=abc", true, nil},
 		{";", true, nil},
+		{"miss=NaN,p99=5", true, nil},
+		{"p95=Inf", true, nil},
+		{"heavy:queue=-Inf", true, nil},
 	}
 	for _, tc := range cases {
 		spec, err := ParseSpec(tc.in)
@@ -98,6 +102,24 @@ func TestConfigValidate(t *testing.T) {
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
+		}
+	}
+	// Non-finite values fail every range check silently; Validate names
+	// the field instead.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Spec: burnOnly(0.1), Window: nan}, "window"},
+		{Config{Spec: burnOnly(0.1), Window: inf}, "window"},
+		{Config{Spec: burnOnly(0.1), Threshold: nan}, "burn threshold"},
+		{Config{Spec: burnOnly(0.1), Alpha: nan}, "alpha"},
+		{Config{Spec: Spec{Classes: [NumClasses]Target{{MissRatio: 0.1}, {TardinessP95: inf}}}}, "medium p95 target"},
+		{Config{Spec: Spec{Classes: [NumClasses]Target{{MissRatio: nan, QueueBound: 5}}}}, "light miss target"},
+	} {
+		if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%+v) = %v, want error naming %q", tc.cfg, err, tc.want)
 		}
 	}
 }
