@@ -2,20 +2,16 @@
 // four-instance fleet three ways — no faults, mid-run instance crashes with
 // failover, and the same crashes with failover disabled — and records
 // whether the routing tier actually bought the crashed work its deadlines
-// back. The result is a small machine-readable JSON document
-// (BENCH_cluster.json in CI) with two enforced properties: the failover run
-// stays within clusterBenchMissFactor of the no-crash baseline's effective
-// miss ratio while the no-failover strawman exceeds it, and the routed
-// decision streams of a serial and a 4-worker run are byte-identical.
+// back. The result is a small machine-readable JSON document (committed as
+// BENCH_cluster.json) with two enforced properties: the failover run stays
+// within clusterBenchMissFactor of the no-crash baseline's effective miss
+// ratio while the no-failover strawman exceeds it, and the routed decision
+// streams of a serial and a 4-worker run are byte-identical.
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -141,41 +137,25 @@ func clusterBenchJobs(n, seeds int) ([]runner.Job, []*obs.Collector) {
 	return jobs, cols
 }
 
-// clusterBenchDigest hashes the jobs' routed event streams in job order.
-func clusterBenchDigest(cols []*obs.Collector) ([32]byte, error) {
-	var buf bytes.Buffer
-	for _, col := range cols {
-		for _, ev := range col.Events() {
-			b, err := json.Marshal(ev)
-			if err != nil {
-				return [32]byte{}, err
-			}
-			buf.Write(b)
-			buf.WriteByte('\n')
-		}
-	}
-	return sha256.Sum256(buf.Bytes()), nil
-}
-
 // runClusterBench executes the three scenarios over seeds, twice (serial and
 // 4 workers) to enforce the determinism contract, and gates on failover
 // containing the crash damage.
-func runClusterBench(w io.Writer, n, seeds int) error {
+func runClusterBench(n, seeds int) (any, error) {
 	run := func(workers int) ([]runner.Job, [32]byte, error) {
 		jobs, cols := clusterBenchJobs(n, seeds)
 		if _, err := (runner.Pool{Workers: workers}).Run(context.Background(), jobs); err != nil {
 			return nil, [32]byte{}, err
 		}
-		digest, err := clusterBenchDigest(cols)
+		digest, err := streamDigest(cols)
 		return jobs, digest, err
 	}
 	serialJobs, serialDigest, err := run(1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	_, parallelDigest, err := run(4)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	res := clusterBenchResult{
@@ -209,11 +189,6 @@ func runClusterBench(w io.Writer, n, seeds int) error {
 	bound := clusterBenchMissFactor * baseline.EffectiveMissRatio
 	res.FailoverWins = failover.EffectiveMissRatio <= bound && strawman.EffectiveMissRatio > bound
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		return err
-	}
 	for _, c := range res.Cells {
 		fmt.Printf("cluster-bench: %-12s effMiss=%6.2f%% misses=%6.1f lost=%5.1f failovers=%5.1f ejections=%4.1f recoveries=%4.1f\n",
 			c.Scenario, 100*c.EffectiveMissRatio, c.Misses, c.Lost, c.Failovers, c.Ejections, c.Recoveries)
@@ -221,11 +196,11 @@ func runClusterBench(w io.Writer, n, seeds int) error {
 	fmt.Printf("cluster-bench: deterministic=%v failover_wins=%v (bound %.2f%%)\n",
 		res.Deterministic, res.FailoverWins, 100*bound)
 	if !res.Deterministic {
-		return fmt.Errorf("cluster-bench: serial and 4-worker routed event streams differ")
+		return res, fmt.Errorf("cluster-bench: serial and 4-worker routed event streams differ")
 	}
 	if !res.FailoverWins {
-		return fmt.Errorf("cluster-bench: failover=%.4f strawman=%.4f vs bound %.4f (%.1fx baseline %.4f): failover did not contain the crash damage",
+		return res, fmt.Errorf("cluster-bench: failover=%.4f strawman=%.4f vs bound %.4f (%.1fx baseline %.4f): failover did not contain the crash damage",
 			failover.EffectiveMissRatio, strawman.EffectiveMissRatio, bound, clusterBenchMissFactor, baseline.EffectiveMissRatio)
 	}
-	return nil
+	return res, nil
 }

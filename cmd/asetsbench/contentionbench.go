@@ -3,19 +3,15 @@
 // keyspace-size sweep — shrinking the keyspace raises the conflict rate — and
 // records whether conflict-aware dispatch actually bought back the work that
 // validation failures re-execute. The result is a small machine-readable JSON
-// document (BENCH_contention.json in CI) with two enforced properties: past
-// the contention knee CA-ASETS* strictly beats blind ASETS* on both the
-// validate-fail count and the deadline miss ratio, and the decision-event
-// streams of a serial and a 4-worker run are byte-identical.
+// document (committed as BENCH_contention.json) with two enforced
+// properties: past the contention knee CA-ASETS* strictly beats blind ASETS*
+// on both the validate-fail count and the deadline miss ratio, and the
+// decision-event streams of a serial and a 4-worker run are byte-identical.
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/contention"
 	"repro/internal/core"
@@ -135,42 +131,26 @@ func contentionBenchJobs(n, seeds int) ([]runner.Job, []*obs.Collector) {
 	return jobs, cols
 }
 
-// contentionBenchDigest hashes the jobs' decision-event streams in job order.
-func contentionBenchDigest(cols []*obs.Collector) ([32]byte, error) {
-	var buf bytes.Buffer
-	for _, col := range cols {
-		for _, ev := range col.Events() {
-			b, err := json.Marshal(ev)
-			if err != nil {
-				return [32]byte{}, err
-			}
-			buf.Write(b)
-			buf.WriteByte('\n')
-		}
-	}
-	return sha256.Sum256(buf.Bytes()), nil
-}
-
 // runContentionBench executes the sweep over seeds, twice (serial and 4
 // workers) to enforce the determinism contract, and gates on conflict-aware
 // dispatch beating the blind policy past the contention knee.
-func runContentionBench(w io.Writer, n, seeds int) error {
+func runContentionBench(n, seeds int) (any, error) {
 	run := func(workers int) ([]*metrics.Summary, [32]byte, error) {
 		jobs, cols := contentionBenchJobs(n, seeds)
 		sums, err := (runner.Pool{Workers: workers}).Run(context.Background(), jobs)
 		if err != nil {
 			return nil, [32]byte{}, err
 		}
-		digest, err := contentionBenchDigest(cols)
+		digest, err := streamDigest(cols)
 		return sums, digest, err
 	}
 	serialSums, serialDigest, err := run(1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	_, parallelDigest, err := run(4)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	res := contentionBenchResult{
@@ -206,11 +186,6 @@ func runContentionBench(w io.Writer, n, seeds int) error {
 		}
 	}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		return err
-	}
 	for _, c := range res.Cells {
 		fmt.Printf("contention-bench: keys=%-5d %-9s validateFails=%7.1f miss=%6.2f%% avgTard=%8.3f\n",
 			c.Keys, c.Policy, c.ValidateFails, 100*c.MissRatio, c.AvgTardiness)
@@ -218,10 +193,10 @@ func runContentionBench(w io.Writer, n, seeds int) error {
 	fmt.Printf("contention-bench: deterministic=%v conflict_aware_wins=%v (knee: keys <= %d)\n",
 		res.Deterministic, res.ConflictAwareWins, contentionBenchKnee)
 	if !res.Deterministic {
-		return fmt.Errorf("contention-bench: serial and 4-worker decision-event streams differ")
+		return res, fmt.Errorf("contention-bench: serial and 4-worker decision-event streams differ")
 	}
 	if !res.ConflictAwareWins {
-		return fmt.Errorf("contention-bench: conflict-aware dispatch did not strictly beat blind ASETS* on validate fails and miss ratio past the knee (keys <= %d)", contentionBenchKnee)
+		return res, fmt.Errorf("contention-bench: conflict-aware dispatch did not strictly beat blind ASETS* on validate fails and miss ratio past the knee (keys <= %d)", contentionBenchKnee)
 	}
-	return nil
+	return res, nil
 }

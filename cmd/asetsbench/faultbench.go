@@ -1,13 +1,11 @@
 // Overload/robustness benchmark: sweeps utilization past saturation with and
 // without admission control under a fixed fault plan, and records whether
 // shedding bought the admitted transactions their deadlines back. The result
-// is a small machine-readable JSON document (BENCH_fault.json in CI).
+// is a small machine-readable JSON document (committed as BENCH_fault.json).
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/admit"
 	"repro/internal/core"
@@ -55,7 +53,7 @@ type faultBenchResult struct {
 
 // runFaultBench sweeps util × {no gate, feasibility gate, queue cap} under
 // the fault plan, averaging each cell over seeds.
-func runFaultBench(w io.Writer, n, seeds int) error {
+func runFaultBench(n, seeds int) (any, error) {
 	utils := []float64{1.1, 1.3, 1.5}
 	specs := []string{"none", "slack", "queue:" + fmt.Sprint(n/10)}
 	res := faultBenchResult{N: n, Seeds: seeds, Utils: utils, Plan: faultBenchPlan(), SheddingWins: true}
@@ -70,18 +68,18 @@ func runFaultBench(w io.Writer, n, seeds int) error {
 				cfg.N = n
 				set, err := workload.Generate(cfg)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				ctrl, err := admit.Parse(spec)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				if _, isNone := ctrl.(admit.Unconditional); isNone {
 					ctrl = nil
 				}
 				sum, err := sim.New(sim.Config{Faults: faultBenchPlan(), Admit: ctrl}).Run(set, core.New())
 				if err != nil {
-					return fmt.Errorf("util %.2f %s seed %d: %w", util, spec, s, err)
+					return nil, fmt.Errorf("util %.2f %s seed %d: %w", util, spec, s, err)
 				}
 				p.Admitted += float64(sum.N)
 				p.Shed += float64(sum.Shed)
@@ -107,20 +105,15 @@ func runFaultBench(w io.Writer, n, seeds int) error {
 		}
 	}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		return err
-	}
 	for _, p := range res.Rows {
 		fmt.Printf("fault-bench: util=%.2f %-10s admitted=%6.1f shed=%6.1f aborts=%5.1f avgWTard=%9.3f miss=%5.1f%%\n",
 			p.Util, p.Controller, p.Admitted, p.Shed, p.Aborts, p.AvgWeightedTardiness, 100*p.MissRatio)
 	}
 	fmt.Printf("fault-bench: shedding_wins=%v\n", res.SheddingWins)
 	if !res.SheddingWins {
-		return fmt.Errorf("fault-bench: feasibility shedding did not lower admitted weighted tardiness at every util > 1")
+		return res, fmt.Errorf("fault-bench: feasibility shedding did not lower admitted weighted tardiness at every util > 1")
 	}
-	return nil
+	return res, nil
 }
 
 // experimentSeed spaces the per-repetition seeds like the experiment

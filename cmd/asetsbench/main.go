@@ -11,17 +11,26 @@
 //	asetsbench -csv out/               # also write one CSV per figure
 //	asetsbench -n 500 -seeds 3         # scale down for a quick look
 //	asetsbench -list                   # list experiment IDs
-//	asetsbench -obs-bench BENCH_obs.json   # instrumentation overhead
-//	asetsbench -span-bench BENCH_span.json   # span + sketch overhead
-//	asetsbench -fault-bench BENCH_fault.json -n 300   # overload shedding sweep
-//	asetsbench -parallel-bench BENCH_parallel.json -n 300 -seeds 2   # pool speedup + bit-exactness
-//	asetsbench -cluster-bench BENCH_cluster.json -n 300   # failover vs no-failover strawman
-//	asetsbench -contention-bench BENCH_contention.json -n 300   # conflict-aware vs blind dispatch
-//	asetsbench -slo-bench BENCH_slo.json -n 300   # alert lead time on the overload sweep
+//
+// The gated benchmark modes each write a JSON document and exit non-zero
+// when their gate fails; `go test ./cmd/asetsbench` runs every mode at the
+// size below and checks the committed documents byte for byte:
+//
+//	asetsbench -fault-bench BENCH_fault.json -n 300 -seeds 2             # overload shedding sweep
+//	asetsbench -parallel-bench BENCH_parallel.json -n 300 -seeds 2       # pool speedup + bit-exactness
+//	asetsbench -cluster-bench BENCH_cluster.json -n 300 -seeds 3         # failover vs no-failover strawman
+//	asetsbench -contention-bench BENCH_contention.json -n 400 -seeds 3   # conflict-aware vs blind dispatch
+//	asetsbench -slo-bench BENCH_slo.json -n 300 -seeds 2                 # alert lead time on the overload sweep
+//
+// Wall-clock and allocation costs are measured per layer by the perfbench
+// module (perfbench/README.md), not here.
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,32 +39,110 @@ import (
 
 	"repro/internal/cliflag"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/slo"
 	"repro/internal/svgplot"
 )
 
+// benchArgs are the shared flags the bench modes read.
+type benchArgs struct {
+	n, seeds, parallel int
+	seed               uint64
+	slo                *slo.Config
+}
+
+// benchMode is one gated benchmark: -<flag> PATH runs it and writes the
+// document it returns to PATH. A non-nil error is a failed run or gate.
+type benchMode struct {
+	flag, usage string
+	run         func(benchArgs) (any, error)
+}
+
+// benchModes lists the modes in dispatch order; the seed caps keep each
+// sweep CI-sized.
+var benchModes = []benchMode{
+	{"parallel-bench", "benchmark the parallel runner against the serial path", func(a benchArgs) (any, error) {
+		return runParallelBench(a.n, min(a.seeds, 2), a.parallel, a.seed)
+	}},
+	{"cluster-bench", "benchmark cluster failover vs a no-failover strawman under an instance crash", func(a benchArgs) (any, error) {
+		return runClusterBench(a.n, min(a.seeds, 3))
+	}},
+	{"slo-bench", "benchmark SLO alert lead time on the Table-I overload sweep", func(a benchArgs) (any, error) {
+		return runSLOBench(a.n, min(a.seeds, 3), a.slo)
+	}},
+	{"contention-bench", "benchmark conflict-aware dispatch vs blind ASETS* on Zipf-contended workloads", func(a benchArgs) (any, error) {
+		return runContentionBench(a.n, min(a.seeds, 3))
+	}},
+	{"fault-bench", "sweep overload shedding vs open admission under a fault plan", func(a benchArgs) (any, error) {
+		return runFaultBench(a.n, min(a.seeds, 3))
+	}},
+}
+
+// errUsage marks a bench invocation rejected before any work.
+var errUsage = errors.New("usage")
+
+// runBench is the one dispatch path of every mode: it checks the sizes,
+// opens path, runs the mode, writes its document as indented JSON, closes
+// the file and reports the first failure — the write's, else the gate's.
+func runBench(m benchMode, path string, a benchArgs) error {
+	if a.n < 1 || a.seeds < 1 {
+		return fmt.Errorf("%w: -%s needs -n >= 1 and -seeds >= 1 (got -n %d -seeds %d)", errUsage, m.flag, a.n, a.seeds)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	doc, gate := m.run(a)
+	if doc != nil {
+		enc := json.NewEncoder(f)
+		enc.SetIndent("", "  ")
+		err = enc.Encode(doc)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = gate
+	}
+	return err
+}
+
+// streamDigest hashes the collectors' decision-event streams, as JSONL in
+// collector order: the determinism gates compare a serial and a parallel
+// run's digests.
+func streamDigest(cols []*obs.Collector) ([32]byte, error) {
+	var buf bytes.Buffer
+	for _, col := range cols {
+		for _, ev := range col.Events() {
+			b, err := json.Marshal(ev)
+			if err != nil {
+				return [32]byte{}, err
+			}
+			buf.Write(b)
+			buf.WriteByte('\n')
+		}
+	}
+	return sha256.Sum256(buf.Bytes()), nil
+}
+
 func main() {
 	var (
-		figure       = flag.String("figure", "all", "experiment id to run, or 'all'")
-		n            = flag.Int("n", 1000, "transactions per workload (paper: 1000)")
-		seeds        = flag.Int("seeds", 5, "seeded runs per data point (paper: 5)")
-		parallel     = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		validate     = flag.Bool("validate", false, "validate every schedule against the trace checker")
-		chart        = flag.Bool("chart", false, "render an ASCII chart under each table")
-		csvDir       = flag.String("csv", "", "directory to write per-figure CSV files into")
-		svgDir       = flag.String("svg", "", "directory to write per-figure SVG charts into")
-		jsonDir      = flag.String("json", "", "directory to write per-figure JSON results into")
-		list         = flag.Bool("list", false, "list experiment ids and exit")
-		obsBench     = flag.String("obs-bench", "", "benchmark instrumentation overhead, write JSON to this path, and exit")
-		scaleBench   = flag.String("scale-bench", "", "run the 100k-transaction observability scale benchmark with enforced budgets, write JSON to this path, and exit")
-		scaleN       = flag.Int("scale-n", 100000, "transactions for -scale-bench")
-		spanBench    = flag.String("span-bench", "", "benchmark span-builder and sketch overhead, write JSON to this path, and exit")
-		faultBench   = flag.String("fault-bench", "", "sweep overload shedding vs open admission under a fault plan, write JSON to this path, and exit")
-		parBench     = flag.String("parallel-bench", "", "benchmark the parallel runner against the serial path, write JSON to this path, and exit")
-		clusterBench = flag.String("cluster-bench", "", "benchmark cluster failover vs a no-failover strawman under an instance crash, write JSON to this path, and exit")
-		contBench    = flag.String("contention-bench", "", "benchmark conflict-aware dispatch vs blind ASETS* on Zipf-contended workloads, write JSON to this path, and exit")
-		sloBench     = flag.String("slo-bench", "", "benchmark SLO alert lead time on the Table-I overload sweep, write JSON to this path, and exit")
+		figure   = flag.String("figure", "all", "experiment id to run, or 'all'")
+		n        = flag.Int("n", 1000, "transactions per workload (paper: 1000)")
+		seeds    = flag.Int("seeds", 5, "seeded runs per data point (paper: 5)")
+		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+		validate = flag.Bool("validate", false, "validate every schedule against the trace checker")
+		chart    = flag.Bool("chart", false, "render an ASCII chart under each table")
+		csvDir   = flag.String("csv", "", "directory to write per-figure CSV files into")
+		svgDir   = flag.String("svg", "", "directory to write per-figure SVG charts into")
+		jsonDir  = flag.String("json", "", "directory to write per-figure JSON results into")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
 	)
+	paths := make([]*string, len(benchModes))
+	for i, m := range benchModes {
+		paths[i] = flag.String(m.flag, "", m.usage+", write JSON to this path, and exit")
+	}
 	seed := cliflag.AddSeed(flag.CommandLine)
 	sloFlags := cliflag.AddSLO(flag.CommandLine)
 	flag.Parse()
@@ -70,121 +157,16 @@ func main() {
 		return
 	}
 
-	if *obsBench != "" {
-		f, err := os.Create(*obsBench)
-		if err == nil {
-			err = runObsBench(f, *n, 6)
-			if cerr := f.Close(); err == nil {
-				err = cerr
+	for i, m := range benchModes {
+		if *paths[i] == "" {
+			continue
+		}
+		args := benchArgs{n: *n, seeds: *seeds, parallel: *parallel, seed: *seed, slo: sloFlags.Config()}
+		if err := runBench(m, *paths[i], args); err != nil {
+			if errors.Is(err, errUsage) {
+				cliflag.Fatal("asetsbench", err)
 			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: obs-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *scaleBench != "" {
-		f, err := os.Create(*scaleBench)
-		if err == nil {
-			err = runScaleBench(f, *scaleN)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: scale-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *spanBench != "" {
-		f, err := os.Create(*spanBench)
-		if err == nil {
-			err = runSpanBench(f, *n, 6)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: span-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *parBench != "" {
-		f, err := os.Create(*parBench)
-		if err == nil {
-			err = runParallelBench(f, *n, min(*seeds, 2), *parallel, *seed)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: parallel-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clusterBench != "" {
-		f, err := os.Create(*clusterBench)
-		if err == nil {
-			err = runClusterBench(f, *n, min(*seeds, 3))
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: cluster-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *sloBench != "" {
-		f, err := os.Create(*sloBench)
-		if err == nil {
-			err = runSLOBench(f, *n, min(*seeds, 3), sloFlags.Config())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: slo-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *contBench != "" {
-		f, err := os.Create(*contBench)
-		if err == nil {
-			err = runContentionBench(f, *n, min(*seeds, 3))
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: contention-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *faultBench != "" {
-		f, err := os.Create(*faultBench)
-		if err == nil {
-			err = runFaultBench(f, *n, min(*seeds, 3))
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asetsbench: fault-bench: %v\n", err)
+			fmt.Fprintf(os.Stderr, "asetsbench: %s: %v\n", m.flag, err)
 			os.Exit(1)
 		}
 		return

@@ -1,15 +1,13 @@
 // Parallel runner benchmark: measures the wall-clock gain of fanning a
-// representative experiment sweep across the worker pool, and — the part CI
-// actually gates on — asserts the parallel gather is bit-identical to the
+// representative experiment sweep across the worker pool, and — the part
+// the gate enforces — asserts the parallel gather is bit-identical to the
 // serial path. The result is a small machine-readable JSON document
-// (BENCH_parallel.json in CI).
+// (committed as BENCH_parallel.json).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"reflect"
 	"runtime"
 	"time"
@@ -74,7 +72,7 @@ func parallelBenchJobs(n, seeds int, baseSeed uint64) []runner.Job {
 // gates; the ≥2× speedup criterion is asserted only on machines with at
 // least four CPUs, where the parallel path can physically win, and the
 // document records whether it was enforced.
-func runParallelBench(w io.Writer, n, seeds, workers int, baseSeed uint64) error {
+func runParallelBench(n, seeds, workers int, baseSeed uint64) (any, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -94,15 +92,15 @@ func runParallelBench(w io.Writer, n, seeds, workers int, baseSeed uint64) error
 	// Warm up once so page-ins and first-run allocator growth are not
 	// charged to the serial leg.
 	if _, _, err := timed(1); err != nil {
-		return err
+		return nil, err
 	}
 	serialSums, serialSec, err := timed(1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	parallelSums, parallelSec, err := timed(workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	res := parallelBenchResult{
@@ -121,17 +119,11 @@ func runParallelBench(w io.Writer, n, seeds, workers int, baseSeed uint64) error
 		res.Speedup = serialSec / parallelSec
 	}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		return err
-	}
-
 	if !res.Identical {
-		return fmt.Errorf("parallel summaries are not bit-identical to the serial path (workers=%d)", workers)
+		return res, fmt.Errorf("parallel summaries are not bit-identical to the serial path (workers=%d)", workers)
 	}
 	if res.SpeedupEnforced && res.Speedup < 2 {
-		return fmt.Errorf("speedup %.2fx below the 2x criterion (workers=%d cpus=%d)", res.Speedup, workers, res.CPUs)
+		return res, fmt.Errorf("speedup %.2fx below the 2x criterion (workers=%d cpus=%d)", res.Speedup, workers, res.CPUs)
 	}
-	return nil
+	return res, nil
 }

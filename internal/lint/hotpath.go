@@ -26,8 +26,8 @@ const (
 
 // HotPathAlloc returns the whole-program analyzer that flags allocation
 // idioms in every function reachable from a //lint:hotpath root. It is the
-// machine check behind ROADMAP item 2: the BENCH_span measurements put event
-// overhead at +92% (observer on) largely from per-event allocation, and a
+// machine check behind the observability overhead budgets: event overhead
+// once stood at +92% (observer on) largely from per-event allocation, and a
 // review-time promise not to allocate does not survive refactors — a
 // call-graph reachability check does.
 func HotPathAlloc() *Analyzer {

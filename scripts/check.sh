@@ -47,36 +47,4 @@ echo "== benchmark module (vet + smoke runs + traced == untraced digests)"
 echo "== asetslint"
 go run ./cmd/asetslint ./...
 
-echo "== obs overhead benchmark"
-go run ./cmd/asetsbench -obs-bench BENCH_obs.json -n 1000
-cat BENCH_obs.json
-
-echo "== span + sketch overhead benchmark"
-go run ./cmd/asetsbench -span-bench BENCH_span.json -n 1000
-cat BENCH_span.json
-
-echo "== observability scale benchmark (budget gate)"
-go run ./cmd/asetsbench -scale-bench BENCH_scale.json
-cat BENCH_scale.json
-
-echo "== overload shedding benchmark"
-go run ./cmd/asetsbench -fault-bench BENCH_fault.json -n 300 -seeds 2
-cat BENCH_fault.json
-
-echo "== parallel runner benchmark (bit-exactness gate)"
-go run ./cmd/asetsbench -parallel-bench BENCH_parallel.json -n 300 -seeds 2
-cat BENCH_parallel.json
-
-echo "== cluster failover benchmark (failover + determinism gate)"
-go run ./cmd/asetsbench -cluster-bench BENCH_cluster.json -n 300
-cat BENCH_cluster.json
-
-echo "== contention benchmark (conflict-aware wins + determinism gate)"
-go run ./cmd/asetsbench -contention-bench BENCH_contention.json -n 400 -seeds 3
-cat BENCH_contention.json
-
-echo "== slo benchmark (alert lead time + determinism + alloc gate)"
-go run ./cmd/asetsbench -slo-bench BENCH_slo.json -n 300 -seeds 2
-cat BENCH_slo.json
-
 echo "all checks passed"
