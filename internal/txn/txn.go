@@ -8,6 +8,7 @@ package txn
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -193,6 +194,11 @@ func (s *Set) Validate() error {
 	}
 	return nil
 }
+
+// Finite reports whether v is neither NaN nor infinite. Configuration
+// validators check it before their range checks: every comparison with NaN
+// is false, so a range check alone would accept it.
+func Finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // validKeySet checks one access set: non-negative keys, sorted ascending,
 // no duplicates. The sorted/dedup invariant is what lets conflict tests
