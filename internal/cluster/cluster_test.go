@@ -15,6 +15,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/txn"
@@ -282,6 +283,31 @@ const (
 	goldenSLOResult     = "1b026fb062a6ed2959f981320f217ecac9c8772756df6a33b703ebcdee02bc62"
 )
 
+// Fold digests of the same fixtures (obstest.RoutedFolds): the per-instant
+// sorted event lines and the per-transaction subsequences, with the
+// restart/validate_fail preempts and degrade events dropped. They were
+// pinned before the routed engine became N kernels plus a router and must
+// not move: that rebuild may only add those preempts and degrade events and
+// reorder events within one instant.
+const (
+	foldClusterInstants = "894fd305eb701d870023b090a69abe5a854448e9a7c0e60251ce6fcccc809380"
+	foldClusterTxns     = "ea1744795db9fccd730238cff525fed30b5c35d71dbb13d6c851f89f828bcb8a"
+	foldSLOInstants     = "521bd8666dcf61eac7189c5459e20505a80d02ea81c2b58fca18745c94b5b535"
+	foldSLOTxns         = "4b32922f648217a21c377fc12b3bf6cacdb18b3121c001dda0c7fc31095a415d"
+)
+
+// checkFolds compares a stream's fold digests against pinned values.
+func checkFolds(t *testing.T, events []obs.Event, instants, txns string) {
+	t.Helper()
+	gotInstants, gotTxns := obstest.RoutedFolds(events)
+	if gotInstants != instants {
+		t.Errorf("per-instant fold %s, pinned %s", gotInstants, instants)
+	}
+	if gotTxns != txns {
+		t.Errorf("per-transaction fold %s, pinned %s", gotTxns, txns)
+	}
+}
+
 // checkGolden compares the sha256 of b against a pinned hex digest.
 func checkGolden(t *testing.T, what string, b []byte, want string) {
 	t.Helper()
@@ -323,6 +349,7 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 	checkGolden(t, "routed stream", streamBytes(t, ev1), goldenClusterStream)
 	checkGolden(t, "result", resultBytes(t, res1), goldenClusterResult)
+	checkFolds(t, ev1, foldClusterInstants, foldClusterTxns)
 	if err := obs.Validate(ev1); err != nil {
 		t.Fatalf("routed stream violates invariants: %v", err)
 	}

@@ -108,6 +108,7 @@ func TestClusterSLOAlertsAndRollup(t *testing.T) {
 // TestClusterSLODeterminism: the routed stream including alert transitions
 // is byte-identical across replays.
 func TestClusterSLODeterminism(t *testing.T) {
+	var events []obs.Event
 	run := func() ([]byte, *Result) {
 		col := &obs.Collector{}
 		res, err := New(sloClusterConfig(col, obs.NewRegistry(), nil)).Run(overloadedClusterWorkload())
@@ -117,10 +118,12 @@ func TestClusterSLODeterminism(t *testing.T) {
 		if len(res.SLO) != 2 {
 			t.Fatalf("Result.SLO has %d entries, want 2", len(res.SLO))
 		}
-		return streamBytes(t, col.Events()), res
+		events = col.Events()
+		return streamBytes(t, events), res
 	}
 	a, res := run()
 	b, _ := run()
+	checkFolds(t, events, foldSLOInstants, foldSLOTxns)
 	if !bytes.Equal(a, b) {
 		t.Fatal("replay changed the routed stream with alerts")
 	}

@@ -1,4 +1,4 @@
-package executor
+package executor_test
 
 import (
 	"context"
@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"repro/internal/admit"
+	"repro/internal/cluster"
 	"repro/internal/contention"
 	"repro/internal/core"
+	. "repro/internal/executor"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -52,9 +54,10 @@ func matrixSpec(seed uint64) workload.Spec {
 
 var matrixCells = []matrixCell{
 	{name: "plain", spec: matrixSpec},
-	{name: "faults", spec: matrixSpec, faults: faultPlan},
+	{name: "faults", spec: matrixSpec, faults: FaultPlan},
 	{name: "queuecap", spec: matrixSpec, admit: func() admit.Controller { return admit.QueueCap{Max: 8} }},
 	{name: "feasibility", spec: matrixSpec, admit: func() admit.Controller { return admit.Feasibility{Tolerance: 5} }},
+	{name: "missratio", spec: matrixSpec, admit: func() admit.Controller { return admit.NewMissRatio(0.5, 0.25) }},
 	{name: "contended", spec: func(seed uint64) workload.Spec {
 		return matrixSpec(seed).WithContention(contention.Keyspace{Keys: 64, Alpha: 0.9, Reads: 3, Writes: 2, ReadOnlyProb: 0.2})
 	}},
@@ -69,6 +72,8 @@ type engineOutcome struct {
 	// Aborts, restarts, stalls, validate fails and sheds, in that order.
 	counts [5]int
 	alerts int // alert_fire events in the stream
+	// degrades counts degrade_enter events in the stream.
+	degrades int
 }
 
 func (o engineOutcome) diff(p engineOutcome) string {
@@ -93,8 +98,11 @@ func outcomeOf(set *txn.Set, col *obs.Collector, counts [5]int) engineOutcome {
 	for _, ev := range col.Events() {
 		b, _ := ev.MarshalJSON()
 		h.Write(b)
-		if ev.Kind == obs.KindAlertFire {
+		switch ev.Kind {
+		case obs.KindAlertFire:
 			o.alerts++
+		case obs.KindDegradeEnter:
+			o.degrades++
 		}
 	}
 	o.events = h.Sum64()
@@ -188,6 +196,10 @@ func TestMatrixCellsExercised(t *testing.T) {
 			if o.counts[4] == 0 {
 				t.Errorf("%s: nothing shed", c.name)
 			}
+		case "missratio":
+			if o.counts[4] == 0 || o.degrades == 0 {
+				t.Errorf("%s: nothing shed or never degraded", c.name)
+			}
 		case "contended":
 			if o.counts[3] == 0 {
 				t.Errorf("%s: no validation failures", c.name)
@@ -196,6 +208,128 @@ func TestMatrixCellsExercised(t *testing.T) {
 			if o.alerts == 0 {
 				t.Errorf("%s: no alert fired", c.name)
 			}
+		}
+	}
+}
+
+// independentSpec is the matrix workload without workflows: the cluster tier
+// routes independent transactions only.
+func independentSpec(seed uint64) workload.Spec {
+	return workload.NewSpec(1.1, seed).WithN(120).WithWeights()
+}
+
+// abortPlan is the faults cell's plan without the parts whose semantics are
+// the cluster's own: its keyed aborts, restarts and plain stall window stay.
+func abortPlan() *fault.Plan {
+	p := FaultPlan()
+	p.Stalls = p.Stalls[:1]
+	p.Bursts = nil
+	if p.Stalls[0].Kind != fault.Stall {
+		panic("abortPlan: the faults cell's first window is no longer a plain stall")
+	}
+	return p
+}
+
+// clusterCells is the cluster(N=1, rr) column of the matrix: the dependency-
+// free variant of each cell whose semantics a one-instance fleet shares with
+// the single backend.
+var clusterCells = []matrixCell{
+	{name: "plain", spec: independentSpec},
+	{name: "aborts", spec: independentSpec, faults: abortPlan},
+	{name: "queuecap", spec: independentSpec, admit: matrixCells[2].admit},
+	{name: "feasibility", spec: independentSpec, admit: matrixCells[3].admit},
+	{name: "missratio", spec: independentSpec, admit: matrixCells[4].admit},
+	{name: "contended", spec: func(seed uint64) workload.Spec {
+		return independentSpec(seed).WithContention(contention.Keyspace{Keys: 64, Alpha: 0.9, Reads: 3, Writes: 2, ReadOnlyProb: 0.2})
+	}},
+	{name: "slo", spec: independentSpec, slo: true},
+}
+
+// clusterExclusions names the matrix cells the cluster column leaves out,
+// and why. Their engines differ by design; the column does not force them
+// to agree.
+var clusterExclusions = map[string]string{
+	// A cluster crash is a process restart: it destroys the instance's
+	// queued and backing-off work too, where the single backend's crash
+	// window destroys only in-flight work. Its flash-crowd burst is a
+	// workload transform the cluster rejects (abortPlan keeps the rest).
+	"faults": "crash windows destroy queued work in a cluster; bursts are rejected",
+	// Every cell's workflows: the router places independent transactions
+	// only (independentSpec is each cell's dependency-free variant).
+	"workflows": "the cluster rejects dependencies",
+}
+
+// clusterSkip reports why policy p leaves cluster cell c out of the column,
+// or "" when the two engines must agree.
+func clusterSkip(c matrixCell, p string) string {
+	switch {
+	case p == "LS" && (c.name == "queuecap" || c.name == "feasibility" || c.name == "missratio"):
+		// LS's order is time-dependent: the single backend re-decides at
+		// every arrival instant, including one whose only arrival is shed,
+		// and the cluster re-decides only on an instance that received work.
+		return "LS under shedding: the single backend re-decides at shed-only arrival instants"
+	}
+	return ""
+}
+
+func runClusterCell(t *testing.T, c matrixCell, seed uint64, policy func() sched.Scheduler) engineOutcome {
+	t.Helper()
+	set := c.spec(seed).MustBuild()
+	col := &obs.Collector{}
+	plan, _, sc := c.layers()
+	cfg := cluster.Config{
+		Instances: 1, Policy: cluster.NewRoundRobin(), NewScheduler: policy,
+		NewAdmit: c.admit, SLO: sc, Sink: col,
+	}
+	if plan != nil {
+		cfg.Faults = []*fault.Plan{plan}
+	}
+	res, err := cluster.New(cfg).Run(set)
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	s := res.Summary
+	return outcomeOf(set, col, [5]int{s.Aborts, s.Restarts, s.Stalls, s.ValidateFails, res.Shed})
+}
+
+// TestCrossEngineMatrixCluster: a one-instance round-robin fleet schedules
+// every independent matrix cell exactly like the simulator — per-transaction
+// finish times and shed marks, fault, contention and shed counters. The
+// event streams are not compared: the routed stream adds route events.
+func TestCrossEngineMatrixCluster(t *testing.T) {
+	seeds := []uint64{1, 2, 3}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, c := range clusterCells {
+		for _, p := range matrixPolicies {
+			for _, seed := range seeds {
+				t.Run(fmt.Sprintf("%s/%s/%d", c.name, p.name, seed), func(t *testing.T) {
+					if why := clusterSkip(c, p.name); why != "" {
+						t.Skip(why)
+					}
+					want := runSimCell(t, c, seed, p.new)
+					got := runClusterCell(t, c, seed, p.new)
+					want.events, got.events = 0, 0
+					if d := got.diff(want); d != "" {
+						t.Fatalf("cluster(N=1) vs sim: %s", d)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestClusterExclusionsNamed keeps the exclusions honest: every matrix cell
+// either has a cluster variant or a named reason it has none.
+func TestClusterExclusionsNamed(t *testing.T) {
+	variant := map[string]bool{}
+	for _, c := range clusterCells {
+		variant[c.name] = true
+	}
+	for _, c := range matrixCells {
+		if !variant[c.name] && clusterExclusions[c.name] == "" {
+			t.Errorf("matrix cell %q has no cluster variant and no named exclusion", c.name)
 		}
 	}
 }

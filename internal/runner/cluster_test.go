@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/sched"
 	"repro/internal/txn"
 	"repro/internal/workload"
@@ -67,6 +68,25 @@ func digest(t *testing.T, cols []*obs.Collector) [32]byte {
 	return sha256.Sum256(buf.Bytes())
 }
 
+// folds hashes the jobs' fold digests (obstest.RoutedFolds), in job order.
+func folds(cols []*obs.Collector) (instants, txns string) {
+	var a, b bytes.Buffer
+	for _, col := range cols {
+		i, x := obstest.RoutedFolds(col.Events())
+		a.WriteString(i + "\n")
+		b.WriteString(x + "\n")
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(a.Bytes())), fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))
+}
+
+// Fold digests of the routed jobs fixture, pinned before the routed engine
+// became N kernels plus a router; they must not move (see the cluster
+// package's fold goldens for what the folds forgive).
+const (
+	foldClusterJobsInstants = "2afaaed07a4699d48a2e2973fb46f5b8c6c68c3b32776dc030782181e97991ee"
+	foldClusterJobsTxns     = "0e301f06b0747f79a9bbf59a76228615b302aaaaaea3fe4997b46ed31b40fdbf"
+)
+
 // Goldens of the routed jobs fixture: the sha256 of the four jobs' routed
 // JSONL streams in job order, and of their JSON-encoded results. Regenerate
 // only for an intended schedule change.
@@ -80,8 +100,10 @@ const (
 // ejection, failover, per-instance scheduling — of a 4-worker run are
 // byte-identical to the serial run, and so are the failover results.
 func TestClusterJobsSerialParallelIdentical(t *testing.T) {
+	var instants, txns string
 	run := func(workers int) ([32]byte, []*cluster.Result) {
 		jobs, cols := clusterJobs()
+		defer func() { instants, txns = folds(cols) }()
 		sums, err := Pool{Workers: workers, BaseSeed: 0xC1A57E}.Run(context.Background(), jobs)
 		if err != nil {
 			t.Fatal(err)
@@ -114,6 +136,9 @@ func TestClusterJobsSerialParallelIdentical(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(resJSON)); got != goldenClusterJobsResult {
 		t.Errorf("result digest %s, pinned %s", got, goldenClusterJobsResult)
+	}
+	if instants != foldClusterJobsInstants || txns != foldClusterJobsTxns {
+		t.Errorf("fold digests %s / %s, pinned %s / %s", instants, txns, foldClusterJobsInstants, foldClusterJobsTxns)
 	}
 	for i, res := range serialRes {
 		if res.Ejections == 0 {
