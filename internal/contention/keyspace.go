@@ -56,8 +56,8 @@ func (ks *Keyspace) Validate() error {
 	if ks.Keys <= 0 {
 		return fmt.Errorf("contention: keyspace needs a positive key count, got %d", ks.Keys)
 	}
-	if ks.Alpha < 0 {
-		return fmt.Errorf("contention: negative zipf alpha %v", ks.Alpha)
+	if !txn.Finite(ks.Alpha) || ks.Alpha < 0 {
+		return fmt.Errorf("contention: zipf alpha %v must be finite and non-negative", ks.Alpha)
 	}
 	if ks.Reads < 0 || ks.Writes < 0 {
 		return fmt.Errorf("contention: negative set size (reads %d, writes %d)", ks.Reads, ks.Writes)
@@ -68,8 +68,8 @@ func (ks *Keyspace) Validate() error {
 	if ks.Reads > ks.Keys || ks.Writes > ks.Keys {
 		return fmt.Errorf("contention: set sizes (reads %d, writes %d) exceed keyspace size %d", ks.Reads, ks.Writes, ks.Keys)
 	}
-	if ks.ReadOnlyProb < 0 || ks.ReadOnlyProb > 1 {
-		return fmt.Errorf("contention: read-only probability %v outside [0, 1]", ks.ReadOnlyProb)
+	if !txn.Finite(ks.ReadOnlyProb) || ks.ReadOnlyProb < 0 || ks.ReadOnlyProb > 1 {
+		return fmt.Errorf("contention: read_only_prob %v must be finite and in [0, 1]", ks.ReadOnlyProb)
 	}
 	return nil
 }

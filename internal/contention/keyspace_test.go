@@ -1,7 +1,9 @@
 package contention
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/txn"
@@ -45,6 +47,30 @@ func TestKeyspaceValidateRejects(t *testing.T) {
 	ok := Keyspace{Keys: 64, Alpha: 0.9, Reads: 4, Writes: 2, ReadOnlyProb: 0.3}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid keyspace rejected: %v", err)
+	}
+}
+
+// TestKeyspaceValidateNonFinite: NaN fails every ordered comparison, so a
+// range check alone lets it through; Validate must reject non-finite floats
+// and name the field.
+func TestKeyspaceValidateNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		mut   func(*Keyspace)
+		field string
+	}{
+		{"NaN alpha", func(ks *Keyspace) { ks.Alpha = math.NaN() }, "alpha"},
+		{"+Inf alpha", func(ks *Keyspace) { ks.Alpha = math.Inf(1) }, "alpha"},
+		{"-Inf alpha", func(ks *Keyspace) { ks.Alpha = math.Inf(-1) }, "alpha"},
+		{"NaN read-only prob", func(ks *Keyspace) { ks.ReadOnlyProb = math.NaN() }, "read_only_prob"},
+		{"+Inf read-only prob", func(ks *Keyspace) { ks.ReadOnlyProb = math.Inf(1) }, "read_only_prob"},
+		{"-Inf read-only prob", func(ks *Keyspace) { ks.ReadOnlyProb = math.Inf(-1) }, "read_only_prob"},
+	} {
+		ks := Keyspace{Keys: 64, Alpha: 0.9, Reads: 4, Writes: 2}
+		tc.mut(&ks)
+		if err := ks.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate = %v, want an error naming %s", tc.name, err, tc.field)
+		}
 	}
 }
 
