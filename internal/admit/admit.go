@@ -225,6 +225,9 @@ func (c *MissRatio) Degraded() bool { return c.degraded }
 // marked transaction when its arrival is consumed.
 func CascadeShed(set *txn.Set, t *txn.Transaction) {
 	t.Shed = true
+	if len(set.Dependents[t.ID]) == 0 {
+		return
+	}
 	//lint:ignore hotpath-alloc shedding is the overload response, not the steady state; a short-lived DFS stack per shed is acceptable
 	stack := []txn.ID{t.ID}
 	for len(stack) > 0 {

@@ -1,137 +1,44 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
-	"repro/internal/admit"
-	"repro/internal/contention"
 	"repro/internal/fault"
-	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/slo"
+	"repro/internal/sim"
 	"repro/internal/txn"
 )
 
-// completionEpsilon mirrors the simulator's float tolerance for slice
-// boundaries landing numerically on completion instants.
-const completionEpsilon = 1e-9
-
-// instance is one fault domain: a single-server backend with its own
-// scheduler queue, admission controller and fault injector.
+// instance is one fault domain: a single-server backend — one sim.Kernel
+// with its own scheduler, admission controller, fault injector, validator
+// and SLO engine — plus the router's circuit-breaker view of it.
 type instance struct {
-	idx  int
-	name string // strconv.Itoa(idx), interned once for event details
-
-	sched sched.Scheduler
-	ctrl  admit.Controller
-	inj   *fault.Injector
-	// slo is the instance's SLO alert engine (nil unless Config.SLO is set):
-	// each fault domain is its own alerting domain.
-	slo *slo.Engine
-	// val is the instance's commit-time validator — each fault domain is an
-	// independent database, so versions never flow across instances; nil on
-	// keyless workloads (docs/CONTENTION.md).
-	val *contention.Validator
-
-	running *txn.Transaction
-	queued  int     // admitted, unfinished, not running, not backing off
-	backlog float64 // remaining work: running + queued + backing off
-	busy    float64
+	k    sim.Kernel
+	name string // strconv.Itoa(index), interned once for event details
 
 	ejected   bool    // breaker open: out of the routing set
 	halfOpen  bool    // breaker half-open: routable, on probation
 	reopenAt  float64 // when an ejected breaker half-opens
-	stallSeen int     // last outage window whose entry was recorded
 	crashSeen int     // last crash window whose instance-wide loss was applied
 	delivered bool    // got an arrival/restart/failover at the current instant
 
-	routed      int
 	failoversIn int
 	crashLost   int
-	completed   int
-	misses      int
-	degraded    bool
-}
-
-// inStall reports whether the instance is inside an outage window at now.
-func (in *instance) inStall(now float64) (fault.Window, int, bool) {
-	if in.inj == nil {
-		return fault.Window{}, -1, false
-	}
-	return in.inj.InStall(now)
 }
 
 // view builds the instance's routing signal.
-func (in *instance) view(now float64) InstanceView {
-	_, _, stalled := in.inStall(now)
-	running := 0
-	if in.running != nil {
-		running = 1
-	}
+func (in *instance) view(idx int) InstanceView {
+	c := in.k.Counts()
+	_, _, stalled := in.k.Outage()
 	return InstanceView{
-		Index: in.idx, Ejected: in.ejected, HalfOpen: in.halfOpen,
-		Stalled: stalled, Running: running, Queued: in.queued, Backlog: in.backlog,
+		Index: idx, Ejected: in.ejected, HalfOpen: in.halfOpen, Stalled: stalled,
+		Running: c.Running, Queued: c.Live - c.Running - c.Held, Backlog: c.Backlog,
 	}
-}
-
-// InstanceResult is one instance's share of a cluster run.
-type InstanceResult struct {
-	// Routed counts arrivals the router placed here; FailoversIn counts
-	// crash-lost transactions re-enqueued here from other instances.
-	Routed      int `json:"routed"`
-	FailoversIn int `json:"failovers_in"`
-	// CrashLost counts transactions this instance's crash windows destroyed
-	// (in-flight, queued and backing off).
-	CrashLost int `json:"crash_lost"`
-	// Completed and Misses count transactions finished here and those that
-	// finished past their deadline.
-	Completed int `json:"completed"`
-	Misses    int `json:"misses"`
-	// Busy is the time this instance's server spent serving.
-	Busy float64 `json:"busy"`
-}
-
-// Result is the outcome of one cluster run.
-type Result struct {
-	// Summary aggregates the completed transactions exactly like a
-	// single-backend run; permanently lost transactions are excluded from
-	// its tardiness aggregates (they are counted in Summary.Shed alongside
-	// admission sheds, and separated again here).
-	Summary *metrics.Summary
-	// Routes counts routing decisions for fresh arrivals; Failovers counts
-	// crash-lost transactions re-enqueued to survivors; Lost counts
-	// transactions dropped for good (budget exhausted or NoFailover).
-	Routes    int `json:"routes"`
-	Failovers int `json:"failovers"`
-	Lost      int `json:"lost"`
-	// Shed counts admission-controller rejections (Summary.Shed - Lost).
-	Shed int `json:"shed"`
-	// Misses counts completions past their deadline, across instances.
-	Misses int `json:"misses"`
-	// Ejections and Recoveries count circuit-breaker transitions.
-	Ejections  int `json:"ejections"`
-	Recoveries int `json:"recoveries"`
-	// Instances holds the per-instance breakdown, in index order.
-	Instances []InstanceResult `json:"instances"`
-	// SLO holds each instance's final SLO engine state, in index order; nil
-	// when Config.SLO was unset.
-	SLO []slo.State `json:"slo,omitempty"`
-}
-
-// EffectiveMissRatio is the SLA measure the failover gate is judged on: a
-// permanently lost transaction is an unbounded SLA violation, so it counts
-// as a miss over the population the cluster accepted (completed + lost).
-// Admission sheds are excluded, exactly as in metrics.Summary.MissRatio.
-func (r *Result) EffectiveMissRatio() float64 {
-	served := r.Summary.N + r.Lost
-	if served == 0 {
-		return 0
-	}
-	return float64(r.Misses+r.Lost) / float64(served)
 }
 
 // retryEntry is one crash-lost transaction waiting out its failover backoff.
@@ -150,6 +57,30 @@ type Sim struct {
 // on Run.
 func New(cfg Config) *Sim { return &Sim{cfg: cfg} }
 
+// router is one cluster run: N instance kernels plus the routing tier. It
+// owns the global clock, routing, the circuit breaker, failover and retry
+// budgets, the status board and pacing; everything per instance —
+// scheduling, commit, abort, validation, stalls, admission, SLO and the
+// decision events — is the kernel's.
+type router struct {
+	cfg    Config
+	retry  Retry
+	policy Policy
+	set    *txn.Set
+	obs    *sched.Instrumented // shared by the kernels: one ordered stream
+	rec    *recorder
+	insts  []instance
+	views  []InstanceView
+
+	arr     sim.Arrivals // undelivered arrivals
+	held    bool         // due arrivals wait at arr's head: every instance is ejected
+	retries []retryEntry // sorted by (at, id)
+	fails   []int        // failovers consumed per transaction
+	now     float64
+
+	done, shed, lost, routes, failovers, ejections, recoveries int
+}
+
 // Run routes set across the fleet to completion and returns the result.
 // The workload must be dependency-free: the routing tier places individual
 // transactions, and per-instance schedulers never observe completions on
@@ -157,608 +88,321 @@ func New(cfg Config) *Sim { return &Sim{cfg: cfg} }
 // (workflow-colocated routing is future work — see docs/ROBUSTNESS.md).
 func (e *Sim) Run(set *txn.Set) (*Result, error) {
 	cfg := e.cfg
-	retry, err := cfg.validate()
+	retry, maxSteps, err := cfg.validate(set)
 	if err != nil {
 		return nil, err
 	}
-	n := set.Len()
-	for _, t := range set.Txns {
-		if len(t.Deps) > 0 {
-			return nil, fmt.Errorf("cluster: transaction %d has dependencies; the cluster tier routes independent transactions only", t.ID)
+	r := &router{
+		cfg: cfg, retry: retry, policy: cfg.Policy, set: set,
+		obs:   sched.Instrument(cfg.Sink, cfg.Metrics),
+		insts: make([]instance, cfg.Instances), views: make([]InstanceView, cfg.Instances),
+		fails: make([]int, set.Len()),
+	}
+	defer r.obs.Release()
+	if r.policy == nil {
+		r.policy = NewRoundRobin()
+	}
+	r.rec = newRecorder(r.obs.Sink(), cfg.Metrics)
+	for i := range r.insts {
+		in := &r.insts[i]
+		in.name, in.crashSeen = strconv.Itoa(i), -1
+		if in.k, err = sim.NewInstance(cfg.instance(i, in.name, maxSteps), set, cfg.NewScheduler(), r.obs, in.name); err != nil {
+			return nil, fmt.Errorf("cluster: instance %d: %w", i, err)
 		}
 	}
-	set.ResetAll()
-
-	policy := cfg.Policy
-	if policy == nil {
-		policy = NewRoundRobin()
+	// The kernels reset the set; order the arrivals afterwards.
+	r.arr = sim.NewArrivals(set)
+	for steps := 1; r.done+r.shed+r.lost < set.Len(); steps++ {
+		if steps > maxSteps {
+			return nil, fmt.Errorf("cluster: exceeded %d scheduling steps with %d/%d transactions complete (scheduler or policy livelock?)", maxSteps, r.done, set.Len())
+		}
+		if err := r.step(); err != nil {
+			return nil, err
+		}
 	}
-	rec := newRecorder(cfg.Sink, cfg.Metrics)
+	return r.result()
+}
 
-	// newSched builds one instance's scheduler: at construction and again
-	// after every crash, because a crash is a process restart — the drained
-	// scheduler's internal bookkeeping (e.g. ASETS*'s checked-out set) must
-	// not survive into the revived instance, or a transaction failing over
-	// back to it would be stuck half-checked-out forever.
-	newSched := func() sched.Scheduler {
-		s := cfg.NewScheduler()
-		s.Init(set)
-		// Policies that narrate their internal decisions (ASETS* aging and
-		// mode switches) emit straight into the ordered cluster stream.
-		if ss, ok := s.(sched.SinkSetter); ok && cfg.Sink != nil {
-			ss.SetSink(rec.sink)
-		}
-		return s
+// step takes one decision step of the fleet: dispatch on every serving
+// instance, advance the global clock to the earliest next event, settle
+// every instance there, then route the instant's failovers and arrivals.
+// An instance re-decides only when it received work: its running
+// transaction then bounces back so the next dispatch picks the highest
+// priority, exactly like the single-backend preemptive model.
+//
+//lint:hotpath
+func (r *router) step() error {
+	r.publish(false)
+	event := r.arr.Next()
+	if r.held {
+		event = r.nextFresh()
 	}
-
-	insts := make([]*instance, cfg.Instances)
-	for i := range insts {
-		inst := &instance{idx: i, name: strconv.Itoa(i), stallSeen: -1, crashSeen: -1}
-		inst.sched = newSched()
-		if cfg.NewAdmit != nil {
-			inst.ctrl = cfg.NewAdmit()
-		}
-		if len(cfg.Faults) > 0 && !cfg.Faults[i].Zero() {
-			inst.inj = fault.NewInjector(cfg.Faults[i], n)
-		}
-		inst.val = contention.NewValidator(set)
-		if cfg.SLO != nil {
-			sc := *cfg.SLO
-			sc.Instance = inst.name
-			inst.slo = slo.NewEngine(sc, cfg.Metrics)
-			// Alerts funnel through the recorder's sink unbatched on the
-			// engine goroutine, like every other routed decision event.
-			inst.slo.Bind(rec.sink)
-		}
-		insts[i] = inst
+	if len(r.retries) > 0 {
+		event = min(event, r.retries[0].at)
 	}
-
-	// Arrival order: by time, ties by ID.
-	order := make([]*txn.Transaction, n)
-	copy(order, set.Txns)
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].Arrival != order[j].Arrival {
-			return order[i].Arrival < order[j].Arrival
-		}
-		return order[i].ID < order[j].ID
-	})
-
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		scale, windows := 1+retry.Budget, 0
-		for _, p := range cfg.Faults {
-			if p == nil {
-				continue
+	for i := range r.insts {
+		in := &r.insts[i]
+		if in.ejected {
+			// An ejected instance dispatches nothing, but its windows still
+			// bound the step, and so does its breaker reopening.
+			event = min(event, in.k.Horizon(math.Inf(1)))
+			if in.reopenAt > r.now {
+				event = min(event, in.reopenAt)
 			}
-			if p.MaxRestarts > scale-1-retry.Budget {
-				scale = 1 + retry.Budget + p.MaxRestarts
-			}
-			windows += len(p.Stalls)
+			continue
 		}
-		maxSteps = (8*n+64)*scale + 16*windows + 64*cfg.Instances
-	}
-	if contention.HasKeys(set) {
-		// Validation failures re-execute from scratch; each failure needs a
-		// distinct conflicting commit inside the victim's open window, so a
-		// per-instance population of at most n bounds the extra steps
-		// quadratically (same bound as the single-backend simulator).
-		maxSteps = 2*maxSteps + 2*n*n
-	}
-
-	var (
-		now        float64
-		nextArr    int
-		done       int
-		shedCnt    int
-		lost       int
-		routes     int
-		failovers  int
-		ejections  int
-		recoveries int
-		steps      int
-		owner      = make([]int, n) // current instance per transaction, -1 when unrouted
-		fails      = make([]int, n) // failovers consumed per transaction
-		retries    []retryEntry     // sorted by (at, id)
-		pendingArr []*txn.Transaction
-		views      = make([]InstanceView, cfg.Instances)
-		victims    []*txn.Transaction
-	)
-	for i := range owner {
-		owner[i] = -1
-	}
-
-	healthyCount := func() int {
-		h := 0
-		for _, inst := range insts {
-			if !inst.ejected {
-				h++
-			}
-		}
-		return h
-	}
-	buildViews := func() []InstanceView {
-		for i, inst := range insts {
-			views[i] = inst.view(now)
-		}
-		return views
-	}
-	pick := func(t *txn.Transaction) (int, error) {
-		j := policy.Pick(buildViews())
-		if j == -1 {
-			return -1, nil
-		}
-		if j < 0 || j >= len(insts) || insts[j].ejected {
-			return 0, fmt.Errorf("cluster: policy %q picked invalid instance %d for transaction %d", policy.Name(), j, t.ID)
-		}
-		return j, nil
-	}
-	pushRetry := func(at float64, t *txn.Transaction, from int) {
-		i := sort.Search(len(retries), func(i int) bool {
-			if retries[i].at != at {
-				return retries[i].at > at
-			}
-			return retries[i].t.ID > t.ID
-		})
-		retries = append(retries, retryEntry{})
-		copy(retries[i+1:], retries[i:])
-		retries[i] = retryEntry{at: at, t: t, from: from}
-	}
-	// earliestReopen is the deferral instant when every instance is ejected.
-	earliestReopen := func() float64 {
-		at := math.Inf(1)
-		for _, inst := range insts {
-			if inst.ejected && inst.reopenAt < at {
-				at = inst.reopenAt
-			}
-		}
-		return at
-	}
-	// deliverTo lands t on instance j's queue (failover or deferred/fresh
-	// arrival, after any admission decision).
-	deliverTo := func(j int, t *txn.Transaction) {
-		inst := insts[j]
-		owner[t.ID] = j
-		inst.queued++
-		inst.backlog += t.Remaining
-		inst.delivered = true
-		if inst.slo != nil {
-			inst.slo.Arrive(obs.WeightClassIndex(t.Weight))
-		}
-		inst.sched.OnArrival(now, t)
-	}
-	// admitAt consults instance j's controller for a fresh arrival; it
-	// returns false when the transaction was shed.
-	admitAt := func(j int, t *txn.Transaction) bool {
-		inst := insts[j]
-		if inst.ctrl == nil {
-			return true
-		}
-		running := 0
-		if inst.running != nil {
-			running = 1
-		}
-		held := 0
-		if inst.inj != nil {
-			held = inst.inj.Held()
-		}
-		st := admit.State{
-			Now: now, Queued: inst.queued + held, Running: running, Servers: 1,
-			Backlog: inst.backlog, Completed: inst.completed, Misses: inst.misses,
-		}
-		if inst.ctrl.Admit(t, st) {
-			return true
-		}
-		t.Shed = true
-		shedCnt++
-		rec.Shed(now, t, inst.ctrl.Name())
-		return false
-	}
-	// routeOne places one transaction that is free to go anywhere. It
-	// returns false when no instance is routable (caller defers).
-	routeOne := func(t *txn.Transaction) (bool, error) {
-		j, err := pick(t)
+		at, err := in.k.Next(math.Inf(1))
 		if err != nil {
-			return false, err
+			return r.fail(i, err)
 		}
-		if j == -1 {
-			return false, nil
-		}
-		rec.Route(now, t, insts[j].name)
-		routes++
-		if !admitAt(j, t) {
-			return true, nil
-		}
-		insts[j].routed++
-		rec.Arrival(now, t)
-		deliverTo(j, t)
-		return true, nil
+		event = min(event, at)
 	}
-	publish := func(finished bool) {
-		if cfg.Status == nil {
+	if math.IsInf(event, 1) {
+		return r.stuck()
+	}
+	event = max(event, r.now)
+	if event > r.now && r.cfg.Pace != nil {
+		// Live readers see every decision up to the instant the fleet
+		// pauses.
+		r.obs.Flush()
+		if err := r.cfg.Pace(event); err != nil {
+			return err
+		}
+	}
+	r.now = event
+
+	if r.cfg.SLO != nil {
+		r.closeWindows()
+	}
+	for i := range r.insts {
+		r.settle(i)
+	}
+	if len(r.retries) > 0 && r.retries[0].at <= r.now {
+		if err := r.failover(); err != nil {
+			return err
+		}
+	}
+	// Due arrivals in arrival order: those deferred while the whole fleet
+	// was ejected, then the fresh ones of this instant.
+	for r.held = false; len(r.arr) > 0 && r.arr[0].Arrival <= r.now; r.arr = r.arr[1:] {
+		routed, err := r.route(r.arr[0])
+		if err != nil {
+			return err
+		}
+		if r.held = !routed; r.held {
+			break
+		}
+	}
+	for i := range r.insts {
+		if in := &r.insts[i]; in.delivered {
+			in.delivered = false
+			in.k.Return()
+		}
+	}
+	return nil
+}
+
+// settle brings instance i to the new instant: its commits, then its
+// outage — a crash drains it, a stall preempts its running transaction —
+// or else a due breaker recovery, then its due restarts. Instances are
+// independent here, so settling one after another is settling them at once.
+func (r *router) settle(i int) {
+	in := &r.insts[i]
+	if done := in.k.Settle(r.now); len(done) > 0 {
+		r.done += len(done)
+		in.halfOpen = false // a completion confirms recovery
+	}
+	w, idx, stalled := in.k.Outage()
+	switch {
+	case stalled && w.Kind == fault.Crash && idx != in.crashSeen:
+		r.crash(i, w, idx)
+	case stalled:
+		// Preemptive resume: the transaction keeps its progress and waits
+		// out the window in the queue.
+		in.k.Return()
+	case in.ejected && r.now >= in.reopenAt:
+		// The outage is over and the cooldown passed: half-open back into
+		// the routing set.
+		in.ejected, in.halfOpen = false, true
+		r.recoveries++
+		r.rec.Recover(r.now, in.name, r.healthy())
+	}
+	// Keyed-abort restarts return to their own instance's queue.
+	if in.k.Restarts() > 0 {
+		in.delivered = true
+	}
+}
+
+// closeWindows closes the instances' SLO windows up to now before any event
+// of the new instant, boundary by boundary across the fleet, so alerts —
+// stamped with their boundary time — keep the routed stream in time order.
+// Settle's own advance is then a no-op.
+func (r *router) closeWindows() {
+	for {
+		b := math.Inf(1)
+		for i := range r.insts {
+			b = min(b, r.insts[i].k.SLO().Boundary())
+		}
+		if b > r.now {
 			return
 		}
-		cfg.Status.publish(now, finished, insts, fleetTotals{
-			routes: routes, failovers: failovers, lost: lost,
-			ejections: ejections, recoveries: recoveries, done: done, shed: shedCnt,
-		})
-	}
-
-	for done+shedCnt+lost < n {
-		steps++
-		if steps > maxSteps {
-			return nil, fmt.Errorf("cluster: exceeded %d scheduling steps with %d/%d transactions complete (scheduler or policy livelock?)", maxSteps, done, n)
-		}
-		publish(false)
-
-		// Fill idle, serving instances.
-		for _, inst := range insts {
-			if inst.running != nil || inst.ejected {
-				continue
-			}
-			if _, _, stalled := inst.inStall(now); stalled {
-				continue
-			}
-			t := inst.sched.Next(now)
-			if t == nil {
-				continue
-			}
-			if t.Finished {
-				return nil, fmt.Errorf("cluster: instance %d scheduler returned finished transaction %d", inst.idx, t.ID)
-			}
-			if t.Arrival > now {
-				return nil, fmt.Errorf("cluster: instance %d scheduler returned transaction %d before its arrival (%v > %v)", inst.idx, t.ID, t.Arrival, now)
-			}
-			t.Started = true
-			if inst.val != nil {
-				inst.val.Begin(t)
-			}
-			inst.queued--
-			inst.running = t
-			rec.Dispatch(now, t, inst.name)
-		}
-
-		// Next event: earliest completion, arrival, failover re-enqueue,
-		// restart expiry, outage window boundary or breaker reopen.
-		event := math.Inf(1)
-		for _, inst := range insts {
-			if inst.running != nil {
-				if f := now + inst.running.Remaining; f < event {
-					event = f
-				}
-			}
-			if inst.inj != nil {
-				if r := inst.inj.NextRestart(); r < event {
-					event = r
-				}
-				if w, _, ok := inst.inj.InStall(now); ok {
-					if w.End() < event {
-						event = w.End()
-					}
-				} else if ss := inst.inj.NextStallStart(now); ss < event {
-					event = ss
-				}
-			}
-			if inst.ejected && inst.reopenAt > now && inst.reopenAt < event {
-				event = inst.reopenAt
-			}
-		}
-		if nextArr < n && order[nextArr].Arrival < event {
-			event = order[nextArr].Arrival
-		}
-		if len(retries) > 0 && retries[0].at < event {
-			event = retries[0].at
-		}
-		if math.IsInf(event, 1) {
-			return nil, fmt.Errorf("cluster: no ready transaction and no future events with %d/%d transactions complete", done+shedCnt+lost, n)
-		}
-		if event < now {
-			event = now
-		}
-		if event > now && cfg.Pace != nil {
-			if err := cfg.Pace(event); err != nil {
-				return nil, err
-			}
-		}
-
-		// Advance every running server to the event.
-		dt := event - now
-		if dt > 0 {
-			for _, inst := range insts {
-				if inst.running != nil {
-					inst.running.Remaining -= dt
-					inst.busy += dt
-					inst.backlog -= dt
-				}
-			}
-		}
-		now = event
-
-		// Window boundaries this advance crossed: every instance's SLO
-		// engine closes its tumbling windows now, in index order, so alert
-		// transitions (stamped with the boundary time) enter the routed
-		// stream before any event of the new instant.
-		if cfg.SLO != nil {
-			for _, inst := range insts {
-				inst.slo.Advance(now)
-			}
-		}
-
-		// Completions (or keyed aborts) per instance, in index order.
-		for _, inst := range insts {
-			t := inst.running
-			if t == nil || t.Remaining > completionEpsilon {
-				continue
-			}
-			inst.running = nil
-			if inst.val != nil && !inst.val.CommitCheck(t) {
-				// Read-set invalidated by a concurrent commit on this
-				// instance: rewind and requeue for a fresh incarnation,
-				// exactly like the single-backend validate-fail path.
-				inst.backlog += t.Length - t.Remaining
-				t.Remaining = t.Length
-				rec.ValidateFail(now, t, inst.name)
-				inst.queued++
-				inst.delivered = true
-				inst.sched.OnPreempt(now, t)
-				continue
-			}
-			if inst.val == nil && inst.inj != nil && inst.inj.AbortsAttempt(t) {
-				inst.backlog += t.Length - t.Remaining
-				t.Remaining = t.Length
-				retryAt := inst.inj.RecordAbort(now, t)
-				rec.Abort(now, t, "abort", retryAt)
-				continue
-			}
-			inst.backlog -= t.Remaining
-			t.Remaining = 0
-			t.Finished = true
-			t.FinishTime = now
-			done++
-			inst.completed++
-			inst.halfOpen = false // a completion confirms recovery
-			owner[t.ID] = -1
-			inst.sched.OnCompletion(now, t)
-			tard := t.Tardiness()
-			if tard > 0 {
-				inst.misses++
-			}
-			rec.Completion(now, t)
-			if inst.slo != nil {
-				inst.slo.Complete(obs.WeightClassIndex(t.Weight), tard, now-t.Arrival)
-			}
-			if inst.ctrl != nil {
-				inst.ctrl.Complete(t, tard > 0)
-				inst.degraded = inst.ctrl.Degraded()
-			}
-		}
-
-		// Outage windows opening at this instant: stalls preempt the
-		// running transaction back (progress preserved); a crash destroys
-		// the whole instance — in-flight, queued and backing-off work — and
-		// the breaker ejects it from the routing set.
-		for _, inst := range insts {
-			w, idx, ok := inst.inStall(now)
-			if !ok {
-				continue
-			}
-			if idx != inst.stallSeen {
-				inst.stallSeen = idx
-				inst.inj.RecordStallEntered()
-				rec.StallEntered(now, w, inst.name)
-			}
-			if w.Kind == fault.Crash && idx != inst.crashSeen {
-				inst.crashSeen = idx
-				victims = victims[:0]
-				if inst.running != nil {
-					victims = append(victims, inst.running)
-					inst.running = nil
-				}
-				for {
-					t := inst.sched.Next(now)
-					if t == nil {
-						break
-					}
-					victims = append(victims, t)
-				}
-				victims = append(victims, inst.inj.DrainHeld()...)
-				sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
-				inst.queued = 0
-				inst.backlog = 0
-				// Process restart: the revived instance gets a fresh
-				// scheduler, so no drained transaction's bookkeeping leaks
-				// into its next life.
-				inst.sched = newSched()
-				for _, t := range victims {
-					inst.crashLost++
-					inst.inj.RecordCrashLoss(t)
-					rec.Abort(now, t, "crash", now)
-					if inst.slo != nil {
-						// The crash removed the transaction from this fault
-						// domain; a failover re-arrives it on the survivor.
-						inst.slo.Drop(obs.WeightClassIndex(t.Weight))
-					}
-					t.Remaining = t.Length // new incarnation, arrival preserved
-					if inst.val != nil {
-						// The in-flight incarnation dies with the process;
-						// committed versions survive the restart.
-						inst.val.Reset(t)
-					}
-					owner[t.ID] = -1
-					if cfg.NoFailover || fails[t.ID] >= retry.Budget {
-						lost++
-						t.Shed = true
-						rec.Lost(now, t)
-						continue
-					}
-					fails[t.ID]++
-					pushRetry(now+retry.backoff(fails[t.ID]), t, inst.idx)
-				}
-				if !inst.ejected {
-					inst.ejected = true
-					inst.halfOpen = false
-					ejections++
-				}
-				if at := w.End() + cfg.RecoveryCooldown; at > inst.reopenAt {
-					inst.reopenAt = at
-				}
-				rec.Eject(now, inst.name, healthyCount())
-				continue
-			}
-			if inst.running != nil {
-				// Stall: preemptive-resume — the transaction keeps its
-				// progress and waits out the window in the queue.
-				rec.Preempt(now, inst.running)
-				inst.queued++
-				inst.sched.OnPreempt(now, inst.running)
-				inst.running = nil
-			}
-		}
-
-		// Breaker recoveries: an ejected instance whose reopen instant
-		// passed (and whose outage is over) half-opens back into the
-		// routing set.
-		for _, inst := range insts {
-			if !inst.ejected || now < inst.reopenAt {
-				continue
-			}
-			if _, _, stalled := inst.inStall(now); stalled {
-				continue
-			}
-			inst.ejected = false
-			inst.halfOpen = true
-			recoveries++
-			rec.Recover(now, inst.name, healthyCount())
-		}
-
-		// Keyed-abort restarts return to their own instance's queue.
-		for _, inst := range insts {
-			if inst.inj == nil {
-				continue
-			}
-			for _, t := range inst.inj.PopDueRestarts(now) {
-				rec.Restart(now, t)
-				inst.queued++
-				inst.delivered = true
-				inst.sched.OnPreempt(now, t)
-			}
-		}
-
-		// Failover re-enqueues whose backoff expired: route each to a
-		// surviving instance, or defer until one exists.
-		due := 0
-		for due < len(retries) && retries[due].at <= now {
-			due++
-		}
-		if due > 0 {
-			batch := retries[:due:due]
-			retries = retries[due:]
-			for _, re := range batch {
-				j, err := pick(re.t)
-				if err != nil {
-					return nil, err
-				}
-				if j == -1 {
-					at := earliestReopen()
-					if math.IsInf(at, 1) {
-						return nil, fmt.Errorf("cluster: transaction %d has no surviving instance to fail over to", re.t.ID)
-					}
-					pushRetry(at, re.t, re.from)
-					continue
-				}
-				inst := insts[j]
-				inst.failoversIn++
-				failovers++
-				rec.Failover(now, re.t, inst.name+"<-"+insts[re.from].name)
-				deliverTo(j, re.t)
-			}
-		}
-
-		// Arrivals deferred while the whole fleet was ejected, then fresh
-		// arrivals due at this instant.
-		if len(pendingArr) > 0 && healthyCount() > 0 {
-			still := pendingArr[:0]
-			for i, t := range pendingArr {
-				routedOK, err := routeOne(t)
-				if err != nil {
-					return nil, err
-				}
-				if !routedOK {
-					still = append(still, pendingArr[i:]...)
-					break
-				}
-			}
-			pendingArr = still
-		}
-		for nextArr < n && order[nextArr].Arrival <= now {
-			t := order[nextArr]
-			nextArr++
-			routedOK, err := routeOne(t)
-			if err != nil {
-				return nil, err
-			}
-			if !routedOK {
-				pendingArr = append(pendingArr, t)
-			}
-		}
-
-		// Instances that received work re-decide: the running transaction
-		// bounces back so the next fill dispatches the highest priority,
-		// exactly like the single-backend preemptive model.
-		for _, inst := range insts {
-			if !inst.delivered {
-				continue
-			}
-			inst.delivered = false
-			if inst.running != nil {
-				rec.Preempt(now, inst.running)
-				inst.queued++
-				inst.sched.OnPreempt(now, inst.running)
-				inst.running = nil
-			}
+		for i := range r.insts {
+			r.insts[i].k.SLO().Advance(b)
 		}
 	}
+}
 
-	// Close out the SLO engines: final gauge publication only — the open
-	// partial window is never evaluated (docs/OBSERVABILITY.md).
-	if cfg.SLO != nil {
-		for _, inst := range insts {
-			inst.slo.Finish()
-		}
+// route places one fresh arrival through the routing policy and the chosen
+// instance's admission controller. It reports false when no instance is
+// routable (the caller defers the arrival).
+func (r *router) route(t *txn.Transaction) (bool, error) {
+	j, err := r.pick(t)
+	if err != nil || j < 0 {
+		return false, err
 	}
+	in := &r.insts[j]
+	r.rec.Route(r.now, t, in.name)
+	r.routes++
+	if in.k.Arrive(t) {
+		in.delivered = true
+	} else {
+		r.shed++
+	}
+	return true, nil
+}
 
-	var busy float64
-	for _, inst := range insts {
-		busy += inst.busy
+// pick asks the routing policy for an instance; -1 means every instance is
+// ejected.
+func (r *router) pick(t *txn.Transaction) (int, error) {
+	for i := range r.insts {
+		r.views[i] = r.insts[i].view(i)
 	}
-	summary, err := metrics.Compute(set, busy)
-	if err != nil {
-		return nil, err
+	j := r.policy.Pick(r.views)
+	if j != -1 && (j < 0 || j >= len(r.insts) || r.insts[j].ejected) {
+		return 0, r.badPick(j, t)
 	}
-	res := &Result{
-		Summary: summary,
-		Routes:  routes, Failovers: failovers, Lost: lost, Shed: shedCnt,
-		Ejections: ejections, Recoveries: recoveries,
-		Instances: make([]InstanceResult, len(insts)),
+	return j, nil
+}
+
+// fail wraps instance i's kernel error.
+//
+//lint:coldpath error exit: the run is over
+func (r *router) fail(i int, err error) error { return fmt.Errorf("cluster: instance %d: %w", i, err) }
+
+// stuck is the error of a fleet with no next event: a deadlock.
+//
+//lint:coldpath error exit: the run is over
+func (r *router) stuck() error {
+	return fmt.Errorf("cluster: no ready transaction and no future events with %d/%d transactions complete", r.done+r.shed+r.lost, r.set.Len())
+}
+
+// badPick names a routing policy's invalid choice.
+//
+//lint:coldpath error exit: a policy bug aborts the run
+func (r *router) badPick(j int, t *txn.Transaction) error {
+	return fmt.Errorf("cluster: policy %q picked invalid instance %d for transaction %d", r.policy.Name(), j, t.ID)
+}
+
+// healthy counts the instances in the routing set.
+func (r *router) healthy() int {
+	h := 0
+	for i := range r.insts {
+		if !r.insts[i].ejected {
+			h++
+		}
 	}
-	for i, inst := range insts {
-		if inst.inj != nil {
-			summary.Aborts += inst.inj.Aborts()
-			summary.Restarts += inst.inj.Restarts()
-			summary.Stalls += inst.inj.StallsEntered()
+	return h
+}
+
+// nextFresh is the first arrival after now: the due ones wait for an
+// instance, not for time.
+//
+//lint:coldpath deferral happens only while the whole fleet is ejected
+func (r *router) nextFresh() float64 {
+	i := sort.Search(len(r.arr), func(i int) bool { return r.arr[i].Arrival > r.now })
+	return r.arr[i:].Next()
+}
+
+// crash applies a crash window's instance-wide loss: the instance restarts
+// empty with a fresh scheduler, its work fails over under the retry budget
+// (or is lost for good), and the breaker ejects it until the window's end
+// plus the recovery cooldown.
+//
+//lint:coldpath a crash drains one instance once per crash window
+func (r *router) crash(i int, w fault.Window, idx int) {
+	in := &r.insts[i]
+	in.crashSeen = idx
+	victims := in.k.Drain(r.cfg.NewScheduler())
+	in.crashLost += len(victims)
+	for _, t := range victims {
+		if r.cfg.NoFailover || r.fails[t.ID] >= r.retry.Budget {
+			r.lost++
+			t.Shed = true
+			r.rec.Lost(r.now, t)
+			continue
 		}
-		if inst.val != nil {
-			summary.ValidateFails += inst.val.Fails()
-		}
-		res.Misses += inst.misses
-		res.Instances[i] = InstanceResult{
-			Routed: inst.routed, FailoversIn: inst.failoversIn,
-			CrashLost: inst.crashLost, Completed: inst.completed,
-			Misses: inst.misses, Busy: inst.busy,
-		}
-		if inst.slo != nil {
-			res.SLO = append(res.SLO, inst.slo.State())
-		}
+		r.fails[t.ID]++
+		r.pushRetry(r.now+r.retry.backoff(r.fails[t.ID]), t, i)
 	}
-	publish(true)
-	return res, nil
+	if !in.ejected {
+		in.ejected, in.halfOpen = true, false
+		r.ejections++
+	}
+	in.reopenAt = max(in.reopenAt, w.End()+r.cfg.RecoveryCooldown)
+	r.rec.Eject(r.now, in.name, r.healthy())
+}
+
+// failover re-enqueues the crash-lost transactions whose backoff expired:
+// each goes to a surviving instance, without admission and without a
+// second arrival, or waits for the earliest breaker reopening.
+//
+//lint:coldpath failovers happen only after crashes
+func (r *router) failover() error {
+	due := 0
+	for due < len(r.retries) && r.retries[due].at <= r.now {
+		due++
+	}
+	batch := r.retries[:due:due]
+	r.retries = r.retries[due:]
+	for _, re := range batch {
+		j, err := r.pick(re.t)
+		if err != nil {
+			return err
+		}
+		if j == -1 {
+			// Every instance is ejected: wait for the earliest reopening.
+			at := math.Inf(1)
+			for i := range r.insts {
+				at = min(at, r.insts[i].reopenAt)
+			}
+			if math.IsInf(at, 1) {
+				return fmt.Errorf("cluster: transaction %d has no surviving instance to fail over to", re.t.ID)
+			}
+			r.pushRetry(at, re.t, re.from)
+			continue
+		}
+		in := &r.insts[j]
+		in.failoversIn++
+		r.failovers++
+		r.rec.Failover(r.now, re.t, in.name+"<-"+r.insts[re.from].name)
+		in.k.Adopt(re.t)
+		in.delivered = true
+	}
+	return nil
+}
+
+// pushRetry queues t's failover at at, keeping (at, id) order.
+func (r *router) pushRetry(at float64, t *txn.Transaction, from int) {
+	e := retryEntry{at: at, t: t, from: from}
+	i, _ := slices.BinarySearchFunc(r.retries, e, func(x, y retryEntry) int {
+		return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.t.ID, y.t.ID))
+	})
+	r.retries = slices.Insert(r.retries, i, e)
+}
+
+// publish hands the status board a snapshot, when one is attached.
+func (r *router) publish(finished bool) {
+	if r.cfg.Status != nil {
+		r.cfg.Status.publish(r, finished)
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/executor"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -277,7 +278,7 @@ func streamBytes(t *testing.T, events []obs.Event) []byte {
 // schedule; these do. Regenerate only for an intended schedule change, and
 // say which in the commit.
 const (
-	goldenClusterStream = "3c51b7e363ca54b4d4fbbb11c4ed9e5b4d8f15a3cc0ab84f6ddd4717283d35c5"
+	goldenClusterStream = "bacc42bc6283c0d63fb3d400ff755671f12ceb4e207e429f403072b14554f88d"
 	goldenClusterResult = "5d8504edd208ba424e04711a3a160138ae51404a453d6f7641efbcf21ef25da2"
 	goldenSLOStream     = "120a4ff577132e5e32cfee090bc0bf2ec175a58ec2ebe802f39ed9be1e1577cd"
 	goldenSLOResult     = "1b026fb062a6ed2959f981320f217ecac9c8772756df6a33b703ebcdee02bc62"
@@ -527,4 +528,71 @@ func FuzzParsePolicy(f *testing.F) {
 			t.Fatalf("name %q re-parses as %q", p.Name(), again.Name())
 		}
 	})
+}
+
+// degradeTrail lists a stream's degrade transitions as kind@time:detail.
+func degradeTrail(events []obs.Event) []string {
+	var trail []string
+	for _, ev := range events {
+		if ev.Kind == obs.KindDegradeEnter || ev.Kind == obs.KindDegradeExit {
+			trail = append(trail, fmt.Sprintf("%s@%v:%s", ev.Kind, ev.Time, ev.Detail))
+		}
+	}
+	return trail
+}
+
+// TestClusterDegradeEvents: every instance's admission controller reports
+// its degradation transitions in the routed stream, named by instance. A
+// one-instance fleet degrades exactly when and as often as the simulator.
+func TestClusterDegradeEvents(t *testing.T) {
+	spec := workload.NewSpec(1.1, 2).WithN(120).WithWeights()
+	newAdmit := func() admit.Controller { return admit.NewMissRatio(0.5, 0.25) }
+
+	simCol := &obs.Collector{}
+	if _, err := sim.New(sim.Config{Sink: simCol, Admit: newAdmit()}).Run(spec.MustBuild(), sched.NewEDF()); err != nil {
+		t.Fatal(err)
+	}
+	want := degradeTrail(simCol.Events())
+	if len(want) == 0 {
+		t.Fatal("the simulator never degraded; the fixture tests nothing")
+	}
+	for i := range want {
+		want[i] += "0" // the one instance's name
+	}
+	col := &obs.Collector{}
+	if _, err := New(Config{Instances: 1, NewScheduler: sched.NewEDF, NewAdmit: newAdmit, Sink: col}).Run(spec.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	if got := degradeTrail(col.Events()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("one-instance degrade trail %v, simulator %v", got, want)
+	}
+
+	col = &obs.Collector{}
+	reg := obs.NewRegistry()
+	two := workload.NewSpec(2.2, 2).WithN(240).WithWeights()
+	if _, err := New(Config{Instances: 2, NewScheduler: sched.NewEDF, NewAdmit: newAdmit, Sink: col, Metrics: reg}).Run(two.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]int{}
+	for _, ev := range col.Events() {
+		if ev.Kind == obs.KindDegradeEnter || ev.Kind == obs.KindDegradeExit {
+			named[ev.Detail]++
+		}
+	}
+	if len(named) != 2 || named["0"] == 0 || named["1"] == 0 {
+		t.Fatalf("degrade events by instance %v, want both instances named", named)
+	}
+	if err := obs.Validate(col.Events()); err != nil {
+		t.Fatalf("routed stream with degrade events violates invariants: %v", err)
+	}
+	// Each instance reports its own controller on its own gauge.
+	var sb strings.Builder
+	if err := obs.WritePrometheus(&sb, reg); err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range []string{"0", "1"} {
+		if want := `asets_admit_degraded{inst="` + inst + `"}`; !strings.Contains(sb.String(), want) {
+			t.Errorf("missing %s in the exposition", want)
+		}
+	}
 }

@@ -27,9 +27,11 @@ import (
 	"math"
 
 	"repro/internal/admit"
+	"repro/internal/contention"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/slo"
 	"repro/internal/txn"
 )
@@ -149,10 +151,67 @@ type Config struct {
 	Pace func(next float64) error
 }
 
-// validate checks the configuration, returning the effective retry budget.
+// validate checks the configuration against the workload, returning the
+// effective retry budget and step cap.
 //
 //lint:coldpath config validation runs once before the event loop
-func (c *Config) validate() (Retry, error) {
+func (c *Config) validate(set *txn.Set) (Retry, int, error) {
+	retry, err := c.check()
+	if err != nil {
+		return Retry{}, 0, err
+	}
+	n := set.Len()
+	for _, t := range set.Txns {
+		if len(t.Deps) > 0 {
+			return Retry{}, 0, fmt.Errorf("cluster: transaction %d has dependencies; the cluster tier routes independent transactions only", t.ID)
+		}
+	}
+	steps := c.MaxSteps
+	if steps == 0 {
+		scale, windows := 1+retry.Budget, 0
+		for _, p := range c.Faults {
+			if p != nil {
+				scale = max(scale, 1+retry.Budget+p.MaxRestarts)
+				windows += len(p.Stalls)
+			}
+		}
+		steps = (8*n+64)*scale + 16*windows + 64*c.Instances
+	}
+	if contention.HasKeys(set) {
+		// Validation failures re-execute from scratch; each failure needs a
+		// distinct conflicting commit inside the victim's open window, so a
+		// per-instance population of at most n bounds the extra steps
+		// quadratically (same bound as the single-backend simulator).
+		steps = 2*steps + 2*n*n
+	}
+	return retry, steps, nil
+}
+
+// instance is the kernel configuration of instance i, named name. Its step
+// count never exceeds the router's, so the router's cap is the one that
+// fires.
+//
+//lint:coldpath per-instance wiring runs once before the event loop
+func (c *Config) instance(i int, name string, steps int) sim.Config {
+	kc := sim.Config{MaxSteps: steps, Metrics: c.Metrics}
+	if c.NewAdmit != nil {
+		kc.Admit = c.NewAdmit()
+	}
+	if len(c.Faults) > 0 && !c.Faults[i].Zero() {
+		kc.Faults = c.Faults[i]
+	}
+	if c.SLO != nil {
+		// Each fault domain is its own alerting domain.
+		sc := *c.SLO
+		sc.Instance = name
+		kc.SLO = &sc
+	}
+	return kc
+}
+
+// check validates the configuration's own fields, returning the effective
+// retry budget.
+func (c *Config) check() (Retry, error) {
 	if c.Instances < 1 {
 		return Retry{}, fmt.Errorf("cluster: instances %d must be positive", c.Instances)
 	}

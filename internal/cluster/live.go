@@ -94,11 +94,6 @@ type FleetHealth struct {
 	Instances []InstanceHealth `json:"instances,omitempty"`
 }
 
-// fleetTotals carries the engine's run-wide counters into a publish.
-type fleetTotals struct {
-	routes, failovers, lost, ejections, recoveries, done, shed int
-}
-
 // StatusBoard is the engine→observer seam for live runs: the engine
 // publishes a fleet snapshot at every event instant and HTTP handlers read
 // it concurrently. Pure simulation runs leave Config.Status nil and pay
@@ -129,81 +124,62 @@ func (b *StatusBoard) Health() FleetHealth {
 	return fh
 }
 
-// publish replaces the board's snapshot from engine state. Called on the
-// engine goroutine only.
-func (b *StatusBoard) publish(now float64, finished bool, insts []*instance, tot fleetTotals) {
+// publish replaces the board's snapshot from the router's state. Called on
+// the engine goroutine only.
+func (b *StatusBoard) publish(r *router, finished bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.fs.Now = now
-	b.fs.Done = finished
-	b.fs.Routes = tot.routes
-	b.fs.Failovers = tot.failovers
-	b.fs.Lost = tot.lost
-	b.fs.Ejections = tot.ejections
-	b.fs.Recoveries = tot.recoveries
-	b.fs.Completed = tot.done
-	b.fs.Shed = tot.shed
-	if cap(b.fs.Instances) < len(insts) {
-		//lint:ignore hotpath-alloc one allocation per live run; reused across every publish after
-		b.fs.Instances = make([]InstanceStatus, len(insts))
+	b.fs = FleetStatus{
+		Now: r.now, Done: finished, Routes: r.routes, Failovers: r.failovers, Lost: r.lost,
+		Ejections: r.ejections, Recoveries: r.recoveries, Completed: r.done, Shed: r.shed,
+		Instances: b.fs.Instances,
 	}
-	b.fs.Instances = b.fs.Instances[:len(insts)]
-	for i, inst := range insts {
+	if cap(b.fs.Instances) < len(r.insts) {
+		//lint:ignore hotpath-alloc one allocation per live run; reused across every publish after
+		b.fs.Instances = make([]InstanceStatus, len(r.insts))
+	}
+	b.fs.Instances = b.fs.Instances[:len(r.insts)]
+	for i := range r.insts {
+		in := &r.insts[i]
+		v, c := in.view(i), in.k.Counts()
 		state := "healthy"
 		switch {
-		case inst.ejected:
+		case in.ejected:
 			state = "ejected"
-		case inst.halfOpen:
+		case in.halfOpen:
 			state = "half-open"
-		default:
-			if _, _, stalled := inst.inStall(now); stalled {
-				state = "stalled"
-			}
-		}
-		running := 0
-		if inst.running != nil {
-			running = 1
+		case v.Stalled:
+			state = "stalled"
 		}
 		b.fs.Instances[i] = InstanceStatus{
-			Index: inst.idx, State: state,
-			Queued: inst.queued, Running: running, Backlog: inst.backlog,
-			Routed: inst.routed, FailoversIn: inst.failoversIn,
-			CrashLost: inst.crashLost, Completed: inst.completed,
-			Misses: inst.misses, Degraded: inst.degraded,
+			Index: i, State: state, Queued: v.Queued, Running: v.Running, Backlog: v.Backlog,
+			Routed: c.Admitted, FailoversIn: in.failoversIn, CrashLost: in.crashLost,
+			Completed: c.Done, Misses: c.Misses, Degraded: c.Degraded,
 		}
 	}
-	if len(insts) == 0 || insts[0].slo == nil {
+	if len(r.insts) == 0 || r.insts[0].k.SLO() == nil {
 		return
 	}
 	// SLO rollup: aggregate the per-instance engine states. Live runs only
 	// (Status is nil in pure simulation), so the snapshot allocations are
 	// wall-clock-paced, not simulation hot-path work.
-	b.fh.Now = now
-	b.fh.Done = finished
-	b.fh.Enabled = true
-	b.fh.Degraded = false
-	b.fh.ActiveAlerts = 0
-	b.fh.Fires = 0
-	b.fh.Resolves = 0
-	b.fh.WorstBurn = 0
-	if cap(b.fh.Instances) < len(insts) {
+	b.fh = FleetHealth{Now: r.now, Done: finished, Enabled: true, Instances: b.fh.Instances}
+	if cap(b.fh.Instances) < len(r.insts) {
 		//lint:ignore hotpath-alloc one allocation per live run; reused across every publish after
-		b.fh.Instances = make([]InstanceHealth, len(insts))
+		b.fh.Instances = make([]InstanceHealth, len(r.insts))
 	}
-	b.fh.Instances = b.fh.Instances[:len(insts)]
-	for i, inst := range insts {
+	b.fh.Instances = b.fh.Instances[:len(r.insts)]
+	for i := range r.insts {
 		//lint:ignore hotpath-alloc live-run health snapshot, wall-clock paced
-		st := inst.slo.State()
-		b.fh.Instances[i] = InstanceHealth{Index: inst.idx, State: b.fs.Instances[i].State, SLO: st}
+		st := r.insts[i].k.SLO().State()
+		b.fh.Instances[i] = InstanceHealth{Index: i, State: b.fs.Instances[i].State, SLO: st}
 		if st.Burning {
 			b.fh.Degraded = true
 		}
 		b.fh.ActiveAlerts += st.ActiveAlerts
 		b.fh.Fires += st.Fires
 		b.fh.Resolves += st.Resolves
-		if st.FastBurn > b.fh.WorstBurn {
-			b.fh.WorstBurn = st.FastBurn
-		}
+		b.fh.WorstBurn = max(b.fh.WorstBurn, st.FastBurn)
 	}
 }
 

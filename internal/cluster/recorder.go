@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"repro/internal/contention"
-	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/txn"
 )
 
@@ -19,30 +16,13 @@ const (
 	MetricHealthy    = "asets_cluster_healthy_instances"
 )
 
-// recorder fans every decision of the cluster engine into the unified
-// instrumentation layer. The engine is its own emission point — unlike the
-// single-backend path there is no sched.Instrument wrapper, because N
-// independently-batching wrappers over one sink could deliver events out of
-// global time order. All events funnel through here, unbatched, on the one
-// engine goroutine, so the routed stream is totally ordered by emission.
+// recorder emits the routing tier's own decisions — route, failover, loss,
+// ejection and recovery — and counts them. Everything per instance comes
+// from the instance kernels; the recorder emits through the same staged
+// observer entry they share, so the routed stream stays totally ordered by
+// emission.
 type recorder struct {
-	sink obs.Sink
-	// fr handles the per-transaction fault events (abort, restart, shed)
-	// with the single-backend taxonomy, so routed and single-backend streams
-	// read identically at the transaction level.
-	fr *fault.Recorder
-
-	arrivals    *obs.Counter
-	dispatches  *obs.Counter
-	preemptions *obs.Counter
-	completions *obs.Counter
-	missesC     *obs.Counter
-	tardiness   *obs.Histogram
-	response    *obs.Histogram
-
-	stallsC       *obs.Counter
-	validateFails *obs.Counter
-
+	sink       obs.Sink
 	routed     *obs.Counter
 	failovers  *obs.Counter
 	lost       *obs.Counter
@@ -51,26 +31,15 @@ type recorder struct {
 	healthy    *obs.Gauge
 }
 
-// newRecorder wires a recorder to sink and reg (either may be nil). The
-// decision-loop counters reuse the asets_sched_* names of sched.Instrument
-// so cluster and single-backend runs share one metric taxonomy.
+// newRecorder wires a recorder to sink and reg (either may be nil).
 //
 //lint:coldpath recorder wiring is per-run setup
 func newRecorder(sink obs.Sink, reg *obs.Registry) *recorder {
 	if sink == nil {
 		sink = obs.Discard
 	}
-	r := &recorder{sink: sink, fr: fault.NewRecorder(sink, reg)}
+	r := &recorder{sink: sink}
 	if reg != nil {
-		r.stallsC = reg.Counter(fault.MetricStalls, "backend stall/crash windows entered")
-		r.validateFails = reg.Counter(contention.MetricValidateFails, "commit-time validation failures (contention re-executions)")
-		r.arrivals = reg.Counter(sched.MetricArrivals, "transactions submitted to the scheduler")
-		r.dispatches = reg.Counter(sched.MetricDispatches, "transactions checked out to a server")
-		r.preemptions = reg.Counter(sched.MetricPreemptions, "transactions returned unfinished after running")
-		r.completions = reg.Counter(sched.MetricCompletions, "transactions finished")
-		r.missesC = reg.Counter(sched.MetricMisses, "completions past the deadline")
-		r.tardiness = reg.Histogram(sched.MetricTardiness, "tardiness of completed transactions", 2)
-		r.response = reg.Histogram(sched.MetricResponse, "response time (finish - arrival) of completed transactions", 2)
 		r.routed = reg.Counter(MetricRouted, "transactions assigned to an instance by the routing tier")
 		r.failovers = reg.Counter(MetricFailovers, "crash-lost transactions re-enqueued to a surviving instance")
 		r.lost = reg.Counter(MetricLost, "transactions permanently lost (retry budget exhausted or failover disabled)")
@@ -79,98 +48,6 @@ func newRecorder(sink obs.Sink, reg *obs.Registry) *recorder {
 		r.healthy = reg.Gauge(MetricHealthy, "instances currently accepting routed work")
 	}
 	return r
-}
-
-func (r *recorder) Arrival(now float64, t *txn.Transaction) {
-	if r.arrivals != nil {
-		r.arrivals.Inc()
-	}
-	r.sink.Emit(obs.Event{
-		Time: now, Kind: obs.KindArrival, Txn: t.ID, Workflow: -1,
-		Deadline: t.Deadline, Remaining: t.Remaining,
-	})
-}
-
-func (r *recorder) Dispatch(now float64, t *txn.Transaction, inst string) {
-	if r.dispatches != nil {
-		r.dispatches.Inc()
-	}
-	r.sink.Emit(obs.Event{
-		Time: now, Kind: obs.KindDispatch, Txn: t.ID, Workflow: -1,
-		Deadline: t.Deadline, Remaining: t.Remaining, Detail: inst,
-	})
-}
-
-func (r *recorder) Preempt(now float64, t *txn.Transaction) {
-	if r.preemptions != nil {
-		r.preemptions.Inc()
-	}
-	r.sink.Emit(obs.Event{
-		Time: now, Kind: obs.KindPreempt, Txn: t.ID, Workflow: -1,
-		Deadline: t.Deadline, Remaining: t.Remaining,
-	})
-}
-
-func (r *recorder) Completion(now float64, t *txn.Transaction) {
-	tard := t.Tardiness()
-	if r.completions != nil {
-		r.completions.Inc()
-		r.tardiness.Observe(tard)
-		r.response.Observe(t.FinishTime - t.Arrival)
-		if tard > 0 {
-			r.missesC.Inc()
-		}
-	}
-	r.sink.Emit(obs.Event{
-		Time: now, Kind: obs.KindCompletion, Txn: t.ID, Workflow: -1,
-		Deadline: t.Deadline, Tardiness: tard,
-	})
-	if tard > 0 {
-		r.sink.Emit(obs.Event{
-			Time: now, Kind: obs.KindDeadlineMiss, Txn: t.ID, Workflow: -1,
-			Deadline: t.Deadline, Tardiness: tard,
-		})
-	}
-}
-
-// Abort, Restart and Shed reuse the single-backend fault taxonomy verbatim
-// (including the load-bearing "crash" abort detail the span and invariant
-// layers classify on).
-func (r *recorder) Abort(now float64, t *txn.Transaction, detail string, retryAt float64) {
-	r.fr.Abort(now, t, detail, retryAt)
-}
-
-func (r *recorder) Restart(now float64, t *txn.Transaction) { r.fr.Restart(now, t) }
-
-func (r *recorder) Shed(now float64, t *txn.Transaction, controller string) {
-	r.fr.Shed(now, t, controller)
-}
-
-// StallEntered is the instance-tagged variant of fault.Recorder.StallEntered:
-// the detail "crash@2" names both the window kind and the fault domain it
-// hit. Nothing downstream classifies on stall details, so the tag is free.
-func (r *recorder) StallEntered(now float64, w fault.Window, inst string) {
-	if r.stallsC != nil {
-		r.stallsC.Inc()
-	}
-	r.sink.Emit(obs.Event{
-		Time: now, Kind: obs.KindStall, Txn: -1, Workflow: -1,
-		Remaining: w.Duration, Detail: w.Kind.String() + "@" + inst,
-	})
-}
-
-// ValidateFail records a commit-time validation failure: the transaction's
-// read set was invalidated by a concurrent commit on its instance, so it
-// re-executes from scratch with a fresh incarnation (docs/CONTENTION.md).
-// The detail names the instance, mirroring Dispatch.
-func (r *recorder) ValidateFail(now float64, t *txn.Transaction, inst string) {
-	if r.validateFails != nil {
-		r.validateFails.Inc()
-	}
-	r.sink.Emit(obs.Event{
-		Time: now, Kind: obs.KindValidateFail, Txn: t.ID, Workflow: -1,
-		Deadline: t.Deadline, Remaining: t.Length, Detail: inst,
-	})
 }
 
 // Route records the router assigning an arriving transaction to an

@@ -164,3 +164,21 @@ func TestClusterSLOCrashDrops(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterSLOAlertsTimeOrdered: when one step of the fleet crosses
+// several window boundaries, the instances' alerts still enter the routed
+// stream in boundary order — instance 0's later boundary never precedes
+// instance 1's earlier one.
+func TestClusterSLOAlertsTimeOrdered(t *testing.T) {
+	for _, window := range []float64{1, 2, 5} {
+		col := &obs.Collector{}
+		cfg := sloClusterConfig(col, nil, nil)
+		cfg.SLO.Window = window
+		if _, err := New(cfg).Run(overloadedClusterWorkload()); err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.Validate(col.Events()); err != nil {
+			t.Fatalf("window %v: %v", window, err)
+		}
+	}
+}

@@ -20,17 +20,20 @@ const (
 // events interleave with.
 type Recorder struct {
 	sink  obs.Sink
+	inst  string // the instance of a multi-instance run, "" for one backend
 	fails *obs.Counter
 }
 
-// NewRecorder wires a recorder to sink and reg (either may be nil).
+// NewRecorder wires a recorder to sink and reg (either may be nil). inst
+// names the instance of a multi-instance run in the event details, or is
+// empty for a single backend.
 //
 //lint:coldpath recorder wiring is per-run setup
-func NewRecorder(sink obs.Sink, reg *obs.Registry) *Recorder {
+func NewRecorder(sink obs.Sink, reg *obs.Registry, inst string) *Recorder {
 	if sink == nil {
 		sink = obs.Discard
 	}
-	r := &Recorder{sink: sink}
+	r := &Recorder{sink: sink, inst: inst}
 	if reg != nil {
 		r.fails = reg.Counter(MetricValidateFails, "commit-time validation failures forcing re-execution")
 	}
@@ -46,6 +49,6 @@ func (r *Recorder) ValidateFail(now float64, t *txn.Transaction) {
 	}
 	r.sink.Emit(obs.Event{
 		Time: now, Kind: obs.KindValidateFail, Txn: t.ID, Workflow: -1,
-		Deadline: t.Deadline, Remaining: t.Length,
+		Deadline: t.Deadline, Remaining: t.Length, Detail: r.inst,
 	})
 }

@@ -36,6 +36,7 @@ package executor
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -263,6 +264,9 @@ func (e *Executor) Run(ctx context.Context) (int, error) {
 	}()
 	for !k.Finished() {
 		at, err := k.Next(arr.Next())
+		if err == nil && math.IsInf(at, 1) {
+			err = k.Deadlock()
+		}
 		if err != nil {
 			return k.Counts().Done, fmt.Errorf("executor: %w", err)
 		}

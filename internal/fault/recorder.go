@@ -22,28 +22,46 @@ const (
 // nothing. Events are stamped with simulated time only, exactly like the
 // scheduler decision stream they interleave with.
 type Recorder struct {
-	sink     obs.Sink
-	aborts   *obs.Counter
-	restarts *obs.Counter
-	stalls   *obs.Counter
-	sheds    *obs.Counter
-	degraded *obs.Gauge
+	sink obs.Sink
+	// inst names the instance of a multi-instance run in stall and degrade
+	// details ("" for a single backend); stallDetail holds the interned
+	// stall details per window kind.
+	inst        string
+	stallDetail [2]string
+	aborts      *obs.Counter
+	restarts    *obs.Counter
+	stalls      *obs.Counter
+	sheds       *obs.Counter
+	degraded    *obs.Gauge
 }
 
-// NewRecorder wires a recorder to sink and reg (either may be nil).
+// NewRecorder wires a recorder to sink and reg (either may be nil). inst
+// names the instance of a multi-instance run, or is empty for a single
+// backend: it tags stall details ("crash@2") and degrade details, and labels
+// the degradation gauge, so each instance reports its own controller.
 //
 //lint:coldpath recorder wiring is per-run setup
-func NewRecorder(sink obs.Sink, reg *obs.Registry) *Recorder {
+func NewRecorder(sink obs.Sink, reg *obs.Registry, inst string) *Recorder {
 	if sink == nil {
 		sink = obs.Discard
 	}
-	r := &Recorder{sink: sink}
+	r := &Recorder{sink: sink, inst: inst}
+	for _, k := range []WindowKind{Stall, Crash} {
+		r.stallDetail[k] = k.String()
+		if inst != "" {
+			r.stallDetail[k] += "@" + inst
+		}
+	}
 	if reg != nil {
 		r.aborts = reg.Counter(MetricAborts, "transaction aborts (including crash losses)")
 		r.restarts = reg.Counter(MetricRestarts, "aborted transactions re-queued after backoff")
 		r.stalls = reg.Counter(MetricStalls, "backend stall/crash windows entered")
 		r.sheds = reg.Counter(MetricShed, "transactions shed by the admission controller")
-		r.degraded = reg.Gauge(MetricDegraded, "1 while the admission controller is in degradation mode")
+		degraded := MetricDegraded
+		if inst != "" {
+			degraded = obs.MetricName(degraded, "inst", inst)
+		}
+		r.degraded = reg.Gauge(degraded, "1 while the admission controller is in degradation mode")
 	}
 	return r
 }
@@ -72,14 +90,15 @@ func (r *Recorder) Restart(now float64, t *txn.Transaction) {
 	})
 }
 
-// StallEntered records the backend entering an outage window.
+// StallEntered records the backend entering an outage window. The detail is
+// the window kind, tagged with the instance in a multi-instance run.
 func (r *Recorder) StallEntered(now float64, w Window) {
 	if r.stalls != nil {
 		r.stalls.Inc()
 	}
 	r.sink.Emit(obs.Event{
 		Time: now, Kind: obs.KindStall, Txn: -1, Workflow: -1,
-		Remaining: w.Duration, Detail: w.Kind.String(),
+		Remaining: w.Duration, Detail: r.stallDetail[w.Kind],
 	})
 }
 
@@ -106,5 +125,5 @@ func (r *Recorder) Degrade(now float64, on bool) {
 	if r.degraded != nil {
 		r.degraded.Set(v)
 	}
-	r.sink.Emit(obs.Event{Time: now, Kind: kind, Txn: -1, Workflow: -1})
+	r.sink.Emit(obs.Event{Time: now, Kind: kind, Txn: -1, Workflow: -1, Detail: r.inst})
 }

@@ -9,21 +9,11 @@ import (
 
 // SinkSetter is the optional seam for policies that emit events about their
 // internal decisions — ASETS* reports balance-aware aging activations and
-// EDF↔HDF entity migrations through it. Instrument propagates its sink to
-// any wrapped scheduler implementing this interface, so policy-internal
-// events land in the same stream as the decision-loop events.
+// EDF↔HDF entity migrations through it. The simulator kernel hands such a
+// policy its observer's Sink, so policy-internal events land in the same
+// stream as the decision-loop events.
 type SinkSetter interface {
 	SetSink(obs.Sink)
-}
-
-// ObsFlusher is implemented by schedulers whose instrumentation buffers
-// observations for batched delivery. The run loop (simulator, executor)
-// calls FlushObs once after the last decision callback, so registry
-// snapshots taken after a run see every observation. Mid-run snapshots see
-// at most one batch of lag per series — bounded, and irrelevant to any
-// deterministic output, which is always post-flush.
-type ObsFlusher interface {
-	FlushObs()
 }
 
 // Metric and event names of the decision-loop instrumentation; the full
@@ -47,19 +37,19 @@ const (
 
 // histBatchSize is the per-histogram insert buffer length: completion
 // observations accumulate in a fixed inline array and flush under one
-// histogram lock when the buffer fills or FlushObs drains.
+// histogram lock when the buffer fills or Flush drains.
 const histBatchSize = 256
 
 // evBatchSize is the event staging buffer length: emitted events accumulate
 // in a fixed inline array and reach the sink chain through one
 // obs.Emitter.EmitBatch call (one Ring lock acquisition per batch) when the
-// buffer fills or FlushObs drains. Delivery order is exactly emission order,
+// buffer fills or Flush drains. Delivery order is exactly emission order,
 // so batching is invisible to every sink fold.
 const evBatchSize = 128
 
 // histBatch is a fixed-capacity insert buffer for one registry histogram.
 // Values reach the histogram in exact insertion order whether they leave via
-// a full-buffer flush or FlushObs, so the running sum stays bit-identical to
+// a full-buffer flush or Flush, so the running sum stays bit-identical to
 // unbatched observation.
 type histBatch struct {
 	n   int
@@ -84,29 +74,28 @@ func (b *histBatch) flush(h *obs.Histogram) {
 	}
 }
 
-// Instrumented wraps any Scheduler with the unified observability layer:
-// every decision-loop callback (arrival, dispatch, preemption, completion,
-// deadline miss) emits a typed obs.Event and bumps registry metrics. Because
-// the simulator and the executor drive every policy exclusively through the
-// Scheduler interface, instrumenting here covers all policies without
-// per-policy edits.
+// Instrumented is the unified observability layer's decision-loop observer:
+// the simulator kernel calls it at its own call sites — arrival, dispatch,
+// preemption, completion — and it emits a typed obs.Event and bumps the
+// registry metrics for each. Every engine drives every policy through the
+// kernel, so observing there covers all policies and engines without
+// per-policy edits. One observer may serve several kernels driven from one
+// goroutine (the instances of a cluster run): their events then form one
+// stream in global emission order.
 //
 // The event path is built for zero steady-state allocation: emissions write
 // into a fixed inline staging buffer (sinks capture by copy — the
 // obs.SharedSink contract), the sink chain is devirtualized into an
 // obs.Emitter function table at wiring time, batches leave through
-// obs.Emitter.EmitBatch when the buffer fills or FlushObs drains, and
-// histogram observations batch through fixed inline buffers drained the same
-// way. The staging buffer is safe because the run loop drives the scheduler
-// from one goroutine and every emission completes before the next one starts
-// — including policy-internal emissions through innerSink, which happen
-// inside inner callbacks, after the wrapper's own staging for that callback
-// returned.
+// obs.Emitter.EmitBatch when the buffer fills or Flush drains, and histogram
+// observations batch through fixed inline buffers drained the same way.
+// Out-of-band emitters — policies, the fault and contention recorders, the
+// SLO engine, the cluster router — stage into the same buffer through Sink,
+// so delivery stays in true emission order while it is batched.
 type Instrumented struct {
-	inner Scheduler
-	em    *obs.Emitter
-	emit  bool     // em has at least one endpoint
-	sink  obs.Sink // counting shim handed to SinkSetter policies and the fault recorder
+	em   *obs.Emitter
+	emit bool     // em has at least one endpoint
+	sink obs.Sink // counting shim: the staged entry for out-of-band emitters
 
 	evBuf [evBatchSize]obs.Event // staged events, delivered in emission order
 	evN   int
@@ -125,8 +114,8 @@ type Instrumented struct {
 
 	// Locally accumulated registry updates: the run loop is single-goroutine,
 	// so counts accumulate in plain fields and reach the shared atomic
-	// counters in one Add each per FlushObs drain, instead of one atomic RMW
-	// per decision. Mid-run registry reads lag by at most one drain interval
+	// counters in one Add each per Flush, instead of one atomic RMW per
+	// decision. Mid-run registry reads lag by at most one drain interval
 	// (the executor drains every loop iteration; deterministic outputs are
 	// always post-flush).
 	nArrivals       uint64
@@ -144,24 +133,24 @@ type Instrumented struct {
 	respBuf histBatch
 }
 
-// instrumentedPool recycles Instrumented wrappers between runs. The wrapper
-// is the largest per-run allocation of an enabled pipeline (~16KB of inline
-// staging buffers), so short benchmark and sweep runs otherwise pay its
-// allocation, zeroing and GC-mark cost on every sim.Run. Entries enter the
-// pool only through ReleaseObs, which drains them first, so a pooled wrapper
-// is always in the post-flush state (empty buffers, zero local counts).
+// instrumentedPool recycles observers between runs. The observer is the
+// largest per-run allocation of an enabled pipeline (~16KB of inline staging
+// buffers), so short benchmark and sweep runs otherwise pay its allocation,
+// zeroing and GC-mark cost on every sim.Run. Entries enter the pool only
+// through Release, which drains them first, so a pooled observer is always in
+// the post-flush state (empty buffers, zero local counts).
 var instrumentedPool = sync.Pool{}
 
-// Instrument wraps s with event emission into sink and metric updates into
-// reg. Either may be nil; with both disabled (nil or obs.Discard sink, nil
-// registry) s is returned unchanged, so uninstrumented runs pay zero
-// overhead — nothing would observe the events or the counts. Events are
-// stamped with the simulated `now` of each callback — never the host clock.
+// Instrument returns an observer emitting into sink and updating reg. Either
+// may be nil; with both disabled (nil or obs.Discard sink, nil registry) it
+// returns nil, so uninstrumented runs pay nothing — nothing would observe the
+// events or the counts. Events are stamped with the simulated now of each
+// call — never the host clock.
 //
 //lint:coldpath instrumentation wiring is per-run setup
-func Instrument(s Scheduler, sink obs.Sink, reg *obs.Registry) Scheduler {
+func Instrument(sink obs.Sink, reg *obs.Registry) *Instrumented {
 	if (sink == nil || sink == obs.Discard) && reg == nil {
-		return s
+		return nil
 	}
 	if sink == nil {
 		sink = obs.Discard
@@ -174,7 +163,6 @@ func Instrument(s Scheduler, sink obs.Sink, reg *obs.Registry) Scheduler {
 	if in == nil {
 		in = &Instrumented{}
 	}
-	in.inner = s
 	in.em = em
 	in.emit = em.Sinks() > 0
 	in.arrivals = reg.Counter(MetricArrivals, "transactions submitted to the scheduler")
@@ -188,52 +176,48 @@ func Instrument(s Scheduler, sink obs.Sink, reg *obs.Registry) Scheduler {
 	in.tardiness = reg.Histogram(MetricTardiness, "tardiness of completed transactions", 2)
 	in.response = reg.Histogram(MetricResponse, "response time (finish - arrival) of completed transactions", 2)
 	in.simNow = reg.Gauge(MetricSimNow, "simulated time of the latest scheduler callback")
-	// Policy-internal events (aging, mode switches) flow through a counting
-	// shim so they update the registry on their way into the stream. The shim
-	// points at the wrapper itself, so a recycled wrapper reuses its shim.
+	// The staged entry points at the observer itself, so a recycled observer
+	// reuses its shim.
 	if in.sink == nil {
 		in.sink = &innerSink{in: in}
-	}
-	if ss, ok := s.(SinkSetter); ok {
-		ss.SetSink(in.sink)
 	}
 	return in
 }
 
-// ReleaseObs drains an instrumented scheduler and recycles its wrapper for a
-// future Instrument call. Callers may invoke it only when the run is over
-// and no reference to the wrapper, its EventSink, or a SinkSetter policy
-// that could still emit survives — the simulator releases at the end of a
-// successful Run, where the wrapper was created and never escapes. For any
-// other scheduler it is a no-op.
+// Sink returns the observer's staged event entry: a sink that stages into the
+// same buffer as the decision-loop calls and counts policy-internal events,
+// so out-of-band emitters interleave with them in true emission order. A nil
+// observer returns nil.
+func (in *Instrumented) Sink() obs.Sink {
+	if in == nil {
+		return nil
+	}
+	return in.sink
+}
+
+// Release drains the observer and recycles it for a future Instrument call.
+// Callers may invoke it only when the run is over and nothing that could
+// still emit through it — its Sink, a SinkSetter policy — survives. A nil
+// observer is a no-op.
 //
 //lint:coldpath release is per-run teardown
-func ReleaseObs(s Scheduler) {
-	in, ok := s.(*Instrumented)
-	if !ok {
+func (in *Instrumented) Release() {
+	if in == nil {
 		return
 	}
-	in.FlushObs() // idempotent: guarantees the pooled state is post-flush
-	in.inner = nil
+	in.Flush() // idempotent: guarantees the pooled state is post-flush
 	in.em = nil
 	instrumentedPool.Put(in)
 }
 
-// Unwrap returns the wrapped scheduler, for callers that need the concrete
-// policy (invariant auditing, queue-length probes).
-func (in *Instrumented) Unwrap() Scheduler { return in.inner }
-
-// Name implements Scheduler.
-func (in *Instrumented) Name() string { return in.inner.Name() }
-
-// Init implements Scheduler.
-func (in *Instrumented) Init(set *txn.Set) { in.inner.Init(set) }
-
-// FlushObs implements ObsFlusher: delivers staged events to the sink chain,
-// drains the batched histogram buffers, and publishes the locally accumulated
-// counter deltas, so a post-run registry snapshot or sink read sees every
-// observation.
-func (in *Instrumented) FlushObs() {
+// Flush delivers staged events to the sink chain, drains the batched
+// histogram buffers, and publishes the locally accumulated counter deltas,
+// so a registry snapshot or sink read sees every observation so far. A nil
+// observer is a no-op.
+func (in *Instrumented) Flush() {
+	if in == nil {
+		return
+	}
 	if in.evN > 0 {
 		in.flushEvents()
 	}
@@ -310,8 +294,8 @@ func (in *Instrumented) stage() *obs.Event {
 	return e
 }
 
-// OnArrival implements Scheduler.
-func (in *Instrumented) OnArrival(now float64, t *txn.Transaction) {
+// Arrival observes t entering the scheduler at now.
+func (in *Instrumented) Arrival(now float64, t *txn.Transaction) {
 	in.nArrivals++
 	in.nowVal, in.nowSet = now, true
 	if in.emit {
@@ -319,26 +303,25 @@ func (in *Instrumented) OnArrival(now float64, t *txn.Transaction) {
 		e.Time, e.Kind, e.Txn, e.Workflow = now, obs.KindArrival, t.ID, -1
 		e.Deadline, e.Remaining, e.Tardiness = t.Deadline, t.Remaining, 0
 	}
-	in.inner.OnArrival(now, t)
 }
 
-// Next implements Scheduler.
-func (in *Instrumented) Next(now float64) *txn.Transaction {
-	t := in.inner.Next(now)
-	if t != nil {
-		in.nDispatches++
-		in.nowVal, in.nowSet = now, true
-		if in.emit {
-			e := in.stage()
-			e.Time, e.Kind, e.Txn, e.Workflow = now, obs.KindDispatch, t.ID, -1
-			e.Deadline, e.Remaining, e.Tardiness = t.Deadline, t.Remaining, 0
+// Dispatch observes t checked out onto a server at now; inst, when not
+// empty, names the instance in the event's detail.
+func (in *Instrumented) Dispatch(now float64, t *txn.Transaction, inst string) {
+	in.nDispatches++
+	in.nowVal, in.nowSet = now, true
+	if in.emit {
+		e := in.stage()
+		e.Time, e.Kind, e.Txn, e.Workflow = now, obs.KindDispatch, t.ID, -1
+		e.Deadline, e.Remaining, e.Tardiness = t.Deadline, t.Remaining, 0
+		if inst != "" {
+			e.Detail = inst
 		}
 	}
-	return t
 }
 
-// OnPreempt implements Scheduler.
-func (in *Instrumented) OnPreempt(now float64, t *txn.Transaction) {
+// Preempt observes t returned to the scheduler unfinished at now.
+func (in *Instrumented) Preempt(now float64, t *txn.Transaction) {
 	in.nPreemptions++
 	in.nowVal, in.nowSet = now, true
 	if in.emit {
@@ -346,12 +329,11 @@ func (in *Instrumented) OnPreempt(now float64, t *txn.Transaction) {
 		e.Time, e.Kind, e.Txn, e.Workflow = now, obs.KindPreempt, t.ID, -1
 		e.Deadline, e.Remaining, e.Tardiness = t.Deadline, t.Remaining, 0
 	}
-	in.inner.OnPreempt(now, t)
 }
 
-// OnCompletion implements Scheduler. The transaction is already marked
-// finished by the simulator/executor, so tardiness is final here.
-func (in *Instrumented) OnCompletion(now float64, t *txn.Transaction) {
+// Completion observes t committing at now. The kernel marks t finished
+// first, so its tardiness is final here.
+func (in *Instrumented) Completion(now float64, t *txn.Transaction) {
 	tard := t.Tardiness()
 	in.nCompletions++
 	in.nowVal, in.nowSet = now, true
@@ -370,15 +352,13 @@ func (in *Instrumented) OnCompletion(now float64, t *txn.Transaction) {
 			e.Deadline, e.Remaining, e.Tardiness = t.Deadline, 0, tard
 		}
 	}
-	in.inner.OnCompletion(now, t)
 }
 
-// innerSink stages policy-internal events into the wrapper's event buffer
-// while counting them in the registry, keeping them in stream order with the
-// decision-loop events: policies emit from inside scheduler callbacks on the
-// run-loop goroutine, after any wrapper staging for the same callback has
-// returned. The fault recorder shares this entry (see EventSink), so outage
-// and shedding events stay ordered with everything else too.
+// innerSink stages out-of-band events into the observer's event buffer while
+// counting the policy-internal ones in the registry, keeping them in stream
+// order with the decision-loop events: policies emit from inside scheduler
+// callbacks on the run-loop goroutine, after the kernel's observer call for
+// the same decision has returned.
 type innerSink struct {
 	in *Instrumented
 }
@@ -394,7 +374,7 @@ func (s *innerSink) Emit(ev obs.Event) {
 		s.in.nConflictDefers++
 	case obs.KindArrival, obs.KindDispatch, obs.KindPreempt,
 		obs.KindCompletion, obs.KindDeadlineMiss:
-		// Decision-loop kinds are counted by the wrapper itself.
+		// Decision-loop kinds are counted by the observer's own calls.
 	case obs.KindAbort, obs.KindRestart, obs.KindStall, obs.KindShed,
 		obs.KindDegradeEnter, obs.KindDegradeExit,
 		obs.KindRoute, obs.KindFailover, obs.KindEject, obs.KindRecover,
@@ -413,18 +393,3 @@ func (s *innerSink) Emit(ev obs.Event) {
 		s.in.evN++
 	}
 }
-
-// EventSink returns the ordered event entry point of an instrumented
-// scheduler: a sink that stages into the same buffer as the decision-loop
-// callbacks, so out-of-band emitters (the fault recorder) interleave with
-// scheduler events in true emission order even while delivery is batched.
-// For any other scheduler it returns fallback unchanged.
-func EventSink(s Scheduler, fallback obs.Sink) obs.Sink {
-	if in, ok := s.(*Instrumented); ok {
-		return in.sink
-	}
-	return fallback
-}
-
-var _ Scheduler = (*Instrumented)(nil)
-var _ ObsFlusher = (*Instrumented)(nil)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -23,82 +24,71 @@ func instrumentSet(t *testing.T) *txn.Set {
 }
 
 func TestInstrumentNoopWhenUnconfigured(t *testing.T) {
-	s := NewEDF()
-	if got := Instrument(s, nil, nil); got != s {
-		t.Fatalf("Instrument(nil, nil) wrapped the scheduler: %T", got)
+	if o := Instrument(nil, nil); o != nil {
+		t.Fatalf("Instrument(nil, nil) built an observer: %+v", o)
 	}
 	// A Discard sink with no registry observes nothing: also zero overhead.
-	if got := Instrument(s, obs.Discard, nil); got != s {
-		t.Fatalf("Instrument(Discard, nil) wrapped the scheduler: %T", got)
+	if o := Instrument(obs.Discard, nil); o != nil {
+		t.Fatalf("Instrument(Discard, nil) built an observer: %+v", o)
 	}
+	// A nil observer's entry points are no-ops.
+	var o *Instrumented
+	if o.Sink() != nil {
+		t.Fatal("nil observer has a sink")
+	}
+	o.Flush()
+	o.Release()
 }
 
-func TestInstrumentUnwrap(t *testing.T) {
-	s := NewEDF()
-	w := Instrument(s, obs.Discard, obs.NewRegistry())
-	in, ok := w.(*Instrumented)
-	if !ok {
-		t.Fatalf("Instrument returned %T", w)
-	}
-	if in.Unwrap() != s {
-		t.Fatal("Unwrap lost the inner scheduler")
-	}
-	if in.Name() != s.Name() {
-		t.Fatalf("name changed: %q vs %q", in.Name(), s.Name())
-	}
-}
-
-// TestInstrumentEmitsDecisionEvents drives the wrapper through the
-// simulator's check-out protocol by hand and checks the event stream and
-// the registry agree with what happened.
+// TestInstrumentEmitsDecisionEvents drives the observer through the
+// kernel's check-out protocol by hand and checks the event stream and the
+// registry agree with what happened.
 func TestInstrumentEmitsDecisionEvents(t *testing.T) {
 	set := instrumentSet(t)
 	col := &obs.Collector{}
 	reg := obs.NewRegistry()
-	s := Instrument(NewEDF(), col, reg)
+	o := Instrument(col, reg)
+	s := NewEDF()
 	s.Init(set)
+	arrive := func(now float64, id txn.ID) {
+		o.Arrival(now, set.ByID(id))
+		s.OnArrival(now, set.ByID(id))
+	}
+	next := func(now float64, want txn.ID) *txn.Transaction {
+		got := s.Next(now)
+		if got == nil || got.ID != want {
+			t.Fatalf("Next(%v) = %v, want T%d", now, got, want)
+		}
+		o.Dispatch(now, got, "")
+		return got
+	}
+	complete := func(now float64, got *txn.Transaction) {
+		got.Remaining = 0
+		got.Finished = true
+		got.FinishTime = now
+		o.Completion(now, got)
+		s.OnCompletion(now, got)
+	}
 
 	// t0 arrives and runs until t1 arrives at 0.5 (preemption point).
-	s.OnArrival(0, set.ByID(0))
-	got := s.Next(0)
-	if got == nil || got.ID != 0 {
-		t.Fatalf("Next = %v", got)
-	}
+	arrive(0, 0)
+	got := next(0, 0)
 	got.Remaining -= 0.5
-	s.OnArrival(0.5, set.ByID(1))
+	o.Preempt(0.5, got)
 	s.OnPreempt(0.5, got)
+	arrive(0.5, 1)
 
 	// t1 has the earlier deadline: runs 0.5→0.9 and completes on time.
-	got = s.Next(0.5)
-	if got == nil || got.ID != 1 {
-		t.Fatalf("Next = %v", got)
-	}
-	got.Remaining = 0
-	got.Finished = true
-	got.FinishTime = 0.9
-	s.OnCompletion(0.9, got)
-
+	complete(0.9, next(0.5, 1))
 	// t0 resumes and completes on time; then t2 arrives late and misses.
-	got = s.Next(0.9)
-	got.Remaining = 0
-	got.Finished = true
-	got.FinishTime = 1.4
-	s.OnCompletion(1.4, got)
-
-	s.OnArrival(1.4, set.ByID(2))
-	got = s.Next(1.4)
-	if got == nil || got.ID != 2 {
-		t.Fatalf("Next = %v", got)
-	}
-	got.Remaining = 0
-	got.Finished = true
-	got.FinishTime = 3.4
-	s.OnCompletion(3.4, got)
+	complete(1.4, next(0.9, 0))
+	arrive(1.4, 2)
+	complete(3.4, next(1.4, 2))
 
 	// Events and histogram observations batch until the run loop drains
-	// them; this test drives the wrapper by hand, so drain explicitly
+	// them; this test drives the observer by hand, so drain explicitly
 	// before reading the collector or the registry.
-	s.(ObsFlusher).FlushObs()
+	o.Flush()
 
 	kinds := map[obs.Kind]int{}
 	for _, ev := range col.Events() {
@@ -145,30 +135,26 @@ func TestInstrumentEmitsDecisionEvents(t *testing.T) {
 	}
 }
 
-// sinkRecorder records SetSink installations.
-type sinkRecorder struct {
-	Scheduler
-	sink obs.Sink
-}
-
-func (s *sinkRecorder) SetSink(sink obs.Sink) { s.sink = sink }
-
+// TestInstrumentPropagatesSink: events emitted through the observer's Sink
+// — the entry the kernel hands SinkSetter policies and the recorders — join
+// the staged stream in emission order, and the policy-internal kinds bump
+// their registry counters.
 func TestInstrumentPropagatesSink(t *testing.T) {
-	rec := &sinkRecorder{Scheduler: NewEDF()}
 	col := &obs.Collector{}
 	reg := obs.NewRegistry()
-	wrapped := Instrument(rec, col, reg)
-	if rec.sink == nil {
-		t.Fatal("sink not propagated to SinkSetter scheduler")
+	o := Instrument(col, reg)
+	set := instrumentSet(t)
+	o.Arrival(0, set.ByID(0))
+	o.Sink().Emit(obs.Event{Time: 1, Kind: obs.KindModeSwitch, Txn: -1, Workflow: 0})
+	o.Sink().Emit(obs.Event{Time: 2, Kind: obs.KindAging, Txn: 0, Workflow: -1})
+	o.Dispatch(2, set.ByID(0), "3")
+	o.Flush()
+	var kinds []string
+	for _, ev := range col.Events() {
+		kinds = append(kinds, ev.Kind.String()+":"+ev.Detail)
 	}
-	// Policy-internal events pass through the counting shim into the same
-	// stream and bump their registry counters. They stage in the wrapper's
-	// event buffer until a drain delivers them.
-	rec.sink.Emit(obs.Event{Time: 1, Kind: obs.KindModeSwitch, Txn: -1, Workflow: 0})
-	rec.sink.Emit(obs.Event{Time: 2, Kind: obs.KindAging, Txn: 0, Workflow: -1})
-	wrapped.(ObsFlusher).FlushObs()
-	if n := len(col.Events()); n != 2 {
-		t.Fatalf("%d events reached the outer sink", n)
+	if got := strings.Join(kinds, " "); got != "arrival: mode_switch: aging: dispatch:3" {
+		t.Fatalf("stream = %s", got)
 	}
 	counters := map[string]uint64{}
 	for _, c := range reg.Snapshot().Counters {

@@ -16,11 +16,12 @@ import (
 
 // Scheduler is the contract between the simulator and a scheduling policy.
 //
-// The simulator follows a strict check-out protocol: Next removes the chosen
-// transaction from the scheduler's queues; before the next call to Next, the
-// simulator always hands the transaction back — via OnPreempt if an arrival
-// interrupted it (with Remaining already decremented) or via OnCompletion if
-// it finished. This keeps every queue's keys consistent without schedulers
+// The engines follow a strict check-out protocol: Next removes the chosen
+// transaction from the scheduler's queues, and the engine hands it back —
+// via OnPreempt if it was interrupted (with Remaining already decremented)
+// or via OnCompletion if it finished — before it asks Next to fill that
+// server again. Arrivals may reach the scheduler while transactions are
+// checked out. This keeps every queue's keys consistent without schedulers
 // having to track execution progress themselves.
 type Scheduler interface {
 	// Name returns the display name used in tables and figures.

@@ -103,6 +103,9 @@ func (e *Sim) RunClosedLoop(set *txn.Set, sessions []txn.Session, s sched.Schedu
 
 	for !k.Finished() {
 		at, err := k.Next(next)
+		if err == nil && math.IsInf(at, 1) {
+			err = k.Deadlock()
+		}
 		if err != nil {
 			return nil, err
 		}

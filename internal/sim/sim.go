@@ -31,6 +31,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/admit"
 	"repro/internal/fault"
@@ -145,6 +146,9 @@ func (e *Sim) Run(set *txn.Set, s sched.Scheduler) (*metrics.Summary, error) {
 	arr := NewArrivals(set)
 	for !k.Finished() {
 		at, err := k.Next(arr.Next())
+		if err == nil && math.IsInf(at, 1) {
+			err = k.Deadlock()
+		}
 		if err != nil {
 			return nil, err
 		}

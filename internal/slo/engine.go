@@ -246,6 +246,10 @@ func (e *Engine) Advance(now float64) {
 	e.boundaries(now)
 }
 
+// Boundary returns the simulated time of the open window's end: the next
+// Advance at or past it closes the window.
+func (e *Engine) Boundary() float64 { return e.next }
+
 // boundaries closes every window with boundary at or before now, in order.
 //
 //lint:coldpath window-boundary evaluation runs once per tumbling window, not per event
