@@ -33,11 +33,11 @@ type instance struct {
 
 // view builds the instance's routing signal.
 func (in *instance) view(idx int) InstanceView {
-	c := in.k.Counts()
+	running, queued, backlog := in.k.Load()
 	_, _, stalled := in.k.Outage()
 	return InstanceView{
 		Index: idx, Ejected: in.ejected, HalfOpen: in.halfOpen, Stalled: stalled,
-		Running: c.Running, Queued: c.Live - c.Running - c.Held, Backlog: c.Backlog,
+		Running: running, Queued: queued, Backlog: backlog,
 	}
 }
 
@@ -103,6 +103,7 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 		r.policy = NewRoundRobin()
 	}
 	r.rec = newRecorder(r.obs.Sink(), cfg.Metrics)
+	set.ResetAll()
 	for i := range r.insts {
 		in := &r.insts[i]
 		in.name, in.crashSeen = strconv.Itoa(i), -1
@@ -110,7 +111,6 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 			return nil, fmt.Errorf("cluster: instance %d: %w", i, err)
 		}
 	}
-	// The kernels reset the set; order the arrivals afterwards.
 	r.arr = sim.NewArrivals(set)
 	for steps := 1; r.done+r.shed+r.lost < set.Len(); steps++ {
 		if steps > maxSteps {

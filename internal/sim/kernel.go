@@ -72,8 +72,12 @@ type Kernel struct {
 	live      int                // admitted or adopted, not yet committed or drained
 	running   []*txn.Transaction // checked out onto a server
 	completed []*txn.Transaction // backs the commits Settle returns
-	// stallSeen is the outage window whose entry was recorded, so the stall
-	// event fires exactly once per window hit.
+	// The outage window open at now (inWin), cached whenever now moves;
+	// stallSeen is the window whose entry was recorded, so the stall event
+	// fires exactly once per window hit.
+	win       fault.Window
+	winIdx    int
+	inWin     bool
 	stallSeen int
 	c         Counts
 }
@@ -112,14 +116,25 @@ const completionEpsilon = 1e-9
 // flash-crowd bursts mutate the set's arrival times here, so build the
 // caller's arrival source afterwards.
 func NewKernel(cfg Config, set *txn.Set, s sched.Scheduler) (Kernel, error) {
+	if cfg.Admit != nil {
+		// Shedding cascades to dependents (a shed dependency can never
+		// complete, so its dependents would deadlock the scheduler), which
+		// requires dependencies to be delivered before their dependents.
+		if err := admit.CheckArrivalOrder(set); err != nil {
+			return Kernel{}, fmt.Errorf("sim: %w", err)
+		}
+	}
+	set.ResetAll()
 	return NewInstance(cfg, set, s, sched.Instrument(cfg.Sink, cfg.Metrics), "")
 }
 
-// NewInstance is NewKernel for one backend of several. The kernel emits
-// through the observer o (nil for none) instead of cfg.Sink: the instances
-// of a fleet share one observer, so their events form one stream in global
-// order. label names the instance in the details of its dispatch,
-// validate-fail, stall and degrade events, and labels its degradation gauge.
+// NewInstance is NewKernel for one backend of several, over a set the
+// caller has reset (and whose dependencies, with admission control, arrive
+// in order). The kernel emits through the observer o (nil for none) instead
+// of cfg.Sink: the instances of a fleet share one observer, so their events
+// form one stream in global order. label names the instance in the details
+// of its dispatch, validate-fail, stall and degrade events, and labels its
+// degradation gauge.
 func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumented, label string) (Kernel, error) {
 	servers, err := cfg.servers()
 	if err != nil {
@@ -129,7 +144,7 @@ func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumen
 	slots := make([]*txn.Transaction, 2*servers)
 	k := Kernel{
 		set: set, o: o, label: label, servers: servers, recorder: cfg.Recorder, ctrl: cfg.Admit,
-		stallSeen: -1, running: slots[:0:servers], completed: slots[servers:servers],
+		winIdx: -1, stallSeen: -1, running: slots[:0:servers], completed: slots[servers:servers],
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
@@ -137,16 +152,8 @@ func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumen
 		}
 		k.inj = fault.NewInjector(cfg.Faults, n)
 		cfg.Faults.ApplyBursts(set)
+		k.win, k.winIdx, k.inWin = k.inj.InStall(0)
 	}
-	if k.ctrl != nil {
-		// Shedding cascades to dependents (a shed dependency can never
-		// complete, so its dependents would deadlock the scheduler), which
-		// requires dependencies to be delivered before their dependents.
-		if err := admit.CheckArrivalOrder(set); err != nil {
-			return Kernel{}, fmt.Errorf("sim: %w", err)
-		}
-	}
-	set.ResetAll()
 	if cfg.SLO != nil {
 		if err := cfg.SLO.Validate(); err != nil {
 			return Kernel{}, fmt.Errorf("sim: %w", err)
@@ -216,6 +223,16 @@ func (k *Kernel) Counts() Counts {
 	return c
 }
 
+// Load is the kernel's routing signal: the transactions running and queued
+// (aborted ones backing off excluded) and the backlog.
+func (k *Kernel) Load() (running, queued int, backlog float64) {
+	held := 0
+	if k.inj != nil {
+		held = k.inj.Held()
+	}
+	return len(k.running), k.live - len(k.running) - held, k.c.Backlog
+}
+
 // AdmitState is the admission controller's view of a backend with servers
 // servers in state c: the kernel's at each arrival, the executor's Probe
 // mid-step.
@@ -275,8 +292,8 @@ func (k *Kernel) Horizon(arrival float64) float64 {
 	event := arrival
 	if k.inj != nil {
 		event = min(event, k.inj.NextRestart())
-		if w, _, ok := k.inj.InStall(k.now); ok {
-			event = min(event, w.End())
+		if k.inWin {
+			event = min(event, k.win.End())
 		} else {
 			event = min(event, k.inj.NextStallStart(k.now))
 		}
@@ -318,6 +335,9 @@ func (k *Kernel) Settle(at float64) []*txn.Transaction {
 		k.c.Backlog -= dt
 	}
 	k.now = at
+	if k.inj != nil {
+		k.win, k.winIdx, k.inWin = k.inj.InStall(at)
+	}
 	if k.slo != nil {
 		k.slo.Advance(at)
 	}
@@ -455,16 +475,12 @@ func (k *Kernel) stalled() (fault.Window, bool) {
 // Outage reports the outage window open at the kernel's time and its index
 // in the fault plan, recording its entry exactly once per window.
 func (k *Kernel) Outage() (fault.Window, int, bool) {
-	if k.inj == nil {
-		return fault.Window{}, -1, false
-	}
-	w, idx, ok := k.inj.InStall(k.now)
-	if ok && idx != k.stallSeen {
-		k.stallSeen = idx
+	if k.inWin && k.winIdx != k.stallSeen {
+		k.stallSeen = k.winIdx
 		k.inj.RecordStallEntered()
-		k.rec.StallEntered(k.now, w)
+		k.rec.StallEntered(k.now, k.win)
 	}
-	return w, idx, ok
+	return k.win, k.winIdx, k.inWin
 }
 
 // Arrive delivers one arrival at the kernel's time and reports whether it
