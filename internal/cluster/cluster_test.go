@@ -286,10 +286,10 @@ const (
 
 // Fold digests of the same fixtures (obstest.RoutedFolds): the per-instant
 // sorted event lines and the per-transaction subsequences, with the
-// restart/validate_fail preempts and degrade events dropped. They were
-// pinned before the routed engine became N kernels plus a router and must
-// not move: that rebuild may only add those preempts and degrade events and
-// reorder events within one instant.
+// restart/validate_fail preempts and degrade events dropped. They hold
+// across engine designs that differ only in those events and in the order
+// of events within one instant; regenerate them only for an intended
+// schedule change.
 const (
 	foldClusterInstants = "894fd305eb701d870023b090a69abe5a854448e9a7c0e60251ce6fcccc809380"
 	foldClusterTxns     = "ea1744795db9fccd730238cff525fed30b5c35d71dbb13d6c851f89f828bcb8a"

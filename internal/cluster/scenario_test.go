@@ -88,10 +88,9 @@ func scenario(sc int, sink obs.Sink) (Config, *txn.Set) {
 	}, set
 }
 
-// goldenScenarios is the sha256 over the first scenarios' outcome lines
-// (Result JSON, per-transaction finish bits and shed marks, and the
-// routed stream's fold digests). It was pinned before the routed engine
-// became N kernels plus a router.
+// goldenScenarios is the sha256 over the scenarios' outcome lines (Result
+// JSON, per-transaction finish bits and shed marks, and the routed stream's
+// fold digests). Regenerate only for an intended schedule change.
 const goldenScenarios = "59bf715bdb7da938e94142e8a9af9df1cef8d3b472ca58c285fa8e2fffb01af2"
 
 // TestClusterScenarios replays randomized fleets — every routing policy,

@@ -79,9 +79,9 @@ func folds(cols []*obs.Collector) (instants, txns string) {
 	return fmt.Sprintf("%x", sha256.Sum256(a.Bytes())), fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))
 }
 
-// Fold digests of the routed jobs fixture, pinned before the routed engine
-// became N kernels plus a router; they must not move (see the cluster
-// package's fold goldens for what the folds forgive).
+// Fold digests of the routed jobs fixture (see the cluster package's fold
+// goldens for what the folds forgive). Regenerate only for an intended
+// schedule change.
 const (
 	foldClusterJobsInstants = "2afaaed07a4699d48a2e2973fb46f5b8c6c68c3b32776dc030782181e97991ee"
 	foldClusterJobsTxns     = "0e301f06b0747f79a9bbf59a76228615b302aaaaaea3fe4997b46ed31b40fdbf"

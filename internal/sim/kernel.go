@@ -317,11 +317,11 @@ func (k *Kernel) Advance(at float64) []*txn.Transaction {
 }
 
 // Settle runs the servers to at and settles every transaction whose work is
-// done — commit, validate-fail rewind or injector abort. An outage window
-// opening at at records its entry, and a crash window destroys the in-flight
-// work of the survivors, which stay checked out until Return or Drain. It
-// returns the transactions that committed, in a buffer reused by the next
-// Settle.
+// done — commit, validate-fail rewind or injector abort. With transactions
+// running, an outage window open at at records its entry, and a crash
+// window destroys the in-flight work of the survivors, which stay checked
+// out until Return or Drain. It returns the transactions that committed, in
+// a buffer reused by the next Settle.
 //
 //lint:hotpath
 func (k *Kernel) Settle(at float64) []*txn.Transaction {
@@ -342,22 +342,20 @@ func (k *Kernel) Settle(at float64) []*txn.Transaction {
 		k.slo.Advance(at)
 	}
 	// Both buffers have capacity for exactly the servers, so settling works
-	// in place; the running set is only rewritten when a transaction leaves.
+	// in place.
 	done := k.completed[:0]
 	if len(k.running) == 0 {
 		return done
 	}
-	for i := 0; i < len(k.running); {
-		t := k.running[i]
+	still := k.running[:0]
+	for _, t := range k.running {
 		if t.Remaining > completionEpsilon {
-			i++
-			continue
-		}
-		k.running = slices.Delete(k.running, i, i+1)
-		if k.commit(t) {
+			still = append(still, t)
+		} else if k.commit(t) {
 			done = append(done, t)
 		}
 	}
+	k.running = still
 	if w, ok := k.stalled(); ok && w.Kind == fault.Crash {
 		for _, t := range k.running {
 			k.lose(t)
@@ -385,6 +383,11 @@ func (k *Kernel) Restarts() int {
 	if k.inj == nil {
 		return 0
 	}
+	return k.restart()
+}
+
+// restart re-queues the due restarts of Restarts.
+func (k *Kernel) restart() int {
 	due := k.inj.PopDueRestarts(k.now)
 	for _, t := range due {
 		k.rec.Restart(k.now, t)
@@ -476,11 +479,19 @@ func (k *Kernel) stalled() (fault.Window, bool) {
 // in the fault plan, recording its entry exactly once per window.
 func (k *Kernel) Outage() (fault.Window, int, bool) {
 	if k.inWin && k.winIdx != k.stallSeen {
-		k.stallSeen = k.winIdx
-		k.inj.RecordStallEntered()
-		k.rec.StallEntered(k.now, k.win)
+		k.enter()
 	}
 	return k.win, k.winIdx, k.inWin
+}
+
+// enter records the entry of the open outage window. It stays out of line
+// so Outage, called at every step, inlines.
+//
+//go:noinline
+func (k *Kernel) enter() {
+	k.stallSeen = k.winIdx
+	k.inj.RecordStallEntered()
+	k.rec.StallEntered(k.now, k.win)
 }
 
 // Arrive delivers one arrival at the kernel's time and reports whether it
