@@ -33,11 +33,11 @@ type instance struct {
 
 // view builds the instance's routing signal.
 func (in *instance) view(idx int) InstanceView {
-	running, queued, backlog := in.k.Load()
+	c := in.k.Counts()
 	_, _, stalled := in.k.Outage()
 	return InstanceView{
 		Index: idx, Ejected: in.ejected, HalfOpen: in.halfOpen, Stalled: stalled,
-		Running: running, Queued: queued, Backlog: backlog,
+		Running: c.Running, Queued: c.Live - c.Running - c.Held, Backlog: c.Backlog,
 	}
 }
 

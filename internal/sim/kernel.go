@@ -223,16 +223,6 @@ func (k *Kernel) Counts() Counts {
 	return c
 }
 
-// Load is the kernel's routing signal: the transactions running and queued
-// (aborted ones backing off excluded) and the backlog.
-func (k *Kernel) Load() (running, queued int, backlog float64) {
-	held := 0
-	if k.inj != nil {
-		held = k.inj.Held()
-	}
-	return len(k.running), k.live - len(k.running) - held, k.c.Backlog
-}
-
 // AdmitState is the admission controller's view of a backend with servers
 // servers in state c: the kernel's at each arrival, the executor's Probe
 // mid-step.
@@ -255,7 +245,7 @@ func (k *Kernel) Next(arrival float64) (float64, error) {
 	if k.steps++; k.steps > k.maxSteps {
 		return 0, k.fail(nil)
 	}
-	if _, ok := k.stalled(); !ok {
+	if _, _, ok := k.Outage(); !ok {
 		// k.running has capacity for exactly the servers: fill the free
 		// slots in place.
 		for n := len(k.running); n < k.servers; n++ {
@@ -356,7 +346,7 @@ func (k *Kernel) Settle(at float64) []*txn.Transaction {
 		}
 	}
 	k.running = still
-	if w, ok := k.stalled(); ok && w.Kind == fault.Crash {
+	if w, _, ok := k.Outage(); ok && w.Kind == fault.Crash {
 		for _, t := range k.running {
 			k.lose(t)
 		}
@@ -466,13 +456,6 @@ func (k *Kernel) lose(t *txn.Transaction) {
 	}
 	k.inj.RecordCrashLoss(t)
 	k.rec.Abort(k.now, t, "crash", k.now)
-}
-
-// stalled reports the outage window open at the kernel's time, recording
-// its entry exactly once per window.
-func (k *Kernel) stalled() (fault.Window, bool) {
-	w, _, ok := k.Outage()
-	return w, ok
 }
 
 // Outage reports the outage window open at the kernel's time and its index
