@@ -52,15 +52,21 @@ func matrixSpec(seed uint64) workload.Spec {
 	return workload.NewSpec(1.1, seed).WithN(120).WithWeights().WithWorkflows(4, 1)
 }
 
+// The admission controllers of the shedding cells.
+func queueCap() admit.Controller    { return admit.QueueCap{Max: 8} }
+func feasibility() admit.Controller { return admit.Feasibility{Tolerance: 5} }
+func missRatio() admit.Controller   { return admit.NewMissRatio(0.5, 0.25) }
+
+// matrixKeys is the contended cells' keyspace.
+var matrixKeys = contention.Keyspace{Keys: 64, Alpha: 0.9, Reads: 3, Writes: 2, ReadOnlyProb: 0.2}
+
 var matrixCells = []matrixCell{
 	{name: "plain", spec: matrixSpec},
 	{name: "faults", spec: matrixSpec, faults: FaultPlan},
-	{name: "queuecap", spec: matrixSpec, admit: func() admit.Controller { return admit.QueueCap{Max: 8} }},
-	{name: "feasibility", spec: matrixSpec, admit: func() admit.Controller { return admit.Feasibility{Tolerance: 5} }},
-	{name: "missratio", spec: matrixSpec, admit: func() admit.Controller { return admit.NewMissRatio(0.5, 0.25) }},
-	{name: "contended", spec: func(seed uint64) workload.Spec {
-		return matrixSpec(seed).WithContention(contention.Keyspace{Keys: 64, Alpha: 0.9, Reads: 3, Writes: 2, ReadOnlyProb: 0.2})
-	}},
+	{name: "queuecap", spec: matrixSpec, admit: queueCap},
+	{name: "feasibility", spec: matrixSpec, admit: feasibility},
+	{name: "missratio", spec: matrixSpec, admit: missRatio},
+	{name: "contended", spec: func(seed uint64) workload.Spec { return matrixSpec(seed).WithContention(matrixKeys) }},
 	{name: "slo", spec: matrixSpec, slo: true},
 }
 
@@ -236,12 +242,10 @@ func abortPlan() *fault.Plan {
 var clusterCells = []matrixCell{
 	{name: "plain", spec: independentSpec},
 	{name: "aborts", spec: independentSpec, faults: abortPlan},
-	{name: "queuecap", spec: independentSpec, admit: matrixCells[2].admit},
-	{name: "feasibility", spec: independentSpec, admit: matrixCells[3].admit},
-	{name: "missratio", spec: independentSpec, admit: matrixCells[4].admit},
-	{name: "contended", spec: func(seed uint64) workload.Spec {
-		return independentSpec(seed).WithContention(contention.Keyspace{Keys: 64, Alpha: 0.9, Reads: 3, Writes: 2, ReadOnlyProb: 0.2})
-	}},
+	{name: "queuecap", spec: independentSpec, admit: queueCap},
+	{name: "feasibility", spec: independentSpec, admit: feasibility},
+	{name: "missratio", spec: independentSpec, admit: missRatio},
+	{name: "contended", spec: func(seed uint64) workload.Spec { return independentSpec(seed).WithContention(matrixKeys) }},
 	{name: "slo", spec: independentSpec, slo: true},
 }
 
