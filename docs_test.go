@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -85,4 +86,110 @@ func declName(decl ast.Decl) string {
 		return fn.Name.Name
 	}
 	return ""
+}
+
+// hotpathRoot matches a fully qualified function name cited in prose:
+// `pkg.Func` or `pkg.(*Type).Method`.
+var hotpathRoot = regexp.MustCompile("`([a-z]+\\.(?:\\(\\*?[A-Za-z]\\w*\\)\\.[A-Za-z]\\w*|[A-Z]\\w*))`")
+
+// TestDocsHotpathRoots: the hotpath-alloc paragraph of docs/DETERMINISM.md
+// names every function whose doc comment carries //lint:hotpath outside
+// tests, and names nothing else, so the documented allocation-free zones
+// cannot drift from the ones the linter enforces.
+func TestDocsHotpathRoots(t *testing.T) {
+	body, err := os.ReadFile("docs/DETERMINISM.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(body)
+	start := strings.Index(doc, "* **hotpath-alloc**")
+	end := strings.Index(doc, "* **lockguard**")
+	if start < 0 || end < start {
+		t.Fatal("docs/DETERMINISM.md: hotpath-alloc paragraph not found")
+	}
+	named := map[string]bool{}
+	for _, m := range hotpathRoot.FindAllStringSubmatch(doc[start:end], -1) {
+		named[m[1]] = true
+	}
+
+	marked := map[string]string{} // root name -> file
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && hasHotpathMarker(fn) {
+				marked[f.Name.Name+"."+funcDeclName(fn)] = path
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range sortedKeys(marked) {
+		if !named[name] {
+			t.Errorf("%s: %s is marked //lint:hotpath but docs/DETERMINISM.md does not name it", marked[name], name)
+		}
+	}
+	for _, name := range sortedKeys(named) {
+		if _, ok := marked[name]; !ok {
+			t.Errorf("docs/DETERMINISM.md names hotpath root %s, which carries no //lint:hotpath marker", name)
+		}
+	}
+}
+
+// hasHotpathMarker reports whether fn's doc comment carries the
+// //lint:hotpath marker, read the way the hotpath-alloc analyzer reads it.
+func hasHotpathMarker(fn *ast.FuncDecl) bool {
+	if fn.Doc == nil {
+		return false
+	}
+	for _, c := range fn.Doc.List {
+		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+		if text == "lint:hotpath" || strings.HasPrefix(text, "lint:hotpath ") {
+			return true
+		}
+	}
+	return false
+}
+
+// funcDeclName renders a declaration as Func or (*Type).Method.
+func funcDeclName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return fn.Name.Name
+	}
+	recv := fn.Recv.List[0].Type
+	star := ""
+	if p, ok := recv.(*ast.StarExpr); ok {
+		star, recv = "*", p.X
+	}
+	id, _ := recv.(*ast.Ident)
+	if id == nil {
+		return fn.Name.Name
+	}
+	return "(" + star + id.Name + ")." + fn.Name.Name
+}
+
+// sortedKeys returns m's keys in ascending order, so failures list stably.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -98,7 +98,7 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 		insts: make([]instance, cfg.Instances), views: make([]InstanceView, cfg.Instances),
 		fails: make([]int, set.Len()),
 	}
-	defer r.obs.Release()
+	defer r.obs.Flush()
 	if r.policy == nil {
 		r.policy = NewRoundRobin()
 	}

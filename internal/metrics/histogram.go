@@ -70,49 +70,6 @@ func (h *Histogram) Add(v float64) {
 	h.buckets[idx]++
 }
 
-// AddBatch records every observation in vs, in slice order — exactly
-// equivalent to calling Add on each value (same left-fold sum), provided as
-// the flush target for batched observers. The aggregate state rides in
-// locals across the loop and is stored back once, which is what the batch
-// saves over per-value Add beyond call overhead.
-func (h *Histogram) AddBatch(vs []float64) {
-	n, zero := h.n, h.zero
-	sum, max := h.sum, h.max
-	pow2, logBase := h.pow2, h.logBase
-	buckets := h.buckets
-	for _, v := range vs {
-		if v < 0 || math.IsNaN(v) {
-			panic(fmt.Sprintf("metrics: histogram observation %v must be non-negative", v))
-		}
-		n++
-		sum += v
-		if v > max {
-			max = v
-		}
-		if v == 0 {
-			zero++
-			continue
-		}
-		var idx int
-		if pow2 {
-			_, exp := math.Frexp(v)
-			idx = exp - 1
-		} else {
-			idx = int(math.Floor(math.Log(v) / logBase))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if len(buckets) <= idx {
-			h.extend(idx)
-			buckets = h.buckets
-		}
-		buckets[idx]++
-	}
-	h.n, h.zero = n, zero
-	h.sum, h.max = sum, max
-}
-
 // extend grows the bucket array until idx is addressable. Warm-up-only:
 // buckets reach ~log_base(max) entries, then stay fixed, keeping the
 // steady-state observation path allocation-free.

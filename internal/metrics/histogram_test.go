@@ -146,3 +146,28 @@ func TestQuickHistogramQuantileMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHistogramPow2Buckets pins the exponent-extraction fast path to the
+// documented layout: bucket i covers [2^i, 2^(i+1)), exact at boundaries,
+// with sub-unit values absorbed by the first bucket.
+func TestHistogramPow2Buckets(t *testing.T) {
+	h := NewHistogram(2)
+	cases := []struct {
+		v    float64
+		want int // geometric bucket index (excluding the zero bucket)
+	}{
+		{1, 0}, {1.5, 0}, {2, 1}, {3.999, 1}, {4, 2}, {8, 3}, {1024, 10},
+		{0.5, 0}, {0.001, 0}, // sub-unit clamps to the first bucket
+	}
+	for _, c := range cases {
+		h = NewHistogram(2)
+		h.Add(c.v)
+		buckets := h.Buckets()[1:] // strip the zero bucket
+		if len(buckets) != c.want+1 || buckets[c.want].Count != 1 {
+			t.Errorf("Add(%v): bucket layout %+v, want single count in bucket %d", c.v, buckets, c.want)
+		}
+		if want := math.Pow(2, float64(c.want+1)); buckets[c.want].Upper != want {
+			t.Errorf("Add(%v): bucket upper %v, want %v", c.v, buckets[c.want].Upper, want)
+		}
+	}
+}

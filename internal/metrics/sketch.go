@@ -88,15 +88,6 @@ func (s *Sketch) Add(v float64) {
 	s.addAt(s.index(v), 1)
 }
 
-// AddBatch records every observation in vs, in slice order. It is exactly
-// equivalent to calling Add on each value — the running sum is the same
-// left-fold — and exists as the flush target for batched observers.
-func (s *Sketch) AddBatch(vs []float64) {
-	for _, v := range vs {
-		s.Add(v)
-	}
-}
-
 // index maps a positive value to its bucket: the smallest i with
 // gamma^i >= v, clamped to the indexable range.
 func (s *Sketch) index(v float64) int {

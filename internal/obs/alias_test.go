@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -124,48 +125,138 @@ func TestCollectorBatchReuseDoesNotAlias(t *testing.T) {
 	}
 }
 
-// countingSink implements only the plain Sink interface, so the emitter must
-// fall back to its per-event loop binding for batches.
+// countingSink implements only the plain Sink interface, so EmitBatch must
+// fall back to one Emit per event for it.
 type countingSink struct {
 	evs []Event
 }
 
 func (s *countingSink) Emit(ev Event) { s.evs = append(s.evs, ev) }
 
-// TestEmitterBatchFansOutInOrder checks EmitBatch reaches every endpoint of
-// a mixed fan-out — batch-native (Ring), shared (Collector via its batch
-// binding) and plain Sink — in emission order.
-func TestEmitterBatchFansOutInOrder(t *testing.T) {
-	ring := NewRing(16)
-	col := &Collector{}
-	plain := &countingSink{}
-	em := NewEmitter(Tee(ring, col, plain))
-	if em.Sinks() != 3 {
-		t.Fatalf("emitter bound %d sinks, want 3", em.Sinks())
-	}
-
-	batch := aliasBatch(0)
-	em.EmitBatch(batch)
-	em.EmitBatch(batch[:0]) // empty batch is a no-op, not a panic
-
-	if got := col.Events(); len(got) != len(batch) {
-		t.Fatalf("collector got %d events, want %d", len(got), len(batch))
-	}
-	if len(plain.evs) != len(batch) {
-		t.Fatalf("plain sink got %d events, want %d", len(plain.evs), len(batch))
-	}
-	for i := range batch {
-		if plain.evs[i].Txn != batch[i].Txn {
-			t.Fatalf("plain sink out of order at %d: %+v", i, plain.evs[i])
+// fanOutStream is a time-ordered decision stream over fanOutSet: each
+// transaction arrives, runs, is preempted, runs again and completes, and the
+// odd ones miss their deadline.
+func fanOutStream(n int) []Event {
+	var evs []Event
+	for i := 0; i < n; i++ {
+		at, id := float64(3*i), txn.ID(i)
+		dl := at + 3
+		if i%2 == 1 {
+			dl = at + 2
 		}
-		if col.Events()[i].Txn != batch[i].Txn {
-			t.Fatalf("collector out of order at %d: %+v", i, col.Events()[i])
+		evs = append(evs,
+			Event{Time: at, Kind: KindArrival, Txn: id, Workflow: -1, Deadline: dl, Remaining: 2},
+			Event{Time: at, Kind: KindDispatch, Txn: id, Workflow: -1, Deadline: dl, Remaining: 2},
+			Event{Time: at + 0.5, Kind: KindPreempt, Txn: id, Workflow: -1, Deadline: dl, Remaining: 1.5},
+			Event{Time: at + 1, Kind: KindDispatch, Txn: id, Workflow: -1, Deadline: dl, Remaining: 1.5},
+			Event{Time: at + 2.5, Kind: KindCompletion, Txn: id, Workflow: -1, Deadline: dl, Tardiness: max(0, at+2.5-dl)})
+		if at+2.5 > dl {
+			evs = append(evs, Event{Time: at + 2.5, Kind: KindDeadlineMiss, Txn: id, Workflow: -1, Deadline: dl, Tardiness: at + 2.5 - dl})
 		}
 	}
-	snap := ring.Snapshot(0)
-	for i, ev := range snap { // newest first
-		if want := batch[len(batch)-1-i].Txn; ev.Txn != want {
-			t.Fatalf("ring out of order at %d: txn %d, want %d", i, ev.Txn, want)
+	return evs
+}
+
+// fanOutSet is the workload fanOutStream describes, with weights spread
+// over every SLA class.
+func fanOutSet(t *testing.T, n int) *txn.Set {
+	t.Helper()
+	txns := make([]*txn.Transaction, n)
+	for i := range txns {
+		txns[i] = &txn.Transaction{
+			ID: txn.ID(i), Arrival: float64(3 * i), Deadline: float64(3*i + 3),
+			Length: 2, Weight: float64(1 + i%10), Remaining: 2,
+		}
+	}
+	set, err := txn.NewSet(txns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// fanOut is one wiring of every sink shape behind one nested Tee: a
+// batch-native Ring, a Tee of a Collector and a SpanBuilder, a plain Sink,
+// and a Timed meter over its own Collector.
+type fanOut struct {
+	ring      *Ring
+	col, tcol *Collector
+	spans     *SpanBuilder
+	plain     *countingSink
+	reg       *Registry
+	ov        *Overhead
+	sink      Sink
+}
+
+func newFanOut(set *txn.Set) *fanOut {
+	f := &fanOut{
+		ring: NewRing(64), col: &Collector{}, tcol: &Collector{},
+		plain: &countingSink{}, reg: NewRegistry(), ov: NewOverhead(),
+	}
+	f.spans = NewSpanBuilder(set, SpanOptions{Metrics: f.reg, Window: 50})
+	f.sink = Tee(f.ring, Tee(f.col, f.spans), f.plain, NewTimed(f.tcol, f.ov, nil))
+	return f
+}
+
+// spanJSONL renders the builder's closed spans as JSONL.
+func (f *fanOut) spanJSONL(t *testing.T) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteSpans(&buf, f.spans.Spans()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestEmitBatchFansOutInOrder sends one stream through EmitBatch over a
+// nested Tee of every sink shape, in batches of 1, 3 and 128 events copied
+// into one reused staging buffer, and requires every sink to end in exactly
+// the state per-event Emit of the same stream leaves: ring snapshot,
+// collector streams, plain-sink stream, span JSONL and registry snapshot.
+func TestEmitBatchFansOutInOrder(t *testing.T) {
+	const n = 100
+	set := fanOutSet(t, n)
+	stream := fanOutStream(n)
+
+	want := newFanOut(set)
+	for _, ev := range stream {
+		want.sink.Emit(ev)
+	}
+	wantSpans := want.spanJSONL(t)
+	if len(want.col.Events()) != len(stream) || want.spans.Total() != n {
+		t.Fatalf("reference wiring saw %d events and %d spans", len(want.col.Events()), want.spans.Total())
+	}
+
+	for _, split := range []int{1, 3, 128} {
+		got := newFanOut(set)
+		buf := make([]Event, split)
+		for lo := 0; lo < len(stream); lo += split {
+			c := copy(buf, stream[lo:])
+			EmitBatch(got.sink, buf[:c])
+			clear(buf) // reused: every sink must have captured by copy
+		}
+		EmitBatch(got.sink, buf[:0]) // an empty batch is a no-op
+
+		if !reflect.DeepEqual(got.ring.Snapshot(0), want.ring.Snapshot(0)) {
+			t.Errorf("split %d: ring snapshot differs", split)
+		}
+		if !reflect.DeepEqual(got.col.Events(), want.col.Events()) {
+			t.Errorf("split %d: collector stream differs", split)
+		}
+		if !reflect.DeepEqual(got.tcol.Events(), want.tcol.Events()) {
+			t.Errorf("split %d: timed collector stream differs", split)
+		}
+		if !reflect.DeepEqual(got.plain.evs, want.plain.evs) {
+			t.Errorf("split %d: plain sink stream differs", split)
+		}
+		if s := got.spanJSONL(t); s != wantSpans {
+			t.Errorf("split %d: span JSONL differs", split)
+		}
+		if !reflect.DeepEqual(got.reg.Snapshot(), want.reg.Snapshot()) {
+			t.Errorf("split %d: registry snapshot differs", split)
+		}
+		if e := got.ov.Stats().Events; e != uint64(len(stream)) {
+			t.Errorf("split %d: timed meter counted %d events, want %d", split, e, len(stream))
 		}
 	}
 }
@@ -210,11 +301,11 @@ func TestSpanSnapshotImmuneToPoolReuse(t *testing.T) {
 	checkSpanInvariants(t, snap[0])
 }
 
-// TestPooledEmitHammer is the -race target for the pooled event path: one
+// TestStagedEmitHammer is the -race target for the staged event path: one
 // writer reusing a single staging buffer for every batch — exactly what the
-// scheduler wrapper does — against concurrent snapshot readers on the ring,
-// the collector and the span builder.
-func TestPooledEmitHammer(t *testing.T) {
+// decision-loop observer does — against concurrent snapshot readers on the
+// ring, the collector and the span builder.
+func TestStagedEmitHammer(t *testing.T) {
 	txns := make([]*txn.Transaction, 256)
 	for i := range txns {
 		txns[i] = &txn.Transaction{
@@ -229,7 +320,7 @@ func TestPooledEmitHammer(t *testing.T) {
 	ring := NewRing(64)
 	col := &Collector{}
 	sb := NewSpanBuilder(set, SpanOptions{Keep: 16})
-	em := NewEmitter(Tee(ring, col, sb))
+	sink := Tee(ring, col, sb)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -254,14 +345,14 @@ func TestPooledEmitHammer(t *testing.T) {
 		}()
 	}
 
-	var buf [3]Event // reused staging buffer, as in the scheduler wrapper
+	var buf [3]Event // reused staging buffer, as in the observer
 	for i := range txns {
 		at := float64(i)
 		id := txn.ID(i)
 		buf[0] = Event{Time: at, Kind: KindArrival, Txn: id, Workflow: -1, Deadline: at + 10}
 		buf[1] = Event{Time: at, Kind: KindDispatch, Txn: id, Workflow: -1}
 		buf[2] = Event{Time: at + 1, Kind: KindCompletion, Txn: id, Workflow: -1}
-		em.EmitBatch(buf[:])
+		EmitBatch(sink, buf[:])
 	}
 	close(stop)
 	wg.Wait()

@@ -318,7 +318,6 @@ func TestHammerWindowFamilyScrape(t *testing.T) {
 	}
 	<-done
 	wg.Wait()
-	b.Flush()
 	var count int64
 	for _, s := range reg.Snapshot().Sketches {
 		if strings.HasPrefix(s.Name, "asets_window_response{") {

@@ -275,9 +275,7 @@ type Sink interface {
 // to an event the caller owns and will reuse for the next emission. The sink
 // borrows the event only for the duration of the call — anything it retains
 // must be captured by copy before returning (Ring and Collector store a copy
-// in their own buffers; the SSE hub copies into each subscriber channel).
-// Every in-repo sink implements it; Emitter binds EmitShared directly so the
-// enabled fast path never boxes an Event into an interface argument.
+// in their own buffers).
 type SharedSink interface {
 	EmitShared(*Event)
 }
@@ -290,6 +288,26 @@ type SharedSink interface {
 // Events must be applied in slice order; the slice is never empty.
 type BatchSink interface {
 	EmitSharedBatch([]Event)
+}
+
+// EmitBatch delivers a batch to sink in slice order: a BatchSink gets the
+// whole batch in one call, any other sink one Emit per event. It is the one
+// delivery path from the observer's staging buffer to the sink chain; the
+// batch is borrowed under the BatchSink contract, so the caller may overwrite
+// it as soon as EmitBatch returns.
+//
+//lint:hotpath
+func EmitBatch(sink Sink, evs []Event) {
+	if len(evs) == 0 {
+		return
+	}
+	if bs, ok := sink.(BatchSink); ok {
+		bs.EmitSharedBatch(evs)
+		return
+	}
+	for i := range evs {
+		sink.Emit(evs[i])
+	}
 }
 
 // discard is the no-op sink.
@@ -325,6 +343,14 @@ type tee []Sink
 func (t tee) Emit(ev Event) {
 	for _, s := range t {
 		s.Emit(ev)
+	}
+}
+
+// EmitSharedBatch implements BatchSink: each sink gets the whole batch
+// through EmitBatch, in wiring order.
+func (t tee) EmitSharedBatch(evs []Event) {
+	for _, s := range t {
+		EmitBatch(s, evs)
 	}
 }
 
@@ -484,10 +510,6 @@ type JSONLWriter struct {
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
 	return &JSONLWriter{w: bufio.NewWriter(w)}
 }
-
-// EmitShared implements SharedSink. The encoder works on a local copy, so
-// the borrowed event is never mutated.
-func (j *JSONLWriter) EmitShared(ev *Event) { j.Emit(*ev) }
 
 // Emit implements Sink.
 func (j *JSONLWriter) Emit(ev Event) {

@@ -23,8 +23,8 @@ type Overhead struct {
 // NewOverhead returns a zeroed meter.
 func NewOverhead() *Overhead { return &Overhead{} }
 
-// CountEvent records one event fanned out through the instrumented path.
-func (o *Overhead) CountEvent() { o.events.Add(1) }
+// CountEvents records n events fanned out through the instrumented path.
+func (o *Overhead) CountEvents(n int) { o.events.Add(uint64(n)) }
 
 // AddNanos attributes d nanoseconds of wall-clock time to instrumentation.
 func (o *Overhead) AddNanos(d int64) { o.nanos.Add(d) }
@@ -63,14 +63,13 @@ func (o *Overhead) Stats() OverheadStats {
 // the determinism lint scope: under a FakeClock the attribution is zero and
 // byte-stable; under a RealClock it is honest wall time.
 //
-// Timed implements SharedSink, so an Emitter built over it binds EmitShared
-// directly and the inner chain is devirtualized into Timed's own Emitter —
-// the wrapper adds two clock reads and two atomic adds per event, nothing
-// more.
+// Timed is a BatchSink: a staged batch reaches the inner chain in one
+// EmitBatch call, timed and counted with two clock reads and two atomic adds
+// for the whole batch.
 type Timed struct {
-	em  *Emitter
-	ov  *Overhead
-	now func() time.Time // nil: count events only, no time attribution
+	sink Sink
+	ov   *Overhead
+	now  func() time.Time // nil: count events only, no time attribution
 }
 
 // NewTimed wraps sink with event counting into ov and, when now is non-nil,
@@ -78,23 +77,40 @@ type Timed struct {
 //
 //lint:coldpath sink wiring happens once at server construction
 func NewTimed(sink Sink, ov *Overhead, now func() time.Time) *Timed {
-	return &Timed{em: NewEmitter(sink), ov: ov, now: now}
+	if sink == nil {
+		sink = Discard
+	}
+	return &Timed{sink: sink, ov: ov, now: now}
 }
 
 // Emit implements Sink.
-func (t *Timed) Emit(ev Event) { t.EmitShared(&ev) }
+func (t *Timed) Emit(ev Event) {
+	start := t.start()
+	t.sink.Emit(ev)
+	t.done(start, 1)
+}
 
-// EmitShared implements SharedSink.
-func (t *Timed) EmitShared(ev *Event) {
+// EmitSharedBatch implements BatchSink.
+func (t *Timed) EmitSharedBatch(evs []Event) {
+	start := t.start()
+	EmitBatch(t.sink, evs)
+	t.done(start, len(evs))
+}
+
+// start reads the clock before a fan-out (the zero time without a clock).
+func (t *Timed) start() time.Time {
 	if t.now == nil {
-		t.em.Emit(ev)
-		t.ov.CountEvent()
-		return
+		return time.Time{}
 	}
-	start := t.now()
-	t.em.Emit(ev)
-	t.ov.AddNanos(t.now().Sub(start).Nanoseconds())
-	t.ov.CountEvent()
+	return t.now()
+}
+
+// done attributes the fan-out that began at start and counts its n events.
+func (t *Timed) done(start time.Time, n int) {
+	if t.now != nil {
+		t.ov.AddNanos(t.now().Sub(start).Nanoseconds())
+	}
+	t.ov.CountEvents(n)
 }
 
 // runtimeSampleNames are the runtime/metrics series backing RuntimeSample,

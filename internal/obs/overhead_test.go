@@ -7,8 +7,8 @@ import (
 
 func TestOverheadStats(t *testing.T) {
 	ov := NewOverhead()
-	ov.CountEvent()
-	ov.CountEvent()
+	ov.CountEvents(1)
+	ov.CountEvents(1)
 	ov.AddNanos(40)
 	ov.AddNanos(2)
 	ov.CountPoolHit()
@@ -23,13 +23,16 @@ func TestOverheadStats(t *testing.T) {
 }
 
 // TestTimedAttributesTime drives a Timed sink with a deterministic fake
-// clock that advances 1µs per reading: each event takes two readings
-// (before/after fan-out), so exactly 1µs per event is attributed.
+// clock that advances 1µs per reading. Each single Emit takes two readings
+// (before/after fan-out), so exactly 1µs per event is attributed; a batch
+// takes two readings for the whole batch and counts every event in it.
 func TestTimedAttributesTime(t *testing.T) {
 	col := &Collector{}
 	ov := NewOverhead()
 	clock := time.Unix(0, 0)
+	reads := 0
 	now := func() time.Time {
+		reads++
 		clock = clock.Add(time.Microsecond)
 		return clock
 	}
@@ -41,11 +44,28 @@ func TestTimedAttributesTime(t *testing.T) {
 		t.Fatalf("inner sink got %d events, want 3", n)
 	}
 	stats := ov.Stats()
-	if stats.Events != 3 {
-		t.Fatalf("events counted %d, want 3", stats.Events)
+	if stats.Events != 3 || reads != 6 {
+		t.Fatalf("events counted %d with %d clock reads, want 3 and 6", stats.Events, reads)
 	}
 	if stats.InstrNanos != 3*time.Microsecond.Nanoseconds() {
 		t.Fatalf("attributed %dns, want 3000ns", stats.InstrNanos)
+	}
+
+	const n = 5
+	batch := make([]Event, n)
+	for i := range batch {
+		batch[i] = Event{Time: float64(3 + i), Kind: KindArrival, Txn: -1, Workflow: -1}
+	}
+	timed.EmitSharedBatch(batch)
+	if got := len(col.Events()); got != 3+n {
+		t.Fatalf("inner sink got %d events after the batch, want %d", got, 3+n)
+	}
+	stats = ov.Stats()
+	if stats.Events != 3+n || reads != 8 {
+		t.Fatalf("batch: events counted %d with %d clock reads, want %d and 8", stats.Events, reads, 3+n)
+	}
+	if stats.InstrNanos != 4*time.Microsecond.Nanoseconds() {
+		t.Fatalf("batch: attributed %dns, want 4000ns", stats.InstrNanos)
 	}
 }
 
@@ -55,8 +75,7 @@ func TestTimedNilClock(t *testing.T) {
 	col := &Collector{}
 	ov := NewOverhead()
 	timed := NewTimed(col, ov, nil)
-	ev := Event{Time: 1, Kind: KindDispatch, Txn: 0, Workflow: -1}
-	timed.EmitShared(&ev)
+	timed.Emit(Event{Time: 1, Kind: KindDispatch, Txn: 0, Workflow: -1})
 	if n := len(col.Events()); n != 1 {
 		t.Fatalf("inner sink got %d events, want 1", n)
 	}

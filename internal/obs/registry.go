@@ -53,16 +53,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// ObserveBatch records a batch of observations in slice order under one lock
-// acquisition — the flush path of batched instrumentation buffers. The
-// histogram state afterwards is bit-identical to observing each value
-// individually.
-func (h *Histogram) ObserveBatch(vs []float64) {
-	h.mu.Lock()
-	h.h.AddBatch(vs)
-	h.mu.Unlock()
-}
-
 // snapshot copies the histogram state under the lock.
 func (h *Histogram) snapshot() HistogramValue {
 	h.mu.Lock()
@@ -87,16 +77,6 @@ type Sketch struct {
 func (s *Sketch) Observe(v float64) {
 	s.mu.Lock()
 	s.s.Add(v)
-	s.mu.Unlock()
-}
-
-// ObserveBatch records a batch of observations in slice order under one lock
-// acquisition — the flush path of the span layer's insert buffers. The
-// sketch state afterwards is bit-identical to observing each value
-// individually.
-func (s *Sketch) ObserveBatch(vs []float64) {
-	s.mu.Lock()
-	s.s.AddBatch(vs)
 	s.mu.Unlock()
 }
 

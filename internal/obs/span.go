@@ -25,10 +25,8 @@ import (
 // arenas preallocated at construction, closed spans recycle through a free
 // list once the Keep bound compacts them, windowed sketch cells are slab
 // slots of the registry's windowed sketch families reached through a
-// per-window cache (no formatted names, no per-cell registration), and the
-// run-total sketch inserts batch through fixed inline buffers that flush
-// whenever the builder drains. docs/OBSERVABILITY.md ("Overhead budgets")
-// carries the enforced numbers.
+// per-window cache (no formatted names, no per-cell registration).
+// docs/OBSERVABILITY.md ("Overhead budgets") carries the enforced numbers.
 
 // SegmentKind classifies one stretch of a transaction's lifetime.
 type SegmentKind int
@@ -312,50 +310,9 @@ type spanState struct {
 	active   bool
 }
 
-// spanBatchSize is the per-sketch insert buffer length of the run-total
-// sketches: observations accumulate in a fixed inline array and flush under
-// one sketch lock when the buffer fills or the builder drains.
-const spanBatchSize = 64
-
-// batch is a fixed-capacity insert buffer for one sketch. Values reach the
-// sketch in exact insertion order whether they leave via a full-buffer flush
-// or a drain, so running sums stay bit-identical to unbatched observation.
-type batch struct {
-	n   int
-	buf [spanBatchSize]float64
-}
-
-// push buffers v, flushing into s when the buffer fills.
-func (p *batch) push(s *Sketch, v float64) {
-	p.buf[p.n] = v
-	p.n++
-	if p.n == spanBatchSize {
-		s.ObserveBatch(p.buf[:])
-		p.n = 0
-	}
-}
-
-// spanTotals holds the resolved run-total sketch handles (MetricSpan*) and
-// their pending insert buffers.
+// spanTotals holds the resolved run-total sketch handles (MetricSpan*).
 type spanTotals struct {
 	tard, resp, slow *Sketch
-	bT, bR, bS       batch
-}
-
-// flush drains the pending buffers into their sketches.
-func (g *spanTotals) flush() {
-	if g.bT.n > 0 {
-		g.tard.ObserveBatch(g.bT.buf[:g.bT.n])
-		g.bT.n = 0
-	}
-	if g.bR.n > 0 {
-		g.resp.ObserveBatch(g.bR.buf[:g.bR.n])
-		g.bR.n = 0
-	}
-	if g.bS.n > 0 {
-		g.slow.ObserveBatch(g.bS.buf[:g.bS.n])
-		g.bS.n = 0
-	}
 }
 
 // spanArenaSpans caps the preallocated span arena. Small runs get full
@@ -370,15 +327,14 @@ const spanArenaSpans = 4096
 const segRegionLen = 4
 
 // SpanBuilder folds the decision event stream into spans. It is a Sink (and
-// a SharedSink); like Ring it locks internally, so the single emitting
+// a SharedSink and BatchSink); like Ring it locks internally, so the single emitting
 // goroutine can run while HTTP handlers snapshot. Events must arrive in
 // stream order (the order every in-repo emitter produces).
 //
 // Determinism: spans are a pure fold of the event stream plus the immutable
-// workload set, so a fixed-seed run yields a byte-identical span stream, and
-// batch flush points are a pure function of the stream too (buffer-full and
-// no-open-spans drains), so registry sums stay bit-identical as well.
-// Windowed cells are observed directly, in stream order.
+// workload set, so a fixed-seed run yields a byte-identical span stream;
+// run-total and windowed sketches are observed directly, in stream order, so
+// registry sums stay bit-identical as well.
 type SpanBuilder struct {
 	mu        sync.Mutex
 	set       *txn.Set
@@ -478,16 +434,14 @@ func NewSpanBuilder(set *txn.Set, opts SpanOptions) *SpanBuilder {
 }
 
 // Emit implements Sink, for callers that hold the builder behind the plain
-// interface (the fault recorder's rare outage events, tests). The enabled
-// fast path reaches EmitShared directly through an Emitter.
+// interface (tests, unbatched wiring). The observer's staged batches reach
+// EmitSharedBatch instead.
 func (b *SpanBuilder) Emit(ev Event) { b.EmitShared(&ev) }
 
 // EmitShared implements SharedSink: the event is borrowed for the duration
-// of the call and everything retained is captured by copy. It is the
-// observer's event path — every scheduling decision flows through here, so
-// it is a hot-path root in its own right and its allocation budget is
-// enforced even if interface fan-out from the simulator's root ever fails
-// to reach it.
+// of the call and everything retained is captured by copy. It folds one
+// event exactly as EmitSharedBatch folds each of a batch, so it is a
+// hot-path root in its own right.
 //
 //lint:hotpath
 func (b *SpanBuilder) EmitShared(ev *Event) {
@@ -713,8 +667,7 @@ func (b *SpanBuilder) closeSeg(st *spanState, t float64) {
 
 // finalize closes the span at a completion or shed event: computes the
 // attribution fold, derived fields and sketch observations, and moves the
-// span to the done list. When the builder drains (no spans left open — true
-// at the end of every run), pending run-total batches flush.
+// span to the done list.
 func (b *SpanBuilder) finalize(st *spanState, ev *Event) {
 	sp := st.span
 	sp.Finish = ev.Time
@@ -762,9 +715,6 @@ func (b *SpanBuilder) finalize(st *spanState, ev *Event) {
 	if b.opts.Keep > 0 && len(b.done) > 2*b.opts.Keep {
 		b.compact()
 	}
-	if b.openCount == 0 {
-		b.flushLocked()
-	}
 }
 
 // compact drops the oldest spans once the done list exceeds 2×Keep,
@@ -782,8 +732,8 @@ func (b *SpanBuilder) compact() {
 	b.done = b.done[:n]
 }
 
-// observe feeds one completed span into the registry sketches: the batched
-// run totals and, with a window set, its (window, class, mode) cell under
+// observe feeds one completed span into the registry sketches: the run
+// totals and, with a window set, its (window, class, mode) cell under
 // one cell lock. The cell comes from the per-window cache — no formatted
 // names and no family lookup on the completion path.
 func (b *SpanBuilder) observe(sp *Span, class, mode int8) {
@@ -794,9 +744,9 @@ func (b *SpanBuilder) observe(sp *Span, class, mode int8) {
 		b.initGlobal()
 	}
 	g := b.global
-	g.bT.push(g.tard, sp.Tardiness)
-	g.bR.push(g.resp, sp.Response)
-	g.bS.push(g.slow, sp.Slowdown)
+	g.tard.Observe(sp.Tardiness)
+	g.resp.Observe(sp.Response)
+	g.slow.Observe(sp.Slowdown)
 	if b.opts.Window <= 0 {
 		return
 	}
@@ -843,25 +793,6 @@ func (b *SpanBuilder) fillCell(win int32, slot int, class, mode int8) {
 		panic(fmt.Sprintf("obs: metric name %q already registered with a different type", taken))
 	}
 	b.curCells[slot] = c
-}
-
-// flushLocked drains the run-total insert buffers into their sketches.
-// Drains happen whenever no span is open — which includes the end of every
-// run, since each transaction completes or is shed — so registry snapshots
-// taken after a run always see every observation. Callers hold b.mu.
-func (b *SpanBuilder) flushLocked() {
-	if b.global != nil {
-		b.global.flush()
-	}
-}
-
-// Flush drains any pending batched sketch observations. The server calls it
-// before serving /metrics so mid-run scrapes see up-to-the-event windowed
-// percentiles; it is safe to call concurrently with emission.
-func (b *SpanBuilder) Flush() {
-	b.mu.Lock()
-	b.flushLocked()
-	b.mu.Unlock()
 }
 
 // Spans returns the retained closed spans in close order (completion or shed

@@ -61,7 +61,6 @@ func TestGoldenReplayMetricsDigest(t *testing.T) {
 	if _, err := ex.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	spans.Flush()
 	got, page := promDigest(t, reg)
 	if n := strings.Count(page, "\nasets_window_tardiness{"); n < 100 {
 		t.Fatalf("replay exported only %d windowed tardiness samples", n)

@@ -37,7 +37,6 @@ func TestInstrumentNoopWhenUnconfigured(t *testing.T) {
 		t.Fatal("nil observer has a sink")
 	}
 	o.Flush()
-	o.Release()
 }
 
 // TestInstrumentEmitsDecisionEvents drives the observer through the

@@ -78,7 +78,9 @@ func TestLimitParamValidation(t *testing.T) {
 }
 
 // TestEventsEndpoint: after a full replay, /events serves the most recent
-// decisions newest-first with the limit honored and the total preserved.
+// decisions newest-first with the limit honored and the total preserved,
+// and the Timed meter, which counts each staged batch as it reaches the
+// sink chain, reports that same total as /api/stats obs.events.
 func TestEventsEndpoint(t *testing.T) {
 	s, ts := fakeClockServer(t)
 	runToCompletion(t, s)
@@ -87,6 +89,11 @@ func TestEventsEndpoint(t *testing.T) {
 	getJSON(t, ts.URL+"/events", &payload)
 	if payload.Total == 0 {
 		t.Fatal("replay produced no events")
+	}
+	var st statsPayload
+	getJSON(t, ts.URL+"/api/stats", &st)
+	if st.Obs.Events != s.ring.Total() || st.Obs.Events != payload.Total {
+		t.Fatalf("/api/stats obs.events %d, ring total %d, /events total %d", st.Obs.Events, s.ring.Total(), payload.Total)
 	}
 	if len(payload.Events) == 0 || len(payload.Events) > 100 {
 		t.Fatalf("default limit returned %d events", len(payload.Events))

@@ -386,9 +386,6 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// Drain batched span observations so the scrape sees up-to-the-event
-	// windowed percentiles, then refresh the self-telemetry gauges.
-	s.spans.Flush()
 	s.publishObs()
 	// Render into a buffer first: WritePrometheus writing straight to w
 	// would commit a 200 on its first byte, making the error branch a

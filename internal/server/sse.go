@@ -38,11 +38,6 @@ func newSSEHub(reg *obs.Registry) *sseHub {
 	return h
 }
 
-// EmitShared implements obs.SharedSink: the event is borrowed for the call,
-// so the hub copies it into a value before stamping and fanning out (channel
-// sends copy again, so no subscriber ever sees the caller's scratch struct).
-func (h *sseHub) EmitShared(ev *obs.Event) { h.Emit(*ev) }
-
 // Emit implements obs.Sink.
 func (h *sseHub) Emit(ev obs.Event) {
 	h.mu.Lock()

@@ -551,11 +551,11 @@ func (k *Kernel) Drain(fresh sched.Scheduler) []*txn.Transaction {
 	return victims
 }
 
-// Flush delivers the observer's batched events and counts, so live readers
-// see every decision taken so far.
+// Flush delivers the observer's staged events and publishes its gauge, so
+// live readers see every decision taken so far.
 func (k *Kernel) Flush() { k.o.Flush() }
 
-// Close ends the run's instrumentation: it flushes the batched buffers
+// Close ends the run's instrumentation: it flushes the staged events
 // before any reader can snapshot the registry, then publishes the SLO
 // engine's final gauges (the open partial window is never evaluated — the
 // slo package's determinism contract). It returns the SLO evaluation, or
@@ -570,9 +570,8 @@ func (k *Kernel) Close() *slo.State {
 	return &st
 }
 
-// Summary computes the finished run's performance summary and recycles the
-// observer: nothing retains it once the run is over (the caller owns the
-// sink and the registry, not the observer).
+// Summary computes the finished run's performance summary and flushes the
+// observer.
 func (k *Kernel) Summary() (*metrics.Summary, error) {
 	sum, err := metrics.Compute(k.set, k.c.Busy)
 	if err != nil {
@@ -580,8 +579,7 @@ func (k *Kernel) Summary() (*metrics.Summary, error) {
 	}
 	c := k.Counts()
 	sum.Aborts, sum.Restarts, sum.Stalls, sum.ValidateFails = c.Aborts, c.Restarts, c.Stalls, c.ValidateFails
-	k.o.Release()
-	k.o = nil
+	k.Flush()
 	return sum, nil
 }
 

@@ -79,7 +79,7 @@ type classState struct {
 // publishes are safe for concurrent readers.
 type Engine struct {
 	cfg     Config
-	out     *obs.Emitter
+	out     obs.Sink
 	win     int64   // index of the open window
 	next    float64 // simulated time of the next boundary
 	active  int
@@ -92,8 +92,6 @@ type Engine struct {
 	gActive *obs.Gauge
 	cFires  *obs.Counter
 	cClears *obs.Counter
-
-	ev obs.Event // scratch for alert emission
 }
 
 // NewEngine builds an engine for cfg (defaulted via withDefaults; call
@@ -107,7 +105,7 @@ func NewEngine(cfg Config, reg *obs.Registry) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	e := &Engine{cfg: cfg, out: obs.NewEmitter(nil), next: cfg.Window}
+	e := &Engine{cfg: cfg, out: obs.Discard, next: cfg.Window}
 	for ci := range e.classes {
 		c := &e.classes[ci]
 		c.hist = make([]winCount, cfg.SlowWindows)
@@ -142,7 +140,6 @@ func NewEngine(cfg Config, reg *obs.Registry) *Engine {
 	if reg != nil {
 		e.register(reg)
 	}
-	e.ev = obs.Event{Txn: -1, Workflow: -1}
 	return e
 }
 
@@ -188,12 +185,13 @@ func (e *Engine) register(reg *obs.Registry) {
 	e.cClears = reg.Counter(clears, "SLO alert rule resolve transitions.")
 }
 
-// Bind routes the engine's alert events into sink (flattened once, like any
-// instrumentation wiring). Call before the first Advance.
-//
-//lint:coldpath sink binding happens once at run wiring time
+// Bind routes the engine's alert events into sink (nil drops them). Call
+// before the first Advance.
 func (e *Engine) Bind(sink obs.Sink) {
-	e.out = obs.NewEmitter(sink)
+	if sink == nil {
+		sink = obs.Discard
+	}
+	e.out = sink
 }
 
 // Arrive records a transaction entering the system (class from
@@ -392,11 +390,7 @@ func (e *Engine) resolve(r *rule, at, ratio float64) {
 // field carries the rule's ratio at transition time (there is no deadline
 // to carry: alerts have no transaction subject).
 func (e *Engine) emit(kind obs.Kind, at, ratio float64, detail string) {
-	e.ev.Time = at
-	e.ev.Kind = kind
-	e.ev.Deadline = ratio
-	e.ev.Detail = detail
-	e.out.Emit(&e.ev)
+	e.out.Emit(obs.Event{Time: at, Kind: kind, Txn: -1, Workflow: -1, Deadline: ratio, Detail: detail})
 }
 
 // publish refreshes the exported gauges from the last closed window.

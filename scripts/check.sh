@@ -27,7 +27,7 @@ if [ "${1:-}" = "short" ]; then
     # /api/*) against a live replay — including the fault-injection hammer,
     # which shares the admission controller between the submit gate and the
     # replay goroutine. Both hammers are small and fast.
-    echo "== go test -race (endpoint + fault + pooled-event + contention + slo hammers)"
+    echo "== go test -race (endpoint + fault + staged-event + contention + slo hammers)"
     go test -race -run Hammer ./internal/server ./internal/obs ./internal/contention ./internal/slo
     # The executor's Stats/Probe snapshot and its locked admission adapter
     # race the replay goroutine.
