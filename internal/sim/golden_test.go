@@ -2,13 +2,16 @@ package sim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -87,5 +90,69 @@ func TestDigestSensitivity(t *testing.T) {
 	}
 	if d == scheduleDigest(nudged) {
 		t.Fatal("digest insensitive to boundary change")
+	}
+}
+
+// sharedNodeDigests pins ASETS*'s schedules on workflows that share nodes:
+// WithWorkflows(5, 3) lets a transaction belong to up to three dependency
+// closures, so one completion updates several scheduling entities, and a
+// head can be ready in one workflow before its siblings are. Each entry
+// holds two FNV-64a digests: every transaction's finish-time bits, and the
+// JSON event stream. Servers 2 exercises the check-out of a transaction
+// shared by entities another server is drawing from.
+var sharedNodeDigests = map[string][2]uint64{
+	"ASETS*/S1":          {0xece6f9a91163a24c, 0x434b1b703f569dff},
+	"ASETS*/S2":          {0x8e16750eb4a56315, 0xedd863b8d145e463},
+	"ASETS*-headexcl/S1": {0xc6f9cdcc3f9d2ddd, 0xc9b66ceb4834bb0d},
+	"ASETS*-headexcl/S2": {0xa47104509940b5e7, 0x9d0399194a11a3c7},
+	"Ready/S1":           {0x604e27e8d1d7afc7, 0x8e71044a93f15f10},
+	"Ready/S2":           {0x15248cf948cd82a1, 0x0b05b64f3a7633cc},
+	"ASETS*-count/S1":    {0x1afbe8f0ad32dbdd, 0xe3f23149f03e8e00},
+	"ASETS*-count/S2":    {0x8e16750eb4a56315, 0x8f199a6d3b770414},
+}
+
+func TestGoldenSharedNodeSchedules(t *testing.T) {
+	spec := workload.NewSpec(0.95, 0x5AED).WithN(400).WithWeights().WithWorkflows(5, 3)
+	memberships := 0
+	for _, wf := range txn.BuildWorkflows(spec.MustBuild()) {
+		memberships += len(wf.Members)
+	}
+	if memberships <= spec.N {
+		t.Fatalf("%d memberships over %d transactions: the fixture shares no node", memberships, spec.N)
+	}
+	for _, p := range []struct {
+		name string
+		new  func() sched.Scheduler
+	}{
+		{"ASETS*", func() sched.Scheduler { return core.New() }},
+		{"ASETS*-headexcl", func() sched.Scheduler { return core.New(core.WithHeadExcludedRep()) }},
+		{"Ready", func() sched.Scheduler { return core.NewReady() }},
+		{"ASETS*-count", func() sched.Scheduler { return core.New(core.WithCountActivation(0.05)) }},
+	} {
+		for _, servers := range []int{1, 2} {
+			name := fmt.Sprintf("%s/S%d", p.name, servers)
+			set := spec.MustBuild()
+			col := &obs.Collector{}
+			if _, err := New(Config{Servers: servers, Sink: col}).Run(set, p.new()); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			finishes, events := fnv.New64a(), fnv.New64a()
+			var buf [8]byte
+			for _, tx := range set.Txns {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(tx.FinishTime))
+				finishes.Write(buf[:])
+			}
+			for _, ev := range col.Events() {
+				b, err := ev.MarshalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				events.Write(b)
+			}
+			got := [2]uint64{finishes.Sum64(), events.Sum64()}
+			if want := sharedNodeDigests[name]; got != want {
+				t.Errorf("%s: finish/event digests %#x, golden %#x — shared-node schedule changed", name, got, want)
+			}
+		}
 	}
 }
