@@ -36,7 +36,7 @@ func TestCheckedPanicsOnCorruption(t *testing.T) {
 	c.OnArrival(0, set.ByID(1))
 	// Corrupt the entity Next will NOT check out (checked-out entities are
 	// dequeued and skip most of the audit): its ready count goes stale.
-	c.ASETSStar.entities[1].ready++
+	c.ASETSStar.members(1)[0].ready++
 	defer func() {
 		r := recover()
 		if r == nil {

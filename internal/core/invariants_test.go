@@ -124,13 +124,13 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatalf("clean state flagged: %v", err)
 	}
 	// Corrupt a cached representative.
-	a.entities[0].rep.Deadline += 5
+	a.members(0)[0].rep.Deadline += 5
 	if err := a.CheckInvariants(0); err == nil {
 		t.Fatal("corrupted representative not detected")
 	}
-	a.entities[0].rep.Deadline -= 5
+	a.members(0)[0].rep.Deadline -= 5
 	// Corrupt a ready count.
-	a.entities[1].ready++
+	a.members(1)[0].ready++
 	if err := a.CheckInvariants(0); err == nil {
 		t.Fatal("corrupted ready count not detected")
 	}
