@@ -287,8 +287,9 @@ type held struct {
 type Injector struct {
 	plan     *Plan
 	attempts []int
-	pending  []held // sorted by (at, id)
-	stallIdx int    // first window with End() > the latest queried instant
+	pending  []held             // sorted by (at, id)
+	due      []*txn.Transaction // PopDueRestarts' result, reused across calls
+	stallIdx int                // first window with End() > the latest queried instant
 	aborts   int
 	restarts int
 	stalls   int
@@ -371,7 +372,8 @@ func (in *Injector) NextRestart() float64 {
 }
 
 // PopDueRestarts removes and returns the transactions whose backoff expired
-// by now, in (restart time, ID) order.
+// by now, in (restart time, ID) order. The result is the injector's own
+// buffer, valid until the next PopDueRestarts.
 func (in *Injector) PopDueRestarts(now float64) []*txn.Transaction {
 	k := 0
 	for k < len(in.pending) && in.pending[k].at <= now {
@@ -380,10 +382,11 @@ func (in *Injector) PopDueRestarts(now float64) []*txn.Transaction {
 	if k == 0 {
 		return nil
 	}
-	out := make([]*txn.Transaction, k)
-	for i := 0; i < k; i++ {
-		out[i] = in.pending[i].t
+	out := in.due[:0]
+	for _, h := range in.pending[:k] {
+		out = append(out, h.t)
 	}
+	in.due = out
 	in.pending = in.pending[:copy(in.pending, in.pending[k:])]
 	in.restarts += k
 	return out

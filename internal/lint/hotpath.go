@@ -35,7 +35,7 @@ func HotPathAlloc() *Analyzer {
 		Name: "hotpath-alloc",
 		Doc: "flags allocation idioms (escaping composite literals, interface boxing, " +
 			"fmt formatting, string concatenation/conversion, closures, un-presized " +
-			"append, slice/map literals) in every function reachable in the call " +
+			"append, make, slice/map literals) in every function reachable in the call " +
 			"graph from a //lint:hotpath root; //lint:coldpath prunes reachability " +
 			"where a callee is off the event path by design",
 	}
@@ -178,7 +178,8 @@ func checkHotFunc(p *ModulePass, node *callgraph.Node, root *types.Func) {
 }
 
 // checkHotCall handles the call-shaped idioms: allocating conversions,
-// un-presized append, fmt formatting, and interface boxing of arguments.
+// un-presized append, make, fmt formatting, and interface boxing of
+// arguments.
 func checkHotCall(info *types.Info, call *ast.CallExpr, presized map[types.Object]bool, report func(token.Pos, string, ...any)) {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
@@ -194,8 +195,11 @@ func checkHotCall(info *types.Info, call *ast.CallExpr, presized map[types.Objec
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			if b.Name() == "append" && len(call.Args) > 0 {
+			switch {
+			case b.Name() == "append" && len(call.Args) > 0:
 				checkAppend(info, call, presized, report)
+			case b.Name() == "make":
+				report(call.Pos(), "make allocates a new %s", types.ExprString(call.Args[0]))
 			}
 			return
 		}

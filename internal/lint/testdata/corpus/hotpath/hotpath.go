@@ -15,14 +15,14 @@ type step interface {
 // Run is the decision loop under test.
 //
 //lint:hotpath
-func Run(ss []step, names []string, n int) int {
+func Run(ss []step, names []string, buf []int, n int) int {
 	total := 0
 	for i := 0; i < n; i++ {
 		for _, s := range ss {
 			total = s.apply(total)
 		}
 	}
-	total += work(names, total)
+	total += work(names, buf, total)
 	report(total)
 	_ = suppressed(total)
 	guard(total)
@@ -48,7 +48,7 @@ type shifter struct{ by int }
 func (s shifter) apply(x int) int { return x + s.by }
 
 // work is reached statically and seeds the remaining idioms.
-func work(names []string, x int) int {
+func work(names []string, buf []int, x int) int {
 	joined := ""
 	for _, n := range names {
 		joined += n // want hotpath-alloc
@@ -57,10 +57,14 @@ func work(names []string, x int) int {
 	f := func() int { return x } // want hotpath-alloc
 	sink(x)                      // want hotpath-alloc
 	var xs []int
-	xs = append(xs, x) // want hotpath-alloc
-	ys := make([]int, 0, 8)
-	ys = append(ys, x) // presized: no finding
-	return len(b) + f() + len(xs) + len(ys)
+	xs = append(xs, x)         // want hotpath-alloc
+	ys := make([]int, 0, 8)    // want hotpath-alloc
+	ys = append(ys, x)         // presized: only the make is flagged
+	seen := make(map[int]bool) // want hotpath-alloc
+	seen[x] = true
+	zs := buf[:0]
+	zs = append(zs, x) // the caller's reused buffer: no finding
+	return len(b) + f() + len(xs) + len(ys) + len(seen) + len(zs)
 }
 
 // sink's any parameter is what forces the boxing at work's call site.

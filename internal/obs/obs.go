@@ -184,7 +184,13 @@ type Event struct {
 // MarshalJSON renders the event as a single flat JSON object with a fixed
 // field order, so serialized streams are byte-stable across runs.
 func (e Event) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 128)
+	return e.encodeJSON(make([]byte, 0, 128)), nil
+}
+
+// encodeJSON writes MarshalJSON's encoding over buf's storage, growing it
+// only when the event does not fit, and returns the encoded bytes.
+func (e *Event) encodeJSON(buf []byte) []byte {
+	b := buf[:0]
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendUint(b, e.Seq, 10)
 	b = append(b, `,"t":`...)
@@ -213,8 +219,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		b = append(b, `,"detail":`...)
 		b = strconv.AppendQuote(b, e.Detail)
 	}
-	b = append(b, '}')
-	return b, nil
+	return append(b, '}')
 }
 
 // KindFromString is the inverse of Kind.String.
@@ -502,6 +507,7 @@ func (c *Collector) Events() []Event {
 // reported by Flush/Err; later events are dropped.
 type JSONLWriter struct {
 	w   *bufio.Writer
+	buf []byte // the line being encoded, reused across events
 	seq uint64
 	err error
 }
@@ -518,10 +524,10 @@ func (j *JSONLWriter) Emit(ev Event) {
 	}
 	ev.Seq = j.seq
 	j.seq++
-	b, err := ev.MarshalJSON()
+	j.buf = ev.encodeJSON(j.buf)
+	_, err := j.w.Write(j.buf)
 	if err == nil {
-		//lint:ignore hotpath-alloc JSONL encoding allocates by design; this sink is for offline capture, not benchmark runs
-		_, err = j.w.Write(append(b, '\n'))
+		err = j.w.WriteByte('\n')
 	}
 	if err != nil {
 		j.err = err

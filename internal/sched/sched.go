@@ -52,6 +52,7 @@ type ReadyTracker struct {
 	unfinished []int // outstanding direct dependencies per transaction
 	arrived    []bool
 	finished   []bool
+	newly      []*txn.Transaction // Complete's result, reused across calls
 }
 
 // NewReadyTracker builds a tracker for set with every transaction unarrived
@@ -66,6 +67,11 @@ func NewReadyTracker(set *txn.Set) *ReadyTracker {
 	for _, t := range set.Txns {
 		rt.unfinished[t.ID] = len(t.Deps)
 	}
+	most := 0
+	for _, deps := range set.Dependents {
+		most = max(most, len(deps))
+	}
+	rt.newly = make([]*txn.Transaction, 0, most)
 	return rt
 }
 
@@ -78,16 +84,19 @@ func (rt *ReadyTracker) Arrive(t *txn.Transaction) bool {
 
 // Complete records the completion of t and returns the transactions that
 // became ready as a result: dependents whose last outstanding dependency was
-// t and that have already arrived.
+// t and that have already arrived. The result is the tracker's own buffer,
+// sized for the widest fan-out at construction: it is valid until the next
+// Complete, so callers consume it first.
 func (rt *ReadyTracker) Complete(t *txn.Transaction) []*txn.Transaction {
 	rt.finished[t.ID] = true
-	newly := make([]*txn.Transaction, 0, len(rt.set.Dependents[t.ID]))
+	newly := rt.newly[:0]
 	for _, depID := range rt.set.Dependents[t.ID] {
 		rt.unfinished[depID]--
 		if rt.unfinished[depID] == 0 && rt.arrived[depID] && !rt.finished[depID] {
 			newly = append(newly, rt.set.ByID(depID))
 		}
 	}
+	rt.newly = newly
 	return newly
 }
 
