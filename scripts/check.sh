@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the full local gate, identical to CI.
 # Usage: scripts/check.sh [short]
-#   short: skip the -race pass (quick pre-commit loop)
+#   short: skip the full -race pass and the parallel speedup gate (quick
+#   pre-commit loop)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -46,5 +47,14 @@ echo "== benchmark module (vet + smoke runs + traced == untraced digests)"
 
 echo "== asetslint"
 go run ./cmd/asetslint ./...
+
+if [ "${1:-}" != "short" ]; then
+    # Alone and last, as in CI, so the wall-clock speedup gate (enforced at
+    # >= 4 CPUs) is not measured next to other packages' tests.
+    echo "== parallel runner speedup gate"
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    go run ./cmd/asetsbench -parallel-bench "$tmp/BENCH_parallel.json" -n 300 -seeds 2
+fi
 
 echo "all checks passed"
