@@ -23,7 +23,6 @@ import (
 
 	"repro"
 	"repro/internal/experiments"
-	"repro/internal/sched"
 )
 
 // benchOpts are smaller than the paper's full scale (1000 transactions,
@@ -318,32 +317,6 @@ func BenchmarkASETSInit(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				repro.NewASETSStar().Init(set)
-			}
-		})
-	}
-}
-
-// BenchmarkBackendHeapVsTreap compares the two ready-queue substrates (the
-// indexed binary heap versus the paper's balanced-BST reading) running the
-// same EDF policy over the same workload; schedules are identical, only the
-// constants differ.
-func BenchmarkBackendHeapVsTreap(b *testing.B) {
-	cfg := repro.DefaultWorkload(0.9, 7)
-	less := func(x, y *repro.Transaction) bool {
-		if x.Deadline != y.Deadline {
-			return x.Deadline < y.Deadline
-		}
-		return x.ID < y.ID
-	}
-	for _, bk := range []struct {
-		name    string
-		backend sched.Backend
-	}{{"heap", sched.BackendHeap}, {"treap", sched.BackendTreap}} {
-		b.Run(bk.name, func(b *testing.B) {
-			set := repro.MustGenerate(cfg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				repro.MustRun(set, sched.NewPriorityPolicyWithBackend("EDF", less, bk.backend), repro.SimConfig{})
 			}
 		})
 	}

@@ -425,7 +425,7 @@ func printAnalysis(set *txn.Set, rec *trace.Recorder) {
 		}
 	}
 	fmt.Printf("  busy periods: %d (of %d periods)\n", busy, len(periods))
-	h := metrics.NewHistogram(2)
+	h := metrics.NewHistogram()
 	for _, t := range set.Txns {
 		h.Add(t.Tardiness())
 	}

@@ -234,6 +234,15 @@ func (s *SLO) Load() error {
 		return err
 	}
 	s.spec = &spec
+	// slo.Config reads a zero geometry field as "use the default". The
+	// flags already default to it, so a zero here was typed: reject it
+	// rather than run with a window the user did not ask for.
+	if s.Window == 0 {
+		return fmt.Errorf("slo: -slo-window 0 must be positive")
+	}
+	if s.BurnFast == 0 || s.BurnSlow == 0 {
+		return fmt.Errorf("slo: burn lookbacks (%d fast, %d slow) must be at least one window", s.BurnFast, s.BurnSlow)
+	}
 	return s.config().Validate()
 }
 

@@ -292,6 +292,16 @@ func TestSLOErrors(t *testing.T) {
 			want: "window",
 		},
 		{
+			name: "zero window",
+			args: []string{"-slo", "default", "-slo-window", "0"},
+			want: "window",
+		},
+		{
+			name: "zero fast lookback",
+			args: []string{"-slo", "default", "-slo-burn-fast", "0"},
+			want: "lookback",
+		},
+		{
 			name: "fast lookback not below slow",
 			args: []string{"-slo", "default", "-slo-burn-fast", "12", "-slo-burn-slow", "12"},
 			want: "fast",

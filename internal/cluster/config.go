@@ -123,9 +123,6 @@ type Config struct {
 	// RecoveryCooldown delays the circuit-breaker's half-open transition
 	// past the crash window's end, modelling restart time.
 	RecoveryCooldown float64
-	// MaxSteps bounds scheduling decisions as a livelock safety net; zero
-	// selects a generous default scaled by the fleet and fault plans.
-	MaxSteps int
 	// Sink, when non-nil, receives the routed decision-event stream —
 	// the per-instance scheduling events interleaved with route/failover/
 	// eject/recover — in one globally time-ordered sequence.
@@ -152,7 +149,9 @@ type Config struct {
 }
 
 // validate checks the configuration against the workload, returning the
-// effective retry budget and step cap.
+// effective retry budget and the step cap: a livelock safety net on
+// scheduling decisions, scaled by the fleet, the retry budget and the fault
+// plans.
 //
 //lint:coldpath config validation runs once before the event loop
 func (c *Config) validate(set *txn.Set) (Retry, int, error) {
@@ -166,17 +165,14 @@ func (c *Config) validate(set *txn.Set) (Retry, int, error) {
 			return Retry{}, 0, fmt.Errorf("cluster: transaction %d has dependencies; the cluster tier routes independent transactions only", t.ID)
 		}
 	}
-	steps := c.MaxSteps
-	if steps == 0 {
-		scale, windows := 1+retry.Budget, 0
-		for _, p := range c.Faults {
-			if p != nil {
-				scale = max(scale, 1+retry.Budget+p.MaxRestarts)
-				windows += len(p.Stalls)
-			}
+	scale, windows := 1+retry.Budget, 0
+	for _, p := range c.Faults {
+		if p != nil {
+			scale = max(scale, 1+retry.Budget+p.MaxRestarts)
+			windows += len(p.Stalls)
 		}
-		steps = (8*n+64)*scale + 16*windows + 64*c.Instances
 	}
+	steps := (8*n+64)*scale + 16*windows + 64*c.Instances
 	if contention.HasKeys(set) {
 		// Validation failures re-execute from scratch; each failure needs a
 		// distinct conflicting commit inside the victim's open window, so a

@@ -10,10 +10,10 @@ import (
 
 // ExhaustiveSwitch returns the analyzer enforcing that every switch over a
 // module-declared enum (a named integer type with at least two package-level
-// constants, like core.Rule, core.Activation, sched.Backend or the workload
-// shape enums) either handles every declared constant explicitly or carries
-// a default clause that fails loudly (panic, os.Exit, log.Fatal, or an
-// error construction). A silent default over a scheduling-policy enum is how
+// constants, like core.Rule, core.Activation or the workload shape enums)
+// either handles every declared constant explicitly or carries a default
+// clause that fails loudly (panic, os.Exit, log.Fatal, or an error
+// construction). A silent default over a scheduling-policy enum is how
 // a newly added policy variant runs with the wrong semantics instead of
 // crashing in the first test.
 func ExhaustiveSwitch() *Analyzer {

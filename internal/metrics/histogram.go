@@ -7,15 +7,12 @@ import (
 )
 
 // Histogram accumulates non-negative observations (tardiness, response
-// times) into geometric buckets: bucket i covers [base^i, base^(i+1)), with
+// times) into power-of-two buckets: bucket i covers [2^i, 2^(i+1)), with
 // a dedicated zero bucket because "met the deadline" is the interesting mass
 // point of every tardiness distribution. The geometric layout keeps
 // resolution proportional to magnitude across the 4-5 decades a saturated
 // run produces.
 type Histogram struct {
-	base    float64
-	logBase float64 // precomputed math.Log(base); the index divisor
-	pow2    bool    // base == 2: index via exponent extraction, no Log calls
 	zero    int
 	buckets []int
 	n       int
@@ -23,16 +20,10 @@ type Histogram struct {
 	max     float64
 }
 
-// NewHistogram returns a histogram with the given bucket growth factor
-// (must exceed 1; 2 gives powers of two).
+// NewHistogram returns an empty histogram.
 //
 //lint:coldpath histogram construction happens at metric-registration time
-func NewHistogram(base float64) *Histogram {
-	if base <= 1 || math.IsNaN(base) || math.IsInf(base, 0) {
-		panic(fmt.Sprintf("metrics: histogram base %v must be > 1", base))
-	}
-	return &Histogram{base: base, logBase: math.Log(base), pow2: base == 2}
-}
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Add records one observation. Negative values panic: tardiness and
 // response times are non-negative by construction, so a negative value is a
@@ -50,17 +41,12 @@ func (h *Histogram) Add(v float64) {
 		h.zero++
 		return
 	}
-	var idx int
-	if h.pow2 {
-		// floor(log2(v)) extracted from the float representation: Frexp
-		// yields v = frac × 2^exp with frac in [0.5, 1), so the floor is
-		// exactly exp-1 — no transcendental call on the observation path,
-		// and exact at bucket boundaries where Log would round.
-		_, exp := math.Frexp(v)
-		idx = exp - 1
-	} else {
-		idx = int(math.Floor(math.Log(v) / h.logBase))
-	}
+	// floor(log2(v)) extracted from the float representation: Frexp yields
+	// v = frac × 2^exp with frac in [0.5, 1), so the floor is exactly exp-1 —
+	// no transcendental call on the observation path, and exact at bucket
+	// boundaries where Log would round.
+	_, exp := math.Frexp(v)
+	idx := exp - 1
 	if idx < 0 {
 		idx = 0 // sub-unit values share the first bucket
 	}
@@ -71,7 +57,7 @@ func (h *Histogram) Add(v float64) {
 }
 
 // extend grows the bucket array until idx is addressable. Warm-up-only:
-// buckets reach ~log_base(max) entries, then stay fixed, keeping the
+// buckets reach ~log2(max) entries, then stay fixed, keeping the
 // steady-state observation path allocation-free.
 //
 //lint:coldpath bucket growth runs only during warm-up; steady-state Add never reaches it
@@ -84,12 +70,8 @@ func (h *Histogram) extend(idx int) {
 // Merge folds other into h: counts and bucket occupancies add, the running
 // sum accumulates (h.sum + other.sum, in that order — merging registries in
 // a fixed order therefore yields bit-identical sums), and the maximum is the
-// larger of the two. It returns an error when the bucket bases differ,
-// because the geometric layouts would not align. other is not modified.
-func (h *Histogram) Merge(other *Histogram) error {
-	if h.base != other.base {
-		return fmt.Errorf("metrics: cannot merge histograms with bases %v and %v", h.base, other.base)
-	}
+// larger of the two. other is not modified.
+func (h *Histogram) Merge(other *Histogram) {
 	h.n += other.n
 	h.zero += other.zero
 	h.sum += other.sum
@@ -102,7 +84,6 @@ func (h *Histogram) Merge(other *Histogram) error {
 	for i, c := range other.buckets {
 		h.buckets[i] += c
 	}
-	return nil
 }
 
 // N returns the number of observations.
@@ -119,17 +100,14 @@ func (h *Histogram) Mean() float64 {
 // Max returns the largest observation.
 func (h *Histogram) Max() float64 { return h.max }
 
-// Base returns the bucket growth factor the histogram was constructed with.
-func (h *Histogram) Base() float64 { return h.base }
-
 // Sum returns the exact running sum of all observations, accumulated in
 // observation order — exporters that must agree bit-for-bit with an
 // independently kept running sum rely on this.
 func (h *Histogram) Sum() float64 { return h.sum }
 
 // Bucket is one histogram cell for exporters. The zero bucket (exactly-zero
-// observations) has Upper == 0; bucket i of the geometric layout has
-// Upper == base^(i+1) and covers observations in [base^i, base^(i+1)) —
+// observations) has Upper == 0; bucket i of the power-of-two layout has
+// Upper == 2^(i+1) and covers observations in [2^i, 2^(i+1)) —
 // except the first, which also absorbs sub-unit values.
 type Bucket struct {
 	Upper float64
@@ -143,7 +121,7 @@ func (h *Histogram) Buckets() []Bucket {
 	out := make([]Bucket, 0, len(h.buckets)+1)
 	out = append(out, Bucket{Upper: 0, Count: h.zero})
 	for i, c := range h.buckets {
-		out = append(out, Bucket{Upper: math.Pow(h.base, float64(i+1)), Count: c})
+		out = append(out, Bucket{Upper: math.Pow(2, float64(i+1)), Count: c})
 	}
 	return out
 }
@@ -174,7 +152,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.buckets {
 		acc += c
 		if acc >= target {
-			return math.Pow(h.base, float64(i+1))
+			return math.Pow(2, float64(i+1))
 		}
 	}
 	return h.max
@@ -191,8 +169,8 @@ func (h *Histogram) String() string {
 		if c == 0 {
 			continue
 		}
-		lo := math.Pow(h.base, float64(i))
-		hi := math.Pow(h.base, float64(i+1))
+		lo := math.Pow(2, float64(i))
+		hi := math.Pow(2, float64(i+1))
 		fmt.Fprintf(&b, "%5.1f-%-6.1f %6d %s\n", lo, hi, c, bar(c, h.n))
 	}
 	return b.String()

@@ -9,7 +9,7 @@ import (
 // if it had observed other's stream after its own — counts, zero bucket,
 // sum, max and every geometric bucket.
 func TestHistogramMergeEqualsSerialFeed(t *testing.T) {
-	a, b, want := NewHistogram(2), NewHistogram(2), NewHistogram(2)
+	a, b, want := NewHistogram(), NewHistogram(), NewHistogram()
 	for _, v := range []float64{0, 0.5, 1, 2.5, 7, 300} {
 		a.Add(v)
 		want.Add(v)
@@ -18,9 +18,7 @@ func TestHistogramMergeEqualsSerialFeed(t *testing.T) {
 		b.Add(v)
 		want.Add(v)
 	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
+	a.Merge(b)
 	if a.N() != want.N() || a.Sum() != want.Sum() || a.Max() != want.Max() {
 		t.Fatalf("merged N/Sum/Max = %d/%v/%v, want %d/%v/%v",
 			a.N(), a.Sum(), a.Max(), want.N(), want.Sum(), want.Max())
@@ -33,12 +31,10 @@ func TestHistogramMergeEqualsSerialFeed(t *testing.T) {
 // TestHistogramMergeGrowsBuckets: merging a histogram with more buckets than
 // the destination extends the destination.
 func TestHistogramMergeGrowsBuckets(t *testing.T) {
-	a, b := NewHistogram(2), NewHistogram(2)
+	a, b := NewHistogram(), NewHistogram()
 	a.Add(1)
 	b.Add(1 << 20)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
+	a.Merge(b)
 	if a.N() != 2 || a.Max() != 1<<20 {
 		t.Fatalf("after growth merge: N=%d Max=%v", a.N(), a.Max())
 	}
@@ -47,22 +43,13 @@ func TestHistogramMergeGrowsBuckets(t *testing.T) {
 // TestHistogramMergeLeavesSourceUntouched: Merge reads but never writes the
 // other histogram.
 func TestHistogramMergeLeavesSourceUntouched(t *testing.T) {
-	a, b := NewHistogram(2), NewHistogram(2)
+	a, b := NewHistogram(), NewHistogram()
 	a.Add(3)
 	b.Add(5)
 	before := b.Buckets()
 	n, sum := b.N(), b.Sum()
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
+	a.Merge(b)
 	if b.N() != n || b.Sum() != sum || !reflect.DeepEqual(b.Buckets(), before) {
 		t.Fatal("Merge mutated its argument")
-	}
-}
-
-func TestHistogramMergeBaseMismatch(t *testing.T) {
-	a, b := NewHistogram(2), NewHistogram(10)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging mismatched bases should error")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(2)
+	h := NewHistogram()
 	for _, v := range []float64{0, 0, 1.5, 3, 10, 100} {
 		h.Add(v)
 	}
@@ -31,7 +31,7 @@ func TestHistogramBasics(t *testing.T) {
 // against an equally-ordered external sum) and Buckets returns the zero
 // bucket followed by the geometric edges.
 func TestHistogramSumAndBuckets(t *testing.T) {
-	h := NewHistogram(2)
+	h := NewHistogram()
 	vals := []float64{0, 0.5, 1.5, 3, 10}
 	var sum float64
 	for _, v := range vals {
@@ -55,13 +55,13 @@ func TestHistogramSumAndBuckets(t *testing.T) {
 	if total != len(vals) {
 		t.Fatalf("bucket counts sum to %d, want %d", total, len(vals))
 	}
-	if NewHistogram(2).Sum() != 0 {
+	if NewHistogram().Sum() != 0 {
 		t.Fatal("empty histogram Sum non-zero")
 	}
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(2)
+	h := NewHistogram()
 	// 50 zeros, 50 values of 8 (bucket [8,16)).
 	for i := 0; i < 50; i++ {
 		h.Add(0)
@@ -82,14 +82,14 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 func TestHistogramQuantileEmpty(t *testing.T) {
-	h := NewHistogram(2)
+	h := NewHistogram()
 	if h.Quantile(0.99) != 0 {
 		t.Fatal("empty quantile non-zero")
 	}
 }
 
 func TestHistogramSubUnitValues(t *testing.T) {
-	h := NewHistogram(2)
+	h := NewHistogram()
 	h.Add(0.001)
 	h.Add(0.5)
 	if h.N() != 2 || h.ZeroFraction() != 0 {
@@ -98,14 +98,7 @@ func TestHistogramSubUnitValues(t *testing.T) {
 }
 
 func TestHistogramPanics(t *testing.T) {
-	for _, base := range []float64{1, 0.5, math.NaN()} {
-		func() {
-			defer func() { recover() }()
-			NewHistogram(base)
-			t.Errorf("base %v accepted", base)
-		}()
-	}
-	h := NewHistogram(2)
+	h := NewHistogram()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative observation accepted")
@@ -115,7 +108,7 @@ func TestHistogramPanics(t *testing.T) {
 }
 
 func TestHistogramString(t *testing.T) {
-	h := NewHistogram(2)
+	h := NewHistogram()
 	h.Add(0)
 	h.Add(5)
 	out := h.String()
@@ -128,7 +121,7 @@ func TestHistogramString(t *testing.T) {
 // bounded by the observation range for any data.
 func TestQuickHistogramQuantileMonotone(t *testing.T) {
 	f := func(vals []uint16) bool {
-		h := NewHistogram(2)
+		h := NewHistogram()
 		for _, v := range vals {
 			h.Add(float64(v))
 		}
@@ -147,11 +140,11 @@ func TestQuickHistogramQuantileMonotone(t *testing.T) {
 	}
 }
 
-// TestHistogramPow2Buckets pins the exponent-extraction fast path to the
+// TestHistogramPow2Buckets pins the exponent-extraction index to the
 // documented layout: bucket i covers [2^i, 2^(i+1)), exact at boundaries,
 // with sub-unit values absorbed by the first bucket.
 func TestHistogramPow2Buckets(t *testing.T) {
-	h := NewHistogram(2)
+	h := NewHistogram()
 	cases := []struct {
 		v    float64
 		want int // geometric bucket index (excluding the zero bucket)
@@ -160,7 +153,7 @@ func TestHistogramPow2Buckets(t *testing.T) {
 		{0.5, 0}, {0.001, 0}, // sub-unit clamps to the first bucket
 	}
 	for _, c := range cases {
-		h = NewHistogram(2)
+		h = NewHistogram()
 		h.Add(c.v)
 		buckets := h.Buckets()[1:] // strip the zero bucket
 		if len(buckets) != c.want+1 || buckets[c.want].Count != 1 {

@@ -7,12 +7,12 @@ import (
 
 // Sketch is a deterministic, mergeable quantile sketch with fixed geometric
 // bucket boundaries (the DDSketch family): bucket i covers values in
-// (gamma^(i-1), gamma^i] with gamma = (1+alpha)/(1-alpha), so every quantile
-// estimate is the upper edge of a bucket and carries a relative error bounded
-// by alpha. Because the boundaries are a pure function of alpha — never of
-// the data — two sketches built from the same observations in any order hold
-// identical bucket counts, and sketches from disjoint runs merge exactly
-// (counts add cell by cell). That fixed-boundary property is what lets the
+// (gamma^(i-1), gamma^i] with gamma = (1+alpha)/(1-alpha) and alpha = 1%, so
+// every quantile estimate is the upper edge of a bucket and carries a
+// relative error bounded by 1%. Because the boundaries are fixed — never a
+// function of the data — two sketches built from the same observations in
+// any order hold identical bucket counts, and sketches from disjoint runs
+// merge exactly (counts add cell by cell). That fixed-boundary property is what lets the
 // parallel experiment engine keep windowed percentiles bit-identical between
 // serial and multi-worker runs (docs/PARALLELISM.md).
 //
@@ -31,43 +31,43 @@ import (
 // and every read walks them through one ascending iterator (bucketIter), so
 // the representation never shows in any count, quantile, cell or merge.
 //
-// A sketch that has never been observed may be copied by value to stamp out
-// further sketches of the same accuracy.
+// The zero Sketch is empty and ready to use.
 type Sketch struct {
-	alpha    float64
-	gamma    float64
-	logGamma float64
-	zero     int64
-	n        int64
-	sum      float64
-	max      float64
-	lo       int32               // dense: bucket index of buckets[0]
-	nIn      int8                // inline: occupied entries of inIdx/inCnt
-	inIdx    [sketchInline]int16 // inline: ascending bucket indices
-	inCnt    [sketchInline]int64 // inline: their counts (never zero)
-	buckets  []int64             // dense bucket counts; non-nil once dense
+	zero    int64
+	n       int64
+	sum     float64
+	max     float64
+	lo      int32               // dense: bucket index of buckets[0]
+	nIn     int8                // inline: occupied entries of inIdx/inCnt
+	inIdx   [sketchInline]int16 // inline: ascending bucket indices
+	inCnt   [sketchInline]int64 // inline: their counts (never zero)
+	buckets []int64             // dense bucket counts; non-nil once dense
 }
+
+// sketchAlpha is every sketch's relative accuracy: quantile estimates are
+// within 1% of the true value.
+const sketchAlpha = 0.01
+
+// sketchGamma is the ratio between consecutive bucket edges, and
+// sketchLogGamma its logarithm, the bucket-index divisor.
+var (
+	sketchGamma    = (1 + sketchAlpha) / (1 - sketchAlpha)
+	sketchLogGamma = math.Log(sketchGamma)
+)
 
 // sketchInline is the number of occupied buckets a sketch keeps inline
 // before it allocates a dense bucket array.
 const sketchInline = 4
 
-// sketchIndexBound clamps bucket indices: with alpha = 0.01 the bound covers
+// sketchIndexBound clamps bucket indices: with alpha = 1% the bound covers
 // values from roughly 1e-17 to 1e+17. Observations beyond it collapse into
 // the edge buckets (Max still records the exact extreme).
 const sketchIndexBound = 4096
 
-// NewSketch returns a sketch with relative accuracy alpha (0 < alpha < 1;
-// 0.01 gives 1% relative error, the conventional default).
+// NewSketch returns an empty sketch.
 //
 //lint:coldpath sketch construction happens at metric-registration time
-func NewSketch(alpha float64) *Sketch {
-	if !(alpha > 0 && alpha < 1) || math.IsNaN(alpha) {
-		panic(fmt.Sprintf("metrics: sketch alpha %v must be in (0, 1)", alpha))
-	}
-	gamma := (1 + alpha) / (1 - alpha)
-	return &Sketch{alpha: alpha, gamma: gamma, logGamma: math.Log(gamma)}
-}
+func NewSketch() *Sketch { return &Sketch{} }
 
 // Add records one observation. Negative and NaN values panic: tardiness,
 // response times and slowdowns are non-negative by construction, so anything
@@ -91,7 +91,7 @@ func (s *Sketch) Add(v float64) {
 // index maps a positive value to its bucket: the smallest i with
 // gamma^i >= v, clamped to the indexable range.
 func (s *Sketch) index(v float64) int {
-	idx := int(math.Ceil(math.Log(v) / s.logGamma))
+	idx := int(math.Ceil(math.Log(v) / sketchLogGamma))
 	if idx < -sketchIndexBound {
 		idx = -sketchIndexBound
 	}
@@ -209,13 +209,9 @@ func (it *bucketIter) next() (idx int, c int64, ok bool) {
 // under any merge grouping; the float sum is a left-fold, so it is
 // bit-reproducible for a fixed set of partials folded in a fixed order (the
 // runner merges per-job sketches in job order on both its serial and parallel
-// paths, which is why worker count never changes the merged sum). It returns
-// an error when the relative accuracies differ, because the bucket boundaries
-// would not align. other is not modified.
-func (s *Sketch) Merge(other *Sketch) error {
-	if s.alpha != other.alpha {
-		return fmt.Errorf("metrics: cannot merge sketches with alpha %v and %v", s.alpha, other.alpha)
-	}
+// paths, which is why worker count never changes the merged sum). other is
+// not modified.
+func (s *Sketch) Merge(other *Sketch) {
 	s.n += other.n
 	s.zero += other.zero
 	s.sum += other.sum
@@ -225,7 +221,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 	for it := (bucketIter{s: other}); ; {
 		idx, c, ok := it.next()
 		if !ok {
-			return nil
+			return
 		}
 		s.addAt(idx, c)
 	}
@@ -259,14 +255,11 @@ func (s *Sketch) Sum() float64 { return s.sum }
 // Max returns the largest observation.
 func (s *Sketch) Max() float64 { return s.max }
 
-// Alpha returns the relative accuracy the sketch was constructed with.
-func (s *Sketch) Alpha() float64 { return s.alpha }
-
 // ZeroCount returns the number of exactly-zero observations.
 func (s *Sketch) ZeroCount() int64 { return s.zero }
 
 // Quantile returns the upper bucket edge holding the q-quantile (0 < q <= 1):
-// an upper estimate within relative error alpha of the true quantile (zero
+// an upper estimate within 1% relative error of the true quantile (zero
 // for the zero bucket). The estimate is a pure function of the bucket counts
 // — identical counts give a bit-identical answer regardless of the order the
 // observations arrived or the sketches were merged in.
@@ -294,7 +287,7 @@ func (s *Sketch) Quantile(q float64) float64 {
 				// nominal edge; the exact maximum is the honest bound.
 				return s.max
 			}
-			edge := math.Pow(s.gamma, float64(idx))
+			edge := math.Pow(sketchGamma, float64(idx))
 			if edge > s.max {
 				// The top bucket's edge can overshoot the data; the true
 				// quantile never exceeds the exact maximum.
@@ -324,6 +317,6 @@ func (s *Sketch) Cells() []SketchCell {
 		if !ok {
 			return out
 		}
-		out = append(out, SketchCell{Upper: math.Pow(s.gamma, float64(idx)), Count: c})
+		out = append(out, SketchCell{Upper: math.Pow(sketchGamma, float64(idx)), Count: c})
 	}
 }

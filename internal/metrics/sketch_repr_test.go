@@ -151,7 +151,7 @@ func TestSketchReprMatchesDenseReference(t *testing.T) {
 		if trial%3 == 0 {
 			distinct = r.IntRange(1, sketchInline)
 		}
-		s := NewSketch(0.01)
+		s := NewSketch()
 		ref := newRefSketch(0.01)
 		for i, v := range reprStream(r, n, distinct) {
 			s.Add(v)
@@ -185,7 +185,7 @@ func TestSketchReprMergePairings(t *testing.T) {
 		if dense {
 			n, distinct = r.IntRange(20, 150), 0
 		}
-		s, ref := NewSketch(0.01), newRefSketch(0.01)
+		s, ref := NewSketch(), newRefSketch(0.01)
 		for _, v := range reprStream(r, n, distinct) {
 			s.Add(v)
 			ref.add(v)
@@ -201,29 +201,23 @@ func TestSketchReprMergePairings(t *testing.T) {
 				// inline; the pairing is then covered by another trial.
 				continue
 			}
-			ab, rab := NewSketch(0.01), newRefSketch(0.01)
+			ab, rab := NewSketch(), newRefSketch(0.01)
 			for _, src := range []*Sketch{a, b} {
-				if err := ab.Merge(src); err != nil {
-					t.Fatal(err)
-				}
+				ab.Merge(src)
 			}
 			rab.merge(ra)
 			rab.merge(rb)
 			assertMatchesRef(t, "fresh <- a <- b", ab, rab)
 
-			ba, rba := NewSketch(0.01), newRefSketch(0.01)
+			ba, rba := NewSketch(), newRefSketch(0.01)
 			for _, src := range []*Sketch{b, a} {
-				if err := ba.Merge(src); err != nil {
-					t.Fatal(err)
-				}
+				ba.Merge(src)
 			}
 			rba.merge(rb)
 			rba.merge(ra)
 			assertMatchesRef(t, "fresh <- b <- a", ba, rba)
 
-			if err := a.Merge(b); err != nil {
-				t.Fatal(err)
-			}
+			a.Merge(b)
 			ra.merge(rb)
 			assertMatchesRef(t, "a <- b", a, ra)
 			assertMatchesRef(t, "b unchanged by merge", b, rb)
@@ -238,7 +232,7 @@ func TestSketchInlineAddAllocFree(t *testing.T) {
 	if len(vs) != sketchInline+1 {
 		t.Fatalf("stream has %d values, want one per inline slot plus zero", len(vs))
 	}
-	s := NewSketch(0.01)
+	s := NewSketch()
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Reset()
 		for _, v := range vs {

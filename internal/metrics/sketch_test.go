@@ -9,7 +9,7 @@ import (
 )
 
 func TestSketchBasics(t *testing.T) {
-	s := NewSketch(0.01)
+	s := NewSketch()
 	if got := s.Quantile(0.5); got != 0 {
 		t.Fatalf("empty quantile = %v", got)
 	}
@@ -29,8 +29,7 @@ func TestSketchBasics(t *testing.T) {
 }
 
 func TestSketchRelativeAccuracy(t *testing.T) {
-	const alpha = 0.01
-	s := NewSketch(alpha)
+	s := NewSketch()
 	// 1..10000 uniformly: the true q-quantile of the multiset is known.
 	for i := 1; i <= 10000; i++ {
 		s.Add(float64(i))
@@ -38,7 +37,7 @@ func TestSketchRelativeAccuracy(t *testing.T) {
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.95, 0.99, 1} {
 		got := s.Quantile(q)
 		want := math.Ceil(q * 10000)
-		if rel := math.Abs(got-want) / want; rel > 2*alpha {
+		if rel := math.Abs(got-want) / want; rel > 2*sketchAlpha {
 			t.Errorf("q=%v: got %v want %v (rel err %v)", q, got, want, rel)
 		}
 		if got > s.Max() {
@@ -53,7 +52,7 @@ func TestSketchOrderIndependentCounts(t *testing.T) {
 	for i := range vals {
 		vals[i] = r.Float64() * 100
 	}
-	fwd, rev := NewSketch(0.02), NewSketch(0.02)
+	fwd, rev := NewSketch(), NewSketch()
 	for _, v := range vals {
 		fwd.Add(v)
 	}
@@ -76,7 +75,7 @@ func TestSketchOrderIndependentCounts(t *testing.T) {
 // is only guaranteed for a fixed merge order, like Histogram.)
 func TestSketchMergeAssociativity(t *testing.T) {
 	build := func(seed uint64, n int) *Sketch {
-		s := NewSketch(0.01)
+		s := NewSketch()
 		r := rng.New(seed)
 		for i := 0; i < n; i++ {
 			v := r.Float64() * 50
@@ -91,20 +90,12 @@ func TestSketchMergeAssociativity(t *testing.T) {
 
 	// (a ⊕ b) ⊕ c
 	a1, b1, c1 := mk()
-	if err := a1.Merge(b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a1.Merge(c1); err != nil {
-		t.Fatal(err)
-	}
+	a1.Merge(b1)
+	a1.Merge(c1)
 	// a ⊕ (b ⊕ c)
 	a2, b2, c2 := mk()
-	if err := b2.Merge(c2); err != nil {
-		t.Fatal(err)
-	}
-	if err := a2.Merge(b2); err != nil {
-		t.Fatal(err)
-	}
+	b2.Merge(c2)
+	a2.Merge(b2)
 
 	if a1.N() != a2.N() || a1.ZeroCount() != a2.ZeroCount() || a1.Max() != a2.Max() {
 		t.Fatalf("aggregates differ: n %d/%d zero %d/%d max %v/%v",
@@ -128,10 +119,10 @@ func TestSketchMergeAssociativity(t *testing.T) {
 func TestSketchMergeMatchesDirect(t *testing.T) {
 	r := rng.New(42)
 	parts := [][]float64{make([]float64, 100), make([]float64, 150), make([]float64, 50)}
-	direct := NewSketch(0.01)
+	direct := NewSketch()
 	partials := make([]*Sketch, len(parts))
 	for i := range parts {
-		partials[i] = NewSketch(0.01)
+		partials[i] = NewSketch()
 		for j := range parts[i] {
 			parts[i][j] = r.Float64() * 200
 			partials[i].Add(parts[i][j])
@@ -139,11 +130,9 @@ func TestSketchMergeMatchesDirect(t *testing.T) {
 		}
 	}
 	fold := func() *Sketch {
-		m := NewSketch(0.01)
+		m := NewSketch()
 		for _, p := range partials {
-			if err := m.Merge(p); err != nil {
-				t.Fatal(err)
-			}
+			m.Merge(p)
 		}
 		return m
 	}
@@ -169,36 +158,21 @@ func TestSketchMergeMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestSketchMergeAlphaMismatch(t *testing.T) {
-	a, b := NewSketch(0.01), NewSketch(0.02)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("alpha mismatch accepted")
-	}
-}
-
 func TestSketchPanics(t *testing.T) {
-	for _, alpha := range []float64{0, 1, -0.5, math.NaN()} {
+	for _, v := range []float64{-1, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewSketch(%v) did not panic", alpha)
+					t.Errorf("Add(%v) did not panic", v)
 				}
 			}()
-			NewSketch(alpha)
+			NewSketch().Add(v)
 		}()
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative Add did not panic")
-			}
-		}()
-		NewSketch(0.01).Add(-1)
-	}()
 }
 
 func TestSketchExtremeValuesClamp(t *testing.T) {
-	s := NewSketch(0.01)
+	s := NewSketch()
 	s.Add(1e300)
 	s.Add(1e-300)
 	if s.N() != 2 || s.Max() != 1e300 {

@@ -51,8 +51,6 @@ func windowBaseOf(name string) bool {
 // as a second registration of a name under another type does, and a merge
 // that would create it returns an error.
 type windowSketches struct {
-	proto metrics.Sketch // an unobserved sketch at the family's accuracy; cells copy it
-
 	mu     sync.Mutex
 	labels []windowLabels            // guarded by mu; interned (class, mode) label pairs
 	index  map[windowKey]*windowCell // guarded by mu
@@ -93,16 +91,14 @@ func (c *windowCell) observe(tardiness, response, slowdown float64) {
 const windowSlabMax = 256
 
 // windowFamily returns the registry's windowed sketch families, creating
-// them with relative accuracy alpha on first use (later calls return the
-// existing families whatever alpha they pass, as Sketch does).
+// them on first use.
 //
 //lint:coldpath family creation happens once per registry
-func (r *Registry) windowFamily(alpha float64) *windowSketches {
+func (r *Registry) windowFamily() *windowSketches {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.window == nil {
 		f := &windowSketches{
-			proto:  *metrics.NewSketch(alpha),
 			index:  make(map[windowKey]*windowCell),
 			shadow: make(map[string]struct{}),
 		}
@@ -156,9 +152,6 @@ func (f *windowSketches) cell(window int, class, mode string) (*windowCell, stri
 	c := &f.slabs[len(f.slabs)-1][f.used]
 	f.used++
 	c.key = key
-	for k := range c.sk {
-		c.sk[k] = f.proto
-	}
 	f.index[key] = c
 	return c, ""
 }
@@ -254,20 +247,13 @@ func (f *windowSketches) mergeFrom(src *windowSketches) error {
 		if dc == nil {
 			return fmt.Errorf("obs: merge: %q is a sketch in the source but not in the destination", taken)
 		}
-		var err error
 		dc.mu.Lock()
 		sc.mu.Lock()
 		for k := range dc.sk {
-			if err = dc.sk[k].Merge(&sc.sk[k]); err != nil {
-				err = fmt.Errorf("obs: merge %q: %w", WindowMetric(windowKinds[k], int(sc.key.win), l.class, l.mode), err)
-				break
-			}
+			dc.sk[k].Merge(&sc.sk[k])
 		}
 		sc.mu.Unlock()
 		dc.mu.Unlock()
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -49,7 +49,7 @@ func randomFamilyObs(r *rng.Source, n int) []familyObs {
 // plain metrics that sort around the cells.
 func familyRegistry(obs []familyObs) *Registry {
 	reg := plainNeighbors()
-	f := reg.windowFamily(0.01)
+	f := reg.windowFamily()
 	for _, o := range obs {
 		c, taken := f.cell(o.win, o.class, o.mode)
 		if c == nil {
@@ -66,7 +66,7 @@ func perNameRegistry(obs []familyObs) *Registry {
 	reg := plainNeighbors()
 	for _, o := range obs {
 		for k := range o.v {
-			reg.Sketch(WindowMetric(windowKinds[k], o.win, o.class, o.mode), windowHelp[k], 0.01).Observe(o.v[k])
+			reg.Sketch(WindowMetric(windowKinds[k], o.win, o.class, o.mode), windowHelp[k]).Observe(o.v[k])
 		}
 	}
 	return reg
@@ -76,9 +76,9 @@ func perNameRegistry(obs []familyObs) *Registry {
 // after the windowed families.
 func plainNeighbors() *Registry {
 	reg := NewRegistry()
-	reg.Sketch(MetricSpanResponse, "per-span response time quantile sketch", 0.01).Observe(3)
-	reg.Sketch("asets_window_responsez", "sorts between families", 0.01).Observe(1)
-	reg.Sketch("asets_window_tardiness_total", "sorts before its family", 0.01).Observe(2)
+	reg.Sketch(MetricSpanResponse, "per-span response time quantile sketch").Observe(3)
+	reg.Sketch("asets_window_responsez", "sorts between families").Observe(1)
+	reg.Sketch("asets_window_tardiness_total", "sorts before its family").Observe(2)
 	reg.Counter("asets_window_tardiness_count", "a counter beside the family").Add(4)
 	reg.Gauge("asets_zzz", "sorts last").Set(1)
 	return reg
@@ -159,28 +159,28 @@ func TestWindowFamilyNameConflicts(t *testing.T) {
 	const taken = "already registered with a different type"
 
 	reg := NewRegistry()
-	f := reg.windowFamily(0.01)
+	f := reg.windowFamily()
 	if c, _ := f.cell(3, "heavy", "edf"); c == nil {
 		t.Fatal("fresh cell refused")
 	}
 	expectPanic(t, "counter after cell", taken, func() { reg.Counter(name, "") })
-	expectPanic(t, "sketch after cell", taken, func() { reg.Sketch(name, "", 0.01) })
+	expectPanic(t, "sketch after cell", taken, func() { reg.Sketch(name, "") })
 	expectPanic(t, "gauge after cell", taken, func() { reg.Gauge(name, "") })
 	reg.Counter(WindowMetric("response", 4, "heavy", "edf"), "a free name under the family base")
 
 	for _, register := range []func(*Registry){
 		func(r *Registry) { r.Counter(name, "") },
-		func(r *Registry) { r.Sketch(name, "", 0.01) },
+		func(r *Registry) { r.Sketch(name, "") },
 	} {
 		// Registered before the family exists, and before the family
 		// creates the cell.
 		for _, familyFirst := range []bool{false, true} {
 			reg := NewRegistry()
 			if familyFirst {
-				reg.windowFamily(0.01)
+				reg.windowFamily()
 			}
 			register(reg)
-			if c, got := reg.windowFamily(0.01).cell(3, "heavy", "edf"); c != nil || got != name {
+			if c, got := reg.windowFamily().cell(3, "heavy", "edf"); c != nil || got != name {
 				t.Errorf("familyFirst=%v: cell over a registered name returned %v, %q", familyFirst, c, got)
 			}
 		}
@@ -194,7 +194,7 @@ func TestWindowFamilyNameConflicts(t *testing.T) {
 
 	// Merges report the conflict in either direction.
 	src := NewRegistry()
-	src.windowFamily(0.01).cell(3, "heavy", "edf")
+	src.windowFamily().cell(3, "heavy", "edf")
 	dst := NewRegistry()
 	dst.Counter(name, "")
 	if err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "is a sketch in the source") {
@@ -202,7 +202,7 @@ func TestWindowFamilyNameConflicts(t *testing.T) {
 	}
 	src, dst = NewRegistry(), NewRegistry()
 	src.Counter(name, "")
-	dst.windowFamily(0.01).cell(3, "heavy", "edf")
+	dst.windowFamily().cell(3, "heavy", "edf")
 	if err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "is a counter in the source") {
 		t.Errorf("counter over destination cell: %v", err)
 	}

@@ -8,8 +8,7 @@ import "fmt"
 // merge bucket-by-bucket via metrics.Histogram.Merge, and quantile sketches
 // merge cell-by-cell via metrics.Sketch.Merge — windowed sketch cells by
 // their (window, class, mode) key. Metrics absent from r are
-// created with src's help text (and, for histograms and sketches, src's
-// bucket base or relative accuracy).
+// created with src's help text.
 //
 // Merge is the aggregation step of the parallel experiment engine
 // (docs/PARALLELISM.md): each run writes to a private registry, and the
@@ -20,7 +19,7 @@ import "fmt"
 // distinct registries.
 //
 // It returns an error when a name is registered with different metric types
-// (or histogram bases) in the two registries.
+// in the two registries.
 func (r *Registry) Merge(src *Registry) error {
 	if src == nil {
 		return nil
@@ -100,19 +99,15 @@ func (r *Registry) Merge(src *Registry) error {
 			}
 			sh := hists[name]
 			sh.mu.Lock()
-			base := sh.h.Base()
-			dh := r.Histogram(name, help[name], base)
+			dh := r.Histogram(name, help[name])
 			if dh == sh {
 				sh.mu.Unlock()
 				return fmt.Errorf("obs: merge: histogram %q is shared between source and destination", name)
 			}
 			dh.mu.Lock()
-			err := dh.h.Merge(sh.h)
+			dh.h.Merge(sh.h)
 			dh.mu.Unlock()
 			sh.mu.Unlock()
-			if err != nil {
-				return fmt.Errorf("obs: merge %q: %w", name, err)
-			}
 		case sketches[name] != nil:
 			r.mu.Lock()
 			_, c := r.counters[name]
@@ -125,24 +120,20 @@ func (r *Registry) Merge(src *Registry) error {
 			}
 			ss := sketches[name]
 			ss.mu.Lock()
-			alpha := ss.s.Alpha()
-			ds := r.Sketch(name, help[name], alpha)
+			ds := r.Sketch(name, help[name])
 			if ds == ss {
 				ss.mu.Unlock()
 				return fmt.Errorf("obs: merge: sketch %q is shared between source and destination", name)
 			}
 			ds.mu.Lock()
-			err := ds.s.Merge(ss.s)
+			ds.s.Merge(ss.s)
 			ds.mu.Unlock()
 			ss.mu.Unlock()
-			if err != nil {
-				return fmt.Errorf("obs: merge %q: %w", name, err)
-			}
 		}
 	}
 	// Windowed sketch cells merge family to family, after the plain metrics.
 	if window != nil {
-		return r.windowFamily(window.proto.Alpha()).mergeFrom(window)
+		return r.windowFamily().mergeFrom(window)
 	}
 	return nil
 }

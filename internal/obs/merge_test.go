@@ -40,13 +40,13 @@ func TestMergeHistogramsBucketwise(t *testing.T) {
 	// merge order — the property the parallel engine relies on.
 	dst, src := NewRegistry(), NewRegistry()
 	want := NewRegistry()
-	wh := want.Histogram("tard", "tardiness", 2)
-	a := dst.Histogram("tard", "tardiness", 2)
+	wh := want.Histogram("tard", "tardiness")
+	a := dst.Histogram("tard", "tardiness")
 	for _, v := range []float64{0, 1.5, 3, 8} {
 		a.Observe(v)
 		wh.Observe(v)
 	}
-	b := src.Histogram("tard", "tardiness", 2)
+	b := src.Histogram("tard", "tardiness")
 	for _, v := range []float64{0.5, 100, 0} {
 		b.Observe(v)
 		wh.Observe(v)
@@ -70,7 +70,7 @@ func TestMergeOrderDeterminism(t *testing.T) {
 			src := NewRegistry()
 			src.Counter("c", "").Add(uint64(i + 1))
 			src.Gauge("g", "").Set(float64(i))
-			src.Histogram("h", "", 2).Observe(float64(i) * 1.25)
+			src.Histogram("h", "").Observe(float64(i) * 1.25)
 			if err := dst.Merge(src); err != nil {
 				t.Fatal(err)
 			}
@@ -105,14 +105,6 @@ func TestMergeErrors(t *testing.T) {
 		src.Counter("x", "").Inc()
 		if err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "counter in the source") {
 			t.Fatalf("got %v, want type-conflict error", err)
-		}
-	})
-	t.Run("histogram base mismatch", func(t *testing.T) {
-		dst, src := NewRegistry(), NewRegistry()
-		dst.Histogram("h", "", 2).Observe(1)
-		src.Histogram("h", "", 10).Observe(1)
-		if err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "bases") {
-			t.Fatalf("got %v, want base-mismatch error", err)
 		}
 	})
 }

@@ -30,7 +30,7 @@ func TestWritePrometheusSamples(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("asets_completions_total", "completed transactions").Add(42)
 	r.Gauge("asets_sim_now", "current simulated time").Set(12.25)
-	h := r.Histogram("asets_tardiness", "tardiness of completed transactions", 2)
+	h := r.Histogram("asets_tardiness", "tardiness of completed transactions")
 	h.Observe(0)
 	h.Observe(0)
 	h.Observe(1.5)

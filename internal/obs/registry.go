@@ -190,11 +190,11 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it with
-// the given geometric bucket base on first use.
+// Histogram returns the histogram registered under name, creating it on
+// first use.
 //
 //lint:coldpath metric registration happens at wiring time; hot code holds the returned handle
-func (r *Registry) Histogram(name, help string, base float64) *Histogram {
+func (r *Registry) Histogram(name, help string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
@@ -204,19 +204,19 @@ func (r *Registry) Histogram(name, help string, base float64) *Histogram {
 	_, g := r.gauges[name]
 	_, s := r.sketches[name]
 	r.register(name, help, c || g || s || windowClaimed(r.window, name))
-	h := &Histogram{h: metrics.NewHistogram(base)}
+	h := &Histogram{h: metrics.NewHistogram()}
 	r.hists[name] = h
 	return h
 }
 
-// Sketch returns the quantile sketch registered under name, creating it with
-// the given relative accuracy alpha on first use. Name may carry a Prometheus
-// label set (`asets_plain{shard="3"}`) — the exporter splits base name and
-// labels apart. The span layer's per-(window, class, mode) sketches are not
-// registered here but live in the registry's windowSketches families.
+// Sketch returns the quantile sketch registered under name, creating it on
+// first use. Name may carry a Prometheus label set (`asets_plain{shard="3"}`)
+// — the exporter splits base name and labels apart. The span layer's
+// per-(window, class, mode) sketches are not registered here but live in the
+// registry's windowSketches families.
 //
 //lint:coldpath metric registration happens at wiring time; hot code holds the returned handle
-func (r *Registry) Sketch(name, help string, alpha float64) *Sketch {
+func (r *Registry) Sketch(name, help string) *Sketch {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s, ok := r.sketches[name]; ok {
@@ -226,7 +226,7 @@ func (r *Registry) Sketch(name, help string, alpha float64) *Sketch {
 	_, g := r.gauges[name]
 	_, h := r.hists[name]
 	r.register(name, help, c || g || h || windowClaimed(r.window, name))
-	s := &Sketch{s: metrics.NewSketch(alpha)}
+	s := &Sketch{s: metrics.NewSketch()}
 	r.sketches[name] = s
 	return s
 }

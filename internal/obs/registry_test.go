@@ -32,8 +32,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if a != b {
 		t.Fatal("same name returned distinct counters")
 	}
-	h1 := r.Histogram("h", "", 2)
-	h2 := r.Histogram("h", "", 4)
+	h1 := r.Histogram("h", "")
+	h2 := r.Histogram("h", "")
 	if h1 != h2 {
 		t.Fatal("same name returned distinct histograms")
 	}
@@ -57,7 +57,7 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 			r.Counter(n, "help "+n).Add(uint64(len(n)))
 		}
 		r.Gauge("g_now", "").Set(3.5)
-		h := r.Histogram("h_tard", "", 2)
+		h := r.Histogram("h_tard", "")
 		h.Observe(0)
 		h.Observe(3)
 		return r.Snapshot()
@@ -94,7 +94,7 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n_total", "")
 	g := r.Gauge("now", "")
-	h := r.Histogram("obs", "", 2)
+	h := r.Histogram("obs", "")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -7,8 +7,8 @@ import (
 
 func TestRegistrySketchHandle(t *testing.T) {
 	r := NewRegistry()
-	s := r.Sketch("asets_test_sketch", "help", 0.01)
-	if r.Sketch("asets_test_sketch", "help", 0.01) != s {
+	s := r.Sketch("asets_test_sketch", "help")
+	if r.Sketch("asets_test_sketch", "help") != s {
 		t.Fatal("second registration returned a different handle")
 	}
 	s.Observe(0)
@@ -35,13 +35,13 @@ func TestRegistrySketchTypeConflict(t *testing.T) {
 			t.Fatal("sketch over an existing counter name did not panic")
 		}
 	}()
-	r.Sketch("asets_conflict", "", 0.01)
+	r.Sketch("asets_conflict", "")
 }
 
 func TestRegistryMergeSketches(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	sa := a.Sketch("asets_m", "h", 0.01)
-	sb := b.Sketch("asets_m", "h", 0.01)
+	sa := a.Sketch("asets_m", "h")
+	sb := b.Sketch("asets_m", "h")
 	sa.Observe(1)
 	sb.Observe(2)
 	sb.Observe(0)
@@ -62,19 +62,10 @@ func TestRegistryMergeSketches(t *testing.T) {
 	}
 }
 
-func TestRegistryMergeSketchAlphaMismatch(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Sketch("asets_m", "h", 0.01).Observe(1)
-	b.Sketch("asets_m", "h", 0.05).Observe(1)
-	if err := a.Merge(b); err == nil || !strings.Contains(err.Error(), "alpha") {
-		t.Fatalf("alpha mismatch not rejected: %v", err)
-	}
-}
-
 func TestRegistryMergeSketchTypeMismatch(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Counter("asets_m", "h")
-	b.Sketch("asets_m", "h", 0.01)
+	b.Sketch("asets_m", "h")
 	if err := a.Merge(b); err == nil || !strings.Contains(err.Error(), "sketch") {
 		t.Fatalf("type mismatch not rejected: %v", err)
 	}
@@ -82,7 +73,7 @@ func TestRegistryMergeSketchTypeMismatch(t *testing.T) {
 
 func TestPrometheusSketchExport(t *testing.T) {
 	r := NewRegistry()
-	s := r.Sketch("asets_plain", "a plain sketch", 0.01)
+	s := r.Sketch("asets_plain", "a plain sketch")
 	for _, v := range []float64{0, 1, 2, 3, 4} {
 		s.Observe(v)
 	}

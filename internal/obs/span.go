@@ -288,8 +288,6 @@ type SpanOptions struct {
 	// Window is the tumbling-window width in simulated time; 0 disables
 	// the windowed series.
 	Window float64
-	// Alpha is the sketch relative accuracy (default 0.01).
-	Alpha float64
 	// Keep bounds the number of retained closed spans (0 = unlimited); the
 	// server sets it so long replays don't grow without bound. With a Keep
 	// bound, compacted-away spans recycle through a free list, so steady
@@ -374,9 +372,6 @@ type SpanBuilder struct {
 // the same set the run executes (the runner's per-job clone is fine — spans
 // only read immutable workload fields).
 func NewSpanBuilder(set *txn.Set, opts SpanOptions) *SpanBuilder {
-	if opts.Alpha == 0 {
-		opts.Alpha = 0.01
-	}
 	b := &SpanBuilder{
 		set:       set,
 		opts:      opts,
@@ -764,11 +759,11 @@ func (b *SpanBuilder) observe(sp *Span, class, mode int8) {
 //
 //lint:coldpath run-total sketch registration happens once per run
 func (b *SpanBuilder) initGlobal() {
-	reg, alpha := b.opts.Metrics, b.opts.Alpha
+	reg := b.opts.Metrics
 	b.global = &spanTotals{
-		tard: reg.Sketch(MetricSpanTardiness, "per-span tardiness quantile sketch", alpha),
-		resp: reg.Sketch(MetricSpanResponse, "per-span response time quantile sketch", alpha),
-		slow: reg.Sketch(MetricSpanSlowdown, "per-span slowdown quantile sketch", alpha),
+		tard: reg.Sketch(MetricSpanTardiness, "per-span tardiness quantile sketch"),
+		resp: reg.Sketch(MetricSpanResponse, "per-span response time quantile sketch"),
+		slow: reg.Sketch(MetricSpanSlowdown, "per-span slowdown quantile sketch"),
 	}
 }
 
@@ -779,7 +774,7 @@ func (b *SpanBuilder) initGlobal() {
 //lint:coldpath runs once per (window, class, mode) cell, not per completion
 func (b *SpanBuilder) fillCell(win int32, slot int, class, mode int8) {
 	if b.window == nil {
-		b.window = b.opts.Metrics.windowFamily(b.opts.Alpha)
+		b.window = b.opts.Metrics.windowFamily()
 	}
 	if win != b.curWin {
 		b.curWin = win

@@ -36,7 +36,7 @@ func TestWindowMetricEscapesLabels(t *testing.T) {
 func TestWindowMetricExpositionUnbroken(t *testing.T) {
 	reg := NewRegistry()
 	sk := reg.Sketch(WindowMetric("tardiness", 0, "bad\"}\nclass", "edf"),
-		"windowed tardiness", 0.01)
+		"windowed tardiness")
 	sk.Observe(1.5)
 	sk.Observe(3)
 	var buf bytes.Buffer

@@ -1,7 +1,7 @@
-// Package pq provides the priority-queue substrates used by the schedulers:
-// a generic indexed binary heap supporting O(log n) update and removal of
-// arbitrary elements, and a treap-based ordered map (the "standard balanced
-// binary search tree" the paper cites for its O(log N) priority lists).
+// Package pq provides the priority queue used by the schedulers: a generic
+// indexed binary heap supporting O(log n) update and removal of arbitrary
+// elements. It meets the O(log N) bound the paper asks of its "standard
+// balanced binary search tree" priority lists.
 package pq
 
 // Item is the element stored in a Heap. Embedding bookkeeping in the item

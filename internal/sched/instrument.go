@@ -107,8 +107,8 @@ func Instrument(sink obs.Sink, reg *obs.Registry) *Instrumented {
 		aging:          reg.Counter(MetricAging, "balance-aware T_old activations"),
 		modeSwitches:   reg.Counter(MetricModeSwitch, "EDF/HDF scheduling-entity migrations"),
 		conflictDefers: reg.Counter(MetricConflictDefers, "queued transactions deferred by conflict-aware dispatch"),
-		tardiness:      reg.Histogram(MetricTardiness, "tardiness of completed transactions", 2),
-		response:       reg.Histogram(MetricResponse, "response time (finish - arrival) of completed transactions", 2),
+		tardiness:      reg.Histogram(MetricTardiness, "tardiness of completed transactions"),
+		response:       reg.Histogram(MetricResponse, "response time (finish - arrival) of completed transactions"),
 		simNow:         reg.Gauge(MetricSimNow, "simulated time of the latest scheduler callback"),
 	}
 }

@@ -185,10 +185,11 @@ func (s *ClusterServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		is := fs.Instances[idx]
+		status := http.StatusOK
 		if is.State == "ejected" {
-			w.WriteHeader(http.StatusServiceUnavailable)
+			status = http.StatusServiceUnavailable
 		}
-		writeJSONBody(w, is)
+		writeJSONStatus(w, status, is)
 		return
 	}
 	p := clusterHealthPayload{Status: "ok", Healthy: fs.Healthy(), Instances: fs.Instances}
@@ -201,11 +202,12 @@ func (s *ClusterServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if fh := s.fleet.Health(); fh.Enabled && fh.Degraded {
 		p.Burning = true
 	}
+	status := http.StatusOK
 	if p.Healthy == 0 || p.Burning {
 		p.Status = "degraded"
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	}
-	writeJSONBody(w, p)
+	writeJSONStatus(w, status, p)
 }
 
 // clusterSubmitDecision is the cluster POST /api/submit response document: a
@@ -243,13 +245,11 @@ func (s *ClusterServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(int(secs)))
-		w.WriteHeader(http.StatusServiceUnavailable)
-		writeJSONBody(w, resp)
+		writeJSONStatus(w, http.StatusServiceUnavailable, resp)
 		return
 	}
 	resp.Admitted = true
-	w.WriteHeader(http.StatusAccepted)
-	writeJSONBody(w, resp)
+	writeJSONStatus(w, http.StatusAccepted, resp)
 }
 
 func (s *ClusterServer) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -489,7 +489,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Length: req.Length, Remaining: req.Length, Weight: req.Weight,
 	}
 	admitted, live := s.exec.Probe(cand)
-	w.Header().Set("Content-Type", "application/json")
 	resp := submitDecision{
 		Admitted:   admitted,
 		Controller: s.admitName,
@@ -506,12 +505,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.RetryAfterSeconds = secs
 		w.Header().Set("Retry-After", strconv.Itoa(int(secs)))
-		w.WriteHeader(http.StatusTooManyRequests)
-		writeJSONBody(w, resp)
+		writeJSONStatus(w, http.StatusTooManyRequests, resp)
 		return
 	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSONBody(w, resp)
+	writeJSONStatus(w, http.StatusAccepted, resp)
 }
 
 var dashboardTmpl = template.Must(template.New("dash").Parse(`<!DOCTYPE html>
@@ -560,14 +557,17 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	writeJSONBody(w, v)
-}
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
 
-// writeJSONBody encodes v without touching headers, for handlers that set a
-// non-200 status (headers must precede WriteHeader).
-func writeJSONBody(w http.ResponseWriter, v any) {
+// writeJSONStatus answers with status and v as indented JSON. It sets the
+// Content-Type before the status line goes out, so no JSON answer is sniffed
+// as text/plain. A 200 is left implicit, so an encoding failure can still
+// answer 500.
+func writeJSONStatus(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	if status != http.StatusOK {
+		w.WriteHeader(status)
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {

@@ -111,10 +111,10 @@ func NewEngine(cfg Config, reg *obs.Registry) *Engine {
 		c.hist = make([]winCount, cfg.SlowWindows)
 		t := cfg.Spec.Classes[ci]
 		if t.TardinessP95 > 0 {
-			c.tard = metrics.NewSketch(cfg.Alpha)
+			c.tard = metrics.NewSketch()
 		}
 		if t.ResponseP99 > 0 {
-			c.resp = metrics.NewSketch(cfg.Alpha)
+			c.resp = metrics.NewSketch()
 		}
 		addRule := func(k ruleKind, limit float64) {
 			e.rules = append(e.rules, rule{

@@ -114,7 +114,6 @@ func TestConfigValidate(t *testing.T) {
 		{Config{Spec: burnOnly(0.1), Window: nan}, "window"},
 		{Config{Spec: burnOnly(0.1), Window: inf}, "window"},
 		{Config{Spec: burnOnly(0.1), Threshold: nan}, "burn threshold"},
-		{Config{Spec: burnOnly(0.1), Alpha: nan}, "alpha"},
 		{Config{Spec: Spec{Classes: [NumClasses]Target{{MissRatio: 0.1}, {TardinessP95: inf}}}}, "medium p95 target"},
 		{Config{Spec: Spec{Classes: [NumClasses]Target{{MissRatio: nan, QueueBound: 5}}}}, "light miss target"},
 	} {

@@ -168,9 +168,6 @@ type Config struct {
 	// ResolveHold is the fire/resolve hysteresis: a firing rule resolves
 	// only after this many consecutive healthy windows (default 2).
 	ResolveHold int
-	// Alpha is the relative accuracy of the per-window quantile sketches
-	// (default 0.01).
-	Alpha float64
 	// Instance optionally names the fault domain the engine watches; it
 	// prefixes alert Detail strings ("0:heavy/burn") and adds an
 	// inst label to the exported gauges, so per-instance engines of a
@@ -195,9 +192,6 @@ func (c Config) withDefaults() Config {
 	if c.ResolveHold == 0 {
 		c.ResolveHold = 2
 	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.01
-	}
 	return c
 }
 
@@ -211,7 +205,7 @@ func (c Config) Validate() error {
 		name string
 		v    float64
 	}
-	fields := []field{{"window", c.Window}, {"burn threshold", c.Threshold}, {"alpha", c.Alpha}}
+	fields := []field{{"window", c.Window}, {"burn threshold", c.Threshold}}
 	for i, t := range c.Spec.Classes {
 		cls := obs.ClassName(i)
 		fields = append(fields, field{cls + " miss target", t.MissRatio}, field{cls + " p95 target", t.TardinessP95},

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the full local gate, identical to CI.
 # Usage: scripts/check.sh [short]
-#   short: skip the full -race pass and the parallel speedup gate (quick
-#   pre-commit loop)
+#   short: skip the full -race pass, the fuzz smoke and the parallel speedup
+#   gate (quick pre-commit loop)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -49,6 +49,9 @@ echo "== asetslint"
 go run ./cmd/asetslint ./...
 
 if [ "${1:-}" != "short" ]; then
+    echo "== fuzz smoke (every native fuzz target, 5s each)"
+    scripts/fuzz.sh 5s
+
     # Alone and last, as in CI, so the wall-clock speedup gate (enforced at
     # >= 4 CPUs) is not measured next to other packages' tests.
     echo "== parallel runner speedup gate"
