@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/txn"
@@ -187,6 +188,73 @@ func TestNewPriorityPolicyNilComparatorPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("nil comparator accepted")
+		}
+	}()
+	NewPriorityPolicy("X", nil)
+}
+
+// The three tests below keep the names they had when the ready queue could
+// also be a treap; they now exercise the heap-backed queue of a policy built
+// directly from NewPriorityPolicy with a custom comparator.
+
+// edfLess mirrors NewEDF's comparator.
+func edfLess(a, b *txn.Transaction) bool {
+	if a.Deadline != b.Deadline {
+		return a.Deadline < b.Deadline
+	}
+	return a.ID < b.ID
+}
+
+func TestTreapBackendPopEmpty(t *testing.T) {
+	// Next on a queue that has been drained returns nil, and the queue
+	// accepts new work afterwards.
+	set := mustSet(t, mk(0, 0, 10, 1), mk(1, 5, 20, 1))
+	s := NewPriorityPolicy("EDF-custom", edfLess)
+	s.Init(set)
+	s.OnArrival(0, set.ByID(0))
+	if got := s.Next(0); got == nil || got.ID != 0 {
+		t.Fatalf("first = %v, want T0", got)
+	}
+	if s.Next(0) != nil {
+		t.Fatal("drained queue returned a transaction")
+	}
+	s.OnArrival(5, set.ByID(1))
+	if got := s.Next(5); got == nil || got.ID != 1 {
+		t.Fatalf("after refill = %v, want T1", got)
+	}
+}
+
+func TestTreapBackendPreemptReinsert(t *testing.T) {
+	set := mustSet(t, mk(0, 0, 100, 10), mk(1, 0, 50, 2))
+	s := NewPriorityPolicy("EDF-custom", edfLess)
+	s.Init(set)
+	s.OnArrival(0, set.ByID(0))
+	// Only T0 has arrived, so it must be first despite the later deadline.
+	first := s.Next(0)
+	if first.ID != 0 {
+		t.Fatalf("first = T%d, want T0", first.ID)
+	}
+	first.Remaining -= 4
+	s.OnPreempt(4, first)
+	s.OnArrival(4, set.ByID(1))
+	second := s.Next(4)
+	if second.ID != 1 {
+		t.Fatalf("second = T%d, want T1 (earlier deadline)", second.ID)
+	}
+	third := s.Next(4)
+	if third.ID != 0 || third.Remaining != 6 {
+		t.Fatalf("third = %v (remaining %v), want T0 with 6", third, third.Remaining)
+	}
+}
+
+func TestBackendNilComparatorPanics(t *testing.T) {
+	// The nil comparator is rejected by the constructor itself, not later
+	// by the heap that Init builds.
+	defer func() {
+		r := recover()
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, "NewPriorityPolicy") {
+			t.Fatalf("panic = %v, want one naming NewPriorityPolicy", r)
 		}
 	}()
 	NewPriorityPolicy("X", nil)
