@@ -61,32 +61,46 @@ func finishBits(t *testing.T, s *ASETSStar, set *txn.Set) []uint64 {
 }
 
 // TestReInitReproducesSchedule: Init on an instance left mid-run — entities
-// enqueued, transactions checked out, T_old candidates recorded — discards
-// all of it and replays the schedule of a fresh instance bit for bit, both
-// without aging (no T_old candidate set) and with count-based activation
-// (a live one).
+// enqueued, transactions completed and checked out, T_old candidates
+// recorded, finished singleton entities on the free list — discards all of
+// it and replays the schedule of a fresh instance bit for bit: on a
+// workflow set without aging (no T_old candidate set) and with count-based
+// activation (a live one), on an independent set and under the Ready
+// baseline.
 func TestReInitReproducesSchedule(t *testing.T) {
 	cfg := workload.Default(0.95, 21).WithWorkflows(4, 2).WithWeights()
 	cfg.N = 400
-	set := workload.MustGenerate(cfg)
+	workflows := workload.MustGenerate(cfg)
+	independent := workload.NewSpec(0.95, 21).WithN(400).WithWeights().MustBuild()
 	for _, tc := range []struct {
 		name string
+		set  *txn.Set
 		mk   func() *ASETSStar
 	}{
-		{"plain", func() *ASETSStar { return New() }},
-		{"count-activation", func() *ASETSStar { return New(WithCountActivation(0.1)) }},
+		{"plain", workflows, func() *ASETSStar { return New() }},
+		{"count-activation", workflows, func() *ASETSStar { return New(WithCountActivation(0.1)) }},
+		{"independent", independent, func() *ASETSStar { return New() }},
+		{"ready", workflows, NewReady},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			set := tc.set
 			want := finishBits(t, tc.mk(), set)
 
 			reused := tc.mk()
 			set.ResetAll()
 			reused.Init(set)
+			now := 0.0
 			for _, tx := range set.Txns[:set.Len()/2] {
-				reused.OnArrival(tx.Arrival, tx)
+				now = max(now, tx.Arrival)
+				reused.OnArrival(now, tx)
 			}
-			for i := 0; i < 5; i++ {
-				reused.Next(0) // checked out and never returned
+			// Complete every other transaction Next hands out; the rest stay
+			// checked out. A completion that readies a dependent hands its
+			// recycled entity straight on, so go on until one stays on the
+			// free list.
+			for done := 0; done < 4 || reused.groups.Singleton() && reused.free == nil; done++ {
+				reused.Next(now)
+				reused.OnCompletion(now, reused.Next(now))
 			}
 			if got := finishBits(t, reused, set); !slices.Equal(got, want) {
 				t.Fatal("re-Init schedule differs from a fresh instance's")
@@ -108,7 +122,7 @@ func initBytesPerTxn(set *txn.Set) float64 {
 
 // TestInitBytes: over an independent set Init builds no entity. It keeps
 // the ready tracker, the checked-out flags and one nil entity pointer per
-// transaction, about 19 B/txn; entities materialize as their members become
+// transaction, about 15 B/txn; entities materialize as their members become
 // ready. A chain-workflow set is built up front: the grouping, the
 // membership index and every entity, measured at 110 B/txn.
 func TestInitBytes(t *testing.T) {
@@ -126,6 +140,36 @@ func TestInitBytes(t *testing.T) {
 		if got > c.max {
 			t.Errorf("%s: Init allocates %.1f B/txn, want <= %v", c.name, got, c.max)
 		}
+	}
+}
+
+// runBytesPerTxn returns the bytes a whole sim.Run of s over set allocates
+// per transaction, read from TotalAlloc after a GC.
+func runBytesPerTxn(t *testing.T, set *txn.Set, s *ASETSStar) float64 {
+	t.Helper()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := sim.New(sim.Config{}).Run(set, s); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(set.Len())
+}
+
+// TestRunBytes: a whole transaction-level run keeps an entity only while
+// its transaction waits or runs, and reuses it once the transaction
+// finishes, so its memory follows the backlog, not the set size. What
+// stays per transaction is the run's index words: the ready tracker, the
+// checked-out flags, one entity pointer each, the arrival order and the
+// metrics. Measured at about 31 B/txn; keeping every entity until the run
+// ends costs about 195.
+func TestRunBytes(t *testing.T) {
+	set := workload.NewSpec(0.95, 1).WithN(200_000).MustBuild()
+	got := runBytesPerTxn(t, set, New())
+	t.Logf("%.1f B/txn", got)
+	if got > 48 {
+		t.Errorf("sim.Run allocates %.1f B/txn, want <= 48", got)
 	}
 }
 

@@ -120,6 +120,7 @@ type entity struct {
 	item  pq.Item[*entity]
 	exp   pq.Item[*entity]
 	one   [1]*txn.Transaction // pending storage of a one-member workflow
+	next  *entity             // the free list's link while recycled
 	ready int32               // number of ready members
 	inEDF bool
 }
@@ -140,19 +141,23 @@ type ASETSStar struct {
 	groups txn.Grouping
 	// memberOf holds one entity pointer per membership (transaction,
 	// workflow). Under a singleton grouping transaction id's only
-	// membership is memberOf[id], nil until the entity materializes: the
-	// first time id becomes ready. Otherwise the memberships of id are
+	// membership is memberOf[id]: nil until the entity materializes, the
+	// first time id becomes ready, and nil again once id completes and its
+	// entity is recycled. Otherwise the memberships of id are
 	// memberOf[memberStart[id]:memberStart[id+1]], compressed-sparse-row,
 	// and Init builds every entity.
 	memberStart []int32
 	memberOf    []*entity
 
 	// chunk is the entity storage in use, filled up to its length. Lazy
-	// entities come from chunks that grow 4x and are capped at the
-	// workflows not yet built, so capacity never exceeds one entity per
-	// workflow; a chunk never moves, and nothing but memberOf refers to it.
+	// entities come from the free list first and from a chunk only when the
+	// list is empty, so a run carves no more entities than are ever live at
+	// once. Chunks grow 4x and are capped at the set size less the entities
+	// carved; a chunk never moves, and nothing but memberOf and the free
+	// list refers to it.
 	chunk  []entity
-	carved int // entities built
+	carved int     // entities carved fresh from a chunk
+	free   *entity // finished singleton entities, linked through next
 
 	edf    *pq.Heap[*entity] // ordered by representative deadline
 	hdf    *pq.Heap[*entity] // ordered by representative density (weight/remaining)
@@ -226,7 +231,7 @@ func (a *ASETSStar) Init(set *txn.Set) {
 		a.groups = txn.GroupWorkflows(set)
 	}
 	n := set.Len()
-	a.memberStart, a.chunk, a.carved = nil, nil, 0
+	a.memberStart, a.chunk, a.carved, a.free = nil, nil, 0, nil
 	if a.groups.Singleton() {
 		a.memberOf = make([]*entity, n)
 	} else {
@@ -337,19 +342,37 @@ func (a *ASETSStar) buildWorkflows(n int) {
 
 // materialize builds the entity of singleton workflow id when id first
 // becomes ready. Until then id has not completed or been checked out, so
-// the entity starts with its member pending and in neither list.
+// the entity starts with its member pending and in neither list. A
+// recycled entity is re-carved in place; a chunk is carved from only when
+// the free list is empty.
 func (a *ASETSStar) materialize(id txn.ID) *entity {
-	if len(a.chunk) == cap(a.chunk) {
-		a.grow()
+	e := a.free
+	if e == nil {
+		if len(a.chunk) == cap(a.chunk) {
+			a.grow()
+		}
+		e = a.carve(int(id), nil)
+	} else {
+		a.free, e.next = e.next, nil
+		a.groups.Carve(a.set, int(id), &e.wf, e.one[:])
 	}
-	e := a.carve(int(id), nil)
 	a.memberOf[id] = e
 	return e
 }
 
+// recycle puts the entity of finished singleton workflow id on the free
+// list. It is out of both lists, and nothing but the free list refers to it
+// once its memberOf slot is cleared.
+func (a *ASETSStar) recycle(id txn.ID) {
+	e := a.memberOf[id]
+	a.memberOf[id] = nil
+	e.next, a.free = a.free, e
+}
+
 // grow starts the next chunk of lazy entities: 4x the last, from 256, and
-// capped at the workflows not yet built. A run therefore makes O(log n)
-// allocations here and holds at most one entity per workflow.
+// capped at the set size less the entities carved. Every fresh carve materializes a
+// transaction that never materialized before, so the cap is never zero when
+// a chunk is needed, and a run makes O(log n) allocations here.
 //
 //lint:coldpath chunk growth: O(log n) allocations per run, amortized over the entities it carves
 func (a *ASETSStar) grow() {
@@ -501,6 +524,9 @@ func (a *ASETSStar) OnCompletion(now float64, t *txn.Transaction) {
 		default:
 			a.reposition(now, e)
 		}
+	}
+	if a.memberStart == nil {
+		a.recycle(t.ID) // a singleton workflow is done with its only member
 	}
 	for _, r := range newly {
 		a.markReady(now, r)

@@ -20,31 +20,50 @@ const (
 	numOps
 )
 
+// Groupings of FuzzSchedulerOps, picked by bits 4-5 of the options byte
+// (modulo numGroupings).
+const (
+	groupWorkflows   = iota // a WithWorkflows(4, 2) set, grouped into workflows
+	groupIndependent        // an independent set: singleton entities
+	groupReady              // the WithWorkflows(4, 2) set under WithSingletonGrouping
+	numGroupings
+)
+
 // FuzzSchedulerOps drives ASETS* through arbitrary sequences of the
 // check-out contract — arrivals in arrival order, Next, preemption after
-// partial service, completion, time passing — on a small weighted workflow
-// set, and audits CheckInvariants after every operation. Every transaction
-// Next hands out must be arrived, unfinished, not already running and have
-// its dependencies done, and draining the scheduler at the end must finish
-// every transaction.
+// partial service, completion, time passing — on a small weighted set, and
+// audits CheckInvariants after every operation. Every transaction Next
+// hands out must be arrived, unfinished, not already running and have its
+// dependencies done, and draining the scheduler at the end must finish
+// every transaction. The two singleton groupings build their entities as
+// transactions become ready and recycle them as they finish.
 //
 // Input bytes: data[0] picks the set size (8-32 transactions), data[1] its
 // seed, data[2] the options (bit 0: symmetric rule, bit 1: head-excluded
-// representative, bits 2-3: time or count activation); each later byte is
-// one operation.
+// representative, bits 2-3: time or count activation, bits 4-5: the
+// grouping); each later byte is one operation.
 func FuzzSchedulerOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, opArrive, opArrive, opNext, opArrive, opPreempt, opNext, opComplete})
 	f.Add([]byte{24, 7, 1, opArrive, opArrive, opArrive, opNext, opNext, opAdvance + 5*numOps, opComplete, opNext, opPreempt + numOps})
 	f.Add([]byte{12, 3, 2 | 1<<2, opArrive, opNext, opAdvance + 40*numOps, opArrive, opNext, opNext, opPreempt, opComplete, opComplete})
 	f.Add([]byte{31, 9, 3 | 2<<2, opArrive, opArrive, opArrive, opArrive, opNext, opNext, opNext, opPreempt + 2*numOps, opNext, opComplete + numOps})
+	f.Add([]byte{16, 5, groupIndependent << 4, opArrive, opArrive, opNext, opComplete, opArrive, opArrive, opNext, opNext, opPreempt, opComplete, opArrive, opNext, opComplete + numOps})
+	f.Add([]byte{20, 2, 2 | 2<<2 | groupReady<<4, opArrive, opArrive, opArrive, opNext, opNext, opComplete, opArrive, opNext, opAdvance + 3*numOps, opComplete, opArrive, opNext, opPreempt, opNext, opComplete})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
-		cfg := workload.Default(0.95, uint64(data[1])).WithWorkflows(4, 2).WithWeights()
+		cfg := workload.Default(0.95, uint64(data[1])).WithWeights()
+		grouping := (data[2] >> 4 & 3) % numGroupings
+		if grouping != groupIndependent {
+			cfg = cfg.WithWorkflows(4, 2)
+		}
 		cfg.N = 8 + int(data[0])%25
 		set := workload.MustGenerate(cfg)
 		var opts []Option
+		if grouping == groupReady {
+			opts = append(opts, WithSingletonGrouping())
+		}
 		if data[2]&1 != 0 {
 			opts = append(opts, WithRule(RuleSymmetric))
 		}

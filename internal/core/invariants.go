@@ -21,26 +21,45 @@ import (
 //  5. both heaps and the expiry heap satisfy their ordering invariants;
 //  6. an entity with at least one available member is enqueued unless its
 //     workflow is done;
-//  7. every entity of an available transaction is materialized.
+//  7. every entity of an available transaction is materialized;
+//  8. under a singleton grouping, memberOf[id] is nil or the entity of
+//     workflow id with id still pending, so a finished transaction's slot
+//     is nil, and no recycled entity on the free list sits in a heap.
 //
 //lint:coldpath O(N) audit for tests and the Checked debug wrapper; production runs never call it
 func (a *ASETSStar) CheckInvariants(now float64) error {
 	if !a.edf.Verify() || !a.hdf.Verify() || !a.expiry.Verify() {
 		return fmt.Errorf("core: heap ordering invariant broken at t=%v", now)
 	}
+	singleton := a.memberStart == nil
 	// Every materialized entity is reached once, through the membership of
 	// its first member.
 	for _, t := range a.set.Txns {
 		avail := a.available(t)
 		for _, e := range a.members(t.ID) {
 			switch {
-			case e == nil && avail:
-				return fmt.Errorf("core: T%d is available but an entity of it is not materialized at t=%v", t.ID, now)
-			case e != nil && e.wf.Members[0] == t.ID:
+			case e == nil:
+				if avail {
+					return fmt.Errorf("core: T%d is available but an entity of it is not materialized at t=%v", t.ID, now)
+				}
+			case singleton && (e.wf.Root != t.ID || !e.wf.Contains(t.ID)):
+				return fmt.Errorf("core: T%d indexes workflow %d, which is not its own with T%d pending, at t=%v",
+					t.ID, e.wf.ID, t.ID, now)
+			case e.wf.Members[0] == t.ID:
 				if err := a.checkEntity(now, e); err != nil {
 					return err
 				}
 			}
+		}
+	}
+	// Every recycled entity was carved, so a longer list has a cycle.
+	n := 0
+	for e := a.free; e != nil; e = e.next {
+		if n++; n > a.carved {
+			return fmt.Errorf("core: free list longer than the %d entities carved", a.carved)
+		}
+		if e.item.InHeap() || e.exp.InHeap() {
+			return fmt.Errorf("core: recycled entity of workflow %d is still in a heap at t=%v", e.wf.ID, now)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -115,7 +116,7 @@ func (*deadlockError) Error() string { return "deadlock" }
 // TestCheckInvariantsDetectsCorruption corrupts internal state on purpose
 // and expects the checker to notice.
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
-	set := mustSet(t, mk(0, 0, 10, 2), mk(1, 0, 20, 3))
+	set := mustSet(t, mk(0, 0, 10, 2), mk(1, 0, 20, 3), mk(2, 1, 30, 1), mk(3, 5, 40, 1))
 	a := New()
 	a.Init(set)
 	a.OnArrival(0, set.ByID(0))
@@ -133,5 +134,36 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	a.members(1)[0].ready++
 	if err := a.CheckInvariants(0); err == nil {
 		t.Fatal("corrupted ready count not detected")
+	}
+	a.members(1)[0].ready--
+
+	// T0 finishes and its entity is recycled into T2's.
+	t0 := a.Next(0)
+	recycled := a.members(0)[0]
+	if t0.ID != 0 {
+		t.Fatalf("Next(0) = T%d, want T0", t0.ID)
+	}
+	t0.Remaining, t0.Finished, t0.FinishTime = 0, true, 2
+	a.OnCompletion(2, t0)
+	a.OnArrival(2, set.ByID(2))
+	if a.members(2)[0] != recycled {
+		t.Fatal("T2's entity was not taken from the free list")
+	}
+	if err := a.CheckInvariants(2); err != nil {
+		t.Fatalf("clean state after recycling flagged: %v", err)
+	}
+	// A stale pointer to the re-carved entity, from a transaction that has
+	// not arrived and from the one that finished.
+	for _, id := range []txn.ID{3, 0} {
+		a.memberOf[id] = recycled
+		if err := a.CheckInvariants(2); err == nil {
+			t.Fatalf("stale entity pointer of T%d not detected", id)
+		}
+		a.memberOf[id] = nil
+	}
+	// An entity on the free list that still sits in a heap.
+	recycled.next, a.free = a.free, recycled
+	if err := a.CheckInvariants(2); err == nil || !strings.Contains(err.Error(), "still in a heap") {
+		t.Fatalf("recycled entity still in a heap: got %v", err)
 	}
 }

@@ -49,7 +49,7 @@ type Scheduler interface {
 // (the paper assumes dependency information is available to the scheduler).
 type ReadyTracker struct {
 	set        *txn.Set
-	unfinished []int // outstanding direct dependencies per transaction
+	unfinished []int32 // outstanding direct dependencies per transaction
 	arrived    []bool
 	finished   []bool
 	newly      []*txn.Transaction // Complete's result, reused across calls
@@ -60,12 +60,12 @@ type ReadyTracker struct {
 func NewReadyTracker(set *txn.Set) *ReadyTracker {
 	rt := &ReadyTracker{
 		set:        set,
-		unfinished: make([]int, set.Len()),
+		unfinished: make([]int32, set.Len()),
 		arrived:    make([]bool, set.Len()),
 		finished:   make([]bool, set.Len()),
 	}
 	for _, t := range set.Txns {
-		rt.unfinished[t.ID] = len(t.Deps)
+		rt.unfinished[t.ID] = int32(len(t.Deps))
 	}
 	most := 0
 	for _, deps := range set.Dependents {
