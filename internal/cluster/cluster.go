@@ -127,8 +127,9 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 // instance, advance the global clock to the earliest next event, settle
 // every instance there, then route the instant's failovers and arrivals.
 // An instance re-decides only when it received work: its running
-// transaction then bounces back so the next dispatch picks the highest
-// priority, exactly like the single-backend preemptive model.
+// transaction is then due to re-decide at the instance's next dispatch,
+// which keeps it or preempts it for the highest priority, exactly like the
+// single-backend preemptive model.
 //
 //lint:hotpath
 func (r *router) step() error {
@@ -196,7 +197,7 @@ func (r *router) step() error {
 	for i := range r.insts {
 		if in := &r.insts[i]; in.delivered {
 			in.delivered = false
-			in.k.Return()
+			in.k.Redecide()
 		}
 	}
 	return nil

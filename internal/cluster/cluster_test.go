@@ -278,9 +278,9 @@ func streamBytes(t *testing.T, events []obs.Event) []byte {
 // schedule; these do. Regenerate only for an intended schedule change, and
 // say which in the commit.
 const (
-	goldenClusterStream = "bacc42bc6283c0d63fb3d400ff755671f12ceb4e207e429f403072b14554f88d"
+	goldenClusterStream = "685fda212720b15fe07c5460d59b86b30f21c4771c82c229ed3018a414a7e3b4"
 	goldenClusterResult = "5d8504edd208ba424e04711a3a160138ae51404a453d6f7641efbcf21ef25da2"
-	goldenSLOStream     = "120a4ff577132e5e32cfee090bc0bf2ec175a58ec2ebe802f39ed9be1e1577cd"
+	goldenSLOStream     = "27bfe6df4c3baa8bb1431434f63b12753becca3e3c0dcc867db476f53b286c46"
 	goldenSLOResult     = "1b026fb062a6ed2959f981320f217ecac9c8772756df6a33b703ebcdee02bc62"
 )
 
@@ -291,10 +291,10 @@ const (
 // of events within one instant; regenerate them only for an intended
 // schedule change.
 const (
-	foldClusterInstants = "894fd305eb701d870023b090a69abe5a854448e9a7c0e60251ce6fcccc809380"
-	foldClusterTxns     = "ea1744795db9fccd730238cff525fed30b5c35d71dbb13d6c851f89f828bcb8a"
-	foldSLOInstants     = "521bd8666dcf61eac7189c5459e20505a80d02ea81c2b58fca18745c94b5b535"
-	foldSLOTxns         = "4b32922f648217a21c377fc12b3bf6cacdb18b3121c001dda0c7fc31095a415d"
+	foldClusterInstants = "438841d26f826d4cf27a754e44a83c275bd7ce5aa05ac9f6cedc13a8752c4edf"
+	foldClusterTxns     = "a5bd1e55dd921fd3e193e65132e7defaef00ce3cd4920523e19b6e823aa32858"
+	foldSLOInstants     = "9b6318dff14d4ed8478852a60a8ba41d13e3cabe542ada8a15568cd5cc2bab96"
+	foldSLOTxns         = "88573952bc6128870ee2f159486b2edb9e6b40aa14d38bafc9b00fe822a33c6e"
 )
 
 // checkFolds compares a stream's fold digests against pinned values.

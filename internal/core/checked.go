@@ -8,8 +8,8 @@ import (
 )
 
 // Checked wraps an ASETSStar and audits CheckInvariants immediately after
-// every Next call — every decision point, right after migration has run, so
-// all documented invariants must hold exactly. A violation panics with the
+// every Next and Keep call — every decision point, right after migration has
+// run, so all documented invariants must hold exactly. A violation panics with the
 // broken invariant. The wrapper is otherwise transparent and satisfies
 // sched.Scheduler, so it drops into the simulator or the live executor
 // anywhere an *ASETSStar would go.
@@ -37,6 +37,17 @@ func (c *Checked) Next(now float64) *txn.Transaction {
 	}
 	c.checks++
 	return t
+}
+
+// Keep implements sched.Keeper, auditing the queue state after the answer:
+// a kept running set skips Next, so the decision point is audited here.
+func (c *Checked) Keep(now float64, running []*txn.Transaction) bool {
+	kept := c.ASETSStar.Keep(now, running)
+	if err := c.ASETSStar.CheckInvariants(now); err != nil {
+		panic(fmt.Sprintf("core: invariant violated after %d clean decisions: %v", c.checks, err))
+	}
+	c.checks++
+	return kept
 }
 
 // Checks returns how many decision points have been audited so far.

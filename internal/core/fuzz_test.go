@@ -17,6 +17,7 @@ const (
 	opPreempt         // hand back a running transaction after part of its work
 	opComplete        // finish a running transaction
 	opAdvance         // let time pass
+	opKeep            // re-decide the running set through Keep, then check it by a round trip
 	numOps
 )
 
@@ -31,8 +32,9 @@ const (
 
 // FuzzSchedulerOps drives ASETS* through arbitrary sequences of the
 // check-out contract — arrivals in arrival order, Next, preemption after
-// partial service, completion, time passing — on a small weighted set, and
-// audits CheckInvariants after every operation. Every transaction Next
+// partial service, completion, time passing, and Keep checked against the
+// OnPreempt and Next round trip it stands for — on a small weighted set,
+// and audits CheckInvariants after every operation. Every transaction Next
 // hands out must be arrived, unfinished, not already running and have its
 // dependencies done, and draining the scheduler at the end must finish
 // every transaction. The two singleton groupings build their entities as
@@ -49,6 +51,8 @@ func FuzzSchedulerOps(f *testing.F) {
 	f.Add([]byte{31, 9, 3 | 2<<2, opArrive, opArrive, opArrive, opArrive, opNext, opNext, opNext, opPreempt + 2*numOps, opNext, opComplete + numOps})
 	f.Add([]byte{16, 5, groupIndependent << 4, opArrive, opArrive, opNext, opComplete, opArrive, opArrive, opNext, opNext, opPreempt, opComplete, opArrive, opNext, opComplete + numOps})
 	f.Add([]byte{20, 2, 2 | 2<<2 | groupReady<<4, opArrive, opArrive, opArrive, opNext, opNext, opComplete, opArrive, opNext, opAdvance + 3*numOps, opComplete, opArrive, opNext, opPreempt, opNext, opComplete})
+	f.Add([]byte{10, 4, groupIndependent << 4, opArrive, opNext, opAdvance + 2*numOps, opKeep, opArrive, opArrive, opKeep, opNext, opAdvance + 9*numOps, opArrive, opKeep, opComplete, opKeep})
+	f.Add([]byte{14, 6, 0, opArrive, opArrive, opNext, opNext, opAdvance + 4*numOps, opArrive, opKeep, opArrive, opArrive, opKeep, opAdvance + 20*numOps, opKeep, opComplete + numOps, opKeep})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -138,6 +142,8 @@ func (d *opsDriver) do(op byte, arg int) {
 		d.complete(arg % len(d.running))
 	case opAdvance:
 		d.now += float64(arg+1) / 2
+	case opKeep:
+		d.keep()
 	default:
 		d.t.Fatalf("unknown op %d", op)
 	}
@@ -168,6 +174,52 @@ func (d *opsDriver) next() *txn.Transaction {
 	tx.Started = true
 	d.running = append(d.running, tx)
 	return tx
+}
+
+// keep asks Keep about the running set at now, then returns the set through
+// OnPreempt and calls Next until it is used up or another transaction comes
+// out first. A kept set must come back exactly, in Keep's order. A set Keep
+// returns although its replay is exact (keepable) must see another
+// transaction come out first: a real preemption.
+func (d *opsDriver) keep() {
+	exact := d.a.keepable(d.now, d.running)
+	order := slices.Clone(d.running)
+	kept := d.a.Keep(d.now, order)
+	if exact {
+		d.decided = d.now // Keep migrated
+	}
+	d.audit()
+	returned := d.running
+	d.running = nil
+	for _, tx := range returned {
+		d.a.OnPreempt(d.now, tx)
+	}
+	var got []*txn.Transaction
+	for range returned {
+		tx := d.next()
+		got = append(got, tx)
+		if !slices.Contains(returned, tx) {
+			break
+		}
+	}
+	switch {
+	case kept && !slices.Equal(got, order):
+		d.t.Fatalf("Keep(%v) kept %v, the round trip handed out %v", d.now, ids(order), ids(got))
+	case !kept && exact && len(returned) > 0 && slices.Contains(returned, got[len(got)-1]):
+		d.t.Fatalf("Keep(%v) returned %v, the round trip handed it back first: %v", d.now, ids(returned), ids(got))
+	}
+}
+
+// ids lists the IDs of txns, nil as -1.
+func ids(txns []*txn.Transaction) []txn.ID {
+	out := make([]txn.ID, len(txns))
+	for i, tx := range txns {
+		out[i] = -1
+		if tx != nil {
+			out[i] = tx.ID
+		}
+	}
+	return out
 }
 
 // complete finishes the i-th running transaction at now.

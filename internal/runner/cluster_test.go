@@ -83,15 +83,15 @@ func folds(cols []*obs.Collector) (instants, txns string) {
 // goldens for what the folds forgive). Regenerate only for an intended
 // schedule change.
 const (
-	foldClusterJobsInstants = "2afaaed07a4699d48a2e2973fb46f5b8c6c68c3b32776dc030782181e97991ee"
-	foldClusterJobsTxns     = "0e301f06b0747f79a9bbf59a76228615b302aaaaaea3fe4997b46ed31b40fdbf"
+	foldClusterJobsInstants = "416292323f029f4e18b33960ad4c41eb9b0142023b1d0484a7a8ac9f975ed364"
+	foldClusterJobsTxns     = "ffd9c377fe4ea00daf9a7db71298ae97607efaff9b2b5ba43fb945ac6f451612"
 )
 
 // Goldens of the routed jobs fixture: the sha256 of the four jobs' routed
 // JSONL streams in job order, and of their JSON-encoded results. Regenerate
 // only for an intended schedule change.
 const (
-	goldenClusterJobsStream = "0fbae5afd3e6557a9922f594def52e103d43e7a3b477d7aedc12e58969022a5e"
+	goldenClusterJobsStream = "b1f33ed65cbf20e0689c1b8d7fecdbe39223bcd3556453d2f1f082d1ff6c0e86"
 	goldenClusterJobsResult = "c75c77eea33b5332f1510ed092d0f4fd88998be01009f438991f34214f604f05"
 )
 

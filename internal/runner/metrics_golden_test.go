@@ -25,8 +25,8 @@ import (
 // it. A change that is meant to alter the exposition must say why when it
 // re-pins them.
 const (
-	goldenReplayDigest = "fe1da310ca64b69ca241f00f265cb09d7b74bd433f4df83754526fe5ffe9879d"
-	goldenMergeDigest  = "8ae84c360cfd0a66c3169de9aa20c2a1ac2477e68c8d061f0d49fc6adba8b6cb"
+	goldenReplayDigest = "299d575e78b09ef2a99e8a81f1965639d21445f568baa68bc8877d4cd3ecdd10"
+	goldenMergeDigest  = "bee881257d891c69e72d41816a76b1c17dbe394b2b35e54f0f4aa5937518f225"
 )
 
 // promDigest renders reg and returns the sha256 of its exposition bytes.

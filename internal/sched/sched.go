@@ -23,6 +23,12 @@ import (
 // server again. Arrivals may reach the scheduler while transactions are
 // checked out. This keeps every queue's keys consistent without schedulers
 // having to track execution progress themselves.
+//
+// At a decision point the engine re-decides the running transactions. A
+// scheduler without a Keeper gets every one of them back through OnPreempt
+// and refills the servers through Next. A Keeper that keeps them leaves
+// them checked out across the decision point: they get no OnPreempt and no
+// Next, and only the free servers are refilled.
 type Scheduler interface {
 	// Name returns the display name used in tables and figures.
 	Name() string
@@ -40,6 +46,43 @@ type Scheduler interface {
 	// OnCompletion notifies the scheduler that the checked-out transaction
 	// finished at time now.
 	OnCompletion(now float64, t *txn.Transaction)
+}
+
+// Keeper is the optional seam that spares a scheduler the check-out round
+// trip of a decision point whose choice does not change.
+//
+// Keep reports whether handing running back through OnPreempt at now and
+// then calling Next would check out every transaction of running before any
+// other one. When it would, Keep puts running into that pick order and
+// leaves the scheduler in the state those calls would have left it, so the
+// engine keeps running on its servers without the round trip. When it would
+// not, or when the policy cannot tell cheaply, Keep returns false, and the
+// engine makes the round trip in its own order (Keep may have reordered the
+// slice it was given). Either way Keep may first do the bookkeeping the next
+// Next at now would do anyway (ASETS* migrates its expired EDF entities). A
+// false answer is always correct; a true one must be exact.
+//
+// Engines find a scheduler's Keeper through its Unwrap chain (KeeperOf), so
+// a wrapper that only forwards needs no Keep of its own. A wrapper that
+// changes Next's choice must implement Keep itself.
+type Keeper interface {
+	Keep(now float64, running []*txn.Transaction) bool
+}
+
+// KeeperOf returns the Keeper of s: s itself, or the first Keeper down its
+// chain of Unwrap() Scheduler methods. It returns nil when there is none.
+func KeeperOf(s Scheduler) Keeper {
+	for s != nil {
+		if k, ok := s.(Keeper); ok {
+			return k
+		}
+		u, ok := s.(interface{ Unwrap() Scheduler })
+		if !ok {
+			return nil
+		}
+		s = u.Unwrap()
+	}
+	return nil
 }
 
 // ReadyTracker maintains the readiness state of every transaction: a

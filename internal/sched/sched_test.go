@@ -113,3 +113,27 @@ func TestReadyTrackerFinished(t *testing.T) {
 		t.Fatal("state accessors disagree")
 	}
 }
+
+// unwrapOnly forwards a scheduler and unwraps to it, with no Keep of its own.
+type unwrapOnly struct{ Scheduler }
+
+func (u unwrapOnly) Unwrap() Scheduler { return u.Scheduler }
+
+// TestKeeperOf: the Keeper is found on the scheduler itself or down its
+// Unwrap chain; a scheduler without one, or a wrapper that hides its inner
+// policy, has none.
+func TestKeeperOf(t *testing.T) {
+	edf := NewEDF()
+	if KeeperOf(edf) != edf.(Keeper) {
+		t.Fatal("a priority policy is its own Keeper")
+	}
+	if KeeperOf(unwrapOnly{unwrapOnly{edf}}) != edf.(Keeper) {
+		t.Fatal("the Keeper was not found down the Unwrap chain")
+	}
+	if KeeperOf(NewAED(1)) != nil || KeeperOf(unwrapOnly{NewAED(1)}) != nil {
+		t.Fatal("AED has no Keeper")
+	}
+	if KeeperOf(struct{ Scheduler }{edf}) != nil {
+		t.Fatal("a wrapper without Unwrap hides its policy's Keeper")
+	}
+}

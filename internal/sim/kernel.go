@@ -29,32 +29,37 @@ import (
 // one event at a time. A single backend runs
 //
 //	for !k.Finished() {
-//		at, err := k.Next(nextArrival) // dispatch; earliest next event
+//		at, err := k.Next(nextArrival) // re-decide, dispatch; earliest next event
 //		...                            // +Inf: deadlock; the executor paces to at here
-//		k.Advance(at)                  // Settle, Return, Restarts; completion outcomes
+//		k.Advance(at)                  // Settle, Redecide, Restarts; completion outcomes
 //		...                            // k.Arrive each arrival due by at
 //	}
 //	k.Close()
 //
 // and a fleet composes the same operations differently: Settle at every
-// event, Return only on an instance that received work, Adopt for a
-// failover, Drain for a crash.
+// event, Redecide only on an instance that received work, Return at a
+// stall, Adopt for a failover, Drain for a crash.
 //
-// Next, Settle, Return, Restarts, Arrive and Adopt are the decision loop,
-// which must stay allocation-free; their hotpath markers make asetslint
-// enforce that transitively over everything they reach, including every
-// scheduling policy behind the Scheduler interface and every Sink behind
-// the observer.
+// Next, Settle, Redecide, Return, Restarts, Arrive and Adopt are the
+// decision loop, which must stay allocation-free; their hotpath markers make
+// asetslint enforce that transitively over everything they reach, including
+// every scheduling policy behind the Scheduler interface and every Sink
+// behind the observer.
 //
 // The kernel drives the check-out protocol documented on sched.Scheduler:
 // Next fills only free servers and keeps the transactions already running,
 // which return through OnPreempt (Return, or a validation failure) or
-// OnCompletion. An aborted transaction stays checked out while it waits out
-// its backoff and is returned through OnPreempt (with its remaining time
-// reset) when the backoff expires.
+// OnCompletion. Redecide marks the running transactions due to re-decide,
+// and the next Next settles that once the instant's arrivals and restarts
+// are in: with the scheduler's sched.Keeper agreeing, a kept transaction
+// stays checked out across the decision point, and only a real preemption
+// returns it (Return) for the refill. An aborted transaction stays checked
+// out while it waits out its backoff and is returned through OnPreempt
+// (with its remaining time reset) when the backoff expires.
 type Kernel struct {
 	set      *txn.Set
 	s        sched.Scheduler
+	keeper   sched.Keeper        // s's, or nil: every re-decision returns the running set
 	o        *sched.Instrumented // nil when uninstrumented
 	label    string              // the instance in event details; "" for one backend
 	servers  int
@@ -72,6 +77,8 @@ type Kernel struct {
 	live      int                // admitted or adopted, not yet committed or drained
 	running   []*txn.Transaction // checked out onto a server
 	completed []*txn.Transaction // backs the commits Settle returns
+	order     []*txn.Transaction // Keep's copy of running
+	due       int                // len(running) while it is due to re-decide at the next Next, else 0
 	// The outage window open at now (inWin), cached whenever now moves;
 	// stallSeen is the window whose entry was recorded, so the stall event
 	// fires exactly once per window hit.
@@ -141,10 +148,11 @@ func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumen
 		return Kernel{}, err
 	}
 	n := set.Len()
-	slots := make([]*txn.Transaction, 2*servers)
+	slots := make([]*txn.Transaction, 3*servers)
 	k := Kernel{
 		set: set, o: o, label: label, servers: servers, recorder: cfg.Recorder, ctrl: cfg.Admit,
-		winIdx: -1, stallSeen: -1, running: slots[:0:servers], completed: slots[servers:servers],
+		winIdx: -1, stallSeen: -1, running: slots[:0:servers], completed: slots[servers : servers : 2*servers],
+		order: slots[2*servers : 2*servers],
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
@@ -198,22 +206,25 @@ func (k *Kernel) install(s sched.Scheduler) {
 		ss.SetSink(k.o.Sink())
 	}
 	s.Init(k.set)
-	k.s = s
+	k.s, k.keeper = s, sched.KeeperOf(s)
 }
 
 // Finished reports whether every transaction committed or was shed.
 func (k *Kernel) Finished() bool { return k.c.Done+k.c.Shed >= k.set.Len() }
 
-// Running returns the transactions checked out onto servers.
+// Running returns the transactions checked out onto servers. Between a
+// Redecide and the next Next they are still checked out, though Counts
+// already counts them as queued.
 func (k *Kernel) Running() []*txn.Transaction { return k.running }
 
 // SLO returns the kernel's SLO engine, or nil without an SLO config.
 func (k *Kernel) SLO() *slo.Engine { return k.slo }
 
-// Counts returns a snapshot of the run's progress counters.
+// Counts returns a snapshot of the run's progress counters. A running set
+// due to re-decide counts as queued, as it would after a Return.
 func (k *Kernel) Counts() Counts {
 	c := k.c
-	c.Now, c.Running, c.Live = k.now, len(k.running), k.live
+	c.Now, c.Running, c.Live = k.now, len(k.running)-k.due, k.live
 	if k.inj != nil {
 		c.Aborts, c.Restarts, c.Stalls, c.Held = k.inj.Aborts(), k.inj.Restarts(), k.inj.StallsEntered(), k.inj.Held()
 	}
@@ -233,19 +244,26 @@ func (c Counts) AdmitState(servers int) admit.State {
 	}
 }
 
-// Next takes one scheduling step: unless an outage window is open, it fills
-// the free servers from the scheduler, keeping the transactions already
-// running, and returns Horizon(arrival). Next reports scheduler-contract
-// violations and the step cap as errors. A +Inf result means nothing can
-// happen any more; the driver owning the global clock decides whether that
-// is a deadlock (see Deadlock).
+// Next takes one scheduling step. It settles a due re-decision first: an
+// open outage window, a scheduler without a Keeper or a Keep that answers
+// false returns the running transactions (Return); a Keep that answers true
+// keeps them. Then, unless an outage window is open, it fills the free
+// servers from the scheduler, and it returns Horizon(arrival). Next reports
+// scheduler-contract violations and the step cap as errors. A +Inf result
+// means nothing can happen any more; the driver owning the global clock
+// decides whether that is a deadlock (see Deadlock).
 //
 //lint:hotpath
 func (k *Kernel) Next(arrival float64) (float64, error) {
 	if k.steps++; k.steps > k.maxSteps {
 		return 0, k.fail(nil)
 	}
-	if _, _, ok := k.Outage(); !ok {
+	_, _, out := k.Outage()
+	if k.due > 0 && (out || !k.keep()) {
+		k.Return()
+	}
+	k.due = 0
+	if !out {
 		// k.running has capacity for exactly the servers: fill the free
 		// slots in place.
 		for n := len(k.running); n < k.servers; n++ {
@@ -272,6 +290,24 @@ func (k *Kernel) Next(arrival float64) (float64, error) {
 	return k.Horizon(arrival), nil
 }
 
+// keep asks the scheduler's Keeper whether the running transactions stay
+// checked out, on a copy when there are several: a kept set takes the
+// Keeper's pick order, and a returned one goes back in its own order.
+func (k *Kernel) keep() bool {
+	switch {
+	case k.keeper == nil:
+		return false
+	case len(k.running) == 1:
+		return k.keeper.Keep(k.now, k.running)
+	}
+	order := append(k.order[:0], k.running...)
+	if !k.keeper.Keep(k.now, order) {
+		return false
+	}
+	copy(k.running, order)
+	return true
+}
+
 // Horizon returns the instant of the kernel's next event without
 // dispatching: the earliest running completion, the caller's next arrival,
 // a due restart, and the open outage window's end or the next one's
@@ -294,17 +330,25 @@ func (k *Kernel) Horizon(arrival float64) float64 {
 	return event
 }
 
-// Advance is the single-backend step: Settle to at, Return the running
+// Advance is the single-backend step: Settle to at, Redecide the running
 // transactions and re-queue the due Restarts. It returns the transactions
 // that committed, in a buffer reused by the next Settle.
 //
 //lint:hotpath
 func (k *Kernel) Advance(at float64) []*txn.Transaction {
 	done := k.Settle(at)
-	k.Return()
+	k.Redecide()
 	k.Restarts()
 	return done
 }
+
+// Redecide marks the running transactions due to re-decide at the next
+// Next, which keeps or returns them once the instant's arrivals and
+// restarts are in. Every driver calls Next before the next Settle or
+// Drain, so a due re-decision never outlives its instant.
+//
+//lint:hotpath
+func (k *Kernel) Redecide() { k.due = len(k.running) }
 
 // Settle runs the servers to at and settles every transaction whose work is
 // done — commit, validate-fail rewind or injector abort. With transactions
@@ -355,7 +399,8 @@ func (k *Kernel) Settle(at float64) []*txn.Transaction {
 }
 
 // Return hands every running transaction back to the scheduler with its
-// progress kept (preemptive resume), so the next Next re-decides.
+// progress kept (preemptive resume), so the next Next re-decides, and
+// settles a due re-decision.
 //
 //lint:hotpath
 func (k *Kernel) Return() {
@@ -363,6 +408,7 @@ func (k *Kernel) Return() {
 		k.preempt(t)
 	}
 	k.running = k.running[:0]
+	k.due = 0
 }
 
 // Restarts re-queues the aborted transactions whose backoff expired by the

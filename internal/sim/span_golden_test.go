@@ -15,7 +15,7 @@ import (
 // the full fault taxonomy active. Like goldenDigests, this is a regression
 // tripwire: a deliberate change to the span encoding, segment folding or
 // event ordering must update the constant with an explanation.
-const goldenSpanDigest uint64 = 0x32566971b0987866
+const goldenSpanDigest uint64 = 0xa870bcf9a4d41172
 
 func spanJSONL(t *testing.T) []byte {
 	t.Helper()
