@@ -107,7 +107,7 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 	for i := range r.insts {
 		in := &r.insts[i]
 		in.name, in.crashSeen = strconv.Itoa(i), -1
-		if in.k, err = sim.NewInstance(cfg.instance(i, in.name, maxSteps), set, cfg.NewScheduler(), r.obs, in.name); err != nil {
+		if in.k, err = sim.NewInstance(cfg.instance(i, in.name), set, cfg.NewScheduler(), r.obs, in.name); err != nil {
 			return nil, fmt.Errorf("cluster: instance %d: %w", i, err)
 		}
 	}

@@ -172,24 +172,21 @@ func (c *Config) validate(set *txn.Set) (Retry, int, error) {
 			windows += len(p.Stalls)
 		}
 	}
-	steps := (8*n+64)*scale + 16*windows + 64*c.Instances
-	if contention.HasKeys(set) {
-		// Validation failures re-execute from scratch; each failure needs a
-		// distinct conflicting commit inside the victim's open window, so a
-		// per-instance population of at most n bounds the extra steps
-		// quadratically (same bound as the single-backend simulator).
-		steps = 2*steps + 2*n*n
-	}
-	return retry, steps, nil
+	// Each instance adds 64 steps, four windows' worth. Validation failures
+	// re-execute from scratch; each failure needs a distinct conflicting
+	// commit inside the victim's open window, so a per-instance population
+	// of at most n bounds the extra steps quadratically, as on a single
+	// backend.
+	return retry, sim.StepCap(n, scale, windows+4*c.Instances, contention.HasKeys(set)), nil
 }
 
-// instance is the kernel configuration of instance i, named name. Its step
-// count never exceeds the router's, so the router's cap is the one that
-// fires.
+// instance is the kernel configuration of instance i, named name. The
+// router calls each instance's Next at most once per step it caps, so the
+// instance needs no cap of its own.
 //
 //lint:coldpath per-instance wiring runs once before the event loop
-func (c *Config) instance(i int, name string, steps int) sim.Config {
-	kc := sim.Config{MaxSteps: steps, Metrics: c.Metrics}
+func (c *Config) instance(i int, name string) sim.Config {
+	kc := sim.Config{Metrics: c.Metrics}
 	if c.NewAdmit != nil {
 		kc.Admit = c.NewAdmit()
 	}

@@ -91,7 +91,7 @@ func scenario(sc int, sink obs.Sink) (Config, *txn.Set) {
 // goldenScenarios is the sha256 over the scenarios' outcome lines (Result
 // JSON, per-transaction finish bits and shed marks, and the routed stream's
 // fold digests). Regenerate only for an intended schedule change.
-const goldenScenarios = "4f7be3c438e666a212ed2587008ce6e35ef2e637e02d70f567295ef1374a5a86"
+const goldenScenarios = "5a92b41940ccde09764c4ea7e14f94d3f49133f27a9f8df6ead4a62861e86884"
 
 // TestClusterScenarios replays randomized fleets — every routing policy,
 // fault mix, admission controller and SLO setting — and pins their outcomes

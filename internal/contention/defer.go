@@ -36,7 +36,6 @@ const DefaultWindow = 8
 // see docs/CONTENTION.md for the measured operating envelope.
 type Deferring struct {
 	inner  sched.Scheduler
-	keeper sched.Keeper // the wrapped policy's, or nil
 	window int
 	name   string
 	sink   obs.Sink
@@ -66,15 +65,11 @@ func NewDeferring(inner sched.Scheduler, window int) *Deferring {
 	}
 	return &Deferring{
 		inner:  inner,
-		keeper: sched.KeeperOf(inner),
 		window: window,
 		name:   "CA-" + inner.Name(),
 		cand:   make([]*txn.Transaction, 0, window+1),
 	}
 }
-
-// Unwrap returns the wrapped policy, for invariant audits and tests.
-func (d *Deferring) Unwrap() sched.Scheduler { return d.inner }
 
 // Name implements sched.Scheduler.
 func (d *Deferring) Name() string { return d.name }
@@ -157,28 +152,6 @@ func (d *Deferring) Next(now float64) *txn.Transaction {
 	return pick
 }
 
-// Keep implements sched.Keeper: it keeps running when no transaction of it
-// is predicted to conflict with another busy one and the wrapped policy
-// keeps. Next then hands running back in the wrapped policy's order with no
-// probe: the round trip's OnPreempt only clears the busy flags of running
-// transactions without progress, so each pick sees no more busy
-// transactions than this check did. A conflicting running transaction
-// answers false even when Next's work-conserving fallback would check it
-// out again; the round trip is exact either way.
-//
-//lint:hotpath
-func (d *Deferring) Keep(now float64, running []*txn.Transaction) bool {
-	if d.keeper == nil {
-		return false
-	}
-	for _, t := range running {
-		if d.conflictsBusy(t) {
-			return false
-		}
-	}
-	return d.keeper.Keep(now, running)
-}
-
 // OnPreempt implements sched.Scheduler.
 func (d *Deferring) OnPreempt(now float64, t *txn.Transaction) {
 	// A preempted transaction with partial progress still holds its read
@@ -252,4 +225,3 @@ func othersHold(count []int32, keys, own []txn.Key, self bool) bool {
 
 var _ sched.Scheduler = (*Deferring)(nil)
 var _ sched.SinkSetter = (*Deferring)(nil)
-var _ sched.Keeper = (*Deferring)(nil)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/sched"
 	"repro/internal/txn"
 )
 
@@ -157,89 +156,11 @@ func TestDeferringOpenIncarnations(t *testing.T) {
 	}
 }
 
-// keepFixture checks the running transactions out of a Deferring over an
-// ID-ordered priority policy, gives each progress, and then queues the
-// given further transactions.
-func keepFixture(t *testing.T, running, queued []int) (*txn.Set, *Deferring) {
-	t.Helper()
-	set := deferFixture(t)
-	d := NewDeferring(sched.NewPriorityPolicy("ID", func(a, b *txn.Transaction) bool { return a.ID < b.ID }), 4)
-	d.Init(set)
-	for _, i := range running {
-		d.OnArrival(0, set.Txns[i])
-	}
-	// A conflicting second transaction has nothing to be stolen for yet:
-	// the work-conserving fallback checks it out anyway.
-	for _, i := range running {
-		if got := d.Next(0); got != set.Txns[i] {
-			t.Fatalf("Next = %v, want %v", got, set.Txns[i])
-		}
-		set.Txns[i].Remaining--
-	}
-	for _, i := range queued {
-		d.OnArrival(1, set.Txns[i])
-	}
-	return set, d
-}
-
-// TestDeferringKeep: a running pair is kept, in the wrapped policy's order,
-// when neither is predicted to conflict with the other busy one, and a
-// conflicting running pair answers false — whether Next's probe would steal
-// a queued transaction past it or its work-conserving fallback would hand
-// the pair back. Each answer is checked against the round trip through
-// OnPreempt and Next: a kept pair comes back first, in the reported order,
-// and a stolen-past one does not.
-func TestDeferringKeep(t *testing.T) {
-	for _, c := range []struct {
-		name            string
-		running, queued []int
-		keep, back      bool // Keep's answer; whether the round trip hands the pair back
-	}{
-		{"disjoint", []int{0, 2}, []int{3}, true, true},
-		{"steal", []int{0, 1}, []int{3, 2}, false, false},
-		{"fallback", []int{0, 1}, []int{3}, false, true},
-	} {
-		set, d := keepFixture(t, c.running, c.queued)
-		first, second := set.Txns[c.running[0]], set.Txns[c.running[1]]
-		running := []*txn.Transaction{second, first}
-		if got := d.Keep(1, running); got != c.keep {
-			t.Fatalf("%s: Keep = %v, want %v", c.name, got, c.keep)
-		}
-		if c.keep && (running[0] != first || running[1] != second) {
-			t.Fatalf("%s: kept order %v, want %v, %v", c.name, running, first, second)
-		}
-		// The round trip on a fresh copy of the same state.
-		set, d = keepFixture(t, c.running, c.queued)
-		first, second = set.Txns[c.running[0]], set.Txns[c.running[1]]
-		d.OnPreempt(1, second)
-		d.OnPreempt(1, first)
-		got0, got1 := d.Next(1), d.Next(1)
-		if back := got0 == first && got1 == second; back != c.back {
-			t.Fatalf("%s: round trip handed out %v then %v, want the pair back: %v", c.name, got0, got1, c.back)
-		}
-	}
-}
-
-// TestDeferringKeepWithoutKeeper: over a policy without a Keeper the
-// wrapper always returns the running set.
-func TestDeferringKeepWithoutKeeper(t *testing.T) {
-	set := deferFixture(t)
-	d := NewDeferring(&queueSched{}, 4)
-	d.Init(set)
-	d.OnArrival(0, set.Txns[2])
-	if d.Next(0) != set.Txns[2] || d.Keep(1, set.Txns[2:3]) {
-		t.Fatal("Keep over the FIFO policy kept")
-	}
-}
-
 func TestDeferringNameAndUnwrap(t *testing.T) {
 	inner := &queueSched{}
 	d := NewDeferring(inner, 0)
 	if d.Name() != "CA-FIFO" {
 		t.Fatalf("Name() = %q", d.Name())
-	}
-	if d.Unwrap() != inner {
-		t.Fatal("Unwrap lost the inner policy")
 	}
 	if d.window != DefaultWindow {
 		t.Fatalf("window = %d, want DefaultWindow on non-positive input", d.window)

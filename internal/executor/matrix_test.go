@@ -271,9 +271,9 @@ func clusterSkip(c matrixCell, p string) string {
 		// LS's order is time-dependent: a running transaction's key d-r
 		// grows as it runs, so a waiting one can come to outrank it with
 		// nothing new arriving. The single backend re-decides at every
-		// arrival instant, including one whose only arrival is shed, and its
-		// Keep really preempts there; the cluster re-decides only on an
-		// instance that received work.
+		// arrival instant, including one whose only arrival is shed, and it
+		// really preempts there; the cluster re-decides only on an instance
+		// that received work.
 		return "LS under shedding: the single backend re-decides at shed-only arrival instants, where LS can really preempt"
 	}
 	return ""

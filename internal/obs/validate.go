@@ -26,6 +26,9 @@ import (
 //   - route precedes the transaction's arrival-or-shed outcome and never
 //     follows its completion; failover requires a prior arrival and precedes
 //     the completion (a failed-over transaction is alive on a new instance);
+//   - a preempt is a real preemption: a running transaction preempted at an
+//     instant is not dispatched again at that instant unless an abort,
+//     validate_fail, restart or failover of it comes in between;
 //
 // and globally: event times never decrease. Eject and recover are
 // instance-level circuit-breaker transitions with no per-transaction
@@ -37,6 +40,9 @@ func Validate(events []Event) error {
 		completed  bool
 		shed       bool
 		backoff    bool
+		running    bool    // dispatched, and not since preempted, aborted, failed or failed over
+		preempted  bool    // preempted while running at preemptedAt, and not since touched
+		preemptAt  float64 // the instant of that preemption
 		tardiness  float64
 	}
 	states := make(map[txn.ID]*state)
@@ -77,8 +83,10 @@ func Validate(events []Event) error {
 				return fail(i, ev, "dispatch after completion")
 			case s.shed:
 				return fail(i, ev, "dispatch of a shed transaction")
+			case s.preempted && s.preemptAt == ev.Time:
+				return fail(i, ev, "dispatch of the transaction preempted at the same instant (not a real preemption)")
 			}
-			s.dispatched = true
+			s.dispatched, s.running, s.preempted = true, true, false
 		case KindPreempt:
 			s := get(ev.Txn)
 			switch {
@@ -87,6 +95,7 @@ func Validate(events []Event) error {
 			case s.completed:
 				return fail(i, ev, "preempt after completion")
 			}
+			s.preempted, s.preemptAt, s.running = s.running, ev.Time, false
 		case KindCompletion:
 			s := get(ev.Txn)
 			switch {
@@ -120,12 +129,13 @@ func Validate(events []Event) error {
 			if ev.Detail != "crash" {
 				s.backoff = true
 			}
+			s.running, s.preempted = false, false
 		case KindRestart:
 			s := get(ev.Txn)
 			if !s.backoff {
 				return fail(i, ev, "restart without a pending abort")
 			}
-			s.backoff = false
+			s.backoff, s.preempted = false, false
 		case KindShed:
 			s := get(ev.Txn)
 			switch {
@@ -151,6 +161,7 @@ func Validate(events []Event) error {
 			case s.completed:
 				return fail(i, ev, "failover after completion")
 			}
+			s.running, s.preempted = false, false
 		case KindValidateFail:
 			s := get(ev.Txn)
 			switch {
@@ -161,6 +172,7 @@ func Validate(events []Event) error {
 			case !s.dispatched:
 				return fail(i, ev, "validate_fail without any dispatch")
 			}
+			s.running, s.preempted = false, false
 		case KindConflictDefer:
 			s := get(ev.Txn)
 			if s.completed {

@@ -113,3 +113,68 @@ func TestValidateRejections(t *testing.T) {
 		})
 	}
 }
+
+// TestValidateRealPreemptions: a preempt must be a real preemption — a
+// running transaction preempted at an instant is not dispatched again at
+// that instant — unless an abort, validate_fail, restart or failover of it
+// comes in between, or it was not running when preempted.
+func TestValidateRealPreemptions(t *testing.T) {
+	running := []Event{
+		{Time: 0, Kind: KindArrival, Txn: 0},
+		{Time: 0, Kind: KindDispatch, Txn: 0},
+		{Time: 0, Kind: KindArrival, Txn: 1},
+	}
+	with := func(evs ...Event) []Event { return append(append([]Event(nil), running...), evs...) }
+	accepted := map[string][]Event{
+		"dispatched at a later instant": with(
+			Event{Time: 1, Kind: KindPreempt, Txn: 0},
+			Event{Time: 1, Kind: KindDispatch, Txn: 1},
+			Event{Time: 2, Kind: KindDispatch, Txn: 0},
+		),
+		"validate_fail in between": with(
+			Event{Time: 1, Kind: KindPreempt, Txn: 0},
+			Event{Time: 1, Kind: KindValidateFail, Txn: 0},
+			Event{Time: 1, Kind: KindDispatch, Txn: 0},
+		),
+		"re-queued after validate_fail": with(
+			Event{Time: 1, Kind: KindValidateFail, Txn: 0},
+			Event{Time: 1, Kind: KindPreempt, Txn: 0},
+			Event{Time: 1, Kind: KindDispatch, Txn: 0},
+		),
+		"restarted after an abort": with(
+			Event{Time: 1, Kind: KindAbort, Txn: 0, Detail: "abort"},
+			Event{Time: 2, Kind: KindRestart, Txn: 0},
+			Event{Time: 2, Kind: KindPreempt, Txn: 0},
+			Event{Time: 2, Kind: KindDispatch, Txn: 0},
+		),
+		"failover in between": with(
+			Event{Time: 1, Kind: KindPreempt, Txn: 0},
+			Event{Time: 1, Kind: KindFailover, Txn: 0},
+			Event{Time: 1, Kind: KindDispatch, Txn: 0},
+		),
+	}
+	for name, evs := range accepted {
+		if err := Validate(evs); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
+	}
+	rejected := map[string][]Event{
+		"dispatched right after": with(
+			Event{Time: 1, Kind: KindPreempt, Txn: 0},
+			Event{Time: 1, Kind: KindDispatch, Txn: 0},
+		),
+		"dispatched after another decision": with(
+			Event{Time: 1, Kind: KindPreempt, Txn: 0},
+			Event{Time: 1, Kind: KindDispatch, Txn: 1},
+			Event{Time: 1, Kind: KindConflictDefer, Txn: 0},
+			Event{Time: 1, Kind: KindCompletion, Txn: 1},
+			Event{Time: 1, Kind: KindDispatch, Txn: 0},
+		),
+	}
+	for name, evs := range rejected {
+		err := Validate(evs)
+		if err == nil || !strings.Contains(err.Error(), "preempted at the same instant") {
+			t.Errorf("%s: error %v, want a rejected same-instant dispatch", name, err)
+		}
+	}
+}

@@ -74,21 +74,6 @@ func (p *priorityPolicy) OnPreempt(now float64, t *txn.Transaction) {
 	p.push(t)
 }
 
-// Keep implements Keeper: the running transactions would come back first
-// iff the ready queue's top loses to the weakest of them, and then in
-// comparator order.
-//
-//lint:hotpath
-func (p *priorityPolicy) Keep(now float64, running []*txn.Transaction) bool {
-	for i := 1; i < len(running); i++ {
-		for j := i; j > 0 && p.less(running[j], running[j-1]); j-- {
-			running[j], running[j-1] = running[j-1], running[j]
-		}
-	}
-	top := p.heap.Peek()
-	return top == nil || len(running) == 0 || p.less(running[len(running)-1], top.Value)
-}
-
 func (p *priorityPolicy) OnCompletion(now float64, t *txn.Transaction) {
 	for _, r := range p.rt.Complete(t) {
 		p.push(r)

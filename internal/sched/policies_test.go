@@ -175,28 +175,6 @@ func TestPriorityPolicyPreemptReinsert(t *testing.T) {
 	}
 }
 
-// TestPriorityPolicyKeep: SRPT keeps its running pair, shortest first,
-// while the queued top is longer than both, and returns it once the top
-// beats the longer of the two.
-func TestPriorityPolicyKeep(t *testing.T) {
-	set := mustSet(t, mk(0, 0, 100, 9), mk(1, 0, 100, 6), mk(2, 0, 100, 8), mk(3, 0, 100, 3))
-	s := NewSRPT()
-	s.Init(set)
-	for _, id := range []txn.ID{0, 1, 2} {
-		s.OnArrival(0, set.ByID(id))
-	}
-	b, c := s.Next(0), s.Next(0) // T1, then T2; T0 waits
-	b.Remaining, c.Remaining = 5, 4
-	running := []*txn.Transaction{b, c}
-	if !s.(Keeper).Keep(1, running) || running[0] != c || running[1] != b {
-		t.Fatalf("Keep with T0 (9) queued against 5 and 4 running: %v", running)
-	}
-	s.OnArrival(1, set.ByID(3)) // 3 beats the running 5
-	if s.(Keeper).Keep(1, running) {
-		t.Fatal("Keep kept T1 (5) against the queued T3 (3)")
-	}
-}
-
 func TestNextOnEmptyReturnsNil(t *testing.T) {
 	set := mustSet(t, mk(0, 5, 10, 1))
 	s := NewEDF()

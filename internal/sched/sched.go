@@ -24,11 +24,12 @@ import (
 // checked out. This keeps every queue's keys consistent without schedulers
 // having to track execution progress themselves.
 //
-// At a decision point the engine re-decides the running transactions. A
-// scheduler without a Keeper gets every one of them back through OnPreempt
-// and refills the servers through Next. A Keeper that keeps them leaves
-// them checked out across the decision point: they get no OnPreempt and no
-// Next, and only the free servers are refilled.
+// At a decision point the engine re-decides the running transactions: it
+// hands every one of them back through OnPreempt and refills the servers
+// through Next. It reports only what changed (a preempt event for a
+// transaction not picked again, a dispatch for a pick that was not
+// running), so a decision point whose choice does not change looks the same
+// whatever the policy. A Keeper may spare that round trip (see Keeper).
 type Scheduler interface {
 	// Name returns the display name used in tables and figures.
 	Name() string
@@ -49,7 +50,8 @@ type Scheduler interface {
 }
 
 // Keeper is the optional seam that spares a scheduler the check-out round
-// trip of a decision point whose choice does not change.
+// trip of a decision point whose choice does not change. It only saves
+// time: the schedule and the event stream are the same whatever it answers.
 //
 // Keep reports whether handing running back through OnPreempt at now and
 // then calling Next would check out every transaction of running before any
@@ -64,7 +66,7 @@ type Scheduler interface {
 //
 // Engines find a scheduler's Keeper through its Unwrap chain (KeeperOf), so
 // a wrapper that only forwards needs no Keep of its own. A wrapper that
-// changes Next's choice must implement Keep itself.
+// changes Next's choice must not unwrap to its inner policy's Keeper.
 type Keeper interface {
 	Keep(now float64, running []*txn.Transaction) bool
 }

@@ -119,21 +119,26 @@ type unwrapOnly struct{ Scheduler }
 
 func (u unwrapOnly) Unwrap() Scheduler { return u.Scheduler }
 
+// keepNone is a Keeper that never keeps.
+type keepNone struct{ Scheduler }
+
+func (keepNone) Keep(float64, []*txn.Transaction) bool { return false }
+
 // TestKeeperOf: the Keeper is found on the scheduler itself or down its
 // Unwrap chain; a scheduler without one, or a wrapper that hides its inner
 // policy, has none.
 func TestKeeperOf(t *testing.T) {
-	edf := NewEDF()
-	if KeeperOf(edf) != edf.(Keeper) {
-		t.Fatal("a priority policy is its own Keeper")
+	k := &keepNone{NewEDF()}
+	if KeeperOf(k) != Keeper(k) {
+		t.Fatal("a scheduler with Keep is its own Keeper")
 	}
-	if KeeperOf(unwrapOnly{unwrapOnly{edf}}) != edf.(Keeper) {
+	if KeeperOf(unwrapOnly{unwrapOnly{k}}) != Keeper(k) {
 		t.Fatal("the Keeper was not found down the Unwrap chain")
 	}
-	if KeeperOf(NewAED(1)) != nil || KeeperOf(unwrapOnly{NewAED(1)}) != nil {
-		t.Fatal("AED has no Keeper")
+	if KeeperOf(NewEDF()) != nil || KeeperOf(unwrapOnly{NewAED(1)}) != nil {
+		t.Fatal("the baseline policies and AED have no Keeper")
 	}
-	if KeeperOf(struct{ Scheduler }{edf}) != nil {
+	if KeeperOf(struct{ Scheduler }{k}) != nil {
 		t.Fatal("a wrapper without Unwrap hides its policy's Keeper")
 	}
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -32,5 +34,52 @@ func TestServersValidatedBeforeDefaulting(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one, zero) {
 		t.Fatalf("Servers: 0 should default to one server:\nzero %+v\none  %+v", zero, one)
+	}
+}
+
+// TestStepCap: NewKernel caps a run's steps at StepCap — 8n+64, scaled by
+// the fault plan's restart budget plus 16 steps per outage window, doubled
+// plus 2n² with read/write sets — and a kernel whose cap is lowered fails
+// its next step with an error naming the cap and the done/total counts.
+func TestStepCap(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec workload.Spec
+		cfg  Config
+		want int
+	}{
+		{"plain", workload.NewSpec(0.5, 1).WithN(20), Config{}, 8*20 + 64},
+		{"faults+keys", workload.NewSpec(0.5, 1).WithN(20).WithContention(keepKeys), Config{Faults: hammerPlan()}, 2*((8*20+64)*4+16*2) + 2*20*20},
+	} {
+		set := c.spec.MustBuild()
+		k, err := NewKernel(c.cfg, set, sched.NewEDF())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.maxSteps != c.want {
+			t.Fatalf("%s: cap %d, want %d", c.name, k.maxSteps, c.want)
+		}
+	}
+	set := workload.NewSpec(0.5, 1).WithN(20).MustBuild()
+	k, err := NewKernel(Config{}, set, sched.NewEDF())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.maxSteps = 8
+	arr := NewArrivals(set)
+	for step := 1; ; step++ {
+		at, err := k.Next(arr.Next())
+		if err != nil {
+			want := fmt.Sprintf("exceeded 8 scheduling steps with %d/20 transactions complete", k.Counts().Done)
+			if step != 9 || !strings.Contains(err.Error(), want) {
+				t.Fatalf("step %d: %v, want step 9 to fail with %q", step, err, want)
+			}
+			if k.Counts().Done == 0 {
+				t.Fatal("nothing committed within the cap: the counts are not shown")
+			}
+			return
+		}
+		k.Advance(at)
+		arr.Deliver(&k)
 	}
 }

@@ -101,14 +101,14 @@ func TestDigestSensitivity(t *testing.T) {
 // JSON event stream. Servers 2 exercises the check-out of a transaction
 // shared by entities another server is drawing from.
 var sharedNodeDigests = map[string][2]uint64{
-	"ASETS*/S1":          {0xece6f9a91163a24c, 0x6326d20b15185c62},
-	"ASETS*/S2":          {0x8e16750eb4a56315, 0xc256965fc923eaf1},
-	"ASETS*-headexcl/S1": {0xc6f9cdcc3f9d2ddd, 0x4392d4ed29c0e869},
-	"ASETS*-headexcl/S2": {0xa47104509940b5e7, 0x77fdc679b03fe6bf},
+	"ASETS*/S1":          {0xece6f9a91163a24c, 0x36d4025cf7eb6f8e},
+	"ASETS*/S2":          {0x8e16750eb4a56315, 0x2bc90a10a6ca3a0d},
+	"ASETS*-headexcl/S1": {0xc6f9cdcc3f9d2ddd, 0xb19e36c07cb786cb},
+	"ASETS*-headexcl/S2": {0xa47104509940b5e7, 0xfcb6790111aafbad},
 	"Ready/S1":           {0x604e27e8d1d7afc7, 0xc9e92bb8eea4fbef},
-	"Ready/S2":           {0x15248cf948cd82a1, 0x1e34fae07ce030bd},
-	"ASETS*-count/S1":    {0x1afbe8f0ad32dbdd, 0x5f6568f800dc7636},
-	"ASETS*-count/S2":    {0x8e16750eb4a56315, 0xb44bcf56dcc4fed2},
+	"Ready/S2":           {0x15248cf948cd82a1, 0x34f8b04dc6b195a1},
+	"ASETS*-count/S1":    {0x1afbe8f0ad32dbdd, 0xc440c6e929ed9126},
+	"ASETS*-count/S2":    {0x8e16750eb4a56315, 0xdce0571af95fc2ca},
 }
 
 func TestGoldenSharedNodeSchedules(t *testing.T) {

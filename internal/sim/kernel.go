@@ -48,18 +48,22 @@ import (
 //
 // The kernel drives the check-out protocol documented on sched.Scheduler:
 // Next fills only free servers and keeps the transactions already running,
-// which return through OnPreempt (Return, or a validation failure) or
-// OnCompletion. Redecide marks the running transactions due to re-decide,
-// and the next Next settles that once the instant's arrivals and restarts
-// are in: with the scheduler's sched.Keeper agreeing, a kept transaction
-// stays checked out across the decision point, and only a real preemption
-// returns it (Return) for the refill. An aborted transaction stays checked
-// out while it waits out its backoff and is returned through OnPreempt
-// (with its remaining time reset) when the backoff expires.
+// which return through OnPreempt (a re-decision, Return, or a validation
+// failure) or OnCompletion. Redecide marks the running transactions due to
+// re-decide, and the next Next settles that once the instant's arrivals and
+// restarts are in: it hands them back to the scheduler and refills the
+// servers, and then announces only what changed — a preempt for each
+// transaction the refill did not pick again, a dispatch for each pick that
+// was not running. So a decision point whose choice does not change emits
+// nothing, whatever the policy. A sched.Keeper that answers true spares the
+// round trip, with the same schedule and the same events. An aborted
+// transaction stays checked out while it waits out its backoff and is
+// returned through OnPreempt (with its remaining time reset) when the
+// backoff expires.
 type Kernel struct {
 	set      *txn.Set
 	s        sched.Scheduler
-	keeper   sched.Keeper        // s's, or nil: every re-decision returns the running set
+	keeper   sched.Keeper        // s's, or nil: every re-decision hands the running set back
 	o        *sched.Instrumented // nil when uninstrumented
 	label    string              // the instance in event details; "" for one backend
 	servers  int
@@ -77,7 +81,7 @@ type Kernel struct {
 	live      int                // admitted or adopted, not yet committed or drained
 	running   []*txn.Transaction // checked out onto a server
 	completed []*txn.Transaction // backs the commits Settle returns
-	order     []*txn.Transaction // Keep's copy of running
+	prev      []*txn.Transaction // Keep's copy of running; the handed-back set until announce
 	due       int                // len(running) while it is due to re-decide at the next Next, else 0
 	// The outage window open at now (inWin), cached whenever now moves;
 	// stallSeen is the window whose entry was recorded, so the stall event
@@ -132,7 +136,31 @@ func NewKernel(cfg Config, set *txn.Set, s sched.Scheduler) (Kernel, error) {
 		}
 	}
 	set.ResetAll()
-	return NewInstance(cfg, set, s, sched.Instrument(cfg.Sink, cfg.Metrics), "")
+	k, err := NewInstance(cfg, set, s, sched.Instrument(cfg.Sink, cfg.Metrics), "")
+	if err != nil {
+		return Kernel{}, err
+	}
+	scale, windows := 1, 0
+	if k.inj != nil {
+		scale, windows = 1+cfg.Faults.MaxRestarts, len(cfg.Faults.Stalls)
+	}
+	k.maxSteps = StepCap(set.Len(), scale, windows, k.val != nil)
+	return k, nil
+}
+
+// StepCap is the livelock safety net on the scheduling steps of a run over
+// n transactions. Every step completes a transaction, consumes an arrival,
+// or idles toward one, so 8n+64 leaves ample slack; scale multiplies it for
+// re-executions (aborts, failover retries) and each outage window adds 16
+// boundary steps. With read/write sets (keyed) every validation failure
+// re-executes a transaction, at most once per other transaction's commit
+// inside its open window, which doubles the cap and adds 2n².
+func StepCap(n, scale, windows int, keyed bool) int {
+	steps := (8*n+64)*scale + 16*windows
+	if keyed {
+		steps = 2*steps + 2*n*n
+	}
+	return steps
 }
 
 // NewInstance is NewKernel for one backend of several, over a set the
@@ -141,7 +169,8 @@ func NewKernel(cfg Config, set *txn.Set, s sched.Scheduler) (Kernel, error) {
 // of cfg.Sink: the instances of a fleet share one observer, so their events
 // form one stream in global order. label names the instance in the details
 // of its dispatch, validate-fail, stall and degrade events, and labels its
-// degradation gauge.
+// degradation gauge. The instance has no step cap of its own: the fleet
+// driving it caps its steps.
 func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumented, label string) (Kernel, error) {
 	servers, err := cfg.servers()
 	if err != nil {
@@ -152,7 +181,7 @@ func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumen
 	k := Kernel{
 		set: set, o: o, label: label, servers: servers, recorder: cfg.Recorder, ctrl: cfg.Admit,
 		winIdx: -1, stallSeen: -1, running: slots[:0:servers], completed: slots[servers : servers : 2*servers],
-		order: slots[2*servers : 2*servers],
+		prev: slots[2*servers : 2*servers], maxSteps: math.MaxInt,
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
@@ -181,20 +210,6 @@ func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumen
 	// (docs/CONTENTION.md); plain workloads keep the exact paper model.
 	if k.val = contention.NewValidator(set); k.val != nil {
 		k.crec = contention.NewRecorder(o.Sink(), cfg.Metrics, label)
-	}
-	if k.maxSteps = cfg.MaxSteps; k.maxSteps == 0 {
-		// Every step completes a transaction, consumes an arrival, or idles
-		// toward one; 8n+64 leaves ample slack. Aborts re-execute
-		// transactions and stall windows add boundary events; every
-		// validation failure re-executes a transaction, at most once per
-		// other transaction's commit inside its open window.
-		k.maxSteps = 8*n + 64
-		if k.inj != nil {
-			k.maxSteps = k.maxSteps*(1+cfg.Faults.MaxRestarts) + 16*len(cfg.Faults.Stalls)
-		}
-		if k.val != nil {
-			k.maxSteps = 2*k.maxSteps + 2*n*n
-		}
 	}
 	return k, nil
 }
@@ -244,14 +259,15 @@ func (c Counts) AdmitState(servers int) admit.State {
 	}
 }
 
-// Next takes one scheduling step. It settles a due re-decision first: an
-// open outage window, a scheduler without a Keeper or a Keep that answers
-// false returns the running transactions (Return); a Keep that answers true
-// keeps them. Then, unless an outage window is open, it fills the free
-// servers from the scheduler, and it returns Horizon(arrival). Next reports
-// scheduler-contract violations and the step cap as errors. A +Inf result
-// means nothing can happen any more; the driver owning the global clock
-// decides whether that is a deadlock (see Deadlock).
+// Next takes one scheduling step. It settles a due re-decision first: a
+// Keep that answers true keeps the running transactions, and otherwise (or
+// under an open outage window) they are handed back. Then, unless an outage
+// window is open, it fills the free servers from the scheduler, announces
+// what a hand-back changed (under an outage: every running transaction was
+// preempted), and returns Horizon(arrival). Next reports scheduler-contract
+// violations and the step cap as errors. A +Inf result means nothing can
+// happen any more; the driver owning the global clock decides whether that
+// is a deadlock (see Deadlock).
 //
 //lint:hotpath
 func (k *Kernel) Next(arrival float64) (float64, error) {
@@ -260,7 +276,7 @@ func (k *Kernel) Next(arrival float64) (float64, error) {
 	}
 	_, _, out := k.Outage()
 	if k.due > 0 && (out || !k.keep()) {
-		k.Return()
+		k.handBack()
 	}
 	k.due = 0
 	if !out {
@@ -280,19 +296,22 @@ func (k *Kernel) Next(arrival float64) (float64, error) {
 				// as old as the incarnation's first dispatch.
 				k.val.Begin(t)
 			}
-			if k.o != nil {
+			if k.o != nil && len(k.prev) == 0 {
 				k.o.Dispatch(k.now, t, k.label)
 			}
 			k.running = k.running[:n+1]
 			k.running[n] = t
 		}
 	}
+	if len(k.prev) > 0 {
+		k.announce()
+	}
 	return k.Horizon(arrival), nil
 }
 
 // keep asks the scheduler's Keeper whether the running transactions stay
 // checked out, on a copy when there are several: a kept set takes the
-// Keeper's pick order, and a returned one goes back in its own order.
+// Keeper's pick order, and a handed-back one goes back in its own order.
 func (k *Kernel) keep() bool {
 	switch {
 	case k.keeper == nil:
@@ -300,12 +319,46 @@ func (k *Kernel) keep() bool {
 	case len(k.running) == 1:
 		return k.keeper.Keep(k.now, k.running)
 	}
-	order := append(k.order[:0], k.running...)
+	order := append(k.prev[:0], k.running...)
 	if !k.keeper.Keep(k.now, order) {
 		return false
 	}
 	copy(k.running, order)
 	return true
+}
+
+// handBack returns the running transactions to the scheduler with their
+// progress kept and no events, remembering them for announce.
+//
+//lint:hotpath
+func (k *Kernel) handBack() {
+	k.prev = append(k.prev[:0], k.running...)
+	for _, t := range k.prev {
+		k.s.OnPreempt(k.now, t)
+	}
+	k.running = k.running[:0]
+}
+
+// announce reports what the refill after handBack changed, after the
+// policy's own events from those Next calls: a preempt for each handed-back
+// transaction that was not picked again, in running order, then a dispatch
+// for each pick that was not running, in pick order.
+//
+//lint:hotpath
+func (k *Kernel) announce() {
+	if k.o != nil {
+		for _, t := range k.prev {
+			if !slices.Contains(k.running, t) {
+				k.o.Preempt(k.now, t)
+			}
+		}
+		for _, t := range k.running {
+			if !slices.Contains(k.prev, t) {
+				k.o.Dispatch(k.now, t, k.label)
+			}
+		}
+	}
+	k.prev = k.prev[:0]
 }
 
 // Horizon returns the instant of the kernel's next event without
@@ -343,8 +396,7 @@ func (k *Kernel) Advance(at float64) []*txn.Transaction {
 }
 
 // Redecide marks the running transactions due to re-decide at the next
-// Next, which keeps or returns them once the instant's arrivals and
-// restarts are in. Every driver calls Next before the next Settle or
+// Next, which settles them once the instant's arrivals and restarts are in. Every driver calls Next before the next Settle or
 // Drain, so a due re-decision never outlives its instant.
 //
 //lint:hotpath
@@ -398,16 +450,15 @@ func (k *Kernel) Settle(at float64) []*txn.Transaction {
 	return done
 }
 
-// Return hands every running transaction back to the scheduler with its
-// progress kept (preemptive resume), so the next Next re-decides, and
-// settles a due re-decision.
+// Return preempts every running transaction — it goes back to the
+// scheduler with its progress kept (preemptive resume), with a preempt
+// event — so the next Next re-decides, and settles a due re-decision. The
+// drivers call it at an outage, where nothing is dispatched.
 //
 //lint:hotpath
 func (k *Kernel) Return() {
-	for _, t := range k.running {
-		k.preempt(t)
-	}
-	k.running = k.running[:0]
+	k.handBack()
+	k.announce()
 	k.due = 0
 }
 

@@ -54,11 +54,6 @@ type Config struct {
 	// transactions run concurrently under global preemptive scheduling.
 	// Closed-loop runs support a single server only.
 	Servers int
-	// MaxSteps bounds the number of scheduling decisions as a safety net
-	// against a buggy scheduler that spins without progress. Zero selects a
-	// generous default proportional to the workload size (and to the fault
-	// plan's restart budget).
-	MaxSteps int
 	// Sink, when non-nil, receives the typed decision-event stream
 	// (arrivals, dispatches, preemptions, completions, deadline misses,
 	// plus policy-internal aging and mode-switch events and — with faults

@@ -83,7 +83,7 @@ type Engine struct {
 	win     int64   // index of the open window
 	next    float64 // simulated time of the next boundary
 	active  int
-	burning bool // any class's fast burn at or above Threshold
+	burning bool // any class's fast burn at or above burnThreshold
 	classes [NumClasses]classState
 	rules   []rule
 
@@ -278,7 +278,7 @@ func (e *Engine) closeWindow(at float64) {
 	e.burning = false
 	for ci := range e.classes {
 		c := &e.classes[ci]
-		if e.cfg.Spec.Classes[ci].MissRatio > 0 && c.fastBurn >= e.cfg.Threshold {
+		if e.cfg.Spec.Classes[ci].MissRatio > 0 && c.fastBurn >= burnThreshold {
 			e.burning = true
 		}
 		c.cur = winCount{}
@@ -332,7 +332,7 @@ func (e *Engine) evalRule(r *rule, at float64) {
 			// Multi-window burn rule: both the fast and the slow window
 			// must burn past the threshold, so a brief spike (fast only)
 			// or a long slow bleed (slow only) does not page.
-			breached = c.fastBurn >= e.cfg.Threshold && c.slowBurn >= e.cfg.Threshold
+			breached = c.fastBurn >= burnThreshold && c.slowBurn >= burnThreshold
 			if breached {
 				e.fire(r, at, ratio)
 			}
@@ -353,7 +353,7 @@ func (e *Engine) evalRule(r *rule, at float64) {
 	healthy := ratio <= 1
 	if healthy {
 		r.calm++
-		if r.calm >= e.cfg.ResolveHold {
+		if r.calm >= resolveHold {
 			e.resolve(r, at, ratio)
 		}
 	} else {
@@ -500,9 +500,6 @@ func (e *Engine) State() State {
 	}
 	return st
 }
-
-// Threshold returns the configured burn threshold (for rollup consumers).
-func (e *Engine) Threshold() float64 { return e.cfg.Threshold }
 
 // String renders a one-line summary, for logs and tests.
 func (e *Engine) String() string {

@@ -9,12 +9,9 @@ import (
 )
 
 // testConfig is a small, fast geometry: 10-unit windows, 2-window fast burn,
-// 4-window slow burn, threshold 2, resolve after 2 healthy windows.
+// 4-window slow burn.
 func testConfig(spec Spec) Config {
-	return Config{
-		Spec: spec, Window: 10, FastWindows: 2, SlowWindows: 4,
-		Threshold: 2, ResolveHold: 2,
-	}
+	return Config{Spec: spec, Window: 10, FastWindows: 2, SlowWindows: 4}
 }
 
 func burnOnly(target float64) Spec {
@@ -95,8 +92,6 @@ func TestConfigValidate(t *testing.T) {
 		{Spec: burnOnly(0.1), Window: -1},
 		{Spec: burnOnly(0.1), FastWindows: 5, SlowWindows: 3},
 		{Spec: burnOnly(0.1), FastWindows: 4, SlowWindows: 4},
-		{Spec: burnOnly(0.1), Threshold: 0.5},
-		{Spec: burnOnly(0.1), ResolveHold: -1},
 		{}, // no rule enabled
 	}
 	for i, cfg := range bad {
@@ -113,7 +108,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{Config{Spec: burnOnly(0.1), Window: nan}, "window"},
 		{Config{Spec: burnOnly(0.1), Window: inf}, "window"},
-		{Config{Spec: burnOnly(0.1), Threshold: nan}, "burn threshold"},
 		{Config{Spec: Spec{Classes: [NumClasses]Target{{MissRatio: 0.1}, {TardinessP95: inf}}}}, "medium p95 target"},
 		{Config{Spec: Spec{Classes: [NumClasses]Target{{MissRatio: nan, QueueBound: 5}}}}, "light miss target"},
 	} {

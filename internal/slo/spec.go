@@ -146,8 +146,17 @@ func ParseSpec(s string) (Spec, error) {
 	return spec, nil
 }
 
-// Config configures an Engine: the objectives plus the window geometry and
-// burn-rate thresholds of the alert rules.
+// burnThreshold is the burn ratio (observed miss ratio over target) at which
+// the burn rule fires: the budget is being spent at twice the sustainable
+// rate.
+const burnThreshold = 2
+
+// resolveHold is the fire/resolve hysteresis: a firing rule resolves only
+// after this many consecutive healthy windows.
+const resolveHold = 2
+
+// Config configures an Engine: the objectives plus the window geometry of
+// the alert rules.
 type Config struct {
 	// Spec holds the per-class objectives.
 	Spec Spec
@@ -157,17 +166,11 @@ type Config struct {
 	Window float64
 	// FastWindows and SlowWindows are the burn-rate windows, in whole
 	// tumbling windows (defaults 2 and 12). A burn alert fires when the
-	// miss-ratio burn over both exceeds Threshold; ceiling rules fire
-	// after FastWindows consecutive breached windows.
+	// miss-ratio burn over both reaches twice the sustainable rate;
+	// ceiling rules fire after FastWindows consecutive breached windows. A
+	// firing rule resolves after two consecutive healthy windows.
 	FastWindows int
 	SlowWindows int
-	// Threshold is the burn ratio (observed miss ratio over target) at
-	// which the burn rule fires (default 2: the budget is being spent at
-	// twice the sustainable rate).
-	Threshold float64
-	// ResolveHold is the fire/resolve hysteresis: a firing rule resolves
-	// only after this many consecutive healthy windows (default 2).
-	ResolveHold int
 	// Instance optionally names the fault domain the engine watches; it
 	// prefixes alert Detail strings ("0:heavy/burn") and adds an
 	// inst label to the exported gauges, so per-instance engines of a
@@ -186,12 +189,6 @@ func (c Config) withDefaults() Config {
 	if c.SlowWindows == 0 {
 		c.SlowWindows = 12
 	}
-	if c.Threshold <= 0 {
-		c.Threshold = 2
-	}
-	if c.ResolveHold == 0 {
-		c.ResolveHold = 2
-	}
 	return c
 }
 
@@ -205,7 +202,7 @@ func (c Config) Validate() error {
 		name string
 		v    float64
 	}
-	fields := []field{{"window", c.Window}, {"burn threshold", c.Threshold}}
+	fields := []field{{"window", c.Window}}
 	for i, t := range c.Spec.Classes {
 		cls := obs.ClassName(i)
 		fields = append(fields, field{cls + " miss target", t.MissRatio}, field{cls + " p95 target", t.TardinessP95},
@@ -221,12 +218,6 @@ func (c Config) Validate() error {
 	}
 	if c.FastWindows < 0 || c.SlowWindows < 0 {
 		return fmt.Errorf("slo: burn windows (%d fast, %d slow) must be positive window counts", c.FastWindows, c.SlowWindows)
-	}
-	if c.Threshold < 0 || (c.Threshold > 0 && c.Threshold < 1) {
-		return fmt.Errorf("slo: burn threshold %v must be at least 1", c.Threshold)
-	}
-	if c.ResolveHold < 0 {
-		return fmt.Errorf("slo: resolve hold %d must be at least 1 window", c.ResolveHold)
 	}
 	c = c.withDefaults()
 	if c.SlowWindows <= c.FastWindows {

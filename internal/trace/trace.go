@@ -32,9 +32,10 @@ type Slice struct {
 func (s Slice) Duration() float64 { return s.End - s.Start }
 
 // Recorder accumulates execution slices during a simulation run. The zero
-// value is ready to use. Adjacent slices of the same transaction are merged
-// so traces stay compact under frequent no-op "preemptions" (an arrival that
-// does not change the running transaction).
+// value is ready to use. The simulator records one slice per running
+// transaction per event step, so adjacent slices of the same transaction are
+// merged: a transaction that runs across decision points (an arrival that
+// does not change the running set) stays one slice.
 type Recorder struct {
 	Slices []Slice
 }
