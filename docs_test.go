@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // citedTest matches a Go test name in prose; a trailing * cites a prefix.
@@ -148,6 +150,29 @@ func TestDocsHotpathRoots(t *testing.T) {
 	for _, name := range sortedKeys(named) {
 		if _, ok := marked[name]; !ok {
 			t.Errorf("docs/DETERMINISM.md names hotpath root %s, which carries no //lint:hotpath marker", name)
+		}
+	}
+}
+
+// TestDocsListEveryCounter: every counter of the obs kind table, and the
+// lost counter, is named in docs/OBSERVABILITY.md.
+func TestDocsListEveryCounter(t *testing.T) {
+	body, err := os.ReadFile("docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{obs.LostCounter}
+	for k := 0; k < obs.NumKinds; k++ {
+		if name := obs.Kind(k).Counter(); name != "" {
+			names = append(names, name)
+		}
+	}
+	if len(names) < 2 {
+		t.Fatal("the kind table names no counter")
+	}
+	for _, name := range names {
+		if !strings.Contains(string(body), "`"+name+"`") {
+			t.Errorf("docs/OBSERVABILITY.md does not name the counter %s", name)
 		}
 	}
 }

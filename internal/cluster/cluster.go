@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/txn"
@@ -68,9 +69,10 @@ type router struct {
 	policy Policy
 	set    *txn.Set
 	obs    *sched.Instrumented // shared by the kernels: one ordered stream
-	rec    *recorder
-	insts  []instance
-	views  []InstanceView
+	// healthyGauge exports healthy(), nil without a registry.
+	healthyGauge *obs.Gauge
+	insts        []instance
+	views        []InstanceView
 
 	arr     sim.Arrivals // undelivered arrivals
 	held    bool         // due arrivals wait at arr's head: every instance is ejected
@@ -102,7 +104,11 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 	if r.policy == nil {
 		r.policy = NewRoundRobin()
 	}
-	r.rec = newRecorder(r.obs.Sink(), cfg.Metrics)
+	r.obs.Count(obs.KindRoute, obs.KindFailover, obs.KindEject, obs.KindRecover)
+	if cfg.Metrics != nil {
+		r.healthyGauge = cfg.Metrics.Gauge("asets_cluster_healthy_instances", "instances currently accepting routed work")
+		r.healthyGauge.Set(float64(cfg.Instances))
+	}
 	set.ResetAll()
 	for i := range r.insts {
 		in := &r.insts[i]
@@ -226,7 +232,7 @@ func (r *router) settle(i int) {
 		// the routing set.
 		in.ejected, in.halfOpen = false, true
 		r.recoveries++
-		r.rec.Recover(r.now, in.name, r.healthy())
+		r.breaker(obs.KindRecover, in.name)
 	}
 	// Keyed-abort restarts return to their own instance's queue.
 	if in.k.Restarts() > 0 {
@@ -262,7 +268,7 @@ func (r *router) route(t *txn.Transaction) (bool, error) {
 		return false, err
 	}
 	in := &r.insts[j]
-	r.rec.Route(r.now, t, in.name)
+	r.obs.Note(r.now, obs.KindRoute, t, t.Remaining, in.name)
 	r.routes++
 	if in.k.Arrive(t) {
 		in.delivered = true
@@ -339,7 +345,7 @@ func (r *router) crash(i int, w fault.Window, idx int) {
 		if r.cfg.NoFailover || r.fails[t.ID] >= r.retry.Budget {
 			r.lost++
 			t.Shed = true
-			r.rec.Lost(r.now, t)
+			r.obs.Note(r.now, obs.KindFailover, t, 0, "lost")
 			continue
 		}
 		r.fails[t.ID]++
@@ -350,7 +356,16 @@ func (r *router) crash(i int, w fault.Window, idx int) {
 		r.ejections++
 	}
 	in.reopenAt = max(in.reopenAt, w.End()+r.cfg.RecoveryCooldown)
-	r.rec.Eject(r.now, in.name, r.healthy())
+	r.breaker(obs.KindEject, in.name)
+}
+
+// breaker records the circuit breaker ejecting or recovering the instance
+// named inst, and exports the new healthy count.
+func (r *router) breaker(kind obs.Kind, inst string) {
+	if r.healthyGauge != nil {
+		r.healthyGauge.Set(float64(r.healthy()))
+	}
+	r.obs.Note(r.now, kind, nil, 0, inst)
 }
 
 // failover re-enqueues the crash-lost transactions whose backoff expired:
@@ -385,7 +400,7 @@ func (r *router) failover() error {
 		in := &r.insts[j]
 		in.failoversIn++
 		r.failovers++
-		r.rec.Failover(r.now, re.t, in.name+"<-"+r.insts[re.from].name)
+		r.obs.Note(r.now, obs.KindFailover, re.t, re.t.Remaining, in.name+"<-"+r.insts[re.from].name)
 		in.k.Adopt(re.t)
 		in.delivered = true
 	}

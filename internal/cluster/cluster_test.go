@@ -168,6 +168,46 @@ func TestFailoverReroutesCrashLostWork(t *testing.T) {
 	}
 }
 
+// TestHealthyInstancesGauge: asets_cluster_healthy_instances reads the
+// whole fleet from the start of the run, drops when the breaker ejects the
+// crashed instance at t=4 and returns when it half-opens at t=6. The pacing
+// hook reads the gauge before each advance of the clock.
+func TestHealthyInstancesGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	healthy := func() float64 {
+		for _, g := range reg.Snapshot().Gauges {
+			if g.Name == "asets_cluster_healthy_instances" {
+				return g.Value
+			}
+		}
+		t.Fatal("asets_cluster_healthy_instances is not registered")
+		return 0
+	}
+	var seen []float64
+	_, err := New(Config{
+		Instances:    2,
+		NewScheduler: sched.NewSRPT,
+		Faults:       crashPlans(),
+		Retry:        Retry{Budget: 1, BackoffBase: 1},
+		Metrics:      reg,
+		Pace: func(next float64) error {
+			if v := healthy(); len(seen) == 0 || seen[len(seen)-1] != v {
+				seen = append(seen, v)
+			}
+			return nil
+		},
+	}).Run(twoInstanceCrashSet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{2, 1, 2}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("healthy instances over the run = %v, want %v", seen, want)
+	}
+	if v := healthy(); v != 2 {
+		t.Fatalf("healthy instances at the end = %v, want 2", v)
+	}
+}
+
 // TestNoFailoverLosesWork pins the strawman the benchmark gate measures
 // against: with failover disabled, instance 0's crash permanently destroys
 // T0, and the effective miss ratio charges the loss as an SLA violation.

@@ -30,6 +30,7 @@ import (
 	"io"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 	"unsafe"
 
 	"repro/internal/txn"
@@ -78,7 +79,7 @@ const (
 	// to an instance; Detail carries the instance index.
 	KindRoute
 	// KindFailover — a transaction lost to an instance crash was re-enqueued
-	// to a surviving instance (Detail "from->to") or permanently dropped
+	// to a surviving instance (Detail "to<-from") or permanently dropped
 	// because its retry budget ran out (Detail "lost").
 	KindFailover
 	// KindEject — the cluster circuit-breaker ejected a crashed instance
@@ -105,54 +106,88 @@ const (
 	KindAlertResolve
 )
 
+// NumKinds is the number of event kinds.
+const NumKinds = int(KindAlertResolve) + 1
+
+// kinds is the event taxonomy, one row per Kind: the kind's stable wire
+// name and, when its events feed a /metrics counter, the counter's name and
+// HELP text (empty when none does). It is the only place a kind maps to a
+// counter; Counters folds events through it.
+var kinds = [NumKinds]struct{ name, counter, help string }{
+	KindArrival:       {"arrival", "asets_sched_arrivals_total", "transactions submitted to the scheduler"},
+	KindDispatch:      {"dispatch", "asets_sched_dispatches_total", "transactions checked out to a server"},
+	KindPreempt:       {"preempt", "asets_sched_preemptions_total", "transactions returned unfinished after running"},
+	KindCompletion:    {"completion", "asets_sched_completions_total", "transactions finished"},
+	KindDeadlineMiss:  {"deadline_miss", "asets_sched_deadline_misses_total", "completions past the deadline"},
+	KindAging:         {"aging", "asets_sched_aging_activations_total", "balance-aware T_old activations"},
+	KindModeSwitch:    {"mode_switch", "asets_sched_mode_switches_total", "EDF/HDF scheduling-entity migrations"},
+	KindAbort:         {"abort", "asets_fault_aborts_total", "transaction aborts (including crash losses)"},
+	KindRestart:       {"restart", "asets_fault_restarts_total", "aborted transactions re-queued after backoff"},
+	KindStall:         {"stall", "asets_fault_stalls_total", "backend stall/crash windows entered"},
+	KindShed:          {"shed", "asets_admit_shed_total", "transactions shed by the admission controller"},
+	KindDegradeEnter:  {name: "degrade_enter"},
+	KindDegradeExit:   {name: "degrade_exit"},
+	KindRoute:         {"route", "asets_cluster_routed_total", "transactions assigned to an instance by the routing tier"},
+	KindFailover:      {"failover", "asets_cluster_failovers_total", "crash-lost transactions re-enqueued to a surviving instance"},
+	KindEject:         {"eject", "asets_cluster_ejections_total", "instances ejected by the circuit-breaker"},
+	KindRecover:       {"recover", "asets_cluster_recoveries_total", "ejected instances half-opened after recovery"},
+	KindValidateFail:  {"validate_fail", "asets_contention_validate_fails_total", "commit-time validation failures forcing re-execution"},
+	KindConflictDefer: {"conflict_defer", "asets_sched_conflict_defers_total", "queued transactions deferred by conflict-aware dispatch"},
+	KindAlertFire:     {name: "alert_fire"},
+	KindAlertResolve:  {name: "alert_resolve"},
+}
+
+// LostCounter is the one counter no kind owns: a failover event whose
+// detail is "lost" dropped its transaction for good, and counts here
+// instead of into the failover counter.
+const LostCounter = "asets_cluster_lost_total"
+
 // String returns the stable wire name of the kind, used in JSONL output,
 // the /events endpoint and timeline exports.
 func (k Kind) String() string {
-	switch k {
-	case KindArrival:
-		return "arrival"
-	case KindDispatch:
-		return "dispatch"
-	case KindPreempt:
-		return "preempt"
-	case KindCompletion:
-		return "completion"
-	case KindDeadlineMiss:
-		return "deadline_miss"
-	case KindAging:
-		return "aging"
-	case KindModeSwitch:
-		return "mode_switch"
-	case KindAbort:
-		return "abort"
-	case KindRestart:
-		return "restart"
-	case KindStall:
-		return "stall"
-	case KindShed:
-		return "shed"
-	case KindDegradeEnter:
-		return "degrade_enter"
-	case KindDegradeExit:
-		return "degrade_exit"
-	case KindRoute:
-		return "route"
-	case KindFailover:
-		return "failover"
-	case KindEject:
-		return "eject"
-	case KindRecover:
-		return "recover"
-	case KindValidateFail:
-		return "validate_fail"
-	case KindConflictDefer:
-		return "conflict_defer"
-	case KindAlertFire:
-		return "alert_fire"
-	case KindAlertResolve:
-		return "alert_resolve"
-	default:
+	if k < 0 || int(k) >= NumKinds {
 		panic(fmt.Sprintf("obs: unknown event kind %d", int(k)))
+	}
+	return kinds[k].name
+}
+
+// Counter returns the name of the /metrics counter that counts the kind's
+// events, or "" when none does.
+func (k Kind) Counter() string { return kinds[k].counter }
+
+// Counters folds decision events into the /metrics counters of the kinds
+// switched on by Register. The zero value counts nothing.
+type Counters struct {
+	kind [NumKinds]*Counter
+	lost *Counter
+}
+
+// Register creates (or finds) in reg the counter of each of ks that has
+// one, and counts their events from then on. The failover kind brings
+// LostCounter along.
+//
+//lint:coldpath metric registration happens at wiring time
+func (c *Counters) Register(reg *Registry, ks ...Kind) {
+	for _, k := range ks {
+		if row := kinds[k]; row.counter != "" {
+			c.kind[k] = reg.Counter(row.counter, row.help)
+		}
+		if k == KindFailover {
+			c.lost = reg.Counter(LostCounter, "transactions permanently lost (retry budget exhausted or failover disabled)")
+		}
+	}
+}
+
+// Count counts one event of kind k with detail into its kind's counter, if
+// that is switched on; a failover whose detail is "lost" counts into
+// LostCounter instead.
+func (c *Counters) Count(k Kind, detail string) {
+	n := c.kind[k]
+	if k == KindFailover && detail == "lost" {
+		n = c.lost
+	}
+	if n != nil {
+		n.Inc()
 	}
 }
 
@@ -216,17 +251,39 @@ func (e *Event) encodeJSON(buf []byte) []byte {
 		b = strconv.AppendFloat(b, e.Tardiness, 'g', -1, 64)
 	}
 	if e.Detail != "" {
-		b = append(b, `,"detail":`...)
-		b = strconv.AppendQuote(b, e.Detail)
+		// A JSON string: quotes and backslashes escaped, control characters
+		// as \u00XX, the rest as UTF-8 with each invalid byte replaced by
+		// U+FFFD, as a JSON decoder reads it. For printable ASCII this is
+		// what strconv.AppendQuote writes.
+		const hex = "0123456789abcdef"
+		b = append(b, `,"detail":"`...)
+		for i := 0; i < len(e.Detail); {
+			c := e.Detail[i]
+			switch {
+			case c == '"' || c == '\\':
+				b = append(b, '\\', c)
+			case c < 0x20:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			case c < utf8.RuneSelf:
+				b = append(b, c)
+			default:
+				r, n := utf8.DecodeRuneInString(e.Detail[i:])
+				b = utf8.AppendRune(b, r)
+				i += n
+				continue
+			}
+			i++
+		}
+		b = append(b, '"')
 	}
 	return append(b, '}')
 }
 
 // KindFromString is the inverse of Kind.String.
 func KindFromString(s string) (Kind, error) {
-	for k := KindArrival; k <= KindAlertResolve; k++ {
-		if k.String() == s {
-			return k, nil
+	for k, row := range kinds {
+		if row.name == s {
+			return Kind(k), nil
 		}
 	}
 	return 0, fmt.Errorf("obs: unknown event kind %q", s)
@@ -262,7 +319,8 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	if w.Txn != nil {
 		e.Txn = txn.ID(*w.Txn)
 	}
-	if w.Workflow != nil {
+	if w.Workflow != nil && *w.Workflow >= 0 {
+		// Any negative workflow means "not applicable", as in MarshalJSON.
 		e.Workflow = *w.Workflow
 	}
 	return nil
@@ -379,9 +437,6 @@ func NewRing(capacity int) *Ring {
 	}
 	return &Ring{cap: capacity, buf: make([]Event, capacity)}
 }
-
-// Cap returns the ring's capacity.
-func (r *Ring) Cap() int { return r.cap }
 
 // Emit implements Sink.
 func (r *Ring) Emit(ev Event) { r.EmitShared(&ev) }

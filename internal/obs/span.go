@@ -257,17 +257,15 @@ var classNames = [NumWeightClasses]string{"light", "medium", "heavy"}
 // (and the SLO engine built on them) are keyed by.
 const NumWeightClasses = 3
 
-// WeightClass buckets a transaction weight into the three SLA classes the
-// windowed exports are keyed by (paper weights are integers in [1, 10]).
-func WeightClass(w float64) string { return classNames[weightClassIdx(w)] }
-
-// WeightClassIndex is WeightClass as a dense index in [0, NumWeightClasses).
+// WeightClassIndex buckets a transaction weight into the three SLA classes
+// the windowed exports are keyed by (paper weights are integers in
+// [1, 10]), as a dense index in [0, NumWeightClasses).
 func WeightClassIndex(w float64) int { return int(weightClassIdx(w)) }
 
 // ClassName returns the name of a dense weight-class index.
 func ClassName(i int) string { return classNames[i] }
 
-// weightClassIdx is WeightClass as a dense cell index.
+// weightClassIdx is WeightClassIndex as a dense cell index.
 func weightClassIdx(w float64) int8 {
 	switch {
 	case w < 4:

@@ -45,14 +45,9 @@ type timelineDoc struct {
 // displayed as 1 ms).
 func simToTs(t float64) float64 { return t * 1000 }
 
-// WriteTimeline renders the recorded execution slices and the decision
-// event stream as one loadable timeline. Either input may be empty.
-func WriteTimeline(w io.Writer, slices []trace.Slice, events []Event) error {
-	return WriteTimelineFlows(w, slices, events, nil)
-}
-
-// WriteTimelineFlows renders the timeline and, when spans are given,
-// additionally connects workflow parent→child pairs with Perfetto flow
+// WriteTimelineFlows renders the recorded execution slices and the decision
+// event stream as one loadable timeline (either may be empty) and, when
+// spans are given, connects workflow parent→child pairs with Perfetto flow
 // events: a flow starts ("s") where the parent's last execution slice ends
 // and finishes ("f") where the child's first slice begins, so tardiness
 // propagating through a workflow DAG is visible as arrows across server

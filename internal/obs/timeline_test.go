@@ -40,7 +40,7 @@ func sampleInputs() ([]trace.Slice, []Event) {
 func TestWriteTimelineStructure(t *testing.T) {
 	slices, events := sampleInputs()
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, slices, events); err != nil {
+	if err := WriteTimelineFlows(&buf, slices, events, nil); err != nil {
 		t.Fatal(err)
 	}
 	unit, evs := decodeTimeline(t, buf.Bytes())
@@ -78,7 +78,7 @@ func TestWriteTimelineStructure(t *testing.T) {
 func TestWriteTimelineSingleServerUsesOneLane(t *testing.T) {
 	slices, _ := sampleInputs()
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, slices, nil); err != nil {
+	if err := WriteTimelineFlows(&buf, slices, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, evs := decodeTimeline(t, buf.Bytes())
@@ -95,7 +95,7 @@ func TestWriteTimelineOverlapGetsDistinctLanes(t *testing.T) {
 		{ID: 1, Start: 1, End: 3}, // overlaps T0: a second server
 	}
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, slices, nil); err != nil {
+	if err := WriteTimelineFlows(&buf, slices, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, evs := decodeTimeline(t, buf.Bytes())
@@ -114,7 +114,7 @@ func TestWriteTimelineDeterministic(t *testing.T) {
 	slices, events := sampleInputs()
 	render := func() string {
 		var buf bytes.Buffer
-		if err := WriteTimeline(&buf, slices, events); err != nil {
+		if err := WriteTimelineFlows(&buf, slices, events, nil); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -126,7 +126,7 @@ func TestWriteTimelineDeterministic(t *testing.T) {
 
 func TestWriteTimelineEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, nil, nil); err != nil {
+	if err := WriteTimelineFlows(&buf, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, evs := decodeTimeline(t, buf.Bytes())
@@ -186,7 +186,7 @@ func TestWriteTimelineFlows(t *testing.T) {
 func TestWriteTimelineWithoutSpansHasNoFlows(t *testing.T) {
 	slices, events := sampleInputs()
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, slices, events); err != nil {
+	if err := WriteTimelineFlows(&buf, slices, events, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, evs := decodeTimeline(t, buf.Bytes())

@@ -328,7 +328,7 @@ func TestMergeMetricsJobOrder(t *testing.T) {
 		}
 		var sum uint64
 		for _, c := range dst.Snapshot().Counters {
-			if c.Name == sched.MetricCompletions {
+			if c.Name == obs.KindCompletion.Counter() {
 				sum = c.Value
 			}
 		}

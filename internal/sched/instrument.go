@@ -14,23 +14,13 @@ type SinkSetter interface {
 	SetSink(obs.Sink)
 }
 
-// Metric and event names of the decision-loop instrumentation; the full
-// taxonomy is documented in docs/OBSERVABILITY.md.
+// Metric names of the decision-loop observer's histograms and gauge; its
+// counters are named by the obs kind table. The full taxonomy is documented
+// in docs/OBSERVABILITY.md.
 const (
-	MetricArrivals    = "asets_sched_arrivals_total"
-	MetricDispatches  = "asets_sched_dispatches_total"
-	MetricPreemptions = "asets_sched_preemptions_total"
-	MetricCompletions = "asets_sched_completions_total"
-	MetricMisses      = "asets_sched_deadline_misses_total"
-	MetricAging       = "asets_sched_aging_activations_total"
-	MetricModeSwitch  = "asets_sched_mode_switches_total"
-	// MetricConflictDefers counts queued transactions a conflict-aware
-	// policy (contention.Deferring) skipped in favour of a later
-	// non-conflicting one.
-	MetricConflictDefers = "asets_sched_conflict_defers_total"
-	MetricTardiness      = "asets_tardiness"
-	MetricResponse       = "asets_response_time"
-	MetricSimNow         = "asets_sim_now"
+	MetricTardiness = "asets_tardiness"
+	MetricResponse  = "asets_response_time"
+	MetricSimNow    = "asets_sim_now"
 )
 
 // evBatchSize is the event staging buffer length: emitted events accumulate
@@ -42,38 +32,36 @@ const evBatchSize = 128
 
 // Instrumented is the unified observability layer's decision-loop observer:
 // the simulator kernel calls it at its own call sites — arrival, dispatch,
-// preemption, completion — and it emits a typed obs.Event and bumps the
-// registry metrics for each. Every engine drives every policy through the
-// kernel, so observing there covers all policies and engines without
-// per-policy edits. One observer may serve several kernels driven from one
-// goroutine (the instances of a cluster run): their events then form one
-// stream in global emission order.
+// preemption, completion — and it emits a typed obs.Event for each. Every
+// engine drives every policy through the kernel, so observing there covers
+// all policies and engines without per-policy edits. One observer may serve
+// several kernels driven from one goroutine (the instances of a cluster
+// run): their events then form one stream in global emission order.
+//
+// Counting is a fold of that stream: every event the observer stages or
+// emits bumps the registry counter of its kind (obs.Counters), for the kinds
+// the wiring switched on with Count.
 //
 // Emissions write into a fixed inline staging buffer (sinks capture by copy
 // — the obs.BatchSink contract), and batches leave through obs.EmitBatch
 // when the buffer fills or Flush drains. Out-of-band emitters — policies,
-// the fault and contention recorders, the SLO engine, the cluster router —
-// stage into the same buffer through Sink, so delivery stays in true
-// emission order while it is batched. Counters and histograms are updated
-// at each call; only the simulated-now gauge waits for Flush.
+// the kernel's fault, admission and validation layers, the SLO engine, the
+// cluster router — stage into the same buffer through Sink or Note, so
+// delivery stays in true emission order while it is batched. Counters and
+// histograms are updated at each call; only the simulated-now gauge waits
+// for Flush.
 type Instrumented struct {
-	sink obs.Sink // the sink chain batches are delivered to
-	emit bool     // sink is not obs.Discard
+	sink obs.Sink      // the sink chain batches are delivered to
+	emit bool          // sink is not obs.Discard
+	reg  *obs.Registry // nil: nothing counts
 
 	evBuf [evBatchSize]obs.Event // staged events, delivered in emission order
 	evN   int
 
-	arrivals       *obs.Counter
-	dispatches     *obs.Counter
-	preemptions    *obs.Counter
-	completions    *obs.Counter
-	misses         *obs.Counter
-	aging          *obs.Counter
-	modeSwitches   *obs.Counter
-	conflictDefers *obs.Counter
-	tardiness      *obs.Histogram
-	response       *obs.Histogram
-	simNow         *obs.Gauge
+	counts    obs.Counters
+	tardiness *obs.Histogram // nil without a registry, like response and simNow
+	response  *obs.Histogram
+	simNow    *obs.Gauge
 
 	now    float64 // simulated time of the latest call, published at Flush
 	nowSet bool
@@ -83,7 +71,8 @@ type Instrumented struct {
 // may be nil; with both disabled (nil or obs.Discard sink, nil registry) it
 // returns nil, so uninstrumented runs pay nothing — nothing would observe the
 // events or the counts. Events are stamped with the simulated now of each
-// call — never the host clock.
+// call — never the host clock. The decision-loop and policy-internal kinds
+// count from the start.
 //
 //lint:coldpath instrumentation wiring is per-run setup
 func Instrument(sink obs.Sink, reg *obs.Registry) *Instrumented {
@@ -93,23 +82,26 @@ func Instrument(sink obs.Sink, reg *obs.Registry) *Instrumented {
 	if sink == nil {
 		sink = obs.Discard
 	}
-	if reg == nil {
-		reg = obs.NewRegistry()
+	in := &Instrumented{sink: sink, emit: sink != obs.Discard, reg: reg}
+	in.Count(obs.KindArrival, obs.KindDispatch, obs.KindPreempt, obs.KindCompletion,
+		obs.KindDeadlineMiss, obs.KindAging, obs.KindModeSwitch, obs.KindConflictDefer)
+	if reg != nil {
+		in.tardiness = reg.Histogram(MetricTardiness, "tardiness of completed transactions")
+		in.response = reg.Histogram(MetricResponse, "response time (finish - arrival) of completed transactions")
+		in.simNow = reg.Gauge(MetricSimNow, "simulated time of the latest scheduler callback")
 	}
-	return &Instrumented{
-		sink:           sink,
-		emit:           sink != obs.Discard,
-		arrivals:       reg.Counter(MetricArrivals, "transactions submitted to the scheduler"),
-		dispatches:     reg.Counter(MetricDispatches, "transactions checked out to a server"),
-		preemptions:    reg.Counter(MetricPreemptions, "transactions returned unfinished after running"),
-		completions:    reg.Counter(MetricCompletions, "transactions finished"),
-		misses:         reg.Counter(MetricMisses, "completions past the deadline"),
-		aging:          reg.Counter(MetricAging, "balance-aware T_old activations"),
-		modeSwitches:   reg.Counter(MetricModeSwitch, "EDF/HDF scheduling-entity migrations"),
-		conflictDefers: reg.Counter(MetricConflictDefers, "queued transactions deferred by conflict-aware dispatch"),
-		tardiness:      reg.Histogram(MetricTardiness, "tardiness of completed transactions"),
-		response:       reg.Histogram(MetricResponse, "response time (finish - arrival) of completed transactions"),
-		simNow:         reg.Gauge(MetricSimNow, "simulated time of the latest scheduler callback"),
+	return in
+}
+
+// Count switches on counting for kinds: it registers their counters in the
+// observer's registry, and every later event of those kinds counts. Each
+// layer names the kinds it emits when it is wired. Without a registry (or
+// observer) nothing counts.
+//
+//lint:coldpath instrumentation wiring is per-run setup
+func (in *Instrumented) Count(kinds ...obs.Kind) {
+	if in != nil && in.reg != nil {
+		in.counts.Register(in.reg, kinds...)
 	}
 }
 
@@ -134,7 +126,7 @@ func (in *Instrumented) Flush() {
 	if in.evN > 0 {
 		in.flushEvents()
 	}
-	if in.nowSet {
+	if in.nowSet && in.simNow != nil {
 		in.simNow.Set(in.now)
 		in.nowSet = false
 	}
@@ -169,7 +161,7 @@ func (in *Instrumented) stage() *obs.Event {
 
 // Arrival observes t entering the scheduler at now.
 func (in *Instrumented) Arrival(now float64, t *txn.Transaction) {
-	in.arrivals.Inc()
+	in.counts.Count(obs.KindArrival, "")
 	in.now, in.nowSet = now, true
 	if in.emit {
 		e := in.stage()
@@ -181,7 +173,7 @@ func (in *Instrumented) Arrival(now float64, t *txn.Transaction) {
 // Dispatch observes t checked out onto a server at now; inst, when not
 // empty, names the instance in the event's detail.
 func (in *Instrumented) Dispatch(now float64, t *txn.Transaction, inst string) {
-	in.dispatches.Inc()
+	in.counts.Count(obs.KindDispatch, "")
 	in.now, in.nowSet = now, true
 	if in.emit {
 		e := in.stage()
@@ -195,7 +187,7 @@ func (in *Instrumented) Dispatch(now float64, t *txn.Transaction, inst string) {
 
 // Preempt observes t returned to the scheduler unfinished at now.
 func (in *Instrumented) Preempt(now float64, t *txn.Transaction) {
-	in.preemptions.Inc()
+	in.counts.Count(obs.KindPreempt, "")
 	in.now, in.nowSet = now, true
 	if in.emit {
 		e := in.stage()
@@ -208,12 +200,14 @@ func (in *Instrumented) Preempt(now float64, t *txn.Transaction) {
 // first, so its tardiness is final here.
 func (in *Instrumented) Completion(now float64, t *txn.Transaction) {
 	tard := t.Tardiness()
-	in.completions.Inc()
+	in.counts.Count(obs.KindCompletion, "")
 	in.now, in.nowSet = now, true
-	in.tardiness.Observe(tard)
-	in.response.Observe(t.FinishTime - t.Arrival)
+	if in.tardiness != nil {
+		in.tardiness.Observe(tard)
+		in.response.Observe(t.FinishTime - t.Arrival)
+	}
 	if tard > 0 {
-		in.misses.Inc()
+		in.counts.Count(obs.KindDeadlineMiss, "")
 	}
 	if in.emit {
 		e := in.stage()
@@ -227,33 +221,35 @@ func (in *Instrumented) Completion(now float64, t *txn.Transaction) {
 	}
 }
 
-// Emit implements obs.Sink, the staged entry Sink returns: it stages an
-// out-of-band event into the observer's event buffer while counting the
-// policy-internal ones in the registry, keeping them in stream order with the
-// decision-loop events: policies emit from inside scheduler callbacks on the
-// run-loop goroutine, after the kernel's observer call for the same decision
-// has returned.
-func (in *Instrumented) Emit(ev obs.Event) {
-	switch ev.Kind {
-	case obs.KindAging:
-		in.aging.Inc()
-	case obs.KindModeSwitch:
-		in.modeSwitches.Inc()
-	case obs.KindConflictDefer:
-		in.conflictDefers.Inc()
-	case obs.KindArrival, obs.KindDispatch, obs.KindPreempt,
-		obs.KindCompletion, obs.KindDeadlineMiss:
-		// Decision-loop kinds are counted by the observer's own calls.
-	case obs.KindAbort, obs.KindRestart, obs.KindStall, obs.KindShed,
-		obs.KindDegradeEnter, obs.KindDegradeExit,
-		obs.KindRoute, obs.KindFailover, obs.KindEject, obs.KindRecover,
-		obs.KindValidateFail, obs.KindAlertFire, obs.KindAlertResolve:
-		// Fault-, cluster-, contention- and SLO-layer kinds are counted by
-		// their recorders/engines at their emission site (the
-		// sim/executor/cluster event loop); pass them through unchanged.
-	default:
-		panic("sched: observer received unknown event kind")
+// Note counts and stages one decision of a layer beyond the decision loop
+// at now: the fault, admission and validation events of a kernel and the
+// cluster router's own. t is the subject transaction, or nil for an event
+// about a backend (Txn -1, no deadline). A nil observer is a no-op.
+func (in *Instrumented) Note(now float64, kind obs.Kind, t *txn.Transaction, remaining float64, detail string) {
+	if in == nil {
+		return
 	}
+	in.counts.Count(kind, detail)
+	if in.emit {
+		e := in.stage()
+		e.Time, e.Kind, e.Txn, e.Workflow = now, kind, -1, -1
+		e.Deadline, e.Remaining, e.Tardiness = 0, remaining, 0
+		if t != nil {
+			e.Txn, e.Deadline = t.ID, t.Deadline
+		}
+		if detail != "" {
+			e.Detail = detail
+		}
+	}
+}
+
+// Emit implements obs.Sink, the staged entry Sink returns: it counts and
+// stages an out-of-band event, keeping it in stream order with the
+// decision-loop events: policies and the SLO engine emit from inside the
+// run loop, after the kernel's observer call for the same decision has
+// returned.
+func (in *Instrumented) Emit(ev obs.Event) {
+	in.counts.Count(ev.Kind, ev.Detail)
 	if in.emit {
 		*in.stage() = ev
 	}

@@ -111,9 +111,9 @@ func TestInstrumentEmitsDecisionEvents(t *testing.T) {
 	for _, c := range snap.Counters {
 		counters[c.Name] = c.Value
 	}
-	if counters[MetricArrivals] != 3 || counters[MetricDispatches] != 4 ||
-		counters[MetricPreemptions] != 1 || counters[MetricCompletions] != 3 ||
-		counters[MetricMisses] != 1 {
+	if counters[obs.KindArrival.Counter()] != 3 || counters[obs.KindDispatch.Counter()] != 4 ||
+		counters[obs.KindPreempt.Counter()] != 1 || counters[obs.KindCompletion.Counter()] != 3 ||
+		counters[obs.KindDeadlineMiss.Counter()] != 1 {
 		t.Fatalf("counters = %v", counters)
 	}
 	var tard obs.HistogramValue
@@ -135,7 +135,7 @@ func TestInstrumentEmitsDecisionEvents(t *testing.T) {
 }
 
 // TestInstrumentPropagatesSink: events emitted through the observer's Sink
-// — the entry the kernel hands SinkSetter policies and the recorders — join
+// — the entry the kernel hands SinkSetter policies and the SLO engine — join
 // the staged stream in emission order, and the policy-internal kinds bump
 // their registry counters.
 func TestInstrumentPropagatesSink(t *testing.T) {
@@ -159,7 +159,7 @@ func TestInstrumentPropagatesSink(t *testing.T) {
 	for _, c := range reg.Snapshot().Counters {
 		counters[c.Name] = c.Value
 	}
-	if counters[MetricModeSwitch] != 1 || counters[MetricAging] != 1 {
+	if counters[obs.KindModeSwitch.Counter()] != 1 || counters[obs.KindAging.Counter()] != 1 {
 		t.Fatalf("internal-event counters = %v", counters)
 	}
 }

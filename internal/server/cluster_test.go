@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -203,7 +204,7 @@ func TestClusterHammerConcurrentSubmitCrashRecovery(t *testing.T) {
 		t.Fatalf("final /healthz status %d", resp.StatusCode)
 	}
 	metrics, _ := getBody(t, ts.URL+"/metrics")
-	for _, want := range []string{cluster.MetricFailovers, cluster.MetricEjections, cluster.MetricRecoveries, cluster.MetricRouted} {
+	for _, want := range []string{obs.KindFailover.Counter(), obs.KindEject.Counter(), obs.KindRecover.Counter(), obs.KindRoute.Counter()} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics missing %s", want)
 		}

@@ -254,7 +254,7 @@ func TestPreemptCounts(t *testing.T) {
 		if err := obs.Validate(col.Events()); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		got := float64(reg.Counter(sched.MetricPreemptions, "").Value()) / float64(set.Len())
+		got := float64(reg.Counter(obs.KindPreempt.Counter(), "").Value()) / float64(set.Len())
 		t.Logf("%s: %.3f preemptions per transaction", c.name, got)
 		if got > c.max {
 			t.Errorf("%s: %.3f preemptions per transaction, want at most %.2f", c.name, got, c.max)

@@ -71,10 +71,13 @@ type Kernel struct {
 	recorder *trace.Recorder
 	ctrl     admit.Controller
 	inj      *fault.Injector
-	rec      *fault.Recorder
 	val      *contention.Validator
-	crec     *contention.Recorder
 	slo      *slo.Engine
+	// stalls holds the stall details per window kind, tagged with the
+	// instance in a multi-instance run ("crash@2"); degraded is the
+	// admission controller's degradation gauge, nil without a registry.
+	stalls   [2]string
+	degraded *obs.Gauge
 
 	now       float64
 	steps     int
@@ -122,10 +125,10 @@ const completionEpsilon = 1e-9
 
 // NewKernel validates cfg's layers against set, resets the set, and wires
 // the instrumentation: an observer over cfg.Sink and cfg.Metrics, which the
-// kernel calls at its decision points and through which the policy, the
-// fault and contention recorders and the SLO engine emit. The fault plan's
-// flash-crowd bursts mutate the set's arrival times here, so build the
-// caller's arrival source afterwards.
+// kernel calls at its decision points and notes its fault, admission and
+// validation events on, and through which the policy and the SLO engine
+// emit. The fault plan's flash-crowd bursts mutate the set's arrival times
+// here, so build the caller's arrival source afterwards.
 func NewKernel(cfg Config, set *txn.Set, s sched.Scheduler) (Kernel, error) {
 	if cfg.Admit != nil {
 		// Shedding cascades to dependents (a shed dependency can never
@@ -203,13 +206,26 @@ func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumen
 	}
 	k.install(s)
 	if k.inj != nil || k.ctrl != nil {
-		k.rec = fault.NewRecorder(o.Sink(), cfg.Metrics, label)
+		o.Count(obs.KindAbort, obs.KindRestart, obs.KindStall, obs.KindShed)
+		for _, w := range []fault.WindowKind{fault.Stall, fault.Crash} {
+			k.stalls[w] = w.String()
+			if label != "" {
+				k.stalls[w] += "@" + label
+			}
+		}
+		if cfg.Metrics != nil {
+			name := "asets_admit_degraded"
+			if label != "" {
+				name = obs.MetricName(name, "inst", label)
+			}
+			k.degraded = cfg.Metrics.Gauge(name, "1 while the admission controller is in degradation mode")
+		}
 	}
 	// A workload with read/write sets switches on commit-time validation
 	// with re-execution, replacing the injector's random abort draws
 	// (docs/CONTENTION.md); plain workloads keep the exact paper model.
 	if k.val = contention.NewValidator(set); k.val != nil {
-		k.crec = contention.NewRecorder(o.Sink(), cfg.Metrics, label)
+		o.Count(obs.KindValidateFail)
 	}
 	return k, nil
 }
@@ -477,7 +493,7 @@ func (k *Kernel) Restarts() int {
 func (k *Kernel) restart() int {
 	due := k.inj.PopDueRestarts(k.now)
 	for _, t := range due {
-		k.rec.Restart(k.now, t)
+		k.o.Note(k.now, obs.KindRestart, t, t.Remaining, "")
 		k.preempt(t)
 	}
 	return len(due)
@@ -500,12 +516,12 @@ func (k *Kernel) commit(t *txn.Transaction) bool {
 	switch {
 	case k.val != nil && !k.val.CommitCheck(t):
 		k.rewind(t)
-		k.crec.ValidateFail(k.now, t)
+		k.o.Note(k.now, obs.KindValidateFail, t, t.Length, k.label)
 		k.preempt(t)
 		return false
 	case k.val == nil && k.inj != nil && k.inj.AbortsAttempt(t):
 		k.rewind(t)
-		k.rec.Abort(k.now, t, "abort", k.inj.RecordAbort(k.now, t))
+		k.o.Note(k.now, obs.KindAbort, t, k.inj.RecordAbort(k.now, t)-k.now, "abort")
 		return false
 	}
 	k.c.Backlog -= t.Remaining
@@ -531,7 +547,7 @@ func (k *Kernel) commit(t *txn.Transaction) bool {
 		k.ctrl.Complete(t, tardy)
 		if d := k.ctrl.Degraded(); d != k.c.Degraded {
 			k.c.Degraded = d
-			k.rec.Degrade(k.now, d)
+			k.degrade(d)
 		}
 	}
 	return true
@@ -552,7 +568,20 @@ func (k *Kernel) lose(t *txn.Transaction) {
 		k.val.Reset(t)
 	}
 	k.inj.RecordCrashLoss(t)
-	k.rec.Abort(k.now, t, "crash", k.now)
+	k.o.Note(k.now, obs.KindAbort, t, 0, "crash")
+}
+
+// degrade records the admission controller crossing into (on) or out of
+// degradation mode.
+func (k *Kernel) degrade(on bool) {
+	kind, v := obs.KindDegradeExit, 0.0
+	if on {
+		kind, v = obs.KindDegradeEnter, 1
+	}
+	if k.degraded != nil {
+		k.degraded.Set(v)
+	}
+	k.o.Note(k.now, kind, nil, 0, k.label)
 }
 
 // Outage reports the outage window open at the kernel's time and its index
@@ -571,7 +600,7 @@ func (k *Kernel) Outage() (fault.Window, int, bool) {
 func (k *Kernel) enter() {
 	k.stallSeen = k.winIdx
 	k.inj.RecordStallEntered()
-	k.rec.StallEntered(k.now, k.win)
+	k.o.Note(k.now, obs.KindStall, nil, k.win.Duration, k.stalls[k.win.Kind])
 }
 
 // Arrive delivers one arrival at the kernel's time and reports whether it
@@ -585,13 +614,13 @@ func (k *Kernel) Arrive(t *txn.Transaction) bool {
 		// never become ready.
 		if t.Shed {
 			k.c.Shed++
-			k.rec.Shed(k.now, t, "cascade")
+			k.o.Note(k.now, obs.KindShed, t, t.Remaining, "cascade")
 			return false
 		}
 		if !k.ctrl.Admit(t, k.Counts().AdmitState(k.servers)) {
 			admit.CascadeShed(k.set, t)
 			k.c.Shed++
-			k.rec.Shed(k.now, t, k.ctrl.Name())
+			k.o.Note(k.now, obs.KindShed, t, t.Remaining, k.ctrl.Name())
 			return false
 		}
 	}

@@ -63,12 +63,12 @@ func TestMetricsAgreeWithSummary(t *testing.T) {
 		counters[c.Name] = c.Value
 	}
 	n := uint64(summary.N)
-	if counters[sched.MetricArrivals] != n || counters[sched.MetricCompletions] != n {
-		t.Fatalf("arrivals/completions = %d/%d, want %d", counters[sched.MetricArrivals], counters[sched.MetricCompletions], n)
+	if counters[obs.KindArrival.Counter()] != n || counters[obs.KindCompletion.Counter()] != n {
+		t.Fatalf("arrivals/completions = %d/%d, want %d", counters[obs.KindArrival.Counter()], counters[obs.KindCompletion.Counter()], n)
 	}
 	wantMisses := uint64(math.Round(summary.MissRatio * float64(summary.N)))
-	if counters[sched.MetricMisses] != wantMisses {
-		t.Fatalf("misses = %d, want %d", counters[sched.MetricMisses], wantMisses)
+	if counters[obs.KindDeadlineMiss.Counter()] != wantMisses {
+		t.Fatalf("misses = %d, want %d", counters[obs.KindDeadlineMiss.Counter()], wantMisses)
 	}
 
 	var tard obs.HistogramValue
@@ -93,16 +93,16 @@ func TestMetricsAgreeWithSummary(t *testing.T) {
 	// Event-stream consistency: dispatches = completions + preemptions
 	// (every check-out ends in exactly one of the two), and the event
 	// counts match the counters.
-	if counters[sched.MetricDispatches] != counters[sched.MetricCompletions]+counters[sched.MetricPreemptions] {
+	if counters[obs.KindDispatch.Counter()] != counters[obs.KindCompletion.Counter()]+counters[obs.KindPreempt.Counter()] {
 		t.Fatalf("dispatches %d != completions %d + preemptions %d",
-			counters[sched.MetricDispatches], counters[sched.MetricCompletions], counters[sched.MetricPreemptions])
+			counters[obs.KindDispatch.Counter()], counters[obs.KindCompletion.Counter()], counters[obs.KindPreempt.Counter()])
 	}
 	kinds := map[obs.Kind]uint64{}
 	for _, ev := range col.Events() {
 		kinds[ev.Kind]++
 	}
-	if kinds[obs.KindDispatch] != counters[sched.MetricDispatches] ||
-		kinds[obs.KindDeadlineMiss] != counters[sched.MetricMisses] {
+	if kinds[obs.KindDispatch] != counters[obs.KindDispatch.Counter()] ||
+		kinds[obs.KindDeadlineMiss] != counters[obs.KindDeadlineMiss.Counter()] {
 		t.Fatalf("event counts %v disagree with counters %v", kinds, counters)
 	}
 }
@@ -135,8 +135,8 @@ func TestModeSwitchEventsReachSink(t *testing.T) {
 	for _, c := range reg.Snapshot().Counters {
 		counters[c.Name] = c.Value
 	}
-	if counters[sched.MetricModeSwitch] != switches {
-		t.Fatalf("mode-switch counter %d != events %d", counters[sched.MetricModeSwitch], switches)
+	if counters[obs.KindModeSwitch.Counter()] != switches {
+		t.Fatalf("mode-switch counter %d != events %d", counters[obs.KindModeSwitch.Counter()], switches)
 	}
 }
 

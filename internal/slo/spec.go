@@ -24,7 +24,7 @@ import (
 )
 
 // NumClasses is the number of SLA weight classes, matching the span layer's
-// light/medium/heavy bucketing (obs.WeightClass).
+// light/medium/heavy bucketing (obs.WeightClassIndex).
 const NumClasses = obs.NumWeightClasses
 
 // Target is the objective of one weight class. A zero (or negative) field
