@@ -49,7 +49,8 @@ type State struct {
 
 // Controller decides, per arriving transaction, whether to serve it.
 type Controller interface {
-	// Name returns the controller's display/spec name.
+	// Name returns the controller's display/spec name. It is an identity:
+	// the kernel reads it once, at wiring, as the detail of its shed events.
 	Name() string
 	// Admit reports whether t, arriving under st, should be served; false
 	// sheds the transaction.
@@ -85,8 +86,6 @@ type QueueCap struct {
 }
 
 // Name implements Controller.
-//
-//lint:coldpath identity label, formatted at wiring time and on (rare) shed events
 func (c QueueCap) Name() string { return fmt.Sprintf("queue:%d", c.Max) }
 
 // Admit implements Controller.
@@ -115,8 +114,6 @@ type Feasibility struct {
 }
 
 // Name implements Controller.
-//
-//lint:coldpath identity label, formatted at wiring time and on (rare) shed events
 func (c Feasibility) Name() string {
 	if c.Tolerance == 0 {
 		return "slack"
@@ -173,8 +170,6 @@ func NewMissRatio(enter, exit float64) *MissRatio {
 }
 
 // Name implements Controller.
-//
-//lint:coldpath identity label, formatted at wiring time and on (rare) shed events
 func (c *MissRatio) Name() string { return fmt.Sprintf("missratio:%g,%g", c.Enter, c.Exit) }
 
 // Admit implements Controller.
@@ -222,14 +217,16 @@ func (c *MissRatio) Degraded() bool { return c.degraded }
 // as shed. A shed transaction never completes, so its dependents could never
 // become ready — admitting them would deadlock the scheduler; shedding the
 // whole downstream closure keeps the run sound. The caller counts each
-// marked transaction when its arrival is consumed.
-func CascadeShed(set *txn.Set, t *txn.Transaction) {
+// marked transaction when its arrival is consumed. The walk's stack reuses
+// stack's storage and is returned, so a caller that keeps it sheds without
+// allocating once the stack has grown to its deepest closure.
+func CascadeShed(set *txn.Set, t *txn.Transaction, stack []txn.ID) []txn.ID {
 	t.Shed = true
 	if len(set.Dependents[t.ID]) == 0 {
-		return
+		return stack
 	}
-	//lint:ignore hotpath-alloc shedding is the overload response, not the steady state; a short-lived DFS stack per shed is acceptable
-	stack := []txn.ID{t.ID}
+	stack = stack[:0]
+	stack = append(stack, t.ID)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -239,10 +236,10 @@ func CascadeShed(set *txn.Set, t *txn.Transaction) {
 				continue
 			}
 			d.Shed = true
-			//lint:ignore hotpath-alloc the shed DFS stack is bounded by the downstream closure and lives only for the shed
 			stack = append(stack, dep)
 		}
 	}
+	return stack
 }
 
 // CheckArrivalOrder verifies that every dependency arrives strictly before

@@ -34,11 +34,11 @@ type instance struct {
 
 // view builds the instance's routing signal.
 func (in *instance) view(idx int) InstanceView {
-	c := in.k.Counts()
+	running, queued, backlog := in.k.Load()
 	_, _, stalled := in.k.Outage()
 	return InstanceView{
 		Index: idx, Ejected: in.ejected, HalfOpen: in.halfOpen, Stalled: stalled,
-		Running: c.Running, Queued: c.Live - c.Running - c.Held, Backlog: c.Backlog,
+		Running: running, Queued: queued, Backlog: backlog,
 	}
 }
 
@@ -73,6 +73,9 @@ type router struct {
 	healthyGauge *obs.Gauge
 	insts        []instance
 	views        []InstanceView
+	// detours holds the failover details "to<-from", indexed to*N+from and
+	// interned on first use.
+	detours []string
 
 	arr     sim.Arrivals // undelivered arrivals
 	held    bool         // due arrivals wait at arr's head: every instance is ejected
@@ -90,7 +93,7 @@ type router struct {
 // (workflow-colocated routing is future work — see docs/ROBUSTNESS.md).
 func (e *Sim) Run(set *txn.Set) (*Result, error) {
 	cfg := e.cfg
-	retry, maxSteps, err := cfg.validate(set)
+	retry, maxSteps, keyed, err := cfg.validate(set)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +116,7 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 	for i := range r.insts {
 		in := &r.insts[i]
 		in.name, in.crashSeen = strconv.Itoa(i), -1
-		if in.k, err = sim.NewInstance(cfg.instance(i, in.name), set, cfg.NewScheduler(), r.obs, in.name); err != nil {
+		if in.k, err = sim.NewInstance(cfg.instance(i, in.name), set, cfg.NewScheduler(), r.obs, in.name, keyed); err != nil {
 			return nil, fmt.Errorf("cluster: instance %d: %w", i, err)
 		}
 	}
@@ -400,11 +403,24 @@ func (r *router) failover() error {
 		in := &r.insts[j]
 		in.failoversIn++
 		r.failovers++
-		r.obs.Note(r.now, obs.KindFailover, re.t, re.t.Remaining, in.name+"<-"+r.insts[re.from].name)
+		r.obs.Note(r.now, obs.KindFailover, re.t, re.t.Remaining, r.detour(j, re.from))
 		in.k.Adopt(re.t)
 		in.delivered = true
 	}
 	return nil
+}
+
+// detour returns the detail of a failover from instance from to instance to.
+func (r *router) detour(to, from int) string {
+	n := len(r.insts)
+	if r.detours == nil {
+		r.detours = make([]string, n*n)
+	}
+	d := &r.detours[to*n+from]
+	if *d == "" {
+		*d = r.insts[to].name + "<-" + r.insts[from].name
+	}
+	return *d
 }
 
 // pushRetry queues t's failover at at, keeping (at, id) order.

@@ -149,20 +149,21 @@ type Config struct {
 }
 
 // validate checks the configuration against the workload, returning the
-// effective retry budget and the step cap: a livelock safety net on
+// effective retry budget, the step cap — a livelock safety net on
 // scheduling decisions, scaled by the fleet, the retry budget and the fault
-// plans.
+// plans — and whether the workload carries read/write sets, which every
+// instance's kernel takes instead of scanning the set again.
 //
 //lint:coldpath config validation runs once before the event loop
-func (c *Config) validate(set *txn.Set) (Retry, int, error) {
+func (c *Config) validate(set *txn.Set) (Retry, int, bool, error) {
 	retry, err := c.check()
 	if err != nil {
-		return Retry{}, 0, err
+		return Retry{}, 0, false, err
 	}
 	n := set.Len()
 	for _, t := range set.Txns {
 		if len(t.Deps) > 0 {
-			return Retry{}, 0, fmt.Errorf("cluster: transaction %d has dependencies; the cluster tier routes independent transactions only", t.ID)
+			return Retry{}, 0, false, fmt.Errorf("cluster: transaction %d has dependencies; the cluster tier routes independent transactions only", t.ID)
 		}
 	}
 	scale, windows := 1+retry.Budget, 0
@@ -177,7 +178,8 @@ func (c *Config) validate(set *txn.Set) (Retry, int, error) {
 	// commit inside the victim's open window, so a per-instance population
 	// of at most n bounds the extra steps quadratically, as on a single
 	// backend.
-	return retry, sim.StepCap(n, scale, windows+4*c.Instances, contention.HasKeys(set)), nil
+	keyed := contention.HasKeys(set)
+	return retry, sim.StepCap(n, scale, windows+4*c.Instances, keyed), keyed, nil
 }
 
 // instance is the kernel configuration of instance i, named name. The

@@ -93,52 +93,53 @@ func KeeperOf(s Scheduler) Keeper {
 // embed a ReadyTracker so that precedence constraints are enforced uniformly
 // (the paper assumes dependency information is available to the scheduler).
 type ReadyTracker struct {
-	set        *txn.Set
-	unfinished []int32 // outstanding direct dependencies per transaction
-	arrived    []bool
-	finished   []bool
-	newly      []*txn.Transaction // Complete's result, reused across calls
+	set *txn.Set
+	// state packs each transaction's readiness by ID: the count of its
+	// finished dependencies, counted up from zero, plus the arrived and
+	// finished bits. A fresh tracker is a zeroed slab that never reads the
+	// transactions, and a transaction is ready exactly when its word is
+	// arrived|len(Deps).
+	state []uint32
+	newly []*txn.Transaction // Complete's result, reused across calls
 }
+
+// The flag bits of a ReadyTracker state word, above any dependency count.
+const (
+	arrivedBit  = 1 << 30
+	finishedBit = 1 << 31
+)
 
 // NewReadyTracker builds a tracker for set with every transaction unarrived
 // and unfinished.
 func NewReadyTracker(set *txn.Set) *ReadyTracker {
-	rt := &ReadyTracker{
-		set:        set,
-		unfinished: make([]int32, set.Len()),
-		arrived:    make([]bool, set.Len()),
-		finished:   make([]bool, set.Len()),
-	}
-	for _, t := range set.Txns {
-		rt.unfinished[t.ID] = int32(len(t.Deps))
-	}
-	most := 0
-	for _, deps := range set.Dependents {
-		most = max(most, len(deps))
-	}
-	rt.newly = make([]*txn.Transaction, 0, most)
-	return rt
+	return &ReadyTracker{set: set, state: make([]uint32, set.Len())}
 }
+
+// readyWord is the state word of a ready transaction t.
+func readyWord(t *txn.Transaction) uint32 { return arrivedBit | uint32(len(t.Deps)) }
 
 // Arrive records the arrival of t and reports whether it is immediately
 // ready (its dependency list is already drained).
 func (rt *ReadyTracker) Arrive(t *txn.Transaction) bool {
-	rt.arrived[t.ID] = true
-	return rt.unfinished[t.ID] == 0
+	rt.state[t.ID] |= arrivedBit
+	return rt.state[t.ID] == readyWord(t)
 }
 
 // Complete records the completion of t and returns the transactions that
 // became ready as a result: dependents whose last outstanding dependency was
 // t and that have already arrived. The result is the tracker's own buffer,
-// sized for the widest fan-out at construction: it is valid until the next
-// Complete, so callers consume it first.
+// which grows to the widest fan-out completed so far: it is valid until the
+// next Complete, so callers consume it first.
 func (rt *ReadyTracker) Complete(t *txn.Transaction) []*txn.Transaction {
-	rt.finished[t.ID] = true
+	rt.state[t.ID] |= finishedBit
 	newly := rt.newly[:0]
 	for _, depID := range rt.set.Dependents[t.ID] {
-		rt.unfinished[depID]--
-		if rt.unfinished[depID] == 0 && rt.arrived[depID] && !rt.finished[depID] {
-			newly = append(newly, rt.set.ByID(depID))
+		rt.state[depID]++
+		if rt.state[depID]&arrivedBit == 0 {
+			continue
+		}
+		if d := rt.set.ByID(depID); rt.state[depID] == readyWord(d) {
+			newly = append(newly, d)
 		}
 	}
 	rt.newly = newly
@@ -146,12 +147,10 @@ func (rt *ReadyTracker) Complete(t *txn.Transaction) []*txn.Transaction {
 }
 
 // Ready reports whether t can execute right now.
-func (rt *ReadyTracker) Ready(t *txn.Transaction) bool {
-	return rt.arrived[t.ID] && !rt.finished[t.ID] && rt.unfinished[t.ID] == 0
-}
+func (rt *ReadyTracker) Ready(t *txn.Transaction) bool { return rt.state[t.ID] == readyWord(t) }
 
 // Arrived reports whether t has been submitted.
-func (rt *ReadyTracker) Arrived(t *txn.Transaction) bool { return rt.arrived[t.ID] }
+func (rt *ReadyTracker) Arrived(t *txn.Transaction) bool { return rt.state[t.ID]&arrivedBit != 0 }
 
 // Finished reports whether t has completed.
-func (rt *ReadyTracker) Finished(t *txn.Transaction) bool { return rt.finished[t.ID] }
+func (rt *ReadyTracker) Finished(t *txn.Transaction) bool { return rt.state[t.ID]&finishedBit != 0 }

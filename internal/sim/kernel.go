@@ -70,6 +70,8 @@ type Kernel struct {
 	maxSteps int
 	recorder *trace.Recorder
 	ctrl     admit.Controller
+	shedBy   string   // ctrl's name, the detail of its shed events
+	shedDFS  []txn.ID // CascadeShed's stack, reused across sheds
 	inj      *fault.Injector
 	val      *contention.Validator
 	slo      *slo.Engine
@@ -139,7 +141,7 @@ func NewKernel(cfg Config, set *txn.Set, s sched.Scheduler) (Kernel, error) {
 		}
 	}
 	set.ResetAll()
-	k, err := NewInstance(cfg, set, s, sched.Instrument(cfg.Sink, cfg.Metrics), "")
+	k, err := NewInstance(cfg, set, s, sched.Instrument(cfg.Sink, cfg.Metrics), "", contention.HasKeys(set))
 	if err != nil {
 		return Kernel{}, err
 	}
@@ -172,9 +174,10 @@ func StepCap(n, scale, windows int, keyed bool) int {
 // of cfg.Sink: the instances of a fleet share one observer, so their events
 // form one stream in global order. label names the instance in the details
 // of its dispatch, validate-fail, stall and degrade events, and labels its
-// degradation gauge. The instance has no step cap of its own: the fleet
-// driving it caps its steps.
-func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumented, label string) (Kernel, error) {
+// degradation gauge. keyed is contention.HasKeys(set), which a fleet scans
+// for once rather than once per instance. The instance has no step cap of
+// its own: the fleet driving it caps its steps.
+func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumented, label string, keyed bool) (Kernel, error) {
 	servers, err := cfg.servers()
 	if err != nil {
 		return Kernel{}, err
@@ -205,6 +208,11 @@ func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumen
 		k.slo.Bind(o.Sink())
 	}
 	k.install(s)
+	if k.ctrl != nil {
+		// A controller's name is its identity, so every shed event carries
+		// the one string formatted here.
+		k.shedBy = k.ctrl.Name()
+	}
 	if k.inj != nil || k.ctrl != nil {
 		o.Count(obs.KindAbort, obs.KindRestart, obs.KindStall, obs.KindShed)
 		for _, w := range []fault.WindowKind{fault.Stall, fault.Crash} {
@@ -224,7 +232,8 @@ func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumen
 	// A workload with read/write sets switches on commit-time validation
 	// with re-execution, replacing the injector's random abort draws
 	// (docs/CONTENTION.md); plain workloads keep the exact paper model.
-	if k.val = contention.NewValidator(set); k.val != nil {
+	if keyed {
+		k.val = contention.NewValidator(set)
 		o.Count(obs.KindValidateFail)
 	}
 	return k, nil
@@ -255,7 +264,7 @@ func (k *Kernel) SLO() *slo.Engine { return k.slo }
 // due to re-decide counts as queued, as it would after a Return.
 func (k *Kernel) Counts() Counts {
 	c := k.c
-	c.Now, c.Running, c.Live = k.now, len(k.running)-k.due, k.live
+	c.Now, c.Running, c.Live = k.now, k.busy(), k.live
 	if k.inj != nil {
 		c.Aborts, c.Restarts, c.Stalls, c.Held = k.inj.Aborts(), k.inj.Restarts(), k.inj.StallsEntered(), k.inj.Held()
 	}
@@ -265,9 +274,24 @@ func (k *Kernel) Counts() Counts {
 	return c
 }
 
+// busy counts the running transactions; a running set due to re-decide
+// counts as queued, as it would after a Return.
+func (k *Kernel) busy() int { return len(k.running) - k.due }
+
+// Load is the kernel's routing signal, read without a Counts snapshot: the
+// transactions running, those queued in the scheduler (not the ones backing
+// off after an abort), and the remaining work over the live transactions.
+func (k *Kernel) Load() (running, queued int, backlog float64) {
+	running, queued = k.busy(), k.live-k.busy()
+	if k.inj != nil {
+		queued -= k.inj.Held()
+	}
+	return running, queued, k.c.Backlog
+}
+
 // AdmitState is the admission controller's view of a backend with servers
-// servers in state c: the kernel's at each arrival, the executor's Probe
-// mid-step.
+// servers in state c: the executor's Probe mid-step. The kernel's own
+// arrivals build the same view from its fields (Arrive).
 func (c Counts) AdmitState(servers int) admit.State {
 	return admit.State{
 		Now: c.Now, Queued: c.Live - c.Running, Running: c.Running, Servers: servers,
@@ -617,10 +641,15 @@ func (k *Kernel) Arrive(t *txn.Transaction) bool {
 			k.o.Note(k.now, obs.KindShed, t, t.Remaining, "cascade")
 			return false
 		}
-		if !k.ctrl.Admit(t, k.Counts().AdmitState(k.servers)) {
-			admit.CascadeShed(k.set, t)
+		running := k.busy()
+		st := admit.State{
+			Now: k.now, Queued: k.live - running, Running: running, Servers: k.servers,
+			Backlog: k.c.Backlog, Completed: k.c.Done, Misses: k.c.Misses,
+		}
+		if !k.ctrl.Admit(t, st) {
+			k.shedDFS = admit.CascadeShed(k.set, t, k.shedDFS)
 			k.c.Shed++
-			k.o.Note(k.now, obs.KindShed, t, t.Remaining, k.ctrl.Name())
+			k.o.Note(k.now, obs.KindShed, t, t.Remaining, k.shedBy)
 			return false
 		}
 	}
