@@ -17,11 +17,11 @@ const DefaultWindow = 8
 // checked out on a server, or one preempted mid-incarnation whose read
 // snapshot is still open — the wrapper probes up to Window further
 // candidates in the policy's own preference order and steals the first
-// non-conflicting one, returning the skipped candidates to the policy
-// untouched. Predicted conflict is read/write overlap in either direction:
-// dispatching the candidate could invalidate the busy transaction's open
-// reads, or the busy transaction's eventual commit could invalidate the
-// candidate's.
+// non-conflicting one; the skipped candidates keep their places in the
+// policy's order. Predicted conflict is read/write overlap in either
+// direction: dispatching the candidate could invalidate the busy
+// transaction's open reads, or the busy transaction's eventual commit could
+// invalidate the candidate's.
 //
 // The wrapper is work-conserving: when every probed candidate conflicts it
 // dispatches the policy's original head anyway, so a CA- policy never
@@ -29,16 +29,25 @@ const DefaultWindow = 8
 // pure function of the wrapped policy's deterministic order and the busy
 // sets, so CA- runs replay bit-identically.
 //
+// When the wrapped policy has a sched.Decider, the wrapper settles a
+// decision point in one call to it, with the busy-count test as the
+// acceptance predicate: the policy walks its own order without checking
+// candidates out and handing them back. Its Next keeps the probe loop for
+// the decisions the policy's Decider declines and for a policy without one,
+// whose skipped candidates go back through its OnPreempt. Both give the same
+// picks, busy counts and conflict_defer events.
+//
 // Deferral pays off when parallel servers (or preemption interleavings)
 // would open conflicting incarnations concurrently; at hot-spot extremes
 // where nearly every pair conflicts, the work-conserving fallback keeps it
 // from doing worse than the base policy by much, but it cannot win there —
 // see docs/CONTENTION.md for the measured operating envelope.
 type Deferring struct {
-	inner  sched.Scheduler
-	window int
-	name   string
-	sink   obs.Sink
+	inner   sched.Scheduler
+	decider sched.Decider // inner's, or nil
+	window  int
+	name    string
+	sink    obs.Sink
 
 	// busy[id] reports whether transaction id is busy: checked out through
 	// Next and not yet returned via OnPreempt/OnCompletion, or queued with
@@ -51,8 +60,15 @@ type Deferring struct {
 	// readers[k] and writers[k] count the busy transactions that read or
 	// write key k.
 	readers, writers []int32
-	// cand is the probe scratch buffer (capacity window+1).
+	// cand is the probe scratch buffer (capacity window+1): in Decide, the
+	// candidates the current pick's probe skipped.
 	cand []*txn.Transaction
+	// Decide's record of one decision, kept until the inner policy answers:
+	// accepted reports whether the last Accept accepted; jumped holds the
+	// candidates the steals so far jumped past, in event order; marked holds
+	// the picks Picked made busy.
+	accepted       bool
+	jumped, marked []*txn.Transaction
 }
 
 // NewDeferring wraps inner with conflict-aware dispatch. A non-positive
@@ -63,11 +79,19 @@ func NewDeferring(inner sched.Scheduler, window int) *Deferring {
 	if window <= 0 {
 		window = DefaultWindow
 	}
+	// One buffer backs the probe's candidates and Decide's record, which
+	// grow past it only in a decision that jumps past more than 2·(window+1)
+	// candidates or marks more than window+1 picks.
+	w := window + 1
+	buf := make([]*txn.Transaction, 4*w)
 	return &Deferring{
-		inner:  inner,
-		window: window,
-		name:   "CA-" + inner.Name(),
-		cand:   make([]*txn.Transaction, 0, window+1),
+		inner:   inner,
+		decider: sched.DeciderOf(inner),
+		window:  window,
+		name:    "CA-" + inner.Name(),
+		cand:    buf[:0:w],
+		jumped:  buf[w : w : 3*w],
+		marked:  buf[3*w : 3*w],
 	}
 }
 
@@ -152,6 +176,70 @@ func (d *Deferring) Next(now float64) *txn.Transaction {
 	return pick
 }
 
+// Decide implements sched.Decider over the inner policy's Decider, with the
+// wrapper as the acceptance predicate and its window as the probe window:
+// it marks the running transactions busy as OnPreempt would, then lets the
+// policy decide. On an answer it emits the conflict_defer events Next's
+// probes would have emitted; on a decline it clears the busy marks of the
+// picks and marks the running transactions busy again, as checked out,
+// leaving the wrapper as it was before the call.
+//
+//lint:hotpath
+func (d *Deferring) Decide(now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, window int, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
+	if d.decider == nil || acc != nil {
+		return picks, false
+	}
+	for _, t := range running {
+		d.setBusy(t, t.Remaining < t.Length)
+	}
+	d.cand, d.jumped, d.marked = d.cand[:0], d.jumped[:0], d.marked[:0]
+	picks, ok := d.decider.Decide(now, running, servers, d, d.window, picks)
+	if !ok {
+		for _, t := range d.marked {
+			d.setBusy(t, false)
+		}
+		for _, t := range running {
+			d.setBusy(t, true)
+		}
+		return picks, false
+	}
+	if d.sink != nil {
+		for _, c := range d.jumped {
+			d.sink.Emit(obs.Event{
+				Time: now, Kind: obs.KindConflictDefer, Txn: c.ID, Workflow: -1,
+				Deadline: c.Deadline, Remaining: c.Remaining,
+			})
+		}
+	}
+	return picks, true
+}
+
+// Accept implements sched.Acceptor: Next's probe test, remembering a
+// skipped candidate.
+func (d *Deferring) Accept(t *txn.Transaction) bool {
+	d.accepted = !d.conflictsBusy(t)
+	if !d.accepted {
+		//lint:ignore hotpath-alloc a probe skips at most window+1 candidates, cand's capacity
+		d.cand = append(d.cand, t)
+	}
+	return d.accepted
+}
+
+// Picked implements sched.Acceptor: t becomes busy, as a pick of Next does,
+// and a steal records the candidates it jumped past.
+func (d *Deferring) Picked(t *txn.Transaction) {
+	if d.accepted && len(d.cand) > 0 {
+		//lint:ignore hotpath-alloc starts in the buffer NewDeferring makes, grows at most to the most candidates one decision jumps past, then is reused
+		d.jumped = append(d.jumped, d.cand...)
+	}
+	d.cand, d.accepted = d.cand[:0], false
+	if !d.busy[t.ID] {
+		//lint:ignore hotpath-alloc starts in the buffer NewDeferring makes, grows at most to the server count, then is reused
+		d.marked = append(d.marked, t)
+		d.setBusy(t, true)
+	}
+}
+
 // OnPreempt implements sched.Scheduler.
 func (d *Deferring) OnPreempt(now float64, t *txn.Transaction) {
 	// A preempted transaction with partial progress still holds its read
@@ -225,3 +313,5 @@ func othersHold(count []int32, keys, own []txn.Key, self bool) bool {
 
 var _ sched.Scheduler = (*Deferring)(nil)
 var _ sched.SinkSetter = (*Deferring)(nil)
+var _ sched.Decider = (*Deferring)(nil)
+var _ sched.Acceptor = (*Deferring)(nil)

@@ -156,7 +156,7 @@ func TestDeferringOpenIncarnations(t *testing.T) {
 	}
 }
 
-func TestDeferringNameAndUnwrap(t *testing.T) {
+func TestDeferringName(t *testing.T) {
 	inner := &queueSched{}
 	d := NewDeferring(inner, 0)
 	if d.Name() != "CA-FIFO" {

@@ -8,7 +8,7 @@ import (
 )
 
 // Checked wraps an ASETSStar and audits CheckInvariants immediately after
-// every Next and Keep call — every decision point, right after migration has
+// every Next and Decide call — every decision point, right after migration has
 // run, so all documented invariants must hold exactly. A violation panics with the
 // broken invariant. The wrapper is otherwise transparent and satisfies
 // sched.Scheduler, so it drops into the simulator or the live executor
@@ -39,15 +39,16 @@ func (c *Checked) Next(now float64) *txn.Transaction {
 	return t
 }
 
-// Keep implements sched.Keeper, auditing the queue state after the answer:
-// a kept running set skips Next, so the decision point is audited here.
-func (c *Checked) Keep(now float64, running []*txn.Transaction) bool {
-	kept := c.ASETSStar.Keep(now, running)
+// Decide implements sched.Decider, auditing the queue state after the
+// answer: a decision the call settles makes no Next call, so the decision
+// point is audited here.
+func (c *Checked) Decide(now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, window int, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
+	picks, ok := c.ASETSStar.Decide(now, running, servers, acc, window, picks)
 	if err := c.ASETSStar.CheckInvariants(now); err != nil {
 		panic(fmt.Sprintf("core: invariant violated after %d clean decisions: %v", c.checks, err))
 	}
 	c.checks++
-	return kept
+	return picks, ok
 }
 
 // Checks returns how many decision points have been audited so far.

@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/pq"
@@ -184,9 +185,15 @@ type ASETSStar struct {
 	hdf    *pq.Heap[*entity] // ordered by representative density (weight/remaining)
 	expiry *pq.Heap[*entity] // EDF residents ordered by expiry time
 
-	// readyTxns holds the candidates for T_old. It is nil unless
-	// balance-aware activation is on; deleting from a nil map is a no-op.
-	readyTxns  map[txn.ID]*txn.Transaction
+	// edfWalk and hdfWalk walk the two lists for Decide.
+	edfWalk, hdfWalk listWalk
+
+	// old holds the candidates for T_old, the ready transactions that are
+	// not checked out, by highest weight-to-deadline ratio; oldItem[id] is
+	// transaction id's handle. Both are nil unless balance-aware activation
+	// is on.
+	old        *pq.Heap[*txn.Transaction]
+	oldItem    []pq.Item[*txn.Transaction]
 	checkedOut []bool // transactions handed out via Next and not yet returned
 
 	schedPoints    int
@@ -269,9 +276,18 @@ func (a *ASETSStar) Init(set *txn.Set) {
 		return x.wf.ID < y.wf.ID
 	})
 
-	a.readyTxns = nil
+	for _, l := range []*listWalk{&a.edfWalk, &a.hdfWalk} {
+		l.seen, l.run = l.seenBuf[:0], l.runBuf[:0]
+	}
+	a.edfWalk.before, a.hdfWalk.before = edfBefore, hdfBefore
+
+	a.old, a.oldItem = nil, nil
 	if a.cfg.activation != ActivationNone {
-		a.readyTxns = make(map[txn.ID]*txn.Transaction)
+		a.old = pq.NewHeap[*txn.Transaction](olderThan)
+		a.oldItem = make([]pq.Item[*txn.Transaction], n)
+		for i := range a.oldItem {
+			a.oldItem[i].Value = set.ByID(txn.ID(i))
+		}
 	}
 	a.checkedOut = make([]bool, n)
 	a.schedPoints = 0
@@ -406,8 +422,8 @@ func (a *ASETSStar) available(t *txn.Transaction) bool {
 // markReady records that t became executable and surfaces its entities into
 // the priority lists.
 func (a *ASETSStar) markReady(now float64, t *txn.Transaction) {
-	if a.readyTxns != nil {
-		a.readyTxns[t.ID] = t
+	if a.old != nil && !a.oldItem[t.ID].InHeap() {
+		a.old.Push(&a.oldItem[t.ID])
 	}
 	for _, e := range a.members(t.ID) {
 		if e == nil {
@@ -521,7 +537,7 @@ func (a *ASETSStar) OnPreempt(now float64, t *txn.Transaction) {
 func (a *ASETSStar) OnCompletion(now float64, t *txn.Transaction) {
 	// t was checked out by Next, so its entities' ready counts already
 	// exclude it; only the pending sets and the dependency tracker change.
-	delete(a.readyTxns, t.ID)
+	a.unmarkOld(t)
 	newly := a.rt.Complete(t)
 	for _, e := range a.members(t.ID) {
 		e.wf.Complete(t.ID)
@@ -577,7 +593,7 @@ func (a *ASETSStar) Next(now float64) *txn.Transaction {
 // must not be offered to another server).
 func (a *ASETSStar) checkOut(now float64, t *txn.Transaction) {
 	a.checkedOut[t.ID] = true
-	delete(a.readyTxns, t.ID)
+	a.unmarkOld(t)
 	for _, e := range a.members(t.ID) {
 		e.ready--
 		if e.ready == 0 {
@@ -615,69 +631,271 @@ func top(l *pq.Heap[*entity]) *entity {
 	return nil
 }
 
-// Keep implements sched.Keeper. Unless the replay would not be exact (see
-// keepable), it migrates, as Next would, then replays the greedy Fig. 7
-// picks of len(running) Next calls after every running transaction's entity
-// was re-inserted, without touching a heap: each pick arbitrates between
-// the better of the EDF-List top and the re-inserted EDF entities and the
-// better of the HDF-List top and the re-inserted HDF entities. Only a pick
-// of a list top (an entity that is not running) means a real preemption.
+// Decide implements sched.Decider. Unless the replay would not be exact
+// (see replayable), it migrates, as Next would, then replays the picks of
+// the round trip without touching a heap: running's entities re-inserted,
+// then one probe per server, each a merge of the EDF-List and the HDF-List
+// in Fig. 7 order that skips the picks so far. Each list is visited in
+// order once per decision (listWalk), merging its heap, walked without
+// removal (pq.Walker), with its re-inserted entities; the probes read the
+// visited prefix. Only then does Decide check out each pick that was not
+// running and re-enqueue each running transaction that was not picked: a
+// heap changes only for a real change. A blind re-decision that keeps its
+// whole running set, the common case, is settled by keep alone.
 //
-// An inexact case answers false before migrating: the round trip's
-// OnPreempt then reaches the queues first, as it always did.
+// It also answers false where a visited candidate's round trip would not
+// leave it as it was: an entity with several ready members, a head with
+// several memberships, or, with an Acceptor, an entity a hand-back would put
+// in the other list.
 //
 //lint:hotpath
-func (a *ASETSStar) Keep(now float64, running []*txn.Transaction) bool {
-	if !a.keepable(now, running) {
-		return false
+func (a *ASETSStar) Decide(now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, window int, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
+	if !a.replayable(now, running) {
+		return picks, false
 	}
 	a.migrate(now)
-	e, h := top(a.edf), top(a.hdf)
-	// running[:picked] holds the picks so far, in pick order.
-	for picked := range running {
-		ce, cv := a.candidate(e, true, running, picked)
-		ch, cw := a.candidate(h, false, running, picked)
-		pick := cv
-		if ch != nil && (ce == nil || !a.runEDFFirst(now, ce, ch, a.headOf(ce, cv, running), a.headOf(ch, cw, running))) {
-			pick = cw
+	if acc == nil && len(running) == servers {
+		if kept, ok := a.keep(now, running, picks); ok {
+			return kept, true
 		}
-		if pick < 0 {
-			return false // a waiting entity beats the rest of running
-		}
-		running[picked], running[pick] = running[pick], running[picked]
 	}
-	return true
+	a.edfWalk.reset(a.edf)
+	a.hdfWalk.reset(a.hdf)
+	for _, t := range running {
+		if v := a.entityOf(t); v.inEDF {
+			a.edfWalk.reinsert(v, t)
+		} else {
+			a.hdfWalk.reinsert(v, t)
+		}
+	}
+	strict := acc != nil // a skipped candidate is handed back
+	for len(picks) < servers {
+		if strict {
+			// The skipped candidates are back: probe from the top. Without
+			// a predicate every candidate so far was picked.
+			a.edfWalk.at, a.hdfWalk.at = 0, 0
+		}
+		head, ok := a.step(now, strict)
+		if !ok {
+			return picks, false
+		}
+		if head.l == nil {
+			break
+		}
+		pick := head
+		if acc != nil {
+			if !acc.Accept(head.visit().head) {
+				for range window {
+					c, ok := a.step(now, strict)
+					if !ok {
+						return picks, false
+					}
+					if c.l == nil {
+						break
+					}
+					if acc.Accept(c.visit().head) {
+						pick = c
+						break
+					}
+				}
+			}
+			acc.Picked(pick.visit().head)
+		}
+		v := pick.visit()
+		v.taken = true
+		//lint:ignore hotpath-alloc the caller's buffer holds the servers' picks
+		picks = append(picks, v.head)
+	}
+	for _, t := range picks {
+		if !slices.Contains(running, t) {
+			a.checkOut(now, t)
+		}
+	}
+	for _, t := range running {
+		if !slices.Contains(picks, t) {
+			a.OnPreempt(now, t)
+		}
+	}
+	return picks, true
 }
 
-// candidate is the entity a pick would take from one list (the EDF-List
-// when edf): the better of the list's top, lead, and the re-inserted
-// entities of running[from:] in that list, with the index of a re-inserted
-// one, or -1 for lead.
-func (a *ASETSStar) candidate(lead *entity, edf bool, running []*txn.Transaction, from int) (*entity, int) {
-	best, at := lead, -1
-	for i := from; i < len(running); i++ {
-		v := a.entityOf(running[i])
-		if v.inEDF == edf && (best == nil || (edf && edfBefore(v, best)) || (!edf && hdfBefore(v, best))) {
-			best, at = v, i
+// keep is Decide's fast path for a blind re-decision on as many servers as
+// running transactions: it replays the picks as long as they come from
+// running, each arbitrating between the better of the EDF-List top and the
+// unpicked re-inserted EDF entities and the better of the HDF-List top and
+// the unpicked re-inserted HDF entities. It reports false, with nothing
+// changed, as soon as a list top would be picked. It reads only the two
+// list tops, so a decision that keeps its running set, most blind
+// re-decisions, sets up no walk.
+func (a *ASETSStar) keep(now float64, running, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
+	e, h := top(a.edf), top(a.hdf)
+	for len(picks) < len(running) {
+		ce, cv := a.reinserted(e, true, running, picks)
+		ch, cw := a.reinserted(h, false, running, picks)
+		pick := cv
+		if ch != nil && (ce == nil || !a.runEDFFirst(now, ce, ch, a.headOf(ce, cv), a.headOf(ch, cw))) {
+			pick = cw
+		}
+		if pick == nil {
+			return picks, false
+		}
+		//lint:ignore hotpath-alloc the caller's buffer holds the servers' picks
+		picks = append(picks, pick)
+	}
+	return picks, true
+}
+
+// reinserted is the entity keep would take from one list (the EDF-List when
+// edf): the better of the list's top, lead, and the re-inserted entities of
+// running in that list not in picks, with the running transaction of a
+// re-inserted one, or nil for lead.
+func (a *ASETSStar) reinserted(lead *entity, edf bool, running, picks []*txn.Transaction) (*entity, *txn.Transaction) {
+	best := lead
+	var at *txn.Transaction
+	for _, t := range running {
+		v := a.entityOf(t)
+		if v.inEDF == edf && !slices.Contains(picks, t) && (best == nil || (edf && edfBefore(v, best)) || (!edf && hdfBefore(v, best))) {
+			best, at = v, t
 		}
 	}
 	return best, at
 }
 
 // headOf is the head a pick of entity e would check out: the running
-// transaction running[i] of a re-inserted entity (i >= 0), whose only
-// available member it is, or the list top's own head.
-func (a *ASETSStar) headOf(e *entity, i int, running []*txn.Transaction) *txn.Transaction {
-	if i >= 0 {
-		return running[i]
+// transaction t of a re-inserted entity, or the list top's own head.
+func (a *ASETSStar) headOf(e *entity, t *txn.Transaction) *txn.Transaction {
+	if t != nil {
+		return t
 	}
 	return e.wf.Head(a.available)
+}
+
+// step is one Next of a probe: it arbitrates between the first candidate of
+// each list and returns the winner, which the probe has then passed, or no
+// visit when both lists are exhausted. It returns false where the replay
+// would not be exact.
+func (a *ASETSStar) step(now float64, strict bool) (visitRef, bool) {
+	e, ok := a.candidate(now, &a.edfWalk, strict)
+	if !ok {
+		return visitRef{}, false
+	}
+	h, ok := a.candidate(now, &a.hdfWalk, strict)
+	switch {
+	case !ok:
+		return visitRef{}, false
+	case h == nil && e == nil:
+		return visitRef{}, true
+	}
+	l := &a.hdfWalk
+	if h == nil || (e != nil && a.runEDFFirst(now, e.e, h.e, e.head, h.head)) {
+		l = &a.edfWalk
+	}
+	l.at++
+	return visitRef{l, l.at - 1}, true
+}
+
+// visitRef locates a visit, which a later visit may move: position i of
+// l's visits, or none when l is nil.
+type visitRef struct {
+	l *listWalk
+	i int
+}
+
+func (r visitRef) visit() *visit { return &r.l.seen[r.i] }
+
+// candidate returns the probe's next candidate in l, the first visit at or
+// after l.at that no earlier probe picked, visiting the next entity of the
+// list when the probe has passed every visited one; nil when the list is
+// exhausted. It returns false for a visited entity whose round trip would
+// not leave it as it was.
+func (a *ASETSStar) candidate(now float64, l *listWalk, strict bool) (*visit, bool) {
+	for ; ; l.at++ {
+		if l.at == len(l.seen) {
+			v, ok := a.visitNext(now, l, strict)
+			if v == nil || !ok {
+				return nil, ok
+			}
+		}
+		if v := &l.seen[l.at]; !v.taken {
+			return v, true
+		}
+	}
+}
+
+// visitNext visits l's next entity: the better of its heap's next entity
+// and its next re-inserted one. It returns nil when the list is exhausted,
+// and false for a heap entity whose round trip would not leave it as it
+// was.
+func (a *ASETSStar) visitNext(now float64, l *listWalk, strict bool) (*visit, bool) {
+	var e *entity
+	if it := l.heap.Peek(); it != nil {
+		e = it.Value
+	}
+	if l.ran < len(l.run) && (e == nil || l.before(l.run[l.ran].e, e)) {
+		//lint:ignore hotpath-alloc starts in a buffer inside the scheduler, grows at most to the deepest walk of the run, and is reused by every later decision
+		l.seen = append(l.seen, l.run[l.ran])
+		l.ran++
+		return &l.seen[len(l.seen)-1], true
+	}
+	if e == nil {
+		return nil, true
+	}
+	head := e.wf.Head(a.available)
+	if e.ready != 1 || (a.memberStart != nil && len(a.members(head.ID)) != 1) ||
+		(strict && e.inEDF != e.rep.CanMeetDeadline(now)) {
+		return nil, false
+	}
+	l.heap.Visit()
+	//lint:ignore hotpath-alloc starts in a buffer inside the scheduler, grows at most to the deepest walk of the run, and is reused by every later decision
+	l.seen = append(l.seen, visit{e: e, head: head})
+	return &l.seen[len(l.seen)-1], true
+}
+
+// listWalk is one list's part of a Decide: the list's entities in order, as
+// far as the probes reached, and the current probe's position among them.
+// The list holds its heap's entities, which heap walks, and the re-inserted
+// entities of the running transactions that OnPreempt would put in it,
+// which run holds in list order; run[:ran] were visited. before is the
+// list's order.
+type listWalk struct {
+	heap      pq.Walker[*entity]
+	before    func(x, y *entity) bool
+	seen, run []visit
+	at, ran   int
+	// The buffers seen and run start in, inside the scheduler's own
+	// allocation; a deeper walk grows them once.
+	seenBuf [48]visit
+	runBuf  [8]visit
+}
+
+// visit is a visited entity with its head; taken marks an earlier probe's
+// pick.
+type visit struct {
+	e     *entity
+	head  *txn.Transaction
+	taken bool
+}
+
+// reset starts a decision's walk of the list of heap h.
+func (l *listWalk) reset(h *pq.Heap[*entity]) {
+	l.heap.Reset(h)
+	l.seen, l.run, l.at, l.ran = l.seen[:0], l.run[:0], 0, 0
+}
+
+// reinsert adds the re-inserted entity v of running transaction t to the
+// walk, in list order.
+func (l *listWalk) reinsert(v *entity, t *txn.Transaction) {
+	//lint:ignore hotpath-alloc starts in a buffer inside the scheduler, grows at most to the server count, and is reused
+	l.run = append(l.run, visit{e: v, head: t})
+	for j := len(l.run) - 1; j > 0 && l.before(l.run[j].e, l.run[j-1].e); j-- {
+		l.run[j], l.run[j-1] = l.run[j-1], l.run[j]
+	}
 }
 
 // entityOf returns the entity of a transaction with one membership.
 func (a *ASETSStar) entityOf(t *txn.Transaction) *entity { return a.members(t.ID)[0] }
 
-// keepable reports whether Keep's replay is exact for running at now, and
+// replayable reports whether Decide's replay is exact for running at now, and
 // computes the representative and list of each running transaction's
 // entity as OnPreempt would. The replay needs each entity to come back with
 // exactly one available member, its running transaction, and to stay where
@@ -692,7 +910,7 @@ func (a *ASETSStar) entityOf(t *txn.Transaction) *entity { return a.members(t.ID
 //
 // It writes only the cached representatives and list flags of dequeued
 // entities, which OnPreempt recomputes.
-func (a *ASETSStar) keepable(now float64, running []*txn.Transaction) bool {
+func (a *ASETSStar) replayable(now float64, running []*txn.Transaction) bool {
 	if a.cfg.activation != ActivationNone || a.cfg.headExcludedRep {
 		return false
 	}
@@ -770,17 +988,28 @@ func (a *ASETSStar) activate(now float64) *txn.Transaction {
 // oldest returns T_old: the ready transaction maximizing w_i/d_i, with ties
 // broken by lower ID for determinism. Returns nil when nothing is ready.
 func (a *ASETSStar) oldest() *txn.Transaction {
-	var best *txn.Transaction
-	var bestRatio float64
-	//lint:ignore maprange pure max under a total order (ratio, then ID) — the result is identical for every iteration order
-	for _, t := range a.readyTxns {
-		ratio := t.Weight / t.Deadline
-		if best == nil || ratio > bestRatio || (ratio == bestRatio && t.ID < best.ID) {
-			best = t
-			bestRatio = ratio
-		}
+	if it := a.old.Peek(); it != nil {
+		return it.Value
 	}
-	return best
+	return nil
+}
+
+// olderThan orders the T_old candidates: highest weight-to-deadline ratio
+// first, then lower ID.
+func olderThan(x, y *txn.Transaction) bool {
+	rx, ry := x.Weight/x.Deadline, y.Weight/y.Deadline
+	//lint:ignore floatcmp comparator tie-break: exact equality only decides which key breaks the tie, the order stays total
+	if rx != ry {
+		return rx > ry
+	}
+	return x.ID < y.ID
+}
+
+// unmarkOld removes t from the T_old candidates, if it is one.
+func (a *ASETSStar) unmarkOld(t *txn.Transaction) {
+	if a.old != nil && a.oldItem[t.ID].InHeap() {
+		a.old.Remove(&a.oldItem[t.ID])
+	}
 }
 
 // QueueLengths reports the current sizes of the EDF and HDF lists, exposed

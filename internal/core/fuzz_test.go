@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/txn"
 	"repro/internal/workload"
 )
@@ -17,7 +18,7 @@ const (
 	opPreempt         // hand back a running transaction after part of its work
 	opComplete        // finish a running transaction
 	opAdvance         // let time pass
-	opKeep            // re-decide the running set through Keep, then check it by a round trip
+	opDecide          // re-decide the running set through Decide, checked by a round trip
 	numOps
 )
 
@@ -32,18 +33,27 @@ const (
 
 // FuzzSchedulerOps drives ASETS* through arbitrary sequences of the
 // check-out contract — arrivals in arrival order, Next, preemption after
-// partial service, completion, time passing, and Keep checked against the
-// OnPreempt and Next round trip it stands for — on a small weighted set,
-// and audits CheckInvariants after every operation. Every transaction Next
-// hands out must be arrived, unfinished, not already running and have its
-// dependencies done, and draining the scheduler at the end must finish
-// every transaction. The two singleton groupings build their entities as
-// transactions become ready and recycle them as they finish.
+// partial service, completion, time passing, and Decide — on a small
+// weighted set, and audits CheckInvariants after every operation. Every
+// transaction Next hands out must be arrived, unfinished, not already
+// running and have its dependencies done, and draining the scheduler at the
+// end must finish every transaction. The two singleton groupings build
+// their entities as transactions become ready and recycle them as they
+// finish.
+//
+// A twin scheduler over the same set takes every operation too, but
+// answers each Decide by the round trip it stands for: the running set
+// handed back through OnPreempt, then Next calls that probe as
+// contention.Deferring's does. Both must pick the same transactions in the
+// same order, so they stay in the same state.
 //
 // Input bytes: data[0] picks the set size (8-32 transactions), data[1] its
 // seed, data[2] the options (bit 0: symmetric rule, bit 1: head-excluded
 // representative, bits 2-3: time or count activation, bits 4-5: the
-// grouping); each later byte is one operation.
+// grouping); each later byte is one operation. A Decide takes its probe
+// window (0-8) and its free servers (0-2) from its argument and the next
+// byte as its acceptance predicate: none for 0, otherwise the IDs whose
+// residue mod 8 is a set bit.
 func FuzzSchedulerOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, opArrive, opArrive, opNext, opArrive, opPreempt, opNext, opComplete})
 	f.Add([]byte{24, 7, 1, opArrive, opArrive, opArrive, opNext, opNext, opAdvance + 5*numOps, opComplete, opNext, opPreempt + numOps})
@@ -51,8 +61,10 @@ func FuzzSchedulerOps(f *testing.F) {
 	f.Add([]byte{31, 9, 3 | 2<<2, opArrive, opArrive, opArrive, opArrive, opNext, opNext, opNext, opPreempt + 2*numOps, opNext, opComplete + numOps})
 	f.Add([]byte{16, 5, groupIndependent << 4, opArrive, opArrive, opNext, opComplete, opArrive, opArrive, opNext, opNext, opPreempt, opComplete, opArrive, opNext, opComplete + numOps})
 	f.Add([]byte{20, 2, 2 | 2<<2 | groupReady<<4, opArrive, opArrive, opArrive, opNext, opNext, opComplete, opArrive, opNext, opAdvance + 3*numOps, opComplete, opArrive, opNext, opPreempt, opNext, opComplete})
-	f.Add([]byte{10, 4, groupIndependent << 4, opArrive, opNext, opAdvance + 2*numOps, opKeep, opArrive, opArrive, opKeep, opNext, opAdvance + 9*numOps, opArrive, opKeep, opComplete, opKeep})
-	f.Add([]byte{14, 6, 0, opArrive, opArrive, opNext, opNext, opAdvance + 4*numOps, opArrive, opKeep, opArrive, opArrive, opKeep, opAdvance + 20*numOps, opKeep, opComplete + numOps, opKeep})
+	f.Add([]byte{10, 4, groupIndependent << 4, opArrive, opNext, opAdvance + 2*numOps, opDecide, 0, opArrive, opArrive, opDecide, 0, opNext, opAdvance + 9*numOps, opArrive, opDecide, 0, opComplete, opDecide, 0})
+	f.Add([]byte{14, 6, 0, opArrive, opArrive, opNext, opNext, opAdvance + 4*numOps, opArrive, opDecide, 0, opArrive, opArrive, opDecide, 0, opAdvance + 20*numOps, opDecide, 0, opComplete + numOps, opDecide, 0})
+	f.Add([]byte{24, 3, groupIndependent << 4, opArrive, opArrive, opArrive, opArrive, opArrive, opNext, opNext, opAdvance + 3*numOps, opArrive, opArrive, opDecide + 13*numOps, 0x55, opDecide + 26*numOps, 0xf0, opAdvance + numOps, opDecide + 8*numOps, 0x0f, opComplete, opDecide + 22*numOps, 0x3c})
+	f.Add([]byte{30, 8, groupReady << 4, opArrive, opArrive, opArrive, opArrive, opNext, opNext, opNext, opAdvance + 2*numOps, opArrive, opArrive, opDecide + 17*numOps, 0xaa, opArrive, opDecide + 4*numOps, 0x81, opPreempt, opDecide + 25*numOps, 0x7e})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -80,19 +92,29 @@ func FuzzSchedulerOps(f *testing.F) {
 		case 2:
 			opts = append(opts, WithCountActivation(0.2))
 		}
-		d := newOpsDriver(t, set, New(opts...))
-		for _, b := range data[3:] {
-			d.do(b%numOps, int(b/numOps))
+		d := newOpsDriver(t, set, New(opts...), New(opts...))
+		for i := 3; i < len(data); i++ {
+			op, arg := data[i]%numOps, int(data[i]/numOps)
+			if op == opDecide {
+				var accept byte
+				if i+1 < len(data) {
+					i++
+					accept = data[i]
+				}
+				d.decide(arg, accept)
+				continue
+			}
+			d.do(op, arg)
 		}
 		d.drain()
 	})
 }
 
-// opsDriver plays the engine's side of the check-out contract against one
-// scheduler and checks it after every call.
+// opsDriver plays the engine's side of the check-out contract against a
+// scheduler and its twin, and checks them after every call.
 type opsDriver struct {
 	t       *testing.T
-	a       *ASETSStar
+	a, twin *ASETSStar
 	order   []*txn.Transaction // arrival order: time, then ID
 	arrived int                // order[:arrived] were delivered
 	running []*txn.Transaction // checked out, in check-out order
@@ -104,14 +126,15 @@ type opsDriver struct {
 	decided float64
 }
 
-func newOpsDriver(t *testing.T, set *txn.Set, a *ASETSStar) *opsDriver {
+func newOpsDriver(t *testing.T, set *txn.Set, a, twin *ASETSStar) *opsDriver {
 	set.ResetAll()
 	a.Init(set)
+	twin.Init(set)
 	order := slices.Clone(set.Txns)
 	slices.SortFunc(order, func(x, y *txn.Transaction) int {
 		return cmp.Or(cmp.Compare(x.Arrival, y.Arrival), cmp.Compare(x.ID, y.ID))
 	})
-	return &opsDriver{t: t, a: a, order: order}
+	return &opsDriver{t: t, a: a, twin: twin, order: order}
 }
 
 func (d *opsDriver) do(op byte, arg int) {
@@ -124,6 +147,7 @@ func (d *opsDriver) do(op byte, arg int) {
 		d.arrived++
 		d.now = max(d.now, tx.Arrival)
 		d.a.OnArrival(d.now, tx)
+		d.twin.OnArrival(d.now, tx)
 	case opNext:
 		d.next()
 	case opPreempt:
@@ -135,6 +159,7 @@ func (d *opsDriver) do(op byte, arg int) {
 		d.running = append(d.running[:i], d.running[i+1:]...)
 		tx.Remaining -= tx.Remaining * float64(arg%7+1) / 8
 		d.a.OnPreempt(d.now, tx)
+		d.twin.OnPreempt(d.now, tx)
 	case opComplete:
 		if len(d.running) == 0 {
 			return
@@ -142,8 +167,6 @@ func (d *opsDriver) do(op byte, arg int) {
 		d.complete(arg % len(d.running))
 	case opAdvance:
 		d.now += float64(arg+1) / 2
-	case opKeep:
-		d.keep()
 	default:
 		d.t.Fatalf("unknown op %d", op)
 	}
@@ -154,6 +177,9 @@ func (d *opsDriver) do(op byte, arg int) {
 // running.
 func (d *opsDriver) next() *txn.Transaction {
 	tx := d.a.Next(d.now)
+	if twin := d.twin.Next(d.now); twin != tx {
+		d.t.Fatalf("Next(%v) handed out %v, its twin %v", d.now, ids([]*txn.Transaction{tx}), ids([]*txn.Transaction{twin}))
+	}
 	d.decided = d.now
 	if tx == nil {
 		return nil
@@ -176,38 +202,90 @@ func (d *opsDriver) next() *txn.Transaction {
 	return tx
 }
 
-// keep asks Keep about the running set at now, then returns the set through
-// OnPreempt and calls Next until it is used up or another transaction comes
-// out first. A kept set must come back exactly, in Keep's order. A set Keep
-// returns although its replay is exact (keepable) must see another
-// transaction come out first: a real preemption.
-func (d *opsDriver) keep() {
-	exact := d.a.keepable(d.now, d.running)
-	order := slices.Clone(d.running)
-	kept := d.a.Keep(d.now, order)
-	if exact {
-		d.decided = d.now // Keep migrated
+// idSubset accepts the transactions whose ID mod 8 is a set bit of its
+// byte.
+type idSubset byte
+
+func (m idSubset) Accept(t *txn.Transaction) bool { return m>>(t.ID%8)&1 != 0 }
+func (idSubset) Picked(*txn.Transaction)          {}
+
+// decide re-decides the running set at now on len(running) plus arg/9%3
+// servers (at least one) with probe window arg%9, accepting the idSubset
+// accept (none for 0): through Decide on the scheduler, falling back to the
+// round trip when it declines, and through the round trip on the twin. Both
+// must pick the same transactions in the same order. Without a predicate,
+// on a replayable running set (no aging, the full representative), Decide
+// must answer when the replay is exact by construction, a singleton
+// grouping, and, for every grouping, when it only keeps the running set:
+// as many servers as running transactions, and the round trip picks
+// exactly those.
+func (d *opsDriver) decide(arg int, accept byte) {
+	window, servers := arg%9, max(len(d.running)+arg/9%3, 1)
+	var acc sched.Acceptor
+	if accept != 0 {
+		acc = idSubset(accept)
 	}
+	running := d.running
+	replay := acc == nil && d.a.replayable(d.now, running)
+	exact := replay && d.a.memberStart == nil
+	got, ok := d.a.Decide(d.now, running, servers, acc, window, nil)
+	if !ok {
+		if exact {
+			d.t.Fatalf("Decide(%v) declined an exact replay of %v", d.now, ids(running))
+		}
+		got = roundTrip(d.a, d.now, running, servers, acc, window, nil)
+	}
+	want := roundTrip(d.twin, d.now, running, servers, acc, window, nil)
+	if !slices.Equal(got, want) {
+		d.t.Fatalf("Decide(%v) of %v on %d servers, window %d, accept %#x: picked %v, the round trip %v",
+			d.now, ids(running), servers, window, accept, ids(got), ids(want))
+	}
+	if !ok && replay && servers == len(running) && len(want) == len(running) &&
+		!slices.ContainsFunc(want, func(t *txn.Transaction) bool { return !slices.Contains(running, t) }) {
+		d.t.Fatalf("Decide(%v) declined %v, the round trip kept it: %v", d.now, ids(running), ids(want))
+	}
+	d.decided = d.now
+	for _, tx := range got {
+		tx.Started = true
+	}
+	d.running = got
 	d.audit()
-	returned := d.running
-	d.running = nil
-	for _, tx := range returned {
-		d.a.OnPreempt(d.now, tx)
+}
+
+// roundTrip is the round trip a Decide stands for: running handed back
+// through OnPreempt, then up to servers Next calls, each probing as
+// contention.Deferring's does when acc is non-nil.
+func roundTrip(a *ASETSStar, now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, window int, picks []*txn.Transaction) []*txn.Transaction {
+	for _, tx := range running {
+		a.OnPreempt(now, tx)
 	}
-	var got []*txn.Transaction
-	for range returned {
-		tx := d.next()
-		got = append(got, tx)
-		if !slices.Contains(returned, tx) {
+	for len(picks) < servers {
+		head := a.Next(now)
+		if head == nil {
 			break
 		}
+		pick, cand := head, []*txn.Transaction{head}
+		if acc != nil && !acc.Accept(head) {
+			for len(cand) <= window {
+				c := a.Next(now)
+				if c == nil {
+					break
+				}
+				if acc.Accept(c) {
+					pick = c
+					break
+				}
+				cand = append(cand, c)
+			}
+		}
+		for _, c := range cand {
+			if c != pick {
+				a.OnPreempt(now, c)
+			}
+		}
+		picks = append(picks, pick)
 	}
-	switch {
-	case kept && !slices.Equal(got, order):
-		d.t.Fatalf("Keep(%v) kept %v, the round trip handed out %v", d.now, ids(order), ids(got))
-	case !kept && exact && len(returned) > 0 && slices.Contains(returned, got[len(got)-1]):
-		d.t.Fatalf("Keep(%v) returned %v, the round trip handed it back first: %v", d.now, ids(returned), ids(got))
-	}
+	return picks
 }
 
 // ids lists the IDs of txns, nil as -1.
@@ -230,12 +308,15 @@ func (d *opsDriver) complete(i int) {
 	tx.Finished = true
 	tx.FinishTime = d.now
 	d.a.OnCompletion(d.now, tx)
+	d.twin.OnCompletion(d.now, tx)
 }
 
 func (d *opsDriver) audit() {
 	d.t.Helper()
-	if err := d.a.CheckInvariants(d.decided); err != nil {
-		d.t.Fatal(err)
+	for _, a := range []*ASETSStar{d.a, d.twin} {
+		if err := a.CheckInvariants(d.decided); err != nil {
+			d.t.Fatal(err)
+		}
 	}
 }
 

@@ -173,3 +173,91 @@ func (h *Heap[T]) Verify() bool {
 	}
 	return true
 }
+
+// Walker visits a heap's items in the heap's order without removing any:
+// its front is a small binary heap, under the heap's order, of positions in
+// the heap's array whose parents were visited, so it grows by at most one
+// position per visit and k visits cost O(k log k) comparisons. A visit
+// (Visit) leaves the front as it is until the next Peek, so a walk that
+// only looks at the top touches nothing below it. The heap must not change
+// during a walk. The zero Walker is ready to Reset.
+type Walker[T any] struct {
+	h       *Heap[T]
+	front   []int32
+	visited bool
+	buf     [32]int32 // the front's storage until a walk outgrows it
+}
+
+// Reset starts a walk of h from its top.
+func (w *Walker[T]) Reset(h *Heap[T]) {
+	if w.front == nil {
+		w.front = w.buf[:0]
+	}
+	w.h, w.front, w.visited = h, w.front[:0], false
+	if len(h.items) > 0 {
+		//lint:ignore hotpath-alloc the front was just emptied, and its buffer holds 32 positions
+		w.front = append(w.front, 0)
+	}
+}
+
+// Peek returns the walk's next item, or nil when every item was visited.
+func (w *Walker[T]) Peek() *Item[T] {
+	if w.visited {
+		w.pop()
+	}
+	if len(w.front) == 0 {
+		return nil
+	}
+	return w.h.items[w.front[0]]
+}
+
+// Visit moves the walk past the item Peek returned.
+func (w *Walker[T]) Visit() { w.visited = true }
+
+// pop drops the visited first position of the front and adds its
+// children.
+func (w *Walker[T]) pop() {
+	w.visited = false
+	i := w.front[0]
+	last := len(w.front) - 1
+	w.front[0] = w.front[last]
+	w.front = w.front[:last]
+	w.down()
+	for c := 2*i + 1; c <= 2*i+2 && int(c) < len(w.h.items); c++ {
+		w.push(c)
+	}
+}
+
+func (w *Walker[T]) less(i, j int) bool {
+	return w.h.less(w.h.items[w.front[i]].Value, w.h.items[w.front[j]].Value)
+}
+
+func (w *Walker[T]) push(pos int32) {
+	//lint:ignore hotpath-alloc the front starts in the walker's own buffer and grows at most to the widest walk, then is reused by every later walk
+	w.front = append(w.front, pos)
+	for i := len(w.front) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !w.less(i, parent) {
+			break
+		}
+		w.front[i], w.front[parent] = w.front[parent], w.front[i]
+		i = parent
+	}
+}
+
+func (w *Walker[T]) down() {
+	for i, n := 0, len(w.front); ; {
+		least := 2*i + 1
+		if least >= n {
+			return
+		}
+		if r := least + 1; r < n && w.less(r, least) {
+			least = r
+		}
+		if !w.less(least, i) {
+			return
+		}
+		w.front[i], w.front[least] = w.front[least], w.front[i]
+		i = least
+	}
+}

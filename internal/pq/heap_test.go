@@ -347,3 +347,60 @@ func TestHeapSlabMisusePanics(t *testing.T) {
 		h.Remove(&slab[0])
 	})
 }
+
+// TestWalkerVisitsInOrder: a walk of a heap built by random pushes, removals
+// and fixes visits every item exactly once, in the order repeated Pop would
+// return them, leaves the heap untouched, and a Peek without a Visit does
+// not advance. Walks longer than the walker's own buffer and a reused
+// walker are included.
+func TestWalkerVisitsInOrder(t *testing.T) {
+	src := rng.New(7)
+	var w Walker[int]
+	for trial := 0; trial < 200; trial++ {
+		h := intHeap()
+		items := make([]*Item[int], 0, 400)
+		for range src.Intn(400) {
+			switch op := src.Intn(4); {
+			case op < 2 || len(items) == 0:
+				it := NewItem(src.Intn(50))
+				h.Push(it)
+				items = append(items, it)
+			case op == 2:
+				i := src.Intn(len(items))
+				h.Remove(items[i])
+				items = append(items[:i], items[i+1:]...)
+			default:
+				it := items[src.Intn(len(items))]
+				it.Value = src.Intn(50)
+				h.Fix(it)
+			}
+		}
+		before := append([]*Item[int](nil), h.Items()...)
+		w.Reset(h)
+		var walked []int
+		for it := w.Peek(); it != nil; it = w.Peek() {
+			if again := w.Peek(); again != it {
+				t.Fatalf("trial %d: a second Peek moved the walk", trial)
+			}
+			walked = append(walked, it.Value)
+			w.Visit()
+		}
+		for i, it := range h.Items() {
+			if it != before[i] {
+				t.Fatalf("trial %d: the walk changed the heap", trial)
+			}
+		}
+		var popped []int
+		for it := h.Pop(); it != nil; it = h.Pop() {
+			popped = append(popped, it.Value)
+		}
+		if len(walked) != len(popped) {
+			t.Fatalf("trial %d: walked %d items, the heap held %d", trial, len(walked), len(popped))
+		}
+		for i := range walked {
+			if walked[i] != popped[i] {
+				t.Fatalf("trial %d: walk %v, pops %v", trial, walked, popped)
+			}
+		}
+	}
+}

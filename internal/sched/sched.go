@@ -24,12 +24,13 @@ import (
 // checked out. This keeps every queue's keys consistent without schedulers
 // having to track execution progress themselves.
 //
-// At a decision point the engine re-decides the running transactions: it
-// hands every one of them back through OnPreempt and refills the servers
-// through Next. It reports only what changed (a preempt event for a
-// transaction not picked again, a dispatch for a pick that was not
-// running), so a decision point whose choice does not change looks the same
-// whatever the policy. A Keeper may spare that round trip (see Keeper).
+// At a decision point the engine re-decides the running transactions. The
+// reference is the round trip: it hands every one of them back through
+// OnPreempt and refills the servers through Next. It reports only what
+// changed (a preempt event for a transaction not picked again, a dispatch
+// for a pick that was not running), so a decision point whose choice does
+// not change looks the same whatever the policy. A Decider answers the same
+// decision in one call (see Decider).
 type Scheduler interface {
 	// Name returns the display name used in tables and figures.
 	Name() string
@@ -49,34 +50,54 @@ type Scheduler interface {
 	OnCompletion(now float64, t *txn.Transaction)
 }
 
-// Keeper is the optional seam that spares a scheduler the check-out round
-// trip of a decision point whose choice does not change. It only saves
-// time: the schedule and the event stream are the same whatever it answers.
+// Decider is the optional call that settles a decision point at once. It
+// only saves time: the schedule and the event stream are the same whatever
+// it answers.
 //
-// Keep reports whether handing running back through OnPreempt at now and
-// then calling Next would check out every transaction of running before any
-// other one. When it would, Keep puts running into that pick order and
-// leaves the scheduler in the state those calls would have left it, so the
-// engine keeps running on its servers without the round trip. When it would
-// not, or when the policy cannot tell cheaply, Keep returns false, and the
-// engine makes the round trip in its own order (Keep may have reordered the
-// slice it was given). Either way Keep may first do the bookkeeping the next
-// Next at now would do anyway (ASETS* migrates its expired EDF entities). A
-// false answer is always correct; a true one must be exact.
+// Decide answers the round trip of a re-decision: running (checked out, in
+// server order) handed back through OnPreempt at now, then Next called until
+// servers transactions are out or Next returns nil. With an Acceptor, each
+// of those Next calls probes as contention.Deferring's does: it takes the
+// first candidate acc accepts among the head and up to window further
+// candidates in the policy's order, and otherwise the head, handing the
+// skipped candidates back. Decide appends the picks to picks in pick order
+// and leaves the scheduler in the state the round trip would have left it:
+// a pick that was running stays checked out, a new pick is checked out, and
+// a running transaction that was not picked is handed back. It must not
+// modify running.
 //
-// Engines find a scheduler's Keeper through its Unwrap chain (KeeperOf), so
-// a wrapper that only forwards needs no Keep of its own. A wrapper that
-// changes Next's choice must not unwrap to its inner policy's Keeper.
-type Keeper interface {
-	Keep(now float64, running []*txn.Transaction) bool
+// When the policy cannot replay the round trip exactly, Decide returns
+// false and the engine makes the round trip itself. A false answer leaves
+// the scheduler as it was, except for the bookkeeping the next Next at now
+// would do anyway (ASETS* migrates its expired EDF entities); it may come
+// after calls to acc, whose owner then discards what they recorded. A false
+// answer is always correct; a true one must be exact.
+//
+// Engines find a scheduler's Decider through its Unwrap chain (DeciderOf),
+// so a wrapper that only forwards needs no Decide of its own. A wrapper
+// that changes Next's choice must not unwrap to its inner policy.
+type Decider interface {
+	Decide(now float64, running []*txn.Transaction, servers int, acc Acceptor, window int, picks []*txn.Transaction) ([]*txn.Transaction, bool)
 }
 
-// KeeperOf returns the Keeper of s: s itself, or the first Keeper down its
-// chain of Unwrap() Scheduler methods. It returns nil when there is none.
-func KeeperOf(s Scheduler) Keeper {
+// Acceptor is the acceptance predicate of a probing Decide. The predicate
+// may change with each pick: Decide calls Accept on the candidates of one
+// pick in probe order, then Picked on the pick, right after the Accept call
+// that accepted it if one did, before it probes for the next pick.
+type Acceptor interface {
+	// Accept reports whether t may run next.
+	Accept(t *txn.Transaction) bool
+	// Picked records that t was picked.
+	Picked(t *txn.Transaction)
+}
+
+// DeciderOf returns the Decider of s: s itself, or the first Decider down
+// its chain of Unwrap() Scheduler methods. It returns nil when there is
+// none.
+func DeciderOf(s Scheduler) Decider {
 	for s != nil {
-		if k, ok := s.(Keeper); ok {
-			return k
+		if d, ok := s.(Decider); ok {
+			return d
 		}
 		u, ok := s.(interface{ Unwrap() Scheduler })
 		if !ok {

@@ -114,31 +114,34 @@ func TestReadyTrackerFinished(t *testing.T) {
 	}
 }
 
-// unwrapOnly forwards a scheduler and unwraps to it, with no Keep of its own.
+// unwrapOnly forwards a scheduler and unwraps to it, with no Decide of its
+// own.
 type unwrapOnly struct{ Scheduler }
 
 func (u unwrapOnly) Unwrap() Scheduler { return u.Scheduler }
 
-// keepNone is a Keeper that never keeps.
-type keepNone struct{ Scheduler }
+// decideNone is a Decider that always declines.
+type decideNone struct{ Scheduler }
 
-func (keepNone) Keep(float64, []*txn.Transaction) bool { return false }
+func (decideNone) Decide(_ float64, _ []*txn.Transaction, _ int, _ Acceptor, _ int, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
+	return picks, false
+}
 
-// TestKeeperOf: the Keeper is found on the scheduler itself or down its
+// TestDeciderOf: the Decider is found on the scheduler itself or down its
 // Unwrap chain; a scheduler without one, or a wrapper that hides its inner
 // policy, has none.
-func TestKeeperOf(t *testing.T) {
-	k := &keepNone{NewEDF()}
-	if KeeperOf(k) != Keeper(k) {
-		t.Fatal("a scheduler with Keep is its own Keeper")
+func TestDeciderOf(t *testing.T) {
+	d := &decideNone{NewEDF()}
+	if DeciderOf(d) != Decider(d) {
+		t.Fatal("a scheduler with Decide is its own Decider")
 	}
-	if KeeperOf(unwrapOnly{unwrapOnly{k}}) != Keeper(k) {
-		t.Fatal("the Keeper was not found down the Unwrap chain")
+	if DeciderOf(unwrapOnly{unwrapOnly{d}}) != Decider(d) {
+		t.Fatal("the Decider was not found down the Unwrap chain")
 	}
-	if KeeperOf(NewEDF()) != nil || KeeperOf(unwrapOnly{NewAED(1)}) != nil {
-		t.Fatal("the baseline policies and AED have no Keeper")
+	if DeciderOf(NewEDF()) != nil || DeciderOf(unwrapOnly{NewAED(1)}) != nil {
+		t.Fatal("the baseline policies and AED have no Decider")
 	}
-	if KeeperOf(struct{ Scheduler }{k}) != nil {
-		t.Fatal("a wrapper without Unwrap hides its policy's Keeper")
+	if DeciderOf(struct{ Scheduler }{d}) != nil {
+		t.Fatal("a wrapper without Unwrap hides its policy's Decider")
 	}
 }

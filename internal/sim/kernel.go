@@ -51,19 +51,20 @@ import (
 // which return through OnPreempt (a re-decision, Return, or a validation
 // failure) or OnCompletion. Redecide marks the running transactions due to
 // re-decide, and the next Next settles that once the instant's arrivals and
-// restarts are in: it hands them back to the scheduler and refills the
-// servers, and then announces only what changed — a preempt for each
-// transaction the refill did not pick again, a dispatch for each pick that
-// was not running. So a decision point whose choice does not change emits
-// nothing, whatever the policy. A sched.Keeper that answers true spares the
-// round trip, with the same schedule and the same events. An aborted
-// transaction stays checked out while it waits out its backoff and is
-// returned through OnPreempt (with its remaining time reset) when the
-// backoff expires.
+// restarts are in, with one call to the scheduler's sched.Decider: the
+// picks become the running set. Without a Decider, or when it declines, the
+// kernel makes the round trip the call stands for: it hands the running
+// transactions back to the scheduler and refills the servers through Next.
+// Either way it then announces only what changed — a preempt for each
+// running transaction not picked again, a dispatch for each pick that was
+// not running. So a decision point whose choice does not change emits
+// nothing, whatever the policy. An aborted transaction stays checked out
+// while it waits out its backoff and is returned through OnPreempt (with
+// its remaining time reset) when the backoff expires.
 type Kernel struct {
 	set      *txn.Set
 	s        sched.Scheduler
-	keeper   sched.Keeper        // s's, or nil: every re-decision hands the running set back
+	decider  sched.Decider       // s's, or nil: every re-decision hands the running set back
 	o        *sched.Instrumented // nil when uninstrumented
 	label    string              // the instance in event details; "" for one backend
 	servers  int
@@ -86,7 +87,8 @@ type Kernel struct {
 	live      int                // admitted or adopted, not yet committed or drained
 	running   []*txn.Transaction // checked out onto a server
 	completed []*txn.Transaction // backs the commits Settle returns
-	prev      []*txn.Transaction // Keep's copy of running; the handed-back set until announce
+	prev      []*txn.Transaction // the re-decided running set until announce
+	picks     []*txn.Transaction // the Decider's buffer; it becomes running, running prev
 	due       int                // len(running) while it is due to re-decide at the next Next, else 0
 	// The outage window open at now (inWin), cached whenever now moves;
 	// stallSeen is the window whose entry was recorded, so the stall event
@@ -183,11 +185,11 @@ func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumen
 		return Kernel{}, err
 	}
 	n := set.Len()
-	slots := make([]*txn.Transaction, 3*servers)
+	slots := make([]*txn.Transaction, 4*servers)
 	k := Kernel{
 		set: set, o: o, label: label, servers: servers, recorder: cfg.Recorder, ctrl: cfg.Admit,
 		winIdx: -1, stallSeen: -1, running: slots[:0:servers], completed: slots[servers : servers : 2*servers],
-		prev: slots[2*servers : 2*servers], maxSteps: math.MaxInt,
+		prev: slots[2*servers : 2*servers : 3*servers], picks: slots[3*servers : 3*servers], maxSteps: math.MaxInt,
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
@@ -246,7 +248,7 @@ func (k *Kernel) install(s sched.Scheduler) {
 		ss.SetSink(k.o.Sink())
 	}
 	s.Init(k.set)
-	k.s, k.keeper = s, sched.KeeperOf(s)
+	k.s, k.decider = s, sched.DeciderOf(s)
 }
 
 // Finished reports whether every transaction committed or was shed.
@@ -299,15 +301,16 @@ func (c Counts) AdmitState(servers int) admit.State {
 	}
 }
 
-// Next takes one scheduling step. It settles a due re-decision first: a
-// Keep that answers true keeps the running transactions, and otherwise (or
-// under an open outage window) they are handed back. Then, unless an outage
-// window is open, it fills the free servers from the scheduler, announces
-// what a hand-back changed (under an outage: every running transaction was
-// preempted), and returns Horizon(arrival). Next reports scheduler-contract
-// violations and the step cap as errors. A +Inf result means nothing can
-// happen any more; the driver owning the global clock decides whether that
-// is a deadlock (see Deadlock).
+// Next takes one scheduling step. It settles a due re-decision first:
+// through the scheduler's Decider when it answers, and otherwise (or under
+// an open outage window) by handing the running transactions back. Then,
+// unless an outage window is open or the Decider picked, it fills the free
+// servers from the scheduler. It announces what a re-decision changed
+// (under an outage: every running transaction was preempted) and returns
+// Horizon(arrival). Next reports scheduler-contract violations and the
+// step cap as errors. A +Inf result means nothing can happen any more; the
+// driver owning the global clock decides whether that is a deadlock (see
+// Deadlock).
 //
 //lint:hotpath
 func (k *Kernel) Next(arrival float64) (float64, error) {
@@ -315,11 +318,24 @@ func (k *Kernel) Next(arrival float64) (float64, error) {
 		return 0, k.fail(nil)
 	}
 	_, _, out := k.Outage()
-	if k.due > 0 && (out || !k.keep()) {
-		k.handBack()
+	decided := false
+	if k.due > 0 {
+		k.due = 0
+		if decided = !out && k.decide(); !decided {
+			k.handBack()
+		}
 	}
-	k.due = 0
-	if !out {
+	switch {
+	case decided:
+		if len(k.prev) == 0 {
+			break // the picks are the running set
+		}
+		for n, t := range k.running {
+			if err := k.start(t, n); err != nil {
+				return 0, err
+			}
+		}
+	case !out:
 		// k.running has capacity for exactly the servers: fill the free
 		// slots in place.
 		for n := len(k.running); n < k.servers; n++ {
@@ -327,17 +343,8 @@ func (k *Kernel) Next(arrival float64) (float64, error) {
 			if t == nil {
 				break
 			}
-			if t.Finished || t.Arrival > k.now || slices.Contains(k.running, t) {
-				return 0, k.fail(t)
-			}
-			t.Started = true
-			if k.val != nil {
-				// Open (or continue) the incarnation: the read snapshot is
-				// as old as the incarnation's first dispatch.
-				k.val.Begin(t)
-			}
-			if k.o != nil && len(k.prev) == 0 {
-				k.o.Dispatch(k.now, t, k.label)
+			if err := k.start(t, n); err != nil {
+				return 0, err
 			}
 			k.running = k.running[:n+1]
 			k.running[n] = t
@@ -349,22 +356,38 @@ func (k *Kernel) Next(arrival float64) (float64, error) {
 	return k.Horizon(arrival), nil
 }
 
-// keep asks the scheduler's Keeper whether the running transactions stay
-// checked out, on a copy when there are several: a kept set takes the
-// Keeper's pick order, and a handed-back one goes back in its own order.
-func (k *Kernel) keep() bool {
-	switch {
-	case k.keeper == nil:
-		return false
-	case len(k.running) == 1:
-		return k.keeper.Keep(k.now, k.running)
-	}
-	order := append(k.prev[:0], k.running...)
-	if !k.keeper.Keep(k.now, order) {
+// decide settles a due re-decision through the scheduler's Decider and
+// reports whether it answered. Picks that differ from the running set
+// become it, and the old running set is kept for announce; picks equal to
+// it change nothing.
+func (k *Kernel) decide() bool {
+	if k.decider == nil {
 		return false
 	}
-	copy(k.running, order)
-	return true
+	picks, ok := k.decider.Decide(k.now, k.running, k.servers, nil, 0, k.picks[:0])
+	if ok && !slices.Equal(picks, k.running) {
+		k.prev, k.running, k.picks = k.running, picks, k.prev
+	}
+	return ok
+}
+
+// start puts t, the scheduler's pick for server n, on that server: it checks
+// the pick against the scheduler contract and, outside a re-decision,
+// announces the dispatch.
+func (k *Kernel) start(t *txn.Transaction, n int) error {
+	if t.Finished || t.Arrival > k.now || slices.Contains(k.running[:n], t) {
+		return k.fail(t)
+	}
+	t.Started = true
+	if k.val != nil {
+		// Open (or continue) the incarnation: the read snapshot is as old as
+		// the incarnation's first dispatch.
+		k.val.Begin(t)
+	}
+	if k.o != nil && len(k.prev) == 0 {
+		k.o.Dispatch(k.now, t, k.label)
+	}
+	return nil
 }
 
 // handBack returns the running transactions to the scheduler with their
@@ -379,10 +402,10 @@ func (k *Kernel) handBack() {
 	k.running = k.running[:0]
 }
 
-// announce reports what the refill after handBack changed, after the
-// policy's own events from those Next calls: a preempt for each handed-back
-// transaction that was not picked again, in running order, then a dispatch
-// for each pick that was not running, in pick order.
+// announce reports what a re-decision changed, after the policy's own
+// events from it: a preempt for each running transaction that was not
+// picked again, in running order, then a dispatch for each pick that was
+// not running, in pick order.
 //
 //lint:hotpath
 func (k *Kernel) announce() {
@@ -436,8 +459,9 @@ func (k *Kernel) Advance(at float64) []*txn.Transaction {
 }
 
 // Redecide marks the running transactions due to re-decide at the next
-// Next, which settles them once the instant's arrivals and restarts are in. Every driver calls Next before the next Settle or
-// Drain, so a due re-decision never outlives its instant.
+// Next, which settles them once the instant's arrivals and restarts are
+// in. Every driver calls Next before the next Settle or Drain, so a due
+// re-decision never outlives its instant.
 //
 //lint:hotpath
 func (k *Kernel) Redecide() { k.due = len(k.running) }
