@@ -366,7 +366,7 @@ func runOne(set *txn.Set, s sched.Scheduler, servers int, doTrace, analyze, gant
 		fmt.Printf("  faults: admitted=%d shed=%d aborts=%d restarts=%d stalls=%d\n",
 			summary.N, summary.Shed, summary.Aborts, summary.Restarts, summary.Stalls)
 	}
-	if contention.HasKeys(set) {
+	if set.Keyed() {
 		fmt.Printf("  contention: validate_fails=%d\n", summary.ValidateFails)
 	}
 	if c, ok := s.(*core.Checked); ok {

@@ -93,7 +93,7 @@ type router struct {
 // (workflow-colocated routing is future work — see docs/ROBUSTNESS.md).
 func (e *Sim) Run(set *txn.Set) (*Result, error) {
 	cfg := e.cfg
-	retry, maxSteps, keyed, err := cfg.validate(set)
+	retry, maxSteps, err := cfg.validate(set)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 	for i := range r.insts {
 		in := &r.insts[i]
 		in.name, in.crashSeen = strconv.Itoa(i), -1
-		if in.k, err = sim.NewInstance(cfg.instance(i, in.name), set, cfg.NewScheduler(), r.obs, in.name, keyed); err != nil {
+		if in.k, err = sim.NewInstance(cfg.instance(i, in.name), set, cfg.NewScheduler(), r.obs, in.name); err != nil {
 			return nil, fmt.Errorf("cluster: instance %d: %w", i, err)
 		}
 	}

@@ -25,9 +25,9 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/admit"
-	"repro/internal/contention"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -149,22 +149,19 @@ type Config struct {
 }
 
 // validate checks the configuration against the workload, returning the
-// effective retry budget, the step cap — a livelock safety net on
+// effective retry budget and the step cap — a livelock safety net on
 // scheduling decisions, scaled by the fleet, the retry budget and the fault
-// plans — and whether the workload carries read/write sets, which every
-// instance's kernel takes instead of scanning the set again.
+// plans.
 //
 //lint:coldpath config validation runs once before the event loop
-func (c *Config) validate(set *txn.Set) (Retry, int, bool, error) {
+func (c *Config) validate(set *txn.Set) (Retry, int, error) {
 	retry, err := c.check()
 	if err != nil {
-		return Retry{}, 0, false, err
+		return Retry{}, 0, err
 	}
-	n := set.Len()
-	for _, t := range set.Txns {
-		if len(t.Deps) > 0 {
-			return Retry{}, 0, false, fmt.Errorf("cluster: transaction %d has dependencies; the cluster tier routes independent transactions only", t.ID)
-		}
+	if !set.Independent() {
+		i := slices.IndexFunc(set.Txns, func(t *txn.Transaction) bool { return !t.Independent() })
+		return Retry{}, 0, fmt.Errorf("cluster: transaction %d has dependencies; the cluster tier routes independent transactions only", set.Txns[i].ID)
 	}
 	scale, windows := 1+retry.Budget, 0
 	for _, p := range c.Faults {
@@ -178,8 +175,7 @@ func (c *Config) validate(set *txn.Set) (Retry, int, bool, error) {
 	// commit inside the victim's open window, so a per-instance population
 	// of at most n bounds the extra steps quadratically, as on a single
 	// backend.
-	keyed := contention.HasKeys(set)
-	return retry, sim.StepCap(n, scale, windows+4*c.Instances, keyed), keyed, nil
+	return retry, sim.StepCap(set.Len(), scale, windows+4*c.Instances, set.Keyed()), nil
 }
 
 // instance is the kernel configuration of instance i, named name. The

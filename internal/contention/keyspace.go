@@ -80,7 +80,8 @@ func (ks *Keyspace) Validate() error {
 // regenerating a workload, cloning it, or assigning the same keyspace on
 // another instance yields bit-identical key sets regardless of assignment
 // order. Sets are sorted and duplicate-free (txn.Set.Validate's invariant);
-// reads may overlap the transaction's own writes.
+// reads may overlap the transaction's own writes. Only the drawn sets are
+// checked: the rest of a validated set is unchanged.
 //
 //lint:coldpath key assignment is workload construction, before any event loop
 func Assign(set *txn.Set, ks Keyspace) error {
@@ -95,17 +96,16 @@ func Assign(set *txn.Set, ks Keyspace) error {
 	// each is capped at its own length, so no set can grow into the next.
 	slab := make([]txn.Key, 0, set.Len()*(ks.Writes+ks.Reads))
 	var src rng.Source
-	for _, t := range set.Txns {
+	return set.AssignKeys(func(t *txn.Transaction) (reads, writes []txn.Key) {
 		src.Seed(rng.Derive(ks.Seed, uint64(t.ID)))
-		readOnly := src.Float64() < ks.ReadOnlyProb
 		nw := ks.Writes
-		if readOnly {
+		if src.Float64() < ks.ReadOnlyProb {
 			nw = 0
 		}
-		t.Writes, slab = drawDistinct(slab, &src, zipf, nw)
-		t.Reads, slab = drawDistinct(slab, &src, zipf, ks.Reads)
-	}
-	return set.Validate()
+		writes, slab = drawDistinct(slab, &src, zipf, nw)
+		reads, slab = drawDistinct(slab, &src, zipf, ks.Reads)
+		return reads, writes
+	})
 }
 
 // drawDistinct samples n distinct keys by rejection into the spare capacity
@@ -138,17 +138,6 @@ func drawDistinct(slab []txn.Key, src *rng.Source, zipf *rng.Zipf, n int) (keys,
 		}
 	}
 	return keys, slab
-}
-
-// HasKeys reports whether any transaction in set carries a read or write
-// set — the switch that turns on commit-time validation in the run loops.
-func HasKeys(set *txn.Set) bool {
-	for _, t := range set.Txns {
-		if len(t.Reads) > 0 || len(t.Writes) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // keySpan returns one past the largest key any transaction in set reads or

@@ -98,8 +98,8 @@ func TestAssignShape(t *testing.T) {
 			}
 		}
 	}
-	if !HasKeys(set) {
-		t.Fatal("HasKeys false after Assign")
+	if !set.Keyed() {
+		t.Fatal("Keyed false after Assign")
 	}
 }
 
@@ -169,13 +169,13 @@ func TestAssignRejectsInvalidKeyspace(t *testing.T) {
 	if err := Assign(set, Keyspace{}); err == nil {
 		t.Fatal("Assign accepted the zero keyspace")
 	}
-	if HasKeys(set) {
+	if set.Keyed() {
 		t.Fatal("failed Assign left key sets behind")
 	}
 }
 
-func TestHasKeysFalseOnPlainWorkload(t *testing.T) {
-	if HasKeys(keyspaceFixture(t, 4)) {
-		t.Fatal("HasKeys true on a keyless set")
+func TestKeyedFalseOnPlainWorkload(t *testing.T) {
+	if keyspaceFixture(t, 4).Keyed() {
+		t.Fatal("Keyed true on a keyless set")
 	}
 }

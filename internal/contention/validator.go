@@ -40,7 +40,7 @@ type Validator struct {
 //
 //lint:coldpath validator construction is per-run setup
 func NewValidator(set *txn.Set) *Validator {
-	if !HasKeys(set) {
+	if !set.Keyed() {
 		return nil
 	}
 	return &Validator{

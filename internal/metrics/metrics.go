@@ -10,7 +10,8 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/txn"
 )
@@ -69,14 +70,18 @@ type Summary struct {
 // other unfinished transaction is an error, because a partial run has no
 // meaningful tardiness.
 //
+// The tardiness percentiles are those of the sorted tardiness values, bit
+// for bit, without sorting them: a met deadline has tardiness exactly 0, so
+// only the missed ones are kept, and selection puts in place the at most
+// six order statistics the three percentiles read.
+//
 //lint:coldpath end-of-run aggregation, runs once after the event loop drains
 func Compute(set *txn.Set, busyTime float64) (*Summary, error) {
 	if set.Len() == 0 {
 		return &Summary{}, nil
 	}
 	s := &Summary{BusyTime: busyTime}
-	tard := make([]float64, 0, set.Len())
-	misses := 0
+	misses, nans, nan := 0, 0, 0.0
 	for _, t := range set.Txns {
 		if t.Shed {
 			s.Shed++
@@ -87,7 +92,6 @@ func Compute(set *txn.Set, busyTime float64) (*Summary, error) {
 		}
 		s.N++
 		ti := t.Tardiness()
-		tard = append(tard, ti)
 		s.AvgTardiness += ti
 		s.AvgWeightedTardiness += ti * t.Weight
 		if ti > s.MaxTardiness {
@@ -98,6 +102,9 @@ func Compute(set *txn.Set, busyTime float64) (*Summary, error) {
 		}
 		if ti > 0 {
 			misses++
+		} else if ti != ti {
+			// A NaN deadline or finish time; it sorts first.
+			nans, nan = nans+1, ti
 		}
 		resp := t.FinishTime - t.Arrival
 		s.AvgResponseTime += resp
@@ -120,31 +127,111 @@ func Compute(set *txn.Set, busyTime float64) (*Summary, error) {
 	if s.Makespan > 0 {
 		s.Utilization = busyTime / s.Makespan
 	}
-	sort.Float64s(tard)
-	s.TardinessP50 = percentile(tard, 0.50)
-	s.TardinessP95 = percentile(tard, 0.95)
-	s.TardinessP99 = percentile(tard, 0.99)
+
+	// Sorted, the tardiness values are the NaNs, the zeros, then the
+	// positive values ascending.
+	pos := make([]float64, 0, misses)
+	for _, t := range set.Txns {
+		if ti := t.Tardiness(); ti > 0 && !t.Shed {
+			pos = append(pos, ti)
+		}
+	}
+	below := s.N - misses // NaNs and zeros
+	at := func(k int) float64 {
+		switch {
+		case k < nans:
+			return nan
+		case k < below:
+			return 0
+		}
+		return pos[k-below]
+	}
+	qs := [...]float64{0.50, 0.95, 0.99}
+	// The ranks the percentiles read ascend with p, so each selection works
+	// on the values above the previous one.
+	from := 0
+	for _, p := range qs {
+		lo, hi, _ := ranks(s.N, p)
+		for _, k := range [...]int{lo, hi} {
+			if r := k - below; r >= from {
+				selectNth(pos[from:], r-from)
+				from = r + 1
+			}
+		}
+	}
+	s.TardinessP50 = percentile(s.N, qs[0], at)
+	s.TardinessP95 = percentile(s.N, qs[1], at)
+	s.TardinessP99 = percentile(s.N, qs[2], at)
 	return s, nil
 }
 
-// percentile returns the p-quantile (0 <= p <= 1) of sorted values using
-// linear interpolation between closest ranks.
-func percentile(sorted []float64, p float64) float64 {
-	n := len(sorted)
+// ranks returns the closest ranks lo <= hi around the p-quantile
+// (0 <= p <= 1) of n > 0 values and the weight of hi in the interpolation.
+func ranks(n int, p float64) (lo, hi int, frac float64) {
+	pos := p * float64(n-1)
+	lo, hi = int(math.Floor(pos)), int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// percentile returns the p-quantile of n values using linear interpolation
+// between closest ranks; at(k) is the k-th smallest value.
+func percentile(n int, p float64, at func(k int) float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	if n == 1 {
-		return sorted[0]
-	}
-	pos := p * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := ranks(n, p)
 	if lo == hi {
-		return sorted[lo]
+		return at(lo)
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
+}
+
+// selectNth reorders a so that a[k] is its k-th smallest value, with no
+// larger value before it and no smaller one after it (Hoare's FIND with a
+// median-of-three pivot). a holds no NaN. A range that has not shrunk to
+// one value within 4·log2(len(a)) partitions is sorted instead, which
+// bounds the worst case at O(n log n).
+func selectNth(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for budget := 4 * bits.Len(uint(len(a))); lo < hi; budget-- {
+		if budget == 0 {
+			slices.Sort(a[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i, j = i+1, j-1
+			}
+		}
+		// a[lo:j+1] <= pivot <= a[i:hi+1], and anything between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // String renders the headline numbers on one line for CLI output.

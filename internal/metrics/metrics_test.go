@@ -120,13 +120,13 @@ func TestPercentiles(t *testing.T) {
 }
 
 func TestPercentileEdgeCases(t *testing.T) {
-	if percentile(nil, 0.5) != 0 {
+	if sortedPercentile(nil, 0.5) != 0 {
 		t.Error("empty percentile")
 	}
-	if percentile([]float64{7}, 0.99) != 7 {
+	if sortedPercentile([]float64{7}, 0.99) != 7 {
 		t.Error("singleton percentile")
 	}
-	if got := percentile([]float64{1, 3}, 0.5); got != 2 {
+	if got := sortedPercentile([]float64{1, 3}, 0.5); got != 2 {
 		t.Errorf("interpolated percentile = %v, want 2", got)
 	}
 }

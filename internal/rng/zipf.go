@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Zipf samples integers from a bounded Zipf distribution on [Min, Max]:
@@ -30,9 +31,25 @@ type Zipf struct {
 	mean  float64
 }
 
+// zipfMemo shares built samplers. A Zipf holds no mutable state, so every
+// workload and keyspace with the same (min, max, alpha) can draw from one
+// table, on any goroutine, instead of rebuilding it (a 4096-key keyspace
+// costs 4096 math.Pow per build). The memo keeps the last len(tabs)
+// samplers of at most zipfMemoMax values each, replaced round robin, so it
+// holds at most 8 × 12 B × 2^16, about 6.3 MB.
+var zipfMemo struct {
+	mu   sync.Mutex
+	tabs [8]*Zipf // guarded by mu
+	next int      // guarded by mu
+}
+
+// zipfMemoMax is the largest support the memo keeps.
+const zipfMemoMax = 1 << 16
+
 // NewZipf constructs a bounded Zipf sampler on [min, max] with skew alpha.
 // alpha may be zero (uniform) but must be non-negative; min must not exceed
-// max.
+// max. Samplers are immutable, and calls with equal parameters may return
+// the same one.
 func NewZipf(min, max int, alpha float64) (*Zipf, error) {
 	if min > max {
 		return nil, fmt.Errorf("rng: zipf range [%d, %d] is empty", min, max)
@@ -40,6 +57,26 @@ func NewZipf(min, max int, alpha float64) (*Zipf, error) {
 	if alpha < 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 		return nil, fmt.Errorf("rng: zipf alpha %v must be finite and non-negative", alpha)
 	}
+	zipfMemo.mu.Lock()
+	for _, z := range zipfMemo.tabs {
+		if z != nil && z.min == min && z.max == max && z.alpha == alpha {
+			zipfMemo.mu.Unlock()
+			return z, nil
+		}
+	}
+	zipfMemo.mu.Unlock()
+	z := buildZipf(min, max, alpha)
+	if max-min < zipfMemoMax {
+		zipfMemo.mu.Lock()
+		zipfMemo.tabs[zipfMemo.next] = z
+		zipfMemo.next = (zipfMemo.next + 1) % len(zipfMemo.tabs)
+		zipfMemo.mu.Unlock()
+	}
+	return z, nil
+}
+
+// buildZipf builds the sampler's tables for valid parameters.
+func buildZipf(min, max int, alpha float64) *Zipf {
 	n := max - min + 1
 	z := &Zipf{min: min, max: max, alpha: alpha, cdf: make([]float64, n)}
 	var total float64
@@ -66,7 +103,7 @@ func NewZipf(min, max int, alpha float64) (*Zipf, error) {
 		}
 	}
 	z.guide[n+1] = int32(n - 1)
-	return z, nil
+	return z
 }
 
 // bucket maps a probability in [0, 1] to its guide-table bucket

@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -155,4 +157,37 @@ func TestQuickZipfSampleInSupport(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestZipfMemo: equal parameters share one sampler, identical to a fresh
+// build; a support past zipfMemoMax is built every time; and goroutines may
+// build and share samplers concurrently.
+func TestZipfMemo(t *testing.T) {
+	a, b := MustZipf(0, 4095, 0.9), MustZipf(0, 4095, 0.9)
+	if a != b {
+		t.Fatal("equal parameters built two samplers")
+	}
+	if !reflect.DeepEqual(a, buildZipf(0, 4095, 0.9)) {
+		t.Fatal("the shared sampler differs from a fresh build")
+	}
+	if MustZipf(0, 4095, 0.8) == a || MustZipf(1, 4095, 0.9) == a {
+		t.Fatal("different parameters share a sampler")
+	}
+	if MustZipf(0, zipfMemoMax, 0) == MustZipf(0, zipfMemoMax, 0) {
+		t.Fatal("a support past the memo's bound was kept")
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				z := MustZipf(1, 10+(g+i)%12, 0.5)
+				if z.Max() != 10+(g+i)%12 {
+					t.Errorf("sampler for max %d has max %d", 10+(g+i)%12, z.Max())
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

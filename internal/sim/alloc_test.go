@@ -35,6 +35,35 @@ func TestRunAllocs(t *testing.T) {
 	}
 }
 
+// TestRunBytes pins the bytes a bare Table I sim.Run allocates per
+// transaction: set-up reads the set's recorded facts instead of scanning
+// it, delivers arrivals from the set itself when it is in arrival order,
+// and keeps only the missed deadlines' tardiness for the percentiles.
+// Measured 19.7 B/txn at n = 20k and 17.4 at 80k; a run that copies the
+// arrival order and every tardiness value reads 32.4 and 30.1.
+func TestRunBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocated bytes over 80k-transaction runs")
+	}
+	const budget = 25.0
+	for _, n := range []int{20_000, 80_000} {
+		set := workload.NewSpec(0.95, 1).WithN(n).MustBuild()
+		sim := New(Config{})
+		run := func() { sim.MustRun(set, core.New()) }
+		run() // warm-up
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+		t.Logf("n=%d: %.1f bytes per transaction", n, got)
+		if got > budget {
+			t.Errorf("n=%d: %.1f bytes per transaction, want <= %v", n, got, budget)
+		}
+	}
+}
+
 // Observability overhead budgets, both measured on one fixture: a
 // 100k-transaction weighted-workflow replay under ASETS*, uninstrumented
 // (baseline) and with the server's full pipeline — event ring, span

@@ -143,7 +143,7 @@ func NewKernel(cfg Config, set *txn.Set, s sched.Scheduler) (Kernel, error) {
 		}
 	}
 	set.ResetAll()
-	k, err := NewInstance(cfg, set, s, sched.Instrument(cfg.Sink, cfg.Metrics), "", contention.HasKeys(set))
+	k, err := NewInstance(cfg, set, s, sched.Instrument(cfg.Sink, cfg.Metrics), "")
 	if err != nil {
 		return Kernel{}, err
 	}
@@ -176,10 +176,9 @@ func StepCap(n, scale, windows int, keyed bool) int {
 // of cfg.Sink: the instances of a fleet share one observer, so their events
 // form one stream in global order. label names the instance in the details
 // of its dispatch, validate-fail, stall and degrade events, and labels its
-// degradation gauge. keyed is contention.HasKeys(set), which a fleet scans
-// for once rather than once per instance. The instance has no step cap of
-// its own: the fleet driving it caps its steps.
-func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumented, label string, keyed bool) (Kernel, error) {
+// degradation gauge. The instance has no step cap of its own: the fleet
+// driving it caps its steps.
+func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumented, label string) (Kernel, error) {
 	servers, err := cfg.servers()
 	if err != nil {
 		return Kernel{}, err
@@ -234,7 +233,7 @@ func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumen
 	// A workload with read/write sets switches on commit-time validation
 	// with re-execution, replacing the injector's random abort draws
 	// (docs/CONTENTION.md); plain workloads keep the exact paper model.
-	if keyed {
+	if set.Keyed() {
 		k.val = contention.NewValidator(set)
 		o.Count(obs.KindValidateFail)
 	}
@@ -788,15 +787,23 @@ func (k *Kernel) fail(t *txn.Transaction) error {
 
 // Arrivals is the open-loop arrival source of Sim.Run and the executor: the
 // undelivered transactions of a set by arrival time, ties by ID for
-// determinism.
+// determinism. It is read-only: delivering an arrival reslices it, and
+// nothing writes through it.
 type Arrivals []*txn.Transaction
 
-// NewArrivals orders set by its current arrival times.
+// NewArrivals orders set by its current arrival times. A set already in
+// (arrival, ID) order, as every generator builds it, is returned as a view
+// of set.Txns; only a set whose arrivals were rewritten out of order (a
+// flash-crowd burst) is cloned and sorted.
 func NewArrivals(set *txn.Set) Arrivals {
-	a := slices.Clone(set.Txns)
-	slices.SortFunc(a, func(x, y *txn.Transaction) int {
+	byArrival := func(x, y *txn.Transaction) int {
 		return cmp.Or(cmp.Compare(x.Arrival, y.Arrival), cmp.Compare(x.ID, y.ID))
-	})
+	}
+	if slices.IsSortedFunc(set.Txns, byArrival) {
+		return set.Txns
+	}
+	a := slices.Clone(set.Txns)
+	slices.SortFunc(a, byArrival)
 	return a
 }
 

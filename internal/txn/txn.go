@@ -121,11 +121,20 @@ func (t *Transaction) String() string {
 
 // Set is an immutable-by-convention collection of transactions indexed by ID
 // (Txns[i].ID == i always holds after Validate).
+//
+// Validate derives the set's structural facts: the reverse edges in
+// Dependents and the two switches Independent and Keyed, which the
+// schedulers and run loops read instead of scanning the set again. A
+// caller that mutates Deps, Reads or Writes of a validated set must
+// validate it again before the facts hold.
 type Set struct {
 	Txns []*Transaction
 	// Dependents[i] lists the IDs of transactions that directly depend on
 	// transaction i (the reverse edges of Deps). Built by Validate.
 	Dependents [][]ID
+
+	independent bool // no transaction has a dependency
+	keyed       bool // some transaction has a read or a write set
 }
 
 // NewSet wraps txns into a Set, building reverse dependency edges and
@@ -141,9 +150,11 @@ func NewSet(txns []*Transaction) (*Set, error) {
 // Validate checks the structural invariants a workload must satisfy: dense
 // IDs, positive lengths, non-negative arrivals, deadlines no earlier than
 // arrival, valid dependency references, and an acyclic dependency graph. It
-// also (re)builds the reverse-edge index.
+// also (re)builds the reverse-edge index and the Independent and Keyed
+// facts.
 func (s *Set) Validate() error {
 	n := len(s.Txns)
+	independent, keyed := true, false
 	for i, t := range s.Txns {
 		if t == nil {
 			return fmt.Errorf("txn: set slot %d is nil", i)
@@ -182,6 +193,8 @@ func (s *Set) Validate() error {
 		if err := validKeySet(t.ID, "write", t.Writes); err != nil {
 			return err
 		}
+		independent = independent && len(t.Deps) == 0
+		keyed = keyed || len(t.Reads) > 0 || len(t.Writes) > 0
 	}
 	s.Dependents = make([][]ID, n)
 	for _, t := range s.Txns {
@@ -189,9 +202,44 @@ func (s *Set) Validate() error {
 			s.Dependents[d] = append(s.Dependents[d], t.ID)
 		}
 	}
-	if _, err := s.TopologicalOrder(); err != nil {
-		return err
+	// A set without dependencies is trivially acyclic.
+	if !independent {
+		if _, err := s.TopologicalOrder(); err != nil {
+			return err
+		}
 	}
+	s.independent, s.keyed = independent, keyed
+	return nil
+}
+
+// Independent reports whether no transaction of the set has a dependency,
+// as of the last Validate.
+func (s *Set) Independent() bool { return s.independent }
+
+// Keyed reports whether some transaction of the set carries a read or a
+// write set, as of the last Validate or AssignKeys: the switch that turns
+// on commit-time validation in the run loops (docs/CONTENTION.md).
+func (s *Set) Keyed() bool { return s.keyed }
+
+// AssignKeys replaces every transaction's read and write sets with the ones
+// draw returns for it, in ID order, and records the Keyed fact. It checks
+// only the sets it installs, so a validated set stays validated without a
+// second pass over the rest of its invariants. On an error the set is
+// partly assigned and must not be run.
+func (s *Set) AssignKeys(draw func(t *Transaction) (reads, writes []Key)) error {
+	keyed := false
+	for _, t := range s.Txns {
+		reads, writes := draw(t)
+		if err := validKeySet(t.ID, "read", reads); err != nil {
+			return err
+		}
+		if err := validKeySet(t.ID, "write", writes); err != nil {
+			return err
+		}
+		t.Reads, t.Writes = reads, writes
+		keyed = keyed || len(reads) > 0 || len(writes) > 0
+	}
+	s.keyed = keyed
 	return nil
 }
 
@@ -229,11 +277,12 @@ func (s *Set) ResetAll() {
 }
 
 // Clone returns a deep copy of the set: every transaction (including its
-// scheduling-time state and dependency list) and the reverse-edge index are
-// copied, so mutating the clone — running it through a simulator, shedding,
-// fault injection, arrival rewrites — never touches the original. Workflows
-// are derived structures (BuildWorkflows constructs them from a set), so a
-// clone's workflows are built from the clone and share nothing either.
+// scheduling-time state and dependency list), the reverse-edge index and
+// the Independent and Keyed facts are copied, so mutating the clone —
+// running it through a simulator, shedding, fault injection, arrival
+// rewrites — never touches the original. Workflows are derived structures
+// (BuildWorkflows constructs them from a set), so a clone's workflows are
+// built from the clone and share nothing either.
 //
 // Clone exists for the parallel experiment engine (internal/runner): each
 // concurrent run owns a private copy of the workload while the original
@@ -241,7 +290,7 @@ func (s *Set) ResetAll() {
 // nil-ness of the original, so a clone-then-run is byte-identical to an
 // original-run (see docs/PARALLELISM.md).
 func (s *Set) Clone() *Set {
-	c := &Set{Txns: make([]*Transaction, len(s.Txns))}
+	c := &Set{Txns: make([]*Transaction, len(s.Txns)), independent: s.independent, keyed: s.keyed}
 	for i, t := range s.Txns {
 		ct := *t
 		if t.Deps != nil {
@@ -343,16 +392,6 @@ func (s *Set) Roots() []ID {
 // everything it transitively depends on, sorted by ID.
 func (s *Set) Closure(id ID) []ID {
 	return newClosureWalker(s.Len()).appendClosure(s, nil, id)
-}
-
-// independent reports whether no transaction of s has a dependency.
-func (s *Set) independent() bool {
-	for _, t := range s.Txns {
-		if len(t.Deps) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // closureWalker computes dependency closures for many roots with one

@@ -139,6 +139,76 @@ func TestValidateRejectsBadWorkloads(t *testing.T) {
 	}
 }
 
+// TestSetFactsFollowValidate: Independent and Keyed are recorded by
+// Validate, so after a mutation they change only with a fresh Validate,
+// which also finds a cycle the mutation made.
+func TestSetFactsFollowValidate(t *testing.T) {
+	s := mustSet(t, mk(0, 0, 5, 1), mk(1, 0, 5, 1), mk(2, 1, 5, 1))
+	facts := func(indep, keyed bool) {
+		t.Helper()
+		if s.Independent() != indep || s.Keyed() != keyed {
+			t.Fatalf("Independent %v, Keyed %v; want %v, %v", s.Independent(), s.Keyed(), indep, keyed)
+		}
+	}
+	facts(true, false)
+
+	s.Txns[2].Deps = []ID{0}
+	s.Txns[1].Writes = []Key{3}
+	facts(true, false) // not validated yet
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	facts(false, true)
+	if got := s.Dependents[0]; len(got) != 1 || got[0] != 2 {
+		t.Fatalf("Dependents[0] = %v, want [2]", got)
+	}
+
+	s.Txns[0].Deps = []ID{2}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("Validate after closing a cycle: %v", err)
+	}
+
+	s.Txns[0].Deps, s.Txns[2].Deps, s.Txns[1].Writes = nil, nil, nil
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	facts(true, false)
+	if c := s.Clone(); !c.Independent() || c.Keyed() {
+		t.Fatal("Clone dropped the facts")
+	}
+}
+
+// TestAssignKeys: AssignKeys installs the drawn sets, records Keyed from
+// them alone, and rejects a set Validate would reject.
+func TestAssignKeys(t *testing.T) {
+	s := mustSet(t, mk(0, 0, 5, 1), mk(1, 0, 5, 1, 0))
+	draw := func(reads, writes []Key) func(*Transaction) ([]Key, []Key) {
+		return func(tx *Transaction) ([]Key, []Key) {
+			if tx.ID == 1 {
+				return reads, writes
+			}
+			return nil, nil
+		}
+	}
+	if err := s.AssignKeys(draw([]Key{1, 4}, []Key{2})); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Keyed() || s.Independent() || len(s.Txns[1].Reads) != 2 || len(s.Txns[1].Writes) != 1 {
+		t.Fatalf("after AssignKeys: Keyed %v, Independent %v, txn 1 %v/%v", s.Keyed(), s.Independent(), s.Txns[1].Reads, s.Txns[1].Writes)
+	}
+	if err := s.Validate(); err != nil || !s.Keyed() {
+		t.Fatalf("Validate after AssignKeys: %v, Keyed %v", err, s.Keyed())
+	}
+	for _, bad := range [][2][]Key{{{4, 1}, nil}, {nil, {2, 2}}, {{-1}, nil}} {
+		if err := s.AssignKeys(draw(bad[0], bad[1])); err == nil {
+			t.Errorf("AssignKeys accepted reads %v, writes %v", bad[0], bad[1])
+		}
+	}
+	if err := s.AssignKeys(draw(nil, nil)); err != nil || s.Keyed() {
+		t.Fatalf("AssignKeys of empty sets: %v, Keyed %v", err, s.Keyed())
+	}
+}
+
 func TestDependentsIndex(t *testing.T) {
 	s := mustSet(t,
 		mk(0, 0, 10, 1),

@@ -85,7 +85,7 @@ type Grouping struct {
 //
 //lint:coldpath workflow grouping is per-run setup (scheduler Init)
 func GroupWorkflows(s *Set) Grouping {
-	if s.independent() {
+	if s.Independent() {
 		return GroupSingletons(s)
 	}
 	roots := s.Roots()
