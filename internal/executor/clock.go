@@ -2,7 +2,7 @@ package executor
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -49,23 +49,20 @@ func (RealClock) Sleep(ctx context.Context, d time.Duration) error {
 // executor only ever uses differences from its start anchor.
 //
 // FakeClock is safe for concurrent use (the executor goroutine sleeps while
-// test goroutines may read Now).
+// test goroutines may read Now): its time is the start anchor plus an
+// atomic offset, so neither call takes a lock.
 type FakeClock struct {
-	mu  sync.Mutex
-	now time.Time
+	start time.Time    // immutable after construction
+	off   atomic.Int64 // nanoseconds slept since start
 }
 
 // NewFakeClock returns a FakeClock anchored at start.
 func NewFakeClock(start time.Time) *FakeClock {
-	return &FakeClock{now: start}
+	return &FakeClock{start: start}
 }
 
 // Now implements Clock.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *FakeClock) Now() time.Time { return c.start.Add(time.Duration(c.off.Load())) }
 
 // Sleep implements Clock: it advances the fake time by d without waiting.
 // Cancellation is still honoured so tests can interrupt a replay.
@@ -73,8 +70,6 @@ func (c *FakeClock) Sleep(ctx context.Context, d time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
+	c.off.Add(int64(d))
 	return nil
 }

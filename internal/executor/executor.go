@@ -301,6 +301,7 @@ func (e *Executor) publish(done bool) {
 		running = r[0].ID
 	}
 	e.mu.Lock()
-	e.counts, e.running, e.done = e.k.Counts(), running, done
+	e.k.CountsInto(&e.counts)
+	e.running, e.done = running, done
 	e.mu.Unlock()
 }

@@ -72,10 +72,12 @@ func NewSketch() *Sketch { return &Sketch{} }
 // Add records one observation. Negative and NaN values panic: tardiness,
 // response times and slowdowns are non-negative by construction, so anything
 // else is a caller bug worth surfacing immediately.
-func (s *Sketch) Add(v float64) {
-	if v < 0 || math.IsNaN(v) {
-		panic(fmt.Sprintf("metrics: sketch observation %v must be non-negative", v))
-	}
+func (s *Sketch) Add(v float64) { s.AddIndexed(v, BucketIndex(v)) }
+
+// AddIndexed records v, whose bucket is idx = BucketIndex(v): Add without
+// the logarithm, for a caller that files one value into several sketches
+// and computes its bucket once. The result is exactly Add's.
+func (s *Sketch) AddIndexed(v float64, idx int) {
 	s.n++
 	s.sum += v
 	if v > s.max {
@@ -85,12 +87,19 @@ func (s *Sketch) Add(v float64) {
 		s.zero++
 		return
 	}
-	s.addAt(s.index(v), 1)
+	s.addAt(idx, 1)
 }
 
-// index maps a positive value to its bucket: the smallest i with
-// gamma^i >= v, clamped to the indexable range.
-func (s *Sketch) index(v float64) int {
+// BucketIndex returns the bucket Add files v under: for a positive value the
+// smallest i with gamma^i >= v, clamped to [-4096, 4096]; 0 for zero, which
+// goes to the zero bucket instead. Negative and NaN values panic as in Add.
+func BucketIndex(v float64) int {
+	if v < 0 || math.IsNaN(v) {
+		panic(fmt.Sprintf("metrics: sketch observation %v must be non-negative", v))
+	}
+	if v == 0 {
+		return 0
+	}
 	idx := int(math.Ceil(math.Log(v) / sketchLogGamma))
 	if idx < -sketchIndexBound {
 		idx = -sketchIndexBound

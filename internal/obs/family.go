@@ -8,8 +8,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// windowKinds are the measures of the windowed span sketches, in the order a
-// windowCell stores them; windowHelp is each family's HELP text.
+// windowKinds are the measures of the span sketches, in the order a window
+// cell and spanSketches.tot store them; windowHelp is each windowed family's
+// HELP text.
 var (
 	windowKinds = [numWindowKinds]string{"tardiness", "response", "slowdown"}
 	windowHelp  = [numWindowKinds]string{
@@ -20,6 +21,28 @@ var (
 )
 
 const numWindowKinds = 3
+
+// spanTotals are the names of the run-total span sketches, in windowKinds
+// order, and spanTotalHelp their HELP texts.
+var (
+	spanTotals    = [numWindowKinds]string{MetricSpanTardiness, MetricSpanResponse, MetricSpanSlowdown}
+	spanTotalHelp = [numWindowKinds]string{
+		"per-span tardiness quantile sketch",
+		"per-span response time quantile sketch",
+		"per-span slowdown quantile sketch",
+	}
+)
+
+// spanTotalKind returns the measure of a run-total span sketch name, or -1
+// for any other name.
+func spanTotalKind(name string) int {
+	for k, n := range spanTotals {
+		if name == n {
+			return k
+		}
+	}
+	return -1
+}
 
 // windowBase returns the exported base name of measure k.
 func windowBase(k int) string { return "asets_window_" + windowKinds[k] }
@@ -35,28 +58,113 @@ func windowBaseOf(name string) bool {
 	return false
 }
 
-// windowSketches is the registry-owned store of the windowed span sketches:
-// the asets_window_{tardiness,response,slowdown} summary families, modeled
-// on a Prometheus SummaryVec. One cell per (window, class, mode) key holds
-// the three measures' sketches by value under one lock, carved from chunked
-// slabs; a cell has no formatted name and no entry in the registry's name,
-// help or type tables. Names are rendered (by WindowMetric) only on the cold
-// paths — Registry.Snapshot, WritePrometheus and Registry.Merge — which is
-// what keeps a fresh cell down to a slab slot and an index entry.
+// spanSketches is the registry-owned store of the span layer's sketches and
+// the one lock that guards them all: the three run-total sketches
+// (MetricSpan*, registered by name like any plain sketch, but guarded by this
+// lock from creation) and the windowed families
+// asets_window_{tardiness,response,slowdown}, modeled on a Prometheus
+// SummaryVec. A completion takes the lock once for its run-total and window
+// observations (observe).
 //
-// A registry has at most one windowSketches (Registry.windowFamily). Its
-// cells still conflict by rendered name with the registry's other metrics:
-// a counter, gauge, histogram or plain sketch under a name a cell renders to
-// and that cell cannot both exist. Whichever of the two comes second panics,
-// as a second registration of a name under another type does, and a merge
-// that would create it returns an error.
-type windowSketches struct {
-	mu     sync.Mutex
-	labels []windowLabels            // guarded by mu; interned (class, mode) label pairs
-	index  map[windowKey]*windowCell // guarded by mu
-	slabs  [][]windowCell            // guarded by mu; cells in creation order, last slab partly used
-	used   int                       // guarded by mu; cells handed out from the last slab
-	shadow map[string]struct{}       // guarded by mu; plain metric names under a family base
+// A registry has at most one spanSketches (Registry.spanFamily). Its cells
+// have no formatted name and no entry in the registry's name, help or type
+// tables; names are rendered (by WindowMetric) only on the cold paths —
+// Registry.Snapshot, WritePrometheus and Registry.Merge. The cells still
+// conflict by rendered name with the registry's other metrics: a counter,
+// gauge, histogram or plain sketch under a name a cell renders to and that
+// cell cannot both exist. Whichever of the two comes second panics, as a
+// second registration of a name under another type does, and a merge that
+// would create it returns an error.
+//
+// Lock order: a registry's mu before its family's (registration and
+// snapshots), a SpanBuilder's before its registry's family (completions and
+// RetainedBytes), and in a merge the source family's before the
+// destination's.
+type spanSketches struct {
+	mu  sync.Mutex
+	tot [numWindowKinds]*metrics.Sketch // guarded by mu; the run totals' sketches, nil until registered (observe needs all three)
+	win windowCells                     // guarded by mu
+}
+
+// observe records one completion's tardiness, response time and slowdown
+// into the run totals and, for label >= 0, into the cell (win, label), under
+// one lock acquisition. Each value's bucket index is computed once, outside
+// the lock, for both sketches. It returns a taken name, observing nothing in
+// the windows, when the cell would render to a plain metric's name.
+func (f *spanSketches) observe(win, label int32, tardiness, response, slowdown float64) string {
+	v := [numWindowKinds]float64{tardiness, response, slowdown}
+	var idx [numWindowKinds]int16
+	for k, x := range v {
+		idx[k] = int16(metrics.BucketIndex(x))
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for k, s := range f.tot {
+		s.AddIndexed(v[k], int(idx[k]))
+	}
+	if label < 0 {
+		return ""
+	}
+	return f.win.add(win, label, &v, &idx)
+}
+
+// label returns the id of the (class, mode) label pair.
+func (f *spanSketches) label(class, mode string) int32 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.win.label(class, mode)
+}
+
+// claim reserves name for a plain metric (windowCells.claim).
+func (f *spanSketches) claim(name string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.win.claim(name)
+}
+
+// retainedBytes estimates the memory the windowed families pin.
+func (f *spanSketches) retainedBytes() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.win.retainedBytes()
+}
+
+// snapshot renders every cell as three named sketch values (unsorted). The
+// values are read under the lock; the names are rendered after it is
+// released, so a scrape holds up completions only for the reads.
+func (f *spanSketches) snapshot() []SketchValue {
+	f.mu.Lock()
+	w := &f.win
+	out := make([]SketchValue, 0, numWindowKinds*w.cells.n)
+	keys := make([]windowKey, w.cells.n)
+	for i := range keys {
+		c := w.cells.at(int32(i))
+		keys[i] = windowKey{win: c.win, label: c.label}
+		sk := w.sketches(int32(i))
+		for k := range sk {
+			out = append(out, sketchValue(&sk[k]))
+		}
+	}
+	labels := append([]windowLabels(nil), w.labels...)
+	f.mu.Unlock()
+	for i, key := range keys {
+		l := labels[key.label]
+		for k := range windowKinds {
+			sv := &out[numWindowKinds*i+k]
+			sv.Name = WindowMetric(windowKinds[k], int(key.win), l.class, l.mode)
+			sv.Help = windowHelp[k]
+		}
+	}
+	return out
+}
+
+// merge folds every cell of src into f under both locks, src's first.
+func (f *spanSketches) merge(src *spanSketches) error {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.win.merge(&src.win)
 }
 
 // windowLabels is one interned (class, mode) label pair.
@@ -68,192 +176,282 @@ type windowKey struct {
 	label int32
 }
 
-// windowCell is one (window, class, mode) cell of the windowed families.
+// cellRaw is the number of observations a window cell keeps raw before it
+// moves them into real sketches. Over a live-replay run (30k weighted
+// workflow transactions, window 100) 59% of cells end with one observation,
+// 28% with two and 13% with more.
+const cellRaw = 2
+
+// windowCell is one (window, class, mode) cell of the windowed families: a
+// pointer-free slab slot of 80 bytes. It holds its first cellRaw
+// observations raw, each with the bucket indices observe computed; the next
+// one promotes it to three metrics.Sketch values in windowCells.side, filled
+// from the raw observations in arrival order. Either way a read sees exactly
+// the sketches that in-order Adds would have built (windowCells.sketches).
 type windowCell struct {
-	mu  sync.Mutex
-	key windowKey
-	sk  [numWindowKinds]metrics.Sketch // guarded by mu
+	win, label int32
+	n          int32                            // raw observations held, at most cellRaw
+	side       int32                            // 1 + the cell's index in windowCells.side once promoted, 0 while raw
+	v          [cellRaw][numWindowKinds]float64 // raw observations in arrival order
+	idx        [cellRaw][numWindowKinds]int16   // their bucket indices
 }
 
-// observe records one completion's tardiness, response time and slowdown
-// under a single lock acquisition.
-func (c *windowCell) observe(tardiness, response, slowdown float64) {
-	c.mu.Lock()
-	c.sk[0].Add(tardiness)
-	c.sk[1].Add(response)
-	c.sk[2].Add(slowdown)
-	c.mu.Unlock()
+// windowCells holds the cells of the windowed families and the plain metric
+// names reserved under a family base. It does no locking of its own:
+// spanSketches guards it.
+type windowCells struct {
+	labels []windowLabels // interned label pairs, indexed by label id
+	// rows[label][win] is 1 + the slot of cell (win, label), 0 for none: a
+	// dense index over windows 0 <= win < len(rows[label]) that grows by
+	// doubling, so it allocates nothing per window. A cell whose window lies
+	// beyond the rows' reach (denseReach) is indexed in far instead.
+	rows   [][]int32
+	far    map[windowKey]int32
+	cells  slab[windowCell]                     // pointer-free, in creation order
+	side   slab[[numWindowKinds]metrics.Sketch] // sketches of promoted cells
+	shadow map[string]struct{}                  // plain metric names under a family base
 }
 
-// windowSlabMax caps a slab's length; slabs start small and double up to
-// it, so a short run carves a few cells from a small slab while a long one
-// allocates once per windowSlabMax cells.
-const windowSlabMax = 256
+// add files one observation — its three measures and their bucket indices —
+// into the cell (win, label), creating the cell on first use. It returns a
+// taken name, without observing, when a new cell would render to a plain
+// metric's name.
+func (w *windowCells) add(win, label int32, v *[numWindowKinds]float64, idx *[numWindowKinds]int16) string {
+	slot, ok := w.find(win, label)
+	if !ok {
+		if len(w.shadow) > 0 {
+			if name := w.shadowed(win, label); name != "" {
+				return name
+			}
+		}
+		slot = w.create(win, label)
+	}
+	c := w.cells.at(slot)
+	if c.side == 0 && c.n < cellRaw {
+		c.v[c.n], c.idx[c.n] = *v, *idx
+		c.n++
+		return ""
+	}
+	sk := w.promoted(slot)
+	for k := range sk {
+		sk[k].AddIndexed(v[k], int(idx[k]))
+	}
+	return ""
+}
 
-// windowFamily returns the registry's windowed sketch families, creating
-// them on first use.
+// find returns the slot of cell (win, label).
+func (w *windowCells) find(win, label int32) (int32, bool) {
+	if row := w.rows[label]; win >= 0 && int(win) < len(row) && row[win] != 0 {
+		return row[win] - 1, true
+	}
+	if w.far != nil {
+		slot, ok := w.far[windowKey{win: win, label: label}]
+		return slot, ok
+	}
+	return 0, false
+}
+
+// create carves a fresh cell (win, label) from the slab and indexes it.
+func (w *windowCells) create(win, label int32) int32 {
+	slot := w.cells.add()
+	c := w.cells.at(slot)
+	c.win, c.label = win, label
+	if row := w.rows[label]; win >= 0 && int(win) < len(row) {
+		row[win] = slot + 1
+		return slot
+	}
+	w.index(win, label, slot)
+	return slot
+}
+
+// slab is a chunked store of T addressed by dense slot numbers. Chunks of
+// slabChunk zeroed elements are allocated as the slab fills and never move,
+// so growing it copies nothing and allocates each element once; for a
+// pointer-free T the garbage collector never scans the chunks.
+type slab[T any] struct {
+	chunks []*[slabChunk]T
+	n      int // elements handed out
+}
+
+// slabChunk is the number of elements per slab chunk.
+const slabChunk = 128
+
+// add hands out the next element, zeroed, and returns its slot.
+func (s *slab[T]) add() int32 {
+	if s.n == len(s.chunks)*slabChunk {
+		//lint:ignore hotpath-alloc amortized slab growth: one chunk per slabChunk elements, never copied
+		s.chunks = append(s.chunks, new([slabChunk]T))
+	}
+	s.n++
+	return int32(s.n - 1)
+}
+
+// at returns the element in slot i (0 <= i < s.n).
+func (s *slab[T]) at(i int32) *T { return &s.chunks[uint32(i)/slabChunk][uint32(i)%slabChunk] }
+
+// bytes returns the memory the slab pins: its chunks and the chunk table.
+func (s *slab[T]) bytes() int {
+	var zero T
+	return len(s.chunks)*slabChunk*int(unsafe.Sizeof(zero)) + cap(s.chunks)*int(unsafe.Sizeof(&zero))
+}
+
+// denseReach bounds a row's length: windows below it are indexed densely.
+// It grows with the cells made, so a dense row never costs more than a few
+// words per cell, however sparse the windows.
+func (w *windowCells) denseReach() int { return 4*w.cells.n + 1024 }
+
+// index records a cell whose window lies past its row's end: it grows the
+// row by doubling when the window is within denseReach, and otherwise files
+// the cell in the far map.
 //
-//lint:coldpath family creation happens once per registry
-func (r *Registry) windowFamily() *windowSketches {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.window == nil {
-		f := &windowSketches{
-			index:  make(map[windowKey]*windowCell),
-			shadow: make(map[string]struct{}),
-		}
-		for _, name := range r.names {
-			if windowBaseOf(name) {
-				f.shadow[name] = struct{}{}
-			}
-		}
-		r.window = f
+//lint:coldpath a row grows O(log windows) times per label; far cells exist only for windows far beyond every cell made
+func (w *windowCells) index(win, label, slot int32) {
+	if reach := w.denseReach(); win >= 0 && int(win) < reach {
+		row := w.rows[label]
+		grown := make([]int32, min(max(2*len(row), int(win)+1, 64), reach))
+		copy(grown, row)
+		grown[win] = slot + 1
+		w.rows[label] = grown
+		return
 	}
-	return r.window
+	if w.far == nil {
+		w.far = make(map[windowKey]int32)
+	}
+	w.far[windowKey{win: win, label: label}] = slot
 }
 
-// cell returns the cell of (window, class, mode), creating it on first use.
-// When one of the cell's rendered names is already registered as another
-// metric it returns a nil cell and that name.
-func (f *windowSketches) cell(window int, class, mode string) (*windowCell, string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	label := -1
-	for i, l := range f.labels {
+// promoted returns the cell's side sketches, first promoting a raw cell:
+// the sketches are filled from its raw observations in arrival order.
+func (w *windowCells) promoted(slot int32) *[numWindowKinds]metrics.Sketch {
+	c := w.cells.at(slot)
+	if c.side == 0 {
+		c.side = w.side.add() + 1
+		sk := w.side.at(c.side - 1)
+		for i := 0; i < int(c.n); i++ {
+			for k := range sk {
+				sk[k].AddIndexed(c.v[i][k], int(c.idx[i][k]))
+			}
+		}
+	}
+	return w.side.at(c.side - 1)
+}
+
+// sketches returns the cell's three sketches: its side sketches once
+// promoted (sharing their bucket arrays, so callers only read them under
+// the lock), otherwise the sketches its raw observations build in arrival
+// order.
+func (w *windowCells) sketches(slot int32) [numWindowKinds]metrics.Sketch {
+	c := w.cells.at(slot)
+	if c.side != 0 {
+		return *w.side.at(c.side - 1)
+	}
+	var sk [numWindowKinds]metrics.Sketch
+	for i := 0; i < int(c.n); i++ {
+		for k := range sk {
+			sk[k].AddIndexed(c.v[i][k], int(c.idx[i][k]))
+		}
+	}
+	return sk
+}
+
+// label returns the id of the (class, mode) label pair, interning it (with
+// an empty row) on first sight.
+//
+//lint:coldpath a label pair is interned once per distinct pair, not per window or completion
+func (w *windowCells) label(class, mode string) int32 {
+	for i, l := range w.labels {
 		if l.class == class && l.mode == mode {
-			label = i
-			break
+			return int32(i)
 		}
 	}
-	if label < 0 {
-		label = len(f.labels)
-		f.labels = append(f.labels, windowLabels{class: class, mode: mode})
-	}
-	key := windowKey{win: int32(window), label: int32(label)}
-	if c := f.index[key]; c != nil {
-		return c, ""
-	}
-	if len(f.shadow) > 0 {
-		for k := range windowKinds {
-			name := WindowMetric(windowKinds[k], window, class, mode)
-			if _, dup := f.shadow[name]; dup {
-				return nil, name
-			}
-		}
-	}
-	if n := len(f.slabs); n == 0 || f.used == len(f.slabs[n-1]) {
-		size := 8
-		if n > 0 {
-			size = min(2*len(f.slabs[n-1]), windowSlabMax)
-		}
-		f.slabs = append(f.slabs, make([]windowCell, size))
-		f.used = 0
-	}
-	c := &f.slabs[len(f.slabs)-1][f.used]
-	f.used++
-	c.key = key
-	f.index[key] = c
-	return c, ""
+	w.labels = append(w.labels, windowLabels{class: class, mode: mode})
+	w.rows = append(w.rows, nil)
+	return int32(len(w.labels) - 1)
 }
 
-// cells returns every cell in creation order with its label pair.
-func (f *windowSketches) cells() ([]*windowCell, []windowLabels) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]*windowCell, 0, len(f.index))
-	for i, slab := range f.slabs {
-		if i == len(f.slabs)-1 {
-			slab = slab[:f.used]
-		}
-		for j := range slab {
-			out = append(out, &slab[j])
+// shadowed returns the first of cell (win, label)'s rendered names that a
+// plain metric holds, or "".
+//
+//lint:coldpath runs only while plain metrics hold names under a family base
+func (w *windowCells) shadowed(win, label int32) string {
+	l := w.labels[label]
+	for k := range windowKinds {
+		name := WindowMetric(windowKinds[k], int(win), l.class, l.mode)
+		if _, dup := w.shadow[name]; dup {
+			return name
 		}
 	}
-	return out, append([]windowLabels(nil), f.labels...)
+	return ""
 }
 
 // claim reserves name for a plain metric: it reports true when a cell
 // already renders to name, and otherwise records name so that no cell
 // rendering to it is created later. Cold: it renders every cell, and runs
 // only for names under a family base.
-func (f *windowSketches) claim(name string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, slab := range f.slabs {
-		if i == len(f.slabs)-1 {
-			slab = slab[:f.used]
-		}
-		for j := range slab {
-			l := f.labels[slab[j].key.label]
-			for k := range windowKinds {
-				if WindowMetric(windowKinds[k], int(slab[j].key.win), l.class, l.mode) == name {
-					return true
-				}
+func (w *windowCells) claim(name string) bool {
+	for i := 0; i < w.cells.n; i++ {
+		c := w.cells.at(int32(i))
+		l := w.labels[c.label]
+		for k := range windowKinds {
+			if WindowMetric(windowKinds[k], int(c.win), l.class, l.mode) == name {
+				return true
 			}
 		}
 	}
-	f.shadow[name] = struct{}{}
+	if w.shadow == nil {
+		w.shadow = make(map[string]struct{})
+	}
+	w.shadow[name] = struct{}{}
 	return false
 }
 
-// retainedBytes estimates the memory the families pin: the cell slabs, the
-// cell index and every cell's dense bucket arrays.
-func (f *windowSketches) retainedBytes() int {
-	cells, _ := f.cells()
-	f.mu.Lock()
-	// A map entry costs its key and value plus about one word of bucket
-	// overhead.
-	total := len(f.index) * (int(unsafe.Sizeof(windowKey{})) + 2*int(unsafe.Sizeof(&windowCell{})))
-	for _, slab := range f.slabs {
-		total += len(slab) * int(unsafe.Sizeof(windowCell{}))
-	}
-	f.mu.Unlock()
-	for _, c := range cells {
-		c.mu.Lock()
-		for k := range c.sk {
-			total += c.sk[k].HeapBytes()
+// merge folds every cell of src into w, in src's creation order, so any
+// error is deterministic. A cell new to w takes a raw source cell as it is
+// (its raw fold is what merging it into empty sketches gives: 0 + sum is
+// sum); any other pair promotes w's cell and merges each measure with
+// metrics.Sketch.Merge.
+func (w *windowCells) merge(src *windowCells) error {
+	for i := 0; i < src.cells.n; i++ {
+		sc := src.cells.at(int32(i))
+		l := src.labels[sc.label]
+		label := w.label(l.class, l.mode)
+		slot, ok := w.find(sc.win, label)
+		if !ok {
+			if len(w.shadow) > 0 {
+				if name := w.shadowed(sc.win, label); name != "" {
+					return fmt.Errorf("obs: merge: %q is a sketch in the source but not in the destination", name)
+				}
+			}
+			slot = w.create(sc.win, label)
+			if sc.side == 0 {
+				c := w.cells.at(slot)
+				c.n, c.v, c.idx = sc.n, sc.v, sc.idx
+				continue
+			}
 		}
-		c.mu.Unlock()
-	}
-	return total
-}
-
-// snapshot renders every cell as three named sketch values (unsorted).
-func (f *windowSketches) snapshot() []SketchValue {
-	cells, labels := f.cells()
-	out := make([]SketchValue, 0, numWindowKinds*len(cells))
-	for _, c := range cells {
-		l := labels[c.key.label]
-		c.mu.Lock()
-		for k := range c.sk {
-			sv := sketchValue(&c.sk[k])
-			sv.Name = WindowMetric(windowKinds[k], int(c.key.win), l.class, l.mode)
-			sv.Help = windowHelp[k]
-			out = append(out, sv)
+		dst := w.promoted(slot)
+		from := src.sketches(int32(i))
+		for k := range dst {
+			dst[k].Merge(&from[k])
 		}
-		c.mu.Unlock()
-	}
-	return out
-}
-
-// mergeFrom folds every cell of src into f: cells absent from f are created,
-// and each measure merges via metrics.Sketch.Merge. Cells are visited in
-// src's creation order, so any error is deterministic.
-func (f *windowSketches) mergeFrom(src *windowSketches) error {
-	cells, labels := src.cells()
-	for _, sc := range cells {
-		l := labels[sc.key.label]
-		dc, taken := f.cell(int(sc.key.win), l.class, l.mode)
-		if dc == nil {
-			return fmt.Errorf("obs: merge: %q is a sketch in the source but not in the destination", taken)
-		}
-		dc.mu.Lock()
-		sc.mu.Lock()
-		for k := range dc.sk {
-			dc.sk[k].Merge(&sc.sk[k])
-		}
-		sc.mu.Unlock()
-		dc.mu.Unlock()
 	}
 	return nil
+}
+
+// retainedBytes estimates the memory the cells pin: the cell and side
+// slabs, the side sketches' bucket arrays, the dense rows and the far map.
+func (w *windowCells) retainedBytes() int {
+	total := w.cells.bytes() + w.side.bytes()
+	for i := 0; i < w.side.n; i++ {
+		for _, sk := range w.side.at(int32(i)) {
+			total += sk.HeapBytes()
+		}
+	}
+	for _, row := range w.rows {
+		total += 4 * cap(row)
+	}
+	// A map entry costs its key and value plus about one word of bucket
+	// overhead.
+	total += len(w.far) * (int(unsafe.Sizeof(windowKey{})) + 4 + 8)
+	return total
 }

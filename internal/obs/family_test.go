@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/txn"
 )
@@ -49,15 +50,26 @@ func randomFamilyObs(r *rng.Source, n int) []familyObs {
 // plain metrics that sort around the cells.
 func familyRegistry(obs []familyObs) *Registry {
 	reg := plainNeighbors()
-	f := reg.windowFamily()
 	for _, o := range obs {
-		c, taken := f.cell(o.win, o.class, o.mode)
-		if c == nil {
+		if taken := observeCell(reg, o.win, o.class, o.mode, o.v); taken != "" {
 			panic(taken)
 		}
-		c.observe(o.v[0], o.v[1], o.v[2])
 	}
 	return reg
+}
+
+// observeCell files one observation into the cell (win, class, mode) of
+// reg's windowed families, leaving the run totals alone, and returns the
+// name a plain metric holds when the cell would render to it.
+func observeCell(reg *Registry, win int, class, mode string, v [numWindowKinds]float64) string {
+	f := reg.spanFamily()
+	var idx [numWindowKinds]int16
+	for k := range v {
+		idx[k] = int16(metrics.BucketIndex(v[k]))
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.win.add(int32(win), f.win.label(class, mode), &v, &idx)
 }
 
 // perNameRegistry is familyRegistry by the old path: every cell measure a
@@ -159,9 +171,9 @@ func TestWindowFamilyNameConflicts(t *testing.T) {
 	const taken = "already registered with a different type"
 
 	reg := NewRegistry()
-	f := reg.windowFamily()
-	if c, _ := f.cell(3, "heavy", "edf"); c == nil {
-		t.Fatal("fresh cell refused")
+	one := [numWindowKinds]float64{1, 2, 3}
+	if taken := observeCell(reg, 3, "heavy", "edf", one); taken != "" {
+		t.Fatalf("fresh cell refused: %q", taken)
 	}
 	expectPanic(t, "counter after cell", taken, func() { reg.Counter(name, "") })
 	expectPanic(t, "sketch after cell", taken, func() { reg.Sketch(name, "") })
@@ -177,11 +189,11 @@ func TestWindowFamilyNameConflicts(t *testing.T) {
 		for _, familyFirst := range []bool{false, true} {
 			reg := NewRegistry()
 			if familyFirst {
-				reg.windowFamily()
+				reg.spanFamily()
 			}
 			register(reg)
-			if c, got := reg.windowFamily().cell(3, "heavy", "edf"); c != nil || got != name {
-				t.Errorf("familyFirst=%v: cell over a registered name returned %v, %q", familyFirst, c, got)
+			if got := observeCell(reg, 3, "heavy", "edf", one); got != name {
+				t.Errorf("familyFirst=%v: cell over a registered name returned %q", familyFirst, got)
 			}
 		}
 	}
@@ -194,7 +206,7 @@ func TestWindowFamilyNameConflicts(t *testing.T) {
 
 	// Merges report the conflict in either direction.
 	src := NewRegistry()
-	src.windowFamily().cell(3, "heavy", "edf")
+	observeCell(src, 3, "heavy", "edf", one)
 	dst := NewRegistry()
 	dst.Counter(name, "")
 	if err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "is a sketch in the source") {
@@ -202,7 +214,7 @@ func TestWindowFamilyNameConflicts(t *testing.T) {
 	}
 	src, dst = NewRegistry(), NewRegistry()
 	src.Counter(name, "")
-	dst.windowFamily().cell(3, "heavy", "edf")
+	observeCell(dst, 3, "heavy", "edf", one)
 	if err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "is a counter in the source") {
 		t.Errorf("counter over destination cell: %v", err)
 	}
@@ -228,12 +240,17 @@ func windowStreamSet(t testing.TB, n int) *txn.Set {
 // transaction of set, one time unit apart with some completing late.
 func feedWindowStream(b *SpanBuilder, n int) {
 	for i := 0; i < n; i++ {
-		at := float64(i)
-		b.Emit(Event{Time: at, Kind: KindArrival, Txn: txn.ID(i), Workflow: -1, Deadline: at + 3})
-		b.Emit(Event{Time: at, Kind: KindDispatch, Txn: txn.ID(i), Workflow: -1})
-		b.Emit(Event{Time: at + 1 + float64(i%7), Kind: KindCompletion, Txn: txn.ID(i), Workflow: -1,
-			Tardiness: float64(max(i%7-2, 0))})
+		feedWindowTxn(b, i)
 	}
+}
+
+// feedWindowTxn replays transaction i of feedWindowStream.
+func feedWindowTxn(b *SpanBuilder, i int) {
+	at := float64(i)
+	b.Emit(Event{Time: at, Kind: KindArrival, Txn: txn.ID(i), Workflow: -1, Deadline: at + 3})
+	b.Emit(Event{Time: at, Kind: KindDispatch, Txn: txn.ID(i), Workflow: -1})
+	b.Emit(Event{Time: at + 1 + float64(i%7), Kind: KindCompletion, Txn: txn.ID(i), Workflow: -1,
+		Tardiness: float64(max(i%7-2, 0))})
 }
 
 // TestSpanBuilderWindowedAllocs: with a registry and windows of about two
@@ -259,32 +276,41 @@ func TestSpanBuilderWindowedAllocs(t *testing.T) {
 }
 
 // TestSpanRetainedBytesCountsWindowCells: the retained-bytes estimate grows
-// with the number of window cells, by at least the cells' own size.
+// with every new window cell. A windowed builder and a plain one are fed the
+// same stream in lockstep; after every transaction the windowed estimate
+// exceeds the plain one by at least the cells' own size, and the excess
+// never shrinks.
 func TestSpanRetainedBytesCountsWindowCells(t *testing.T) {
 	const n = 3000
 	set := windowStreamSet(t, n)
-	plain := NewSpanBuilder(set, SpanOptions{Metrics: NewRegistry(), Keep: 64})
-	feedWindowStream(plain, n)
-	prev := plain.RetainedBytes()
 	for _, window := range []float64{1000, 100, 10, 1} {
+		plain := NewSpanBuilder(set, SpanOptions{Metrics: NewRegistry(), Keep: 64})
 		b := NewSpanBuilder(set, SpanOptions{Metrics: NewRegistry(), Window: window, Keep: 64})
-		feedWindowStream(b, n)
-		cells := len(b.window.index)
-		got := b.RetainedBytes()
-		if min := plain.RetainedBytes() + cells*int(unsafe.Sizeof(windowCell{})); got < min {
-			t.Errorf("window %v: %d cells retain %d bytes, want at least %d", window, cells, got, min)
+		prev, cells := 0, 0
+		for i := 0; i < n; i++ {
+			feedWindowTxn(plain, i)
+			feedWindowTxn(b, i)
+			b.fam.mu.Lock()
+			cells = b.fam.win.cells.n
+			b.fam.mu.Unlock()
+			extra := b.RetainedBytes() - plain.RetainedBytes()
+			if min := cells * int(unsafe.Sizeof(windowCell{})); extra < min {
+				t.Fatalf("window %v, txn %d: %d cells add %d bytes, want at least %d", window, i, cells, extra, min)
+			}
+			if extra < prev {
+				t.Fatalf("window %v, txn %d: %d cells add %d bytes, less than the previous %d", window, i, cells, extra, prev)
+			}
+			prev = extra
 		}
-		if got <= prev {
-			t.Errorf("window %v: %d cells retain %d bytes, no more than the previous %d", window, cells, got, prev)
-		}
-		prev = got
+		t.Logf("window %v: %d cells add %d bytes", window, cells, prev)
 	}
 }
 
 // TestHammerWindowFamilyScrape: while one goroutine feeds completions into
-// new window cells, others snapshot and render the registry, read the
-// retained-bytes estimate and register plain metrics under a family base —
-// the live dashboard's scrape pattern. Run under -race.
+// new window cells, others snapshot and render the registry, read the three
+// run-total span sketches, merge the live registry into a scratch one, read
+// the retained-bytes estimate and register plain metrics under a family
+// base — the live dashboard's scrape pattern. Run under -race.
 func TestHammerWindowFamilyScrape(t *testing.T) {
 	const n = 3000
 	set := windowStreamSet(t, n)
@@ -300,6 +326,7 @@ func TestHammerWindowFamilyScrape(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var last [numWindowKinds]int64
 			for i := 0; ; i++ {
 				select {
 				case <-done:
@@ -311,6 +338,18 @@ func TestHammerWindowFamilyScrape(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				for k, name := range spanTotals {
+					sv := reg.Sketch(name, spanTotalHelp[k]).snapshot()
+					if sv.Count < last[k] || sv.Count > n {
+						t.Errorf("run total %s read %d after %d", name, sv.Count, last[k])
+						return
+					}
+					last[k] = sv.Count
+				}
+				if got := windowResponses(mergedCopy(t, reg)); got > n {
+					t.Errorf("a merged copy's window cells hold %d responses", got)
+					return
+				}
 				_ = b.RetainedBytes()
 				reg.Counter(WindowMetric("tardiness", 1_000_000+i, "light", fmt.Sprint("plain", g)), "")
 			}
@@ -318,13 +357,34 @@ func TestHammerWindowFamilyScrape(t *testing.T) {
 	}
 	<-done
 	wg.Wait()
+	for _, r := range []*Registry{reg, mergedCopy(t, reg)} {
+		if got := windowResponses(r); got != n {
+			t.Fatalf("window cells hold %d responses, want %d", got, n)
+		}
+		for k, name := range spanTotals {
+			if got := r.Sketch(name, spanTotalHelp[k]).snapshot().Count; got != n {
+				t.Fatalf("run total %s holds %d observations, want %d", name, got, n)
+			}
+		}
+	}
+}
+
+// mergedCopy merges reg into a fresh registry.
+func mergedCopy(t *testing.T, reg *Registry) *Registry {
+	out := NewRegistry()
+	if err := out.Merge(reg); err != nil {
+		t.Error(err)
+	}
+	return out
+}
+
+// windowResponses sums the counts of reg's windowed response cells.
+func windowResponses(reg *Registry) int64 {
 	var count int64
 	for _, s := range reg.Snapshot().Sketches {
 		if strings.HasPrefix(s.Name, "asets_window_response{") {
 			count += s.Count
 		}
 	}
-	if count != n {
-		t.Fatalf("window cells hold %d responses, want %d", count, n)
-	}
+	return count
 }

@@ -53,7 +53,7 @@ func (r *Registry) Merge(src *Registry) error {
 	for n, s := range src.sketches {
 		sketches[n] = s
 	}
-	window := src.window
+	span := src.span
 	help := make(map[string]string, len(src.help))
 	//lint:ignore maprange map-to-map handle copy; order-independent
 	for n, h := range src.help {
@@ -70,7 +70,7 @@ func (r *Registry) Merge(src *Registry) error {
 			_, g := r.gauges[name]
 			_, h := r.hists[name]
 			_, s := r.sketches[name]
-			w := windowClaimed(r.window, name)
+			w := windowClaimed(r.span, name)
 			r.mu.Unlock()
 			if g || h || s || w {
 				return fmt.Errorf("obs: merge: %q is a counter in the source but not in the destination", name)
@@ -81,7 +81,7 @@ func (r *Registry) Merge(src *Registry) error {
 			_, c := r.counters[name]
 			_, h := r.hists[name]
 			_, s := r.sketches[name]
-			w := windowClaimed(r.window, name)
+			w := windowClaimed(r.span, name)
 			r.mu.Unlock()
 			if c || h || s || w {
 				return fmt.Errorf("obs: merge: %q is a gauge in the source but not in the destination", name)
@@ -92,7 +92,7 @@ func (r *Registry) Merge(src *Registry) error {
 			_, c := r.counters[name]
 			_, g := r.gauges[name]
 			_, s := r.sketches[name]
-			w := windowClaimed(r.window, name)
+			w := windowClaimed(r.span, name)
 			r.mu.Unlock()
 			if c || g || s || w {
 				return fmt.Errorf("obs: merge: %q is a histogram in the source but not in the destination", name)
@@ -113,7 +113,7 @@ func (r *Registry) Merge(src *Registry) error {
 			_, c := r.counters[name]
 			_, g := r.gauges[name]
 			_, h := r.hists[name]
-			w := windowClaimed(r.window, name)
+			w := windowClaimed(r.span, name)
 			r.mu.Unlock()
 			if c || g || h || w {
 				return fmt.Errorf("obs: merge: %q is a sketch in the source but not in the destination", name)
@@ -126,14 +126,14 @@ func (r *Registry) Merge(src *Registry) error {
 				return fmt.Errorf("obs: merge: sketch %q is shared between source and destination", name)
 			}
 			ds.mu.Lock()
-			ds.s.Merge(ss.s)
+			ds.s.Merge(&ss.s)
 			ds.mu.Unlock()
 			ss.mu.Unlock()
 		}
 	}
 	// Windowed sketch cells merge family to family, after the plain metrics.
-	if window != nil {
-		return r.windowFamily().mergeFrom(window)
+	if span != nil {
+		return r.spanFamily().merge(span)
 	}
 	return nil
 }

@@ -66,11 +66,15 @@ func (h *Histogram) snapshot() HistogramValue {
 }
 
 // Sketch is a registry handle around metrics.Sketch: the fixed-boundary
-// quantile sketch behind the span layer's windowed percentiles, guarded by a
-// mutex so the simulation goroutine can observe while HTTP handlers snapshot.
+// quantile sketch behind the span layer's percentiles, guarded by a mutex so
+// the simulation goroutine can observe while HTTP handlers snapshot. The
+// mutex is the handle's own, except for the span layer's three run-total
+// sketches (MetricSpan*), which share their registry's span-family lock
+// with the windowed cells (spanSketches).
 type Sketch struct {
-	mu sync.Mutex
-	s  *metrics.Sketch // guarded by mu
+	mu  *sync.Mutex    // &own, or the span family's lock
+	s   metrics.Sketch // guarded by mu
+	own sync.Mutex
 }
 
 // Observe records one non-negative observation.
@@ -88,7 +92,7 @@ var sketchQuantiles = []float64{0.5, 0.95, 0.99}
 func (s *Sketch) snapshot() SketchValue {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sketchValue(s.s)
+	return sketchValue(&s.s)
 }
 
 // sketchValue reads a sketch's count, sum, max and reported quantiles.
@@ -116,7 +120,7 @@ type Registry struct {
 	sketches map[string]*Sketch    // guarded by mu
 	help     map[string]string     // guarded by mu
 	names    []string              // registration-complete name list, sorted lazily; guarded by mu
-	window   *windowSketches       // guarded by mu; the windowed span-sketch families, nil until first use
+	span     *spanSketches         // guarded by mu; the span layer's sketches and their lock, nil until first use
 }
 
 // NewRegistry returns an empty registry.
@@ -132,10 +136,35 @@ func NewRegistry() *Registry {
 
 // windowClaimed reports whether a windowed family cell renders to name. When
 // none does and name lies under a family base, the family records name as
-// taken by a plain metric (windowSketches.claim), so callers go on to
-// register it or return a conflict. w may be nil.
-func windowClaimed(w *windowSketches, name string) bool {
-	return w != nil && windowBaseOf(name) && w.claim(name)
+// taken by a plain metric (windowCells.claim), so callers go on to register
+// it or return a conflict. f may be nil.
+func windowClaimed(f *spanSketches, name string) bool {
+	return f != nil && windowBaseOf(name) && f.claim(name)
+}
+
+// spanFamily returns the registry's span sketches, creating them on first
+// use.
+func (r *Registry) spanFamily() *spanSketches {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.span == nil {
+		r.span = newSpanSketches(r.names)
+	}
+	return r.span
+}
+
+// newSpanSketches returns an empty span family that reserves the plain
+// metric names already registered under a family base.
+//
+//lint:coldpath family creation happens once per registry
+func newSpanSketches(names []string) *spanSketches {
+	f := &spanSketches{}
+	for _, name := range names {
+		if windowBaseOf(name) {
+			f.win.claim(name)
+		}
+	}
+	return f
 }
 
 // register records a name the first time it appears and rejects a name
@@ -166,7 +195,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	_, g := r.gauges[name]
 	_, h := r.hists[name]
 	_, s := r.sketches[name]
-	r.register(name, help, g || h || s || windowClaimed(r.window, name))
+	r.register(name, help, g || h || s || windowClaimed(r.span, name))
 	c := &Counter{}
 	r.counters[name] = c
 	return c
@@ -184,7 +213,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	_, c := r.counters[name]
 	_, h := r.hists[name]
 	_, s := r.sketches[name]
-	r.register(name, help, c || h || s || windowClaimed(r.window, name))
+	r.register(name, help, c || h || s || windowClaimed(r.span, name))
 	g := &Gauge{}
 	r.gauges[name] = g
 	return g
@@ -203,7 +232,7 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	_, c := r.counters[name]
 	_, g := r.gauges[name]
 	_, s := r.sketches[name]
-	r.register(name, help, c || g || s || windowClaimed(r.window, name))
+	r.register(name, help, c || g || s || windowClaimed(r.span, name))
 	h := &Histogram{h: metrics.NewHistogram()}
 	r.hists[name] = h
 	return h
@@ -212,8 +241,9 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 // Sketch returns the quantile sketch registered under name, creating it on
 // first use. Name may carry a Prometheus label set (`asets_plain{shard="3"}`)
 // — the exporter splits base name and labels apart. The span layer's
-// per-(window, class, mode) sketches are not registered here but live in the
-// registry's windowSketches families.
+// run-total sketches (MetricSpan*) are registered here but share the span
+// family's lock; its per-(window, class, mode) sketches are not registered
+// here but live in the registry's spanSketches.
 //
 //lint:coldpath metric registration happens at wiring time; hot code holds the returned handle
 func (r *Registry) Sketch(name, help string) *Sketch {
@@ -225,8 +255,19 @@ func (r *Registry) Sketch(name, help string) *Sketch {
 	_, c := r.counters[name]
 	_, g := r.gauges[name]
 	_, h := r.hists[name]
-	r.register(name, help, c || g || h || windowClaimed(r.window, name))
-	s := &Sketch{s: metrics.NewSketch()}
+	r.register(name, help, c || g || h || windowClaimed(r.span, name))
+	s := &Sketch{}
+	s.mu = &s.own
+	if k := spanTotalKind(name); k >= 0 {
+		if r.span == nil {
+			r.span = newSpanSketches(r.names)
+		}
+		f := r.span
+		s.mu = &f.mu
+		f.mu.Lock()
+		f.tot[k] = &s.s
+		f.mu.Unlock()
+	}
 	r.sketches[name] = s
 	return s
 }
@@ -307,12 +348,12 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Sketches = append(snap.Sketches, sv)
 		}
 	}
-	window := r.window
+	span := r.span
 	r.mu.Unlock()
 	// Windowed cells render their names here, at snapshot time, and sort in
 	// among the plain sketches.
-	if window != nil {
-		if cells := window.snapshot(); len(cells) > 0 {
+	if span != nil {
+		if cells := span.snapshot(); len(cells) > 0 {
 			snap.Sketches = append(snap.Sketches, cells...)
 			sort.Slice(snap.Sketches, func(i, j int) bool { return snap.Sketches[i].Name < snap.Sketches[j].Name })
 		}

@@ -22,10 +22,12 @@ import (
 // The builder is engineered for the zero-allocation fast path: open-span
 // state lives in a dense array indexed by transaction ID (no map, no per-txn
 // tracking allocation), span and starter-segment storage bump-allocates from
-// arenas preallocated at construction, closed spans recycle through a free
-// list once the Keep bound compacts them, windowed sketch cells are slab
-// slots of the registry's windowed sketch families reached through a
-// per-window cache (no formatted names, no per-cell registration).
+// arenas preallocated at construction, and closed spans recycle through a
+// free list once the Keep bound compacts them. A completion's sketch
+// observations take the registry's span-family lock once: the three
+// run-total sketches and the (window, class, mode) cell, a pointer-free slab
+// slot reached through a dense (window, label) index, with no formatted
+// name, no per-cell registration and no map operation.
 // docs/OBSERVABILITY.md ("Overhead budgets") carries the enforced numbers.
 
 // SegmentKind classifies one stretch of a transaction's lifetime.
@@ -237,7 +239,7 @@ const (
 // window index is zero-padded so registry name sorting orders cells by time.
 // It is the one renderer of cell names, and runs only on the cold paths that
 // need them (registry snapshots, /metrics rendering, merges and name-conflict
-// checks); completions reach their cell through the registry's windowSketches
+// checks); completions reach their cell through the registry's spanSketches
 // families instead.
 //
 // Class and mode values are escaped for the Prometheus exposition format
@@ -306,11 +308,6 @@ type spanState struct {
 	active   bool
 }
 
-// spanTotals holds the resolved run-total sketch handles (MetricSpan*).
-type spanTotals struct {
-	tard, resp, slow *Sketch
-}
-
 // spanArenaSpans caps the preallocated span arena. Small runs get full
 // coverage (every span arena-served); large runs warm the free list within
 // the first spanArenaSpans opens and recycle from there, so the arena stays
@@ -323,9 +320,13 @@ const spanArenaSpans = 4096
 const segRegionLen = 4
 
 // SpanBuilder folds the decision event stream into spans. It is a Sink (and
-// a SharedSink and BatchSink); like Ring it locks internally, so the single emitting
-// goroutine can run while HTTP handlers snapshot. Events must arrive in
-// stream order (the order every in-repo emitter produces).
+// a SharedSink and BatchSink); like Ring it locks internally, so the single
+// emitting goroutine can run while HTTP handlers snapshot. Its own lock
+// guards the spans and is taken once per event batch; the sketches live in
+// the registry's span family, whose one lock a completion takes once for
+// the run totals and its window cell, and which scrapes, merges and
+// RetainedBytes take to read them. Events must arrive in stream order (the
+// order every in-repo emitter produces).
 //
 // Determinism: spans are a pure fold of the event stream plus the immutable
 // workload set, so a fixed-seed run yields a byte-identical span stream;
@@ -349,15 +350,10 @@ type SpanBuilder struct {
 	arenaN    int
 	segArena  []Segment
 	segN      int
-	global    *spanTotals     // run-total sketches; nil until the first completed span
-	window    *windowSketches // the registry's windowed families; nil until the first windowed observation
-	// curCells caches the cells of window curWin, indexed by
-	// mode*NumWeightClasses + class, so a completion reaches its cell without
-	// a family lookup. Completions arrive in time order, so windows only
-	// advance and the cache resets once per window (an out-of-order
-	// completion just refills it from the family).
-	curWin   int32
-	curCells []*windowCell
+	fam       *spanSketches // the registry's span sketches; nil until the first completed span
+	// labels maps mode*NumWeightClasses + class to 1 + the family's label id
+	// of that (class, mode) pair, 0 until the pair first completes.
+	labels   []int32
 	done     []*Span
 	free     []*Span // spans recycled by Keep-compaction, ready for reuse
 	total    uint64
@@ -726,66 +722,57 @@ func (b *SpanBuilder) compact() {
 }
 
 // observe feeds one completed span into the registry sketches: the run
-// totals and, with a window set, its (window, class, mode) cell under
-// one cell lock. The cell comes from the per-window cache — no formatted
-// names and no family lookup on the completion path.
+// totals and, with a window set, its (window, class, mode) cell, under the
+// span family's one lock. The cell's label id comes from the builder's
+// per-pair table and the cell from the family's dense index, so the
+// completion path renders no name and allocates nothing beyond amortized
+// slab growth.
 func (b *SpanBuilder) observe(sp *Span, class, mode int8) {
-	if b.opts.Metrics == nil {
-		return
+	f := b.fam
+	if f == nil {
+		if b.opts.Metrics == nil {
+			return
+		}
+		f = b.initFamily()
 	}
-	if b.global == nil {
-		b.initGlobal()
+	win, label := int32(0), int32(-1)
+	if b.opts.Window > 0 {
+		win = int32(sp.Finish / b.opts.Window)
+		i := int(mode)*NumWeightClasses + int(class)
+		if i >= len(b.labels) || b.labels[i] == 0 {
+			b.internLabel(i, class, mode)
+		}
+		label = b.labels[i] - 1
 	}
-	g := b.global
-	g.tard.Observe(sp.Tardiness)
-	g.resp.Observe(sp.Response)
-	g.slow.Observe(sp.Slowdown)
-	if b.opts.Window <= 0 {
-		return
-	}
-	win := int32(sp.Finish / b.opts.Window)
-	slot := int(mode)*NumWeightClasses + int(class)
-	if b.window == nil || win != b.curWin || slot >= len(b.curCells) || b.curCells[slot] == nil {
-		b.fillCell(win, slot, class, mode)
-	}
-	b.curCells[slot].observe(sp.Tardiness, sp.Response, sp.Slowdown)
-}
-
-// initGlobal resolves the run-total sketch handles — lazily, at the first
-// completed span, so a builder that never observes anything registers no
-// metrics.
-//
-//lint:coldpath run-total sketch registration happens once per run
-func (b *SpanBuilder) initGlobal() {
-	reg := b.opts.Metrics
-	b.global = &spanTotals{
-		tard: reg.Sketch(MetricSpanTardiness, "per-span tardiness quantile sketch"),
-		resp: reg.Sketch(MetricSpanResponse, "per-span response time quantile sketch"),
-		slow: reg.Sketch(MetricSpanSlowdown, "per-span slowdown quantile sketch"),
-	}
-}
-
-// fillCell resolves the cache slot of (class, mode) in window win from the
-// registry's windowed families, first resolving the families, resetting the
-// cache when the window moved, and growing it when a new mode name appeared.
-//
-//lint:coldpath runs once per (window, class, mode) cell, not per completion
-func (b *SpanBuilder) fillCell(win int32, slot int, class, mode int8) {
-	if b.window == nil {
-		b.window = b.opts.Metrics.windowFamily()
-	}
-	if win != b.curWin {
-		b.curWin = win
-		clear(b.curCells)
-	}
-	if n := len(b.modeNames) * NumWeightClasses; len(b.curCells) < n {
-		b.curCells = append(b.curCells, make([]*windowCell, n-len(b.curCells))...)
-	}
-	c, taken := b.window.cell(int(win), classNames[class], b.modeNames[mode])
-	if c == nil {
+	if taken := f.observe(win, label, sp.Tardiness, sp.Response, sp.Slowdown); taken != "" {
 		panic(fmt.Sprintf("obs: metric name %q already registered with a different type", taken))
 	}
-	b.curCells[slot] = c
+}
+
+// initFamily registers the run-total sketches and resolves the registry's
+// span family — lazily, at the first completed span, so a builder that never
+// observes anything registers no metrics.
+//
+//lint:coldpath run-total sketch registration happens once per run
+func (b *SpanBuilder) initFamily() *spanSketches {
+	reg := b.opts.Metrics
+	for k, name := range spanTotals {
+		reg.Sketch(name, spanTotalHelp[k])
+	}
+	b.fam = reg.spanFamily()
+	return b.fam
+}
+
+// internLabel records the family's label id of (class, mode) at index i of
+// the builder's label table, growing the table when a new mode name
+// appeared.
+//
+//lint:coldpath runs once per (class, mode) pair, not per window or completion
+func (b *SpanBuilder) internLabel(i int, class, mode int8) {
+	if n := len(b.modeNames) * NumWeightClasses; len(b.labels) < n {
+		b.labels = append(b.labels, make([]int32, n-len(b.labels))...)
+	}
+	b.labels[i] = b.fam.label(classNames[class], b.modeNames[mode]) + 1
 }
 
 // Spans returns the retained closed spans in close order (completion or shed
@@ -829,7 +816,7 @@ func (b *SpanBuilder) Total() uint64 {
 // RetainedBytes estimates the memory the builder pins: retained and
 // free-listed spans with their segment arrays, the dense per-transaction
 // state table, and the windowed sketch cells it writes to — their slabs,
-// index and bucket arrays. Cold; called at scrape time.
+// dense index rows and bucket arrays. Cold; called at scrape time.
 func (b *SpanBuilder) RetainedBytes() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -842,8 +829,8 @@ func (b *SpanBuilder) RetainedBytes() int {
 	for _, sp := range b.free {
 		total += spanSize + cap(sp.Segments)*segSize
 	}
-	if b.window != nil {
-		total += b.window.retainedBytes() + cap(b.curCells)*int(unsafe.Sizeof((*windowCell)(nil)))
+	if b.fam != nil {
+		total += b.fam.retainedBytes() + 4*cap(b.labels)
 	}
 	// Arena capacity not yet handed out (handed-out regions are already
 	// counted through the done/free spans that own them).

@@ -50,19 +50,37 @@ type rule struct {
 	clears int
 }
 
-// winCount is one tumbling window's completion tally for a class.
+// winCount is one tumbling window's completion tally for a class, or a sum
+// of several.
 type winCount struct {
 	done uint64
 	miss uint64
 }
 
+// plus and minus add and remove another tally.
+func (w winCount) plus(o winCount) winCount  { return winCount{w.done + o.done, w.miss + o.miss} }
+func (w winCount) minus(o winCount) winCount { return winCount{w.done - o.done, w.miss - o.miss} }
+
+// burn returns the tally's miss ratio over target; zero completions mean
+// zero burn.
+func (w winCount) burn(target float64) float64 {
+	if w.done == 0 {
+		return 0
+	}
+	return float64(w.miss) / float64(w.done) / target
+}
+
 // classState is the windowed observation state of one weight class.
 type classState struct {
-	cur       winCount   // the open window
-	hist      []winCount // closed-window ring, len = SlowWindows
-	backlog   int        // arrived but not yet finished
-	totalDone uint64
-	totalMiss uint64
+	cur  winCount   // the open window
+	hist []winCount // closed-window ring, len = SlowWindows
+	// fast and slow are the running tallies of the last FastWindows and
+	// SlowWindows closed windows: each boundary adds the window it closes
+	// and subtracts the one that left the span.
+	fast, slow winCount
+	backlog    int // arrived but not yet finished
+	totalDone  uint64
+	totalMiss  uint64
 	// Per-window quantile sketches; nil unless a ceiling rule needs them.
 	// Reset (not reallocated) at each boundary, so the steady-state
 	// observation path stays allocation-free once warmed.
@@ -266,10 +284,20 @@ func (e *Engine) boundaries(now float64) {
 func (e *Engine) closeWindow(at float64) {
 	for ci := range e.classes {
 		c := &e.classes[ci]
-		c.hist[int(e.win)%len(c.hist)] = c.cur
+		// The ring slot being overwritten holds window win-SlowWindows (zero
+		// before the ring first fills), the one leaving the slow span; the
+		// window leaving the fast span is still in the ring.
+		slot := int(e.win) % len(c.hist)
+		out := c.hist[slot]
+		c.hist[slot] = c.cur
+		c.slow = c.slow.plus(c.cur).minus(out)
+		c.fast = c.fast.plus(c.cur)
+		if k := int64(e.cfg.FastWindows); e.win >= k {
+			c.fast = c.fast.minus(c.hist[int((e.win-k)%int64(len(c.hist)))])
+		}
 		if t := e.cfg.Spec.Classes[ci]; t.MissRatio > 0 {
-			c.fastBurn = e.burnOver(c, e.cfg.FastWindows, t.MissRatio)
-			c.slowBurn = e.burnOver(c, e.cfg.SlowWindows, t.MissRatio)
+			c.fastBurn = c.fast.burn(t.MissRatio)
+			c.slowBurn = c.slow.burn(t.MissRatio)
 		}
 	}
 	for i := range e.rules {
@@ -289,27 +317,6 @@ func (e *Engine) closeWindow(at float64) {
 			c.resp.Reset()
 		}
 	}
-}
-
-// burnOver returns the class's miss-ratio burn over the last k closed
-// windows: observed miss ratio divided by the target. Windows that never
-// happened (run shorter than k windows) contribute nothing; zero
-// completions means zero burn.
-func (e *Engine) burnOver(c *classState, k int, target float64) float64 {
-	closed := e.win + 1 // windows closed including the one at index e.win
-	if int64(k) > closed {
-		k = int(closed)
-	}
-	var done, miss uint64
-	for i := 0; i < k; i++ {
-		w := c.hist[int((e.win-int64(i))%int64(len(c.hist)))]
-		done += w.done
-		miss += w.miss
-	}
-	if done == 0 {
-		return 0
-	}
-	return float64(miss) / float64(done) / target
 }
 
 // evalRule advances one rule's fire/resolve state machine at a boundary.

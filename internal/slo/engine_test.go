@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/rng"
 )
 
 // testConfig is a small, fast geometry: 10-unit windows, 2-window fast burn,
@@ -299,5 +300,86 @@ func TestStatePartialWindow(t *testing.T) {
 	}
 	if st := eng.State(); st.Windows != 0 {
 		t.Fatalf("windows = %d, want 0", st.Windows)
+	}
+}
+
+// burnOver is the reference for the engine's running window sums: the
+// class's miss-ratio burn over the last k closed windows, summed from the
+// history ring, where last is the index of the last closed window. Windows
+// that never happened (run shorter than k windows) contribute nothing; zero
+// completions means zero burn.
+func burnOver(c *classState, last int64, k int, target float64) float64 {
+	closed := last + 1 // windows closed including the one at index last
+	if int64(k) > closed {
+		k = int(closed)
+	}
+	var done, miss uint64
+	for i := 0; i < k; i++ {
+		w := c.hist[int((last-int64(i))%int64(len(c.hist)))]
+		done += w.done
+		miss += w.miss
+	}
+	if done == 0 {
+		return 0
+	}
+	return float64(miss) / float64(done) / target
+}
+
+// TestRunningBurnMatchesBurnOver: over random completion streams, window
+// geometries and targets, the fast and slow burn ratios read at every
+// boundary from the running sums (e.win is then the open window, so the
+// last closed one is e.win-1) equal, bit for bit, the ratios summed
+// afresh over the history ring — including boundaries crossed several at a
+// time and runs shorter than the slow window. A class without a burn rule
+// keeps its sums too.
+func TestRunningBurnMatchesBurnOver(t *testing.T) {
+	r := rng.New(11)
+	checked := 0
+	for trial := 0; trial < 200; trial++ {
+		fast := r.IntRange(1, 5)
+		cfg := Config{Spec: burnOnly(r.Uniform(0.01, 0.5)), Window: 10,
+			FastWindows: fast, SlowWindows: fast + r.IntRange(1, 12)}
+		cfg.Spec.Classes[1].MissRatio = 0
+		e := NewEngine(cfg, nil)
+		now := 0.0
+		for step, steps := 0, r.IntRange(1, 400); step < steps; step++ {
+			now += r.Exp(0.3)
+			if r.Bool(0.02) {
+				now += r.Uniform(0, 200) // an idle stretch: several empty windows at once
+			}
+			e.Advance(now)
+			for ci := range e.classes {
+				c := &e.classes[ci]
+				target := cfg.Spec.Classes[ci].MissRatio
+				for _, w := range []struct {
+					k    int
+					sum  winCount
+					burn float64
+				}{{cfg.FastWindows, c.fast, c.fastBurn}, {cfg.SlowWindows, c.slow, c.slowBurn}} {
+					if got := burnOver(c, e.win-1, w.k, 1); got != w.sum.burn(1) {
+						t.Fatalf("trial %d, window %d, class %d: the running sum over %d windows %+v burns %v, the ring %v",
+							trial, e.win, ci, w.k, w.sum, w.sum.burn(1), got)
+					}
+					if target == 0 {
+						continue
+					}
+					if got := burnOver(c, e.win-1, w.k, target); got != w.burn {
+						t.Fatalf("trial %d, window %d, class %d: burn over %d windows is %v from the running sums, %v from the ring",
+							trial, e.win, ci, w.k, w.burn, got)
+					}
+					checked++
+				}
+			}
+			class := r.Intn(NumClasses)
+			e.Arrive(class)
+			tardiness := 0.0
+			if r.Bool(0.3) {
+				tardiness = r.Exp(1)
+			}
+			e.Complete(class, tardiness, tardiness+1)
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d burn ratios checked", checked)
 	}
 }
