@@ -121,7 +121,7 @@ func (d *deferDriver) do(set *txn.Set, op byte, arg int) {
 		var picks [2][]*txn.Transaction
 		for i, s := range d.side {
 			busy, readers, writers := slices.Clone(s.busy), slices.Clone(s.readers), slices.Clone(s.writers)
-			got, ok := s.Decide(d.now, d.running, servers, nil, 0, nil)
+			got, ok := s.Decide(d.now, d.running, servers, nil, nil)
 			if i == 1 && ok {
 				d.t.Fatal("a Deferring without an inner Decider decided")
 			}

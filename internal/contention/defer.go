@@ -15,10 +15,10 @@ const DefaultWindow = 8
 // "CA-" policy family, docs/CONTENTION.md): when the wrapped policy's
 // chosen head is predicted to conflict with a busy transaction — one
 // checked out on a server, or one preempted mid-incarnation whose read
-// snapshot is still open — the wrapper probes up to Window further
-// candidates in the policy's own preference order and steals the first
-// non-conflicting one; the skipped candidates keep their places in the
-// policy's order. Predicted conflict is read/write overlap in either
+// snapshot is still open — the wrapper probes up to window further
+// candidates (NewDeferring) in the policy's own preference order and steals
+// the first non-conflicting one; the skipped candidates keep their places in
+// the policy's order. Predicted conflict is read/write overlap in either
 // direction: dispatching the candidate could invalidate the busy
 // transaction's open reads, or the busy transaction's eventual commit could
 // invalidate the candidate's.
@@ -29,13 +29,14 @@ const DefaultWindow = 8
 // pure function of the wrapped policy's deterministic order and the busy
 // sets, so CA- runs replay bit-identically.
 //
-// When the wrapped policy has a sched.Decider, the wrapper settles a
-// decision point in one call to it, with the busy-count test as the
-// acceptance predicate: the policy walks its own order without checking
-// candidates out and handing them back. Its Next keeps the probe loop for
-// the decisions the policy's Decider declines and for a policy without one,
-// whose skipped candidates go back through its OnPreempt. Both give the same
-// picks, busy counts and conflict_defer events.
+// The probe rule lives in Accept, the wrapper's sched.Acceptor. When the
+// wrapped policy has a sched.Decider, the wrapper settles a decision point
+// in one call to it with itself as the acceptor: the policy walks its own
+// order without checking candidates out and handing them back. Its Next
+// offers the policy's Next calls to the same Accept, for the decisions the
+// policy's Decider declines and for a policy without one, whose skipped
+// candidates go back through its OnPreempt. Both give the same picks, busy
+// counts and conflict_defer events.
 //
 // Deferral pays off when parallel servers (or preemption interleavings)
 // would open conflicting incarnations concurrently; at hot-spot extremes
@@ -60,14 +61,12 @@ type Deferring struct {
 	// readers[k] and writers[k] count the busy transactions that read or
 	// write key k.
 	readers, writers []int32
-	// cand is the probe scratch buffer (capacity window+1): in Decide, the
-	// candidates the current pick's probe skipped.
+	// cand holds the candidates the current probe skipped, in probe order
+	// (at most window+1).
 	cand []*txn.Transaction
-	// Decide's record of one decision, kept until the inner policy answers:
-	// accepted reports whether the last Accept accepted; jumped holds the
-	// candidates the steals so far jumped past, in event order; marked holds
-	// the picks Picked made busy.
-	accepted       bool
+	// The record of one decision, kept until it is settled: jumped holds
+	// the candidates the steals so far jumped past, in event order; marked
+	// holds the picks Picked made busy.
 	jumped, marked []*txn.Transaction
 }
 
@@ -125,67 +124,45 @@ func (d *Deferring) OnArrival(now float64, t *txn.Transaction) {
 	d.inner.OnArrival(now, t)
 }
 
-// Next implements sched.Scheduler.
+// Next implements sched.Scheduler: one probe, offering the inner policy's
+// Next calls to Accept. The candidates it did not pick go back to the inner
+// policy in probe order; their keys and remaining work are unchanged, so
+// deterministic policies restore them to their exact queue positions.
 func (d *Deferring) Next(now float64) *txn.Transaction {
 	head := d.inner.Next(now)
 	if head == nil {
 		return nil
 	}
-	if !d.conflictsBusy(head) {
-		d.setBusy(head, true)
-		return head
-	}
-	// The head is predicted to conflict: probe deeper in the policy's own
-	// order for a non-conflicting steal.
-	cand := d.cand[:0]
-	cand = append(cand, head)
-	var pick *txn.Transaction
-	for len(cand) <= d.window {
-		c := d.inner.Next(now)
-		if c == nil {
-			break
-		}
-		if !d.conflictsBusy(c) {
+	d.cand, d.jumped, d.marked = d.cand[:0], d.jumped[:0], d.marked[:0]
+	pick := head
+	for c := head; c != nil; c = d.inner.Next(now) {
+		take, stop := d.Accept(c)
+		if take {
 			pick = c
+		}
+		if take || stop {
 			break
 		}
-		cand = append(cand, c)
 	}
-	d.cand = cand
-	if pick == nil {
-		// Every candidate in the window conflicts. Stay work-conserving:
-		// dispatch the original head and return the rest untouched.
-		pick = cand[0]
-		cand = cand[1:]
-	} else if d.sink != nil {
-		// An actual steal: record each candidate the pick jumped past.
-		for _, c := range cand {
-			d.sink.Emit(obs.Event{
-				Time: now, Kind: obs.KindConflictDefer, Txn: c.ID, Workflow: -1,
-				Deadline: c.Deadline, Remaining: c.Remaining,
-			})
+	for _, c := range d.cand {
+		if c != pick {
+			d.inner.OnPreempt(now, c)
 		}
 	}
-	// Hand the deferred candidates back in probe order. Their keys and
-	// remaining work are unchanged, so deterministic policies restore them
-	// to their exact queue positions.
-	for _, c := range cand {
-		d.inner.OnPreempt(now, c)
-	}
-	d.setBusy(pick, true)
+	d.Picked(pick)
+	d.emitJumped(now)
 	return pick
 }
 
 // Decide implements sched.Decider over the inner policy's Decider, with the
-// wrapper as the acceptance predicate and its window as the probe window:
-// it marks the running transactions busy as OnPreempt would, then lets the
-// policy decide. On an answer it emits the conflict_defer events Next's
-// probes would have emitted; on a decline it clears the busy marks of the
-// picks and marks the running transactions busy again, as checked out,
-// leaving the wrapper as it was before the call.
+// wrapper as the acceptor: it marks the running transactions busy as
+// OnPreempt would, then lets the policy decide. On an answer it emits the
+// conflict_defer events Next's probes would have emitted; on a decline it
+// clears the busy marks of the picks and marks the running transactions busy
+// again, as checked out, leaving the wrapper as it was before the call.
 //
 //lint:hotpath
-func (d *Deferring) Decide(now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, window int, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
+func (d *Deferring) Decide(now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
 	if d.decider == nil || acc != nil {
 		return picks, false
 	}
@@ -193,7 +170,7 @@ func (d *Deferring) Decide(now float64, running []*txn.Transaction, servers int,
 		d.setBusy(t, t.Remaining < t.Length)
 	}
 	d.cand, d.jumped, d.marked = d.cand[:0], d.jumped[:0], d.marked[:0]
-	picks, ok := d.decider.Decide(now, running, servers, d, d.window, picks)
+	picks, ok := d.decider.Decide(now, running, servers, d, picks)
 	if !ok {
 		for _, t := range d.marked {
 			d.setBusy(t, false)
@@ -203,40 +180,48 @@ func (d *Deferring) Decide(now float64, running []*txn.Transaction, servers int,
 		}
 		return picks, false
 	}
-	if d.sink != nil {
-		for _, c := range d.jumped {
-			d.sink.Emit(obs.Event{
-				Time: now, Kind: obs.KindConflictDefer, Txn: c.ID, Workflow: -1,
-				Deadline: c.Deadline, Remaining: c.Remaining,
-			})
-		}
-	}
+	d.emitJumped(now)
 	return picks, true
 }
 
-// Accept implements sched.Acceptor: Next's probe test, remembering a
-// skipped candidate.
-func (d *Deferring) Accept(t *txn.Transaction) bool {
-	d.accepted = !d.conflictsBusy(t)
-	if !d.accepted {
-		//lint:ignore hotpath-alloc a probe skips at most window+1 candidates, cand's capacity
-		d.cand = append(d.cand, t)
+// Accept implements sched.Acceptor: it takes a candidate predicted not to
+// conflict with a busy transaction and skips the others, remembering them;
+// the skip that brings them past the window stops the probe.
+func (d *Deferring) Accept(t *txn.Transaction) (take, stop bool) {
+	if !d.conflictsBusy(t) {
+		return true, false
 	}
-	return d.accepted
+	//lint:ignore hotpath-alloc a probe skips at most window+1 candidates, cand's capacity
+	d.cand = append(d.cand, t)
+	return false, len(d.cand) > d.window
 }
 
 // Picked implements sched.Acceptor: t becomes busy, as a pick of Next does,
-// and a steal records the candidates it jumped past.
+// and a steal — a pick other than the probe's skipped first candidate —
+// records the candidates it jumped past.
 func (d *Deferring) Picked(t *txn.Transaction) {
-	if d.accepted && len(d.cand) > 0 {
+	if len(d.cand) > 0 && d.cand[0] != t {
 		//lint:ignore hotpath-alloc starts in the buffer NewDeferring makes, grows at most to the most candidates one decision jumps past, then is reused
 		d.jumped = append(d.jumped, d.cand...)
 	}
-	d.cand, d.accepted = d.cand[:0], false
+	d.cand = d.cand[:0]
 	if !d.busy[t.ID] {
 		//lint:ignore hotpath-alloc starts in the buffer NewDeferring makes, grows at most to the server count, then is reused
 		d.marked = append(d.marked, t)
 		d.setBusy(t, true)
+	}
+}
+
+// emitJumped emits one conflict_defer event per candidate in jumped.
+func (d *Deferring) emitJumped(now float64) {
+	if d.sink == nil {
+		return
+	}
+	for _, c := range d.jumped {
+		d.sink.Emit(obs.Event{
+			Time: now, Kind: obs.KindConflictDefer, Txn: c.ID, Workflow: -1,
+			Deadline: c.Deadline, Remaining: c.Remaining,
+		})
 	}
 }
 

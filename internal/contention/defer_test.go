@@ -1,10 +1,13 @@
 package contention
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/txn"
 )
 
@@ -164,6 +167,91 @@ func TestDeferringName(t *testing.T) {
 	}
 	if d.window != DefaultWindow {
 		t.Fatalf("window = %d, want DefaultWindow on non-positive input", d.window)
+	}
+}
+
+// windowFixture: t0 writes key 1; t1 … t_places read it, so each conflicts
+// with a busy t0; t_{places+1} touches key 7 only. Deadlines rise with the
+// ID, so ASETS* orders the set as the FIFO policy does.
+func windowFixture(t *testing.T, places int) *txn.Set {
+	t.Helper()
+	txns := make([]*txn.Transaction, places+2)
+	for i := range txns {
+		txns[i] = &txn.Transaction{ID: txn.ID(i), Deadline: 100 + float64(i), Length: 2, Weight: 1, Reads: []txn.Key{1}}
+	}
+	txns[0].Reads, txns[0].Writes = nil, []txn.Key{1}
+	txns[places+1].Reads, txns[places+1].Writes = []txn.Key{7}, []txn.Key{7}
+	set, err := txn.NewSet(txns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.ResetAll()
+	return set
+}
+
+// TestDeferringWindowBound: with window w, a non-conflicting candidate w
+// places behind a conflicting head is stolen past the w candidates before
+// it; one w+1 places behind is not: the head is dispatched and no
+// conflict_defer is emitted. It holds through Next over a policy without a
+// Decider and through Decide over CA-ASETS*, and a window of 0 selects
+// DefaultWindow.
+func TestDeferringWindowBound(t *testing.T) {
+	for _, window := range []int{1, 3, 0} {
+		w := window
+		if w == 0 {
+			w = DefaultWindow
+		}
+		for _, places := range []int{w, w + 1} {
+			for _, decide := range []bool{false, true} {
+				set := windowFixture(t, places)
+				var inner sched.Scheduler = &queueSched{}
+				if decide {
+					inner = core.New()
+				}
+				d := NewDeferring(inner, window)
+				col := &obs.Collector{}
+				d.SetSink(col)
+				d.Init(set)
+				for _, tx := range set.Txns {
+					d.OnArrival(0, tx)
+				}
+				writer := set.Txns[0]
+				if got := d.Next(0); got != writer {
+					t.Fatalf("first Next = %v, want t0", got)
+				}
+				var got *txn.Transaction
+				if decide {
+					// t0 ran for a while and keeps its snapshot open.
+					writer.Remaining = 1
+					picks, ok := d.Decide(1, []*txn.Transaction{writer}, 2, nil, nil)
+					if !ok || len(picks) != 2 || picks[0] != writer {
+						t.Fatalf("window %d, %d places, Decide: picked %v, answered %v; want t0 and one more", window, places, txnIDs(picks), ok)
+					}
+					got = picks[1]
+				} else {
+					got = d.Next(0)
+				}
+				var want, jumped []txn.ID
+				if places == w {
+					want = []txn.ID{txn.ID(places + 1)}
+					for i := 1; i <= places; i++ {
+						jumped = append(jumped, txn.ID(i))
+					}
+				} else {
+					want = []txn.ID{1}
+				}
+				var defers []txn.ID
+				for _, ev := range col.Events() {
+					if ev.Kind == obs.KindConflictDefer {
+						defers = append(defers, ev.Txn)
+					}
+				}
+				if g := txnIDs([]*txn.Transaction{got}); !slices.Equal(g, want) || !slices.Equal(defers, jumped) {
+					t.Errorf("window %d, %d places, Decide %v: picked %v with conflict_defer for %v, want %v with %v",
+						window, places, decide, g, defers, want, jumped)
+				}
+			}
+		}
 	}
 }
 

@@ -42,8 +42,8 @@ func (c *Checked) Next(now float64) *txn.Transaction {
 // Decide implements sched.Decider, auditing the queue state after the
 // answer: a decision the call settles makes no Next call, so the decision
 // point is audited here.
-func (c *Checked) Decide(now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, window int, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
-	picks, ok := c.ASETSStar.Decide(now, running, servers, acc, window, picks)
+func (c *Checked) Decide(now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
+	picks, ok := c.ASETSStar.Decide(now, running, servers, acc, picks)
 	if err := c.ASETSStar.CheckInvariants(now); err != nil {
 		panic(fmt.Sprintf("core: invariant violated after %d clean decisions: %v", c.checks, err))
 	}

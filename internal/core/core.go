@@ -649,7 +649,7 @@ func top(l *pq.Heap[*entity]) *entity {
 // in the other list.
 //
 //lint:hotpath
-func (a *ASETSStar) Decide(now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, window int, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
+func (a *ASETSStar) Decide(now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
 	if !a.replayable(now, running) {
 		return picks, false
 	}
@@ -672,7 +672,7 @@ func (a *ASETSStar) Decide(now float64, running []*txn.Transaction, servers int,
 	for len(picks) < servers {
 		if strict {
 			// The skipped candidates are back: probe from the top. Without
-			// a predicate every candidate so far was picked.
+			// an acceptor every candidate so far was picked.
 			a.edfWalk.at, a.hdfWalk.at = 0, 0
 		}
 		head, ok := a.step(now, strict)
@@ -684,19 +684,16 @@ func (a *ASETSStar) Decide(now float64, running []*txn.Transaction, servers int,
 		}
 		pick := head
 		if acc != nil {
-			if !acc.Accept(head.visit().head) {
-				for range window {
-					c, ok := a.step(now, strict)
-					if !ok {
-						return picks, false
-					}
-					if c.l == nil {
-						break
-					}
-					if acc.Accept(c.visit().head) {
-						pick = c
-						break
-					}
+			for c := head; c.l != nil; {
+				take, stop := acc.Accept(c.visit().head)
+				if take {
+					pick = c
+				}
+				if take || stop {
+					break
+				}
+				if c, ok = a.step(now, strict); !ok {
+					return picks, false
 				}
 			}
 			acc.Picked(pick.visit().head)

@@ -43,17 +43,18 @@ const (
 //
 // A twin scheduler over the same set takes every operation too, but
 // answers each Decide by the round trip it stands for: the running set
-// handed back through OnPreempt, then Next calls that probe as
-// contention.Deferring's does. Both must pick the same transactions in the
-// same order, so they stay in the same state.
+// handed back through OnPreempt, then Next calls that probe while the
+// acceptor skips. Both must pick the same transactions in the same order,
+// so they stay in the same state.
 //
 // Input bytes: data[0] picks the set size (8-32 transactions), data[1] its
 // seed, data[2] the options (bit 0: symmetric rule, bit 1: head-excluded
 // representative, bits 2-3: time or count activation, bits 4-5: the
-// grouping); each later byte is one operation. A Decide takes its probe
-// window (0-8) and its free servers (0-2) from its argument and the next
-// byte as its acceptance predicate: none for 0, otherwise the IDs whose
-// residue mod 8 is a set bit.
+// grouping); each later byte is one operation. A Decide takes its
+// acceptor's window (0-8), its free servers (0-2) and whether its acceptor
+// stops early (an argument of 27 or more) from its argument, and the next
+// byte as the IDs its acceptor takes: no acceptor for 0, otherwise the IDs
+// whose residue mod 8 is a set bit.
 func FuzzSchedulerOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, opArrive, opArrive, opNext, opArrive, opPreempt, opNext, opComplete})
 	f.Add([]byte{24, 7, 1, opArrive, opArrive, opArrive, opNext, opNext, opAdvance + 5*numOps, opComplete, opNext, opPreempt + numOps})
@@ -65,6 +66,7 @@ func FuzzSchedulerOps(f *testing.F) {
 	f.Add([]byte{14, 6, 0, opArrive, opArrive, opNext, opNext, opAdvance + 4*numOps, opArrive, opDecide, 0, opArrive, opArrive, opDecide, 0, opAdvance + 20*numOps, opDecide, 0, opComplete + numOps, opDecide, 0})
 	f.Add([]byte{24, 3, groupIndependent << 4, opArrive, opArrive, opArrive, opArrive, opArrive, opNext, opNext, opAdvance + 3*numOps, opArrive, opArrive, opDecide + 13*numOps, 0x55, opDecide + 26*numOps, 0xf0, opAdvance + numOps, opDecide + 8*numOps, 0x0f, opComplete, opDecide + 22*numOps, 0x3c})
 	f.Add([]byte{30, 8, groupReady << 4, opArrive, opArrive, opArrive, opArrive, opNext, opNext, opNext, opAdvance + 2*numOps, opArrive, opArrive, opDecide + 17*numOps, 0xaa, opArrive, opDecide + 4*numOps, 0x81, opPreempt, opDecide + 25*numOps, 0x7e})
+	f.Add([]byte{28, 32, 0, opArrive, opArrive, opArrive, opArrive, opArrive, opArrive, opArrive, opArrive, opArrive, opArrive, opArrive, opDecide + 32*numOps, 0x41, opArrive, opNext, opAdvance + 3*numOps, opDecide + 38*numOps, 0x22, opComplete, opDecide + 30*numOps, 0x90})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -202,43 +204,59 @@ func (d *opsDriver) next() *txn.Transaction {
 	return tx
 }
 
-// idSubset accepts the transactions whose ID mod 8 is a set bit of its
-// byte.
-type idSubset byte
+// idSubset is the fuzz acceptor: it takes the transactions whose ID mod 8
+// is a set bit of accept and skips the others, until the skips of one probe
+// pass window or, when early, it skips an ID divisible by 3: that skip
+// answers stop.
+type idSubset struct {
+	accept  byte
+	window  int
+	early   bool
+	skipped int
+}
 
-func (m idSubset) Accept(t *txn.Transaction) bool { return m>>(t.ID%8)&1 != 0 }
-func (idSubset) Picked(*txn.Transaction)          {}
+func (m *idSubset) Accept(t *txn.Transaction) (take, stop bool) {
+	if m.accept>>(t.ID%8)&1 != 0 {
+		return true, false
+	}
+	m.skipped++
+	return false, m.skipped > m.window || m.early && t.ID%3 == 0
+}
+
+func (m *idSubset) Picked(*txn.Transaction) { m.skipped = 0 }
 
 // decide re-decides the running set at now on len(running) plus arg/9%3
-// servers (at least one) with probe window arg%9, accepting the idSubset
-// accept (none for 0): through Decide on the scheduler, falling back to the
-// round trip when it declines, and through the round trip on the twin. Both
-// must pick the same transactions in the same order. Without a predicate,
-// on a replayable running set (no aging, the full representative), Decide
-// must answer when the replay is exact by construction, a singleton
-// grouping, and, for every grouping, when it only keeps the running set:
-// as many servers as running transactions, and the round trip picks
-// exactly those.
+// servers (at least one), accepting through a fresh idSubset of accept with
+// window arg%9, early from 27 (none for 0): through Decide on the scheduler,
+// falling back to the round trip when it declines, and through the round
+// trip on the twin. Both must pick the same transactions in the same order.
+// Without an acceptor, on a replayable running set (no aging, the full
+// representative), Decide must answer when the replay is exact by
+// construction, a singleton grouping, and, for every grouping, when it only
+// keeps the running set: as many servers as running transactions, and the
+// round trip picks exactly those.
 func (d *opsDriver) decide(arg int, accept byte) {
-	window, servers := arg%9, max(len(d.running)+arg/9%3, 1)
-	var acc sched.Acceptor
-	if accept != 0 {
-		acc = idSubset(accept)
+	servers := max(len(d.running)+arg/9%3, 1)
+	acc := func() sched.Acceptor {
+		if accept == 0 {
+			return nil
+		}
+		return &idSubset{accept: accept, window: arg % 9, early: arg >= 27}
 	}
 	running := d.running
-	replay := acc == nil && d.a.replayable(d.now, running)
+	replay := accept == 0 && d.a.replayable(d.now, running)
 	exact := replay && d.a.memberStart == nil
-	got, ok := d.a.Decide(d.now, running, servers, acc, window, nil)
+	got, ok := d.a.Decide(d.now, running, servers, acc(), nil)
 	if !ok {
 		if exact {
 			d.t.Fatalf("Decide(%v) declined an exact replay of %v", d.now, ids(running))
 		}
-		got = roundTrip(d.a, d.now, running, servers, acc, window, nil)
+		got = roundTrip(d.a, d.now, running, servers, acc(), nil)
 	}
-	want := roundTrip(d.twin, d.now, running, servers, acc, window, nil)
+	want := roundTrip(d.twin, d.now, running, servers, acc(), nil)
 	if !slices.Equal(got, want) {
-		d.t.Fatalf("Decide(%v) of %v on %d servers, window %d, accept %#x: picked %v, the round trip %v",
-			d.now, ids(running), servers, window, accept, ids(got), ids(want))
+		d.t.Fatalf("Decide(%v) of %v on %d servers, argument %d, accept %#x: picked %v, the round trip %v",
+			d.now, ids(running), servers, arg, accept, ids(got), ids(want))
 	}
 	if !ok && replay && servers == len(running) && len(want) == len(running) &&
 		!slices.ContainsFunc(want, func(t *txn.Transaction) bool { return !slices.Contains(running, t) }) {
@@ -253,9 +271,10 @@ func (d *opsDriver) decide(arg int, accept byte) {
 }
 
 // roundTrip is the round trip a Decide stands for: running handed back
-// through OnPreempt, then up to servers Next calls, each probing as
-// contention.Deferring's does when acc is non-nil.
-func roundTrip(a *ASETSStar, now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, window int, picks []*txn.Transaction) []*txn.Transaction {
+// through OnPreempt, then up to servers picks, each, when acc is non-nil, a
+// probe: Next called again while acc skips, the pick the candidate acc takes
+// or else the first, the other candidates handed back in probe order.
+func roundTrip(a *ASETSStar, now float64, running []*txn.Transaction, servers int, acc sched.Acceptor, picks []*txn.Transaction) []*txn.Transaction {
 	for _, tx := range running {
 		a.OnPreempt(now, tx)
 	}
@@ -265,18 +284,21 @@ func roundTrip(a *ASETSStar, now float64, running []*txn.Transaction, servers in
 			break
 		}
 		pick, cand := head, []*txn.Transaction{head}
-		if acc != nil && !acc.Accept(head) {
-			for len(cand) <= window {
-				c := a.Next(now)
-				if c == nil {
+		if acc != nil {
+			for c := head; ; {
+				take, stop := acc.Accept(c)
+				if take {
+					pick = c
+				}
+				if take || stop {
 					break
 				}
-				if acc.Accept(c) {
-					pick = c
+				if c = a.Next(now); c == nil {
 					break
 				}
 				cand = append(cand, c)
 			}
+			acc.Picked(pick)
 		}
 		for _, c := range cand {
 			if c != pick {

@@ -57,14 +57,15 @@ type Scheduler interface {
 // Decide answers the round trip of a re-decision: running (checked out, in
 // server order) handed back through OnPreempt at now, then Next called until
 // servers transactions are out or Next returns nil. With an Acceptor, each
-// of those Next calls probes as contention.Deferring's does: it takes the
-// first candidate acc accepts among the head and up to window further
-// candidates in the policy's order, and otherwise the head, handing the
-// skipped candidates back. Decide appends the picks to picks in pick order
-// and leaves the scheduler in the state the round trip would have left it:
-// a pick that was running stays checked out, a new pick is checked out, and
-// a running transaction that was not picked is handed back. It must not
-// modify running.
+// pick of the round trip is a probe: every candidate Next returns is offered
+// to acc, and Next is called again while acc skips. The pick is the
+// candidate acc takes, or the probe's first candidate when acc stops or Next
+// returns nil; the other candidates go back through OnPreempt in probe
+// order. Decide appends the picks to picks in pick order and leaves the
+// scheduler in the state the round trip would have left it: a pick that was
+// running stays checked out, a new pick is checked out, and a running
+// transaction that was not picked is handed back. It must not modify
+// running.
 //
 // When the policy cannot replay the round trip exactly, Decide returns
 // false and the engine makes the round trip itself. A false answer leaves
@@ -77,16 +78,16 @@ type Scheduler interface {
 // so a wrapper that only forwards needs no Decide of its own. A wrapper
 // that changes Next's choice must not unwrap to its inner policy.
 type Decider interface {
-	Decide(now float64, running []*txn.Transaction, servers int, acc Acceptor, window int, picks []*txn.Transaction) ([]*txn.Transaction, bool)
+	Decide(now float64, running []*txn.Transaction, servers int, acc Acceptor, picks []*txn.Transaction) ([]*txn.Transaction, bool)
 }
 
-// Acceptor is the acceptance predicate of a probing Decide. The predicate
-// may change with each pick: Decide calls Accept on the candidates of one
-// pick in probe order, then Picked on the pick, right after the Accept call
-// that accepted it if one did, before it probes for the next pick.
+// Acceptor ends the probes of a Decide. Decide calls Accept on the
+// candidates of one pick in probe order, until it answers take or stop, then
+// Picked on the pick before it probes for the next pick.
 type Acceptor interface {
-	// Accept reports whether t may run next.
-	Accept(t *txn.Transaction) bool
+	// Accept answers take (t is the pick), stop (the probe's first
+	// candidate is the pick), or neither (skip t and offer the next).
+	Accept(t *txn.Transaction) (take, stop bool)
 	// Picked records that t was picked.
 	Picked(t *txn.Transaction)
 }

@@ -123,7 +123,7 @@ func (u unwrapOnly) Unwrap() Scheduler { return u.Scheduler }
 // decideNone is a Decider that always declines.
 type decideNone struct{ Scheduler }
 
-func (decideNone) Decide(_ float64, _ []*txn.Transaction, _ int, _ Acceptor, _ int, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
+func (decideNone) Decide(_ float64, _ []*txn.Transaction, _ int, _ Acceptor, picks []*txn.Transaction) ([]*txn.Transaction, bool) {
 	return picks, false
 }
 

@@ -371,7 +371,7 @@ func (k *Kernel) decide() bool {
 	if k.decider == nil {
 		return false
 	}
-	picks, ok := k.decider.Decide(k.now, k.running, k.servers, nil, 0, k.picks[:0])
+	picks, ok := k.decider.Decide(k.now, k.running, k.servers, nil, k.picks[:0])
 	if ok && !slices.Equal(picks, k.running) {
 		k.prev, k.running, k.picks = k.running, picks, k.prev
 	}

@@ -1,8 +1,8 @@
 #!/bin/sh
-# check.sh — the full local gate, identical to CI.
+# check.sh — the full gate; CI runs exactly this script.
 # Usage: scripts/check.sh [short]
-#   short: skip the full -race pass, the fuzz smoke and the parallel speedup
-#   gate (quick pre-commit loop)
+#   short: skip the full -race pass, the -count 2 race hammers, the fuzz
+#   smoke and the parallel speedup gate (quick pre-commit loop)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,6 +39,22 @@ else
     go test ./...
     echo "== go test -race"
     go test -race ./...
+    # The hammers again, twice each under the race detector: one pass of
+    # go test -race ./... is too few interleavings to trust.
+    echo "== endpoint + SSE hammer (-race)"
+    go test -race -run Hammer -count 2 ./internal/server
+    echo "== staged event path hammer (-race)"
+    go test -race -run Hammer -count 2 ./internal/obs
+    echo "== fault-injection hammer (-race)"
+    go test -race -run 'FaultHammer|FaultReplay|Concurrent' -count 2 ./internal/server ./internal/executor
+    echo "== cluster failover hammer (-race)"
+    go test -race -run ClusterHammer -count 2 ./internal/server
+    echo "== contention hammer (-race)"
+    go test -race -run Hammer -count 2 ./internal/contention
+    echo "== slo alert-engine hammer (-race)"
+    go test -race -run 'SLOHammer|ServerSLO|ClusterFleet' -count 2 ./internal/slo ./internal/server
+    echo "== parallel runner hammer (-race)"
+    go test -race -count 2 ./internal/runner
 fi
 
 # perfbench/ is a nested module: the root ./... patterns never reach it.
@@ -52,8 +68,8 @@ if [ "${1:-}" != "short" ]; then
     echo "== fuzz smoke (every native fuzz target, 5s each)"
     scripts/fuzz.sh 5s
 
-    # Alone and last, as in CI, so the wall-clock speedup gate (enforced at
-    # >= 4 CPUs) is not measured next to other packages' tests.
+    # Alone and last, so the wall-clock speedup gate (enforced at >= 4 CPUs)
+    # is not measured next to other packages' tests.
     echo "== parallel runner speedup gate"
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
