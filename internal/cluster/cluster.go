@@ -173,8 +173,10 @@ func (r *router) step() error {
 	event = max(event, r.now)
 	if event > r.now && r.cfg.Pace != nil {
 		// Live readers see every decision up to the instant the fleet
-		// pauses.
-		r.obs.Flush()
+		// pauses; an instant replay never pauses.
+		if !r.cfg.instant {
+			r.obs.Flush()
+		}
 		if err := r.cfg.Pace(event); err != nil {
 			return err
 		}

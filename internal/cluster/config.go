@@ -144,8 +144,15 @@ type Config struct {
 	Status *StatusBoard
 	// Pace, when non-nil, is called before the engine advances to a future
 	// instant — the live tier's wall-clock pacing hook. Returning an error
-	// aborts the run (context cancellation).
+	// aborts the run (context cancellation). The staged events are
+	// delivered to Sink before each call, so live readers see every
+	// decision up to the instant the fleet pauses.
 	Pace func(next float64) error
+
+	// instant marks a Pace that never waits (a Fleet on a clock for which
+	// executor.Waits is false): the engine then delivers in full batches,
+	// as without Pace.
+	instant bool
 }
 
 // validate checks the configuration against the workload, returning the

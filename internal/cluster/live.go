@@ -199,7 +199,9 @@ type FleetOptions struct {
 // deterministic cluster engine with the executor's Clock seam through
 // Config.Pace. Event-time decisions are exactly the simulator's; wall-clock
 // sleeps only pace execution, so a paced run completes with the same routed
-// schedule as the instant replay.
+// schedule as the instant replay. Event delivery follows the executor's rule
+// (executor.Waits): before each pacing sleep under a clock that waits, in
+// full batches as Sim.Run delivers under a FakeClock.
 type Fleet struct {
 	sim   *Sim
 	set   *txn.Set
@@ -256,6 +258,7 @@ func (f *Fleet) Result() (*Result, error) {
 func (f *Fleet) Run(ctx context.Context) (*Result, error) {
 	clock := f.opts.Clock
 	start := clock.Now()
+	f.sim.cfg.instant = !executor.Waits(clock)
 	f.sim.cfg.Pace = func(next float64) error {
 		if err := ctx.Err(); err != nil {
 			return err

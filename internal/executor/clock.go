@@ -42,6 +42,17 @@ func (RealClock) Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// Waits reports whether c really waits in Sleep: false only for a
+// *FakeClock, whose Sleep returns at once. A live driver hands its staged
+// events to the sinks before each pacing sleep only under a clock that
+// waits, so readers see every decision up to the instant it pauses; an
+// instant replay never pauses, and delivers in full batches as sim.Run
+// does.
+func Waits(c Clock) bool {
+	_, instant := c.(*FakeClock)
+	return !instant
+}
+
 // FakeClock is a deterministic Clock for tests: Sleep advances the clock's
 // notion of now instantly instead of waiting, so a paced replay runs at
 // full speed yet observes exactly the same sequence of instants on every

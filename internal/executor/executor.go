@@ -26,6 +26,15 @@
 // wall-clock read exists in the executor, keeping the determinism policy of
 // docs/DETERMINISM.md intact end to end.
 //
+// Event delivery follows the clock too (Waits). Under a clock that waits,
+// the executor hands its staged events to the sinks before every pacing
+// sleep, so live readers — the server's ring, SSE streams and spans — see
+// every decision up to the instant it pauses. A FakeClock never pauses, so
+// an instant replay delivers exactly as sim.Run does: when the observer's
+// staging buffer fills and at the end of the run. Either way the sinks
+// receive the same events in the same order; only the batch boundaries
+// differ.
+//
 // Faults and overload protection (docs/ROBUSTNESS.md) are the kernel's, so
 // they thread through the same event-time model: Options.Faults injects
 // aborts, backend outage windows and flash crowds at simulated instants (so a
@@ -262,6 +271,7 @@ func (e *Executor) Run(ctx context.Context) (int, error) {
 		k.Close()
 		e.publish(true)
 	}()
+	waits := Waits(e.opts.Clock)
 	for !k.Finished() {
 		at, err := k.Next(arr.Next())
 		if err == nil && math.IsInf(at, 1) {
@@ -271,10 +281,13 @@ func (e *Executor) Run(ctx context.Context) (int, error) {
 			return k.Counts().Done, fmt.Errorf("executor: %w", err)
 		}
 		e.publish(false)
-		// Pace to the event's wall instant, honouring cancellation. Staged
-		// events are delivered first, so live readers (the ring, SSE
-		// streams) see every decision up to the instant the executor pauses.
-		k.Flush()
+		// Pace to the event's wall instant, honouring cancellation. A clock
+		// that waits gets the staged events delivered first, so live readers
+		// see every decision up to the instant the executor pauses; an
+		// instant replay leaves them to the full-buffer and Close flushes.
+		if waits {
+			k.Flush()
+		}
 		err = ctx.Err()
 		if d := start.Add(time.Duration(at * float64(e.opts.TimeScale))).Sub(e.opts.Clock.Now()); d > 0 {
 			err = e.opts.Clock.Sleep(ctx, d)

@@ -28,7 +28,7 @@ func (r *Registry) Merge(src *Registry) error {
 		return fmt.Errorf("obs: cannot merge a registry into itself")
 	}
 	// Snapshot src's handle tables under its lock; the handles themselves
-	// are updated atomically (counters, gauges) or under their own mutex
+	// are updated atomically (counters, gauges) or under their locks
 	// (histograms), so reading their values afterwards is safe.
 	src.mu.Lock()
 	names := make([]string, len(src.names))

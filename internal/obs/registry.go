@@ -40,10 +40,13 @@ func (g *Gauge) Value() float64 { return floatFromBits(g.bits.Load()) }
 
 // Histogram is a registry handle around metrics.Histogram: the same
 // geometric buckets the offline analyses use, guarded by a mutex so the
-// executor goroutine can observe while HTTP handlers snapshot.
+// executor goroutine can observe while HTTP handlers snapshot. The mutex is
+// the handle's own, except for the second histogram of a pair
+// (Registry.HistogramPair), which shares the first's.
 type Histogram struct {
-	mu sync.Mutex
-	h  *metrics.Histogram // guarded by mu
+	mu  *sync.Mutex        // &own, or the lock of the pair's first histogram
+	h   *metrics.Histogram // guarded by mu
+	own sync.Mutex
 }
 
 // Observe records one non-negative observation.
@@ -51,6 +54,26 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	h.h.Add(v)
 	h.mu.Unlock()
+}
+
+// HistogramPair is two histograms observed together, such as a completion's
+// tardiness and response time: one Observe takes their shared lock once.
+type HistogramPair struct{ a, b *Histogram }
+
+// Observe records x into the first histogram and y into the second. A pair
+// whose histograms were registered apart, and so hold different locks,
+// takes each lock in turn.
+func (p HistogramPair) Observe(x, y float64) {
+	if p.a.mu != p.b.mu {
+		p.a.Observe(x)
+		p.b.Observe(y)
+		return
+	}
+	p.a.mu.Lock()
+	p.a.h.Add(x)
+	//lint:ignore lockguard p.b shares p.a's lock, checked above
+	p.b.h.Add(y)
+	p.a.mu.Unlock()
 }
 
 // snapshot copies the histogram state under the lock.
@@ -224,6 +247,25 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 //
 //lint:coldpath metric registration happens at wiring time; hot code holds the returned handle
 func (r *Registry) Histogram(name, help string) *Histogram {
+	return r.histogram(name, help, nil)
+}
+
+// HistogramPair returns the histograms registered under a and b as a pair,
+// creating each on first use. A histogram b created here shares a's lock,
+// so the pair's Observe locks once.
+//
+//lint:coldpath metric registration happens at wiring time; hot code holds the returned handle
+func (r *Registry) HistogramPair(a, helpA, b, helpB string) HistogramPair {
+	ha := r.Histogram(a, helpA)
+	return HistogramPair{ha, r.histogram(b, helpB, ha.mu)}
+}
+
+// histogram is the get-or-create body of Histogram and HistogramPair. A
+// histogram created here is guarded by mu, or by its own lock when mu is
+// nil.
+//
+//lint:coldpath metric registration happens at wiring time; hot code holds the returned handle
+func (r *Registry) histogram(name, help string, mu *sync.Mutex) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
@@ -233,7 +275,10 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	_, g := r.gauges[name]
 	_, s := r.sketches[name]
 	r.register(name, help, c || g || s || windowClaimed(r.span, name))
-	h := &Histogram{h: metrics.NewHistogram()}
+	h := &Histogram{h: metrics.NewHistogram(), mu: mu}
+	if mu == nil {
+		h.mu = &h.own
+	}
 	r.hists[name] = h
 	return h
 }

@@ -116,3 +116,43 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 		t.Fatalf("histogram count = %d", got)
 	}
 }
+
+// TestHistogramPair: a pair registered together shares one lock and records
+// exactly what two separate Observe calls record; a pair over histograms
+// registered apart keeps their own locks and records the same.
+func TestHistogramPair(t *testing.T) {
+	together, apart, single := NewRegistry(), NewRegistry(), NewRegistry()
+	p := together.HistogramPair("a", "first", "b", "second")
+	if p.a.mu != p.b.mu || p != together.HistogramPair("a", "first", "b", "second") {
+		t.Fatal("a pair registered together must share one lock and be get-or-create")
+	}
+	apart.Histogram("b", "second")
+	q := apart.HistogramPair("a", "first", "b", "second")
+	if q.a.mu == q.b.mu {
+		t.Fatal("a histogram registered alone must keep its own lock")
+	}
+	ha, hb := single.Histogram("a", "first"), single.Histogram("b", "second")
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				x, y := float64(i%7), float64(i) // integers: the sums are exact in any order
+				p.Observe(x, y)
+				q.Observe(x, y)
+				ha.Observe(x)
+				hb.Observe(y)
+				_ = together.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	want := single.Snapshot().Histograms
+	if got := together.Snapshot().Histograms; !reflect.DeepEqual(got, want) {
+		t.Fatalf("paired histograms %+v, want %+v", got, want)
+	}
+	if got := apart.Snapshot().Histograms; !reflect.DeepEqual(got, want) {
+		t.Fatalf("histograms paired apart %+v, want %+v", got, want)
+	}
+}

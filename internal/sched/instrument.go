@@ -58,10 +58,9 @@ type Instrumented struct {
 	evBuf [evBatchSize]obs.Event // staged events, delivered in emission order
 	evN   int
 
-	counts    obs.Counters
-	tardiness *obs.Histogram // nil without a registry, like response and simNow
-	response  *obs.Histogram
-	simNow    *obs.Gauge
+	counts obs.Counters
+	done   obs.HistogramPair // tardiness and response time; unset without a registry
+	simNow *obs.Gauge        // nil without a registry
 
 	now    float64 // simulated time of the latest call, published at Flush
 	nowSet bool
@@ -86,8 +85,8 @@ func Instrument(sink obs.Sink, reg *obs.Registry) *Instrumented {
 	in.Count(obs.KindArrival, obs.KindDispatch, obs.KindPreempt, obs.KindCompletion,
 		obs.KindDeadlineMiss, obs.KindAging, obs.KindModeSwitch, obs.KindConflictDefer)
 	if reg != nil {
-		in.tardiness = reg.Histogram(MetricTardiness, "tardiness of completed transactions")
-		in.response = reg.Histogram(MetricResponse, "response time (finish - arrival) of completed transactions")
+		in.done = reg.HistogramPair(MetricTardiness, "tardiness of completed transactions",
+			MetricResponse, "response time (finish - arrival) of completed transactions")
 		in.simNow = reg.Gauge(MetricSimNow, "simulated time of the latest scheduler callback")
 	}
 	return in
@@ -202,9 +201,8 @@ func (in *Instrumented) Completion(now float64, t *txn.Transaction) {
 	tard := t.Tardiness()
 	in.counts.Count(obs.KindCompletion, "")
 	in.now, in.nowSet = now, true
-	if in.tardiness != nil {
-		in.tardiness.Observe(tard)
-		in.response.Observe(t.FinishTime - t.Arrival)
+	if in.reg != nil {
+		in.done.Observe(tard, t.FinishTime-t.Arrival)
 	}
 	if tard > 0 {
 		in.counts.Count(obs.KindDeadlineMiss, "")

@@ -61,6 +61,11 @@ fi
 echo "== benchmark module (vet + smoke runs + traced == untraced digests)"
 (cd perfbench && go vet ./... && go test ./...)
 
+# The measurement script builds and runs nothing here: -n checks its
+# arguments and self-tests its summary arithmetic, so it cannot rot.
+echo "== pairs.sh dry run"
+scripts/pairs.sh -n HEAD
+
 echo "== asetslint"
 go run ./cmd/asetslint ./...
 
