@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -47,39 +46,9 @@ import (
 	"repro/internal/workload"
 )
 
-// policies maps CLI names to scheduler factories.
-var policies = map[string]func() sched.Scheduler{
-	"fcfs":  sched.NewFCFS,
-	"edf":   sched.NewEDF,
-	"srpt":  sched.NewSRPT,
-	"ls":    sched.NewLS,
-	"hdf":   sched.NewHDF,
-	"hvf":   sched.NewHVF,
-	"mix":   func() sched.Scheduler { return sched.NewMIX(0.5) },
-	"asets": func() sched.Scheduler { return core.New() },
-	"ready": func() sched.Scheduler { return core.NewReady() },
-	"asets-sym": func() sched.Scheduler {
-		return core.New(core.WithRule(core.RuleSymmetric), core.WithName("ASETS*(sym)"))
-	},
-	// Conflict-aware variants: the base policy behind a dispatch wrapper that
-	// defers transactions predicted to conflict with busy work
-	// (docs/CONTENTION.md). On keyless workloads they reduce to the base.
-	"asets-ca": func() sched.Scheduler { return contention.NewDeferring(core.New(), 0) },
-	"edf-ca":   func() sched.Scheduler { return contention.NewDeferring(sched.NewEDF(), 0) },
-}
-
-func policyNames() string {
-	names := make([]string, 0, len(policies))
-	for n := range policies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
-
 func main() {
 	var (
-		policy   = flag.String("policy", "asets", "policy: "+policyNames())
+		policy   = flag.String("policy", "asets", "policy: "+cliflag.PolicyNames())
 		balTime  = flag.Float64("bal-time", 0, "balance-aware time activation rate (asets only)")
 		balCount = flag.Float64("bal-count", 0, "balance-aware count activation rate (asets only)")
 		util     = flag.Float64("util", 0.8, "target system utilization")
@@ -172,16 +141,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "asetssim: -events/-spans/-timeline export a single run; drop -compare")
 			os.Exit(2)
 		}
-		names := make([]string, 0, len(policies))
-		for name := range policies {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, p := range cliflag.Policies {
 			// With -invariants, every entry gets its decision-event stream
 			// validated; the asets-family entries are additionally audited at
 			// each decision point (the baselines have no ASETS* state).
-			s := policies[name]()
+			s := p.New()
 			if *invar {
 				s = wrapInvariants(s)
 			}
@@ -190,9 +154,9 @@ func main() {
 		return
 	}
 
-	factory, ok := policies[*policy]
+	factory, ok := cliflag.LookupPolicy(*policy)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "asetssim: unknown policy %q (choose from %s)\n", *policy, policyNames())
+		fmt.Fprintf(os.Stderr, "asetssim: unknown policy %q (choose from %s)\n", *policy, cliflag.PolicyNames())
 		os.Exit(2)
 	}
 	s := factory()
@@ -444,7 +408,7 @@ func printSummary(name string, s *metrics.Summary) {
 // runClosedLoop simulates interactive sessions (the introduction's users)
 // and prints per-policy page statistics.
 func runClosedLoop(users int, util float64, seed uint64, policy string, patience float64) {
-	factory, ok := policies[policy]
+	factory, ok := cliflag.LookupPolicy(policy)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "asetssim: unknown policy %q\n", policy)
 		os.Exit(2)

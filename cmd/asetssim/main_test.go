@@ -175,13 +175,13 @@ func TestRunOneObsOutputs(t *testing.T) {
 }
 
 func TestPolicyMapComplete(t *testing.T) {
-	for name, factory := range policies {
-		s := factory()
+	for _, p := range cliflag.Policies {
+		s := p.New()
 		if s == nil || s.Name() == "" {
-			t.Errorf("policy %q broken", name)
+			t.Errorf("policy %q broken", p.Name)
 		}
 	}
-	if len(policies) < 10 {
-		t.Errorf("only %d policies registered", len(policies))
+	if len(cliflag.Policies) < 10 {
+		t.Errorf("only %d policies registered", len(cliflag.Policies))
 	}
 }

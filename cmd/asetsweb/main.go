@@ -53,12 +53,9 @@ import (
 	"repro/internal/admit"
 	"repro/internal/cliflag"
 	"repro/internal/cluster"
-	"repro/internal/contention"
-	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/workload"
 )
@@ -74,7 +71,7 @@ type replay interface {
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
-		policy  = flag.String("policy", "asets", "asets, ready, edf, srpt, hdf, fcfs, ls, asets-ca, edf-ca")
+		policy  = flag.String("policy", "asets", cliflag.PolicyNames())
 		util    = flag.Float64("util", 0.9, "target utilization")
 		n       = flag.Int("n", 1000, "number of transactions")
 		seed    = cliflag.AddSeed(flag.CommandLine)
@@ -96,20 +93,7 @@ func main() {
 	// frames; see internal/obs/log.go.
 	logger := obs.NewLogger(os.Stderr, *logDet)
 
-	factories := map[string]func() sched.Scheduler{
-		"asets": func() sched.Scheduler { return core.New() },
-		"ready": func() sched.Scheduler { return core.NewReady() },
-		"edf":   sched.NewEDF,
-		"srpt":  sched.NewSRPT,
-		"hdf":   sched.NewHDF,
-		"fcfs":  sched.NewFCFS,
-		"ls":    sched.NewLS,
-		// Conflict-aware variants for contended workloads (-keys); on keyless
-		// workloads they reduce to the base policy (docs/CONTENTION.md).
-		"asets-ca": func() sched.Scheduler { return contention.NewDeferring(core.New(), 0) },
-		"edf-ca":   func() sched.Scheduler { return contention.NewDeferring(sched.NewEDF(), 0) },
-	}
-	factory, ok := factories[*policy]
+	factory, ok := cliflag.LookupPolicy(*policy)
 	if !ok {
 		logger.Error("unknown policy", obs.LogKeyPolicy, *policy)
 		os.Exit(2)

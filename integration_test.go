@@ -82,7 +82,7 @@ func TestFullPipeline(t *testing.T) {
 			if svc <= 0 || dep < 0 || q < 0 {
 				t.Fatalf("wait decomposition: %v %v %v", dep, q, svc)
 			}
-			if peak, _ := analysis.PeakBacklog(analysis.BacklogSeries(loaded, rec, 100)); peak <= 0 {
+			if peakBacklog(analysis.BacklogSeries(loaded, rec, 100)) <= 0 {
 				t.Fatal("no backlog observed at utilization 0.85")
 			}
 		}
@@ -142,4 +142,13 @@ func TestFullPipeline(t *testing.T) {
 	if !strings.Contains(dot.String(), "digraph") {
 		t.Fatal("dot export broken")
 	}
+}
+
+// peakBacklog returns the largest backlog over a series.
+func peakBacklog(series []analysis.BacklogPoint) int {
+	peak := 0
+	for _, p := range series {
+		peak = max(peak, p.Backlog)
+	}
+	return peak
 }

@@ -53,8 +53,8 @@ func TestPeriodsBusyIdle(t *testing.T) {
 	if !periods[0].Busy || periods[1].Busy || !periods[2].Busy {
 		t.Fatalf("period pattern wrong: %v", periods)
 	}
-	if periods[1].Duration() != 8 {
-		t.Fatalf("idle gap = %v, want 8", periods[1].Duration())
+	if gap := periods[1].End - periods[1].Start; gap != 8 {
+		t.Fatalf("idle gap = %v, want 8", gap)
 	}
 }
 
@@ -87,17 +87,6 @@ func TestByDependency(t *testing.T) {
 	}
 	if dep.AvgTardiness <= 0 {
 		t.Fatal("dependent behind a tardy producer must be tardy")
-	}
-}
-
-func TestByWeight(t *testing.T) {
-	a := mk(0, 0, 100, 1)
-	b := mk(1, 0, 100, 1)
-	b.Weight = 5
-	set, _ := runTraced(t, sched.NewHDF(), a, b)
-	classes := ByWeight(set)
-	if len(classes) != 2 {
-		t.Fatalf("classes = %v", classes)
 	}
 }
 

@@ -82,19 +82,6 @@ func BacklogSeries(set *txn.Set, rec *trace.Recorder, samples int) []BacklogPoin
 	return out
 }
 
-// PeakBacklog returns the maximum backlog and late-set sizes over a series.
-func PeakBacklog(series []BacklogPoint) (backlog, late int) {
-	for _, p := range series {
-		if p.Backlog > backlog {
-			backlog = p.Backlog
-		}
-		if p.Late > late {
-			late = p.Late
-		}
-	}
-	return backlog, late
-}
-
 // MeanLateShare returns the average fraction of the backlog that is already
 // late, over samples with non-empty backlog. A policy prone to the domino
 // effect drags a persistently high late share; ASETS* bounds it by shifting

@@ -5,6 +5,7 @@
 // and the copies had already drifted in their error messages. A CLI
 // registers the flags with Add*, parses, then calls Robustness.Load — a bad
 // value is a crisp exit-2 usage error (Fatal) before any work starts.
+// asetssim and asetsweb also share one -policy table, Policies.
 package cliflag
 
 import (
@@ -12,13 +13,64 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/admit"
 	"repro/internal/cluster"
 	"repro/internal/contention"
+	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/sched"
 	"repro/internal/slo"
 )
+
+// Policy is one -policy choice: its CLI name and the factory of a fresh
+// scheduler.
+type Policy struct {
+	Name string
+	New  func() sched.Scheduler
+}
+
+// Policies is the -policy table of asetssim and asetsweb, sorted by name;
+// asetssim -compare runs it in this order. The -ca variants put their base
+// policy behind conflict-aware dispatch, which defers transactions predicted
+// to conflict with busy work (docs/CONTENTION.md); on keyless workloads they
+// reduce to the base.
+var Policies = []Policy{
+	{"asets", func() sched.Scheduler { return core.New() }},
+	{"asets-ca", func() sched.Scheduler { return contention.NewDeferring(core.New(), 0) }},
+	{"asets-sym", func() sched.Scheduler {
+		return core.New(core.WithRule(core.RuleSymmetric), core.WithName("ASETS*(sym)"))
+	}},
+	{"edf", sched.NewEDF},
+	{"edf-ca", func() sched.Scheduler { return contention.NewDeferring(sched.NewEDF(), 0) }},
+	{"fcfs", sched.NewFCFS},
+	{"hdf", sched.NewHDF},
+	{"hvf", sched.NewHVF},
+	{"ls", sched.NewLS},
+	{"mix", func() sched.Scheduler { return sched.NewMIX(0.5) }},
+	{"ready", func() sched.Scheduler { return core.NewReady() }},
+	{"srpt", sched.NewSRPT},
+}
+
+// LookupPolicy returns the factory of the named policy.
+func LookupPolicy(name string) (func() sched.Scheduler, bool) {
+	for _, p := range Policies {
+		if p.Name == name {
+			return p.New, true
+		}
+	}
+	return nil, false
+}
+
+// PolicyNames lists the policy names, comma-separated, for usage text.
+func PolicyNames() string {
+	names := make([]string, len(Policies))
+	for i, p := range Policies {
+		names[i] = p.Name
+	}
+	return strings.Join(names, ", ")
+}
 
 // Robustness bundles the fault-injection/admission flag pair of a run. The
 // loaded plan is immutable and may be shared across runs (each simulation

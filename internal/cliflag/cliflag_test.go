@@ -385,3 +385,23 @@ func TestSLODefaultSpecKeyword(t *testing.T) {
 		}
 	}
 }
+
+// TestPoliciesSorted: the -policy table is sorted by name with no
+// duplicates (asetssim -compare prints it in this order), every entry
+// builds a named scheduler, and LookupPolicy finds each one.
+func TestPoliciesSorted(t *testing.T) {
+	for i, p := range Policies {
+		if i > 0 && Policies[i-1].Name >= p.Name {
+			t.Errorf("policy %q follows %q", p.Name, Policies[i-1].Name)
+		}
+		if s := p.New(); s == nil || s.Name() == "" {
+			t.Errorf("policy %q builds no named scheduler", p.Name)
+		}
+		if _, ok := LookupPolicy(p.Name); !ok {
+			t.Errorf("LookupPolicy(%q) failed", p.Name)
+		}
+	}
+	if _, ok := LookupPolicy("nope"); ok {
+		t.Error("LookupPolicy accepted an unknown name")
+	}
+}

@@ -456,18 +456,14 @@ func TestFleetPacedMatchesInstant(t *testing.T) {
 	if !reflect.DeepEqual(resInstant, resPaced) {
 		t.Fatalf("paced result diverged:\ninstant: %+v\npaced:   %+v", resInstant, resPaced)
 	}
-	if !fleet.Done() {
-		t.Fatal("fleet not done after Run returned")
-	}
 	st := fleet.Status()
-	if !st.Done || st.Completed != resPaced.Summary.N || len(st.Instances) != 4 {
+	if !st.Done || st.Completed != resPaced.Summary.N || len(st.Instances) != 4 ||
+		st.Routes != resPaced.Routes || st.Failovers != resPaced.Failovers || st.Lost != resPaced.Lost ||
+		st.Ejections != resPaced.Ejections || st.Recoveries != resPaced.Recoveries {
 		t.Fatalf("final status %+v inconsistent with result %+v", st, resPaced)
 	}
 	if st.Healthy() != 4 {
 		t.Fatalf("all instances should be routable at the end, got %d healthy", st.Healthy())
-	}
-	if got, _ := fleet.Result(); !reflect.DeepEqual(got, resPaced) {
-		t.Fatalf("Result() = %+v, want the Run outcome", got)
 	}
 }
 

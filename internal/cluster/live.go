@@ -207,11 +207,6 @@ type Fleet struct {
 	set   *txn.Set
 	opts  FleetOptions
 	board *StatusBoard
-
-	mu   sync.Mutex
-	done bool    // guarded by mu
-	res  *Result // guarded by mu
-	err  error   // guarded by mu
 }
 
 // NewFleet prepares a live cluster replay of set under cfg. The fleet
@@ -237,23 +232,6 @@ func (f *Fleet) Status() FleetStatus { return f.board.Snapshot() }
 // FleetHealth.Enabled is false when the run has no SLO configuration.
 func (f *Fleet) Health() FleetHealth { return f.board.Health() }
 
-// Done reports whether Run has finished.
-func (f *Fleet) Done() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.done
-}
-
-// Result returns the run's outcome once Done; (nil, nil) before that.
-func (f *Fleet) Result() (*Result, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.done {
-		return nil, nil
-	}
-	return f.res, f.err
-}
-
 // Run replays the workload to completion or until ctx is cancelled.
 func (f *Fleet) Run(ctx context.Context) (*Result, error) {
 	clock := f.opts.Clock
@@ -270,10 +248,5 @@ func (f *Fleet) Run(ctx context.Context) (*Result, error) {
 		}
 		return clock.Sleep(ctx, d)
 	}
-	res, err := f.sim.Run(f.set)
-	f.mu.Lock()
-	f.done = true
-	f.res, f.err = res, err
-	f.mu.Unlock()
-	return res, err
+	return f.sim.Run(f.set)
 }

@@ -199,8 +199,8 @@ func TestInjectorAbortLifecycle(t *testing.T) {
 	if in.AbortsAttempt(tr) {
 		t.Fatal("attempt after MaxRestarts should commit")
 	}
-	if in.Aborts() != 2 || in.Restarts() != 2 || in.Attempts(tr.ID) != 2 {
-		t.Fatalf("counters: aborts=%d restarts=%d attempts=%d", in.Aborts(), in.Restarts(), in.Attempts(tr.ID))
+	if in.Aborts() != 2 || in.Restarts() != 2 || in.attempts[tr.ID] != 2 {
+		t.Fatalf("counters: aborts=%d restarts=%d attempts=%d", in.Aborts(), in.Restarts(), in.attempts[tr.ID])
 	}
 }
 

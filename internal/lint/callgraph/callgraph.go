@@ -99,6 +99,10 @@ type Node struct {
 // (standard-library functions) are omitted.
 type Graph struct {
 	nodes map[*types.Func]*Node
+	// Init holds the edges out of package-level variable initializers.
+	// They run before main and belong to no declared function, so they
+	// are the graph's one set of edges without a caller node.
+	Init []Edge
 }
 
 // Node returns the graph node for fn (normalizing generic instantiations to
@@ -218,9 +222,23 @@ func Build(units []*Unit) *Graph {
 			b.concrete = append(b.concrete, named)
 		}
 	}
-	// Pass 3: edges.
+	// Pass 3: edges, then the package-level initializers' edges.
 	for _, fn := range b.graph.Funcs() {
-		b.addEdges(b.graph.nodes[fn])
+		node := b.graph.nodes[fn]
+		node.Out = b.edges(node.Unit.Info, []ast.Node{node.Decl})
+	}
+	for _, u := range units {
+		var specs []ast.Node
+		for _, f := range u.Files {
+			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					for _, spec := range gd.Specs {
+						specs = append(specs, spec)
+					}
+				}
+			}
+		}
+		b.graph.Init = append(b.graph.Init, b.edges(u.Info, specs)...)
 	}
 	return b.graph
 }
@@ -230,9 +248,10 @@ type builder struct {
 	concrete []*types.Named
 }
 
-// addEdges extracts every outgoing edge of node.
-func (b *builder) addEdges(node *Node) {
-	info := node.Unit.Info
+// edges extracts every outgoing edge of the syntax in roots, deduplicated
+// per (callee, kind) and sorted.
+func (b *builder) edges(info *types.Info, roots []ast.Node) []Edge {
+	var out []Edge
 	seen := map[Edge]bool{} // keyed with Pos zeroed for (callee, kind) dedup
 	add := func(callee *types.Func, kind EdgeKind, pos token.Pos) {
 		if callee == nil {
@@ -247,17 +266,17 @@ func (b *builder) addEdges(node *Node) {
 			return
 		}
 		seen[key] = true
-		node.Out = append(node.Out, Edge{Callee: callee, Kind: kind, Pos: pos})
+		out = append(out, Edge{Callee: callee, Kind: kind, Pos: pos})
 	}
 
 	// consumed marks identifiers already handled as the operator of a call,
 	// so the function-value sweep below does not double-count them.
 	consumed := map[*ast.Ident]bool{}
 
-	ast.Inspect(node.Decl, func(n ast.Node) bool {
+	visit := func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			b.callEdges(node, info, n, add, consumed)
+			b.callEdges(info, n, add, consumed)
 		case *ast.SelectorExpr:
 			if consumed[n.Sel] {
 				return true
@@ -293,19 +312,23 @@ func (b *builder) addEdges(node *Node) {
 			}
 		}
 		return true
-	})
+	}
+	for _, n := range roots {
+		ast.Inspect(n, visit)
+	}
 
-	sort.Slice(node.Out, func(i, j int) bool {
-		a, c := node.Out[i], node.Out[j]
+	sort.Slice(out, func(i, j int) bool {
+		a, c := out[i], out[j]
 		if sa, sc := FuncString(a.Callee), FuncString(c.Callee); sa != sc {
 			return sa < sc
 		}
 		return a.Kind < c.Kind
 	})
+	return out
 }
 
 // callEdges resolves one call expression.
-func (b *builder) callEdges(node *Node, info *types.Info, call *ast.CallExpr, add func(*types.Func, EdgeKind, token.Pos), consumed map[*ast.Ident]bool) {
+func (b *builder) callEdges(info *types.Info, call *ast.CallExpr, add func(*types.Func, EdgeKind, token.Pos), consumed map[*ast.Ident]bool) {
 	fun := ast.Unparen(call.Fun)
 	// Generic instantiation: f[T](...) or x.m[T](...).
 	switch idx := fun.(type) {

@@ -26,6 +26,9 @@
 //	                          the mutex held
 //	atomiccheck               plain access to variables elsewhere accessed
 //	                          through sync/atomic (whole-program)
+//	testonly                  functions no program reaches, only tests
+//	                          (whole-program; //lint:testonly marks test
+//	                          support)
 //
 // Findings can be suppressed per line with a justified directive:
 //
@@ -41,7 +44,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -115,9 +117,6 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// TypesInfo returns the package's type information.
-func (p *Pass) TypesInfo() *types.Info { return p.Pkg.Info }
-
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
@@ -134,6 +133,9 @@ type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkgs     []*Package
+	// Readers are the packages of nested modules built against this one
+	// (Package.Reader). They are facts to read, never places to report.
+	Readers []*Package
 
 	diags *[]Diagnostic
 }
@@ -172,14 +174,23 @@ func Suite() []*Analyzer {
 	hp := HotPathAlloc()
 	lg := LockGuard()
 	ac := AtomicCheck()
-	return []*Analyzer{nd, mr, fc, gh, ex, hp, lg, ac}
+	to := TestOnly()
+	return []*Analyzer{nd, mr, fc, gh, ex, hp, lg, ac, to}
 }
 
 // Run applies each analyzer to every package in its scope, filters
 // suppressed findings, and returns the remainder sorted by position. The
 // ordering is total (position, then analyzer, then message), so output is
 // deterministic regardless of analyzer-internal map iteration.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+func Run(fset *token.FileSet, loaded []*Package, analyzers []*Analyzer) []Diagnostic {
+	var pkgs, readers []*Package
+	for _, pkg := range loaded {
+		if pkg.Reader {
+			readers = append(readers, pkg)
+		} else {
+			pkgs = append(pkgs, pkg)
+		}
+	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -194,7 +205,7 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 		if a.RunModule == nil {
 			continue
 		}
-		a.RunModule(&ModulePass{Analyzer: a, Fset: fset, Pkgs: pkgs, diags: &diags})
+		a.RunModule(&ModulePass{Analyzer: a, Fset: fset, Pkgs: pkgs, Readers: readers, diags: &diags})
 	}
 	for _, pkg := range pkgs {
 		diags = append(diags, checkDirectives(fset, pkg)...)

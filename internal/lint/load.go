@@ -26,6 +26,11 @@ type Package struct {
 	Info  *types.Info
 	// Module is the module path the package belongs to.
 	Module string
+	// Reader marks a package of a nested module that builds against this
+	// one through a replace directive (perfbench/). Analyzers may read it
+	// for facts, as testonly takes its calls as roots, but report nothing
+	// in it.
+	Reader bool
 }
 
 // LoadModule parses and type-checks every non-test package under root,
@@ -36,9 +41,11 @@ type Package struct {
 //
 // Directories named testdata or vendor, hidden directories, and nested
 // modules (subdirectories with their own go.mod) are skipped, matching the
-// go tool's ./... semantics. Test files are excluded: the determinism
-// policy targets production code, and tests legitimately use wall-clock
-// timeouts.
+// go tool's ./... semantics. The one exception is a nested module whose
+// go.mod replaces this module with the root directory: it builds against
+// exactly these packages, so its packages are loaded too, marked Reader.
+// Test files are excluded: the determinism policy targets production code,
+// and tests legitimately use wall-clock timeouts.
 func LoadModule(root string) (*token.FileSet, []*Package, error) {
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
@@ -55,12 +62,13 @@ func LoadModule(root string) (*token.FileSet, []*Package, error) {
 		root:    absRoot,
 		module:  modPath,
 		dirs:    map[string]string{},
+		modOf:   map[string]string{},
 		built:   map[string]*Package{},
 		loading: map[string]bool{},
 	}
 	ld.fallback = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 
-	if err := ld.discover(); err != nil {
+	if err := ld.discover(absRoot, modPath); err != nil {
 		return nil, nil, err
 	}
 	paths := make([]string, 0, len(ld.dirs))
@@ -107,15 +115,17 @@ type loader struct {
 	root     string
 	module   string
 	dirs     map[string]string // import path -> directory
+	modOf    map[string]string // import path -> module path
 	built    map[string]*Package
 	loading  map[string]bool // cycle guard
 	fallback types.ImporterFrom
 }
 
-// discover records every directory under root that holds at least one
-// non-test .go file.
-func (ld *loader) discover() error {
-	return filepath.WalkDir(ld.root, func(path string, d os.DirEntry, err error) error {
+// discover records every directory under modDir, the root of module
+// modPath, that holds at least one non-test .go file, and descends into the
+// nested modules that replace the root module with the root directory.
+func (ld *loader) discover(modDir, modPath string) error {
+	return filepath.WalkDir(modDir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -123,13 +133,18 @@ func (ld *loader) discover() error {
 			return nil
 		}
 		name := d.Name()
-		if path != ld.root {
+		if path != modDir {
 			if name == "testdata" || name == "vendor" ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 				return filepath.SkipDir
 			}
 			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir // nested module
+				if nested, ok := ld.replacesRoot(path); ok && modDir == ld.root {
+					if err := ld.discover(path, nested); err != nil {
+						return err
+					}
+				}
+				return filepath.SkipDir
 			}
 		}
 		ents, err := os.ReadDir(path)
@@ -141,19 +156,47 @@ func (ld *loader) discover() error {
 			if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
 				continue
 			}
-			rel, err := filepath.Rel(ld.root, path)
+			rel, err := filepath.Rel(modDir, path)
 			if err != nil {
 				return err
 			}
-			imp := ld.module
+			imp := modPath
 			if rel != "." {
-				imp = ld.module + "/" + filepath.ToSlash(rel)
+				imp = modPath + "/" + filepath.ToSlash(rel)
 			}
 			ld.dirs[imp] = path
+			ld.modOf[imp] = modPath
 			break
 		}
 		return nil
 	})
+}
+
+// replacesRoot reports whether the nested module in dir replaces the root
+// module with the root directory, and returns the nested module's path.
+func (ld *loader) replacesRoot(dir string) (string, bool) {
+	gomod := filepath.Join(dir, "go.mod")
+	data, err := os.ReadFile(gomod)
+	if err != nil {
+		return "", false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		// Both "replace old => new" and a line of a replace ( ... ) block.
+		line = strings.TrimPrefix(strings.TrimSpace(line), "replace")
+		from, to, ok := strings.Cut(line, "=>")
+		if !ok {
+			continue
+		}
+		old, target := strings.Fields(from), strings.Fields(to)
+		if len(old) == 0 || old[0] != ld.module || len(target) != 1 || !strings.HasPrefix(target[0], ".") {
+			continue
+		}
+		if filepath.Join(dir, target[0]) == ld.root {
+			modPath, err := modulePath(gomod)
+			return modPath, err == nil
+		}
+	}
+	return "", false
 }
 
 // load parses and type-checks one module package (memoized).
@@ -205,7 +248,8 @@ func (ld *loader) load(path string) (*Package, error) {
 		Files:  files,
 		Types:  tpkg,
 		Info:   info,
-		Module: ld.module,
+		Module: ld.modOf[path],
+		Reader: ld.modOf[path] != ld.module,
 	}
 	ld.built[path] = pkg
 	return pkg, nil
@@ -220,7 +264,7 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 // through the loader itself, everything else through the stdlib source
 // importer.
 func (ld *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if path == ld.module || strings.HasPrefix(path, ld.module+"/") {
+	if _, ok := ld.dirs[path]; ok || path == ld.module || strings.HasPrefix(path, ld.module+"/") {
 		if _, ok := ld.dirs[path]; !ok {
 			return nil, fmt.Errorf("lint: module package %s not found under %s", path, ld.root)
 		}

@@ -17,6 +17,8 @@ type Paired struct {
 
 // Add records one paired observation: metric value under policy A and under
 // policy B on the same workload.
+//
+//lint:testonly experiment tests pair policies' per-seed results through Paired
 func (p *Paired) Add(a, b float64) {
 	p.a.Add(a)
 	p.b.Add(b)
@@ -33,15 +35,6 @@ func (p *Paired) MeanB() float64 { return p.b.Mean() }
 // MeanDiff returns the mean of A-B: positive means A is larger (worse, for
 // tardiness metrics).
 func (p *Paired) MeanDiff() float64 { return p.diffs.Mean() }
-
-// RelativeImprovement returns (meanA - meanB) / meanA: the fraction by
-// which B improves on A. Zero when A's mean is zero.
-func (p *Paired) RelativeImprovement() float64 {
-	if p.a.Mean() == 0 {
-		return 0
-	}
-	return p.diffs.Mean() / p.a.Mean()
-}
 
 // TStatistic returns the paired t statistic meanDiff / (sd/sqrt(n)). It is
 // zero when fewer than two pairs or zero variance with zero mean.
@@ -63,6 +56,8 @@ func (p *Paired) TStatistic() float64 {
 // 5% level using the normal approximation (|t| > 1.96). With the paper's
 // five seeds this is conservative guidance, not a formal test; the
 // experiment tables carry the full CIs.
+//
+//lint:testonly experiment tests assert ASETS*'s gains are significant through it
 func (p *Paired) Significant05() bool {
 	t := p.TStatistic()
 	return !math.IsNaN(t) && math.Abs(t) > 1.96

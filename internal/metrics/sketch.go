@@ -5,21 +5,17 @@ import (
 	"math"
 )
 
-// Sketch is a deterministic, mergeable quantile sketch with fixed geometric
+// Sketch is a deterministic quantile sketch with fixed geometric
 // bucket boundaries (the DDSketch family): bucket i covers values in
 // (gamma^(i-1), gamma^i] with gamma = (1+alpha)/(1-alpha) and alpha = 1%, so
 // every quantile estimate is the upper edge of a bucket and carries a
 // relative error bounded by 1%. Because the boundaries are fixed — never a
 // function of the data — two sketches built from the same observations in
-// any order hold identical bucket counts, and sketches from disjoint runs
-// merge exactly (counts add cell by cell). That fixed-boundary property is what lets the
-// parallel experiment engine keep windowed percentiles bit-identical between
-// serial and multi-worker runs (docs/PARALLELISM.md).
+// any order hold identical bucket counts.
 //
 // Like Histogram, a dedicated zero bucket carries the "met the deadline"
 // mass point of tardiness distributions, and the running Sum accumulates in
-// observation order (merge adds the other sketch's sum, so merging in job
-// order reproduces a serial run's sum bit for bit; see Merge).
+// observation order.
 //
 // Bucket counts live in one of two representations. A sketch with at most
 // sketchInline occupied buckets keeps them inline, as ascending
@@ -29,7 +25,7 @@ import (
 // lo+i, and the array grows geometrically toward whichever end needs room.
 // Both representations hold exactly the same occupied buckets and counts,
 // and every read walks them through one ascending iterator (bucketIter), so
-// the representation never shows in any count, quantile, cell or merge.
+// the representation never shows in any count, quantile or cell.
 //
 // The zero Sketch is empty and ready to use.
 type Sketch struct {
@@ -184,7 +180,7 @@ func (s *Sketch) grow(idx int) {
 
 // bucketIter walks a sketch's occupied buckets in ascending index order in
 // either representation. It is the one read path over the bucket counts:
-// Quantile, Cells and Merge all fold through it. Empty dense slots are
+// Quantile and Cells both fold through it. Empty dense slots are
 // skipped, which changes no fold — they add nothing to a count and can never
 // be the first bucket to reach a quantile's rank.
 type bucketIter struct {
@@ -212,30 +208,6 @@ func (it *bucketIter) next() (idx int, c int64, ok bool) {
 	return 0, 0, false
 }
 
-// Merge folds other into s: zero and bucket counts add cell by cell, the
-// running sum accumulates as s.sum + other.sum, and the maximum is the larger
-// of the two. Counts, cells, max — and therefore every quantile — are exact
-// under any merge grouping; the float sum is a left-fold, so it is
-// bit-reproducible for a fixed set of partials folded in a fixed order (the
-// runner merges per-job sketches in job order on both its serial and parallel
-// paths, which is why worker count never changes the merged sum). other is
-// not modified.
-func (s *Sketch) Merge(other *Sketch) {
-	s.n += other.n
-	s.zero += other.zero
-	s.sum += other.sum
-	if other.max > s.max {
-		s.max = other.max
-	}
-	for it := (bucketIter{s: other}); ; {
-		idx, c, ok := it.next()
-		if !ok {
-			return
-		}
-		s.addAt(idx, c)
-	}
-}
-
 // Reset clears the sketch's counts, sum and maximum while keeping the bucket
 // array (and its covered index range) allocated, so a tumbling-window
 // observer can reuse one sketch per window without re-growing: after the
@@ -258,20 +230,22 @@ func (s *Sketch) HeapBytes() int { return 8 * cap(s.buckets) }
 func (s *Sketch) N() int64 { return s.n }
 
 // Sum returns the exact running sum of all observations, accumulated in
-// observation (or merge) order.
+// observation order.
 func (s *Sketch) Sum() float64 { return s.sum }
 
 // Max returns the largest observation.
 func (s *Sketch) Max() float64 { return s.max }
 
 // ZeroCount returns the number of exactly-zero observations.
+//
+//lint:testonly oracle: obs cell tests compare window cells with plain sketches through it
 func (s *Sketch) ZeroCount() int64 { return s.zero }
 
 // Quantile returns the upper bucket edge holding the q-quantile (0 < q <= 1):
 // an upper estimate within 1% relative error of the true quantile (zero
 // for the zero bucket). The estimate is a pure function of the bucket counts
 // — identical counts give a bit-identical answer regardless of the order the
-// observations arrived or the sketches were merged in.
+// observations arrived in.
 func (s *Sketch) Quantile(q float64) float64 {
 	if s.n == 0 || q <= 0 {
 		return 0
@@ -316,6 +290,8 @@ type SketchCell struct {
 
 // Cells returns the occupied buckets in ascending upper-edge order, zero
 // bucket first (when occupied). Counts are per-cell, not cumulative.
+//
+//lint:testonly oracle: obs cell tests compare window cells with plain sketches through it
 func (s *Sketch) Cells() []SketchCell {
 	out := make([]SketchCell, 0, int(s.nIn)+len(s.buckets)+1)
 	if s.zero > 0 {

@@ -39,16 +39,6 @@ func (r *refSketch) add(v float64) {
 	r.counts[idx+sketchIndexBound]++
 }
 
-func (r *refSketch) merge(o *refSketch) {
-	r.n += o.n
-	r.zero += o.zero
-	r.sum += o.sum
-	r.max = max(r.max, o.max)
-	for i, c := range o.counts {
-		r.counts[i] += c
-	}
-}
-
 func (r *refSketch) quantile(q float64) float64 {
 	if r.n == 0 || q <= 0 {
 		return 0
@@ -173,55 +163,6 @@ func TestSketchReprMatchesDenseReference(t *testing.T) {
 			ref.add(v)
 		}
 		assertMatchesRef(t, "reused", s, ref)
-	}
-}
-
-// TestSketchReprMergePairings: Merge agrees with the reference for every
-// pairing of inline and dense operands, in both orders.
-func TestSketchReprMergePairings(t *testing.T) {
-	r := rng.New(43)
-	build := func(dense bool) (*Sketch, *refSketch) {
-		n, distinct := r.IntRange(1, 4), r.IntRange(1, sketchInline)
-		if dense {
-			n, distinct = r.IntRange(20, 150), 0
-		}
-		s, ref := NewSketch(), newRefSketch(0.01)
-		for _, v := range reprStream(r, n, distinct) {
-			s.Add(v)
-			ref.add(v)
-		}
-		return s, ref
-	}
-	for trial := 0; trial < 200; trial++ {
-		for _, pair := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
-			a, ra := build(pair[0])
-			b, rb := build(pair[1])
-			if pair[0] == (a.buckets == nil) || pair[1] == (b.buckets == nil) {
-				// A dense draw can land on few enough buckets to stay
-				// inline; the pairing is then covered by another trial.
-				continue
-			}
-			ab, rab := NewSketch(), newRefSketch(0.01)
-			for _, src := range []*Sketch{a, b} {
-				ab.Merge(src)
-			}
-			rab.merge(ra)
-			rab.merge(rb)
-			assertMatchesRef(t, "fresh <- a <- b", ab, rab)
-
-			ba, rba := NewSketch(), newRefSketch(0.01)
-			for _, src := range []*Sketch{b, a} {
-				ba.Merge(src)
-			}
-			rba.merge(rb)
-			rba.merge(ra)
-			assertMatchesRef(t, "fresh <- b <- a", ba, rba)
-
-			a.Merge(b)
-			ra.merge(rb)
-			assertMatchesRef(t, "a <- b", a, ra)
-			assertMatchesRef(t, "b unchanged by merge", b, rb)
-		}
 	}
 }
 

@@ -69,95 +69,6 @@ func TestSketchOrderIndependentCounts(t *testing.T) {
 	}
 }
 
-// TestSketchMergeAssociativity: counts, cells, max and quantiles must be
-// bit-identical under any merge grouping — the property the parallel runner's
-// job-order aggregation rests on. (The running Sum is a float left-fold and
-// is only guaranteed for a fixed merge order, like Histogram.)
-func TestSketchMergeAssociativity(t *testing.T) {
-	build := func(seed uint64, n int) *Sketch {
-		s := NewSketch()
-		r := rng.New(seed)
-		for i := 0; i < n; i++ {
-			v := r.Float64() * 50
-			if v < 5 {
-				v = 0
-			}
-			s.Add(v)
-		}
-		return s
-	}
-	mk := func() (a, b, c *Sketch) { return build(1, 300), build(2, 200), build(3, 100) }
-
-	// (a ⊕ b) ⊕ c
-	a1, b1, c1 := mk()
-	a1.Merge(b1)
-	a1.Merge(c1)
-	// a ⊕ (b ⊕ c)
-	a2, b2, c2 := mk()
-	b2.Merge(c2)
-	a2.Merge(b2)
-
-	if a1.N() != a2.N() || a1.ZeroCount() != a2.ZeroCount() || a1.Max() != a2.Max() {
-		t.Fatalf("aggregates differ: n %d/%d zero %d/%d max %v/%v",
-			a1.N(), a2.N(), a1.ZeroCount(), a2.ZeroCount(), a1.Max(), a2.Max())
-	}
-	if !reflect.DeepEqual(a1.Cells(), a2.Cells()) {
-		t.Fatal("cells differ across merge groupings")
-	}
-	for _, q := range []float64{0.25, 0.5, 0.9, 0.95, 0.99, 1} {
-		if a1.Quantile(q) != a2.Quantile(q) {
-			t.Fatalf("q=%v differs across merge groupings", q)
-		}
-	}
-}
-
-// TestSketchMergeMatchesDirect: folding per-part sketches in part order must
-// reproduce a single-sketch pass exactly for counts, cells and max, and the
-// merge fold itself must be a pure function of the partials and fold order —
-// the structure the runner relies on (serial and parallel paths both merge
-// per-job partials in job order, so they agree bit for bit).
-func TestSketchMergeMatchesDirect(t *testing.T) {
-	r := rng.New(42)
-	parts := [][]float64{make([]float64, 100), make([]float64, 150), make([]float64, 50)}
-	direct := NewSketch()
-	partials := make([]*Sketch, len(parts))
-	for i := range parts {
-		partials[i] = NewSketch()
-		for j := range parts[i] {
-			parts[i][j] = r.Float64() * 200
-			partials[i].Add(parts[i][j])
-			direct.Add(parts[i][j])
-		}
-	}
-	fold := func() *Sketch {
-		m := NewSketch()
-		for _, p := range partials {
-			m.Merge(p)
-		}
-		return m
-	}
-	merged, again := fold(), fold()
-	if merged.N() != direct.N() || merged.Max() != direct.Max() {
-		t.Fatalf("merged n=%d max=%v, direct n=%d max=%v",
-			merged.N(), merged.Max(), direct.N(), direct.Max())
-	}
-	if !reflect.DeepEqual(merged.Cells(), direct.Cells()) {
-		t.Fatal("merged cells differ from direct cells")
-	}
-	// The merge-order sum is a different float fold than the single-pass sum
-	// (addition is not associative) but must agree to rounding and reproduce
-	// bit-identically across identical folds.
-	if rel := math.Abs(merged.Sum()-direct.Sum()) / direct.Sum(); rel > 1e-12 {
-		t.Fatalf("merged sum %v vs direct %v (rel %v)", merged.Sum(), direct.Sum(), rel)
-	}
-	if merged.Sum() != again.Sum() || merged.N() != again.N() {
-		t.Fatal("identical folds disagree")
-	}
-	if !reflect.DeepEqual(merged.Cells(), again.Cells()) {
-		t.Fatal("identical folds produce different cells")
-	}
-}
-
 func TestSketchPanics(t *testing.T) {
 	for _, v := range []float64{-1, math.NaN()} {
 		func() {

@@ -13,23 +13,11 @@ type Stream struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (s *Stream) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
@@ -40,12 +28,6 @@ func (s *Stream) N() int { return s.n }
 
 // Mean returns the sample mean (0 for an empty stream).
 func (s *Stream) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation (0 for an empty stream).
-func (s *Stream) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 for an empty stream).
-func (s *Stream) Max() float64 { return s.max }
 
 // Variance returns the unbiased sample variance.
 func (s *Stream) Variance() float64 {
@@ -74,29 +56,4 @@ func (s *Stream) CI95() float64 { return 1.96 * s.StdErr() }
 // String renders "mean ± ci95 (n)".
 func (s *Stream) String() string {
 	return fmt.Sprintf("%.4f ± %.4f (n=%d)", s.Mean(), s.CI95(), s.n)
-}
-
-// Merge folds other into s, as if every observation of other had been added
-// to s (Chan et al. parallel variance combination). Used when experiment
-// cells are computed by parallel workers.
-func (s *Stream) Merge(other *Stream) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n1, n2 := float64(s.n), float64(other.n)
-	delta := other.mean - s.mean
-	total := n1 + n2
-	s.mean += delta * n2 / total
-	s.m2 += other.m2 + delta*delta*n1*n2/total
-	s.n += other.n
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
 }

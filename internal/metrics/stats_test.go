@@ -27,15 +27,12 @@ func TestStreamBasics(t *testing.T) {
 	if got, want := s.Variance(), 4.0*8/7; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Variance = %v, want %v", got, want)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
 }
 
 func TestStreamSingleObservation(t *testing.T) {
 	var s Stream
 	s.Add(3.5)
-	if s.Mean() != 3.5 || s.Variance() != 0 || s.Min() != 3.5 || s.Max() != 3.5 {
+	if s.Mean() != 3.5 || s.Variance() != 0 {
 		t.Fatalf("singleton stream: %+v", s)
 	}
 }
@@ -54,47 +51,6 @@ func TestStreamCI95ShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestStreamMergeMatchesSequential(t *testing.T) {
-	src := rng.New(23)
-	var all, a, b Stream
-	for i := 0; i < 500; i++ {
-		v := src.Uniform(-10, 10)
-		all.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Fatalf("merged mean %v vs %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-9 {
-		t.Fatalf("merged variance %v vs %v", a.Variance(), all.Variance())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatal("merged min/max mismatch")
-	}
-}
-
-func TestStreamMergeEmptyCases(t *testing.T) {
-	var a, b Stream
-	a.Add(1)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 1 {
-		t.Fatal("merge with empty changed N")
-	}
-	var c Stream
-	c.Merge(&a) // merging into empty copies
-	if c.N() != 1 || c.Mean() != 1 {
-		t.Fatal("merge into empty failed")
-	}
-}
-
 func TestStreamString(t *testing.T) {
 	var s Stream
 	s.Add(1)
@@ -108,15 +64,17 @@ func TestStreamString(t *testing.T) {
 func TestQuickStreamMeanBounds(t *testing.T) {
 	f := func(vals []float64) bool {
 		var s Stream
+		lo, hi := math.Inf(1), math.Inf(-1)
 		ok := true
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
 				continue
 			}
 			s.Add(v)
+			lo, hi = min(lo, v), max(hi, v)
 		}
 		if s.N() > 0 {
-			ok = s.Mean() >= s.Min()-1e-9 && s.Mean() <= s.Max()+1e-9 && s.Variance() >= 0
+			ok = s.Mean() >= lo-1e-9 && s.Mean() <= hi+1e-9 && s.Variance() >= 0
 		}
 		return ok
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 	"unsafe"
 
@@ -69,17 +68,15 @@ func windowBaseOf(name string) bool {
 // A registry has at most one spanSketches (Registry.spanFamily). Its cells
 // have no formatted name and no entry in the registry's name, help or type
 // tables; names are rendered (by WindowMetric) only on the cold paths —
-// Registry.Snapshot, WritePrometheus and Registry.Merge. The cells still
-// conflict by rendered name with the registry's other metrics: a counter,
-// gauge, histogram or plain sketch under a name a cell renders to and that
-// cell cannot both exist. Whichever of the two comes second panics, as a
-// second registration of a name under another type does, and a merge that
-// would create it returns an error.
+// Registry.Snapshot and WritePrometheus. The cells still conflict by
+// rendered name with the registry's other metrics: a counter, gauge,
+// histogram or plain sketch under a name a cell renders to and that cell
+// cannot both exist. Whichever of the two comes second panics, as a second
+// registration of a name under another type does.
 //
 // Lock order: a registry's mu before its family's (registration and
-// snapshots), a SpanBuilder's before its registry's family (completions and
-// RetainedBytes), and in a merge the source family's before the
-// destination's.
+// snapshots), and a SpanBuilder's before its registry's family (completions
+// and RetainedBytes).
 type spanSketches struct {
 	mu  sync.Mutex
 	tot [numWindowKinds]*metrics.Sketch // guarded by mu; the run totals' sketches, nil until registered (observe needs all three)
@@ -156,15 +153,6 @@ func (f *spanSketches) snapshot() []SketchValue {
 		}
 	}
 	return out
-}
-
-// merge folds every cell of src into f under both locks, src's first.
-func (f *spanSketches) merge(src *spanSketches) error {
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.win.merge(&src.win)
 }
 
 // windowLabels is one interned (class, mode) label pair.
@@ -403,39 +391,6 @@ func (w *windowCells) claim(name string) bool {
 	}
 	w.shadow[name] = struct{}{}
 	return false
-}
-
-// merge folds every cell of src into w, in src's creation order, so any
-// error is deterministic. A cell new to w takes a raw source cell as it is
-// (its raw fold is what merging it into empty sketches gives: 0 + sum is
-// sum); any other pair promotes w's cell and merges each measure with
-// metrics.Sketch.Merge.
-func (w *windowCells) merge(src *windowCells) error {
-	for i := 0; i < src.cells.n; i++ {
-		sc := src.cells.at(int32(i))
-		l := src.labels[sc.label]
-		label := w.label(l.class, l.mode)
-		slot, ok := w.find(sc.win, label)
-		if !ok {
-			if len(w.shadow) > 0 {
-				if name := w.shadowed(sc.win, label); name != "" {
-					return fmt.Errorf("obs: merge: %q is a sketch in the source but not in the destination", name)
-				}
-			}
-			slot = w.create(sc.win, label)
-			if sc.side == 0 {
-				c := w.cells.at(slot)
-				c.n, c.v, c.idx = sc.n, sc.v, sc.idx
-				continue
-			}
-		}
-		dst := w.promoted(slot)
-		from := src.sketches(int32(i))
-		for k := range dst {
-			dst[k].Merge(&from[k])
-		}
-	}
-	return nil
 }
 
 // retainedBytes estimates the memory the cells pin: the cell and side

@@ -123,34 +123,6 @@ func TestWindowFamilyMatchesPerNameRegistration(t *testing.T) {
 	}
 }
 
-// TestWindowFamilyMergeMatchesPerName: merging family registries — into an
-// empty registry and into a populated one, in job order — exports exactly
-// what merging the per-name registries does.
-func TestWindowFamilyMergeMatchesPerName(t *testing.T) {
-	r := rng.New(9)
-	for trial := 0; trial < 5; trial++ {
-		jobs := [][]familyObs{randomFamilyObs(r, 150), randomFamilyObs(r, 150), randomFamilyObs(r, 5)}
-		base := randomFamilyObs(r, 100)
-		for _, populated := range []bool{false, true} {
-			famDst, perDst := NewRegistry(), NewRegistry()
-			if populated {
-				famDst, perDst = familyRegistry(base), perNameRegistry(base)
-			}
-			for _, job := range jobs {
-				if err := famDst.Merge(familyRegistry(job)); err != nil {
-					t.Fatal(err)
-				}
-				if err := perDst.Merge(perNameRegistry(job)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got, want := exposition(t, famDst), exposition(t, perDst); got != want {
-				t.Fatalf("trial %d populated=%v: merged family exposition differs from per-name merge", trial, populated)
-			}
-		}
-	}
-}
-
 // expectPanic runs f and fails unless it panics with a message containing
 // want.
 func expectPanic(t *testing.T, what, want string, f func()) {
@@ -164,8 +136,8 @@ func expectPanic(t *testing.T, what, want string, f func()) {
 }
 
 // TestWindowFamilyNameConflicts: a counter or plain sketch registered under
-// a name a cell renders to conflicts, whichever is registered first, and in
-// merges; plain metrics under other names beside the family do not.
+// a name a cell renders to conflicts, whichever is registered first; plain
+// metrics under other names beside the family do not.
 func TestWindowFamilyNameConflicts(t *testing.T) {
 	name := WindowMetric("response", 3, "heavy", "edf")
 	const taken = "already registered with a different type"
@@ -204,20 +176,6 @@ func TestWindowFamilyNameConflicts(t *testing.T) {
 	b := NewSpanBuilder(spanTestSet(t), SpanOptions{Metrics: reg, Window: 5})
 	expectPanic(t, "span builder over a counter", taken, func() { windowEvents(b, 0, 0, 4) })
 
-	// Merges report the conflict in either direction.
-	src := NewRegistry()
-	observeCell(src, 3, "heavy", "edf", one)
-	dst := NewRegistry()
-	dst.Counter(name, "")
-	if err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "is a sketch in the source") {
-		t.Errorf("cell over destination counter: %v", err)
-	}
-	src, dst = NewRegistry(), NewRegistry()
-	src.Counter(name, "")
-	observeCell(dst, 3, "heavy", "edf", one)
-	if err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "is a counter in the source") {
-		t.Errorf("counter over destination cell: %v", err)
-	}
 }
 
 // windowStreamSet builds n independent transactions with weights cycling
@@ -308,8 +266,8 @@ func TestSpanRetainedBytesCountsWindowCells(t *testing.T) {
 
 // TestHammerWindowFamilyScrape: while one goroutine feeds completions into
 // new window cells, others snapshot and render the registry, read the three
-// run-total span sketches, merge the live registry into a scratch one, read
-// the retained-bytes estimate and register plain metrics under a family
+// run-total span sketches and the window cells, read the retained-bytes
+// estimate and register plain metrics under a family
 // base — the live dashboard's scrape pattern. Run under -race.
 func TestHammerWindowFamilyScrape(t *testing.T) {
 	const n = 3000
@@ -346,8 +304,8 @@ func TestHammerWindowFamilyScrape(t *testing.T) {
 					}
 					last[k] = sv.Count
 				}
-				if got := windowResponses(mergedCopy(t, reg)); got > n {
-					t.Errorf("a merged copy's window cells hold %d responses", got)
+				if got := windowResponses(reg); got > n {
+					t.Errorf("window cells hold %d responses", got)
 					return
 				}
 				_ = b.RetainedBytes()
@@ -357,25 +315,14 @@ func TestHammerWindowFamilyScrape(t *testing.T) {
 	}
 	<-done
 	wg.Wait()
-	for _, r := range []*Registry{reg, mergedCopy(t, reg)} {
-		if got := windowResponses(r); got != n {
-			t.Fatalf("window cells hold %d responses, want %d", got, n)
-		}
-		for k, name := range spanTotals {
-			if got := r.Sketch(name, spanTotalHelp[k]).snapshot().Count; got != n {
-				t.Fatalf("run total %s holds %d observations, want %d", name, got, n)
-			}
+	if got := windowResponses(reg); got != n {
+		t.Fatalf("window cells hold %d responses, want %d", got, n)
+	}
+	for k, name := range spanTotals {
+		if got := reg.Sketch(name, spanTotalHelp[k]).snapshot().Count; got != n {
+			t.Fatalf("run total %s holds %d observations, want %d", name, got, n)
 		}
 	}
-}
-
-// mergedCopy merges reg into a fresh registry.
-func mergedCopy(t *testing.T, reg *Registry) *Registry {
-	out := NewRegistry()
-	if err := out.Merge(reg); err != nil {
-		t.Error(err)
-	}
-	return out
 }
 
 // windowResponses sums the counts of reg's windowed response cells.

@@ -153,6 +153,8 @@ func (k Kind) String() string {
 
 // Counter returns the name of the /metrics counter that counts the kind's
 // events, or "" when none does.
+//
+//lint:testonly tests of several packages find a kind's /metrics counter through it
 func (k Kind) Counter() string { return kinds[k].counter }
 
 // Counters folds decision events into the /metrics counters of the kinds
@@ -596,9 +598,6 @@ func (j *JSONLWriter) Flush() error {
 	}
 	return j.err
 }
-
-// Err returns the first write or serialization error, if any.
-func (j *JSONLWriter) Err() error { return j.err }
 
 // ReadJSONL parses a JSONL event stream — the inverse of JSONLWriter, and
 // the entry point of the post-run report generator (cmd/asetsreport). Blank

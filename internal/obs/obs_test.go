@@ -222,8 +222,8 @@ func TestJSONLWriterStickyError(t *testing.T) {
 	if err := jw.Flush(); err == nil {
 		t.Fatal("flush after failed write returned nil")
 	}
-	if jw.Err() == nil {
-		t.Fatal("Err() lost the sticky error")
+	if err := jw.Flush(); err == nil {
+		t.Fatal("a second Flush lost the sticky error")
 	}
 }
 

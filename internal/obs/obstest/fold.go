@@ -19,6 +19,8 @@ import (
 // transaction's previous event is a restart or validate_fail at the same
 // time: one driver returns a restarted or re-validated transaction to its
 // scheduler with a preempt event, another without.
+//
+//lint:testonly oracle: cluster and runner tests compare routed streams across engines with it
 func RoutedFolds(events []obs.Event) (instants, txns string) {
 	type line struct {
 		t   float64

@@ -133,7 +133,8 @@ type RuntimeSample struct {
 }
 
 // ReadRuntimeSample reads the runtime gauges via runtime/metrics. It is a
-// cold scrape-time call; the two-slot sample slice is allocated per call.
+// cold scrape-time call; the sample slice, one slot per runtimeSampleNames
+// series, is allocated per call.
 func ReadRuntimeSample() RuntimeSample {
 	samples := make([]metrics.Sample, len(runtimeSampleNames))
 	for i, name := range runtimeSampleNames {

@@ -20,9 +20,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -98,13 +95,6 @@ type Sketch struct {
 	mu  *sync.Mutex    // &own, or the span family's lock
 	s   metrics.Sketch // guarded by mu
 	own sync.Mutex
-}
-
-// Observe records one non-negative observation.
-func (s *Sketch) Observe(v float64) {
-	s.mu.Lock()
-	s.s.Add(v)
-	s.mu.Unlock()
 }
 
 // sketchQuantiles are the percentiles every sketch snapshot reports — the

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// Observe records one non-negative observation. Programs observe the span
+// family's sketches through spanSketches.observe; the tests build plain
+// sketch fixtures with it.
+func (s *Sketch) Observe(v float64) {
+	s.mu.Lock()
+	s.s.Add(v)
+	s.mu.Unlock()
+}
+
 func TestRegistrySketchHandle(t *testing.T) {
 	r := NewRegistry()
 	s := r.Sketch("asets_test_sketch", "help")
@@ -36,39 +45,6 @@ func TestRegistrySketchTypeConflict(t *testing.T) {
 		}
 	}()
 	r.Sketch("asets_conflict", "")
-}
-
-func TestRegistryMergeSketches(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	sa := a.Sketch("asets_m", "h")
-	sb := b.Sketch("asets_m", "h")
-	sa.Observe(1)
-	sb.Observe(2)
-	sb.Observe(0)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	sv := a.Snapshot().Sketches[0]
-	if sv.Count != 3 || sv.Sum != 3 || sv.Max != 2 {
-		t.Fatalf("merged sketch %+v", sv)
-	}
-	// Merging into a registry that lacks the sketch creates it.
-	c := NewRegistry()
-	if err := c.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if cv := c.Snapshot().Sketches[0]; cv.Count != 3 {
-		t.Fatalf("created-on-merge sketch %+v", cv)
-	}
-}
-
-func TestRegistryMergeSketchTypeMismatch(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("asets_m", "h")
-	b.Sketch("asets_m", "h")
-	if err := a.Merge(b); err == nil || !strings.Contains(err.Error(), "sketch") {
-		t.Fatalf("type mismatch not rejected: %v", err)
-	}
 }
 
 func TestPrometheusSketchExport(t *testing.T) {

@@ -238,7 +238,7 @@ const (
 // `asets_window_tardiness{window="0003",class="heavy",mode="edf"}`. The
 // window index is zero-padded so registry name sorting orders cells by time.
 // It is the one renderer of cell names, and runs only on the cold paths that
-// need them (registry snapshots, /metrics rendering, merges and name-conflict
+// need them (registry snapshots, /metrics rendering and name-conflict
 // checks); completions reach their cell through the registry's spanSketches
 // families instead.
 //
@@ -324,8 +324,8 @@ const segRegionLen = 4
 // emitting goroutine can run while HTTP handlers snapshot. Its own lock
 // guards the spans and is taken once per event batch; the sketches live in
 // the registry's span family, whose one lock a completion takes once for
-// the run totals and its window cell, and which scrapes, merges and
-// RetainedBytes take to read them. Events must arrive in stream order (the
+// the run totals and its window cell, and which scrapes and RetainedBytes
+// take to read them. Events must arrive in stream order (the
 // order every in-repo emitter produces).
 //
 // Determinism: spans are a pure fold of the event stream plus the immutable

@@ -17,11 +17,6 @@ type Item[T any] struct {
 	owner *Heap[T]
 }
 
-// NewItem wraps v for insertion into a Heap.
-func NewItem[T any](v T) *Item[T] {
-	return &Item[T]{Value: v}
-}
-
 // InHeap reports whether the item is currently enqueued in any heap.
 func (it *Item[T]) InHeap() bool { return it.pos > 0 }
 
@@ -112,11 +107,6 @@ func (h *Heap[T]) Fix(it *Item[T]) {
 		h.up(i)
 	}
 }
-
-// Items returns the underlying slice in heap order (not sorted order). The
-// slice must not be mutated; it is exposed for iteration by invariant
-// checkers and tests.
-func (h *Heap[T]) Items() []*Item[T] { return h.items }
 
 func (h *Heap[T]) up(i int) {
 	for i > 0 {

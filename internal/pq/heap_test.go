@@ -29,7 +29,7 @@ func TestHeapPushPopSorted(t *testing.T) {
 	h := intHeap()
 	vals := []int{5, 3, 8, 1, 9, 2, 7, 2, 5}
 	for _, v := range vals {
-		h.Push(NewItem(v))
+		h.Push(newItem(v))
 	}
 	if !h.Verify() {
 		t.Fatal("heap invariant broken after pushes")
@@ -53,7 +53,7 @@ func TestHeapRemoveMiddle(t *testing.T) {
 	h := intHeap()
 	items := make([]*Item[int], 0, 10)
 	for _, v := range []int{4, 9, 1, 7, 3, 8, 2, 6, 5, 0} {
-		it := NewItem(v)
+		it := newItem(v)
 		items = append(items, it)
 		h.Push(it)
 	}
@@ -78,7 +78,7 @@ func TestHeapFixAfterMutation(t *testing.T) {
 	type job struct{ key int }
 	h := NewHeap[*job](func(a, b *job) bool { return a.key < b.key })
 	a, b, c := &job{5}, &job{10}, &job{15}
-	ia, ib, ic := NewItem(a), NewItem(b), NewItem(c)
+	ia, ib, ic := newItem(a), newItem(b), newItem(c)
 	h.Push(ia)
 	h.Push(ib)
 	h.Push(ic)
@@ -102,7 +102,7 @@ func TestHeapFixAfterMutation(t *testing.T) {
 
 func TestHeapPushDuplicatePanics(t *testing.T) {
 	h := intHeap()
-	it := NewItem(1)
+	it := newItem(1)
 	h.Push(it)
 	defer expectPanic(t, "double Push")
 	h.Push(it)
@@ -110,7 +110,7 @@ func TestHeapPushDuplicatePanics(t *testing.T) {
 
 func TestHeapRemoveForeignPanics(t *testing.T) {
 	h1, h2 := intHeap(), intHeap()
-	it := NewItem(1)
+	it := newItem(1)
 	h1.Push(it)
 	defer expectPanic(t, "Remove from wrong heap")
 	h2.Remove(it)
@@ -119,7 +119,7 @@ func TestHeapRemoveForeignPanics(t *testing.T) {
 func TestHeapFixUnqueuedPanics(t *testing.T) {
 	h := intHeap()
 	defer expectPanic(t, "Fix of unqueued item")
-	h.Fix(NewItem(1))
+	h.Fix(newItem(1))
 }
 
 func TestHeapNilLessPanics(t *testing.T) {
@@ -129,7 +129,7 @@ func TestHeapNilLessPanics(t *testing.T) {
 
 func TestHeapOwnerTracking(t *testing.T) {
 	h := intHeap()
-	it := NewItem(42)
+	it := newItem(42)
 	if it.Owner() != nil {
 		t.Fatal("fresh item has an owner")
 	}
@@ -152,7 +152,7 @@ func TestHeapRandomOperations(t *testing.T) {
 	for step := 0; step < 20000; step++ {
 		switch op := src.Intn(10); {
 		case op < 5 || len(live) == 0: // push
-			it := NewItem(src.Intn(1000))
+			it := newItem(src.Intn(1000))
 			h.Push(it)
 			live = append(live, it)
 		case op < 7: // pop minimum
@@ -201,7 +201,7 @@ func TestQuickHeapSortsAnything(t *testing.T) {
 	f := func(vals []int) bool {
 		h := intHeap()
 		for _, v := range vals {
-			h.Push(NewItem(v))
+			h.Push(newItem(v))
 		}
 		out := make([]int, 0, len(vals))
 		for h.Len() > 0 {
@@ -224,6 +224,11 @@ func TestQuickHeapSortsAnything(t *testing.T) {
 	}
 }
 
+// newItem wraps v for insertion into a Heap.
+func newItem[T any](v T) *Item[T] {
+	return &Item[T]{Value: v}
+}
+
 func expectPanic(t *testing.T, what string) {
 	t.Helper()
 	if recover() == nil {
@@ -232,7 +237,7 @@ func expectPanic(t *testing.T, what string) {
 }
 
 // TestHeapZeroItemSlab: zero Items embedded by value in a slab, with only
-// Value set, push, fix and remove through &slab[i] like NewItem handles.
+// Value set, push, fix and remove through &slab[i] like newItem handles.
 func TestHeapZeroItemSlab(t *testing.T) {
 	h := intHeap()
 	slab := make([]Item[int], 6)
@@ -362,7 +367,7 @@ func TestWalkerVisitsInOrder(t *testing.T) {
 		for range src.Intn(400) {
 			switch op := src.Intn(4); {
 			case op < 2 || len(items) == 0:
-				it := NewItem(src.Intn(50))
+				it := newItem(src.Intn(50))
 				h.Push(it)
 				items = append(items, it)
 			case op == 2:
@@ -375,7 +380,7 @@ func TestWalkerVisitsInOrder(t *testing.T) {
 				h.Fix(it)
 			}
 		}
-		before := append([]*Item[int](nil), h.Items()...)
+		before := append([]*Item[int](nil), h.items...)
 		w.Reset(h)
 		var walked []int
 		for it := w.Peek(); it != nil; it = w.Peek() {
@@ -385,7 +390,7 @@ func TestWalkerVisitsInOrder(t *testing.T) {
 			walked = append(walked, it.Value)
 			w.Visit()
 		}
-		for i, it := range h.Items() {
+		for i, it := range h.items {
 			if it != before[i] {
 				t.Fatalf("trial %d: the walk changed the heap", trial)
 			}

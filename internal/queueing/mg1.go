@@ -31,6 +31,8 @@ type MG1 struct {
 // FromZipf constructs the M/G/1 model matching the paper's workload: service
 // times from the bounded Zipf distribution z and arrival rate chosen so that
 // utilization equals rho (rate = rho / E[S], Table I).
+//
+//lint:testonly oracle: TestSimulatorMatchesPollaczekKhinchine checks the simulator against this model
 func FromZipf(z *rng.Zipf, rho float64) (MG1, error) {
 	if rho <= 0 || rho >= 1 {
 		return MG1{}, fmt.Errorf("queueing: utilization %v outside (0, 1)", rho)
@@ -60,18 +62,26 @@ func (q MG1) MeanWait() float64 {
 }
 
 // MeanResponse returns the mean time in system E[T] = E[W] + E[S].
+//
+//lint:testonly oracle: an M/G/1 closed form of the queueing tests of the simulator
 func (q MG1) MeanResponse() float64 { return q.MeanWait() + q.ES }
 
 // MeanQueueLength returns the mean number in queue via Little's law,
 // L_q = lambda * E[W].
+//
+//lint:testonly oracle: an M/G/1 closed form of the queueing tests of the simulator
 func (q MG1) MeanQueueLength() float64 { return q.Lambda * q.MeanWait() }
 
 // MeanInSystem returns the mean number in system, L = lambda * E[T].
+//
+//lint:testonly oracle: an M/G/1 closed form of the queueing tests of the simulator
 func (q MG1) MeanInSystem() float64 { return q.Lambda * q.MeanResponse() }
 
 // SCV returns the squared coefficient of variation of the service times,
 // (E[S^2] - E[S]^2) / E[S]^2 — a useful summary of how far the Zipf workload
 // is from exponential (SCV 1) or deterministic (SCV 0) service.
+//
+//lint:testonly oracle: an M/G/1 closed form of the queueing tests of the simulator
 func (q MG1) SCV() float64 {
 	return (q.ES2 - q.ES*q.ES) / (q.ES * q.ES)
 }

@@ -24,9 +24,8 @@ func TestDeriveGolden(t *testing.T) {
 }
 
 // TestDeriveMatchesSplitMixStream: Derive(base, run) is by definition the
-// first draw of a splitmix64 generator advanced to position base+run*gamma —
-// the same stream Split uses, so pool-derived seeds and Source.Split never
-// alias in surprising ways.
+// first draw of a splitmix64 generator advanced to position base+run*gamma,
+// the same stream New seeds a Source from.
 func TestDeriveMatchesSplitMixStream(t *testing.T) {
 	const gamma = 0x9e3779b97f4a7c15
 	for run := uint64(0); run < 64; run++ {

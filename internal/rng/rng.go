@@ -87,12 +87,6 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
-// Split derives a new Source whose stream is statistically independent of
-// the receiver's. It consumes one value from the receiver.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
-}
-
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -167,6 +161,8 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 }
 
 // Perm returns a random permutation of [0, n).
+//
+//lint:testonly fixture: sched, txn and rng tests draw random orders with it
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {

@@ -47,20 +47,6 @@ func TestSourceSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	a := New(7)
-	b := a.Split()
-	matches := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			matches++
-		}
-	}
-	if matches > 2 {
-		t.Fatalf("split streams matched %d/100 draws", matches)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	src := New(99)
 	for i := 0; i < 100000; i++ {

@@ -157,9 +157,6 @@ func (z *Zipf) Min() int { return z.min }
 // Max returns the largest value in the support.
 func (z *Zipf) Max() int { return z.max }
 
-// Alpha returns the skew parameter.
-func (z *Zipf) Alpha() float64 { return z.alpha }
-
 // Prob returns P(X = v), or 0 if v is outside the support. Exposed for
 // distribution tests and for documentation tooling.
 func (z *Zipf) Prob(v int) float64 {

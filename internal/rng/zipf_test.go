@@ -136,8 +136,8 @@ func TestZipfPMFSumsToOne(t *testing.T) {
 
 func TestZipfAccessors(t *testing.T) {
 	z := MustZipf(2, 9, 0.7)
-	if z.Min() != 2 || z.Max() != 9 || z.Alpha() != 0.7 {
-		t.Fatalf("accessors: min=%d max=%d alpha=%v", z.Min(), z.Max(), z.Alpha())
+	if z.Min() != 2 || z.Max() != 9 || z.alpha != 0.7 {
+		t.Fatalf("accessors: min=%d max=%d alpha=%v", z.Min(), z.Max(), z.alpha)
 	}
 }
 

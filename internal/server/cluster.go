@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -21,22 +19,13 @@ import (
 // detail on /healthz that a single backend has no use for. It is an
 // http.Handler; Start launches the replay exactly once.
 type ClusterServer struct {
+	*replay
 	set       *txn.Set
 	fleet     *cluster.Fleet
 	route     string
 	schedName string
 	instances int
 	timeScale time.Duration
-
-	reg  *obs.Registry
-	ring *obs.Ring
-	sse  *sseHub
-	mux  *http.ServeMux
-
-	mu      sync.Mutex
-	started bool  // guarded by mu
-	runErr  error // guarded by mu
-	done    chan struct{}
 }
 
 // NewCluster prepares a live replay of set across cfg.Instances fault
@@ -45,12 +34,11 @@ type ClusterServer struct {
 // cfg.Metrics, creating a registry when the caller brought none.
 func NewCluster(cfg cluster.Config, set *txn.Set, opts cluster.FleetOptions) *ClusterServer {
 	s := &ClusterServer{
+		replay:    newReplay(cfg.Metrics, set),
 		set:       set,
 		route:     "rr", // the engine's default when cfg.Policy is nil
 		instances: cfg.Instances,
 		timeScale: opts.TimeScale,
-		mux:       http.NewServeMux(),
-		done:      make(chan struct{}),
 	}
 	if cfg.Policy != nil {
 		s.route = cfg.Policy.Name()
@@ -61,75 +49,20 @@ func NewCluster(cfg cluster.Config, set *txn.Set, opts cluster.FleetOptions) *Cl
 	if s.timeScale <= 0 {
 		s.timeScale = 200 * time.Microsecond // NewFleet's default
 	}
-	s.reg = cfg.Metrics
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
-		cfg.Metrics = s.reg
-	}
-	s.ring = obs.NewRing(eventRing)
-	s.sse = newSSEHub(s.reg)
+	cfg.Metrics = s.reg
 	cfg.Sink = obs.Tee(cfg.Sink, s.ring, s.sse)
-	s.reg.Gauge("asets_workload_transactions", "transactions in the replayed workload").Set(float64(set.Len()))
 	s.fleet = cluster.NewFleet(cfg, set, opts)
+	s.run = func(ctx context.Context) error {
+		_, err := s.fleet.Run(ctx)
+		return err
+	}
 
 	s.mux.HandleFunc("GET /api/stats", s.handleStats)
 	s.mux.HandleFunc("GET /api/fleet", s.handleFleet)
 	s.mux.HandleFunc("POST /api/submit", s.handleSubmit)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /events", s.handleEvents)
-	s.mux.HandleFunc("GET /events/stream", s.handleEventStream)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	return s
 }
-
-// Registry exposes the fleet's metrics registry, so embedding programs can
-// add their own instruments to the same /metrics page.
-func (s *ClusterServer) Registry() *obs.Registry { return s.reg }
-
-// ServeHTTP implements http.Handler.
-func (s *ClusterServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Start launches the fleet replay in a background goroutine. Like Server, a
-// ClusterServer is single-use: a second Start returns ErrAlreadyStarted.
-func (s *ClusterServer) Start(ctx context.Context) (<-chan struct{}, error) {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return nil, ErrAlreadyStarted
-	}
-	s.started = true
-	s.mu.Unlock()
-	go func() {
-		defer close(s.done)
-		_, err := s.fleet.Run(ctx)
-		s.mu.Lock()
-		s.runErr = err
-		s.mu.Unlock()
-	}()
-	return s.done, nil
-}
-
-// Err returns the replay error, if any, once the run has ended.
-func (s *ClusterServer) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runErr
-}
-
-// Wait blocks until the replay started by Start has finished (returning its
-// error) or until ctx ends (returning ctx.Err()).
-func (s *ClusterServer) Wait(ctx context.Context) error {
-	select {
-	case <-s.done:
-		return s.Err()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Result returns the fleet's outcome once the replay is done; (nil, nil)
-// before that.
-func (s *ClusterServer) Result() (*cluster.Result, error) { return s.fleet.Result() }
 
 // clusterStatsPayload is the cluster /api/stats response document; the
 // embedded FleetStatus flattens into it.
@@ -250,27 +183,4 @@ func (s *ClusterServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Admitted = true
 	writeJSONStatus(w, http.StatusAccepted, resp)
-}
-
-func (s *ClusterServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := obs.WritePrometheus(&buf, s.reg); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(buf.Bytes())
-}
-
-func (s *ClusterServer) handleEvents(w http.ResponseWriter, r *http.Request) {
-	limit, err := parseLimit(r, 100, eventRing)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, eventsPayload{Total: s.ring.Total(), Events: s.ring.Snapshot(limit)})
-}
-
-func (s *ClusterServer) handleEventStream(w http.ResponseWriter, r *http.Request) {
-	streamEvents(w, r, s.sse, s.done)
 }

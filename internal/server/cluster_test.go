@@ -15,6 +15,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -23,9 +24,18 @@ import (
 // failover and circuit-breaker recovery while HTTP clients watch.
 func testClusterServer(t *testing.T) (*ClusterServer, *httptest.Server) {
 	t.Helper()
+	ccfg, set := testClusterFixture()
+	s := NewCluster(ccfg, set, cluster.FleetOptions{TimeScale: 200 * time.Microsecond})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// testClusterFixture returns a fresh copy of testClusterServer's fleet
+// configuration and workload, so a test can replay the same run instantly.
+func testClusterFixture() (cluster.Config, *txn.Set) {
 	cfg := workload.Default(3.2, 0xFEE7) // 0.8 per instance across 4 domains
 	cfg.N = 400
-	set := workload.MustGenerate(cfg)
 	ccfg := cluster.Config{
 		Instances:    4,
 		Policy:       cluster.HealthWeighted{},
@@ -39,10 +49,7 @@ func testClusterServer(t *testing.T) (*ClusterServer, *httptest.Server) {
 		Retry:            cluster.Retry{Budget: 2, BackoffBase: 0.5, BackoffCap: 4},
 		RecoveryCooldown: 5,
 	}
-	s := NewCluster(ccfg, set, cluster.FleetOptions{TimeScale: 200 * time.Microsecond})
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-	return s, ts
+	return ccfg, workload.MustGenerate(cfg)
 }
 
 func TestClusterStatsBeforeStart(t *testing.T) {
@@ -59,7 +66,7 @@ func TestClusterStatsBeforeStart(t *testing.T) {
 	if hp.Status != "ok" || hp.Healthy != 4 {
 		t.Fatalf("pre-start /healthz = %+v", hp)
 	}
-	if s.fleet.Done() {
+	if s.fleet.Status().Done {
 		t.Fatal("fleet done before start")
 	}
 }
@@ -174,21 +181,27 @@ func TestClusterHammerConcurrentSubmitCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := s.Result()
-	if err != nil || res == nil {
-		t.Fatalf("Result after Wait = %v, %v", res, err)
-	}
-	if res.Ejections < 2 || res.Recoveries < 2 {
-		t.Fatalf("hammer run exercised %d ejections / %d recoveries, want both crashes ejected and recovered", res.Ejections, res.Recoveries)
-	}
-	if res.Failovers == 0 {
-		t.Fatal("hammer run exercised no failover; tighten the fixture")
-	}
-
-	// Post-run surfaces must agree with the engine's result.
+	// The engine's final fleet status, as /api/stats serves it.
 	var st clusterStatsPayload
 	getJSON(t, ts.URL+"/api/stats", &st)
-	if !st.Done || st.Routes != res.Routes || st.Failovers != res.Failovers || st.Lost != res.Lost {
+	if !st.Done {
+		t.Fatalf("final stats %+v: replay not done", st)
+	}
+	if st.Ejections < 2 || st.Recoveries < 2 {
+		t.Fatalf("hammer run exercised %d ejections / %d recoveries, want both crashes ejected and recovered", st.Ejections, st.Recoveries)
+	}
+	if st.Failovers == 0 {
+		t.Fatal("hammer run exercised no failover; tighten the fixture")
+	}
+	// The board must agree with the engine's result: an instant replay of
+	// the same fleet and workload (submits are previews and change nothing).
+	ccfg, set := testClusterFixture()
+	res, err := cluster.New(ccfg).Run(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Routes != res.Routes || st.Failovers != res.Failovers || st.Lost != res.Lost ||
+		st.Ejections != res.Ejections || st.Recoveries != res.Recoveries || st.Completed != res.Summary.N {
 		t.Fatalf("final stats %+v disagree with result %+v", st, res)
 	}
 	if st.Healthy != 4 {

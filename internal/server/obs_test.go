@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/executor"
+	"repro/internal/obs"
 	"repro/internal/txn"
 	"repro/internal/workload"
 )
@@ -248,15 +250,32 @@ func TestStatsNowEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRegistryAccessor: embedding programs can extend the same /metrics page.
-func TestRegistryAccessor(t *testing.T) {
-	s, ts := testServer(t)
-	if s.Registry() == nil {
-		t.Fatal("nil registry")
-	}
-	s.Registry().Counter("asets_custom_total", "caller-added counter").Add(7)
-	body, _ := getBody(t, ts.URL+"/metrics")
-	if !strings.Contains(body, "asets_custom_total 7") {
-		t.Fatalf("caller metric missing:\n%s", body)
+// TestCallerRegistryOnMetrics: an embedding program extends the /metrics
+// page by passing its own registry in executor.Options.Metrics or
+// cluster.Config.Metrics; what it adds there is served beside the replay's
+// instruments.
+func TestCallerRegistryOnMetrics(t *testing.T) {
+	cfg := workload.Default(0.7, 5)
+	cfg.N = 20
+	reg := obs.NewRegistry()
+	s := New(core.New(), workload.MustGenerate(cfg), &cfg, executor.Options{Metrics: reg})
+	reg.Counter("asets_custom_total", "caller-added counter").Inc()
+
+	ccfg, set := testClusterFixture()
+	creg := obs.NewRegistry()
+	ccfg.Metrics = creg
+	cs := NewCluster(ccfg, set, cluster.FleetOptions{})
+	creg.Counter("asets_custom_total", "caller-added counter").Inc()
+
+	for _, tc := range []struct {
+		h    http.Handler
+		want string
+	}{{s, "asets_custom_total 1"}, {cs, "asets_custom_total 1"}} {
+		ts := httptest.NewServer(tc.h)
+		body, _ := getBody(t, ts.URL+"/metrics")
+		ts.Close()
+		if !strings.Contains(body, tc.want) || !strings.Contains(body, "asets_workload_transactions") {
+			t.Fatalf("caller metric %q missing beside the replay's own:\n%s", tc.want, body)
+		}
 	}
 }

@@ -30,7 +30,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -67,17 +66,14 @@ type Completion struct {
 // Server hosts the dashboard for one executor run. Create with New, mount
 // anywhere via http.Handler, and call Start to begin the replay.
 type Server struct {
+	*replay
 	set       *txn.Set
 	cfg       *workload.Config
 	policy    string
 	admitName string
 	timeScale time.Duration
 	exec      *executor.Executor
-	mux       *http.ServeMux
-	reg       *obs.Registry
-	ring      *obs.Ring
 	spans     *obs.SpanBuilder
-	sse       *sseHub
 	ov        *obs.Overhead
 	g         obsGauges
 
@@ -85,23 +81,18 @@ type Server struct {
 	recent []Completion // ring buffer, next points at the oldest slot; guarded by mu
 	next   int          // guarded by mu
 	total  int          // guarded by mu
-
-	started bool  // guarded by mu
-	runErr  error // guarded by mu
-	done    chan struct{}
 }
 
 // New builds a server that will replay set under the given scheduler. cfg
 // is optional provenance served by /api/workload.
 func New(policy sched.Scheduler, set *txn.Set, cfg *workload.Config, opts executor.Options) *Server {
 	s := &Server{
+		replay:    newReplay(opts.Metrics, set),
 		set:       set,
 		cfg:       cfg,
 		policy:    policy.Name(),
 		admitName: "none",
 		timeScale: opts.TimeScale,
-		mux:       http.NewServeMux(),
-		done:      make(chan struct{}),
 	}
 	if opts.Admit != nil {
 		s.admitName = opts.Admit.Name()
@@ -120,17 +111,11 @@ func New(policy sched.Scheduler, set *txn.Set, cfg *workload.Config, opts execut
 	// Observability: the server always instruments its executor — the
 	// registry backs /metrics, the event ring backs /events. A caller's own
 	// registry and sink keep working alongside.
-	s.reg = opts.Metrics
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
-		opts.Metrics = s.reg
-	}
+	opts.Metrics = s.reg
 	s.ov = obs.NewOverhead()
-	s.ring = obs.NewRing(eventRing)
 	s.spans = obs.NewSpanBuilder(set, obs.SpanOptions{
 		Metrics: s.reg, Window: spanWindow, Keep: spanRing, Overhead: s.ov,
 	})
-	s.sse = newSSEHub(s.reg)
 	// The sink chain is wrapped in a Timed meter so the cost of observing —
 	// events fanned out, wall-clock ns inside the fan-out — is itself
 	// exported (/api/stats "obs" block, asets_obs_* gauges). The clock is
@@ -141,76 +126,23 @@ func New(policy sched.Scheduler, set *txn.Set, cfg *workload.Config, opts execut
 		clk = executor.RealClock{}
 	}
 	opts.Sink = obs.NewTimed(obs.Tee(opts.Sink, s.ring, s.spans, s.sse), s.ov, clk.Now)
-	s.reg.Gauge("asets_workload_transactions", "transactions in the replayed workload").Set(float64(set.Len()))
 	s.g = newObsGauges(s.reg)
 
 	s.exec = executor.New(policy, set, opts)
+	s.run = func(ctx context.Context) error {
+		_, err := s.exec.Run(ctx)
+		return err
+	}
+	s.scrape = s.publishObs
 
 	s.mux.HandleFunc("GET /", s.handleDashboard)
 	s.mux.HandleFunc("GET /api/stats", s.handleStats)
 	s.mux.HandleFunc("GET /api/recent", s.handleRecent)
 	s.mux.HandleFunc("GET /api/workload", s.handleWorkload)
 	s.mux.HandleFunc("POST /api/submit", s.handleSubmit)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /events", s.handleEvents)
-	s.mux.HandleFunc("GET /events/stream", s.handleEventStream)
 	s.mux.HandleFunc("GET /api/spans", s.handleSpans)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	return s
-}
-
-// Registry exposes the server's metrics registry, so embedding programs can
-// add their own instruments to the same /metrics page.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// ErrAlreadyStarted is returned by Start when the replay was already
-// launched: a Server replays its workload exactly once.
-var ErrAlreadyStarted = errors.New("server: replay already started (a Server is single-use; build a new one to replay again)")
-
-// Start launches the replay in a background goroutine. The returned channel
-// closes when the replay finishes or ctx is cancelled. A Server is
-// single-use: a second Start returns ErrAlreadyStarted without touching the
-// running replay (restarting would re-enter the executor over a consumed
-// workload and corrupt the scheduler's state).
-func (s *Server) Start(ctx context.Context) (<-chan struct{}, error) {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return nil, ErrAlreadyStarted
-	}
-	s.started = true
-	s.mu.Unlock()
-	go func() {
-		defer close(s.done)
-		_, err := s.exec.Run(ctx)
-		s.mu.Lock()
-		s.runErr = err
-		s.mu.Unlock()
-	}()
-	return s.done, nil
-}
-
-// Err returns the replay error, if any, once the run has ended.
-func (s *Server) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runErr
-}
-
-// Wait joins the replay goroutine: it blocks until the replay started by
-// Start has finished (returning its error) or until ctx ends (returning
-// ctx.Err()). Callers that cancel the Start context should still Wait so
-// the goroutine is joined before teardown.
-func (s *Server) Wait(ctx context.Context) error {
-	select {
-	case <-s.done:
-		return s.Err()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 func (s *Server) record(t *txn.Transaction, finish float64) {
@@ -383,35 +315,6 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, s.recentSnapshot(limit))
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.publishObs()
-	// Render into a buffer first: WritePrometheus writing straight to w
-	// would commit a 200 on its first byte, making the error branch a
-	// superfluous WriteHeader when a scrape is cut off mid-body.
-	var buf bytes.Buffer
-	if err := obs.WritePrometheus(&buf, s.reg); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(buf.Bytes())
-}
-
-// eventsPayload is the /events response document.
-type eventsPayload struct {
-	Total  uint64      `json:"total"`
-	Events []obs.Event `json:"events"` // newest first
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	limit, err := parseLimit(r, 100, eventRing)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, eventsPayload{Total: s.ring.Total(), Events: s.ring.Snapshot(limit)})
 }
 
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {

@@ -73,22 +73,16 @@ func (h *sseHub) unsubscribe(ch chan obs.Event) {
 // handleEventStream serves GET /events/stream: a Server-Sent Events feed of
 // the live decision stream, one `event: decision` frame per obs.Event with
 // the byte-stable JSON encoding as its data. The stream ends when the client
-// disconnects or when the replay finishes (after the buffer drains).
-func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
-	streamEvents(w, r, s.sse, s.done)
-}
-
-// streamEvents is the SSE loop shared by the single-backend Server and the
-// ClusterServer: subscribe to hub, relay until the client disconnects or
-// done closes (then drain and send a terminal `event: done` frame).
-func streamEvents(w http.ResponseWriter, r *http.Request, hub *sseHub, done <-chan struct{}) {
+// disconnects, or when the replay finishes: it then drains the buffer and
+// sends a terminal `event: done` frame.
+func (c *replay) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	ch := hub.subscribe()
-	defer hub.unsubscribe(ch)
+	ch := c.sse.subscribe()
+	defer c.sse.unsubscribe(ch)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -114,7 +108,7 @@ func streamEvents(w http.ResponseWriter, r *http.Request, hub *sseHub, done <-ch
 			if !write(ev) {
 				return
 			}
-		case <-done:
+		case <-c.done:
 			// Replay over: flush anything still buffered, then end the
 			// stream so clients see EOF instead of an idle hang.
 			for {

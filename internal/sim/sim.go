@@ -62,8 +62,7 @@ type Config struct {
 	Sink obs.Sink
 	// Metrics, when non-nil, accumulates the run's counters and histograms
 	// (see docs/OBSERVABILITY.md for the metric taxonomy). Concurrent runs
-	// must each use a private registry and merge afterwards with
-	// obs.Registry.Merge (docs/PARALLELISM.md).
+	// must each use a private registry (docs/PARALLELISM.md).
 	Metrics *obs.Registry
 	// Faults, when non-nil, is the validated fault plan the run executes: a
 	// fresh fault.Injector is built per run, so the same plan subjects

@@ -39,18 +39,6 @@ func TestCriticalPathDiamond(t *testing.T) {
 	}
 }
 
-func TestWorkflowCriticalPath(t *testing.T) {
-	s := mustSet(t,
-		mk(0, 0, 100, 4),
-		mk(1, 0, 100, 2, 0),
-		mk(2, 0, 100, 3, 1),
-	)
-	wfs := BuildWorkflows(s)
-	if got := WorkflowCriticalPath(s, wfs[0]); got != 9 {
-		t.Fatalf("workflow cp = %v, want 9", got)
-	}
-}
-
 func TestSlackAgainstCriticalPath(t *testing.T) {
 	// T1's chain needs 6 units but its deadline allows only 5 from arrival:
 	// structurally infeasible by 1.

@@ -179,13 +179,14 @@ func TestBuildWorkflowsIndependentEqualsSingleton(t *testing.T) {
 		txns[i] = mk(i, float64(i), float64(i+src.IntRange(5, 30)), float64(src.IntRange(1, 5)))
 	}
 	s := mustSet(t, txns...)
-	built, single := BuildWorkflows(s), SingletonWorkflows(s)
+	singletons := GroupSingletons(s)
+	built, single := BuildWorkflows(s), singletons.carveAll(s)
 	if len(built) != len(single) {
-		t.Fatalf("BuildWorkflows made %d workflows, SingletonWorkflows %d", len(built), len(single))
+		t.Fatalf("BuildWorkflows made %d workflows, singleton grouping %d", len(built), len(single))
 	}
 	for i := range built {
 		if !reflect.DeepEqual(*built[i], *single[i]) {
-			t.Fatalf("workflow %d: BuildWorkflows %+v, SingletonWorkflows %+v", i, *built[i], *single[i])
+			t.Fatalf("workflow %d: BuildWorkflows %+v, singleton grouping %+v", i, *built[i], *single[i])
 		}
 	}
 }

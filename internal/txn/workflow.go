@@ -184,16 +184,9 @@ func (g *Grouping) carveAll(s *Set) []*Workflow {
 // one workflow per root, containing the root's dependency closure. Workflows
 // are returned sorted by root ID and initialized with all members pending.
 // It is GroupWorkflows with every workflow carved; on a set without
-// dependencies the result equals SingletonWorkflows.
+// dependencies the result equals GroupSingletons with every workflow carved.
 func BuildWorkflows(s *Set) []*Workflow {
 	g := GroupWorkflows(s)
-	return g.carveAll(s)
-}
-
-// SingletonWorkflows wraps every transaction of s in its own one-member
-// workflow: GroupSingletons with every workflow carved.
-func SingletonWorkflows(s *Set) []*Workflow {
-	g := GroupSingletons(s)
 	return g.carveAll(s)
 }
 

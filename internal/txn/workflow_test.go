@@ -171,7 +171,8 @@ func TestHeadTieBreaks(t *testing.T) {
 
 func TestSingletonWorkflows(t *testing.T) {
 	s := chainSet(t)
-	wfs := SingletonWorkflows(s)
+	g := GroupSingletons(s)
+	wfs := g.carveAll(s)
 	if len(wfs) != s.Len() {
 		t.Fatalf("%d singleton workflows for %d transactions", len(wfs), s.Len())
 	}
