@@ -263,7 +263,7 @@ func main() {
 		if *svgDir != "" {
 			path := filepath.Join(*svgDir, id+".svg")
 			var buf strings.Builder
-			if err := svgplot.Render(&buf, res.Figure, svgplot.Options{}); err != nil {
+			if err := svgplot.Render(&buf, res.Figure); err != nil {
 				fmt.Fprintf(os.Stderr, "asetsbench: rendering %s: %v\n", path, err)
 				failed = true
 			} else if err := os.WriteFile(path, []byte(buf.String()), 0o644); err != nil {

@@ -112,7 +112,7 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal("csv render missing header")
 	}
 	var svg bytes.Buffer
-	if err := svgplot.Render(&svg, res.Figure, svgplot.Options{}); err != nil {
+	if err := svgplot.Render(&svg, res.Figure); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(svg.String(), "<svg") {

@@ -60,9 +60,10 @@ func New(cfg Config) *Sim { return &Sim{cfg: cfg} }
 
 // router is one cluster run: N instance kernels plus the routing tier. It
 // owns the global clock, routing, the circuit breaker, failover and retry
-// budgets, the status board and pacing; everything per instance —
-// scheduling, commit, abort, validation, stalls, admission, SLO and the
-// decision events — is the kernel's.
+// budgets and pacing, and steps under the status board's lock when one is
+// attached; everything per instance — scheduling, commit, abort,
+// validation, stalls, admission, SLO and the decision events — is the
+// kernel's.
 type router struct {
 	cfg    Config
 	retry  Retry
@@ -92,12 +93,28 @@ type router struct {
 // other instances, so a cross-instance dependency could never become ready
 // (workflow-colocated routing is future work — see docs/ROBUSTNESS.md).
 func (e *Sim) Run(set *txn.Set) (*Result, error) {
-	cfg := e.cfg
+	b := e.cfg.Status
+	if b == nil {
+		var r router
+		return r.run(e.cfg, set, func() {})
+	}
+	// Live readers read the router itself, under the board's lock, from the
+	// moment it is built. Handing it to the board moves it to the heap, so
+	// only a run with a board does that; a pure simulation's router stays
+	// on the stack.
+	r := new(router)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return r.run(e.cfg, set, func() { b.r = r })
+}
+
+// run is Sim.Run on router r; built is called once the fleet is built.
+func (r *router) run(cfg Config, set *txn.Set, built func()) (*Result, error) {
 	retry, maxSteps, err := cfg.validate(set)
 	if err != nil {
 		return nil, err
 	}
-	r := &router{
+	*r = router{
 		cfg: cfg, retry: retry, policy: cfg.Policy, set: set,
 		obs:   sched.Instrument(cfg.Sink, cfg.Metrics),
 		insts: make([]instance, cfg.Instances), views: make([]InstanceView, cfg.Instances),
@@ -121,7 +138,8 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 		}
 	}
 	r.arr = sim.NewArrivals(set)
-	for steps := 1; r.done+r.shed+r.lost < set.Len(); steps++ {
+	built()
+	for steps := 1; !r.finished(); steps++ {
 		if steps > maxSteps {
 			return nil, fmt.Errorf("cluster: exceeded %d scheduling steps with %d/%d transactions complete (scheduler or policy livelock?)", maxSteps, r.done, set.Len())
 		}
@@ -142,7 +160,6 @@ func (e *Sim) Run(set *txn.Set) (*Result, error) {
 //
 //lint:hotpath
 func (r *router) step() error {
-	r.publish(false)
 	event := r.arr.Next()
 	if r.held {
 		event = r.nextFresh()
@@ -177,7 +194,7 @@ func (r *router) step() error {
 		if !r.cfg.instant {
 			r.obs.Flush()
 		}
-		if err := r.cfg.Pace(event); err != nil {
+		if err := r.pace(event); err != nil {
 			return err
 		}
 	}
@@ -212,6 +229,16 @@ func (r *router) step() error {
 		}
 	}
 	return nil
+}
+
+// pace waits for the instant next through Config.Pace, with the status
+// board, when one is attached, unlocked for its readers.
+func (r *router) pace(next float64) error {
+	if b := r.cfg.Status; b != nil {
+		b.mu.Unlock()
+		defer b.mu.Lock()
+	}
+	return r.cfg.Pace(next)
 }
 
 // settle brings instance i to the new instant: its commits, then its
@@ -314,6 +341,10 @@ func (r *router) stuck() error {
 func (r *router) badPick(j int, t *txn.Transaction) error {
 	return fmt.Errorf("cluster: policy %q picked invalid instance %d for transaction %d", r.policy.Name(), j, t.ID)
 }
+
+// finished reports whether every transaction completed, was shed or was
+// lost.
+func (r *router) finished() bool { return r.done+r.shed+r.lost >= r.set.Len() }
 
 // healthy counts the instances in the routing set.
 func (r *router) healthy() int {
@@ -432,11 +463,4 @@ func (r *router) pushRetry(at float64, t *txn.Transaction, from int) {
 		return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.t.ID, y.t.ID))
 	})
 	r.retries = slices.Insert(r.retries, i, e)
-}
-
-// publish hands the status board a snapshot, when one is attached.
-func (r *router) publish(finished bool) {
-	if r.cfg.Status != nil {
-		r.cfg.Status.publish(r, finished)
-	}
 }

@@ -138,9 +138,10 @@ type Config struct {
 	// field of the supplied config is ignored — the engine overrides it per
 	// fault domain.
 	SLO *slo.Config
-	// Status, when non-nil, receives a live snapshot of the fleet at every
-	// event — the seam the live server reads /healthz detail from. Nil for
-	// pure simulation runs (zero overhead).
+	// Status, when non-nil, is the board live readers read the fleet
+	// through — the seam the live server reads /healthz detail from. The
+	// run holds its lock while it steps and releases it around Pace. Nil
+	// for pure simulation runs, which take no lock.
 	Status *StatusBoard
 	// Pace, when non-nil, is called before the engine advances to a future
 	// instant — the live tier's wall-clock pacing hook. Returning an error

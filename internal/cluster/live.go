@@ -94,51 +94,46 @@ type FleetHealth struct {
 	Instances []InstanceHealth `json:"instances,omitempty"`
 }
 
-// StatusBoard is the engine→observer seam for live runs: the engine
-// publishes a fleet snapshot at every event instant and HTTP handlers read
-// it concurrently. Pure simulation runs leave Config.Status nil and pay
-// nothing.
+// StatusBoard is the engine→observer seam for live runs: the engine holds
+// the board's lock while it steps the fleet and releases it only around
+// Config.Pace, so Snapshot and Health build their copies from the engine's
+// own state, at the instant the fleet pauses. Pure simulation runs leave
+// Config.Status nil and take no lock.
 type StatusBoard struct {
 	mu sync.Mutex
-	fs FleetStatus // guarded by mu
-	fh FleetHealth // guarded by mu
+	r  *router // guarded by mu: the run being read, nil before it starts
 }
 
-// Snapshot returns a copy of the latest published fleet state.
+// Snapshot returns a copy of the fleet's current state; the zero
+// FleetStatus before the run starts.
 func (b *StatusBoard) Snapshot() FleetStatus {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	fs := b.fs
-	fs.Instances = append([]InstanceStatus(nil), b.fs.Instances...)
-	return fs
+	if b.r == nil {
+		return FleetStatus{}
+	}
+	return b.r.status()
 }
 
-// Health returns a copy of the latest published fleet SLO rollup. Each
-// publish replaces the per-instance slo.State values wholesale, so the copy
-// never aliases state a later publish mutates.
+// Health returns a copy of the fleet's current SLO rollup; the zero
+// FleetHealth before the run starts or without an SLO configuration.
 func (b *StatusBoard) Health() FleetHealth {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	fh := b.fh
-	fh.Instances = append([]InstanceHealth(nil), b.fh.Instances...)
-	return fh
+	if b.r == nil || b.r.cfg.SLO == nil {
+		return FleetHealth{}
+	}
+	return b.r.health()
 }
 
-// publish replaces the board's snapshot from the router's state. Called on
-// the engine goroutine only.
-func (b *StatusBoard) publish(r *router, finished bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.fs = FleetStatus{
-		Now: r.now, Done: finished, Routes: r.routes, Failovers: r.failovers, Lost: r.lost,
+// status builds the fleet's FleetStatus. The engine has recorded the entry
+// of every open outage window at the current instant already (Next and
+// settle both ask), so the views it reads change nothing.
+func (r *router) status() FleetStatus {
+	fs := FleetStatus{
+		Now: r.now, Done: r.finished(), Routes: r.routes, Failovers: r.failovers, Lost: r.lost,
 		Ejections: r.ejections, Recoveries: r.recoveries, Completed: r.done, Shed: r.shed,
-		Instances: b.fs.Instances,
 	}
-	if cap(b.fs.Instances) < len(r.insts) {
-		//lint:ignore hotpath-alloc one allocation per live run; reused across every publish after
-		b.fs.Instances = make([]InstanceStatus, len(r.insts))
-	}
-	b.fs.Instances = b.fs.Instances[:len(r.insts)]
 	for i := range r.insts {
 		in := &r.insts[i]
 		v, c := in.view(i), in.k.Counts()
@@ -151,42 +146,35 @@ func (b *StatusBoard) publish(r *router, finished bool) {
 		case v.Stalled:
 			state = "stalled"
 		}
-		b.fs.Instances[i] = InstanceStatus{
+		fs.Instances = append(fs.Instances, InstanceStatus{
 			Index: i, State: state, Queued: v.Queued, Running: v.Running, Backlog: v.Backlog,
 			Routed: c.Admitted, FailoversIn: in.failoversIn, CrashLost: in.crashLost,
 			Completed: c.Done, Misses: c.Misses, Degraded: c.Degraded,
-		}
+		})
 	}
-	if len(r.insts) == 0 || r.insts[0].k.SLO() == nil {
-		return
-	}
-	// SLO rollup: aggregate the per-instance engine states. Live runs only
-	// (Status is nil in pure simulation), so the snapshot allocations are
-	// wall-clock-paced, not simulation hot-path work.
-	b.fh = FleetHealth{Now: r.now, Done: finished, Enabled: true, Instances: b.fh.Instances}
-	if cap(b.fh.Instances) < len(r.insts) {
-		//lint:ignore hotpath-alloc one allocation per live run; reused across every publish after
-		b.fh.Instances = make([]InstanceHealth, len(r.insts))
-	}
-	b.fh.Instances = b.fh.Instances[:len(r.insts)]
-	for i := range r.insts {
-		//lint:ignore hotpath-alloc live-run health snapshot, wall-clock paced
+	return fs
+}
+
+// health aggregates the instances' SLO engine states into the fleet's
+// FleetHealth; the run has an SLO configuration.
+func (r *router) health() FleetHealth {
+	fh := FleetHealth{Now: r.now, Done: r.finished(), Enabled: true, Instances: make([]InstanceHealth, len(r.insts))}
+	for i, is := range r.status().Instances {
 		st := r.insts[i].k.SLO().State()
-		b.fh.Instances[i] = InstanceHealth{Index: i, State: b.fs.Instances[i].State, SLO: st}
-		if st.Burning {
-			b.fh.Degraded = true
-		}
-		b.fh.ActiveAlerts += st.ActiveAlerts
-		b.fh.Fires += st.Fires
-		b.fh.Resolves += st.Resolves
-		b.fh.WorstBurn = max(b.fh.WorstBurn, st.FastBurn)
+		fh.Instances[i] = InstanceHealth{Index: i, State: is.State, SLO: st}
+		fh.Degraded = fh.Degraded || st.Burning
+		fh.ActiveAlerts += st.ActiveAlerts
+		fh.Fires += st.Fires
+		fh.Resolves += st.Resolves
+		fh.WorstBurn = max(fh.WorstBurn, st.FastBurn)
 	}
+	return fh
 }
 
 // FleetOptions configures a live cluster replay.
 type FleetOptions struct {
 	// TimeScale is the wall-clock duration of one simulated time unit;
-	// default 200 microseconds, matching executor.Options.
+	// default executor.DefaultTimeScale.
 	TimeScale time.Duration
 	// Clock paces the replay; nil selects executor.RealClock. A FakeClock
 	// replays the identical schedule instantly and bit-deterministically —
@@ -201,12 +189,14 @@ type FleetOptions struct {
 // sleeps only pace execution, so a paced run completes with the same routed
 // schedule as the instant replay. Event delivery follows the executor's rule
 // (executor.Waits): before each pacing sleep under a clock that waits, in
-// full batches as Sim.Run delivers under a FakeClock.
+// full batches as Sim.Run delivers under a FakeClock. Live reads follow it
+// too: Status and Health read the engine itself under its StatusBoard's
+// lock, which the run releases only while it sleeps, so they see the
+// instant the fleet pauses at, its transactions dispatched.
 type Fleet struct {
-	sim   *Sim
-	set   *txn.Set
-	opts  FleetOptions
-	board *StatusBoard
+	sim  *Sim
+	set  *txn.Set
+	opts FleetOptions
 }
 
 // NewFleet prepares a live cluster replay of set under cfg. The fleet
@@ -214,23 +204,21 @@ type Fleet struct {
 // (overriding cfg.Pace); configuration errors surface from Run.
 func NewFleet(cfg Config, set *txn.Set, opts FleetOptions) *Fleet {
 	if opts.TimeScale <= 0 {
-		opts.TimeScale = 200 * time.Microsecond
+		opts.TimeScale = executor.DefaultTimeScale
 	}
 	if opts.Clock == nil {
 		opts.Clock = executor.RealClock{}
 	}
-	f := &Fleet{set: set, opts: opts, board: &StatusBoard{}}
-	cfg.Status = f.board
-	f.sim = New(cfg)
-	return f
+	cfg.Status = &StatusBoard{}
+	return &Fleet{sim: New(cfg), set: set, opts: opts}
 }
 
-// Status returns the latest fleet snapshot; safe to call while Run runs.
-func (f *Fleet) Status() FleetStatus { return f.board.Snapshot() }
+// Status returns the fleet's current state; safe to call while Run runs.
+func (f *Fleet) Status() FleetStatus { return f.sim.cfg.Status.Snapshot() }
 
-// Health returns the latest fleet SLO rollup; safe to call while Run runs.
-// FleetHealth.Enabled is false when the run has no SLO configuration.
-func (f *Fleet) Health() FleetHealth { return f.board.Health() }
+// Health returns the fleet's current SLO rollup; safe to call while Run
+// runs. FleetHealth.Enabled is false when the run has no SLO configuration.
+func (f *Fleet) Health() FleetHealth { return f.sim.cfg.Status.Health() }
 
 // Run replays the workload to completion or until ctx is cancelled.
 func (f *Fleet) Run(ctx context.Context) (*Result, error) {

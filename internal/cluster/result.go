@@ -96,6 +96,5 @@ func (r *router) result() (*Result, error) {
 	}
 	summary.Aborts, summary.Restarts, summary.Stalls, summary.ValidateFails = faults.Aborts, faults.Restarts, faults.Stalls, faults.ValidateFails
 	res.Summary = summary
-	r.publish(true)
 	return res, nil
 }

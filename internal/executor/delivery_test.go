@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/txn"
 )
 
 // batchLens is a BatchSink that records the length of every delivery: the
@@ -59,6 +61,83 @@ func TestInstantReplayBatchesAsSim(t *testing.T) {
 	}
 }
 
+// streamState is what a live read at a pause at instant now must report,
+// from the reference stream evs: the arrivals, completions, sheds and
+// routes stamped at or before now, and the transactions dispatched and not
+// since preempted, completed, aborted or rewound, each with the instance its
+// dispatch names ("" on a single backend).
+type streamState struct {
+	arrived, completed, shed, routed int
+	running                          map[txn.ID]string
+}
+
+func stateAt(evs []obs.Event, now float64) streamState {
+	st := streamState{running: map[txn.ID]string{}}
+	for _, ev := range evs {
+		if ev.Time > now {
+			break
+		}
+		switch ev.Kind {
+		case obs.KindArrival:
+			st.arrived++
+		case obs.KindCompletion:
+			st.completed++
+		case obs.KindShed:
+			st.shed++
+		case obs.KindRoute:
+			st.routed++
+		case obs.KindDispatch:
+			st.running[ev.Txn] = ev.Detail
+		}
+		switch ev.Kind {
+		case obs.KindPreempt, obs.KindCompletion, obs.KindAbort, obs.KindValidateFail:
+			delete(st.running, ev.Txn)
+		}
+	}
+	return st
+}
+
+// checkStats requires an executor's live read to agree with the reference
+// stream at the instant it reports.
+func checkStats(t *testing.T, sleep int, got Stats, want []obs.Event) {
+	t.Helper()
+	st := stateAt(want, got.Now)
+	running := txn.ID(-1)
+	for id := range st.running {
+		running = id
+	}
+	if len(st.running) > 1 || got.Completed != st.completed || got.Submitted != st.arrived ||
+		got.Shed != st.shed || got.Running != running {
+		t.Fatalf("sleep %d at %v: Stats completed %d, submitted %d, shed %d, running %d; the stream %d, %d, %d, %v",
+			sleep, got.Now, got.Completed, got.Submitted, got.Shed, got.Running, st.completed, st.arrived, st.shed, st.running)
+	}
+}
+
+// checkFleetStatus requires a fleet's live read to agree with the reference
+// stream at the instant it reports.
+func checkFleetStatus(t *testing.T, sleep int, got cluster.FleetStatus, want []obs.Event) {
+	t.Helper()
+	st := stateAt(want, got.Now)
+	routed, running := 0, make([]int, len(got.Instances))
+	for id, inst := range st.running {
+		i, err := strconv.Atoi(inst)
+		if err != nil || i < 0 || i >= len(running) {
+			t.Fatalf("sleep %d: T%d dispatched on instance %q", sleep, id, inst)
+		}
+		running[i]++
+	}
+	for i, is := range got.Instances {
+		routed += is.Routed
+		if is.Running != running[i] {
+			t.Fatalf("sleep %d at %v: instance %d reports %d running, the stream %d", sleep, got.Now, i, is.Running, running[i])
+		}
+	}
+	if got.Completed != st.completed || got.Shed != st.shed || got.Routes != st.routed || routed != st.arrived {
+		t.Fatalf("sleep %d at %v: Status completed %d, shed %d, routes %d, admitted %d; the stream %d, %d, %d, %d",
+			sleep, got.Now, got.Completed, got.Shed, got.Routes, routed, st.completed, st.shed, st.routed, st.arrived)
+	}
+}
+
 // waitingClock is a clock that Waits reports as waiting (it is not a
 // *FakeClock) yet advances instantly like one; check runs at every Sleep,
 // before the clock moves.
@@ -78,7 +157,9 @@ func (c *waitingClock) Sleep(ctx context.Context, d time.Duration) error {
 // contract, the guarantee the server's ring and SSE streams rely on: under a
 // clock that waits, at every pacing sleep the sinks already hold every event
 // stamped at or before the instant the executor paces from, and nothing out
-// of stream order.
+// of stream order. Stats agrees with that stream there: its counts are the
+// stream's up to that instant, and its running transaction is the one
+// dispatched and not yet set aside.
 func TestWaitingClockDeliversBeforeSleep(t *testing.T) {
 	if Waits(NewFakeClock(time.Unix(0, 0))) || !Waits(RealClock{}) || !Waits(&waitingClock{}) {
 		t.Fatal("Waits must be false only for a *FakeClock")
@@ -104,7 +185,9 @@ func TestWaitingClockDeliversBeforeSleep(t *testing.T) {
 			sleeps, early := 0, 0
 			clk.check = func() {
 				sleeps++
-				from, got := ex.Stats().Now, col.Events()
+				st := ex.Stats()
+				checkStats(t, sleeps, st, want)
+				from, got := st.Now, col.Events()
 				if !slices.Equal(got, want[:min(len(got), len(want))]) {
 					t.Fatalf("sleep %d: delivered stream is not a prefix of the sim stream", sleeps)
 				}
@@ -135,8 +218,9 @@ func TestWaitingClockDeliversBeforeSleep(t *testing.T) {
 // rule through the same predicate. An instant fleet replay hands its sinks
 // exactly the batches cluster.Sim.Run does, and under a clock that waits
 // every pacing sleep finds every event stamped at or before the fleet's
-// paced-from instant already delivered — for every cluster cell on a
-// two-instance fleet.
+// paced-from instant already delivered, and a Status that agrees with the
+// stream up to that instant, transactions dispatched — for every cluster
+// cell on a two-instance fleet.
 func TestFleetDeliveryFollowsClock(t *testing.T) {
 	config := func(c matrixCell, sink obs.Sink) cluster.Config {
 		plan, _, sc := c.layers()
@@ -173,7 +257,9 @@ func TestFleetDeliveryFollowsClock(t *testing.T) {
 			sleeps := 0
 			clk.check = func() {
 				sleeps++
-				from, n := fleet.Status().Now, len(col.Events())
+				st := fleet.Status()
+				checkFleetStatus(t, sleeps, st, want)
+				from, n := st.Now, len(col.Events())
 				for i := n; i < len(want); i++ {
 					if want[i].Time <= from {
 						t.Fatalf("sleep %d at %v: event %d (%s at %v) not yet delivered", sleeps, from, i, want[i].Kind, want[i].Time)

@@ -35,6 +35,14 @@
 // receive the same events in the same order; only the batch boundaries
 // differ.
 //
+// Live reads need no copy of the state: Run holds the executor's lock while
+// it steps the kernel and releases it only around each pacing sleep, so
+// Stats, Probe, Done and AdmissionDegraded read the kernel and the
+// admission controller themselves, at the instant the replay pauses. The
+// same lock serializes every controller call. Sinks and Options.OnComplete
+// run on the replay goroutine with the lock held, so they must not call
+// back into the executor.
+//
 // Faults and overload protection (docs/ROBUSTNESS.md) are the kernel's, so
 // they thread through the same event-time model: Options.Faults injects
 // aborts, backend outage windows and flash crowds at simulated instants (so a
@@ -58,15 +66,20 @@ import (
 	"repro/internal/txn"
 )
 
+// DefaultTimeScale is the wall-clock duration of one simulated time unit
+// when a live replay names none: a 1000-transaction Table I workload at
+// utilization 0.8 replays in a few seconds.
+const DefaultTimeScale = 200 * time.Microsecond
+
 // Options configures an Executor.
 type Options struct {
-	// TimeScale is the wall-clock duration of one simulated time unit.
-	// Default 200 microseconds: a 1000-transaction Table I workload at
-	// utilization 0.8 replays in a few seconds.
+	// TimeScale is the wall-clock duration of one simulated time unit;
+	// default DefaultTimeScale.
 	TimeScale time.Duration
 	// OnComplete, when non-nil, is called from the executor goroutine after
 	// every completion with the transaction and its finish time in
-	// simulated units.
+	// simulated units. It runs with the executor's lock held, so it must
+	// not call Stats, Probe, Done or AdmissionDegraded.
 	OnComplete func(t *txn.Transaction, finish float64)
 	// Clock paces the replay. Nil selects RealClock. Injecting a FakeClock
 	// makes Run instantaneous and bit-for-bit deterministic — the only
@@ -87,9 +100,11 @@ type Options struct {
 	// from Run.
 	Faults *fault.Plan
 	// Admit, when non-nil, is consulted on every arrival; rejected
-	// transactions are marked Shed and never reach the scheduler. All
-	// controller calls are serialized under the executor's lock, so Probe
-	// may interrogate the same controller from other goroutines.
+	// transactions are marked Shed and never reach the scheduler. The run
+	// lock itself serializes the controller calls: the kernel makes them
+	// while Run holds the executor's lock, which Probe and
+	// AdmissionDegraded take, so those may interrogate the same controller
+	// from other goroutines.
 	Admit admit.Controller
 	// SLO, when non-nil, attaches the deterministic SLO alert engine to the
 	// replay: burn-rate rules evaluate at tumbling-window boundaries of
@@ -149,14 +164,12 @@ func (s Stats) AvgTardiness() float64 {
 type Executor struct {
 	set     *txn.Set
 	opts    Options
-	k       sim.Kernel
 	initErr error
 
-	mu      sync.Mutex
-	ctrl    admit.Controller // guarded by mu: the run loop and Probe both call it
-	counts  sim.Counts       // guarded by mu: the kernel's counters, copied once per step
-	running txn.ID           // guarded by mu: the dispatched transaction, or -1
-	done    bool             // guarded by mu
+	mu   sync.Mutex
+	k    sim.Kernel       // guarded by mu
+	ctrl admit.Controller // guarded by mu: the kernel and Probe both call it
+	done bool             // guarded by mu
 }
 
 // New prepares an executor over the simulator's single-backend kernel. The
@@ -166,54 +179,31 @@ type Executor struct {
 // scheduler sees the workload; an invalid plan is reported by Run.
 func New(s sched.Scheduler, set *txn.Set, opts Options) *Executor {
 	if opts.TimeScale <= 0 {
-		opts.TimeScale = 200 * time.Microsecond
+		opts.TimeScale = DefaultTimeScale
 	}
 	if opts.Clock == nil {
 		opts.Clock = RealClock{}
 	}
-	e := &Executor{set: set, opts: opts, ctrl: opts.Admit, running: -1}
-	cfg := sim.Config{Sink: opts.Sink, Metrics: opts.Metrics, Faults: opts.Faults, SLO: opts.SLO}
-	if opts.Admit != nil {
-		cfg.Admit = lockedController{e}
-	}
-	e.k, e.initErr = sim.NewKernel(cfg, set, s)
-	return e
+	k, err := sim.NewKernel(sim.Config{
+		Sink: opts.Sink, Metrics: opts.Metrics, Faults: opts.Faults, Admit: opts.Admit, SLO: opts.SLO,
+	}, set, s)
+	return &Executor{set: set, opts: opts, initErr: err, k: k, ctrl: opts.Admit}
 }
-
-// lockedController is the kernel's view of the admission controller: every
-// call is serialized with Probe and AdmissionDegraded under the executor's
-// lock.
-type lockedController struct{ e *Executor }
-
-func (c lockedController) Name() string {
-	c.e.mu.Lock()
-	defer c.e.mu.Unlock()
-	return c.e.ctrl.Name()
-}
-
-func (c lockedController) Admit(t *txn.Transaction, st admit.State) bool {
-	c.e.mu.Lock()
-	defer c.e.mu.Unlock()
-	return c.e.ctrl.Admit(t, st)
-}
-
-func (c lockedController) Complete(t *txn.Transaction, tardy bool) {
-	c.e.mu.Lock()
-	defer c.e.mu.Unlock()
-	c.e.ctrl.Complete(t, tardy)
-}
-
-func (c lockedController) Degraded() bool { return c.e.AdmissionDegraded() }
 
 // Stats returns a consistent snapshot of progress.
 func (e *Executor) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return statsOf(e.counts, e.running)
+	return statsOf(&e.k, e.done)
 }
 
-// statsOf renders the kernel's counters as Stats.
-func statsOf(c sim.Counts, running txn.ID) Stats {
+// statsOf renders kernel k's counters as Stats. The dispatched transaction
+// runs until the replay is done.
+func statsOf(k *sim.Kernel, done bool) Stats {
+	c, running := k.Counts(), txn.ID(-1)
+	if r := k.Running(); len(r) > 0 && !done {
+		running = r[0].ID
+	}
 	return Stats{
 		Now: c.Now, Submitted: c.Admitted, Completed: c.Done, Running: running,
 		SumTardiness: c.SumTardiness, MaxTardiness: c.MaxTardiness, Misses: c.Misses, Shed: c.Shed,
@@ -236,11 +226,11 @@ func (e *Executor) Done() bool {
 func (e *Executor) Probe(t *txn.Transaction) (bool, Stats) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := statsOf(e.counts, e.running)
+	st := statsOf(&e.k, e.done)
 	if e.ctrl == nil {
 		return true, st
 	}
-	return e.ctrl.Admit(t, e.counts.AdmitState(1)), st
+	return e.ctrl.Admit(t, e.k.Counts().AdmitState(1)), st
 }
 
 // AdmissionDegraded reports whether the admission controller is currently in
@@ -257,43 +247,43 @@ func (e *Executor) AdmissionDegraded() bool {
 // returns the number of completed transactions and an error if the context
 // ended the run early or the scheduler misbehaved. Run paces the kernel: it
 // walks the workload in arrival order like sim.Run, and before each advance
-// sleeps on the Clock until the event's scaled wall instant.
+// sleeps on the Clock until the event's scaled wall instant. It holds the
+// executor's lock throughout, except around those sleeps.
 func (e *Executor) Run(ctx context.Context) (int, error) {
 	if e.initErr != nil {
 		return 0, fmt.Errorf("executor: %w", e.initErr)
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	k, arr := &e.k, sim.NewArrivals(e.set)
-	start := e.opts.Clock.Now()
-	defer func() {
-		// Drain the instrumentation and finish the SLO engine before the run
-		// is marked done, so anything reading the registry afterwards sees
-		// every observation; this goroutine is the only emitter.
-		k.Close()
-		e.publish(true)
-	}()
-	waits := Waits(e.opts.Clock)
+	start, waits := e.opts.Clock.Now(), Waits(e.opts.Clock)
+	var err error
 	for !k.Finished() {
-		at, err := k.Next(arr.Next())
-		if err == nil && math.IsInf(at, 1) {
+		var at float64
+		if at, err = k.Next(arr.Next()); err == nil && math.IsInf(at, 1) {
 			err = k.Deadlock()
 		}
 		if err != nil {
-			return k.Counts().Done, fmt.Errorf("executor: %w", err)
+			err = fmt.Errorf("executor: %w", err)
+			break
 		}
-		e.publish(false)
-		// Pace to the event's wall instant, honouring cancellation. A clock
-		// that waits gets the staged events delivered first, so live readers
-		// see every decision up to the instant the executor pauses; an
-		// instant replay leaves them to the full-buffer and Close flushes.
+		// Pace to the event's wall instant, honouring cancellation, with the
+		// lock released: readers see the instant the executor pauses at, its
+		// transaction dispatched. A clock that waits gets the staged events
+		// delivered first, so readers also see every decision up to that
+		// instant; an instant replay leaves them to the full-buffer and Close
+		// flushes.
 		if waits {
 			k.Flush()
 		}
+		e.mu.Unlock()
 		err = ctx.Err()
 		if d := start.Add(time.Duration(at * float64(e.opts.TimeScale))).Sub(e.opts.Clock.Now()); d > 0 {
 			err = e.opts.Clock.Sleep(ctx, d)
 		}
+		e.mu.Lock()
 		if err != nil {
-			return k.Counts().Done, err
+			break
 		}
 		for _, t := range k.Advance(at) {
 			if e.opts.OnComplete != nil {
@@ -302,19 +292,10 @@ func (e *Executor) Run(ctx context.Context) (int, error) {
 		}
 		arr.Deliver(k)
 	}
-	return k.Counts().Done, nil
-}
-
-// publish copies the kernel's counters for Stats and Probe, once per step:
-// as the executor starts pacing toward the next event (with the dispatched
-// transaction running), and when the run ends.
-func (e *Executor) publish(done bool) {
-	running := txn.ID(-1)
-	if r := e.k.Running(); len(r) > 0 && !done {
-		running = r[0].ID
-	}
-	e.mu.Lock()
-	e.k.CountsInto(&e.counts)
-	e.running, e.done = running, done
-	e.mu.Unlock()
+	// Drain the instrumentation and finish the SLO engine before the run is
+	// marked done, so anything reading the registry afterwards sees every
+	// observation; this goroutine is the only emitter.
+	k.Close()
+	e.done = true
+	return k.Counts().Done, err
 }

@@ -319,10 +319,10 @@ func TestASETSSignificantlyBeatsStaticsAtCrossover(t *testing.T) {
 		vsSRPT.Add(srpt, asets)
 	}
 	if !vsEDF.Significant05() || vsEDF.MeanDiff() <= 0 {
-		t.Errorf("ASETS* vs EDF not significantly better: %s", vsEDF.String())
+		t.Errorf("ASETS* vs EDF not significantly better: diff %v, t %v", vsEDF.MeanDiff(), vsEDF.TStatistic())
 	}
 	if !vsSRPT.Significant05() || vsSRPT.MeanDiff() <= 0 {
-		t.Errorf("ASETS* vs SRPT not significantly better: %s", vsSRPT.String())
+		t.Errorf("ASETS* vs SRPT not significantly better: diff %v, t %v", vsSRPT.MeanDiff(), vsSRPT.TStatistic())
 	}
 }
 

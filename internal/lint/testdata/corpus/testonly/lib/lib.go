@@ -7,11 +7,11 @@ import (
 
 // Used is reached from main. It hands values to fmt and encoding/json, so
 // the program imports the packages whose interfaces call String and
-// MarshalJSON.
+// MarshalJSON, and it prints a Label.
 func Used() {
 	var s Shape = Square{}
 	b, _ := json.Marshal(s.Area())
-	fmt.Println(string(b))
+	fmt.Println(string(b), Label{})
 }
 
 // OnlyTests is called only from lib_test.go.
@@ -38,12 +38,27 @@ func (Circle) Area() int { return 3 }
 // Perimeter is a Square method no interface and no call reaches.
 func (Square) Perimeter() int { return 16 } // want testonly
 
-// Label's String and MarshalJSON are called by the standard library.
+// Label's String and MarshalJSON are called by the standard library: a
+// program prints a Label.
 type Label struct{}
 
 func (Label) String() string { return "label" }
 
 func (Label) MarshalJSON() ([]byte, error) { return []byte(`"label"`), nil }
+
+// Tally is a fmt.Stringer only tests hold a value of, so the standard
+// library never calls its String for a program.
+type Tally struct{ n int }
+
+func (t Tally) String() string { return fmt.Sprint(t.n) } // want testonly
+
+// Gauge is held only by a package-level initializer, which runs before
+// main: the standard library may call its String.
+type Gauge struct{}
+
+func (Gauge) String() string { return "gauge" }
+
+var defaultGauge = Gauge{}
 
 // table is a package-level initializer: fromInit is reached through it.
 var table = map[string]func() int{"a": fromInit}

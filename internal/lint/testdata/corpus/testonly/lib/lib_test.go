@@ -7,4 +7,7 @@ func TestOnlyTests(t *testing.T) {
 		t.Fatal("fixture")
 	}
 	Bare()
+	if (Tally{n: 3}).String() != "3" {
+		t.Fatal("tally")
+	}
 }

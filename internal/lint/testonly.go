@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -22,11 +23,13 @@ const testonlyMarker = "lint:testonly"
 // stdInterfaces are the standard-library interfaces through which the
 // standard library itself calls module methods: error and fmt's Stringer,
 // encoding/json's marshalers, net/http's handler and go/types' importers. A
-// module method that implements one of them is a root, since the call that
-// reaches it is in code the call graph does not hold. Interfaces of packages
-// the program does not import are skipped. The list holds the interfaces
-// module types implement; one a new type implements joins it when the
-// analyzer reports a method the standard library reaches through it.
+// module method that implements one of them is a root once code a program
+// reaches mentions its receiver type, since the call that reaches it is in
+// code the call graph does not hold; a type no program holds a value of
+// keeps no method alive. Interfaces of packages the program does not import
+// are skipped. The list holds the interfaces module types implement; one a
+// new type implements joins it when the analyzer reports a method the
+// standard library reaches through it.
 var stdInterfaces = []struct{ pkg, name string }{
 	{"", "error"},
 	{"fmt", "Stringer"},
@@ -46,7 +49,8 @@ var stdInterfaces = []struct{ pkg, name string }{
 // The roots are the main and init functions and package-level initializers
 // of every package, the root package's exported functions and the exported
 // methods of every type it exports or aliases, the methods the standard
-// library calls through stdInterfaces, every function of a nested reader
+// library calls through stdInterfaces on the types reached code mentions
+// (and package-level initializers do), every function of a nested reader
 // module (perfbench/, Package.Reader), and the functions marked
 // //lint:testonly. A module without a program root (no package main, no
 // root package) has nothing to measure reachability from, and the analyzer
@@ -56,7 +60,8 @@ func TestOnly() *Analyzer {
 		Name: "testonly",
 		Doc: "flags functions and methods no program reaches (only tests, or nothing, " +
 			"call them); roots are every main, init and package-level initializer, the " +
-			"root package's API, the standard library's interface callbacks and the " +
+			"root package's API, the standard library's interface callbacks on types " +
+			"reached code holds, and the " +
 			"nested benchmark module's calls; //lint:testonly <reason> marks deliberate " +
 			"test support, and a mark without a reason or on reached code is reported",
 	}
@@ -74,6 +79,7 @@ func TestOnly() *Analyzer {
 		if !ok {
 			return
 		}
+		roots = heldCallbacks(g, all, roots, stdCallbacks(all))
 		var marked []*types.Func
 		for _, fn := range g.Funcs() {
 			node := g.Node(fn)
@@ -162,7 +168,77 @@ func programRoots(pkgs []*Package, g *callgraph.Graph, reader map[*callgraph.Uni
 			}
 		}
 	}
-	return append(roots, stdCallbacks(pkgs)...), program
+	return roots, program
+}
+
+// heldCallbacks returns roots with, to a fixed point, each of callbacks
+// whose receiver type the functions the roots reach or the package-level
+// initializers of pkgs mention. Marked test support holds nothing here: a
+// type only tests hold keeps no callback alive.
+func heldCallbacks(g *callgraph.Graph, pkgs []*Package, roots []*types.Func, callbacks []callback) []*types.Func {
+	held := map[*types.TypeName]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					mentionTypes(held, pkg.Info, gd)
+				}
+			}
+		}
+	}
+	scanned := map[*types.Func]bool{}
+	for grew := true; grew; {
+		reach := g.Reachable(roots, nil)
+		for _, fn := range g.Funcs() {
+			if _, ok := reach[fn]; ok && !scanned[fn] {
+				scanned[fn] = true
+				mentionTypes(held, g.Node(fn).Unit.Info, g.Node(fn).Decl)
+			}
+		}
+		grew = false
+		for i, cb := range callbacks {
+			if cb.fn != nil && held[cb.recv] {
+				roots, callbacks[i].fn, grew = append(roots, cb.fn), nil, true
+			}
+		}
+	}
+	return roots
+}
+
+// mentionTypes adds to held the named types of every expression and
+// declared object under n, through pointers, containers, type arguments and
+// struct fields: the ways a value reaches fmt or encoding/json.
+func mentionTypes(held map[*types.TypeName]bool, info *types.Info, n ast.Node) {
+	var walk func(types.Type)
+	walk = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Named:
+			if tn := t.Origin().Obj(); !held[tn] {
+				held[tn] = true
+				for i := 0; i < t.TypeArgs().Len(); i++ {
+					walk(t.TypeArgs().At(i))
+				}
+				walk(t.Underlying())
+			}
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				walk(t.Field(i).Type())
+			}
+		case interface{ Elem() types.Type }: // pointer, slice, array, map, chan
+			if m, ok := t.(*types.Map); ok {
+				walk(m.Key())
+			}
+			walk(t.Elem())
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		if e, ok := n.(ast.Expr); ok {
+			if t := info.TypeOf(e); t != nil {
+				walk(t)
+			}
+		}
+		return true
+	})
 }
 
 // exportedMethods returns the exported methods in the method set of *t (or
@@ -183,9 +259,15 @@ func exportedMethods(t types.Type) []*types.Func {
 	return out
 }
 
+// callback is a method the standard library may call on values of recv.
+type callback struct {
+	recv *types.TypeName
+	fn   *types.Func
+}
+
 // stdCallbacks returns the module methods that implement a method of one of
 // stdInterfaces.
-func stdCallbacks(pkgs []*Package) []*types.Func {
+func stdCallbacks(pkgs []*Package) []callback {
 	imported := map[string]*types.Package{}
 	var walk func(*types.Package)
 	walk = func(tp *types.Package) {
@@ -216,7 +298,7 @@ func stdCallbacks(pkgs []*Package) []*types.Func {
 		}
 	}
 
-	var out []*types.Func
+	var out []callback
 	for _, pkg := range pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
@@ -237,7 +319,7 @@ func stdCallbacks(pkgs []*Package) []*types.Func {
 					m := it.Method(i)
 					obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
 					if fn, ok := obj.(*types.Func); ok {
-						out = append(out, fn)
+						out = append(out, callback{tn, fn})
 					}
 				}
 			}

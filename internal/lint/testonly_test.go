@@ -8,9 +8,11 @@ import (
 // TestTestOnlyCorpus runs the whole suite over testdata/corpus/testonly, a
 // module of its own with a package main, a root package and a nested reader
 // module (bench/). Its // want markers pin each case of the testonly rule:
-// a function only tests call and what only it reaches are findings; a
-// method reached only through a module interface, String and MarshalJSON,
-// a function referenced only from a package-level initializer, a marked
+// a function only tests call and what only it reaches are findings, and so
+// is the String of a type only tests hold; a method reached only through a
+// module interface, String and MarshalJSON on a type a program prints or a
+// package-level initializer holds, a function referenced only from a
+// package-level initializer, a marked
 // helper and what it reaches, the root package's API and what the reader
 // module calls are not; a mark without a reason and a mark on a function a
 // program reaches are findings. Nothing is reported in the reader module,

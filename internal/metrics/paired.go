@@ -1,15 +1,12 @@
 package metrics
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Paired accumulates paired observations of two policies measured on
 // identical workloads (same seed, same transactions) — the right way to
 // compare schedulers, because pairing removes the workload-to-workload
 // variance that dominates independent comparisons. It reports the mean
-// difference, its confidence interval, and a paired t statistic.
+// difference and a paired t statistic.
 type Paired struct {
 	a, b  Stream
 	diffs Stream
@@ -25,15 +22,10 @@ func (p *Paired) Add(a, b float64) {
 	p.diffs.Add(a - b)
 }
 
-// N returns the number of pairs.
-func (p *Paired) N() int { return p.diffs.N() }
-
-// MeanA and MeanB return the per-policy means.
-func (p *Paired) MeanA() float64 { return p.a.Mean() }
-func (p *Paired) MeanB() float64 { return p.b.Mean() }
-
 // MeanDiff returns the mean of A-B: positive means A is larger (worse, for
 // tardiness metrics).
+//
+//lint:testonly experiment tests assert the direction of ASETS*'s gains through it
 func (p *Paired) MeanDiff() float64 { return p.diffs.Mean() }
 
 // TStatistic returns the paired t statistic meanDiff / (sd/sqrt(n)). It is
@@ -61,15 +53,6 @@ func (p *Paired) TStatistic() float64 {
 func (p *Paired) Significant05() bool {
 	t := p.TStatistic()
 	return !math.IsNaN(t) && math.Abs(t) > 1.96
-}
-
-// CI95 returns the 95% half-width on the mean difference.
-func (p *Paired) CI95() float64 { return p.diffs.CI95() }
-
-// String renders a one-line summary.
-func (p *Paired) String() string {
-	return fmt.Sprintf("A=%.4f B=%.4f diff=%.4f±%.4f (t=%.2f, n=%d)",
-		p.MeanA(), p.MeanB(), p.MeanDiff(), p.CI95(), p.TStatistic(), p.N())
 }
 
 func sign(v float64) int {

@@ -12,11 +12,11 @@ func TestPairedBasics(t *testing.T) {
 	p.Add(10, 8)
 	p.Add(12, 9)
 	p.Add(8, 7)
-	if p.N() != 3 {
-		t.Fatalf("N = %d", p.N())
+	if p.diffs.N() != 3 {
+		t.Fatalf("N = %d", p.diffs.N())
 	}
-	if p.MeanA() != 10 || p.MeanB() != 8 {
-		t.Fatalf("means %v %v", p.MeanA(), p.MeanB())
+	if p.a.Mean() != 10 || p.b.Mean() != 8 {
+		t.Fatalf("means %v %v", p.a.Mean(), p.b.Mean())
 	}
 	if p.MeanDiff() != 2 {
 		t.Fatalf("diff %v", p.MeanDiff())
@@ -33,7 +33,7 @@ func TestPairedRemovesWorkloadVariance(t *testing.T) {
 		p.Add(base+1, base) // A consistently 1 worse
 	}
 	if !p.Significant05() {
-		t.Fatalf("constant +1 difference not significant: %s", p.String())
+		t.Fatalf("constant +1 difference not significant: t = %v", p.TStatistic())
 	}
 	if math.Abs(p.MeanDiff()-1) > 1e-9 {
 		t.Fatalf("mean diff %v", p.MeanDiff())
@@ -68,14 +68,5 @@ func TestPairedDegenerate(t *testing.T) {
 	q.Add(3, 1)
 	if !math.IsInf(q.TStatistic(), 1) || !q.Significant05() {
 		t.Fatalf("constant diff t = %v", q.TStatistic())
-	}
-}
-
-func TestPairedString(t *testing.T) {
-	var p Paired
-	p.Add(2, 1)
-	p.Add(3, 1)
-	if p.String() == "" {
-		t.Fatal("empty String")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/executor"
 	"repro/internal/obs"
 	"repro/internal/txn"
 )
@@ -47,7 +48,7 @@ func NewCluster(cfg cluster.Config, set *txn.Set, opts cluster.FleetOptions) *Cl
 		s.schedName = cfg.NewScheduler().Name()
 	}
 	if s.timeScale <= 0 {
-		s.timeScale = 200 * time.Microsecond // NewFleet's default
+		s.timeScale = executor.DefaultTimeScale
 	}
 	cfg.Metrics = s.reg
 	cfg.Sink = obs.Tee(cfg.Sink, s.ring, s.sse)
@@ -127,7 +128,7 @@ func (s *ClusterServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	p := clusterHealthPayload{Status: "ok", Healthy: fs.Healthy(), Instances: fs.Instances}
 	if p.Instances == nil {
-		// Before the first engine publish the board is empty; report the
+		// Before the run starts the board is empty; report the
 		// configured width so probes never mistake "not started" for "down".
 		p.Instances = []cluster.InstanceStatus{}
 		p.Healthy = s.instances

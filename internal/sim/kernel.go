@@ -264,16 +264,7 @@ func (k *Kernel) SLO() *slo.Engine { return k.slo }
 // Counts returns a snapshot of the run's progress counters. A running set
 // due to re-decide counts as queued, as it would after a Return.
 func (k *Kernel) Counts() Counts {
-	var c Counts
-	k.CountsInto(&c)
-	return c
-}
-
-// CountsInto writes the Counts snapshot into c, for a caller that keeps
-// one (the executor publishes it once per step) and would otherwise copy it
-// twice.
-func (k *Kernel) CountsInto(c *Counts) {
-	*c = k.c
+	c := k.c
 	c.Now, c.Running, c.Live = k.now, k.busy(), k.live
 	if k.inj != nil {
 		c.Aborts, c.Restarts, c.Stalls, c.Held = k.inj.Aborts(), k.inj.Restarts(), k.inj.StallsEntered(), k.inj.Held()
@@ -281,6 +272,7 @@ func (k *Kernel) CountsInto(c *Counts) {
 	if k.val != nil {
 		c.ValidateFails = k.val.Fails()
 	}
+	return c
 }
 
 // busy counts the running transactions; a running set due to re-decide

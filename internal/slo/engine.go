@@ -445,9 +445,10 @@ type ClassHealth struct {
 	Backlog         int     `json:"backlog"`
 }
 
-// State is an engine snapshot for health rollups. It must be taken on the
-// engine's own goroutine (the event loop); boards that serve it to HTTP
-// readers copy it under their own lock.
+// State is an engine snapshot for health rollups. It must be taken where
+// the engine cannot advance meanwhile: on its own goroutine (the event
+// loop), or under a lock the loop holds while it steps, as
+// cluster.StatusBoard does for HTTP readers.
 type State struct {
 	// Windows is the number of closed tumbling windows.
 	Windows int64 `json:"windows"`

@@ -26,36 +26,22 @@ var palette = []string{
 	"#000000", // black
 }
 
-// Options tunes the rendering; zero values select sensible defaults.
-type Options struct {
-	// Width and Height of the SVG canvas in pixels (default 720x480).
-	Width  int
-	Height int
-	// LogY switches the y-axis to log10 scale (zero/negative values are
-	// clamped to the smallest positive value in the data).
-	LogY bool
-}
-
-// Render writes fig as a complete SVG document to w.
-func Render(w io.Writer, fig *report.Figure, opts Options) error {
-	if opts.Width <= 0 {
-		opts.Width = 720
-	}
-	if opts.Height <= 0 {
-		opts.Height = 480
-	}
+// Render writes fig as a complete 720x480 SVG document to w.
+func Render(w io.Writer, fig *report.Figure) error {
 	if len(fig.X) == 0 || len(fig.Series) == 0 {
 		return fmt.Errorf("svgplot: figure %q has no data", fig.ID)
 	}
 
 	const (
+		width   = 720
+		height  = 480
 		marginL = 70
 		marginR = 20
 		marginT = 40
 		marginB = 50
 	)
-	plotW := float64(opts.Width - marginL - marginR)
-	plotH := float64(opts.Height - marginT - marginB)
+	plotW := float64(width - marginL - marginR)
+	plotH := float64(height - marginT - marginB)
 
 	xmin, xmax := minMax(fig.X)
 	var ys []float64
@@ -64,20 +50,6 @@ func Render(w io.Writer, fig *report.Figure, opts Options) error {
 	}
 	ymin, ymax := minMax(ys)
 
-	transformY := func(v float64) float64 { return v }
-	if opts.LogY {
-		floor := smallestPositive(ys)
-		if floor == 0 {
-			floor = 1e-6
-		}
-		transformY = func(v float64) float64 {
-			if v < floor {
-				v = floor
-			}
-			return math.Log10(v)
-		}
-		ymin, ymax = transformY(ymin), transformY(ymax)
-	}
 	if xmax == xmin {
 		xmax = xmin + 1
 	}
@@ -91,12 +63,12 @@ func Render(w io.Writer, fig *report.Figure, opts Options) error {
 
 	px := func(x float64) float64 { return float64(marginL) + (x-xmin)/(xmax-xmin)*plotW }
 	py := func(y float64) float64 {
-		return float64(marginT) + (1-(transformY(y)-ymin)/(ymax-ymin))*plotH
+		return float64(marginT) + (1-(y-ymin)/(ymax-ymin))*plotH
 	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		opts.Width, opts.Height, opts.Width, opts.Height)
+		width, height, width, height)
 	b.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
 	fmt.Fprintf(&b, `<text x="%d" y="24" font-family="sans-serif" font-size="16" font-weight="bold">%s — %s</text>`+"\n",
 		marginL, escape(fig.ID), escape(fig.Title))
@@ -112,23 +84,19 @@ func Render(w io.Writer, fig *report.Figure, opts Options) error {
 		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="11" text-anchor="middle">%g</text>`+"\n",
 			px(x), float64(marginT)+plotH+16, x)
 	}
-	// Y ticks: five evenly spaced (in transformed space).
+	// Y ticks: five evenly spaced.
 	for i := 0; i <= 4; i++ {
 		ty := ymin + (ymax-ymin)*float64(i)/4
 		yPix := float64(marginT) + (1-(ty-ymin)/(ymax-ymin))*plotH
-		label := ty
-		if opts.LogY {
-			label = math.Pow(10, ty)
-		}
 		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#eee"/>`+"\n",
 			marginL, yPix, float64(marginL)+plotW, yPix)
 		fmt.Fprintf(&b, `<text x="%d" y="%.1f" font-family="sans-serif" font-size="11" text-anchor="end">%s</text>`+"\n",
-			marginL-6, yPix+4, compact(label))
+			marginL-6, yPix+4, compact(ty))
 	}
 
 	// Axis labels.
 	fmt.Fprintf(&b, `<text x="%.1f" y="%d" font-family="sans-serif" font-size="13" text-anchor="middle">%s</text>`+"\n",
-		float64(marginL)+plotW/2, opts.Height-10, escape(fig.XLabel))
+		float64(marginL)+plotW/2, height-10, escape(fig.XLabel))
 	fmt.Fprintf(&b, `<text x="16" y="%.1f" font-family="sans-serif" font-size="13" text-anchor="middle" transform="rotate(-90 16 %.1f)">%s</text>`+"\n",
 		float64(marginT)+plotH/2, float64(marginT)+plotH/2, escape(fig.YLabel))
 
@@ -170,16 +138,6 @@ func minMax(vals []float64) (float64, float64) {
 		hi = math.Max(hi, v)
 	}
 	return lo, hi
-}
-
-func smallestPositive(vals []float64) float64 {
-	best := 0.0
-	for _, v := range vals {
-		if v > 0 && (best == 0 || v < best) {
-			best = v
-		}
-	}
-	return best
 }
 
 func compact(v float64) string {

@@ -21,17 +21,17 @@ func sample() *report.Figure {
 	return f
 }
 
-func render(t *testing.T, fig *report.Figure, opts Options) string {
+func render(t *testing.T, fig *report.Figure) string {
 	t.Helper()
 	var b strings.Builder
-	if err := Render(&b, fig, opts); err != nil {
+	if err := Render(&b, fig); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
 }
 
 func TestRenderWellFormedXML(t *testing.T) {
-	out := render(t, sample(), Options{})
+	out := render(t, sample())
 	dec := xml.NewDecoder(strings.NewReader(out))
 	for {
 		_, err := dec.Token()
@@ -45,7 +45,7 @@ func TestRenderWellFormedXML(t *testing.T) {
 }
 
 func TestRenderContainsParts(t *testing.T) {
-	out := render(t, sample(), Options{})
+	out := render(t, sample())
 	for _, want := range []string{
 		"<svg", "</svg>", "polyline", "circle",
 		"ASETS*/EDF", "ASETS*/SRPT", "utilization", "ratio",
@@ -60,26 +60,10 @@ func TestRenderContainsParts(t *testing.T) {
 	}
 }
 
-func TestRenderCustomSize(t *testing.T) {
-	out := render(t, sample(), Options{Width: 320, Height: 200})
-	if !strings.Contains(out, `width="320"`) || !strings.Contains(out, `height="200"`) {
-		t.Error("custom size not honoured")
-	}
-}
-
-func TestRenderLogY(t *testing.T) {
-	f := &report.Figure{ID: "f", XLabel: "x", YLabel: "y", X: []float64{1, 2, 3}}
-	f.AddSeries("s", []float64{0, 10, 1000}, nil) // zero must be clamped
-	out := render(t, f, Options{LogY: true})
-	if !strings.Contains(out, "<polyline") {
-		t.Error("log-scale render lost the series")
-	}
-}
-
 func TestRenderFlatSeries(t *testing.T) {
 	f := &report.Figure{ID: "f", XLabel: "x", YLabel: "y", X: []float64{1, 2}}
 	f.AddSeries("s", []float64{5, 5}, nil)
-	out := render(t, f, Options{})
+	out := render(t, f)
 	if !strings.Contains(out, "<polyline") {
 		t.Error("flat series render failed")
 	}
@@ -87,7 +71,7 @@ func TestRenderFlatSeries(t *testing.T) {
 
 func TestRenderEmptyFigureFails(t *testing.T) {
 	var b strings.Builder
-	if err := Render(&b, &report.Figure{ID: "e"}, Options{}); err == nil {
+	if err := Render(&b, &report.Figure{ID: "e"}); err == nil {
 		t.Error("empty figure accepted")
 	}
 }

@@ -30,10 +30,10 @@ if [ "${1:-}" = "short" ]; then
     # replay goroutine. Both hammers are small and fast.
     echo "== go test -race (endpoint + fault + staged-event + contention + slo hammers)"
     go test -race -run Hammer ./internal/server ./internal/obs ./internal/contention ./internal/slo
-    # The executor's Stats/Probe snapshot and its locked admission adapter
-    # race the replay goroutine.
-    echo "== go test -race (executor hammers)"
-    go test -race -run 'Hammer|Concurrent|FaultReplay' ./internal/executor
+    # The executor's Stats/Probe and the fleet's Status/Health read the
+    # engine under the lock its replay goroutine releases while it paces.
+    echo "== go test -race (executor + fleet live-read hammers)"
+    go test -race -run 'Hammer|Concurrent|FaultReplay' ./internal/executor ./internal/cluster
 else
     echo "== go test"
     go test ./...
@@ -45,8 +45,8 @@ else
     go test -race -run Hammer -count 2 ./internal/server
     echo "== staged event path hammer (-race)"
     go test -race -run Hammer -count 2 ./internal/obs
-    echo "== fault-injection hammer (-race)"
-    go test -race -run 'FaultHammer|FaultReplay|Concurrent' -count 2 ./internal/server ./internal/executor
+    echo "== fault-injection + live-read hammer (-race)"
+    go test -race -run 'FaultHammer|FaultReplay|Concurrent' -count 2 ./internal/server ./internal/executor ./internal/cluster
     echo "== cluster failover hammer (-race)"
     go test -race -run ClusterHammer -count 2 ./internal/server
     echo "== contention hammer (-race)"
