@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // sloAllocs matches the slo-bench allocation measurement. MemStats deltas
@@ -99,5 +102,22 @@ func TestBenchRejectsEmptySizes(t *testing.T) {
 				t.Errorf("-%s -n %d -seeds %d: output file created before the usage check", m.flag, a.n, a.seeds)
 			}
 		}
+	}
+}
+
+// TestFigureRejectsEmptySizes: the figure path rejects the sizes the bench
+// modes reject, instead of panicking on a negative -seeds or letting the
+// experiments' defaults replace a zero.
+func TestFigureRejectsEmptySizes(t *testing.T) {
+	for _, a := range []benchArgs{{n: 0, seeds: 2}, {n: 300, seeds: 0}, {n: -1, seeds: 2}, {n: 300, seeds: -1}} {
+		if _, err := figureOptions(a.n, a.seeds, 0, false); !errors.Is(err, errUsage) {
+			t.Errorf("-n %d -seeds %d: err = %v, want a usage error", a.n, a.seeds, err)
+		}
+	}
+	opts, err := figureOptions(300, 7, 0, false)
+	step := uint64(0x9e3779b97f4a7c15)
+	if err != nil || opts.N != 300 || len(opts.Seeds) != 7 || !slices.Equal(opts.Seeds[:5], experiments.DefaultSeeds) ||
+		opts.Seeds[6] != experiments.DefaultSeeds[0]+6*step {
+		t.Fatalf("-n 300 -seeds 7: opts %+v, err %v", opts, err)
 	}
 }

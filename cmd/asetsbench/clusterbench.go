@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -141,19 +140,9 @@ func clusterBenchJobs(n, seeds int) ([]runner.Job, []*obs.Collector) {
 // 4 workers) to enforce the determinism contract, and gates on failover
 // containing the crash damage.
 func runClusterBench(n, seeds int) (any, error) {
-	run := func(workers int) ([]runner.Job, [32]byte, error) {
-		jobs, cols := clusterBenchJobs(n, seeds)
-		if _, err := (runner.Pool{Workers: workers}).Run(context.Background(), jobs); err != nil {
-			return nil, [32]byte{}, err
-		}
-		digest, err := streamDigest(cols)
-		return jobs, digest, err
-	}
-	serialJobs, serialDigest, err := run(1)
-	if err != nil {
-		return nil, err
-	}
-	_, parallelDigest, err := run(4)
+	jobs, _, _, deterministic, err := runSerialAndParallel(func() ([]runner.Job, []*obs.Collector) {
+		return clusterBenchJobs(n, seeds)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -162,14 +151,14 @@ func runClusterBench(n, seeds int) (any, error) {
 		N: n, Seeds: seeds, Instances: clusterBenchInstances,
 		Route: cluster.HealthWeighted{}.Name(), Retry: clusterBenchRetry(),
 		MissFactor:    clusterBenchMissFactor,
-		Deterministic: serialDigest == parallelDigest,
+		Deterministic: deterministic,
 	}
 	k := float64(seeds)
 	for i, scenario := range clusterBenchScenarios {
 		var c clusterBenchCell
 		c.Scenario = scenario
 		for s := 0; s < seeds; s++ {
-			r := serialJobs[i*seeds+s].Cluster.Result
+			r := jobs[i*seeds+s].Cluster.Result
 			c.EffectiveMissRatio += r.EffectiveMissRatio()
 			c.Misses += float64(r.Misses)
 			c.Lost += float64(r.Lost)

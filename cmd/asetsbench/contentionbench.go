@@ -10,12 +10,10 @@
 package main
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/contention"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -135,20 +133,9 @@ func contentionBenchJobs(n, seeds int) ([]runner.Job, []*obs.Collector) {
 // workers) to enforce the determinism contract, and gates on conflict-aware
 // dispatch beating the blind policy past the contention knee.
 func runContentionBench(n, seeds int) (any, error) {
-	run := func(workers int) ([]*metrics.Summary, [32]byte, error) {
-		jobs, cols := contentionBenchJobs(n, seeds)
-		sums, err := (runner.Pool{Workers: workers}).Run(context.Background(), jobs)
-		if err != nil {
-			return nil, [32]byte{}, err
-		}
-		digest, err := streamDigest(cols)
-		return sums, digest, err
-	}
-	serialSums, serialDigest, err := run(1)
-	if err != nil {
-		return nil, err
-	}
-	_, parallelDigest, err := run(4)
+	_, sums, _, deterministic, err := runSerialAndParallel(func() ([]runner.Job, []*obs.Collector) {
+		return contentionBenchJobs(n, seeds)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -158,14 +145,14 @@ func runContentionBench(n, seeds int) (any, error) {
 		Util: contentionBenchUtil, Alpha: contentionBenchAlpha,
 		Reads: contentionBenchReads, Writes: contentionBenchWrites,
 		Knee:          contentionBenchKnee,
-		Deterministic: serialDigest == parallelDigest,
+		Deterministic: deterministic,
 	}
 	k := float64(seeds)
 	for i, keys := range contentionBenchKeys {
 		for j, pol := range contentionBenchPolicies {
 			c := contentionBenchCell{Keys: keys, Policy: pol.Name}
 			for s := 0; s < seeds; s++ {
-				sum := serialSums[(i*len(contentionBenchPolicies)+j)*seeds+s]
+				sum := sums[(i*len(contentionBenchPolicies)+j)*seeds+s]
 				c.ValidateFails += float64(sum.ValidateFails)
 				c.MissRatio += sum.MissRatio
 				c.AvgTardiness += sum.AvgTardiness

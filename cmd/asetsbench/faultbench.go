@@ -5,12 +5,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/runner"
+	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -58,18 +62,15 @@ func runFaultBench(n, seeds int) (any, error) {
 	specs := []string{"none", "slack", "queue:" + fmt.Sprint(n/10)}
 	res := faultBenchResult{N: n, Seeds: seeds, Utils: utils, Plan: faultBenchPlan(), SheddingWins: true}
 
-	awt := map[[2]int]float64{} // (util idx, spec idx) -> mean weighted tardiness
-	for ui, util := range utils {
-		for si, spec := range specs {
-			var p faultBenchPoint
-			p.Util, p.Controller = util, spec
+	// One pool job per (util, controller, seed) cell, each with its own
+	// controller and fault plan; row i/seeds averages job i.
+	var jobs []runner.Job
+	for _, util := range utils {
+		for _, spec := range specs {
+			res.Rows = append(res.Rows, faultBenchPoint{Util: util, Controller: spec})
 			for s := 0; s < seeds; s++ {
 				cfg := workload.Default(util, experimentSeed(s)).WithWorkflows(4, 1).WithWeights()
 				cfg.N = n
-				set, err := workload.Generate(cfg)
-				if err != nil {
-					return nil, err
-				}
 				ctrl, err := admit.Parse(spec)
 				if err != nil {
 					return nil, err
@@ -77,30 +78,41 @@ func runFaultBench(n, seeds int) (any, error) {
 				if _, isNone := ctrl.(admit.Unconditional); isNone {
 					ctrl = nil
 				}
-				sum, err := sim.New(sim.Config{Faults: faultBenchPlan(), Admit: ctrl}).Run(set, core.New())
-				if err != nil {
-					return nil, fmt.Errorf("util %.2f %s seed %d: %w", util, spec, s, err)
-				}
-				p.Admitted += float64(sum.N)
-				p.Shed += float64(sum.Shed)
-				p.Aborts += float64(sum.Aborts)
-				p.Restarts += float64(sum.Restarts)
-				p.AvgWeightedTardiness += sum.AvgWeightedTardiness
-				p.MissRatio += sum.MissRatio
+				jobs = append(jobs, runner.Job{
+					Gen:    func(uint64) (*txn.Set, error) { return workload.Generate(cfg) },
+					New:    func() sched.Scheduler { return core.New() },
+					Config: sim.Config{Faults: faultBenchPlan(), Admit: ctrl},
+					Label:  fmt.Sprintf("util %.2f %s seed %d", util, spec, s),
+				})
 			}
-			k := float64(seeds)
-			p.Admitted /= k
-			p.Shed /= k
-			p.Aborts /= k
-			p.Restarts /= k
-			p.AvgWeightedTardiness /= k
-			p.MissRatio /= k
-			awt[[2]int{ui, si}] = p.AvgWeightedTardiness
-			res.Rows = append(res.Rows, p)
 		}
 	}
+	sums, err := runner.Pool{}.Run(context.Background(), jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i, sum := range sums {
+		p := &res.Rows[i/seeds]
+		p.Admitted += float64(sum.N)
+		p.Shed += float64(sum.Shed)
+		p.Aborts += float64(sum.Aborts)
+		p.Restarts += float64(sum.Restarts)
+		p.AvgWeightedTardiness += sum.AvgWeightedTardiness
+		p.MissRatio += sum.MissRatio
+	}
+	k := float64(seeds)
+	for i := range res.Rows {
+		p := &res.Rows[i]
+		p.Admitted /= k
+		p.Shed /= k
+		p.Aborts /= k
+		p.Restarts /= k
+		p.AvgWeightedTardiness /= k
+		p.MissRatio /= k
+	}
 	for ui := range utils {
-		if awt[[2]int{ui, 1}] >= awt[[2]int{ui, 0}] { // slack vs none
+		open, slack := res.Rows[ui*len(specs)], res.Rows[ui*len(specs)+1]
+		if slack.AvgWeightedTardiness >= open.AvgWeightedTardiness {
 			res.SheddingWins = false
 		}
 	}

@@ -28,6 +28,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -39,8 +40,10 @@ import (
 
 	"repro/internal/cliflag"
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/runner"
 	"repro/internal/slo"
 	"repro/internal/svgplot"
 )
@@ -108,22 +111,48 @@ func runBench(m benchMode, path string, a benchArgs) error {
 	return err
 }
 
-// streamDigest hashes the collectors' decision-event streams, as JSONL in
-// collector order: the determinism gates compare a serial and a parallel
-// run's digests.
-func streamDigest(cols []*obs.Collector) ([32]byte, error) {
-	var buf bytes.Buffer
-	for _, col := range cols {
-		for _, ev := range col.Events() {
-			b, err := json.Marshal(ev)
-			if err != nil {
-				return [32]byte{}, err
-			}
-			buf.Write(b)
-			buf.WriteByte('\n')
+// runSerialAndParallel is every mode's determinism gate: it builds the
+// mode's jobs twice, runs one build on four workers and the other on one,
+// and reports whether the two runs' decision-event streams (JSONL, in
+// collector order) hash the same. It returns the serial run's jobs,
+// summaries and collectors, which the mode's document is folded from.
+func runSerialAndParallel(build func() ([]runner.Job, []*obs.Collector)) (jobs []runner.Job, sums []*metrics.Summary, cols []*obs.Collector, same bool, err error) {
+	var digests [2][]byte
+	for i, workers := range []int{4, 1} {
+		jobs, cols = build()
+		if sums, err = (runner.Pool{Workers: workers}).Run(context.Background(), jobs); err != nil {
+			return nil, nil, nil, false, err
 		}
+		h := sha256.New()
+		enc := json.NewEncoder(h)
+		for _, col := range cols {
+			for _, ev := range col.Events() {
+				if err := enc.Encode(ev); err != nil {
+					return nil, nil, nil, false, err
+				}
+			}
+		}
+		digests[i] = h.Sum(nil)
 	}
-	return sha256.Sum256(buf.Bytes()), nil
+	return jobs, sums, cols, bytes.Equal(digests[0], digests[1]), nil
+}
+
+// figureOptions checks the figure path's sizes, as runBench does the bench
+// modes', and builds its options: the first -seeds of
+// experiments.DefaultSeeds, continued by the golden-ratio step past them.
+func figureOptions(n, seeds, parallel int, validate bool) (experiments.Options, error) {
+	if n < 1 || seeds < 1 {
+		return experiments.Options{}, fmt.Errorf("%w: the figures need -n >= 1 and -seeds >= 1 (got -n %d -seeds %d)", errUsage, n, seeds)
+	}
+	opts := experiments.Options{N: n, Parallelism: parallel, Validate: validate}
+	for i := range seeds {
+		seed := experiments.DefaultSeeds[0] + uint64(i)*0x9e3779b97f4a7c15
+		if i < len(experiments.DefaultSeeds) {
+			seed = experiments.DefaultSeeds[i]
+		}
+		opts.Seeds = append(opts.Seeds, seed)
+	}
+	return opts, nil
 }
 
 func main() {
@@ -172,19 +201,9 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{
-		N:           *n,
-		Parallelism: *parallel,
-		Validate:    *validate,
-		Seeds:       experiments.DefaultSeeds,
-	}
-	if *seeds < len(opts.Seeds) {
-		opts.Seeds = opts.Seeds[:*seeds]
-	} else if *seeds > len(opts.Seeds) {
-		base := experiments.DefaultSeeds[0]
-		for i := len(opts.Seeds); i < *seeds; i++ {
-			opts.Seeds = append(opts.Seeds, base+uint64(i)*0x9e3779b97f4a7c15)
-		}
+	opts, err := figureOptions(*n, *seeds, *parallel, *validate)
+	if err != nil {
+		cliflag.Fatal("asetsbench", err)
 	}
 
 	ids := experiments.IDs()

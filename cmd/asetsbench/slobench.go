@@ -13,7 +13,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/obs"
@@ -224,19 +223,9 @@ func runSLOBench(n, seeds int, flagCfg *slo.Config) (any, error) {
 		return nil, fmt.Errorf("slo-bench: the light class needs a miss-ratio objective to price the knee")
 	}
 
-	run := func(workers int) ([]*obs.Collector, [32]byte, error) {
-		jobs, cols := sloBenchJobs(n, seeds, flagCfg)
-		if _, err := (runner.Pool{Workers: workers}).Run(context.Background(), jobs); err != nil {
-			return nil, [32]byte{}, err
-		}
-		digest, err := streamDigest(cols)
-		return cols, digest, err
-	}
-	serialCols, serialDigest, err := run(1)
-	if err != nil {
-		return nil, err
-	}
-	_, parallelDigest, err := run(4)
+	_, _, cols, deterministic, err := runSerialAndParallel(func() ([]runner.Job, []*obs.Collector) {
+		return sloBenchJobs(n, seeds, flagCfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +243,7 @@ func runSLOBench(n, seeds int, flagCfg *slo.Config) (any, error) {
 	}
 	for i, util := range sloBenchUtils {
 		for s := 0; s < seeds; s++ {
-			c := sloBenchCellFromStream(serialCols[i*seeds+s].Events(), n, target)
+			c := sloBenchCellFromStream(cols[i*seeds+s].Events(), n, target)
 			c.Util, c.Seed = util, s
 			if util > sloBenchOverload && (c.Fires == 0 || c.KneeTime < 0 || c.LeadTime <= 0) {
 				res.AlertLeads = false
@@ -263,7 +252,7 @@ func runSLOBench(n, seeds int, flagCfg *slo.Config) (any, error) {
 			res.Cells = append(res.Cells, c)
 		}
 	}
-	res.Deterministic = serialDigest == parallelDigest && res.AlertEvents > 0
+	res.Deterministic = deterministic && res.AlertEvents > 0
 	res.Pass = res.Deterministic && res.AlertLeads && res.SLOAllocsPerTxn <= sloBudgetAllocsPerTxn
 	for _, c := range res.Cells {
 		fmt.Printf("slo-bench: util=%.1f seed=%d fires=%2d resolves=%2d firstAlert=%8.1f knee=%8.1f lead=%8.1f miss=%5.1f%%\n",

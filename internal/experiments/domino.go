@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/runner"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/txn"
 	"repro/internal/workload"
@@ -33,57 +29,21 @@ func Domino(opts Options) (*Result, error) {
 		{Name: "ASETS*", New: func() sched.Scheduler { return core.New() }},
 	}
 
-	// One pool job per (utilization, policy, seed); each job computes its
-	// late-backlog share in the Post hook (the mutated set and recorder are
-	// only alive inside the worker) into a private slot, and the slots are
-	// folded in cell order so the means match the serial path bit-for-bit.
-	type cell struct{ xi, pi int }
-	var cells []cell
-	var jobs []runner.Job
-	shares := make([]float64, 0, len(xs)*len(policies)*len(opts.Seeds))
-	for xi, u := range xs {
-		for pi, p := range policies {
-			for _, seed := range opts.Seeds {
-				cfg := workload.Default(u, seed)
-				cfg.N = opts.N
-				rec := &trace.Recorder{}
-				slot := len(shares)
-				shares = append(shares, 0)
-				jobs = append(jobs, runner.Job{
-					Gen:    func(uint64) (*txn.Set, error) { return workload.Generate(cfg) },
-					New:    p.New,
-					Config: sim.Config{Recorder: rec},
-					Label:  fmt.Sprintf("util=%v policy=%s seed=%d", u, p.Name, seed),
-					Post: func(set *txn.Set, _ *metrics.Summary) error {
-						if opts.Validate {
-							if err := rec.Validate(set); err != nil {
-								return err
-							}
-						}
-						shares[slot] = analysis.MeanLateShare(analysis.BacklogSeries(set, rec, 200))
-						return nil
-					},
-				})
-				cells = append(cells, cell{xi: xi, pi: pi})
-			}
-		}
+	// Each job computes its late-backlog share in the worker, where its
+	// mutated set and recorder are alive.
+	runs, err := grid[float64]{
+		xs:         xs,
+		policiesAt: fixed(policies...),
+		workload:   workload.Default,
+		record:     true,
+		post: func(set *txn.Set, rec *trace.Recorder) (float64, error) {
+			return analysis.MeanLateShare(analysis.BacklogSeries(set, rec, 200)), nil
+		},
+	}.run(opts)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := (runner.Pool{Workers: opts.Parallelism}).Run(context.Background(), jobs); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-
-	series := make([][]float64, len(policies))
-	for pi := range series {
-		series[pi] = make([]float64, len(xs))
-	}
-	for i, c := range cells {
-		series[c.pi][c.xi] += shares[i]
-	}
-	for pi := range series {
-		for xi := range series[pi] {
-			series[pi][xi] /= float64(len(opts.Seeds))
-		}
-	}
+	series := seedMeans(runs, len(policies), len(xs), len(opts.Seeds), func(r cellRun[float64]) float64 { return r.out })
 
 	fig := &report.Figure{
 		ID:     "domino",

@@ -15,6 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/txn"
 	"repro/internal/workload"
@@ -31,7 +32,8 @@ type Options struct {
 	// 0 means GOMAXPROCS, 1 forces the serial legacy path. Results are
 	// bit-identical for every value (docs/PARALLELISM.md).
 	Parallelism int
-	// Validate enables per-run schedule validation via the trace package.
+	// Validate enables per-run schedule validation via the trace package,
+	// for every experiment but Sessions (see its doc comment).
 	Validate bool
 }
 
@@ -81,9 +83,135 @@ func LowUtilizationGrid() []float64 { return UtilizationGrid()[:5] }
 // HighUtilizationGrid returns 0.6..1.0 (Figure 9's x-axis).
 func HighUtilizationGrid() []float64 { return UtilizationGrid()[5:] }
 
-// cell identifies one (x-value, policy, seed) simulation.
+// cell locates one (x-value, policy, seed) simulation on a figure: its
+// x-value and policy indexes.
 type cell struct {
-	xi, pi, si int
+	xi, pi int
+}
+
+// cellRun is one cell's outcome: its summary and the value the grid's post
+// hook returned for it.
+type cellRun[T any] struct {
+	cell
+	sum *metrics.Summary
+	out T
+}
+
+// grid is the one path by which the experiments simulate. It lays out every
+// (x, policy, seed) cell, x-major, then policy, then seed, and runs one
+// runner.Job per cell on the runner pool at Options.Parallelism. The same
+// (x, seed) workload is regenerated per policy, so every policy schedules an
+// identical transaction set. policiesAt returns the policy list at x; its
+// length must not change across x. Under Options.Validate every job records
+// its schedule and checks it with trace.Recorder.ValidateN at the job's
+// server count before post runs.
+//
+// Runs come back in cell order whatever the worker count, so a fold over
+// them is bit-identical for any Parallelism — the determinism contract of
+// docs/PARALLELISM.md, enforced per experiment by TestParallelismInvisible.
+type grid[T any] struct {
+	xs         []float64
+	policiesAt func(x float64) []Policy
+	workload   func(x float64, seed uint64) workload.Config
+	// sim, when set, gives the simulation configuration of every cell at x
+	// (its server count, say); the grid adds the recorder.
+	sim func(x float64) sim.Config
+	// record attaches a recorder to every job even without validation, for
+	// post hooks that read the schedule.
+	record bool
+	// post, when set, runs in the worker after each cell's run with the
+	// cell's private set and recorder (nil unless recording); its value
+	// lands in the cell's cellRun.
+	post func(set *txn.Set, rec *trace.Recorder) (T, error)
+}
+
+// runJobs submits a grid's jobs to the runner pool. It is a variable so that
+// tests can inspect the jobs every experiment builds.
+var runJobs = func(workers int, jobs []runner.Job) ([]*metrics.Summary, error) {
+	return runner.Pool{Workers: workers}.Run(context.Background(), jobs)
+}
+
+// run simulates every cell of the grid and returns the runs in cell order.
+func (g grid[T]) run(opts Options) ([]cellRun[T], error) {
+	opts = opts.withDefaults()
+	policyGrid := make([][]Policy, len(g.xs))
+	for i, x := range g.xs {
+		policyGrid[i] = g.policiesAt(x)
+		if len(policyGrid[i]) != len(policyGrid[0]) {
+			return nil, fmt.Errorf("experiments: policiesAt returned %d policies at x=%v but %d at x=%v",
+				len(policyGrid[i]), x, len(policyGrid[0]), g.xs[0])
+		}
+	}
+
+	var runs []cellRun[T]
+	var jobs []runner.Job
+	for xi, x := range g.xs {
+		for pi, policy := range policyGrid[xi] {
+			for _, seed := range opts.Seeds {
+				cfg := g.workload(x, seed)
+				cfg.N = opts.N
+				job := runner.Job{
+					// The cell's workload seed is baked into cfg; the
+					// pool's derived seed is unused.
+					Gen:   func(uint64) (*txn.Set, error) { return workload.Generate(cfg) },
+					New:   policy.New,
+					Label: fmt.Sprintf("x=%v policy=%s seed=%d", x, policy.Name, seed),
+				}
+				if g.sim != nil {
+					job.Config = g.sim(x)
+				}
+				var rec *trace.Recorder
+				if opts.Validate || g.record {
+					rec = &trace.Recorder{}
+					job.Config.Recorder = rec
+				}
+				i := len(runs)
+				servers := max(job.Config.Servers, 1)
+				job.Post = func(set *txn.Set, _ *metrics.Summary) error {
+					if opts.Validate {
+						if err := rec.ValidateN(set, servers); err != nil {
+							return err
+						}
+					}
+					if g.post == nil {
+						return nil
+					}
+					var err error
+					runs[i].out, err = g.post(set, rec)
+					return err
+				}
+				runs = append(runs, cellRun[T]{cell: cell{xi: xi, pi: pi}})
+				jobs = append(jobs, job)
+			}
+		}
+	}
+	sums, err := runJobs(opts.Parallelism, jobs)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	for i := range runs {
+		runs[i].sum = sums[i]
+	}
+	return runs, nil
+}
+
+// seedMeans folds one value per run into per-[policy][x] means over the
+// seeds: it sums in cell order, then divides. (The figure path folds into
+// Welford streams instead; the two associate differently.)
+func seedMeans[T any](runs []cellRun[T], nPolicies, nX, nSeeds int, val func(cellRun[T]) float64) [][]float64 {
+	means := make([][]float64, nPolicies)
+	for pi := range means {
+		means[pi] = make([]float64, nX)
+	}
+	for _, r := range runs {
+		means[r.pi][r.xi] += val(r)
+	}
+	for pi := range means {
+		for xi := range means[pi] {
+			means[pi][xi] /= float64(nSeeds)
+		}
+	}
+	return means
 }
 
 // sweepResult holds per-(policy, x) statistics across seeds for every metric
@@ -121,75 +249,26 @@ func newSweepResult(nPolicies, nX int) *sweepResult {
 	}
 }
 
-// sweep runs every (x, policy, seed) combination through the parallel
-// experiment engine (internal/runner) and aggregates the summaries. makeCfg
-// maps an x-value and seed to a workload configuration; the same (x, seed)
-// workload is regenerated per policy so every policy schedules an identical
-// transaction set. policiesAt returns the policy list for a given x — most
-// figures use a fixed list, while the balance-aware sweeps vary the
-// activation rate with x; the list length and ordering must not change
-// across x.
-//
-// Summaries are gathered and aggregated in cell order, so the figure's
-// floating-point means are bit-identical for any Parallelism — the
-// determinism contract of docs/PARALLELISM.md, enforced by asetsbench
-// -parallel-bench in CI.
+// sweep is the figure path: it runs the grid of policiesAt × xs × seeds over
+// the workloads makeCfg builds and folds every cell's summary into the
+// per-(policy, x) Welford streams the figures read. Most figures use a fixed
+// policy list, while the balance-aware sweeps vary the activation rate with
+// x. The figures are bit-identical for any Parallelism, which
+// TestParallelismInvisible enforces on fig14.
 func sweep(opts Options, xs []float64, policiesAt func(x float64) []Policy, makeCfg func(x float64, seed uint64) workload.Config) (*sweepResult, error) {
-	opts = opts.withDefaults()
-	policyGrid := make([][]Policy, len(xs))
-	for i, x := range xs {
-		policyGrid[i] = policiesAt(x)
-		if len(policyGrid[i]) != len(policyGrid[0]) {
-			return nil, fmt.Errorf("experiments: policiesAt returned %d policies at x=%v but %d at x=%v",
-				len(policyGrid[i]), x, len(policyGrid[0]), xs[0])
-		}
-	}
-	nPolicies := len(policyGrid[0])
-	res := newSweepResult(nPolicies, len(xs))
-
-	var cells []cell
-	for xi := range xs {
-		for pi := 0; pi < nPolicies; pi++ {
-			for si := range opts.Seeds {
-				cells = append(cells, cell{xi: xi, pi: pi, si: si})
-			}
-		}
-	}
-
-	jobs := make([]runner.Job, len(cells))
-	for i, c := range cells {
-		policy := policyGrid[c.xi][c.pi]
-		cfg := makeCfg(xs[c.xi], opts.Seeds[c.si])
-		cfg.N = opts.N
-		job := runner.Job{
-			// The cell's workload seed is baked into cfg; the pool's
-			// derived seed is unused.
-			Gen:   func(uint64) (*txn.Set, error) { return workload.Generate(cfg) },
-			New:   policy.New,
-			Label: fmt.Sprintf("x=%v policy=%s seed=%d", xs[c.xi], policy.Name, opts.Seeds[c.si]),
-		}
-		if opts.Validate {
-			rec := &trace.Recorder{}
-			job.Config.Recorder = rec
-			job.Post = func(set *txn.Set, _ *metrics.Summary) error {
-				return rec.Validate(set)
-			}
-		}
-		jobs[i] = job
-	}
-	summaries, err := runner.Pool{Workers: opts.Parallelism}.Run(context.Background(), jobs)
+	runs, err := grid[struct{}]{xs: xs, policiesAt: policiesAt, workload: makeCfg}.run(opts)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+		return nil, err
 	}
-	for i, c := range cells {
-		summary := summaries[i]
-		res.avgTardiness[c.pi][c.xi].Add(summary.AvgTardiness)
-		res.avgWeighted[c.pi][c.xi].Add(summary.AvgWeightedTardiness)
-		res.maxWeighted[c.pi][c.xi].Add(summary.MaxWeightedTardiness)
-		res.missRatio[c.pi][c.xi].Add(summary.MissRatio)
-		res.avgResponse[c.pi][c.xi].Add(summary.AvgResponseTime)
-		res.realizedUtil[c.pi][c.xi].Add(summary.Utilization)
-		res.maxTardiness[c.pi][c.xi].Add(summary.MaxTardiness)
+	res := newSweepResult(len(policiesAt(xs[0])), len(xs))
+	for _, r := range runs {
+		res.avgTardiness[r.pi][r.xi].Add(r.sum.AvgTardiness)
+		res.avgWeighted[r.pi][r.xi].Add(r.sum.AvgWeightedTardiness)
+		res.maxWeighted[r.pi][r.xi].Add(r.sum.MaxWeightedTardiness)
+		res.missRatio[r.pi][r.xi].Add(r.sum.MissRatio)
+		res.avgResponse[r.pi][r.xi].Add(r.sum.AvgResponseTime)
+		res.realizedUtil[r.pi][r.xi].Add(r.sum.Utilization)
+		res.maxTardiness[r.pi][r.xi].Add(r.sum.MaxTardiness)
 	}
 	return res, nil
 }

@@ -1,17 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -31,53 +26,16 @@ func MultiServer(opts Options) (*Result, error) {
 		{Name: "ASETS*", New: func() sched.Scheduler { return core.New() }},
 	}
 
-	// One pool job per (server count, policy, seed) cell; summaries are
-	// gathered in cell order so the averages below are bit-identical for
-	// any Parallelism.
-	type cell struct{ xi, pi, si int }
-	var cells []cell
-	var jobs []runner.Job
-	for xi, sc := range xs {
-		servers := int(sc)
-		for pi, p := range policies {
-			for si, seed := range opts.Seeds {
-				cfg := workload.Default(0.9*float64(servers), seed)
-				cfg.N = opts.N
-				job := runner.Job{
-					Gen:    func(uint64) (*txn.Set, error) { return workload.Generate(cfg) },
-					New:    p.New,
-					Config: sim.Config{Servers: servers},
-					Label:  fmt.Sprintf("servers=%d policy=%s seed=%d", servers, p.Name, seed),
-				}
-				if opts.Validate {
-					rec := &trace.Recorder{}
-					job.Config.Recorder = rec
-					job.Post = func(set *txn.Set, _ *metrics.Summary) error {
-						return rec.ValidateN(set, servers)
-					}
-				}
-				cells = append(cells, cell{xi: xi, pi: pi, si: si})
-				jobs = append(jobs, job)
-			}
-		}
-	}
-	summaries, err := runner.Pool{Workers: opts.Parallelism}.Run(context.Background(), jobs)
+	runs, err := grid[struct{}]{
+		xs:         xs,
+		policiesAt: fixed(policies...),
+		workload:   func(x float64, seed uint64) workload.Config { return workload.Default(0.9*x, seed) },
+		sim:        func(x float64) sim.Config { return sim.Config{Servers: int(x)} },
+	}.run(opts)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+		return nil, err
 	}
-
-	series := make([][]float64, len(policies))
-	for pi := range series {
-		series[pi] = make([]float64, len(xs))
-	}
-	for i, c := range cells {
-		series[c.pi][c.xi] += summaries[i].AvgTardiness
-	}
-	for pi := range series {
-		for xi := range series[pi] {
-			series[pi][xi] /= float64(len(opts.Seeds))
-		}
-	}
+	series := seedMeans(runs, len(policies), len(xs), len(opts.Seeds), func(r cellRun[struct{}]) float64 { return r.sum.AvgTardiness })
 
 	fig := &report.Figure{
 		ID:     "mserver",

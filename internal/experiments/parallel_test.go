@@ -13,9 +13,10 @@ func TestParallelismInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several experiments twice")
 	}
-	// A cross-section of harness paths: the generic sweep (fig14), the
-	// multiserver harness, and the Post-hook analysis path (domino).
-	for _, id := range []string{"fig14", "mserver", "domino"} {
+	// A cross-section of the grid's callers: the figure sweep (fig14), a
+	// per-x server count (mserver), a recorder-reading post hook (domino),
+	// and the post-hook folds of structural and dep-split.
+	for _, id := range []string{"fig14", "mserver", "domino", "structural", "dep-split"} {
 		exp, ok := Registry[id]
 		if !ok {
 			t.Fatalf("experiment %q not in registry", id)

@@ -20,6 +20,11 @@ import (
 // previous rendered) and measures the page-abandonment rate — the fraction
 // of pages rendered slower than the users' patience — under each policy as
 // the backend load grows.
+//
+// It is the one experiment off the grid: its cells run serially on
+// sim.Sim.RunClosedLoop, because a runner.Job has no closed-loop
+// mode, and so Options.Parallelism and Options.Validate do not reach it
+// (RunClosedLoop rejects a recorder).
 func Sessions(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	xs := []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sched"
-	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/txn"
 	"repro/internal/workload"
 )
@@ -26,20 +26,22 @@ func Structural(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	xs := UtilizationGrid()
 
-	floor := make([]float64, len(xs))
-	ready := make([]float64, len(xs))
-	asets := make([]float64, len(xs))
-	for xi, u := range xs {
-		for _, seed := range opts.Seeds {
-			cfg := workload.Default(u, seed).WithWorkflows(5, 1)
-			cfg.N = opts.N
-			set, err := workload.Generate(cfg)
-			if err != nil {
-				return nil, err
-			}
+	policies := []Policy{
+		{Name: "Ready", New: func() sched.Scheduler { return core.NewReady() }},
+		asetsPolicy(),
+	}
+	// Each job also measures its workload's structural floor: the mean
+	// over transactions of max(0, -slack against the critical path).
+	runs, err := grid[float64]{
+		xs:         xs,
+		policiesAt: fixed(policies...),
+		workload: func(x float64, seed uint64) workload.Config {
+			return workload.Default(x, seed).WithWorkflows(5, 1)
+		},
+		post: func(set *txn.Set, _ *trace.Recorder) (float64, error) {
 			slack, err := txn.SlackAgainstCriticalPath(set)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			var f float64
 			for _, s := range slack {
@@ -47,28 +49,17 @@ func Structural(opts Options) (*Result, error) {
 					f += -s
 				}
 			}
-			floor[xi] += f / float64(set.Len())
-
-			for i, mk := range []func() sched.Scheduler{
-				func() sched.Scheduler { return core.NewReady() },
-				func() sched.Scheduler { return core.New() },
-			} {
-				sum, err := sim.New(sim.Config{}).Run(set, mk())
-				if err != nil {
-					return nil, err
-				}
-				if i == 0 {
-					ready[xi] += sum.AvgTardiness
-				} else {
-					asets[xi] += sum.AvgTardiness
-				}
-			}
-		}
-		n := float64(len(opts.Seeds))
-		floor[xi] /= n
-		ready[xi] /= n
-		asets[xi] /= n
+			return f / float64(set.Len()), nil
+		},
+	}.run(opts)
+	if err != nil {
+		return nil, err
 	}
+	n := len(opts.Seeds)
+	measured := seedMeans(runs, len(policies), len(xs), n, func(r cellRun[float64]) float64 { return r.sum.AvgTardiness })
+	// The floor depends on the workload alone; read it off Ready's cells.
+	floor := seedMeans(runs, len(policies), len(xs), n, func(r cellRun[float64]) float64 { return r.out })[0]
+	ready, asets := measured[0], measured[1]
 
 	fig := &report.Figure{
 		ID:     "structural",

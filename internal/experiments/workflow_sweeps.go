@@ -7,7 +7,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/sched"
-	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -95,50 +96,59 @@ func DependentBreakdown(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	xs := UtilizationGrid()
 
-	runPolicy := func(mk func() sched.Scheduler) ([]float64, []float64, error) {
-		dep := make([]float64, len(xs))
-		indep := make([]float64, len(xs))
-		for xi, u := range xs {
-			var depSum, indepSum float64
-			var depN, indepN int
-			for _, seed := range opts.Seeds {
-				cfg := workload.Default(u, seed).WithWorkflows(5, 1)
-				cfg.N = opts.N
-				set, err := workload.Generate(cfg)
-				if err != nil {
-					return nil, nil, err
-				}
-				if _, err := sim.New(sim.Config{}).Run(set, mk()); err != nil {
-					return nil, nil, err
-				}
-				for _, t := range set.Txns {
-					if t.Independent() {
-						indepSum += t.Tardiness()
-						indepN++
-					} else {
-						depSum += t.Tardiness()
-						depN++
-					}
+	policies := []Policy{
+		{Name: "Ready", New: func() sched.Scheduler { return core.NewReady() }},
+		asetsPolicy(),
+	}
+	// Each job hands over its per-transaction tardiness values, and the
+	// fold sums them across seeds without a per-seed subtotal.
+	runs, err := grid[tardinessSplit]{
+		xs:         xs,
+		policiesAt: fixed(policies...),
+		workload: func(x float64, seed uint64) workload.Config {
+			return workload.Default(x, seed).WithWorkflows(5, 1)
+		},
+		post: func(set *txn.Set, _ *trace.Recorder) (tardinessSplit, error) {
+			var out tardinessSplit
+			for _, t := range set.Txns {
+				if t.Independent() {
+					out.indep = append(out.indep, t.Tardiness())
+				} else {
+					out.dep = append(out.dep, t.Tardiness())
 				}
 			}
-			if depN > 0 {
-				dep[xi] = depSum / float64(depN)
+			return out, nil
+		},
+	}.run(opts)
+	if err != nil {
+		return nil, err
+	}
+	mean := func(vals func(tardinessSplit) []float64) [][]float64 {
+		sums := make([][]float64, len(policies))
+		counts := make([][]int, len(policies))
+		for pi := range sums {
+			sums[pi] = make([]float64, len(xs))
+			counts[pi] = make([]int, len(xs))
+		}
+		for _, r := range runs {
+			for _, v := range vals(r.out) {
+				sums[r.pi][r.xi] += v
 			}
-			if indepN > 0 {
-				indep[xi] = indepSum / float64(indepN)
+			counts[r.pi][r.xi] += len(vals(r.out))
+		}
+		for pi := range sums {
+			for xi, n := range counts[pi] {
+				if n > 0 {
+					sums[pi][xi] /= float64(n)
+				}
 			}
 		}
-		return dep, indep, nil
+		return sums
 	}
-
-	readyDep, readyIndep, err := runPolicy(func() sched.Scheduler { return core.NewReady() })
-	if err != nil {
-		return nil, err
-	}
-	asetsDep, asetsIndep, err := runPolicy(func() sched.Scheduler { return core.New() })
-	if err != nil {
-		return nil, err
-	}
+	dep := mean(func(s tardinessSplit) []float64 { return s.dep })
+	indep := mean(func(s tardinessSplit) []float64 { return s.indep })
+	readyDep, asetsDep := dep[0], dep[1]
+	readyIndep, asetsIndep := indep[0], indep[1]
 
 	fig := &report.Figure{
 		ID:     "dep-split",
@@ -170,6 +180,12 @@ func DependentBreakdown(opts Options) (*Result, error) {
 			fmt.Sprintf("mean dependent-transaction improvement: %.1f%%", 100*gain),
 		},
 	}, nil
+}
+
+// tardinessSplit is one run's per-transaction tardiness, dependent and
+// independent transactions apart, in transaction order.
+type tardinessSplit struct {
+	dep, indep []float64
 }
 
 // meanImprovement averages (ready - asets) / ready over the sweep cells.

@@ -3,8 +3,10 @@
 // summaries in job order, with results byte-identical to executing the same
 // jobs serially. Every figure of the paper's evaluation is a sweep
 // (policies × load points × replications) of runs that share nothing, so
-// the sweep harness (internal/experiments) and the benchmark CLI
-// (cmd/asetsbench) submit their cells here instead of looping in place.
+// every experiment's grid (internal/experiments) and every bench mode of
+// cmd/asetsbench submit their cells here instead of looping in place. The
+// one exception is the closed-loop sessions experiment, which a Job cannot
+// express.
 //
 // Determinism contract (docs/PARALLELISM.md):
 //

@@ -9,8 +9,11 @@
 //   - every transaction receives exactly its length of service, and
 //   - the recorded finish time equals the end of its last slice.
 //
-// Experiments run with validation enabled in tests, so every figure in
-// EXPERIMENTS.md is backed by schedules that were mechanically checked.
+// Under experiments.Options.Validate (asetsbench -validate, and the
+// experiment tests) every run of every experiment is checked, except the
+// closed-loop sessions experiment, whose engine records no schedule; every
+// other figure in EXPERIMENTS.md is backed by mechanically checked
+// schedules.
 package trace
 
 import (

@@ -61,10 +61,13 @@ fi
 echo "== benchmark module (vet + smoke runs + traced == untraced digests)"
 (cd perfbench && go vet ./... && go test ./...)
 
-# The measurement script builds and runs nothing here: -n checks its
-# arguments and self-tests its summary arithmetic, so it cannot rot.
+# The measurement scripts build and run nothing here: -n checks their
+# arguments (pairs.sh also self-tests its summary arithmetic), so they
+# cannot rot.
 echo "== pairs.sh dry run"
 scripts/pairs.sh -n HEAD
+echo "== figures.sh dry run"
+scripts/figures.sh -n HEAD
 
 echo "== asetslint"
 go run ./cmd/asetslint ./...
