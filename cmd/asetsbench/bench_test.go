@@ -88,6 +88,23 @@ func TestBenchModes(t *testing.T) {
 	}
 }
 
+// TestFaultBenchBelowTenTransactions: the queue-cap controller caps the
+// queue at n/10 transactions, but at least one, so the fault bench runs
+// below ten transactions instead of building an invalid "queue:0" spec.
+func TestFaultBenchBelowTenTransactions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := runBench(mode(t, "fault-bench"), path, benchArgs{n: 5, seeds: 2, seed: 1}); err != nil {
+		t.Fatalf("-fault-bench -n 5 -seeds 2: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(got, []byte(`"controller": "queue:1"`)) {
+		t.Fatalf("-n 5 document has no queue:1 rows:\n%s", got)
+	}
+}
+
 // TestBenchRejectsEmptySizes: -n or -seeds below one would average over no
 // runs (NaN documents) or pass a gate vacuously, so the dispatch rejects
 // them as a usage error before creating the output file.

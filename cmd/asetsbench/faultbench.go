@@ -59,7 +59,7 @@ type faultBenchResult struct {
 // the fault plan, averaging each cell over seeds.
 func runFaultBench(n, seeds int) (any, error) {
 	utils := []float64{1.1, 1.3, 1.5}
-	specs := []string{"none", "slack", "queue:" + fmt.Sprint(n/10)}
+	specs := []string{"none", "slack", "queue:" + fmt.Sprint(max(1, n/10))}
 	res := faultBenchResult{N: n, Seeds: seeds, Utils: utils, Plan: faultBenchPlan(), SheddingWins: true}
 
 	// One pool job per (util, controller, seed) cell, each with its own

@@ -222,7 +222,7 @@ func (c *MissRatio) Degraded() bool { return c.degraded }
 // allocating once the stack has grown to its deepest closure.
 func CascadeShed(set *txn.Set, t *txn.Transaction, stack []txn.ID) []txn.ID {
 	t.Shed = true
-	if len(set.Dependents[t.ID]) == 0 {
+	if len(set.DependentsOf(t.ID)) == 0 {
 		return stack
 	}
 	stack = stack[:0]
@@ -230,7 +230,7 @@ func CascadeShed(set *txn.Set, t *txn.Transaction, stack []txn.ID) []txn.ID {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, dep := range set.Dependents[cur] {
+		for _, dep := range set.DependentsOf(cur) {
 			d := set.ByID(dep)
 			if d.Shed {
 				continue

@@ -10,10 +10,14 @@ import (
 	"repro/internal/workload"
 )
 
-// TestAssignAllocsConstant: key assignment carves every read and write set
-// from one slab and re-seeds one by-value generator, so its allocation
-// count is the same at any workload size.
+// TestAssignAllocsConstant: key assignment draws every read and write set
+// into one slab with one offset table and re-seeds one by-value generator,
+// so its allocation count is the same at any workload size.
 func TestAssignAllocsConstant(t *testing.T) {
+	// The process's first collection starts the GC's mark-worker
+	// goroutines, whose allocations would be counted against whichever
+	// measurement it falls in; collect once before measuring.
+	runtime.GC()
 	ks := contention.Keyspace{Keys: 4096, Alpha: 0.9, Reads: 4, Writes: 2, ReadOnlyProb: 0.2, Seed: 5}
 	allocs := func(n int) float64 {
 		set := workload.NewSpec(0.9, 3).WithN(n).MustBuild()
@@ -44,11 +48,12 @@ func TestBuildContendedAllocs(t *testing.T) {
 // TestBuildContendedBytes pins the bytes one contended build allocates per
 // transaction, in the shape of the contention sweep's jobs (2,500
 // transactions over 4 servers): the set is validated once, key assignment
-// checks only the sets it draws, and the keyspace's Zipf table is shared
-// across builds. Measured 236 B/txn; validating twice and rebuilding the
-// table reads 332.
+// checks only the sets it draws, the key sets sit in one slab on the set
+// rather than in every record, and the keyspace's Zipf table is shared
+// across builds. Measured 162 B/txn; key-set fields on every record read
+// 236, and validating twice and rebuilding the table on top of that 332.
 func TestBuildContendedBytes(t *testing.T) {
-	const n, budget = 2_500, 285.0
+	const n, budget = 2_500, 190.0
 	spec := workload.NewSpec(0.85*4, 1).WithN(n).
 		WithContention(contention.Keyspace{Keys: 4096, Alpha: 0.9, Reads: 4, Writes: 2})
 	spec.MustBuild() // warm-up

@@ -49,6 +49,7 @@ type Deferring struct {
 	window  int
 	name    string
 	sink    obs.Sink
+	set     *txn.Set // the set Init was given, whose key sets the probes read
 
 	// busy[id] reports whether transaction id is busy: checked out through
 	// Next and not yet returned via OnPreempt/OnCompletion, or queued with
@@ -101,6 +102,7 @@ func (d *Deferring) Name() string { return d.name }
 //
 //lint:coldpath per-run setup: the busy-state and per-key tables are built before the event loop
 func (d *Deferring) Init(set *txn.Set) {
+	d.set = set
 	d.busy = make([]bool, set.Len())
 	span := keySpan(set)
 	d.readers = make([]int32, span)
@@ -253,10 +255,10 @@ func (d *Deferring) setBusy(t *txn.Transaction, busy bool) {
 	if busy {
 		delta = 1
 	}
-	for _, k := range t.Reads {
+	for _, k := range d.set.Reads(t.ID) {
 		d.readers[k] += delta
 	}
-	for _, k := range t.Writes {
+	for _, k := range d.set.Writes(t.ID) {
 		d.writers[k] += delta
 	}
 }
@@ -270,8 +272,9 @@ func (d *Deferring) setBusy(t *txn.Transaction, busy bool) {
 // (read-your-own-writes included).
 func (d *Deferring) conflictsBusy(c *txn.Transaction) bool {
 	self := d.busy[c.ID]
-	return othersHold(d.readers, c.Writes, c.Reads, self) ||
-		othersHold(d.writers, c.Reads, c.Writes, self)
+	reads, writes := d.set.Reads(c.ID), d.set.Writes(c.ID)
+	return othersHold(d.readers, writes, reads, self) ||
+		othersHold(d.writers, reads, writes, self)
 }
 
 // othersHold reports whether count[k] has a holder other than c for some k

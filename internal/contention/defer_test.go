@@ -39,16 +39,16 @@ func (s *queueSched) OnCompletion(now float64, t *txn.Transaction) {}
 func deferFixture(t *testing.T) *txn.Set {
 	t.Helper()
 	txns := []*txn.Transaction{
-		{ID: 0, Deadline: 10, Length: 2, Weight: 1, Reads: []txn.Key{0}, Writes: []txn.Key{1}},
-		{ID: 1, Deadline: 10, Length: 2, Weight: 1, Reads: []txn.Key{1}},
-		{ID: 2, Deadline: 10, Length: 2, Weight: 1, Reads: []txn.Key{7}, Writes: []txn.Key{7}},
-		{ID: 3, Deadline: 10, Length: 2, Weight: 1, Reads: []txn.Key{1}, Writes: []txn.Key{2}},
+		{ID: 0, Deadline: 10, Length: 2, Weight: 1},
+		{ID: 1, Deadline: 10, Length: 2, Weight: 1},
+		{ID: 2, Deadline: 10, Length: 2, Weight: 1},
+		{ID: 3, Deadline: 10, Length: 2, Weight: 1},
 	}
-	set, err := txn.NewSet(txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return set
+	return keyedSet(t, txns,
+		keySets{reads: []txn.Key{0}, writes: []txn.Key{1}},
+		keySets{reads: []txn.Key{1}},
+		keySets{reads: []txn.Key{7}, writes: []txn.Key{7}},
+		keySets{reads: []txn.Key{1}, writes: []txn.Key{2}})
 }
 
 // TestDeferringSteal: with the conflicting head's writer checked out, the
@@ -176,15 +176,14 @@ func TestDeferringName(t *testing.T) {
 func windowFixture(t *testing.T, places int) *txn.Set {
 	t.Helper()
 	txns := make([]*txn.Transaction, places+2)
+	sets := make([]keySets, places+2)
 	for i := range txns {
-		txns[i] = &txn.Transaction{ID: txn.ID(i), Deadline: 100 + float64(i), Length: 2, Weight: 1, Reads: []txn.Key{1}}
+		txns[i] = &txn.Transaction{ID: txn.ID(i), Deadline: 100 + float64(i), Length: 2, Weight: 1}
+		sets[i] = keySets{reads: []txn.Key{1}}
 	}
-	txns[0].Reads, txns[0].Writes = nil, []txn.Key{1}
-	txns[places+1].Reads, txns[places+1].Writes = []txn.Key{7}, []txn.Key{7}
-	set, err := txn.NewSet(txns)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sets[0] = keySets{writes: []txn.Key{1}}
+	sets[places+1] = keySets{reads: []txn.Key{7}, writes: []txn.Key{7}}
+	set := keyedSet(t, txns, sets...)
 	set.ResetAll()
 	return set
 }
@@ -283,7 +282,7 @@ func (r *refBusy) conflicts(set *txn.Set, c *txn.Transaction) bool {
 		if o.ID == c.ID || !(r.out[o.ID] || r.open[o.ID]) {
 			continue
 		}
-		if refOverlap(c.Writes, o.Reads) || refOverlap(c.Reads, o.Writes) {
+		if refOverlap(set.Writes(c.ID), set.Reads(o.ID)) || refOverlap(set.Reads(c.ID), set.Writes(o.ID)) {
 			return true
 		}
 	}

@@ -79,9 +79,9 @@ func (ks *Keyspace) Validate() error {
 // transaction samples from its own rng.Derive(ks.Seed, ID) stream, so
 // regenerating a workload, cloning it, or assigning the same keyspace on
 // another instance yields bit-identical key sets regardless of assignment
-// order. Sets are sorted and duplicate-free (txn.Set.Validate's invariant);
-// reads may overlap the transaction's own writes. Only the drawn sets are
-// checked: the rest of a validated set is unchanged.
+// order. Sets are sorted and duplicate-free (txn.Set.AssignKeys'
+// invariant); reads may overlap the transaction's own writes. Only the
+// drawn sets are checked: the rest of a validated set is unchanged.
 //
 //lint:coldpath key assignment is workload construction, before any event loop
 func Assign(set *txn.Set, ks Keyspace) error {
@@ -92,30 +92,25 @@ func Assign(set *txn.Set, ks Keyspace) error {
 	if err != nil {
 		return err
 	}
-	// Every set is carved from one slab sized for the largest possible draw;
-	// each is capped at its own length, so no set can grow into the next.
-	slab := make([]txn.Key, 0, set.Len()*(ks.Writes+ks.Reads))
+	// Every set is drawn in one pass into one slab sized for the largest
+	// possible draw.
 	var src rng.Source
-	return set.AssignKeys(func(t *txn.Transaction) (reads, writes []txn.Key) {
-		src.Seed(rng.Derive(ks.Seed, uint64(t.ID)))
+	return set.AssignKeys(set.Len()*(ks.Writes+ks.Reads), func(id txn.ID, slab []txn.Key) ([]txn.Key, int) {
+		src.Seed(rng.Derive(ks.Seed, uint64(id)))
 		nw := ks.Writes
 		if src.Float64() < ks.ReadOnlyProb {
 			nw = 0
 		}
-		writes, slab = drawDistinct(slab, &src, zipf, nw)
-		reads, slab = drawDistinct(slab, &src, zipf, ks.Reads)
-		return reads, writes
+		slab = drawDistinct(slab, &src, zipf, nw)
+		return drawDistinct(slab, &src, zipf, ks.Reads), nw
 	})
 }
 
-// drawDistinct samples n distinct keys by rejection into the spare capacity
-// of slab and returns them sorted, with slab extended past them. Rejection
-// terminates because Validate caps n at the keyspace size; with the
-// recommended n << Keys the expected number of redraws is tiny.
-func drawDistinct(slab []txn.Key, src *rng.Source, zipf *rng.Zipf, n int) (keys, rest []txn.Key) {
-	if n == 0 {
-		return nil, slab
-	}
+// drawDistinct samples n distinct keys by rejection and appends them to
+// slab, sorted. Rejection terminates because Validate caps n at the
+// keyspace size; with the recommended n << Keys the expected number of
+// redraws is tiny.
+func drawDistinct(slab []txn.Key, src *rng.Source, zipf *rng.Zipf, n int) []txn.Key {
 	start := len(slab)
 	for len(slab)-start < n {
 		k := txn.Key(zipf.Sample(src))
@@ -130,14 +125,14 @@ func drawDistinct(slab []txn.Key, src *rng.Source, zipf *rng.Zipf, n int) (keys,
 			slab = append(slab, k)
 		}
 	}
-	keys = slab[start:len(slab):len(slab)]
 	// Insertion sort: n is a handful of keys.
+	keys := slab[start:]
 	for i := 1; i < len(keys); i++ {
 		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-	return keys, slab
+	return slab
 }
 
 // keySpan returns one past the largest key any transaction in set reads or
@@ -145,11 +140,12 @@ func drawDistinct(slab []txn.Key, src *rng.Source, zipf *rng.Zipf, n int) (keys,
 // carries keys.
 func keySpan(set *txn.Set) int {
 	span := 0
-	for _, t := range set.Txns {
-		for _, k := range t.Reads {
+	for i := range set.Len() {
+		id := txn.ID(i)
+		for _, k := range set.Reads(id) {
 			span = max(span, int(k)+1)
 		}
-		for _, k := range t.Writes {
+		for _, k := range set.Writes(id) {
 			span = max(span, int(k)+1)
 		}
 	}

@@ -26,6 +26,30 @@ func keyspaceFixture(t *testing.T, n int) *txn.Set {
 	return set
 }
 
+// keySets is one transaction's read and write sets in a hand-keyed fixture.
+type keySets struct{ reads, writes []txn.Key }
+
+// keyedSet validates txns into a set and installs sets[i] as transaction
+// i's key sets; transactions past the end of sets get none.
+func keyedSet(t *testing.T, txns []*txn.Transaction, sets ...keySets) *txn.Set {
+	t.Helper()
+	set, err := txn.NewSet(txns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = set.AssignKeys(0, func(id txn.ID, keys []txn.Key) ([]txn.Key, int) {
+		if int(id) >= len(sets) {
+			return keys, 0
+		}
+		ks := sets[id]
+		return append(append(keys, ks.writes...), ks.reads...), len(ks.writes)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
 func TestKeyspaceValidateRejects(t *testing.T) {
 	cases := map[string]Keyspace{
 		"zero value":         {},
@@ -83,11 +107,12 @@ func TestAssignShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tx := range set.Txns {
-		if len(tx.Reads) != ks.Reads || len(tx.Writes) != ks.Writes {
+		reads, writes := set.Reads(tx.ID), set.Writes(tx.ID)
+		if len(reads) != ks.Reads || len(writes) != ks.Writes {
 			t.Fatalf("txn %d: drew %d reads, %d writes; want %d, %d",
-				tx.ID, len(tx.Reads), len(tx.Writes), ks.Reads, ks.Writes)
+				tx.ID, len(reads), len(writes), ks.Reads, ks.Writes)
 		}
-		for _, keys := range [][]txn.Key{tx.Reads, tx.Writes} {
+		for _, keys := range [][]txn.Key{reads, writes} {
 			for i, k := range keys {
 				if k < 0 || int(k) >= ks.Keys {
 					t.Fatalf("txn %d: key %d outside [0, %d)", tx.ID, k, ks.Keys)
@@ -117,10 +142,11 @@ func TestAssignDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Txns {
-		if !reflect.DeepEqual(a.Txns[i].Reads, b.Txns[i].Reads) ||
-			!reflect.DeepEqual(a.Txns[i].Writes, b.Txns[i].Writes) {
+		id := txn.ID(i)
+		if !reflect.DeepEqual(a.Reads(id), b.Reads(id)) ||
+			!reflect.DeepEqual(a.Writes(id), b.Writes(id)) {
 			t.Fatalf("txn %d: same keyspace drew different sets:\n%v/%v\n%v/%v",
-				i, a.Txns[i].Reads, a.Txns[i].Writes, b.Txns[i].Reads, b.Txns[i].Writes)
+				i, a.Reads(id), a.Writes(id), b.Reads(id), b.Writes(id))
 		}
 	}
 	// A different stream seed must move at least one set.
@@ -131,7 +157,7 @@ func TestAssignDeterministic(t *testing.T) {
 	}
 	same := true
 	for i := range a.Txns {
-		if !reflect.DeepEqual(a.Txns[i].Reads, c.Txns[i].Reads) {
+		if !reflect.DeepEqual(a.Reads(txn.ID(i)), c.Reads(txn.ID(i))) {
 			same = false
 			break
 		}
@@ -142,15 +168,15 @@ func TestAssignDeterministic(t *testing.T) {
 }
 
 // TestAssignReadOnly: ReadOnlyProb 1 produces only read-only transactions
-// (nil write sets), ReadOnlyProb 0 none.
+// (empty write sets), ReadOnlyProb 0 none.
 func TestAssignReadOnly(t *testing.T) {
 	set := keyspaceFixture(t, 30)
 	if err := Assign(set, Keyspace{Keys: 16, Reads: 2, Writes: 2, ReadOnlyProb: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tx := range set.Txns {
-		if tx.Writes != nil {
-			t.Fatalf("txn %d: read-only workload drew writes %v", tx.ID, tx.Writes)
+		if w := set.Writes(tx.ID); len(w) != 0 {
+			t.Fatalf("txn %d: read-only workload drew writes %v", tx.ID, w)
 		}
 	}
 	set = keyspaceFixture(t, 30)
@@ -158,8 +184,8 @@ func TestAssignReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tx := range set.Txns {
-		if len(tx.Writes) != 2 {
-			t.Fatalf("txn %d: write set %v, want 2 keys", tx.ID, tx.Writes)
+		if w := set.Writes(tx.ID); len(w) != 2 {
+			t.Fatalf("txn %d: write set %v, want 2 keys", tx.ID, w)
 		}
 	}
 }

@@ -21,6 +21,8 @@ import (
 // exactly once, so a workload of n transactions sees at most n-1 failures
 // per transaction (quadratic worst case, reached only under total overlap).
 type Validator struct {
+	// set holds the key sets of the transactions being validated.
+	set *txn.Set
 	// lastWrite[k] is the commit sequence number of the last committed
 	// write to key k (0 = never written).
 	lastWrite []uint64
@@ -44,6 +46,7 @@ func NewValidator(set *txn.Set) *Validator {
 		return nil
 	}
 	return &Validator{
+		set:       set,
 		lastWrite: make([]uint64, keySpan(set)),
 		begin:     make([]uint64, set.Len()),
 		open:      make([]bool, set.Len()),
@@ -70,7 +73,7 @@ func (v *Validator) Begin(t *txn.Transaction) {
 // incarnation, counts the failure, and returns false; the caller must
 // rewind t and re-queue it for a fresh incarnation.
 func (v *Validator) CommitCheck(t *txn.Transaction) bool {
-	for _, k := range t.Reads {
+	for _, k := range v.set.Reads(t.ID) {
 		if v.lastWrite[k] > v.begin[t.ID] {
 			v.open[t.ID] = false
 			v.fails++
@@ -78,9 +81,9 @@ func (v *Validator) CommitCheck(t *txn.Transaction) bool {
 		}
 	}
 	v.open[t.ID] = false
-	if len(t.Writes) > 0 {
+	if writes := v.set.Writes(t.ID); len(writes) > 0 {
 		v.seq++
-		for _, k := range t.Writes {
+		for _, k := range writes {
 			v.lastWrite[k] = v.seq
 		}
 	}

@@ -11,15 +11,14 @@ import (
 func validatorFixture(t *testing.T) *txn.Set {
 	t.Helper()
 	txns := []*txn.Transaction{
-		{ID: 0, Deadline: 10, Length: 1, Weight: 1, Reads: []txn.Key{5}},
-		{ID: 1, Deadline: 10, Length: 1, Weight: 1, Reads: []txn.Key{2}, Writes: []txn.Key{5}},
-		{ID: 2, Deadline: 10, Length: 1, Weight: 1, Reads: []txn.Key{9}, Writes: []txn.Key{9}},
+		{ID: 0, Deadline: 10, Length: 1, Weight: 1},
+		{ID: 1, Deadline: 10, Length: 1, Weight: 1},
+		{ID: 2, Deadline: 10, Length: 1, Weight: 1},
 	}
-	set, err := txn.NewSet(txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return set
+	return keyedSet(t, txns,
+		keySets{reads: []txn.Key{5}},
+		keySets{reads: []txn.Key{2}, writes: []txn.Key{5}},
+		keySets{reads: []txn.Key{9}, writes: []txn.Key{9}})
 }
 
 func TestNewValidatorNilOnKeylessSet(t *testing.T) {
@@ -126,13 +125,10 @@ func TestValidatorReset(t *testing.T) {
 // clock, so concurrent readers never invalidate each other.
 func TestValidatorReadOnlyCommit(t *testing.T) {
 	txns := []*txn.Transaction{
-		{ID: 0, Deadline: 10, Length: 1, Weight: 1, Reads: []txn.Key{3}},
-		{ID: 1, Deadline: 10, Length: 1, Weight: 1, Reads: []txn.Key{3}},
+		{ID: 0, Deadline: 10, Length: 1, Weight: 1},
+		{ID: 1, Deadline: 10, Length: 1, Weight: 1},
 	}
-	set, err := txn.NewSet(txns)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := keyedSet(t, txns, keySets{reads: []txn.Key{3}}, keySets{reads: []txn.Key{3}})
 	v := NewValidator(set)
 	v.Begin(set.Txns[0])
 	v.Begin(set.Txns[1])

@@ -631,9 +631,7 @@ func (b *SpanBuilder) openSpan(ev *Event) {
 		// is read-only for the duration of a run and spans treat the links
 		// as read-only too, so no defensive clone is needed.
 		sp.Parents = t.Deps
-		if int(ev.Txn) < len(b.set.Dependents) {
-			sp.Children = b.set.Dependents[ev.Txn]
-		}
+		sp.Children = b.set.DependentsOf(ev.Txn)
 	}
 	sp.Class = classNames[st.classIdx]
 	sp.Mode = b.modeNames[0]

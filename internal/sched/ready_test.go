@@ -84,11 +84,11 @@ func TestReadyTrackerProperty(t *testing.T) {
 			}
 			var want []*txn.Transaction
 			before := make([]bool, n)
-			for _, d := range set.Dependents[tx.ID] {
+			for _, d := range set.DependentsOf(tx.ID) {
 				before[d] = ready(set.ByID(d))
 			}
 			finished[tx.ID] = true
-			for _, d := range set.Dependents[tx.ID] {
+			for _, d := range set.DependentsOf(tx.ID) {
 				if dt := set.ByID(d); !before[d] && ready(dt) {
 					want = append(want, dt)
 				}

@@ -155,7 +155,7 @@ func (rt *ReadyTracker) Arrive(t *txn.Transaction) bool {
 func (rt *ReadyTracker) Complete(t *txn.Transaction) []*txn.Transaction {
 	rt.state[t.ID] |= finishedBit
 	newly := rt.newly[:0]
-	for _, depID := range rt.set.Dependents[t.ID] {
+	for _, depID := range rt.set.DependentsOf(t.ID) {
 		rt.state[depID]++
 		if rt.state[depID]&arrivedBit == 0 {
 			continue

@@ -6,17 +6,21 @@ import (
 )
 
 // cloneFixture builds a small workflow workload with non-trivial Deps,
-// Dependents and read/write-set structure, the shapes Clone must deep-copy.
+// reverse edges and read/write-set structure, the shapes Clone must
+// deep-copy.
 func cloneFixture(t *testing.T) *Set {
 	t.Helper()
 	txns := []*Transaction{
-		{ID: 0, Arrival: 0, Deadline: 10, Length: 2, Weight: 1, Reads: []Key{1, 3}, Writes: []Key{2}},
-		{ID: 1, Arrival: 1, Deadline: 12, Length: 3, Weight: 2, Deps: []ID{0}, Reads: []Key{2}},
+		{ID: 0, Arrival: 0, Deadline: 10, Length: 2, Weight: 1},
+		{ID: 1, Arrival: 1, Deadline: 12, Length: 3, Weight: 2, Deps: []ID{0}},
 		{ID: 2, Arrival: 2, Deadline: 15, Length: 1, Weight: 1, Deps: []ID{0, 1}},
 		{ID: 3, Arrival: 3, Deadline: 20, Length: 4, Weight: 5},
 	}
 	set, err := NewSet(txns)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := set.AssignKeys(0, drawSets([2][]Key{{1, 3}, {2}}, [2][]Key{{2}, nil})); err != nil {
 		t.Fatal(err)
 	}
 	return set
@@ -38,8 +42,8 @@ func TestCloneDeepEqual(t *testing.T) {
 }
 
 // TestCloneMutationIsolation: no write through the clone — transaction
-// fields, Deps entries, Dependents entries — may reach the original, and
-// vice versa.
+// fields, Deps entries, reverse edges, key sets — may reach the original,
+// and vice versa.
 func TestCloneMutationIsolation(t *testing.T) {
 	set := cloneFixture(t)
 	pristine := set.Clone() // reference copy for comparison
@@ -47,11 +51,11 @@ func TestCloneMutationIsolation(t *testing.T) {
 
 	clone.Txns[0].Remaining = 99
 	clone.Txns[0].FinishTime = 42
-	clone.Txns[0].Reads[0] = 7
-	clone.Txns[0].Writes = append(clone.Txns[0].Writes, 9)
+	clone.Reads(0)[0] = 7
+	clone.Writes(0)[0] = 9
 	clone.Txns[1].Deps[0] = 3
 	clone.Txns[2].Deps = append(clone.Txns[2].Deps, 3)
-	clone.Dependents[0][0] = 3
+	clone.DependentsOf(0)[0] = 3
 	clone.Txns = append(clone.Txns, &Transaction{ID: 4, Deadline: 1, Length: 1})
 
 	if !reflect.DeepEqual(set, pristine) {
@@ -62,14 +66,15 @@ func TestCloneMutationIsolation(t *testing.T) {
 	fresh := set.Clone()
 	set.Txns[3].Remaining = -1
 	set.Txns[1].Deps[0] = 2
-	set.Dependents[0][0] = 2
-	if fresh.Txns[3].Remaining == -1 || fresh.Txns[1].Deps[0] == 2 || fresh.Dependents[0][0] == 2 {
+	set.DependentsOf(0)[0] = 2
+	set.Reads(0)[1] = 5
+	if fresh.Txns[3].Remaining == -1 || fresh.Txns[1].Deps[0] == 2 || fresh.DependentsOf(0)[0] == 2 || fresh.Reads(0)[1] == 5 {
 		t.Fatal("mutating the original leaked into an existing clone")
 	}
 }
 
-// TestCloneSharesNoSlices: Deps and Dependents backing arrays must be
-// distinct allocations whenever non-empty.
+// TestCloneSharesNoSlices: Deps, reverse-edge and key-set backing arrays
+// must be distinct allocations whenever non-empty.
 func TestCloneSharesNoSlices(t *testing.T) {
 	set := cloneFixture(t)
 	clone := set.Clone()
@@ -77,25 +82,21 @@ func TestCloneSharesNoSlices(t *testing.T) {
 		if len(src.Deps) > 0 && &src.Deps[0] == &clone.Txns[i].Deps[0] {
 			t.Fatalf("txn %d: clone shares the Deps backing array", i)
 		}
-		if len(src.Reads) > 0 && &src.Reads[0] == &clone.Txns[i].Reads[0] {
-			t.Fatalf("txn %d: clone shares the Reads backing array", i)
-		}
-		if len(src.Writes) > 0 && &src.Writes[0] == &clone.Txns[i].Writes[0] {
-			t.Fatalf("txn %d: clone shares the Writes backing array", i)
-		}
 		if src == clone.Txns[i] {
 			t.Fatalf("txn %d: clone shares the Transaction pointer", i)
 		}
-	}
-	for i := range set.Dependents {
-		if len(set.Dependents[i]) > 0 && &set.Dependents[i][0] == &clone.Dependents[i][0] {
-			t.Fatalf("Dependents[%d]: clone shares the backing array", i)
+		if deps := set.DependentsOf(src.ID); len(deps) > 0 && &deps[0] == &clone.DependentsOf(src.ID)[0] {
+			t.Fatalf("DependentsOf(%d): clone shares the backing array", i)
 		}
+	}
+	if &set.keys[0] == &clone.keys[0] || &set.bounds[0] == &clone.bounds[0] {
+		t.Fatal("clone shares the key slab or its bounds")
 	}
 }
 
 // TestClonePreservesNilness: nil Deps stay nil (not empty non-nil slices),
-// so encodings and DeepEqual comparisons of clones match the source.
+// and an unkeyed set's clone holds no key storage, so encodings and
+// DeepEqual comparisons of clones match the source.
 func TestClonePreservesNilness(t *testing.T) {
 	set := cloneFixture(t)
 	clone := set.Clone()
@@ -104,10 +105,10 @@ func TestClonePreservesNilness(t *testing.T) {
 			t.Fatalf("txn %d: Deps nil-ness changed: src nil=%v clone nil=%v",
 				i, src.Deps == nil, clone.Txns[i].Deps == nil)
 		}
-		if (src.Reads == nil) != (clone.Txns[i].Reads == nil) ||
-			(src.Writes == nil) != (clone.Txns[i].Writes == nil) {
-			t.Fatalf("txn %d: key-set nil-ness changed (plain workloads must stay keyless after Clone)", i)
-		}
+	}
+	plain := mustSet(t, mk(0, 0, 5, 1), mk(1, 0, 5, 1, 0))
+	if c := plain.Clone(); c.keys != nil || c.bounds != nil {
+		t.Fatal("clone of an unkeyed set holds key storage (plain workloads must stay keyless after Clone)")
 	}
 }
 

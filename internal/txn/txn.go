@@ -24,8 +24,10 @@ type ID int
 type Key int
 
 // Transaction models one web transaction T_i (Definition 1 of the paper).
-// The scheduling-time fields (Remaining, Started, Finished, FinishTime) are
-// mutated by the simulator; everything else is immutable workload data.
+// The scheduling-time fields (Remaining, FinishTime, Started, Finished,
+// Shed) are mutated by the simulator; everything else is immutable workload
+// data. Data the paper's record does not have — a contended workload's read
+// and write sets, the reverse dependency edges — lives on the Set.
 type Transaction struct {
 	// ID is the dense workload-local identifier of the transaction.
 	ID ID
@@ -42,26 +44,16 @@ type Transaction struct {
 	// Deps is l_i, the direct dependency list: IDs of transactions whose
 	// output this transaction consumes. Empty means independent.
 	Deps []ID
-	// Reads and Writes are the transaction's data-access sets over the
-	// workload's keyspace: the rows it reads and the rows it writes. Both
-	// are sorted ascending and duplicate-free (Validate enforces this so
-	// conflict tests can merge-scan in O(len)). Nil on the paper's
-	// contention-free workloads; populated by contention.Keyspace.Assign.
-	// A transaction may read keys it also writes (read-your-own-writes is
-	// not a conflict with itself).
-	Reads []Key
-	// Writes is the write set; see Reads.
-	Writes []Key
 
 	// Remaining is the processing time still needed; the simulator
 	// decrements it as the transaction runs (preemptive-resume).
 	Remaining float64
+	// FinishTime is f_i, valid only once Finished is true.
+	FinishTime float64
 	// Started reports whether the transaction has received any service.
 	Started bool
 	// Finished reports whether the transaction has completed.
 	Finished bool
-	// FinishTime is f_i, valid only once Finished is true.
-	FinishTime float64
 	// Shed reports that the admission controller rejected the transaction
 	// at arrival: it never entered the scheduler and is excluded from the
 	// tardiness aggregates (which cover admitted transactions only).
@@ -122,16 +114,24 @@ func (t *Transaction) String() string {
 // Set is an immutable-by-convention collection of transactions indexed by ID
 // (Txns[i].ID == i always holds after Validate).
 //
-// Validate derives the set's structural facts: the reverse edges in
-// Dependents and the two switches Independent and Keyed, which the
+// Validate derives the set's structural facts: the reverse edges that
+// DependentsOf reads and the two switches Independent and Keyed, which the
 // schedulers and run loops read instead of scanning the set again. A
-// caller that mutates Deps, Reads or Writes of a validated set must
-// validate it again before the facts hold.
+// caller that mutates Deps of a validated set must validate it again before
+// the facts hold. Key sets are installed only through AssignKeys.
 type Set struct {
 	Txns []*Transaction
-	// Dependents[i] lists the IDs of transactions that directly depend on
-	// transaction i (the reverse edges of Deps). Built by Validate.
-	Dependents [][]ID
+
+	// dependents[i] lists the IDs of transactions that directly depend on
+	// transaction i (the reverse edges of Deps); nil when no transaction
+	// has a dependency. Built by Validate.
+	dependents [][]ID
+	// keys holds every transaction's write set and then its read set, in ID
+	// order; transaction i's write set is keys[bounds[2i]:bounds[2i+1]] and
+	// its read set keys[bounds[2i+1]:bounds[2i+2]]. Both nil on an unkeyed
+	// set. Installed by AssignKeys.
+	keys   []Key
+	bounds []int32
 
 	independent bool // no transaction has a dependency
 	keyed       bool // some transaction has a read or a write set
@@ -149,12 +149,12 @@ func NewSet(txns []*Transaction) (*Set, error) {
 
 // Validate checks the structural invariants a workload must satisfy: dense
 // IDs, positive lengths, non-negative arrivals, deadlines no earlier than
-// arrival, valid dependency references, and an acyclic dependency graph. It
-// also (re)builds the reverse-edge index and the Independent and Keyed
-// facts.
+// arrival, valid dependency references, an acyclic dependency graph, and
+// key sets (if any) that cover exactly the set's transactions. It also
+// (re)builds the reverse-edge index and the Independent fact.
 func (s *Set) Validate() error {
 	n := len(s.Txns)
-	independent, keyed := true, false
+	independent := true
 	for i, t := range s.Txns {
 		if t == nil {
 			return fmt.Errorf("txn: set slot %d is nil", i)
@@ -187,29 +187,45 @@ func (s *Set) Validate() error {
 			}
 			seen[d] = true
 		}
-		if err := validKeySet(t.ID, "read", t.Reads); err != nil {
-			return err
-		}
-		if err := validKeySet(t.ID, "write", t.Writes); err != nil {
-			return err
-		}
 		independent = independent && len(t.Deps) == 0
-		keyed = keyed || len(t.Reads) > 0 || len(t.Writes) > 0
 	}
-	s.Dependents = make([][]ID, n)
-	for _, t := range s.Txns {
-		for _, d := range t.Deps {
-			s.Dependents[d] = append(s.Dependents[d], t.ID)
-		}
+	if s.keyed && len(s.bounds) != 2*n+1 {
+		return fmt.Errorf("txn: key sets cover %d transactions, set has %d", len(s.bounds)/2, n)
 	}
+	s.dependents = reverseEdges(s.Txns)
 	// A set without dependencies is trivially acyclic.
 	if !independent {
 		if _, err := s.TopologicalOrder(); err != nil {
 			return err
 		}
 	}
-	s.independent, s.keyed = independent, keyed
+	s.independent = independent
 	return nil
+}
+
+// reverseEdges builds the reverse-edge table of txns, or returns nil when
+// no transaction has a dependency.
+func reverseEdges(txns []*Transaction) [][]ID {
+	var rev [][]ID
+	for _, t := range txns {
+		for _, d := range t.Deps {
+			if rev == nil {
+				rev = make([][]ID, len(txns))
+			}
+			rev[d] = append(rev[d], t.ID)
+		}
+	}
+	return rev
+}
+
+// DependentsOf returns the IDs of the transactions that directly depend on
+// transaction id (the reverse edges of Deps), in ID order, as of the last
+// Validate. The slice belongs to the set: callers must not modify it.
+func (s *Set) DependentsOf(id ID) []ID {
+	if s.dependents == nil {
+		return nil
+	}
+	return s.dependents[id]
 }
 
 // Independent reports whether no transaction of the set has a dependency,
@@ -217,29 +233,66 @@ func (s *Set) Validate() error {
 func (s *Set) Independent() bool { return s.independent }
 
 // Keyed reports whether some transaction of the set carries a read or a
-// write set, as of the last Validate or AssignKeys: the switch that turns
-// on commit-time validation in the run loops (docs/CONTENTION.md).
+// write set, as of the last AssignKeys: the switch that turns on
+// commit-time validation in the run loops (docs/CONTENTION.md).
 func (s *Set) Keyed() bool { return s.keyed }
 
-// AssignKeys replaces every transaction's read and write sets with the ones
-// draw returns for it, in ID order, and records the Keyed fact. It checks
-// only the sets it installs, so a validated set stays validated without a
-// second pass over the rest of its invariants. On an error the set is
-// partly assigned and must not be run.
-func (s *Set) AssignKeys(draw func(t *Transaction) (reads, writes []Key)) error {
-	keyed := false
-	for _, t := range s.Txns {
-		reads, writes := draw(t)
-		if err := validKeySet(t.ID, "read", reads); err != nil {
-			return err
-		}
-		if err := validKeySet(t.ID, "write", writes); err != nil {
-			return err
-		}
-		t.Reads, t.Writes = reads, writes
-		keyed = keyed || len(reads) > 0 || len(writes) > 0
+// Reads returns transaction id's read set: the rows of the workload's
+// keyspace it reads, sorted ascending and duplicate-free (AssignKeys
+// enforces this so conflict tests can merge-scan in O(len)). It is empty on
+// the paper's contention-free workloads. A transaction may read keys it
+// also writes (read-your-own-writes is not a conflict with itself). The
+// slice belongs to the set: callers must not modify it.
+func (s *Set) Reads(id ID) []Key {
+	if s.bounds == nil {
+		return nil
 	}
-	s.keyed = keyed
+	lo, hi := s.bounds[2*id+1], s.bounds[2*id+2]
+	return s.keys[lo:hi:hi]
+}
+
+// Writes returns transaction id's write set; see Reads.
+func (s *Set) Writes(id ID) []Key {
+	if s.bounds == nil {
+		return nil
+	}
+	lo, hi := s.bounds[2*id], s.bounds[2*id+1]
+	return s.keys[lo:hi:hi]
+}
+
+// AssignKeys replaces the key sets of every transaction with the ones draw
+// appends and records the Keyed fact. For each transaction, in ID order,
+// draw appends the write set and then the read set to keys and returns the
+// extended slice and the write set's length; sizeHint is the capacity the
+// slab starts with. The set keeps the slab, or nothing when every set is
+// empty, and then it is unkeyed. AssignKeys checks only the sets it
+// installs, so a validated set stays validated without a second pass over
+// the rest of its invariants; on an error the set's key sets are unchanged.
+func (s *Set) AssignKeys(sizeHint int, draw func(id ID, keys []Key) ([]Key, int)) error {
+	n := len(s.Txns)
+	keys := make([]Key, 0, sizeHint)
+	bounds := make([]int32, 2*n+1)
+	for i := range n {
+		id, start := ID(i), len(keys)
+		var writes int
+		keys, writes = draw(id, keys)
+		if writes < 0 || start+writes > len(keys) {
+			return fmt.Errorf("txn: transaction %d drew a write set of %d keys but appended %d keys", id, writes, len(keys)-start)
+		}
+		mid := start + writes
+		if err := validKeySet(id, "write", keys[start:mid]); err != nil {
+			return err
+		}
+		if err := validKeySet(id, "read", keys[mid:]); err != nil {
+			return err
+		}
+		bounds[2*i+1], bounds[2*i+2] = int32(mid), int32(len(keys))
+	}
+	if len(keys) == 0 {
+		s.keys, s.bounds, s.keyed = nil, nil, false
+		return nil
+	}
+	s.keys, s.bounds, s.keyed = keys, bounds, true
 	return nil
 }
 
@@ -277,12 +330,12 @@ func (s *Set) ResetAll() {
 }
 
 // Clone returns a deep copy of the set: every transaction (including its
-// scheduling-time state and dependency list), the reverse-edge index and
-// the Independent and Keyed facts are copied, so mutating the clone —
-// running it through a simulator, shedding, fault injection, arrival
-// rewrites — never touches the original. Workflows are derived structures
-// (BuildWorkflows constructs them from a set), so a clone's workflows are
-// built from the clone and share nothing either.
+// scheduling-time state and dependency list), the reverse-edge index, the
+// key sets and the Independent and Keyed facts are copied, so mutating the
+// clone — running it through a simulator, shedding, fault injection,
+// arrival rewrites — never touches the original. Workflows are derived
+// structures (BuildWorkflows constructs them from a set), so a clone's
+// workflows are built from the clone and share nothing either.
 //
 // Clone exists for the parallel experiment engine (internal/runner): each
 // concurrent run owns a private copy of the workload while the original
@@ -290,29 +343,27 @@ func (s *Set) ResetAll() {
 // nil-ness of the original, so a clone-then-run is byte-identical to an
 // original-run (see docs/PARALLELISM.md).
 func (s *Set) Clone() *Set {
-	c := &Set{Txns: make([]*Transaction, len(s.Txns)), independent: s.independent, keyed: s.keyed}
+	c := &Set{
+		Txns:        make([]*Transaction, len(s.Txns)),
+		keys:        slices.Clone(s.keys),
+		bounds:      slices.Clone(s.bounds),
+		independent: s.independent,
+		keyed:       s.keyed,
+	}
 	for i, t := range s.Txns {
 		ct := *t
 		if t.Deps != nil {
 			ct.Deps = make([]ID, len(t.Deps))
 			copy(ct.Deps, t.Deps)
 		}
-		if t.Reads != nil {
-			ct.Reads = make([]Key, len(t.Reads))
-			copy(ct.Reads, t.Reads)
-		}
-		if t.Writes != nil {
-			ct.Writes = make([]Key, len(t.Writes))
-			copy(ct.Writes, t.Writes)
-		}
 		c.Txns[i] = &ct
 	}
-	if s.Dependents != nil {
-		c.Dependents = make([][]ID, len(s.Dependents))
-		for i, deps := range s.Dependents {
+	if s.dependents != nil {
+		c.dependents = make([][]ID, len(s.dependents))
+		for i, deps := range s.dependents {
 			if deps != nil {
-				c.Dependents[i] = make([]ID, len(deps))
-				copy(c.Dependents[i], deps)
+				c.dependents[i] = make([]ID, len(deps))
+				copy(c.dependents[i], deps)
 			}
 		}
 	}
@@ -328,6 +379,13 @@ func (s *Set) TopologicalOrder() ([]ID, error) {
 	for _, t := range s.Txns {
 		indeg[t.ID] = len(t.Deps)
 	}
+	rev := s.dependents
+	if rev == nil {
+		// A set validated as independent keeps no table, but its Deps may
+		// have gained edges since, so they are read afresh rather than
+		// trusting the Independent fact.
+		rev = reverseEdges(s.Txns)
+	}
 	queue := make([]ID, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
@@ -339,7 +397,10 @@ func (s *Set) TopologicalOrder() ([]ID, error) {
 		id := queue[0]
 		queue = queue[1:]
 		order = append(order, id)
-		for _, dep := range dependentsOf(s, id) {
+		if rev == nil {
+			continue
+		}
+		for _, dep := range rev[id] {
 			indeg[dep]--
 			if indeg[dep] == 0 {
 				queue = append(queue, dep)
@@ -350,23 +411,6 @@ func (s *Set) TopologicalOrder() ([]ID, error) {
 		return nil, fmt.Errorf("txn: dependency graph contains a cycle (%d of %d transactions orderable)", len(order), n)
 	}
 	return order, nil
-}
-
-func dependentsOf(s *Set, id ID) []ID {
-	if s.Dependents == nil {
-		// Validate not run yet; compute on the fly (only hit from Validate
-		// itself, which builds Dependents before calling TopologicalOrder).
-		var out []ID
-		for _, t := range s.Txns {
-			for _, d := range t.Deps {
-				if d == id {
-					out = append(out, t.ID)
-				}
-			}
-		}
-		return out
-	}
-	return s.Dependents[id]
 }
 
 // Roots returns the IDs of transactions that appear in no dependency list:

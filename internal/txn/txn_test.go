@@ -1,9 +1,11 @@
 package txn
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // mk builds a minimal valid transaction for tests.
@@ -139,9 +141,30 @@ func TestValidateRejectsBadWorkloads(t *testing.T) {
 	}
 }
 
-// TestSetFactsFollowValidate: Independent and Keyed are recorded by
-// Validate, so after a mutation they change only with a fresh Validate,
-// which also finds a cycle the mutation made.
+// drawSets returns an AssignKeys draw that installs sets[i] — transaction
+// i's {reads, writes} — and nothing past the end of sets.
+func drawSets(sets ...[2][]Key) func(ID, []Key) ([]Key, int) {
+	return func(id ID, keys []Key) ([]Key, int) {
+		if int(id) >= len(sets) {
+			return keys, 0
+		}
+		rw := sets[id]
+		return append(append(keys, rw[1]...), rw[0]...), len(rw[1])
+	}
+}
+
+// TestTransactionSize pins the record to the paper's fields plus the run
+// state: key sets and reverse edges live on the Set, not in every
+// transaction.
+func TestTransactionSize(t *testing.T) {
+	if got := unsafe.Sizeof(Transaction{}); got > 88 {
+		t.Fatalf("unsafe.Sizeof(Transaction{}) = %d B, want <= 88", got)
+	}
+}
+
+// TestSetFactsFollowValidate: Independent is recorded by Validate, so after
+// a mutation it changes only with a fresh Validate, which also finds a
+// cycle the mutation made; Keyed follows AssignKeys.
 func TestSetFactsFollowValidate(t *testing.T) {
 	s := mustSet(t, mk(0, 0, 5, 1), mk(1, 0, 5, 1), mk(2, 1, 5, 1))
 	facts := func(indep, keyed bool) {
@@ -153,14 +176,17 @@ func TestSetFactsFollowValidate(t *testing.T) {
 	facts(true, false)
 
 	s.Txns[2].Deps = []ID{0}
-	s.Txns[1].Writes = []Key{3}
 	facts(true, false) // not validated yet
+	if err := s.AssignKeys(0, drawSets([2][]Key{}, [2][]Key{nil, {3}})); err != nil {
+		t.Fatal(err)
+	}
+	facts(true, true)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	facts(false, true)
-	if got := s.Dependents[0]; len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Dependents[0] = %v, want [2]", got)
+	if got := s.DependentsOf(0); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("DependentsOf(0) = %v, want [2]", got)
 	}
 
 	s.Txns[0].Deps = []ID{2}
@@ -168,7 +194,10 @@ func TestSetFactsFollowValidate(t *testing.T) {
 		t.Fatalf("Validate after closing a cycle: %v", err)
 	}
 
-	s.Txns[0].Deps, s.Txns[2].Deps, s.Txns[1].Writes = nil, nil, nil
+	s.Txns[0].Deps, s.Txns[2].Deps = nil, nil
+	if err := s.AssignKeys(0, drawSets()); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,34 +207,55 @@ func TestSetFactsFollowValidate(t *testing.T) {
 	}
 }
 
-// TestAssignKeys: AssignKeys installs the drawn sets, records Keyed from
-// them alone, and rejects a set Validate would reject.
+// TestAssignKeys: AssignKeys installs the sets, records Keyed from them
+// alone, rejects a set that is not sorted and duplicate-free or a write-set
+// length the draw did not append, and keeps no storage for empty sets.
 func TestAssignKeys(t *testing.T) {
 	s := mustSet(t, mk(0, 0, 5, 1), mk(1, 0, 5, 1, 0))
-	draw := func(reads, writes []Key) func(*Transaction) ([]Key, []Key) {
-		return func(tx *Transaction) ([]Key, []Key) {
-			if tx.ID == 1 {
-				return reads, writes
-			}
-			return nil, nil
-		}
+	one := func(reads, writes []Key) func(ID, []Key) ([]Key, int) {
+		return drawSets([2][]Key{}, [2][]Key{reads, writes})
 	}
-	if err := s.AssignKeys(draw([]Key{1, 4}, []Key{2})); err != nil {
+	if err := s.AssignKeys(0, one([]Key{1, 4}, []Key{2})); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Keyed() || s.Independent() || len(s.Txns[1].Reads) != 2 || len(s.Txns[1].Writes) != 1 {
-		t.Fatalf("after AssignKeys: Keyed %v, Independent %v, txn 1 %v/%v", s.Keyed(), s.Independent(), s.Txns[1].Reads, s.Txns[1].Writes)
+	if !s.Keyed() || s.Independent() || len(s.Reads(1)) != 2 || len(s.Writes(1)) != 1 || len(s.Reads(0))+len(s.Writes(0)) != 0 {
+		t.Fatalf("after AssignKeys: Keyed %v, Independent %v, txn 1 %v/%v", s.Keyed(), s.Independent(), s.Reads(1), s.Writes(1))
 	}
 	if err := s.Validate(); err != nil || !s.Keyed() {
 		t.Fatalf("Validate after AssignKeys: %v, Keyed %v", err, s.Keyed())
 	}
 	for _, bad := range [][2][]Key{{{4, 1}, nil}, {nil, {2, 2}}, {{-1}, nil}} {
-		if err := s.AssignKeys(draw(bad[0], bad[1])); err == nil {
+		if err := s.AssignKeys(0, one(bad[0], bad[1])); err == nil {
 			t.Errorf("AssignKeys accepted reads %v, writes %v", bad[0], bad[1])
 		}
 	}
-	if err := s.AssignKeys(draw(nil, nil)); err != nil || s.Keyed() {
-		t.Fatalf("AssignKeys of empty sets: %v, Keyed %v", err, s.Keyed())
+	if got := s.Reads(1); len(got) != 2 || got[0] != 1 || got[1] != 4 {
+		t.Fatalf("a rejected AssignKeys changed the read set to %v", got)
+	}
+	for _, writes := range []int{-1, 2} {
+		err := s.AssignKeys(0, func(id ID, keys []Key) ([]Key, int) { return append(keys, 5), writes })
+		if err == nil {
+			t.Errorf("AssignKeys accepted a write-set length of %d for 1 appended key", writes)
+		}
+	}
+	if err := s.AssignKeys(4, one(nil, nil)); err != nil || s.Keyed() || s.keys != nil || s.bounds != nil {
+		t.Fatalf("AssignKeys of empty sets: %v, Keyed %v, storage %v/%v", err, s.Keyed(), s.keys, s.bounds)
+	}
+	if s.Reads(1) != nil || s.Writes(0) != nil {
+		t.Fatal("an unkeyed set returned key sets")
+	}
+}
+
+// TestValidateRejectsStaleKeys: key sets installed for n transactions do
+// not cover a set that has grown since.
+func TestValidateRejectsStaleKeys(t *testing.T) {
+	s := mustSet(t, mk(0, 0, 5, 1))
+	if err := s.AssignKeys(0, drawSets([2][]Key{{1}, nil})); err != nil {
+		t.Fatal(err)
+	}
+	s.Txns = append(s.Txns, mk(1, 0, 5, 1))
+	if err := s.Validate(); err == nil {
+		t.Fatal("Validate accepted key sets covering 1 of 2 transactions")
 	}
 }
 
@@ -216,11 +266,52 @@ func TestDependentsIndex(t *testing.T) {
 		mk(2, 0, 10, 1, 0),
 		mk(3, 0, 10, 1, 1, 2),
 	)
-	if got := s.Dependents[0]; len(got) != 2 {
+	if got := s.DependentsOf(0); len(got) != 2 {
 		t.Fatalf("dependents of 0 = %v", got)
 	}
-	if got := s.Dependents[3]; len(got) != 0 {
+	if got := s.DependentsOf(3); len(got) != 0 {
 		t.Fatalf("dependents of 3 = %v", got)
+	}
+}
+
+// TestIndependentSetHoldsNoReverseEdges: a set without dependencies keeps
+// no reverse-edge table, and validating it again after it gains a
+// dependency builds the table; until then TopologicalOrder reads the new
+// edge from Deps rather than trusting the stale Independent fact.
+func TestIndependentSetHoldsNoReverseEdges(t *testing.T) {
+	s := mustSet(t, mk(0, 0, 10, 1), mk(1, 0, 10, 1), mk(2, 0, 10, 1))
+	if s.dependents != nil {
+		t.Fatalf("independent set holds a reverse-edge table %v", s.dependents)
+	}
+	if got := s.DependentsOf(1); got != nil {
+		t.Fatalf("DependentsOf on an independent set = %v, want nil", got)
+	}
+	if c := s.Clone(); c.dependents != nil {
+		t.Fatal("Clone of an independent set built a reverse-edge table")
+	}
+
+	s.Txns[0].Deps = []ID{2}
+	order, err := s.TopologicalOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pos := slices.Index(order, 2); pos > slices.Index(order, 0) {
+		t.Fatalf("TopologicalOrder %v puts 0 before its dependency 2", order)
+	}
+	s.Txns[2].Deps = []ID{0}
+	if _, err := s.TopologicalOrder(); err == nil {
+		t.Fatal("TopologicalOrder missed a cycle a stale Independent fact hides")
+	}
+	s.Txns[2].Deps = nil
+
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Independent() || s.dependents == nil {
+		t.Fatalf("after Validate: Independent %v, table %v", s.Independent(), s.dependents)
+	}
+	if got := s.DependentsOf(2); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("DependentsOf(2) = %v, want [0]", got)
 	}
 }
 

@@ -13,7 +13,7 @@ func scanFacts(s *txn.Set) (independent, keyed bool) {
 	independent = true
 	for _, t := range s.Txns {
 		independent = independent && len(t.Deps) == 0
-		keyed = keyed || len(t.Reads) > 0 || len(t.Writes) > 0
+		keyed = keyed || len(s.Reads(t.ID)) > 0 || len(s.Writes(t.ID)) > 0
 	}
 	return independent, keyed
 }

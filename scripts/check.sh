@@ -21,6 +21,12 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+# The allocation and byte guards on their own, one package at a time: a
+# guard that passes only after the rest of its package ran (and warmed the
+# runtime for it) fails here.
+echo "== allocation and byte guards (alone)"
+go test -count=1 -run 'Allocs|Bytes' ./...
+
 if [ "${1:-}" = "short" ]; then
     echo "== go test (short)"
     go test -short ./...
