@@ -85,7 +85,7 @@ func runParallelBench(n, seeds, workers int, baseSeed uint64) (any, error) {
 	timed := func(poolWorkers int) ([]*metrics.Summary, float64, error) {
 		jobs := parallelBenchJobs(n, seeds, baseSeed)
 		start := time.Now()
-		sums, err := runner.Pool{Workers: poolWorkers, BaseSeed: baseSeed}.Run(context.Background(), jobs)
+		sums, err := runner.Pool{Workers: poolWorkers}.Run(context.Background(), jobs)
 		return sums, time.Since(start).Seconds(), err
 	}
 

@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -91,6 +92,11 @@ func main() {
 	}
 	if err := sloFlags.Load(); err != nil {
 		cliflag.Fatal("asetssim", err)
+	}
+	bal, err := balanceOption(*policy, *balTime, *balCount, *compare, *users)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "asetssim: %v\n", err)
+		os.Exit(2)
 	}
 
 	if *users > 0 {
@@ -160,16 +166,45 @@ func main() {
 		os.Exit(2)
 	}
 	s := factory()
-	if *balTime > 0 {
-		s = core.New(core.WithTimeActivation(*balTime))
-	}
-	if *balCount > 0 {
-		s = core.New(core.WithCountActivation(*balCount))
+	if bal != nil {
+		s = core.New(bal)
 	}
 	if *invar {
 		s = wrapInvariants(s)
 	}
 	runOne(set, s, *servers, wantTrace, *analyze, *gantt, outs, rob)
+}
+
+// balanceOption returns the balance-aware aging option that -bal-time or
+// -bal-count selects, nil when both are zero. The flags age plain ASETS* in
+// one open-loop run, so it rejects them with any other -policy, with
+// -compare or -users, together, or with a negative or non-finite rate.
+func balanceOption(policy string, balTime, balCount float64, compare bool, users int) (core.Option, error) {
+	for _, f := range []struct {
+		name string
+		rate float64
+	}{{"-bal-time", balTime}, {"-bal-count", balCount}} {
+		if !(f.rate >= 0) || math.IsInf(f.rate, 1) {
+			return nil, fmt.Errorf("%s %v must be a finite non-negative rate", f.name, f.rate)
+		}
+	}
+	if balTime == 0 && balCount == 0 {
+		return nil, nil
+	}
+	switch {
+	case balTime > 0 && balCount > 0:
+		return nil, fmt.Errorf("-bal-time and -bal-count select different aging modes; give one")
+	case compare:
+		return nil, fmt.Errorf("-bal-time/-bal-count age one asets run; drop -compare")
+	case users > 0:
+		return nil, fmt.Errorf("-bal-time/-bal-count apply to open-loop runs; the closed-loop simulator (-users) does not support them")
+	case policy != "asets":
+		return nil, fmt.Errorf("-bal-time/-bal-count age plain ASETS*; use -policy asets, not %q", policy)
+	}
+	if balTime > 0 {
+		return core.WithTimeActivation(balTime), nil
+	}
+	return core.WithCountActivation(balCount), nil
 }
 
 // wrapInvariants adds per-decision invariant auditing when s is an

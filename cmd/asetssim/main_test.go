@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cliflag"
@@ -183,5 +185,56 @@ func TestPolicyMapComplete(t *testing.T) {
 	}
 	if len(cliflag.Policies) < 10 {
 		t.Errorf("only %d policies registered", len(cliflag.Policies))
+	}
+}
+
+// TestBalanceFlags: -bal-time and -bal-count age plain ASETS* in one
+// open-loop run; every other combination is a usage error (exit 2 in main).
+func TestBalanceFlags(t *testing.T) {
+	cases := []struct {
+		name              string
+		policy            string
+		balTime, balCount float64
+		compare           bool
+		users             int
+		want              string // error substring, or the scheduler's name
+	}{
+		{name: "edf with bal-time", policy: "edf", balTime: 0.01, want: `not "edf"`},
+		{name: "srpt with bal-count", policy: "srpt", balCount: 0.05, want: `not "srpt"`},
+		{name: "asets-ca with bal-time", policy: "asets-ca", balTime: 0.01, want: `not "asets-ca"`},
+		{name: "ready with bal-count", policy: "ready", balCount: 0.05, want: `not "ready"`},
+		{name: "compare with bal-time", policy: "asets", balTime: 0.01, compare: true, want: "drop -compare"},
+		{name: "compare with bal-count", policy: "asets", balCount: 0.05, compare: true, want: "drop -compare"},
+		{name: "users with bal-time", policy: "asets", balTime: 0.01, users: 5, want: "-users"},
+		{name: "users with bal-count", policy: "asets", balCount: 0.05, users: 5, want: "-users"},
+		{name: "both flags", policy: "asets", balTime: 0.01, balCount: 0.05, want: "give one"},
+		{name: "negative bal-time", policy: "asets", balTime: -0.01, want: "-bal-time -0.01 must be"},
+		{name: "negative bal-count", policy: "asets", balCount: -1, want: "-bal-count -1 must be"},
+		{name: "NaN bal-time", policy: "asets", balTime: math.NaN(), want: "-bal-time NaN must be"},
+		{name: "infinite bal-count", policy: "asets", balCount: math.Inf(1), want: "-bal-count +Inf must be"},
+		{name: "asets with bal-time", policy: "asets", balTime: 0.01, want: "ASETS*-BAL(t=0.01)"},
+		{name: "asets with bal-count", policy: "asets", balCount: 0.05, want: "ASETS*-BAL(c=0.05)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt, err := balanceOption(tc.policy, tc.balTime, tc.balCount, tc.compare, tc.users)
+			if strings.HasPrefix(tc.want, "ASETS*") {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				if got := core.New(opt).Name(); got != tc.want {
+					t.Fatalf("scheduler %q, want %q", got, tc.want)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	for _, policy := range []string{"asets", "edf"} {
+		if opt, err := balanceOption(policy, 0, 0, true, 5); opt != nil || err != nil {
+			t.Fatalf("-policy %s without balance flags: option %v, error %v", policy, opt != nil, err)
+		}
 	}
 }

@@ -93,7 +93,7 @@ type router struct {
 // other instances, so a cross-instance dependency could never become ready
 // (workflow-colocated routing is future work — see docs/ROBUSTNESS.md).
 func (e *Sim) Run(set *txn.Set) (*Result, error) {
-	b := e.cfg.Status
+	b := e.cfg.status
 	if b == nil {
 		var r router
 		return r.run(e.cfg, set, func() {})
@@ -133,7 +133,7 @@ func (r *router) run(cfg Config, set *txn.Set, built func()) (*Result, error) {
 	for i := range r.insts {
 		in := &r.insts[i]
 		in.name, in.crashSeen = strconv.Itoa(i), -1
-		if in.k, err = sim.NewInstance(cfg.instance(i, in.name), set, cfg.NewScheduler(), r.obs, in.name); err != nil {
+		if in.k, err = sim.NewInstance(cfg.instance(i), set, cfg.NewScheduler(), r.obs, in.name); err != nil {
 			return nil, fmt.Errorf("cluster: instance %d: %w", i, err)
 		}
 	}
@@ -188,7 +188,7 @@ func (r *router) step() error {
 		return r.stuck()
 	}
 	event = max(event, r.now)
-	if event > r.now && r.cfg.Pace != nil {
+	if event > r.now && r.cfg.pace != nil {
 		// Live readers see every decision up to the instant the fleet
 		// pauses; an instant replay never pauses.
 		if !r.cfg.instant {
@@ -231,14 +231,14 @@ func (r *router) step() error {
 	return nil
 }
 
-// pace waits for the instant next through Config.Pace, with the status
+// pace waits for the instant next through Config.pace, with the status
 // board, when one is attached, unlocked for its readers.
 func (r *router) pace(next float64) error {
-	if b := r.cfg.Status; b != nil {
+	if b := r.cfg.status; b != nil {
 		b.mu.Unlock()
 		defer b.mu.Lock()
 	}
-	return r.cfg.Pace(next)
+	return r.cfg.pace(next)
 }
 
 // settle brings instance i to the new instant: its commits, then its

@@ -190,7 +190,7 @@ func TestHealthyInstancesGauge(t *testing.T) {
 		Faults:       crashPlans(),
 		Retry:        Retry{Budget: 1, BackoffBase: 1},
 		Metrics:      reg,
-		Pace: func(next float64) error {
+		pace: func(next float64) error {
 			if v := healthy(); len(seen) == 0 || seen[len(seen)-1] != v {
 				seen = append(seen, v)
 			}

@@ -133,26 +133,23 @@ type Config struct {
 	// SLO, when non-nil, attaches one SLO alert engine per instance (each
 	// fault domain is its own alerting domain, labeled with the instance
 	// index). Alert fire/resolve transitions ride the routed decision-event
-	// stream in time order; per-instance gauges land in Metrics; the
-	// aggregate fleet rollup is served by StatusBoard.Health. The Instance
-	// field of the supplied config is ignored — the engine overrides it per
-	// fault domain.
+	// stream in time order; per-instance gauges land in Metrics; a Fleet's
+	// Health serves the aggregate fleet rollup.
 	SLO *slo.Config
-	// Status, when non-nil, is the board live readers read the fleet
-	// through — the seam the live server reads /healthz detail from. The
-	// run holds its lock while it steps and releases it around Pace. Nil
-	// for pure simulation runs, which take no lock.
-	Status *StatusBoard
-	// Pace, when non-nil, is called before the engine advances to a future
-	// instant — the live tier's wall-clock pacing hook. Returning an error
-	// aborts the run (context cancellation). The staged events are
+
+	// status, set only by NewFleet, is the board live readers read the
+	// fleet through. The run holds its lock while it steps and releases it
+	// around pace. Nil for pure simulation runs, which take no lock.
+	status *statusBoard
+	// pace, set only by Fleet.Run, is called before the engine advances to
+	// a future instant — the live tier's wall-clock pacing hook. Returning
+	// an error aborts the run (context cancellation). The staged events are
 	// delivered to Sink before each call, so live readers see every
 	// decision up to the instant the fleet pauses.
-	Pace func(next float64) error
-
-	// instant marks a Pace that never waits (a Fleet on a clock for which
+	pace func(next float64) error
+	// instant marks a pace that never waits (a Fleet on a clock for which
 	// executor.Waits is false): the engine then delivers in full batches,
-	// as without Pace.
+	// as without pace.
 	instant bool
 }
 
@@ -186,24 +183,19 @@ func (c *Config) validate(set *txn.Set) (Retry, int, error) {
 	return retry, sim.StepCap(set.Len(), scale, windows+4*c.Instances, set.Keyed()), nil
 }
 
-// instance is the kernel configuration of instance i, named name. The
-// router calls each instance's Next at most once per step it caps, so the
-// instance needs no cap of its own.
+// instance is the kernel configuration of instance i. The router calls
+// each instance's Next at most once per step it caps, so the instance needs
+// no cap of its own. Each fault domain gets its own SLO engine, labeled by
+// the name the router passes to sim.NewInstance.
 //
 //lint:coldpath per-instance wiring runs once before the event loop
-func (c *Config) instance(i int, name string) sim.Config {
-	kc := sim.Config{Metrics: c.Metrics}
+func (c *Config) instance(i int) sim.Config {
+	kc := sim.Config{Metrics: c.Metrics, SLO: c.SLO}
 	if c.NewAdmit != nil {
 		kc.Admit = c.NewAdmit()
 	}
 	if len(c.Faults) > 0 && !c.Faults[i].Zero() {
 		kc.Faults = c.Faults[i]
-	}
-	if c.SLO != nil {
-		// Each fault domain is its own alerting domain.
-		sc := *c.SLO
-		sc.Instance = name
-		kc.SLO = &sc
 	}
 	return kc
 }

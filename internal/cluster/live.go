@@ -94,19 +94,19 @@ type FleetHealth struct {
 	Instances []InstanceHealth `json:"instances,omitempty"`
 }
 
-// StatusBoard is the engine→observer seam for live runs: the engine holds
-// the board's lock while it steps the fleet and releases it only around
-// Config.Pace, so Snapshot and Health build their copies from the engine's
-// own state, at the instant the fleet pauses. Pure simulation runs leave
-// Config.Status nil and take no lock.
-type StatusBoard struct {
+// statusBoard is the engine→observer seam of a Fleet: the engine holds the
+// board's lock while it steps the fleet and releases it only around
+// Config.pace, so snapshot and health build their copies from the engine's
+// own state, at the instant the fleet pauses. Pure simulation runs have no
+// board and take no lock.
+type statusBoard struct {
 	mu sync.Mutex
 	r  *router // guarded by mu: the run being read, nil before it starts
 }
 
-// Snapshot returns a copy of the fleet's current state; the zero
+// snapshot returns a copy of the fleet's current state; the zero
 // FleetStatus before the run starts.
-func (b *StatusBoard) Snapshot() FleetStatus {
+func (b *statusBoard) snapshot() FleetStatus {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.r == nil {
@@ -115,9 +115,9 @@ func (b *StatusBoard) Snapshot() FleetStatus {
 	return b.r.status()
 }
 
-// Health returns a copy of the fleet's current SLO rollup; the zero
+// health returns a copy of the fleet's current SLO rollup; the zero
 // FleetHealth before the run starts or without an SLO configuration.
-func (b *StatusBoard) Health() FleetHealth {
+func (b *statusBoard) health() FleetHealth {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.r == nil || b.r.cfg.SLO == nil {
@@ -185,12 +185,12 @@ type FleetOptions struct {
 // Fleet runs a cluster configuration over live wall-clock time: the
 // multi-instance counterpart of executor.Executor, built by composing the
 // deterministic cluster engine with the executor's Clock seam through
-// Config.Pace. Event-time decisions are exactly the simulator's; wall-clock
+// Config.pace. Event-time decisions are exactly the simulator's; wall-clock
 // sleeps only pace execution, so a paced run completes with the same routed
 // schedule as the instant replay. Event delivery follows the executor's rule
 // (executor.Waits): before each pacing sleep under a clock that waits, in
 // full batches as Sim.Run delivers under a FakeClock. Live reads follow it
-// too: Status and Health read the engine itself under its StatusBoard's
+// too: Status and Health read the engine itself under its status board's
 // lock, which the run releases only while it sleeps, so they see the
 // instant the fleet pauses at, its transactions dispatched.
 type Fleet struct {
@@ -199,9 +199,8 @@ type Fleet struct {
 	opts FleetOptions
 }
 
-// NewFleet prepares a live cluster replay of set under cfg. The fleet
-// installs its own StatusBoard (overriding cfg.Status) and pacing hook
-// (overriding cfg.Pace); configuration errors surface from Run.
+// NewFleet prepares a live cluster replay of set under cfg, with its own
+// status board and pacing hook; configuration errors surface from Run.
 func NewFleet(cfg Config, set *txn.Set, opts FleetOptions) *Fleet {
 	if opts.TimeScale <= 0 {
 		opts.TimeScale = executor.DefaultTimeScale
@@ -209,23 +208,23 @@ func NewFleet(cfg Config, set *txn.Set, opts FleetOptions) *Fleet {
 	if opts.Clock == nil {
 		opts.Clock = executor.RealClock{}
 	}
-	cfg.Status = &StatusBoard{}
+	cfg.status = &statusBoard{}
 	return &Fleet{sim: New(cfg), set: set, opts: opts}
 }
 
 // Status returns the fleet's current state; safe to call while Run runs.
-func (f *Fleet) Status() FleetStatus { return f.sim.cfg.Status.Snapshot() }
+func (f *Fleet) Status() FleetStatus { return f.sim.cfg.status.snapshot() }
 
 // Health returns the fleet's current SLO rollup; safe to call while Run
 // runs. FleetHealth.Enabled is false when the run has no SLO configuration.
-func (f *Fleet) Health() FleetHealth { return f.sim.cfg.Status.Health() }
+func (f *Fleet) Health() FleetHealth { return f.sim.cfg.status.health() }
 
 // Run replays the workload to completion or until ctx is cancelled.
 func (f *Fleet) Run(ctx context.Context) (*Result, error) {
 	clock := f.opts.Clock
 	start := clock.Now()
 	f.sim.cfg.instant = !executor.Waits(clock)
-	f.sim.cfg.Pace = func(next float64) error {
+	f.sim.cfg.pace = func(next float64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

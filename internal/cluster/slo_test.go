@@ -22,24 +22,24 @@ func overloadedClusterWorkload() *txn.Set {
 	return workload.MustGenerate(cfg)
 }
 
-func sloClusterConfig(col *obs.Collector, reg *obs.Registry, status *StatusBoard) Config {
+func sloClusterConfig(col *obs.Collector, reg *obs.Registry, status *statusBoard) Config {
 	return Config{
 		Instances:    2,
 		NewScheduler: sched.NewEDF,
 		Sink:         col,
 		Metrics:      reg,
-		Status:       status,
+		status:       status,
 		SLO:          &slo.Config{Spec: slo.DefaultSpec(), Window: 50},
 	}
 }
 
 // TestClusterSLOAlertsAndRollup: per-instance engines fire instance-prefixed
 // alerts into the routed stream in time order, export inst-labeled gauges,
-// and aggregate into the StatusBoard's fleet health rollup.
+// and aggregate into the status board's fleet health rollup.
 func TestClusterSLOAlertsAndRollup(t *testing.T) {
 	col := &obs.Collector{}
 	reg := obs.NewRegistry()
-	status := &StatusBoard{}
+	status := &statusBoard{}
 	res, err := New(sloClusterConfig(col, reg, status)).Run(overloadedClusterWorkload())
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestClusterSLOAlertsAndRollup(t *testing.T) {
 		t.Fatalf("Result.SLO counts %d fires, stream carries %d", totalFires, fires)
 	}
 
-	fh := status.Health()
+	fh := status.health()
 	if !fh.Enabled || !fh.Done {
 		t.Fatalf("fleet health not enabled/done: %+v", fh)
 	}

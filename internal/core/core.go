@@ -90,10 +90,10 @@ func WithName(name string) Option { return func(c *config) { c.name = name } }
 // abl-rep experiment quantifies the difference.
 func WithHeadExcludedRep() Option { return func(c *config) { c.headExcludedRep = true } }
 
-// WithSingletonGrouping makes every transaction its own scheduling entity,
+// withSingletonGrouping makes every transaction its own scheduling entity,
 // hiding dependent transactions until they become ready — the paper's Ready
-// baseline when the workload has precedence constraints.
-func WithSingletonGrouping() Option { return func(c *config) { c.singleton = true } }
+// baseline (NewReady) when the workload has precedence constraints.
+func withSingletonGrouping() Option { return func(c *config) { c.singleton = true } }
 
 // WithTimeActivation enables balance-aware aging that runs T_old every
 // 1/rate time units. The paper sweeps rate over [0.002, 0.01].
@@ -241,7 +241,7 @@ func New(opts ...Option) *ASETSStar {
 
 // NewReady constructs the Ready baseline of Section III-B: transaction-level
 // ASETS* preceded by a Wait queue, realized as singleton grouping.
-func NewReady() *ASETSStar { return New(WithSingletonGrouping()) }
+func NewReady() *ASETSStar { return New(withSingletonGrouping()) }
 
 // Name implements sched.Scheduler.
 func (a *ASETSStar) Name() string { return a.cfg.name }

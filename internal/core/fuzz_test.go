@@ -27,7 +27,7 @@ const (
 const (
 	groupWorkflows   = iota // a WithWorkflows(4, 2) set, grouped into workflows
 	groupIndependent        // an independent set: singleton entities
-	groupReady              // the WithWorkflows(4, 2) set under WithSingletonGrouping
+	groupReady              // the WithWorkflows(4, 2) set under withSingletonGrouping
 	numGroupings
 )
 
@@ -80,7 +80,7 @@ func FuzzSchedulerOps(f *testing.F) {
 		set := workload.MustGenerate(cfg)
 		var opts []Option
 		if grouping == groupReady {
-			opts = append(opts, WithSingletonGrouping())
+			opts = append(opts, withSingletonGrouping())
 		}
 		if data[2]&1 != 0 {
 			opts = append(opts, WithRule(RuleSymmetric))

@@ -59,7 +59,7 @@ func cellRegistry(obs []cellObs) *Registry {
 func sketchRegistry(obs []cellObs) *Registry {
 	reg := NewRegistry()
 	for k := range windowKinds {
-		s := reg.Sketch(WindowMetric(windowKinds[k], 7, "heavy", "edf"), windowHelp[k])
+		s := plainSketch(reg, WindowMetric(windowKinds[k], 7, "heavy", "edf"), windowHelp[k])
 		for _, o := range obs {
 			s.Observe(o[k])
 		}

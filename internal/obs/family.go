@@ -68,11 +68,9 @@ func windowBaseOf(name string) bool {
 // A registry has at most one spanSketches (Registry.spanFamily). Its cells
 // have no formatted name and no entry in the registry's name, help or type
 // tables; names are rendered (by WindowMetric) only on the cold paths —
-// Registry.Snapshot and WritePrometheus. The cells still conflict by
-// rendered name with the registry's other metrics: a counter, gauge,
-// histogram or plain sketch under a name a cell renders to and that cell
-// cannot both exist. Whichever of the two comes second panics, as a second
-// registration of a name under another type does.
+// Registry.Snapshot and WritePrometheus. The three family bases are
+// reserved: registering a counter, gauge, histogram or plain sketch under
+// one panics, so no plain metric can share a name with a cell.
 //
 // Lock order: a registry's mu before its family's (registration and
 // snapshots), and a SpanBuilder's before its registry's family (completions
@@ -86,9 +84,8 @@ type spanSketches struct {
 // observe records one completion's tardiness, response time and slowdown
 // into the run totals and, for label >= 0, into the cell (win, label), under
 // one lock acquisition. Each value's bucket index is computed once, outside
-// the lock, for both sketches. It returns a taken name, observing nothing in
-// the windows, when the cell would render to a plain metric's name.
-func (f *spanSketches) observe(win, label int32, tardiness, response, slowdown float64) string {
+// the lock, for both sketches.
+func (f *spanSketches) observe(win, label int32, tardiness, response, slowdown float64) {
 	v := [numWindowKinds]float64{tardiness, response, slowdown}
 	var idx [numWindowKinds]int16
 	for k, x := range v {
@@ -99,10 +96,9 @@ func (f *spanSketches) observe(win, label int32, tardiness, response, slowdown f
 	for k, s := range f.tot {
 		s.AddIndexed(v[k], int(idx[k]))
 	}
-	if label < 0 {
-		return ""
+	if label >= 0 {
+		f.win.add(win, label, &v, &idx)
 	}
-	return f.win.add(win, label, &v, &idx)
 }
 
 // label returns the id of the (class, mode) label pair.
@@ -110,13 +106,6 @@ func (f *spanSketches) label(class, mode string) int32 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.win.label(class, mode)
-}
-
-// claim reserves name for a plain metric (windowCells.claim).
-func (f *spanSketches) claim(name string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.win.claim(name)
 }
 
 // retainedBytes estimates the memory the windowed families pin.
@@ -184,47 +173,37 @@ type windowCell struct {
 	idx        [cellRaw][numWindowKinds]int16   // their bucket indices
 }
 
-// windowCells holds the cells of the windowed families and the plain metric
-// names reserved under a family base. It does no locking of its own:
-// spanSketches guards it.
+// windowCells holds the cells of the windowed families. It does no locking
+// of its own: spanSketches guards it.
 type windowCells struct {
 	labels []windowLabels // interned label pairs, indexed by label id
 	// rows[label][win] is 1 + the slot of cell (win, label), 0 for none: a
 	// dense index over windows 0 <= win < len(rows[label]) that grows by
 	// doubling, so it allocates nothing per window. A cell whose window lies
 	// beyond the rows' reach (denseReach) is indexed in far instead.
-	rows   [][]int32
-	far    map[windowKey]int32
-	cells  slab[windowCell]                     // pointer-free, in creation order
-	side   slab[[numWindowKinds]metrics.Sketch] // sketches of promoted cells
-	shadow map[string]struct{}                  // plain metric names under a family base
+	rows  [][]int32
+	far   map[windowKey]int32
+	cells slab[windowCell]                     // pointer-free, in creation order
+	side  slab[[numWindowKinds]metrics.Sketch] // sketches of promoted cells
 }
 
 // add files one observation — its three measures and their bucket indices —
-// into the cell (win, label), creating the cell on first use. It returns a
-// taken name, without observing, when a new cell would render to a plain
-// metric's name.
-func (w *windowCells) add(win, label int32, v *[numWindowKinds]float64, idx *[numWindowKinds]int16) string {
+// into the cell (win, label), creating the cell on first use.
+func (w *windowCells) add(win, label int32, v *[numWindowKinds]float64, idx *[numWindowKinds]int16) {
 	slot, ok := w.find(win, label)
 	if !ok {
-		if len(w.shadow) > 0 {
-			if name := w.shadowed(win, label); name != "" {
-				return name
-			}
-		}
 		slot = w.create(win, label)
 	}
 	c := w.cells.at(slot)
 	if c.side == 0 && c.n < cellRaw {
 		c.v[c.n], c.idx[c.n] = *v, *idx
 		c.n++
-		return ""
+		return
 	}
 	sk := w.promoted(slot)
 	for k := range sk {
 		sk[k].AddIndexed(v[k], int(idx[k]))
 	}
-	return ""
 }
 
 // find returns the slot of cell (win, label).
@@ -355,42 +334,6 @@ func (w *windowCells) label(class, mode string) int32 {
 	w.labels = append(w.labels, windowLabels{class: class, mode: mode})
 	w.rows = append(w.rows, nil)
 	return int32(len(w.labels) - 1)
-}
-
-// shadowed returns the first of cell (win, label)'s rendered names that a
-// plain metric holds, or "".
-//
-//lint:coldpath runs only while plain metrics hold names under a family base
-func (w *windowCells) shadowed(win, label int32) string {
-	l := w.labels[label]
-	for k := range windowKinds {
-		name := WindowMetric(windowKinds[k], int(win), l.class, l.mode)
-		if _, dup := w.shadow[name]; dup {
-			return name
-		}
-	}
-	return ""
-}
-
-// claim reserves name for a plain metric: it reports true when a cell
-// already renders to name, and otherwise records name so that no cell
-// rendering to it is created later. Cold: it renders every cell, and runs
-// only for names under a family base.
-func (w *windowCells) claim(name string) bool {
-	for i := 0; i < w.cells.n; i++ {
-		c := w.cells.at(int32(i))
-		l := w.labels[c.label]
-		for k := range windowKinds {
-			if WindowMetric(windowKinds[k], int(c.win), l.class, l.mode) == name {
-				return true
-			}
-		}
-	}
-	if w.shadow == nil {
-		w.shadow = make(map[string]struct{})
-	}
-	w.shadow[name] = struct{}{}
-	return false
 }
 
 // retainedBytes estimates the memory the cells pin: the cell and side

@@ -51,17 +51,14 @@ func randomFamilyObs(r *rng.Source, n int) []familyObs {
 func familyRegistry(obs []familyObs) *Registry {
 	reg := plainNeighbors()
 	for _, o := range obs {
-		if taken := observeCell(reg, o.win, o.class, o.mode, o.v); taken != "" {
-			panic(taken)
-		}
+		observeCell(reg, o.win, o.class, o.mode, o.v)
 	}
 	return reg
 }
 
 // observeCell files one observation into the cell (win, class, mode) of
-// reg's windowed families, leaving the run totals alone, and returns the
-// name a plain metric holds when the cell would render to it.
-func observeCell(reg *Registry, win int, class, mode string, v [numWindowKinds]float64) string {
+// reg's windowed families, leaving the run totals alone.
+func observeCell(reg *Registry, win int, class, mode string, v [numWindowKinds]float64) {
 	f := reg.spanFamily()
 	var idx [numWindowKinds]int16
 	for k := range v {
@@ -69,16 +66,33 @@ func observeCell(reg *Registry, win int, class, mode string, v [numWindowKinds]f
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.win.add(int32(win), f.win.label(class, mode), &v, &idx)
+	f.win.add(int32(win), f.win.label(class, mode), &v, &idx)
 }
 
-// perNameRegistry is familyRegistry by the old path: every cell measure a
-// plain sketch registered under its WindowMetric name.
+// plainSketch registers a plain sketch under name as Registry.Sketch does,
+// but past the reserved-base check: the per-name reference that family
+// cells must render exactly like.
+func plainSketch(reg *Registry, name, help string) *Sketch {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	if s, ok := reg.sketches[name]; ok {
+		return s
+	}
+	reg.names = append(reg.names, name)
+	reg.help[name] = help
+	s := &Sketch{}
+	s.mu = &s.own
+	reg.sketches[name] = s
+	return s
+}
+
+// perNameRegistry is familyRegistry by plain sketches: every cell measure
+// registered under its WindowMetric name.
 func perNameRegistry(obs []familyObs) *Registry {
 	reg := plainNeighbors()
 	for _, o := range obs {
 		for k := range o.v {
-			reg.Sketch(WindowMetric(windowKinds[k], o.win, o.class, o.mode), windowHelp[k]).Observe(o.v[k])
+			plainSketch(reg, WindowMetric(windowKinds[k], o.win, o.class, o.mode), windowHelp[k]).Observe(o.v[k])
 		}
 	}
 	return reg
@@ -135,47 +149,50 @@ func expectPanic(t *testing.T, what, want string, f func()) {
 	f()
 }
 
-// TestWindowFamilyNameConflicts: a counter or plain sketch registered under
-// a name a cell renders to conflicts, whichever is registered first; plain
-// metrics under other names beside the family do not.
+// TestWindowFamilyNameConflicts: a counter, gauge, histogram or plain
+// sketch registered under any of the three window-family bases panics, bare
+// or labeled, before the span family exists and after it holds a cell;
+// plain metrics under other names beside the family do not.
 func TestWindowFamilyNameConflicts(t *testing.T) {
-	name := WindowMetric("response", 3, "heavy", "edf")
-	const taken = "already registered with a different type"
-
-	reg := NewRegistry()
-	one := [numWindowKinds]float64{1, 2, 3}
-	if taken := observeCell(reg, 3, "heavy", "edf", one); taken != "" {
-		t.Fatalf("fresh cell refused: %q", taken)
+	const reserved = "reserved window-family base"
+	registers := []struct {
+		kind     string
+		register func(*Registry, string)
+	}{
+		{"counter", func(r *Registry, name string) { r.Counter(name, "") }},
+		{"gauge", func(r *Registry, name string) { r.Gauge(name, "") }},
+		{"histogram", func(r *Registry, name string) { r.Histogram(name, "") }},
+		{"sketch", func(r *Registry, name string) { r.Sketch(name, "") }},
 	}
-	expectPanic(t, "counter after cell", taken, func() { reg.Counter(name, "") })
-	expectPanic(t, "sketch after cell", taken, func() { reg.Sketch(name, "") })
-	expectPanic(t, "gauge after cell", taken, func() { reg.Gauge(name, "") })
-	reg.Counter(WindowMetric("response", 4, "heavy", "edf"), "a free name under the family base")
-
-	for _, register := range []func(*Registry){
-		func(r *Registry) { r.Counter(name, "") },
-		func(r *Registry) { r.Sketch(name, "") },
-	} {
-		// Registered before the family exists, and before the family
-		// creates the cell.
-		for _, familyFirst := range []bool{false, true} {
-			reg := NewRegistry()
-			if familyFirst {
-				reg.spanFamily()
-			}
-			register(reg)
-			if got := observeCell(reg, 3, "heavy", "edf", one); got != name {
-				t.Errorf("familyFirst=%v: cell over a registered name returned %q", familyFirst, got)
+	one := [numWindowKinds]float64{1, 2, 3}
+	for _, familyFirst := range []bool{false, true} {
+		for k, kind := range windowKinds {
+			for _, name := range []string{windowBase(k), WindowMetric(kind, 3, "heavy", "edf"), WindowMetric(kind, 4, "light", "hdf")} {
+				for _, reg := range registers {
+					r := NewRegistry()
+					if familyFirst {
+						observeCell(r, 3, "heavy", "edf", one)
+					}
+					what := fmt.Sprintf("%s %s (family first: %v)", reg.kind, name, familyFirst)
+					expectPanic(t, what, reserved, func() { reg.register(r, name) })
+					if got := len(r.Snapshot().Counters) + len(r.Snapshot().Gauges) + len(r.Snapshot().Histograms); got != 0 {
+						t.Errorf("%s: a refused registration left %d metrics behind", what, got)
+					}
+				}
 			}
 		}
 	}
 
-	// The span builder panics as the old per-cell registration did.
-	reg = NewRegistry()
-	reg.Counter(WindowMetric("tardiness", 0, "heavy", "edf"), "")
-	b := NewSpanBuilder(spanTestSet(t), SpanOptions{Metrics: reg, Window: 5})
-	expectPanic(t, "span builder over a counter", taken, func() { windowEvents(b, 0, 0, 4) })
-
+	// Names beside the bases stay free, with the family in use.
+	reg := plainNeighbors()
+	observeCell(reg, 3, "heavy", "edf", one)
+	reg.Histogram("asets_window_slowdown_seconds", "a histogram beside the family")
+	page := exposition(t, reg)
+	for _, want := range []string{"asets_window_tardiness_count 4", `asets_window_response{window="0003",class="heavy",mode="edf",quantile="0.5"}`} {
+		if !strings.Contains(page, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, page)
+		}
+	}
 }
 
 // windowStreamSet builds n independent transactions with weights cycling
@@ -267,8 +284,8 @@ func TestSpanRetainedBytesCountsWindowCells(t *testing.T) {
 // TestHammerWindowFamilyScrape: while one goroutine feeds completions into
 // new window cells, others snapshot and render the registry, read the three
 // run-total span sketches and the window cells, read the retained-bytes
-// estimate and register plain metrics under a family
-// base — the live dashboard's scrape pattern. Run under -race.
+// estimate and register plain metrics beside the family
+// — the live dashboard's scrape pattern. Run under -race.
 func TestHammerWindowFamilyScrape(t *testing.T) {
 	const n = 3000
 	set := windowStreamSet(t, n)
@@ -309,7 +326,7 @@ func TestHammerWindowFamilyScrape(t *testing.T) {
 					return
 				}
 				_ = b.RetainedBytes()
-				reg.Counter(WindowMetric("tardiness", 1_000_000+i, "light", fmt.Sprint("plain", g)), "")
+				reg.Counter(MetricName("asets_hammer_plain", "window", fmt.Sprint(i), "g", fmt.Sprint(g)), "")
 			}
 		}(g)
 	}

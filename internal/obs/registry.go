@@ -147,44 +147,26 @@ func NewRegistry() *Registry {
 	}
 }
 
-// windowClaimed reports whether a windowed family cell renders to name. When
-// none does and name lies under a family base, the family records name as
-// taken by a plain metric (windowCells.claim), so callers go on to register
-// it or return a conflict. f may be nil.
-func windowClaimed(f *spanSketches, name string) bool {
-	return f != nil && windowBaseOf(name) && f.claim(name)
-}
-
 // spanFamily returns the registry's span sketches, creating them on first
 // use.
 func (r *Registry) spanFamily() *spanSketches {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.span == nil {
-		r.span = newSpanSketches(r.names)
+		r.span = &spanSketches{}
 	}
 	return r.span
 }
 
-// newSpanSketches returns an empty span family that reserves the plain
-// metric names already registered under a family base.
-//
-//lint:coldpath family creation happens once per registry
-func newSpanSketches(names []string) *spanSketches {
-	f := &spanSketches{}
-	for _, name := range names {
-		if windowBaseOf(name) {
-			f.win.claim(name)
-		}
-	}
-	return f
-}
-
-// register records a name the first time it appears and rejects a name
-// reused across metric types.
+// register records a name the first time it appears. It rejects a name
+// reused across metric types, and a name under a window-family base, which
+// only the span layer's cells render to.
 func (r *Registry) register(name, help string, taken bool) {
 	if taken {
 		panic(fmt.Sprintf("obs: metric name %q already registered with a different type", name))
+	}
+	if windowBaseOf(name) {
+		panic(fmt.Sprintf("obs: metric name %q lies under a reserved window-family base", name))
 	}
 	//lint:ignore lockguard register is the locked-section helper of the four getters; every caller holds r.mu
 	if _, dup := r.help[name]; !dup {
@@ -208,7 +190,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	_, g := r.gauges[name]
 	_, h := r.hists[name]
 	_, s := r.sketches[name]
-	r.register(name, help, g || h || s || windowClaimed(r.span, name))
+	r.register(name, help, g || h || s)
 	c := &Counter{}
 	r.counters[name] = c
 	return c
@@ -226,7 +208,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	_, c := r.counters[name]
 	_, h := r.hists[name]
 	_, s := r.sketches[name]
-	r.register(name, help, c || h || s || windowClaimed(r.span, name))
+	r.register(name, help, c || h || s)
 	g := &Gauge{}
 	r.gauges[name] = g
 	return g
@@ -264,7 +246,7 @@ func (r *Registry) histogram(name, help string, mu *sync.Mutex) *Histogram {
 	_, c := r.counters[name]
 	_, g := r.gauges[name]
 	_, s := r.sketches[name]
-	r.register(name, help, c || g || s || windowClaimed(r.span, name))
+	r.register(name, help, c || g || s)
 	h := &Histogram{h: metrics.NewHistogram(), mu: mu}
 	if mu == nil {
 		h.mu = &h.own
@@ -290,12 +272,12 @@ func (r *Registry) Sketch(name, help string) *Sketch {
 	_, c := r.counters[name]
 	_, g := r.gauges[name]
 	_, h := r.hists[name]
-	r.register(name, help, c || g || h || windowClaimed(r.span, name))
+	r.register(name, help, c || g || h)
 	s := &Sketch{}
 	s.mu = &s.own
 	if k := spanTotalKind(name); k >= 0 {
 		if r.span == nil {
-			r.span = newSpanSketches(r.names)
+			r.span = &spanSketches{}
 		}
 		f := r.span
 		s.mu = &f.mu

@@ -742,9 +742,7 @@ func (b *SpanBuilder) observe(sp *Span, class, mode int8) {
 		}
 		label = b.labels[i] - 1
 	}
-	if taken := f.observe(win, label, sp.Tardiness, sp.Response, sp.Slowdown); taken != "" {
-		panic(fmt.Sprintf("obs: metric name %q already registered with a different type", taken))
-	}
+	f.observe(win, label, sp.Tardiness, sp.Response, sp.Slowdown)
 }
 
 // initFamily registers the run-total sketches and resolves the registry's

@@ -29,16 +29,14 @@ func TestWindowMetricEscapesLabels(t *testing.T) {
 	}
 }
 
-// TestWindowMetricExpositionUnbroken registers a sketch under a hostile
+// TestWindowMetricExpositionUnbroken fills a window cell under a hostile
 // class name and checks the full exposition stays line-structured: every
 // line is a comment or a single sample, and no label value ends a line
 // early.
 func TestWindowMetricExpositionUnbroken(t *testing.T) {
 	reg := NewRegistry()
-	sk := reg.Sketch(WindowMetric("tardiness", 0, "bad\"}\nclass", "edf"),
-		"windowed tardiness")
-	sk.Observe(1.5)
-	sk.Observe(3)
+	observeCell(reg, 0, "bad\"}\nclass", "edf", [numWindowKinds]float64{1.5, 1.5, 1.5})
+	observeCell(reg, 0, "bad\"}\nclass", "edf", [numWindowKinds]float64{3, 3, 3})
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, reg); err != nil {
 		t.Fatal(err)
@@ -47,7 +45,7 @@ func TestWindowMetricExpositionUnbroken(t *testing.T) {
 		if line == "" {
 			t.Fatalf("line %d empty — a label value broke the exposition:\n%s", i, buf.String())
 		}
-		if !strings.HasPrefix(line, "#") && !strings.HasPrefix(line, "asets_window_tardiness") {
+		if !strings.HasPrefix(line, "#") && !strings.HasPrefix(line, "asets_window_") {
 			t.Fatalf("line %d is neither comment nor sample: %q", i, line)
 		}
 	}

@@ -83,7 +83,7 @@ func TestGoldenMergedMetricsDigest(t *testing.T) {
 		set := workload.MustGenerate(cfg)
 		reg := obs.NewRegistry()
 		sb := obs.NewSpanBuilder(set, obs.SpanOptions{Metrics: reg, Window: 20})
-		jobs = append(jobs, Job{Set: set, New: mk, Config: sim.Config{Sink: sb, Metrics: reg}})
+		jobs = append(jobs, Job{Gen: cloneGen(set), New: mk, Config: sim.Config{Sink: sb, Metrics: reg}})
 	}
 	if _, err := (Pool{Workers: 2}).Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)

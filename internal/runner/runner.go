@@ -10,13 +10,12 @@
 //
 // Determinism contract (docs/PARALLELISM.md):
 //
-//   - Every job owns its workload. A Job.Set is deep-copied with
-//     txn.Set.Clone before running; a Job.Gen regenerates a private set
-//     from the job's seed. Nothing a run mutates is visible to another run
-//     or to the caller's original set.
+//   - Every job owns its workload: Job.Gen builds a private set from the
+//     job's seed inside the worker. Nothing a run mutates is visible to
+//     another run.
 //   - Seeds are a pure function of position: job i with Seed unset draws
-//     rng.Derive(pool.BaseSeed, i), fixed at submission, never influenced
-//     by goroutine scheduling.
+//     rng.Derive(0, i), fixed at submission, never influenced by goroutine
+//     scheduling.
 //   - Results are gathered in job order, so downstream floating-point
 //     aggregation visits summaries in the same order regardless of the
 //     worker count, and Pool{Workers: 1} is bit-equal to Workers: N.
@@ -49,9 +48,9 @@ import (
 // event streams.
 type ClusterJob struct {
 	// Config is the cluster configuration. NewScheduler may be left nil to
-	// reuse the job's scheduler factory (Job.New); Sink, Metrics, Status and
-	// any stateful Policy must not be shared with another job in the same
-	// Run call.
+	// reuse the job's scheduler factory (Job.New); Sink, Metrics and any
+	// stateful Policy must not be shared with another job in the same Run
+	// call.
 	Config cluster.Config
 	// Result holds the cluster run's outcome after a successful Run — the
 	// failover accounting the plain metrics.Summary cannot carry.
@@ -60,16 +59,14 @@ type ClusterJob struct {
 
 // Job is one independent simulation run.
 type Job struct {
-	// Set is the workload to run. The pool clones it before the run, so
-	// the same Set may back any number of jobs and remains untouched for
-	// the caller. Exactly one of Set and Gen must be non-nil.
-	Set *txn.Set
-	// Gen builds the job's workload from its seed (see Seed). Generation
-	// happens inside the worker, so large sweeps never hold every workload
-	// in memory at once.
+	// Gen builds the job's workload from its seed (see Seed); it is
+	// required. Generation happens inside the worker, so large sweeps never
+	// hold every workload in memory at once. A Gen that hands out one
+	// prepared set to several jobs must return a copy (txn.Set.Clone) per
+	// call.
 	Gen func(seed uint64) (*txn.Set, error)
 	// Seed, when non-nil, overrides the pool's derived seed for this job.
-	// Leave nil to draw rng.Derive(pool.BaseSeed, jobIndex).
+	// Leave nil to draw rng.Derive(0, jobIndex).
 	Seed *uint64
 	// New constructs the job's scheduler. A fresh scheduler is built per
 	// run; factories must not share mutable state between calls.
@@ -93,19 +90,16 @@ type Job struct {
 // The zero value is ready to use.
 type Pool struct {
 	// Workers bounds concurrent simulations: 0 means runtime.GOMAXPROCS(0),
-	// 1 executes the jobs serially on the calling goroutine (the legacy
-	// path — bit-equal to any other worker count by construction).
+	// 1 runs the jobs one at a time. Every worker count takes the same path
+	// and gathers bit-equal results.
 	Workers int
-	// BaseSeed is expanded with rng.Derive(BaseSeed, jobIndex) into the
-	// per-job seeds consumed by Job.Gen.
-	BaseSeed uint64
 }
 
 // Run executes jobs and returns their summaries in job order. On error the
 // summaries are nil and the returned error is the failing job's, wrapped
 // with its label; when several jobs fail, the lowest-indexed recorded
-// failure wins. Cancelling ctx abandons not-yet-started jobs and returns
-// ctx.Err().
+// failure wins. Once ctx is done no job starts and no Post runs, and Run
+// returns ctx.Err().
 func (p Pool) Run(ctx context.Context, jobs []Job) ([]*metrics.Summary, error) {
 	if err := p.validate(jobs); err != nil {
 		return nil, err
@@ -121,26 +115,11 @@ func (p Pool) Run(ctx context.Context, jobs []Job) ([]*metrics.Summary, error) {
 	results := make([]*metrics.Summary, len(jobs))
 	errs := make([]error, len(jobs))
 
-	if workers <= 1 {
-		// Serial path: run in place on the calling goroutine. Identical
-		// per-job code, so the parallel path can be checked bit-for-bit
-		// against it.
-		for i := range jobs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if errs[i] = p.runJob(&jobs[i], i, results); errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-		return results, nil
-	}
-
-	// Parallel path: a shared index feeds workers; cancellation (external
-	// or first-error) stops the feed. Job i's result always lands in
-	// results[i], so gathering is in job order no matter which worker ran
-	// it or when it finished.
-	ctx, cancel := context.WithCancel(ctx)
+	// A shared index feeds workers; cancellation (external or first-error)
+	// stops the feed, and a worker checks it again before each job. Job i's
+	// result always lands in results[i], so gathering is in job order no
+	// matter which worker ran it or when it finished.
+	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -149,7 +128,10 @@ func (p Pool) Run(ctx context.Context, jobs []Job) ([]*metrics.Summary, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if errs[i] = p.runJob(&jobs[i], i, results); errs[i] != nil {
+				if runCtx.Err() != nil {
+					continue
+				}
+				if errs[i] = p.runJob(runCtx, &jobs[i], i, results); errs[i] != nil {
 					cancel()
 				}
 			}
@@ -157,9 +139,12 @@ func (p Pool) Run(ctx context.Context, jobs []Job) ([]*metrics.Summary, error) {
 	}
 feed:
 	for i := range jobs {
+		if runCtx.Err() != nil {
+			break
+		}
 		select {
 		case next <- i:
-		case <-ctx.Done():
+		case <-runCtx.Done():
 			break feed
 		}
 	}
@@ -170,15 +155,20 @@ feed:
 			return nil, err
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	if err := runCtx.Err(); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
-// runJob executes one job into results[i].
-func (p Pool) runJob(job *Job, i int, results []*metrics.Summary) error {
-	set, err := p.workload(job, i)
+// runJob executes one job into results[i]. A job whose context ends during
+// its run skips Post and records neither result nor error.
+func (p Pool) runJob(ctx context.Context, job *Job, i int, results []*metrics.Summary) error {
+	seed := rng.Derive(0, uint64(i))
+	if job.Seed != nil {
+		seed = *job.Seed
+	}
+	set, err := job.Gen(seed)
 	if err != nil {
 		return p.jobErr(job, i, err)
 	}
@@ -197,6 +187,9 @@ func (p Pool) runJob(job *Job, i int, results []*metrics.Summary) error {
 	} else if summary, err = sim.New(job.Config).Run(set, job.New()); err != nil {
 		return p.jobErr(job, i, err)
 	}
+	if ctx.Err() != nil {
+		return nil
+	}
 	if job.Post != nil {
 		if err := job.Post(set, summary); err != nil {
 			return p.jobErr(job, i, err)
@@ -204,18 +197,6 @@ func (p Pool) runJob(job *Job, i int, results []*metrics.Summary) error {
 	}
 	results[i] = summary
 	return nil
-}
-
-// workload materializes the job's private transaction set.
-func (p Pool) workload(job *Job, i int) (*txn.Set, error) {
-	if job.Set != nil {
-		return job.Set.Clone(), nil
-	}
-	seed := rng.Derive(p.BaseSeed, uint64(i))
-	if job.Seed != nil {
-		seed = *job.Seed
-	}
-	return job.Gen(seed)
 }
 
 func (p Pool) jobErr(job *Job, i int, err error) error {
@@ -247,8 +228,8 @@ func (p Pool) validate(jobs []Job) error {
 	}
 	for i := range jobs {
 		job := &jobs[i]
-		if (job.Set == nil) == (job.Gen == nil) {
-			return fmt.Errorf("runner: job %d must carry exactly one of Set and Gen", i)
+		if job.Gen == nil {
+			return fmt.Errorf("runner: job %d has no workload generator", i)
 		}
 		if job.New == nil {
 			return fmt.Errorf("runner: job %d has no scheduler factory", i)
@@ -269,9 +250,6 @@ func (p Pool) validate(jobs []Job) error {
 		}
 		if cj := job.Cluster; cj != nil {
 			if err := claim(i, "metrics registry", ptrOrNil(cj.Config.Metrics)); err != nil {
-				return err
-			}
-			if err := claim(i, "status board", ptrOrNil(cj.Config.Status)); err != nil {
 				return err
 			}
 			if s := cj.Config.Sink; s != nil && s != obs.Discard && reflect.TypeOf(s).Comparable() {

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -64,7 +66,7 @@ func TestParallelBitIdenticalToSerial(t *testing.T) {
 }
 
 // TestDerivedSeedsIndependentOfWorkers: jobs that consume the pool-derived
-// seed must see the same seed regardless of worker count or run order.
+// seed see rng.Derive(0, i) regardless of worker count or run order.
 func TestDerivedSeedsIndependentOfWorkers(t *testing.T) {
 	mkJobs := func(seeds []uint64) []Job {
 		jobs := make([]Job, len(seeds))
@@ -85,16 +87,21 @@ func TestDerivedSeedsIndependentOfWorkers(t *testing.T) {
 	const n = 16
 	serialSeeds := make([]uint64, n)
 	parallelSeeds := make([]uint64, n)
-	serial, err := Pool{Workers: 1, BaseSeed: 42}.Run(context.Background(), mkJobs(serialSeeds))
+	serial, err := Pool{Workers: 1}.Run(context.Background(), mkJobs(serialSeeds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Pool{Workers: 4, BaseSeed: 42}.Run(context.Background(), mkJobs(parallelSeeds))
+	parallel, err := Pool{Workers: 4}.Run(context.Background(), mkJobs(parallelSeeds))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serialSeeds, parallelSeeds) {
 		t.Fatalf("derived seeds depend on worker count:\nserial   %v\nparallel %v", serialSeeds, parallelSeeds)
+	}
+	for i, s := range serialSeeds {
+		if want := rng.Derive(0, uint64(i)); s != want {
+			t.Fatalf("job %d drew seed %d, want rng.Derive(0, %d) = %d", i, s, i, want)
+		}
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("summaries diverge despite identical seeds")
@@ -123,7 +130,7 @@ func TestSeedOverride(t *testing.T) {
 		},
 		New: sched.NewFCFS,
 	}}
-	if _, err := (Pool{BaseSeed: 1}).Run(context.Background(), jobs); err != nil {
+	if _, err := (Pool{}).Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
@@ -131,8 +138,15 @@ func TestSeedOverride(t *testing.T) {
 	}
 }
 
-// TestSetCloneIsolation: many jobs backed by the same Set run on private
-// clones — the caller's set stays pristine and the runs match regeneration.
+// cloneGen hands each call a fresh copy of set, so one prepared workload
+// can back any number of jobs.
+func cloneGen(set *txn.Set) func(uint64) (*txn.Set, error) {
+	return func(uint64) (*txn.Set, error) { return set.Clone(), nil }
+}
+
+// TestSetCloneIsolation: many jobs backed by the same set through cloneGen
+// run on private copies — the caller's set stays pristine and the runs
+// agree.
 func TestSetCloneIsolation(t *testing.T) {
 	cfg := workload.Default(1.0, 99).WithWorkflows(5, 1)
 	cfg.N = 150
@@ -141,7 +155,7 @@ func TestSetCloneIsolation(t *testing.T) {
 
 	jobs := make([]Job, 8)
 	for i := range jobs {
-		jobs[i] = Job{Set: shared, New: sched.NewEDF}
+		jobs[i] = Job{Gen: cloneGen(shared), New: sched.NewEDF}
 	}
 	summaries, err := Pool{Workers: 4}.Run(context.Background(), jobs)
 	if err != nil {
@@ -225,30 +239,68 @@ func TestFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestContextCancellation: a cancelled context aborts the run with ctx.Err.
+// TestContextCancellation: once the context is done no job starts and no
+// Post runs, and Run returns ctx.Err — for a context cancelled before Run
+// and for one that job 0's Gen cancels while the other running jobs' Gens
+// wait for it.
 func TestContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	for _, workers := range []int{1, 4} {
-		_, err := Pool{Workers: workers}.Run(ctx, sweepJobs(50))
-		if !errors.Is(err, context.Canceled) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var gens, posts atomic.Int32
+		jobs := sweepJobs(50)
+		for i := range jobs {
+			gen := jobs[i].Gen
+			jobs[i].Gen = func(seed uint64) (*txn.Set, error) { gens.Add(1); return gen(seed) }
+			jobs[i].Post = func(*txn.Set, *metrics.Summary) error { posts.Add(1); return nil }
+		}
+		if _, err := (Pool{Workers: workers}).Run(ctx, jobs); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Workers=%d: got %v, want context.Canceled", workers, err)
+		}
+		if gens.Load() != 0 || posts.Load() != 0 {
+			t.Fatalf("Workers=%d: a cancelled context started %d jobs and ran %d Posts", workers, gens.Load(), posts.Load())
+		}
+	}
+
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var gens, posts atomic.Int32
+		jobs := sweepJobs(50)
+		for i := range jobs {
+			gen := jobs[i].Gen
+			jobs[i].Gen = func(seed uint64) (*txn.Set, error) {
+				gens.Add(1)
+				if i == 0 {
+					cancel()
+				}
+				<-ctx.Done()
+				return gen(seed)
+			}
+			jobs[i].Post = func(*txn.Set, *metrics.Summary) error { posts.Add(1); return nil }
+		}
+		if _, err := (Pool{Workers: workers}).Run(ctx, jobs); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Workers=%d: got %v, want context.Canceled", workers, err)
+		}
+		if g := gens.Load(); g < 1 || int(g) > workers {
+			t.Fatalf("Workers=%d: %d jobs started, want 1 to %d", workers, g, workers)
+		}
+		if p := posts.Load(); p != 0 {
+			t.Fatalf("Workers=%d: %d Posts ran after the context was cancelled", workers, p)
 		}
 	}
 }
 
 // TestValidateRejectsMalformedJobs covers the job-shape invariants.
 func TestValidateRejectsMalformedJobs(t *testing.T) {
-	set := workload.MustGenerate(workload.Default(0.5, 1))
 	gen := func(uint64) (*txn.Set, error) { return workload.Generate(workload.Default(0.5, 1)) }
 	cases := []struct {
 		name string
 		jobs []Job
 		want string
 	}{
-		{"neither Set nor Gen", []Job{{New: sched.NewFCFS}}, "exactly one of Set and Gen"},
-		{"both Set and Gen", []Job{{Set: set, Gen: gen, New: sched.NewFCFS}}, "exactly one of Set and Gen"},
-		{"no scheduler", []Job{{Set: set}}, "no scheduler factory"},
+		{"no Gen", []Job{{New: sched.NewFCFS}}, "no workload generator"},
+		{"no scheduler", []Job{{Gen: gen}}, "no scheduler factory"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -309,7 +361,7 @@ func TestPoolHammer(t *testing.T) {
 	}
 	var first []*metrics.Summary
 	for round := 0; round < 3; round++ {
-		got, err := Pool{Workers: 8, BaseSeed: 7}.Run(context.Background(), sweepJobs(80))
+		got, err := Pool{Workers: 8}.Run(context.Background(), sweepJobs(80))
 		if err != nil {
 			t.Fatal(err)
 		}

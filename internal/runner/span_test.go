@@ -44,7 +44,7 @@ func TestSpanSketchesBitIdenticalAcrossWorkers(t *testing.T) {
 			sb := obs.NewSpanBuilder(c.set, obs.SpanOptions{Metrics: reg, Window: 25})
 			builders[i] = sb
 			jobs[i] = Job{
-				Set:    c.set,
+				Gen:    cloneGen(c.set),
 				New:    c.mk,
 				Config: sim.Config{Sink: sb, Metrics: reg},
 			}

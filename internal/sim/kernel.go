@@ -175,8 +175,9 @@ func StepCap(n, scale, windows int, keyed bool) int {
 // in order). The kernel emits through the observer o (nil for none) instead
 // of cfg.Sink: the instances of a fleet share one observer, so their events
 // form one stream in global order. label names the instance in the details
-// of its dispatch, validate-fail, stall and degrade events, and labels its
-// degradation gauge. The instance has no step cap of its own: the fleet
+// of its dispatch, validate-fail, stall and degrade events, labels its
+// degradation gauge, and names its SLO engine's instance (slo.NewEngine). The
+// instance has no step cap of its own: the fleet
 // driving it caps its steps.
 func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumented, label string) (Kernel, error) {
 	servers, err := cfg.servers()
@@ -205,7 +206,7 @@ func NewInstance(cfg Config, set *txn.Set, s sched.Scheduler, o *sched.Instrumen
 		// The kernel folds its own arrivals, commits and drops into the
 		// engine and advances it before any event of a new instant, so its
 		// alert transitions join the stream in time order.
-		k.slo = slo.NewEngine(*cfg.SLO, cfg.Metrics)
+		k.slo = slo.NewEngine(*cfg.SLO, label, cfg.Metrics)
 		k.slo.Bind(o.Sink())
 	}
 	k.install(s)

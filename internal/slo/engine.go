@@ -97,6 +97,7 @@ type classState struct {
 // publishes are safe for concurrent readers.
 type Engine struct {
 	cfg     Config
+	inst    string // the fault domain's name, "" outside a fleet
 	out     obs.Sink
 	win     int64   // index of the open window
 	next    float64 // simulated time of the next boundary
@@ -114,16 +115,19 @@ type Engine struct {
 
 // NewEngine builds an engine for cfg (defaulted via withDefaults; call
 // Config.Validate first for user-supplied configs — NewEngine panics on an
-// invalid one). Gauges register in reg when it is non-nil. Alert events go
-// nowhere until Bind is called.
+// invalid one). A non-empty instance names the fault domain the engine
+// watches: it prefixes alert Detail strings ("0:heavy/burn") and adds an
+// inst label to the exported gauges, so the per-instance engines of a fleet
+// share one registry without colliding. Gauges register in reg when it is
+// non-nil. Alert events go nowhere until Bind is called.
 //
 //lint:coldpath engine construction happens once at run wiring time
-func NewEngine(cfg Config, reg *obs.Registry) *Engine {
+func NewEngine(cfg Config, instance string, reg *obs.Registry) *Engine {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	e := &Engine{cfg: cfg, out: obs.Discard, next: cfg.Window}
+	e := &Engine{cfg: cfg, inst: instance, out: obs.Discard, next: cfg.Window}
 	for ci := range e.classes {
 		c := &e.classes[ci]
 		c.hist = make([]winCount, cfg.SlowWindows)
@@ -164,8 +168,8 @@ func NewEngine(cfg Config, reg *obs.Registry) *Engine {
 // detailFor interns the Detail string of one (class, rule) alert.
 func (e *Engine) detailFor(class int, k ruleKind) string {
 	d := obs.ClassName(class) + "/" + ruleNames[k]
-	if e.cfg.Instance != "" {
-		d = e.cfg.Instance + ":" + d
+	if e.inst != "" {
+		d = e.inst + ":" + d
 	}
 	return d
 }
@@ -175,8 +179,8 @@ func (e *Engine) detailFor(class int, k ruleKind) string {
 //lint:coldpath metric registration happens once at run wiring time
 func (e *Engine) register(reg *obs.Registry) {
 	label := func(base string, class int) string {
-		if e.cfg.Instance != "" {
-			return obs.MetricName(base, "class", obs.ClassName(class), "inst", e.cfg.Instance)
+		if e.inst != "" {
+			return obs.MetricName(base, "class", obs.ClassName(class), "inst", e.inst)
 		}
 		return obs.MetricName(base, "class", obs.ClassName(class))
 	}
@@ -193,10 +197,10 @@ func (e *Engine) register(reg *obs.Registry) {
 	active := MetricAlertsActive
 	fires := MetricAlertFires
 	clears := MetricAlertResolves
-	if e.cfg.Instance != "" {
-		active = obs.MetricName(active, "inst", e.cfg.Instance)
-		fires = obs.MetricName(fires, "inst", e.cfg.Instance)
-		clears = obs.MetricName(clears, "inst", e.cfg.Instance)
+	if e.inst != "" {
+		active = obs.MetricName(active, "inst", e.inst)
+		fires = obs.MetricName(fires, "inst", e.inst)
+		clears = obs.MetricName(clears, "inst", e.inst)
 	}
 	e.gActive = reg.Gauge(active, "Currently firing SLO alert rules.")
 	e.cFires = reg.Counter(fires, "SLO alert rule fire transitions.")
@@ -448,7 +452,7 @@ type ClassHealth struct {
 // State is an engine snapshot for health rollups. It must be taken where
 // the engine cannot advance meanwhile: on its own goroutine (the event
 // loop), or under a lock the loop holds while it steps, as
-// cluster.StatusBoard does for HTTP readers.
+// a cluster.Fleet's status board does for HTTP readers.
 type State struct {
 	// Windows is the number of closed tumbling windows.
 	Windows int64 `json:"windows"`

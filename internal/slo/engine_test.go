@@ -123,7 +123,7 @@ func TestConfigValidate(t *testing.T) {
 // clear it after the hysteresis hold.
 func TestBurnFireResolve(t *testing.T) {
 	col := &obs.Collector{}
-	eng := NewEngine(testConfig(burnOnly(0.1)), nil)
+	eng := NewEngine(testConfig(burnOnly(0.1)), "", nil)
 	eng.Bind(col)
 
 	// Three hot windows: 10 completions each, half of them missing.
@@ -190,7 +190,7 @@ func TestCeilingRule(t *testing.T) {
 	var spec Spec
 	spec.Classes[0].TardinessP95 = 5
 	col := &obs.Collector{}
-	eng := NewEngine(testConfig(spec), nil)
+	eng := NewEngine(testConfig(spec), "", nil)
 	eng.Bind(col)
 
 	bad := func(start float64) {
@@ -229,7 +229,7 @@ func TestQueueRule(t *testing.T) {
 	var spec Spec
 	spec.Classes[2].QueueBound = 3
 	col := &obs.Collector{}
-	eng := NewEngine(testConfig(spec), nil)
+	eng := NewEngine(testConfig(spec), "", nil)
 	eng.Bind(col)
 
 	for i := 0; i < 8; i++ {
@@ -256,9 +256,7 @@ func TestQueueRule(t *testing.T) {
 func TestInstanceEngine(t *testing.T) {
 	reg := obs.NewRegistry()
 	col := &obs.Collector{}
-	cfg := testConfig(burnOnly(0.1))
-	cfg.Instance = "3"
-	eng := NewEngine(cfg, reg)
+	eng := NewEngine(testConfig(burnOnly(0.1)), "3", reg)
 	eng.Bind(col)
 	for i := 0; i < 10; i++ {
 		eng.Advance(float64(i))
@@ -287,7 +285,7 @@ func TestInstanceEngine(t *testing.T) {
 // run shorter than one window produces no alerts and no closed windows.
 func TestStatePartialWindow(t *testing.T) {
 	col := &obs.Collector{}
-	eng := NewEngine(testConfig(burnOnly(0.1)), nil)
+	eng := NewEngine(testConfig(burnOnly(0.1)), "", nil)
 	eng.Bind(col)
 	for i := 0; i < 5; i++ {
 		eng.Advance(float64(i))
@@ -340,7 +338,7 @@ func TestRunningBurnMatchesBurnOver(t *testing.T) {
 		cfg := Config{Spec: burnOnly(r.Uniform(0.01, 0.5)), Window: 10,
 			FastWindows: fast, SlowWindows: fast + r.IntRange(1, 12)}
 		cfg.Spec.Classes[1].MissRatio = 0
-		e := NewEngine(cfg, nil)
+		e := NewEngine(cfg, "", nil)
 		now := 0.0
 		for step, steps := 0, r.IntRange(1, 400); step < steps; step++ {
 			now += r.Exp(0.3)

@@ -155,9 +155,7 @@ func TestSLOHammer(t *testing.T) {
 	}()
 	var engines sync.WaitGroup
 	for i := 0; i < instances; i++ {
-		cfg := *goldenConfig()
-		cfg.Instance = string(rune('0' + i))
-		e := slo.NewEngine(cfg, reg)
+		e := slo.NewEngine(*goldenConfig(), string(rune('0'+i)), reg)
 		e.Bind(obs.NewRing(64))
 		engines.Add(1)
 		go func() {

@@ -171,11 +171,6 @@ type Config struct {
 	// firing rule resolves after two consecutive healthy windows.
 	FastWindows int
 	SlowWindows int
-	// Instance optionally names the fault domain the engine watches; it
-	// prefixes alert Detail strings ("0:heavy/burn") and adds an
-	// inst label to the exported gauges, so per-instance engines of a
-	// fleet share one registry without colliding.
-	Instance string
 }
 
 // withDefaults fills unset geometry fields.

@@ -69,11 +69,14 @@ echo "== benchmark module (vet + smoke runs + traced == untraced digests)"
 
 # The measurement scripts build and run nothing here: -n checks their
 # arguments (pairs.sh also self-tests its summary arithmetic), so they
-# cannot rot.
+# cannot rot. loc.sh only counts, so it runs in full against HEAD.
 echo "== pairs.sh dry run"
 scripts/pairs.sh -n HEAD
 echo "== figures.sh dry run"
 scripts/figures.sh -n HEAD
+echo "== loc.sh against HEAD"
+loc=$(scripts/loc.sh -r HEAD)
+echo "$loc" | tail -n 1
 
 echo "== asetslint"
 go run ./cmd/asetslint ./...
