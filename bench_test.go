@@ -299,7 +299,7 @@ func BenchmarkSchedulerReadyWorkflowLevel(b *testing.B) {
 
 // BenchmarkASETSInit measures building ASETS* scheduler state — workflows,
 // entities, membership index and heaps — over a 10k-transaction set, the
-// per-run set-up a crash rebuild or a fresh simulation pays. Sub-benchmarks
+// per-run set-up a fresh simulation or cluster instance pays. Sub-benchmarks
 // cover the independent (singleton workflow) and chain workflow shapes.
 func BenchmarkASETSInit(b *testing.B) {
 	for _, tc := range []struct {

@@ -81,8 +81,10 @@ type router struct {
 	arr     sim.Arrivals // undelivered arrivals
 	held    bool         // due arrivals wait at arr's head: every instance is ejected
 	retries []retryEntry // sorted by (at, id)
-	fails   []int        // failovers consumed per transaction
 	now     float64
+	// fails counts the failovers each crash-lost transaction consumed; it
+	// is made at the first crash.
+	fails map[txn.ID]int
 
 	done, shed, lost, routes, failovers, ejections, recoveries int
 }
@@ -118,7 +120,6 @@ func (r *router) run(cfg Config, set *txn.Set, built func()) (*Result, error) {
 		cfg: cfg, retry: retry, policy: cfg.Policy, set: set,
 		obs:   sched.Instrument(cfg.Sink, cfg.Metrics),
 		insts: make([]instance, cfg.Instances), views: make([]InstanceView, cfg.Instances),
-		fails: make([]int, set.Len()),
 	}
 	defer r.obs.Flush()
 	if r.policy == nil {
@@ -367,16 +368,19 @@ func (r *router) nextFresh() float64 {
 }
 
 // crash applies a crash window's instance-wide loss: the instance restarts
-// empty with a fresh scheduler, its work fails over under the retry budget
-// (or is lost for good), and the breaker ejects it until the window's end
-// plus the recovery cooldown.
+// empty, its scheduler re-initialized in place (sim.Kernel.Drain), its work
+// fails over under the retry budget (or is lost for good), and the breaker
+// ejects it until the window's end plus the recovery cooldown.
 //
 //lint:coldpath a crash drains one instance once per crash window
 func (r *router) crash(i int, w fault.Window, idx int) {
 	in := &r.insts[i]
 	in.crashSeen = idx
-	victims := in.k.Drain(r.cfg.NewScheduler())
+	victims := in.k.Drain()
 	in.crashLost += len(victims)
+	if r.fails == nil {
+		r.fails = make(map[txn.ID]int)
+	}
 	for _, t := range victims {
 		if r.cfg.NoFailover || r.fails[t.ID] >= r.retry.Budget {
 			r.lost++

@@ -97,9 +97,10 @@ type Config struct {
 	// round-robin cursor), so concurrent runs must not share one; nil
 	// selects a fresh round-robin.
 	Policy Policy
-	// NewScheduler builds one instance's scheduling policy. Called once per
-	// instance (plus once more per crash recovery, on a workload with no
-	// dependencies); factories must not share mutable state between calls.
+	// NewScheduler builds one instance's scheduling policy. It is called
+	// exactly once per instance per run: a crash re-initializes the
+	// instance's own scheduler (sched.Scheduler.Init). Factories must not
+	// share mutable state between calls.
 	NewScheduler func() sched.Scheduler
 	// NewAdmit, when non-nil, builds one instance's admission controller —
 	// consulted with that instance's local state when the router places an

@@ -100,13 +100,13 @@ func (d *Deferring) Name() string { return d.name }
 
 // Init implements sched.Scheduler.
 //
-//lint:coldpath per-run setup: the busy-state and per-key tables are built before the event loop
+//lint:coldpath per-run setup: the busy-state and per-key tables are reset before the event loop
 func (d *Deferring) Init(set *txn.Set) {
 	d.set = set
-	d.busy = make([]bool, set.Len())
+	d.busy = sched.Zeroed(d.busy, set.Len())
 	span := keySpan(set)
-	d.readers = make([]int32, span)
-	d.writers = make([]int32, span)
+	d.readers = sched.Zeroed(d.readers, span)
+	d.writers = sched.Zeroed(d.writers, span)
 	d.cand = d.cand[:0]
 	d.inner.Init(set)
 }

@@ -28,6 +28,13 @@ func NewChecked(s *ASETSStar) *Checked { return &Checked{ASETSStar: s} }
 // Name implements sched.Scheduler; the suffix marks audited runs in output.
 func (c *Checked) Name() string { return c.ASETSStar.Name() + "+inv" }
 
+// Init implements sched.Scheduler: the audit count restarts with the
+// policy.
+func (c *Checked) Init(set *txn.Set) {
+	c.ASETSStar.Init(set)
+	c.checks = 0
+}
+
 // Next implements sched.Scheduler, auditing the full queue state after the
 // decision and panicking on the first violated invariant.
 func (c *Checked) Next(now float64) *txn.Transaction {

@@ -147,6 +147,15 @@ func hdfBefore(x, y *entity) bool {
 	return x.wf.ID < y.wf.ID
 }
 
+// expiresBefore orders the expiry heap: earliest expiry time first.
+func expiresBefore(x, y *entity) bool {
+	ex, ey := x.expiryTime(), y.expiryTime()
+	if ex != ey {
+		return ex < ey
+	}
+	return x.wf.ID < y.wf.ID
+}
+
 // expiryTime is the instant the entity stops qualifying for the EDF-List:
 // it belongs there iff now + r_rep <= d_rep, i.e. iff now <= d_rep - r_rep.
 func (e *entity) expiryTime() float64 { return e.rep.Deadline - e.rep.Remaining }
@@ -159,7 +168,7 @@ type ASETSStar struct {
 	cfg config
 
 	set    *txn.Set
-	rt     *sched.ReadyTracker
+	rt     sched.ReadyTracker
 	groups txn.Grouping
 	// memberOf holds one entity pointer per membership (transaction,
 	// workflow). Under a singleton grouping transaction id's only
@@ -236,7 +245,16 @@ func New(opts ...Option) *ASETSStar {
 			cfg.name = "ASETS*"
 		}
 	}
-	return &ASETSStar{cfg: cfg}
+	a := &ASETSStar{
+		cfg:    cfg,
+		edf:    pq.NewHeap[*entity](edfBefore),
+		hdf:    pq.NewHeap[*entity](hdfBefore),
+		expiry: pq.NewHeap[*entity](expiresBefore),
+	}
+	if cfg.activation != ActivationNone {
+		a.old = pq.NewHeap[*txn.Transaction](olderThan)
+	}
+	return a
 }
 
 // NewReady constructs the Ready baseline of Section III-B: transaction-level
@@ -246,12 +264,15 @@ func NewReady() *ASETSStar { return New(withSingletonGrouping()) }
 // Name implements sched.Scheduler.
 func (a *ASETSStar) Name() string { return a.cfg.name }
 
-// Init implements sched.Scheduler.
+// Init implements sched.Scheduler. It reuses the membership index, the
+// checked-out flags, the ready tracker, the aging handles and the entity
+// chunk of an earlier Init when they are large enough, and empties the
+// heaps New built.
 //
-//lint:coldpath per-run setup: the grouping, heaps and membership index are built before the event loop
+//lint:coldpath per-run setup: the grouping and membership index are built, and the heaps emptied, before the event loop
 func (a *ASETSStar) Init(set *txn.Set) {
 	a.set = set
-	a.rt = sched.NewReadyTracker(set)
+	a.rt.Reset(set)
 
 	if a.cfg.singleton {
 		a.groups = txn.GroupSingletons(set)
@@ -259,37 +280,33 @@ func (a *ASETSStar) Init(set *txn.Set) {
 		a.groups = txn.GroupWorkflows(set)
 	}
 	n := set.Len()
-	a.memberStart, a.chunk, a.carved, a.free = nil, nil, 0, nil
+	a.memberStart, a.carved, a.free = nil, 0, nil
 	if a.groups.Singleton() {
-		a.memberOf = make([]*entity, n)
+		a.memberOf = sched.Zeroed(a.memberOf, n)
+		// Entities are carved from zeroed storage: the last chunk of an
+		// earlier Init is zeroed and carved from again.
+		a.chunk = sched.Zeroed(a.chunk, cap(a.chunk))[:0]
 	} else {
 		a.buildWorkflows(n)
 	}
 
-	a.edf = pq.NewHeap[*entity](edfBefore)
-	a.hdf = pq.NewHeap[*entity](hdfBefore)
-	a.expiry = pq.NewHeap[*entity](func(x, y *entity) bool {
-		ex, ey := x.expiryTime(), y.expiryTime()
-		if ex != ey {
-			return ex < ey
-		}
-		return x.wf.ID < y.wf.ID
-	})
+	a.edf.Clear()
+	a.hdf.Clear()
+	a.expiry.Clear()
 
 	for _, l := range []*listWalk{&a.edfWalk, &a.hdfWalk} {
 		l.seen, l.run = l.seenBuf[:0], l.runBuf[:0]
 	}
 	a.edfWalk.before, a.hdfWalk.before = edfBefore, hdfBefore
 
-	a.old, a.oldItem = nil, nil
-	if a.cfg.activation != ActivationNone {
-		a.old = pq.NewHeap[*txn.Transaction](olderThan)
-		a.oldItem = make([]pq.Item[*txn.Transaction], n)
+	if a.old != nil {
+		a.old.Clear()
+		a.oldItem = sched.Zeroed(a.oldItem, n)
 		for i := range a.oldItem {
 			a.oldItem[i].Value = set.ByID(txn.ID(i))
 		}
 	}
-	a.checkedOut = make([]bool, n)
+	a.checkedOut = sched.Zeroed(a.checkedOut, n)
 	a.schedPoints = 0
 	if a.cfg.activation == ActivationTime {
 		a.nextActivation = 1 / a.cfg.rate
@@ -344,8 +361,8 @@ func (a *ASETSStar) buildWorkflows(n int) {
 	for i := 1; i <= n; i++ {
 		start[i] += start[i-1]
 	}
-	a.memberOf = make([]*entity, start[n])
-	a.chunk = make([]entity, 0, a.groups.Len())
+	a.memberOf = sched.Zeroed(a.memberOf, int(start[n]))
+	a.chunk = sched.Zeroed(a.chunk, a.groups.Len())[:0]
 	pending := make([]*txn.Transaction, slots)
 	for w := range a.groups.Len() {
 		var own []*txn.Transaction

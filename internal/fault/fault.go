@@ -280,7 +280,7 @@ type held struct {
 }
 
 // Injector executes one Plan over one run: it owns the per-transaction
-// attempt counts, the backoff queue of aborted transactions, and the stall
+// attempt counts (with aborts), the backoff queue of aborted transactions, and the stall
 // window cursor. Build a fresh Injector per run (sim.NewKernel does this from
 // Config.Faults for the simulator and the executor alike); the Plan itself is
 // immutable and reusable.
@@ -295,11 +295,17 @@ type Injector struct {
 	stalls   int
 }
 
-// NewInjector prepares an injector for a workload of n transactions.
+// NewInjector prepares an injector for a workload of n transactions. Only
+// a plan with aborts counts attempts per transaction: without them no
+// attempt ever aborts, and the injector holds no per-transaction slab.
 //
 //lint:coldpath injector construction is per-run setup
 func NewInjector(p *Plan, n int) *Injector {
-	return &Injector{plan: p, attempts: make([]int, n)}
+	in := &Injector{plan: p}
+	if p.AbortProb > 0 {
+		in.attempts = make([]int, n)
+	}
+	return in
 }
 
 // Aborts returns the aborts injected so far (including crash losses).

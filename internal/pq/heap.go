@@ -96,6 +96,17 @@ func (h *Heap[T]) Remove(it *Item[T]) {
 	}
 }
 
+// Clear removes every item, keeping the heap's capacity: a policy
+// re-initialized for another run empties its heaps instead of building new
+// ones.
+func (h *Heap[T]) Clear() {
+	for _, it := range h.items {
+		it.pos, it.owner = 0, nil
+	}
+	clear(h.items)
+	h.items = h.items[:0]
+}
+
 // Fix re-establishes the heap invariant after the priority of it changed in
 // place (e.g. a preempted transaction's remaining time shrank). It panics if
 // the item is not in this heap.

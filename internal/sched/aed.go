@@ -21,9 +21,10 @@ import (
 // experiments show why the paper's tardiness objective needs a different
 // hybrid (ASETS*).
 type aed struct {
-	rt  *ReadyTracker
-	set *txn.Set
-	src *rng.Source
+	rt   ReadyTracker
+	set  *txn.Set
+	seed uint64
+	src  rng.Source // restarted from seed at every Init
 
 	key     []float64 // random priority key per transaction
 	inHIT   []bool    // group membership at checkout time
@@ -36,7 +37,7 @@ type aed struct {
 // NewAED constructs the Adaptive Earliest Deadline comparator. seed drives
 // the random keys (the original assigns them uniformly at arrival).
 func NewAED(seed uint64) Scheduler {
-	return &aed{src: rng.New(seed)}
+	return &aed{seed: seed}
 }
 
 func (a *aed) Name() string { return "AED" }
@@ -44,9 +45,11 @@ func (a *aed) Name() string { return "AED" }
 //lint:coldpath per-run setup: keys and group state are built before the event loop
 func (a *aed) Init(set *txn.Set) {
 	a.set = set
-	a.rt = NewReadyTracker(set)
-	a.key = make([]float64, set.Len())
-	a.inHIT = make([]bool, set.Len())
+	a.rt.Reset(set)
+	a.key = Zeroed(a.key, set.Len())
+	a.inHIT = Zeroed(a.inHIT, set.Len())
+	// Every run draws the same keys as a freshly constructed AED.
+	a.src.Seed(a.seed)
 	for i := range a.key {
 		a.key[i] = a.src.Float64()
 	}

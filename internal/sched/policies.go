@@ -26,8 +26,7 @@ type Less func(a, b *txn.Transaction) bool
 // is reused across push/pop cycles.
 type priorityPolicy struct {
 	name  string
-	less  Less
-	rt    *ReadyTracker
+	rt    ReadyTracker
 	heap  *pq.Heap[*txn.Transaction]
 	items []pq.Item[*txn.Transaction]
 }
@@ -39,16 +38,16 @@ func NewPriorityPolicy(name string, less Less) Scheduler {
 	if less == nil {
 		panic("sched: NewPriorityPolicy called with nil comparator")
 	}
-	return &priorityPolicy{name: name, less: less}
+	return &priorityPolicy{name: name, heap: pq.NewHeap[*txn.Transaction](less)}
 }
 
 func (p *priorityPolicy) Name() string { return p.name }
 
-//lint:coldpath per-run setup: the ready queue is built before the event loop
+//lint:coldpath per-run setup: the ready queue is emptied and its items reset before the event loop
 func (p *priorityPolicy) Init(set *txn.Set) {
-	p.rt = NewReadyTracker(set)
-	p.heap = pq.NewHeap[*txn.Transaction](p.less)
-	p.items = make([]pq.Item[*txn.Transaction], set.Len())
+	p.rt.Reset(set)
+	p.heap.Clear()
+	p.items = Zeroed(p.items, set.Len())
 	for _, t := range set.Txns {
 		p.items[t.ID].Value = t
 	}

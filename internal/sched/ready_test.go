@@ -58,7 +58,7 @@ func TestReadyTrackerProperty(t *testing.T) {
 			}
 			return true
 		}
-		rt := NewReadyTracker(set)
+		rt := newTracker(set)
 		for step := 0; ; step++ {
 			for _, tx := range set.Txns {
 				if rt.Ready(tx) != ready(tx) {

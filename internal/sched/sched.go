@@ -34,8 +34,10 @@ import (
 type Scheduler interface {
 	// Name returns the display name used in tables and figures.
 	Name() string
-	// Init prepares per-workload state. It must be called exactly once,
-	// before any event callbacks, with transactions in their reset state.
+	// Init prepares per-workload state, before any event callbacks, with
+	// transactions in their reset state. It may be called again, and each
+	// call starts the policy exactly as a freshly constructed one would: a
+	// crashed instance restarts its scheduler this way.
 	Init(set *txn.Set)
 	// OnArrival notifies the scheduler that t has been submitted.
 	OnArrival(now float64, t *txn.Transaction)
@@ -131,10 +133,24 @@ const (
 	finishedBit = 1 << 31
 )
 
-// NewReadyTracker builds a tracker for set with every transaction unarrived
-// and unfinished.
-func NewReadyTracker(set *txn.Set) *ReadyTracker {
-	return &ReadyTracker{set: set, state: make([]uint32, set.Len())}
+// Reset starts the tracker over set with every transaction unarrived and
+// unfinished, reusing its state slab when it is large enough. The zero
+// ReadyTracker is ready to Reset.
+func (rt *ReadyTracker) Reset(set *txn.Set) {
+	rt.set, rt.state = set, Zeroed(rt.state, set.Len())
+}
+
+// Zeroed returns s resized to n zero elements, in place when s has the
+// capacity and in a new slab otherwise. Policies build their
+// per-transaction slabs through it in Init, so a re-initialized policy
+// reuses them.
+func Zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // readyWord is the state word of a ready transaction t.

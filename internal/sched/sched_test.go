@@ -17,6 +17,13 @@ func mk(id int, arrival, deadline, length float64, deps ...txn.ID) *txn.Transact
 	}
 }
 
+// newTracker returns a tracker Reset over set.
+func newTracker(set *txn.Set) *ReadyTracker {
+	rt := new(ReadyTracker)
+	rt.Reset(set)
+	return rt
+}
+
 func mustSet(t *testing.T, txns ...*txn.Transaction) *txn.Set {
 	t.Helper()
 	for _, tx := range txns {
@@ -31,7 +38,7 @@ func mustSet(t *testing.T, txns ...*txn.Transaction) *txn.Set {
 
 func TestReadyTrackerIndependent(t *testing.T) {
 	s := mustSet(t, mk(0, 0, 10, 1), mk(1, 0, 10, 1))
-	rt := NewReadyTracker(s)
+	rt := newTracker(s)
 	if rt.Ready(s.ByID(0)) {
 		t.Fatal("unarrived transaction reported ready")
 	}
@@ -49,7 +56,7 @@ func TestReadyTrackerDependencyChain(t *testing.T) {
 		mk(1, 0, 10, 1, 0),
 		mk(2, 0, 10, 1, 1),
 	)
-	rt := NewReadyTracker(s)
+	rt := newTracker(s)
 	for i := 0; i < 3; i++ {
 		rt.Arrive(s.ByID(txn.ID(i)))
 	}
@@ -73,7 +80,7 @@ func TestReadyTrackerLateArrival(t *testing.T) {
 	// Dependency finishes before the dependent arrives: the dependent must
 	// become ready at arrival, not at the (earlier) completion.
 	s := mustSet(t, mk(0, 0, 10, 1), mk(1, 5, 15, 1, 0))
-	rt := NewReadyTracker(s)
+	rt := newTracker(s)
 	rt.Arrive(s.ByID(0))
 	if newly := rt.Complete(s.ByID(0)); len(newly) != 0 {
 		t.Fatalf("unarrived dependent surfaced at completion: %v", newly)
@@ -89,7 +96,7 @@ func TestReadyTrackerMultipleDeps(t *testing.T) {
 		mk(1, 0, 10, 1),
 		mk(2, 0, 10, 1, 0, 1),
 	)
-	rt := NewReadyTracker(s)
+	rt := newTracker(s)
 	for i := 0; i < 3; i++ {
 		rt.Arrive(s.ByID(txn.ID(i)))
 	}
@@ -103,7 +110,7 @@ func TestReadyTrackerMultipleDeps(t *testing.T) {
 
 func TestReadyTrackerFinished(t *testing.T) {
 	s := mustSet(t, mk(0, 0, 10, 1))
-	rt := NewReadyTracker(s)
+	rt := newTracker(s)
 	rt.Arrive(s.ByID(0))
 	rt.Complete(s.ByID(0))
 	if rt.Ready(s.ByID(0)) {

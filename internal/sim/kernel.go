@@ -38,7 +38,8 @@ import (
 //
 // and a fleet composes the same operations differently: Settle at every
 // event, Redecide only on an instance that received work, Return at a
-// stall, Adopt for a failover, Drain for a crash.
+// stall, Adopt for a failover, and Drain for a crash, which restarts the
+// instance's scheduler in place.
 //
 // Next, Settle, Redecide, Return, Restarts, Arrive and Adopt are the
 // decision loop, which must stay allocation-free; their hotpath markers make
@@ -699,14 +700,16 @@ func (k *Kernel) Adopt(t *txn.Transaction) {
 	k.s.OnArrival(k.now, t)
 }
 
-// Drain empties the kernel at a crash, a process restart: it returns every
-// live transaction — running, queued and backing off — by ID, and installs
-// fresh as the scheduler, so no drained bookkeeping survives into the next
-// life. Settle already destroyed the running transactions' in-flight work at
-// the crash instant; Drain destroys the rest.
+// Drain empties the kernel at a crash: it returns every live transaction —
+// running, queued and backing off — by ID. A crash is a process restart, so
+// the next life starts from a freshly initialized scheduler: Drain
+// re-installs the kernel's own scheduler (SetSink, then Init), and no
+// drained bookkeeping survives into the next life. Settle already destroyed
+// the running transactions' in-flight work at the crash instant; Drain
+// destroys the rest.
 //
 //lint:coldpath a crash drains its instance once per crash window
-func (k *Kernel) Drain(fresh sched.Scheduler) []*txn.Transaction {
+func (k *Kernel) Drain() []*txn.Transaction {
 	victims := slices.Clone(k.running)
 	lost := len(victims)
 	k.running = k.running[:0]
@@ -726,7 +729,7 @@ func (k *Kernel) Drain(fresh sched.Scheduler) []*txn.Transaction {
 		}
 	}
 	k.live, k.c.Backlog = 0, 0
-	k.install(fresh)
+	k.install(k.s)
 	return victims
 }
 

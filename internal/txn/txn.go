@@ -342,6 +342,11 @@ func (s *Set) ResetAll() {
 // remains reusable. The copy preserves the exact float64 bits and slice
 // nil-ness of the original, so a clone-then-run is byte-identical to an
 // original-run (see docs/PARALLELISM.md).
+//
+// The records are carved from one slab and the dependency lists from
+// another, as the workload generator builds them, so a clone costs a
+// constant number of allocations. Each carved list has its own capacity:
+// appending to one reallocates instead of overwriting its neighbour.
 func (s *Set) Clone() *Set {
 	c := &Set{
 		Txns:        make([]*Transaction, len(s.Txns)),
@@ -350,24 +355,40 @@ func (s *Set) Clone() *Set {
 		independent: s.independent,
 		keyed:       s.keyed,
 	}
+	records := make([]Transaction, len(s.Txns))
+	n := 0
+	for _, t := range s.Txns {
+		n += len(t.Deps)
+	}
+	deps := make([]ID, n)
 	for i, t := range s.Txns {
-		ct := *t
+		records[i] = *t
 		if t.Deps != nil {
-			ct.Deps = make([]ID, len(t.Deps))
-			copy(ct.Deps, t.Deps)
+			records[i].Deps, deps = carveIDs(deps, t.Deps)
 		}
-		c.Txns[i] = &ct
+		c.Txns[i] = &records[i]
 	}
 	if s.dependents != nil {
 		c.dependents = make([][]ID, len(s.dependents))
-		for i, deps := range s.dependents {
-			if deps != nil {
-				c.dependents[i] = make([]ID, len(deps))
-				copy(c.dependents[i], deps)
+		n = 0
+		for _, d := range s.dependents {
+			n += len(d)
+		}
+		rev := make([]ID, n)
+		for i, d := range s.dependents {
+			if d != nil {
+				c.dependents[i], rev = carveIDs(rev, d)
 			}
 		}
 	}
 	return c
+}
+
+// carveIDs copies src into the front of slab and returns the copy, capped
+// at its length, and the rest of slab.
+func carveIDs(slab, src []ID) (carved, rest []ID) {
+	n := copy(slab, src)
+	return slab[:n:n], slab[n:]
 }
 
 // TopologicalOrder returns the transaction IDs in an order where every

@@ -1,15 +1,17 @@
 #!/bin/sh
 # pairs.sh — before/after perfbench measurement in alternating pairs.
 #
-# Usage: scripts/pairs.sh [-n] REV [workload] [seeds] [pairs]
+# Usage: scripts/pairs.sh [-n] REV [workloads] [seeds] [pairs]
 #
 #   REV       the parent revision (any git revision name)
-#   workload  a BENCHMARK.json workload (default live-replay)
+#   workloads comma-separated BENCHMARK.json workloads, or all for every
+#             one in BENCHMARK.json's order (default live-replay)
 #   seeds     comma-separated seeds (default 1,2: the development seed and
 #             the held-out seed)
 #   pairs     pairs per seed (default 10)
 #   -n        check the arguments, print the plan and self-test the
-#             summary arithmetic; build and run nothing
+#             summary arithmetic and the workload list; build and run
+#             nothing
 #
 # PAIRS_SECONDS sets perfbench's --seconds (default 10, BENCHMARK.json's
 # run_seconds). Run from anywhere inside the repository.
@@ -17,15 +19,17 @@
 # It exports REV with `git archive` into a temporary directory and builds
 # perfbench there and from the working tree (uncommitted edits included),
 # with the same toolchain settings as perfbench/run.sh. It then runs, per
-# seed, N pairs of untraced runs, alternating which side goes first, and
-# prints every end-to-end metric of BENCHMARK.json as
+# workload in turn and per seed, N pairs of untraced runs, alternating
+# which side goes first, and prints every end-to-end metric of
+# BENCHMARK.json as
 #
 #   metric: parent median [q1, q3] -> change median [q1, q3], delta, won/N pairs, parent IQR
 #
 # Quartiles interpolate linearly between order statistics. A pair is won
 # when the change is strictly better in the metric's direction. The outcome
-# digests and every run's `correct` flag are checked and reported. The
-# temporary directory, binaries and Go caches included, is removed on exit.
+# digests and every run's `correct` flag are checked and reported, and the
+# exit status is 1 when a run of any workload is not correct. The temporary
+# directory, binaries and Go caches included, is removed on exit.
 set -eu
 
 root=$(git rev-parse --show-toplevel)
@@ -42,7 +46,6 @@ case "${1:-}" in
 	;;
 esac
 rev=$1
-workload=${2:-live-replay}
 seeds=$(echo "${3:-1,2}" | tr ',' ' ')
 pairs=${4:-10}
 secs=${PAIRS_SECONDS:-10}
@@ -52,8 +55,34 @@ fail() {
 	exit 2
 }
 
+# names prints BENCHMARK.json's workload names, one a line, in its order.
+names() {
+	awk '/"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
+		on && /"name"/ { n = $0; sub(/.*"name": *"/, "", n); sub(/".*/, "", n); print n }' "$root/BENCHMARK.json"
+}
+
+# expand prints the workloads a list names, space-separated: all, or a
+# comma-separated list of BENCHMARK.json workloads. It fails on an empty
+# entry or an unknown name.
+expand() {
+	if [ "$1" = all ]; then
+		names | tr '\n' ' ' | sed 's/ $//'
+		return
+	fi
+	out=
+	for w in $(echo "$1" | tr ',' ' '); do
+		names | grep -qx "$w" || {
+			echo "no workload $w in BENCHMARK.json" >&2
+			return 1
+		}
+		out="$out${out:+ }$w"
+	done
+	case ",$1," in *,,*) echo "empty entry in workload list $1" >&2; return 1 ;; esac
+	echo "$out"
+}
+
 commit=$(git -C "$root" rev-parse --verify --quiet "$rev^{commit}") || fail "unknown revision $rev"
-grep -q "\"name\": \"$workload\"" "$root/BENCHMARK.json" || fail "no workload $workload in BENCHMARK.json"
+workloads=$(expand "${2:-live-replay}") || fail "bad workload list ${2:-live-replay}"
 case $pairs in '' | *[!0-9]* | 0) fail "pairs must be a positive integer, got $pairs" ;; esac
 for s in $seeds; do
 	case $s in *[!0-9]*) fail "seeds must be non-negative integers, got $s" ;; esac
@@ -120,7 +149,8 @@ summarize() {
 	}'
 }
 
-# selftest checks summarize on a fixed table: 4 pairs, change ahead in 3.
+# selftest checks summarize on a fixed table (4 pairs, change ahead in 3)
+# and expand on the list forms.
 selftest() {
 	got=$(printf '%s\n' "txn_per_s higher" "bytes_per_txn lower" "--" \
 		"1 1 parent txn_per_s 1000" "1 1 change txn_per_s 1200" \
@@ -138,13 +168,30 @@ selftest() {
 		printf 'pairs.sh: summary self-test failed:\n%s\nwant:\n%s\n' "$got" "$want" >&2
 		exit 1
 	fi
+	all=$(names | tr '\n' ' ' | sed 's/ $//')
+	if [ "$(echo "$all" | wc -w)" -lt 2 ]; then
+		echo "pairs.sh: workload list self-test found fewer than two workloads in BENCHMARK.json" >&2
+		exit 1
+	fi
+	first=${all%% *}
+	last=${all##* }
+	for c in "all|$all" "$first|$first" "$last,$first|$last $first" "$(echo "$all" | tr ' ' ',')|$all" \
+		"no-such-workload|" "$first,|" ",$first|" "$first,,$last|"; do
+		arg=${c%%|*}
+		want=${c#*|}
+		got=$(expand "$arg" 2>/dev/null) || got=
+		if [ "$got" != "$want" ]; then
+			printf 'pairs.sh: workload list self-test failed on "%s": got "%s", want "%s"\n' "$arg" "$got" "$want" >&2
+			exit 1
+		fi
+	done
 }
 
 selftest
-echo "# pairs: $workload, seeds $seeds, $pairs pairs each, --seconds $secs"
+echo "# pairs: $workloads; seeds $seeds, $pairs pairs each, --seconds $secs"
 echo "# parent $rev ($(git -C "$root" rev-parse --short "$commit")), change: the working tree"
 if [ "$dry" = 1 ]; then
-	echo "# -n: summary self-test passed; nothing built or run"
+	echo "# -n: summary and workload list self-tests passed; nothing built or run"
 	exit 0
 fi
 
@@ -160,13 +207,14 @@ export GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOENV=off GOWORK=off \
 (cd "$tmp/parent/perfbench" && go build -o "$tmp/bin-parent" .) >&2 || fail "parent build failed"
 (cd "$root/perfbench" && go build -o "$tmp/bin-change" .) >&2 || fail "working tree build failed"
 
-# run SIDE SEED PAIR runs one side's binary and appends its metrics.
+# run WORKLOAD SIDE SEED PAIR runs one side's binary and appends its
+# metrics.
 run() {
-	out="$tmp/out-$1-$2-$3"
-	(cd "$tmp" && "$tmp/bin-$1" --workload "$workload" --seed "$2" --seconds "$secs" --trace 0) >"$out" 2>&1 || true
-	tail -n 1 "$out" | grep -q '^{"correct":true,' || echo "$1 seed $2 pair $3: not correct (see below)" >>"$tmp/failures"
-	sed -n 's/^# outcome digest //p' "$out" | sed "s/^/$2 $1 /" >>"$tmp/digests"
-	tail -n 1 "$out" | awk -v pre="$2 $3 $1" '{
+	out="$tmp/out-$1-$2-$3-$4"
+	(cd "$tmp" && "$tmp/bin-$2" --workload "$1" --seed "$3" --seconds "$secs" --trace 0) >"$out" 2>&1 || true
+	tail -n 1 "$out" | grep -q '^{"correct":true,' || echo "$1 $2 seed $3 pair $4: not correct (see below)" >>"$tmp/failures"
+	sed -n 's/^# outcome digest //p' "$out" | sed "s/^/$3 $2 /" >>"$tmp/digests"
+	tail -n 1 "$out" | awk -v pre="$3 $4 $2" '{
 		s = $0
 		while (match(s, /"[a-z0-9_]+":\{"value":[-+0-9.eE]+/)) {
 			m = substr(s, RSTART + 1, RLENGTH - 1); s = substr(s, RSTART + RLENGTH)
@@ -176,36 +224,46 @@ run() {
 	}' >>"$tmp/rows"
 }
 
-: >"$tmp/rows"
-: >"$tmp/digests"
-for seed in $seeds; do
-	i=1
-	while [ "$i" -le "$pairs" ]; do
-		if [ $((i % 2)) = 1 ]; then
-			run parent "$seed" "$i"
-			run change "$seed" "$i"
-		else
-			run change "$seed" "$i"
-			run parent "$seed" "$i"
-		fi
-		echo "# seed $seed pair $i/$pairs done" >&2
-		i=$((i + 1))
+# measure WORKLOAD runs the workload's pairs and prints its summary and
+# digest checks.
+measure() {
+	: >"$tmp/rows"
+	: >"$tmp/digests"
+	for seed in $seeds; do
+		i=1
+		while [ "$i" -le "$pairs" ]; do
+			if [ $((i % 2)) = 1 ]; then
+				run "$1" parent "$seed" "$i"
+				run "$1" change "$seed" "$i"
+			else
+				run "$1" change "$seed" "$i"
+				run "$1" parent "$seed" "$i"
+			fi
+			echo "# $1 seed $seed pair $i/$pairs done" >&2
+			i=$((i + 1))
+		done
 	done
-done
 
-{
-	directions
-	echo --
-	cat "$tmp/rows"
-} | summarize
-for seed in $seeds; do
-	p=$(awk -v s="$seed" '$1 == s && $2 == "parent" { print $3 }' "$tmp/digests" | sort -u | tr '\n' ' ' | sed 's/ $//')
-	c=$(awk -v s="$seed" '$1 == s && $2 == "change" { print $3 }' "$tmp/digests" | sort -u | tr '\n' ' ' | sed 's/ $//')
-	if [ "$p" = "$c" ]; then
-		echo "seed $seed outcome digests identical: $p"
-	else
-		echo "seed $seed outcome digests differ: parent $p, change $c"
-	fi
+	echo "## $1"
+	{
+		directions
+		echo --
+		cat "$tmp/rows"
+	} | summarize
+	for seed in $seeds; do
+		p=$(awk -v s="$seed" '$1 == s && $2 == "parent" { print $3 }' "$tmp/digests" | sort -u | tr '\n' ' ' | sed 's/ $//')
+		c=$(awk -v s="$seed" '$1 == s && $2 == "change" { print $3 }' "$tmp/digests" | sort -u | tr '\n' ' ' | sed 's/ $//')
+		if [ "$p" = "$c" ]; then
+			echo "seed $seed outcome digests identical: $p"
+		else
+			echo "seed $seed outcome digests differ: parent $p, change $c"
+		fi
+	done
+}
+
+: >"$tmp/failures"
+for w in $workloads; do
+	measure "$w"
 done
 if [ -s "$tmp/failures" ]; then
 	cat "$tmp/failures"
