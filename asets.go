@@ -59,11 +59,11 @@ type (
 
 // Workload and result types.
 type (
-	// WorkloadConfig parameterizes the Table I generator.
+	// WorkloadConfig parameterizes the Table I generator: plain, workflow
+	// and contended workloads all start from DefaultWorkload, chain its
+	// With* builders (WithWeights, WithWorkflows, WithContention, ...) and
+	// generate through Generate.
 	WorkloadConfig = workload.Config
-	// WorkloadSpec is the unified workload constructor: plain, workflow,
-	// and contended workloads all build through NewWorkloadSpec(...).Build.
-	WorkloadSpec = workload.Spec
 	// Keyspace parameterizes the data-contention model: Zipf-skewed
 	// read/write sets over an abstract row space (docs/CONTENTION.md).
 	Keyspace = contention.Keyspace
@@ -140,13 +140,6 @@ func Generate(cfg WorkloadConfig) (*Set, error) { return workload.Generate(cfg) 
 // MustGenerate is Generate but panics on error.
 func MustGenerate(cfg WorkloadConfig) *Set { return workload.MustGenerate(cfg) }
 
-// NewWorkloadSpec returns the Table-I default workload specification at the
-// given target utilization; chain With* builders (WithWeights,
-// WithWorkflows, WithContention, ...) and finish with Build.
-func NewWorkloadSpec(utilization float64, seed uint64) WorkloadSpec {
-	return workload.NewSpec(utilization, seed)
-}
-
 // NewConflictAware wraps any policy with conflict-aware dispatch: the
 // wrapper defers queued transactions predicted to conflict with busy work,
 // stealing the policy's first non-conflicting candidate instead (window 0
@@ -201,7 +194,8 @@ var (
 	NewHDF = sched.NewHDF
 	// NewHVF is Highest-Value-First.
 	NewHVF = sched.NewHVF
-	// NewMIX is the static deadline/value blend of the related work.
+	// NewMIX is the static deadline/value blend of the related work, at
+	// blend 0.5.
 	NewMIX = sched.NewMIX
 )
 

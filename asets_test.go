@@ -31,7 +31,7 @@ func TestFacadePoliciesRunnable(t *testing.T) {
 		repro.NewLS(),
 		repro.NewHDF(),
 		repro.NewHVF(),
-		repro.NewMIX(0.5),
+		repro.NewMIX(),
 		repro.NewASETSStar(),
 		repro.NewReady(),
 		repro.NewASETSStar(repro.WithTimeActivation(0.01)),

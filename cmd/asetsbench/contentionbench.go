@@ -106,15 +106,11 @@ func contentionBenchJobs(n, seeds int) ([]runner.Job, []*obs.Collector) {
 					Gen: func(sd uint64) (*txn.Set, error) {
 						// Utilization is per server, so the workload draws
 						// Servers times that load.
-						cfg := workload.Default(contentionBenchUtil*contentionBenchServers, sd)
-						cfg.N = n
-						return workload.Spec{
-							Config: cfg,
-							Contention: &contention.Keyspace{
+						return workload.Generate(workload.Default(contentionBenchUtil*contentionBenchServers, sd).WithN(n).
+							WithContention(contention.Keyspace{
 								Keys: keys, Alpha: contentionBenchAlpha,
 								Reads: contentionBenchReads, Writes: contentionBenchWrites,
-							},
-						}.Build()
+							}))
 					},
 					Seed: &seed,
 					New:  pol.New,

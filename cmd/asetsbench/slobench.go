@@ -115,9 +115,7 @@ func sloBenchJobs(n, seeds int, flagCfg *slo.Config) ([]runner.Job, []*obs.Colle
 			seed := experimentSeed(s)
 			jobs = append(jobs, runner.Job{
 				Gen: func(sd uint64) (*txn.Set, error) {
-					cfg := workload.Default(util, sd)
-					cfg.N = n
-					return workload.Spec{Config: cfg}.Build()
+					return workload.Generate(workload.Default(util, sd).WithN(n))
 				},
 				Seed: &seed,
 				New:  sched.NewEDF,

@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cliflag"
-	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -47,21 +46,14 @@ import (
 	"repro/internal/workload"
 )
 
+// wl holds the Table I workload flags asetssim shares with workloadgen.
+var wl = cliflag.AddWorkload(flag.CommandLine)
+
 func main() {
 	var (
 		policy   = flag.String("policy", "asets", "policy: "+cliflag.PolicyNames())
 		balTime  = flag.Float64("bal-time", 0, "balance-aware time activation rate (asets only)")
 		balCount = flag.Float64("bal-count", 0, "balance-aware count activation rate (asets only)")
-		util     = flag.Float64("util", 0.8, "target system utilization")
-		n        = flag.Int("n", 1000, "number of transactions")
-		kmax     = flag.Float64("kmax", 3.0, "max slack factor")
-		alpha    = flag.Float64("alpha", 0.5, "zipf skew of transaction lengths")
-		seed     = cliflag.AddSeed(flag.CommandLine)
-		wfLen    = flag.Int("wf-len", 1, "max workflow length (1 = independent)")
-		wfMem    = flag.Int("wf-membership", 1, "max workflows per transaction")
-		weights  = flag.Bool("weights", false, "draw weights from [1, 10]")
-		batch    = flag.Bool("batch", false, "submit workflow members together (Section II-B reading)")
-		random   = flag.Bool("random-order", false, "randomize precedence order within chains")
 		load     = flag.String("load", "", "load workload JSON instead of generating")
 		save     = flag.String("save", "", "save the generated workload JSON to this path")
 		doTrace  = flag.Bool("trace", false, "record, validate and summarize the schedule")
@@ -112,7 +104,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "asetssim: -slo/-report apply to open-loop runs; the closed-loop simulator (-users) does not support them")
 			os.Exit(2)
 		}
-		runClosedLoop(*users, *util, *seed, *policy, *patience)
+		runClosedLoop(*users, wl.Util, wl.Seed, *policy, *patience)
 		return
 	}
 	if *load != "" && cont.Active() {
@@ -120,7 +112,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	set, cfg, err := buildWorkload(*load, *n, *util, *kmax, *alpha, *seed, *wfLen, *wfMem, *weights, *batch, *random, cont.Keyspace())
+	cfg := wl.Config()
+	cfg.Contention = cont.Keyspace()
+	set, saved, err := buildWorkload(*load, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "asetssim: %v\n", err)
 		os.Exit(1)
@@ -128,7 +122,7 @@ func main() {
 	if *save != "" {
 		f, err := os.Create(*save)
 		if err == nil {
-			err = workload.WriteJSON(f, set, cfg)
+			err = workload.WriteJSON(f, set, saved)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -216,35 +210,20 @@ func wrapInvariants(s sched.Scheduler) sched.Scheduler {
 	return s
 }
 
-func buildWorkload(load string, n int, util, kmax, alpha float64, seed uint64,
-	wfLen, wfMem int, weights, batch, random bool, ks *contention.Keyspace) (*txn.Set, *workload.Config, error) {
-	if load != "" {
-		f, err := os.Open(load)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		set, cfg, err := workload.ReadJSON(f)
-		return set, cfg, err
+// buildWorkload loads the workload JSON at load, or generates cfg when load
+// is empty, and returns the set with the configuration that made it (the
+// file's embedded one, which may be nil, when loaded).
+func buildWorkload(load string, cfg workload.Config) (*txn.Set, *workload.Config, error) {
+	if load == "" {
+		set, err := workload.Generate(cfg)
+		return set, &cfg, err
 	}
-	cfg := workload.Default(util, seed)
-	cfg.N = n
-	cfg.KMax = kmax
-	cfg.Alpha = alpha
-	if wfLen > 1 {
-		cfg = cfg.WithWorkflows(wfLen, wfMem)
+	f, err := os.Open(load)
+	if err != nil {
+		return nil, nil, err
 	}
-	if weights {
-		cfg = cfg.WithWeights()
-	}
-	if batch {
-		cfg.Arrivals = workload.ArrivalsBatch
-	}
-	if random {
-		cfg.Order = workload.OrderRandom
-	}
-	set, err := workload.Spec{Config: cfg, Contention: ks}.Build()
-	return set, &cfg, err
+	defer f.Close()
+	return workload.ReadJSON(f)
 }
 
 // obsOutputs names the optional observability exports and checks of a run.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,8 +16,20 @@ import (
 	"repro/internal/workload"
 )
 
+// flagConfig parses args through the shared workload flags.
+func flagConfig(t *testing.T, args ...string) workload.Config {
+	t.Helper()
+	fs := flag.NewFlagSet("asetssim", flag.ContinueOnError)
+	wl := cliflag.AddWorkload(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return wl.Config()
+}
+
 func TestBuildWorkloadGenerated(t *testing.T) {
-	set, cfg, err := buildWorkload("", 200, 0.8, 3, 0.5, 7, 5, 2, true, true, true, nil)
+	set, cfg, err := buildWorkload("", flagConfig(t, "-n", "200", "-seed", "7", "-wf-len", "5", "-wf-membership", "2",
+		"-weights", "-batch", "-random-order"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +45,7 @@ func TestBuildWorkloadGenerated(t *testing.T) {
 }
 
 func TestBuildWorkloadIndependent(t *testing.T) {
-	set, cfg, err := buildWorkload("", 100, 0.5, 1, 0.5, 1, 1, 1, false, false, false, nil)
+	set, cfg, err := buildWorkload("", flagConfig(t, "-n", "100", "-util", "0.5", "-kmax", "1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +74,7 @@ func TestBuildWorkloadFromFile(t *testing.T) {
 	}
 	f.Close()
 
-	loaded, cfg, err := buildWorkload(path, 0, 0, 0, 0, 0, 0, 0, false, false, false, nil)
+	loaded, cfg, err := buildWorkload(path, workload.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +84,7 @@ func TestBuildWorkloadFromFile(t *testing.T) {
 }
 
 func TestBuildWorkloadMissingFile(t *testing.T) {
-	if _, _, err := buildWorkload("/does/not/exist.json", 0, 0, 0, 0, 0, 0, 0, false, false, false, nil); err == nil {
+	if _, _, err := buildWorkload("/does/not/exist.json", workload.Config{}); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -236,5 +249,35 @@ func TestBalanceFlags(t *testing.T) {
 		if opt, err := balanceOption(policy, 0, 0, true, 5); opt != nil || err != nil {
 			t.Fatalf("-policy %s without balance flags: option %v, error %v", policy, opt != nil, err)
 		}
+	}
+}
+
+// TestWorkloadFlagsShared: the command's Table I workload flags are
+// cliflag.AddWorkload's, bound to wl, and a fixed argument list builds the
+// configuration that asetssim and workloadgen both pin.
+func TestWorkloadFlagsShared(t *testing.T) {
+	ref := flag.NewFlagSet("ref", flag.ContinueOnError)
+	cliflag.AddWorkload(ref)
+	ref.VisitAll(func(f *flag.Flag) {
+		if got := flag.CommandLine.Lookup(f.Name); got == nil || got.DefValue != f.DefValue || got.Usage != f.Usage {
+			t.Errorf("-%s: got %+v, want %+v", f.Name, got, f)
+		}
+	})
+	saved := *wl
+	t.Cleanup(func() { *wl = saved })
+	args := map[string]string{
+		"util": "0.9", "n": "40", "kmax": "2", "alpha": "0.7", "seed": "5",
+		"wf-len": "4", "wf-membership": "2", "weights": "true", "batch": "true", "random-order": "true",
+	}
+	for name, v := range args {
+		if err := flag.CommandLine.Set(name, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := workload.Default(0.9, 5).WithN(40).WithWorkflows(4, 2).WithWeights()
+	want.KMax, want.Alpha = 2, 0.7
+	want.Arrivals, want.Order = workload.ArrivalsBatch, workload.OrderRandom
+	if cfg := wl.Config(); cfg != want {
+		t.Errorf("config %+v, want %+v", cfg, want)
 	}
 }

@@ -128,15 +128,15 @@ func main() {
 	build := func(seed uint64) (replay, error) {
 		// -util is per backend: the fleet draws Instances times the single
 		// server's load so each fault domain sees the requested utilization.
-		cfg := workload.Default(*util*float64(cl.Instances), seed)
-		cfg.N = *n
+		cfg := workload.Default(*util*float64(cl.Instances), seed).WithN(*n)
 		if *wfLen > 1 {
 			cfg = cfg.WithWorkflows(*wfLen, 1)
 		}
 		if *weights {
 			cfg = cfg.WithWeights()
 		}
-		set, err := workload.Spec{Config: cfg, Contention: cont.Keyspace()}.Build()
+		cfg.Contention = cont.Keyspace()
+		set, err := workload.Generate(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -16,45 +16,23 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/cliflag"
 	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
+// wl holds the Table I workload flags workloadgen shares with asetssim.
+var wl = cliflag.AddWorkload(flag.CommandLine)
+
 func main() {
 	var (
-		util    = flag.Float64("util", 0.8, "target system utilization")
-		n       = flag.Int("n", 1000, "number of transactions")
-		kmax    = flag.Float64("kmax", 3.0, "max slack factor")
-		alpha   = flag.Float64("alpha", 0.5, "zipf skew of transaction lengths")
-		seed    = flag.Uint64("seed", 1, "generator seed")
-		wfLen   = flag.Int("wf-len", 1, "max workflow length (1 = independent)")
-		wfMem   = flag.Int("wf-membership", 1, "max workflows per transaction")
-		weights = flag.Bool("weights", false, "draw weights from [1, 10]")
-		batch   = flag.Bool("batch", false, "submit workflow members together")
-		random  = flag.Bool("random-order", false, "randomize precedence order within chains")
-		out     = flag.String("o", "", "output path (default stdout)")
-		stats   = flag.Bool("stats", false, "print workload statistics instead of JSON")
-		dot     = flag.Bool("dot", false, "emit the dependency graph in Graphviz DOT format instead of JSON")
+		out   = flag.String("o", "", "output path (default stdout)")
+		stats = flag.Bool("stats", false, "print workload statistics instead of JSON")
+		dot   = flag.Bool("dot", false, "emit the dependency graph in Graphviz DOT format instead of JSON")
 	)
 	flag.Parse()
 
-	cfg := workload.Default(*util, *seed)
-	cfg.N = *n
-	cfg.KMax = *kmax
-	cfg.Alpha = *alpha
-	if *wfLen > 1 {
-		cfg = cfg.WithWorkflows(*wfLen, *wfMem)
-	}
-	if *weights {
-		cfg = cfg.WithWeights()
-	}
-	if *batch {
-		cfg.Arrivals = workload.ArrivalsBatch
-	}
-	if *random {
-		cfg.Order = workload.OrderRandom
-	}
-
+	cfg := wl.Config()
 	set, err := workload.Generate(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "workloadgen: %v\n", err)

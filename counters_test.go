@@ -99,7 +99,7 @@ func TestCountersMatchStream(t *testing.T) {
 	// Each run builds its own workload: the fault plan's bursts and the
 	// cluster's losses mutate the set.
 	faulty := func(sink obs.Sink, reg *obs.Registry) error {
-		set := workload.NewSpec(1.2, 0xC0C0).WithN(300).WithWeights().WithWorkflows(4, 1).MustBuild()
+		set := workload.MustGenerate(workload.Default(1.2, 0xC0C0).WithN(300).WithWeights().WithWorkflows(4, 1))
 		plan := &fault.Plan{
 			Seed: 0xFA117, AbortProb: 0.2, MaxRestarts: 3, BackoffBase: 0.5, BackoffCap: 4,
 			Stalls: []fault.Window{{Start: 30, Duration: 4}, {Start: 90, Duration: 3, Kind: fault.Crash}},
@@ -111,8 +111,8 @@ func TestCountersMatchStream(t *testing.T) {
 	}
 	contended := func(servers int) func(obs.Sink, *obs.Registry) error {
 		return func(sink obs.Sink, reg *obs.Registry) error {
-			set := workload.NewSpec(0.85*float64(servers), 42).WithN(250).
-				WithContention(contention.Keyspace{Keys: 32, Alpha: 0.9, Reads: 4, Writes: 2}).MustBuild()
+			set := workload.MustGenerate(workload.Default(0.85*float64(servers), 42).WithN(250).
+				WithContention(contention.Keyspace{Keys: 32, Alpha: 0.9, Reads: 4, Writes: 2}))
 			cfg := sim.Config{Servers: servers, Sink: sink, Metrics: reg}
 			_, err := sim.New(cfg).Run(set, contention.NewDeferring(core.New(), 0))
 			return err

@@ -57,7 +57,7 @@ func TestFullPipeline(t *testing.T) {
 	// 3. Simulate every policy on the loaded workload, validating traces.
 	policies := []repro.Scheduler{
 		repro.NewFCFS(), repro.NewEDF(), repro.NewSRPT(), repro.NewLS(),
-		repro.NewHDF(), repro.NewHVF(), repro.NewMIX(0.5),
+		repro.NewHDF(), repro.NewHVF(), repro.NewMIX(),
 		repro.NewASETSStar(), repro.NewReady(),
 	}
 	var asetsTard float64

@@ -5,7 +5,8 @@
 // and the copies had already drifted in their error messages. A CLI
 // registers the flags with Add*, parses, then calls Robustness.Load — a bad
 // value is a crisp exit-2 usage error (Fatal) before any work starts.
-// asetssim and asetsweb also share one -policy table, Policies.
+// asetssim and asetsweb also share one -policy table, Policies, and
+// asetssim and workloadgen one set of Table I workload flags, Workload.
 package cliflag
 
 import (
@@ -22,6 +23,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/sched"
 	"repro/internal/slo"
+	"repro/internal/workload"
 )
 
 // Policy is one -policy choice: its CLI name and the factory of a fresh
@@ -48,7 +50,7 @@ var Policies = []Policy{
 	{"hdf", sched.NewHDF},
 	{"hvf", sched.NewHVF},
 	{"ls", sched.NewLS},
-	{"mix", func() sched.Scheduler { return sched.NewMIX(0.5) }},
+	{"mix", sched.NewMIX},
 	{"ready", func() sched.Scheduler { return core.NewReady() }},
 	{"srpt", sched.NewSRPT},
 }
@@ -229,8 +231,7 @@ func (c *Contention) Load() error {
 	return nil
 }
 
-// Keyspace returns the configured keyspace, or nil when -keys is zero. The
-// Seed is left unset so workload.Spec derives it from the workload seed.
+// Keyspace returns the configured keyspace, or nil when -keys is zero.
 func (c *Contention) Keyspace() *contention.Keyspace {
 	if c.Keys == 0 {
 		return nil
@@ -326,7 +327,71 @@ func (s *SLO) Active() bool { return s.SpecText != "" }
 
 // AddSeed registers the shared -seed flag (base workload seed) on fs.
 func AddSeed(fs *flag.FlagSet) *uint64 {
-	return fs.Uint64("seed", 1, "workload seed")
+	seed := new(uint64)
+	seedVar(fs, seed)
+	return seed
+}
+
+func seedVar(fs *flag.FlagSet, p *uint64) { fs.Uint64Var(p, "seed", 1, "workload seed") }
+
+// Workload bundles the Table I workload flags shared by asetssim and
+// workloadgen: utilization, size, slack bound, length skew, seed, the
+// workflow shape and weights, and the two workflow readings of DESIGN.md
+// (batch arrivals, random precedence order).
+type Workload struct {
+	// Util, N, KMax and Alpha are -util, -n, -kmax and -alpha.
+	Util  float64
+	N     int
+	KMax  float64
+	Alpha float64
+	// Seed is -seed.
+	Seed uint64
+	// WfLen and WfMembership are -wf-len (1 = independent) and
+	// -wf-membership.
+	WfLen        int
+	WfMembership int
+	// Weights, Batch and RandomOrder are -weights, -batch and
+	// -random-order.
+	Weights     bool
+	Batch       bool
+	RandomOrder bool
+}
+
+// AddWorkload registers the workload flag set on fs and returns the
+// destination.
+func AddWorkload(fs *flag.FlagSet) *Workload {
+	w := &Workload{}
+	fs.Float64Var(&w.Util, "util", 0.8, "target system utilization")
+	fs.IntVar(&w.N, "n", 1000, "number of transactions")
+	fs.Float64Var(&w.KMax, "kmax", 3.0, "max slack factor")
+	fs.Float64Var(&w.Alpha, "alpha", 0.5, "zipf skew of transaction lengths")
+	seedVar(fs, &w.Seed)
+	fs.IntVar(&w.WfLen, "wf-len", 1, "max workflow length (1 = independent)")
+	fs.IntVar(&w.WfMembership, "wf-membership", 1, "max workflows per transaction")
+	fs.BoolVar(&w.Weights, "weights", false, "draw weights from [1, 10]")
+	fs.BoolVar(&w.Batch, "batch", false, "submit workflow members together (Section II-B reading)")
+	fs.BoolVar(&w.RandomOrder, "random-order", false, "randomize precedence order within chains")
+	return w
+}
+
+// Config assembles the generator configuration from the flags; Generate
+// validates it.
+func (w *Workload) Config() workload.Config {
+	cfg := workload.Default(w.Util, w.Seed).WithN(w.N)
+	cfg.KMax, cfg.Alpha = w.KMax, w.Alpha
+	if w.WfLen > 1 {
+		cfg = cfg.WithWorkflows(w.WfLen, w.WfMembership)
+	}
+	if w.Weights {
+		cfg = cfg.WithWeights()
+	}
+	if w.Batch {
+		cfg.Arrivals = workload.ArrivalsBatch
+	}
+	if w.RandomOrder {
+		cfg.Order = workload.OrderRandom
+	}
+	return cfg
 }
 
 // exit and stderr are seams for the Fatal tests.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/workload"
 )
 
 // parseRobustness registers the shared flags on a fresh FlagSet, parses args
@@ -148,6 +149,76 @@ func TestAddSeedDefault(t *testing.T) {
 	}
 	if *seed != 99 {
 		t.Fatalf("parsed seed %d, want 99", *seed)
+	}
+}
+
+// workloadDefaults are the workload flags asetssim and workloadgen each
+// declared by hand before they shared AddWorkload, with their defaults.
+var workloadDefaults = map[string]string{
+	"util": "0.8", "n": "1000", "kmax": "3", "alpha": "0.5", "seed": "1",
+	"wf-len": "1", "wf-membership": "1",
+	"weights": "false", "batch": "false", "random-order": "false",
+}
+
+// handConfig is the configuration asetssim and workloadgen assembled from
+// those flags by hand.
+func handConfig(util float64, n int, kmax, alpha float64, seed uint64, wfLen, wfMem int, weights, batch, random bool) workload.Config {
+	cfg := workload.Default(util, seed)
+	cfg.N = n
+	cfg.KMax = kmax
+	cfg.Alpha = alpha
+	if wfLen > 1 {
+		cfg = cfg.WithWorkflows(wfLen, wfMem)
+	}
+	if weights {
+		cfg = cfg.WithWeights()
+	}
+	if batch {
+		cfg.Arrivals = workload.ArrivalsBatch
+	}
+	if random {
+		cfg.Order = workload.OrderRandom
+	}
+	return cfg
+}
+
+// TestWorkloadFlags: AddWorkload registers exactly the ten workload flags
+// with their old defaults, and Config builds what the hand assembly built.
+func TestWorkloadFlags(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	w := AddWorkload(fs)
+	got := map[string]string{}
+	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	if len(got) != len(workloadDefaults) {
+		t.Errorf("flags %v, want %v", got, workloadDefaults)
+	}
+	for name, def := range workloadDefaults {
+		if got[name] != def {
+			t.Errorf("-%s default %q, want %q", name, got[name], def)
+		}
+	}
+	if cfg, want := w.Config(), handConfig(0.8, 1000, 3, 0.5, 1, 1, 1, false, false, false); cfg != want {
+		t.Errorf("default config %+v, want %+v", cfg, want)
+	}
+	for _, c := range []struct {
+		args []string
+		want workload.Config
+	}{
+		{[]string{"-util", "0.6", "-n", "50", "-kmax", "1", "-alpha", "0.9", "-seed", "7"},
+			handConfig(0.6, 50, 1, 0.9, 7, 1, 1, false, false, false)},
+		{[]string{"-wf-len", "5", "-wf-membership", "3", "-weights", "-batch", "-random-order"},
+			handConfig(0.8, 1000, 3, 0.5, 1, 5, 3, true, true, true)},
+		{[]string{"-wf-len", "1", "-wf-membership", "4", "-weights"},
+			handConfig(0.8, 1000, 3, 0.5, 1, 1, 4, true, false, false)},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		w := AddWorkload(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		if cfg := w.Config(); cfg != c.want {
+			t.Errorf("%v: config %+v, want %+v", c.args, cfg, c.want)
+		}
 	}
 }
 

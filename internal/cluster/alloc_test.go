@@ -27,7 +27,7 @@ func TestFleetAllocs(t *testing.T) {
 	}
 	failovers := 0
 	for _, n := range []int{10_000, 20_000} {
-		set := workload.NewSpec(4*1.2, 1).WithWeights().WithN(n).MustBuild()
+		set := workload.MustGenerate(workload.Default(4*1.2, 1).WithWeights().WithN(n))
 		horizon := set.Txns[n-1].Arrival
 		cfg := Config{
 			Instances:    4,
@@ -76,9 +76,9 @@ func TestCrashBytes(t *testing.T) {
 		t.Skip("allocated bytes over 20k-transaction fleet runs")
 	}
 	const n = 20_000
-	spec := workload.NewSpec(4*0.78, 1).WithWeights().WithN(n)
+	spec := workload.Default(4*0.78, 1).WithWeights().WithN(n)
 	spec.KMax = 6
-	set := spec.MustBuild()
+	set := workload.MustGenerate(spec)
 	horizon := set.Txns[n-1].Arrival
 	crash := func(f float64) fault.Window {
 		return fault.Window{Start: f * horizon, Duration: 50, Kind: fault.Crash}

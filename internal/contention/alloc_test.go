@@ -18,11 +18,11 @@ func TestAssignAllocsConstant(t *testing.T) {
 	// goroutines, whose allocations would be counted against whichever
 	// measurement it falls in; collect once before measuring.
 	runtime.GC()
-	ks := contention.Keyspace{Keys: 4096, Alpha: 0.9, Reads: 4, Writes: 2, ReadOnlyProb: 0.2, Seed: 5}
+	ks := contention.Keyspace{Keys: 4096, Alpha: 0.9, Reads: 4, Writes: 2, ReadOnlyProb: 0.2}
 	allocs := func(n int) float64 {
-		set := workload.NewSpec(0.9, 3).WithN(n).MustBuild()
+		set := workload.MustGenerate(workload.Default(0.9, 3).WithN(n))
 		return testing.AllocsPerRun(5, func() {
-			if err := contention.Assign(set, ks); err != nil {
+			if err := contention.Assign(set, ks, 5); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -37,9 +37,9 @@ func TestAssignAllocsConstant(t *testing.T) {
 // key assignment — stays at or below 0.01 allocations per transaction.
 func TestBuildContendedAllocs(t *testing.T) {
 	const n = 10_000
-	spec := workload.NewSpec(0.85*4, 7).WithN(n).
+	spec := workload.Default(0.85*4, 7).WithN(n).
 		WithContention(contention.Keyspace{Keys: 4096, Alpha: 0.9, Reads: 4, Writes: 2})
-	allocs := testing.AllocsPerRun(3, func() { spec.MustBuild() })
+	allocs := testing.AllocsPerRun(3, func() { workload.MustGenerate(spec) })
 	if perTxn := allocs / n; perTxn > 0.01 {
 		t.Fatalf("Build made %v allocations (%.4f per transaction), want <= 0.01 per transaction", allocs, perTxn)
 	}
@@ -54,13 +54,13 @@ func TestBuildContendedAllocs(t *testing.T) {
 // 236, and validating twice and rebuilding the table on top of that 332.
 func TestBuildContendedBytes(t *testing.T) {
 	const n, budget = 2_500, 190.0
-	spec := workload.NewSpec(0.85*4, 1).WithN(n).
+	spec := workload.Default(0.85*4, 1).WithN(n).
 		WithContention(contention.Keyspace{Keys: 4096, Alpha: 0.9, Reads: 4, Writes: 2})
-	spec.MustBuild() // warm-up
+	workload.MustGenerate(spec) // warm-up
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	spec.MustBuild()
+	workload.MustGenerate(spec)
 	runtime.ReadMemStats(&after)
 	got := float64(after.TotalAlloc-before.TotalAlloc) / n
 	t.Logf("%.1f bytes per transaction", got)
@@ -74,9 +74,8 @@ func TestBuildContendedBytes(t *testing.T) {
 // included — stays at or below 0.01 allocations per transaction.
 func TestSteadyStateContendedRunAllocs(t *testing.T) {
 	const n = 20_000
-	set := workload.NewSpec(0.85*4, 11).WithN(n).
-		WithContention(contention.Keyspace{Keys: 4096, Alpha: 0.9, Reads: 4, Writes: 2}).
-		MustBuild()
+	set := workload.MustGenerate(workload.Default(0.85*4, 11).WithN(n).
+		WithContention(contention.Keyspace{Keys: 4096, Alpha: 0.9, Reads: 4, Writes: 2}))
 	runner := sim.New(sim.Config{Servers: 4})
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := runner.Run(set, contention.NewDeferring(core.New(), 0)); err != nil {

@@ -65,8 +65,8 @@ func FuzzDeferringDecide(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ks := Keyspace{Keys: 12, Alpha: 0.9, Reads: 3, Writes: 2, ReadOnlyProb: 0.2, Seed: uint64(data[1])}
-		if err := Assign(set, ks); err != nil {
+		ks := Keyspace{Keys: 12, Alpha: 0.9, Reads: 3, Writes: 2, ReadOnlyProb: 0.2}
+		if err := Assign(set, ks, uint64(data[1])); err != nil {
 			t.Fatal(err)
 		}
 		set.ResetAll()

@@ -299,8 +299,8 @@ func TestDeferringIndexMatchesPairwise(t *testing.T) {
 	const n, servers = 60, 4
 	for seed := uint64(0); seed < 40; seed++ {
 		set := keyspaceFixture(t, n)
-		ks := Keyspace{Keys: 24, Alpha: 0.9, Reads: 3, Writes: 2, ReadOnlyProb: 0.2, Seed: seed}
-		if err := Assign(set, ks); err != nil {
+		ks := Keyspace{Keys: 24, Alpha: 0.9, Reads: 3, Writes: 2, ReadOnlyProb: 0.2}
+		if err := Assign(set, ks, seed); err != nil {
 			t.Fatal(err)
 		}
 		for _, tx := range set.Txns {

@@ -9,10 +9,10 @@
 // rather than merely retried.
 //
 // Everything is seed-deterministic: key sets are a pure function of
-// (Keyspace, transaction ID), the validator's version counters advance only
-// on commits, and the deferrer probes its wrapped policy in a fixed order —
-// so identical seeds produce byte-identical validate/abort schedules on any
-// worker count (docs/PARALLELISM.md).
+// (Keyspace, seed, transaction ID), the validator's version counters advance
+// only on commits, and the deferrer probes its wrapped policy in a fixed
+// order — so identical seeds produce byte-identical validate/abort schedules
+// on any worker count (docs/PARALLELISM.md).
 package contention
 
 import (
@@ -45,10 +45,6 @@ type Keyspace struct {
 	// write set). Read-only transactions can validate-fail but never
 	// invalidate others.
 	ReadOnlyProb float64
-	// Seed isolates the key-draw stream from the arrival/length stream of
-	// the workload generator. Zero is a valid seed; workload.Spec derives
-	// one from the workload seed when left unset.
-	Seed uint64
 }
 
 // Validate checks the keyspace parameters.
@@ -75,8 +71,8 @@ func (ks *Keyspace) Validate() error {
 }
 
 // Assign draws a read set and a write set for every transaction in set.
-// The draw is a pure function of (Keyspace, transaction ID): each
-// transaction samples from its own rng.Derive(ks.Seed, ID) stream, so
+// The draw is a pure function of (Keyspace, seed, transaction ID): each
+// transaction samples from its own rng.Derive(seed, ID) stream, so
 // regenerating a workload, cloning it, or assigning the same keyspace on
 // another instance yields bit-identical key sets regardless of assignment
 // order. Sets are sorted and duplicate-free (txn.Set.AssignKeys'
@@ -84,7 +80,7 @@ func (ks *Keyspace) Validate() error {
 // drawn sets are checked: the rest of a validated set is unchanged.
 //
 //lint:coldpath key assignment is workload construction, before any event loop
-func Assign(set *txn.Set, ks Keyspace) error {
+func Assign(set *txn.Set, ks Keyspace, seed uint64) error {
 	if err := ks.Validate(); err != nil {
 		return err
 	}
@@ -96,7 +92,7 @@ func Assign(set *txn.Set, ks Keyspace) error {
 	// possible draw.
 	var src rng.Source
 	return set.AssignKeys(set.Len()*(ks.Writes+ks.Reads), func(id txn.ID, slab []txn.Key) ([]txn.Key, int) {
-		src.Seed(rng.Derive(ks.Seed, uint64(id)))
+		src.Seed(rng.Derive(seed, uint64(id)))
 		nw := ks.Writes
 		if src.Float64() < ks.ReadOnlyProb {
 			nw = 0

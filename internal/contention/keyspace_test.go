@@ -102,8 +102,8 @@ func TestKeyspaceValidateNonFinite(t *testing.T) {
 // duplicate-free, in range — the invariants txn.Set.Validate enforces.
 func TestAssignShape(t *testing.T) {
 	set := keyspaceFixture(t, 50)
-	ks := Keyspace{Keys: 32, Alpha: 0.9, Reads: 4, Writes: 2, Seed: 7}
-	if err := Assign(set, ks); err != nil {
+	ks := Keyspace{Keys: 32, Alpha: 0.9, Reads: 4, Writes: 2}
+	if err := Assign(set, ks, 7); err != nil {
 		t.Fatal(err)
 	}
 	for _, tx := range set.Txns {
@@ -128,17 +128,17 @@ func TestAssignShape(t *testing.T) {
 	}
 }
 
-// TestAssignDeterministic: the draw is a pure function of (Keyspace, ID) —
-// assigning the same keyspace to a clone, or assigning twice, yields
+// TestAssignDeterministic: the draw is a pure function of (Keyspace, seed,
+// ID) — assigning the same keyspace to a clone, or assigning twice, yields
 // bit-identical sets.
 func TestAssignDeterministic(t *testing.T) {
-	ks := Keyspace{Keys: 64, Alpha: 0.9, Reads: 4, Writes: 2, ReadOnlyProb: 0.5, Seed: 11}
+	ks := Keyspace{Keys: 64, Alpha: 0.9, Reads: 4, Writes: 2, ReadOnlyProb: 0.5}
 	a := keyspaceFixture(t, 40)
 	b := a.Clone()
-	if err := Assign(a, ks); err != nil {
+	if err := Assign(a, ks, 11); err != nil {
 		t.Fatal(err)
 	}
-	if err := Assign(b, ks); err != nil {
+	if err := Assign(b, ks, 11); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Txns {
@@ -151,8 +151,7 @@ func TestAssignDeterministic(t *testing.T) {
 	}
 	// A different stream seed must move at least one set.
 	c := keyspaceFixture(t, 40)
-	ks.Seed = 12
-	if err := Assign(c, ks); err != nil {
+	if err := Assign(c, ks, 12); err != nil {
 		t.Fatal(err)
 	}
 	same := true
@@ -163,7 +162,7 @@ func TestAssignDeterministic(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatal("changing Keyspace.Seed left every read set unchanged")
+		t.Fatal("changing the seed left every read set unchanged")
 	}
 }
 
@@ -171,7 +170,7 @@ func TestAssignDeterministic(t *testing.T) {
 // (empty write sets), ReadOnlyProb 0 none.
 func TestAssignReadOnly(t *testing.T) {
 	set := keyspaceFixture(t, 30)
-	if err := Assign(set, Keyspace{Keys: 16, Reads: 2, Writes: 2, ReadOnlyProb: 1}); err != nil {
+	if err := Assign(set, Keyspace{Keys: 16, Reads: 2, Writes: 2, ReadOnlyProb: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, tx := range set.Txns {
@@ -180,7 +179,7 @@ func TestAssignReadOnly(t *testing.T) {
 		}
 	}
 	set = keyspaceFixture(t, 30)
-	if err := Assign(set, Keyspace{Keys: 16, Reads: 2, Writes: 2, ReadOnlyProb: 0}); err != nil {
+	if err := Assign(set, Keyspace{Keys: 16, Reads: 2, Writes: 2, ReadOnlyProb: 0}, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, tx := range set.Txns {
@@ -192,7 +191,7 @@ func TestAssignReadOnly(t *testing.T) {
 
 func TestAssignRejectsInvalidKeyspace(t *testing.T) {
 	set := keyspaceFixture(t, 4)
-	if err := Assign(set, Keyspace{}); err == nil {
+	if err := Assign(set, Keyspace{}, 0); err == nil {
 		t.Fatal("Assign accepted the zero keyspace")
 	}
 	if set.Keyed() {

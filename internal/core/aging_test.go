@@ -58,7 +58,7 @@ func TestAgingActivationScales(t *testing.T) {
 	const n = 2000
 	var held0 float64 // the candidates an activation held at n
 	for _, size := range []int{n, 16 * n} {
-		set := workload.NewSpec(1.2, 1).WithWeights().WithN(size).MustBuild()
+		set := workload.MustGenerate(workload.Default(1.2, 1).WithWeights().WithN(size))
 		p := &agingProbe{ASETSStar: New(WithTimeActivation(0.01))}
 		p.SetSink(p)
 		if _, err := sim.New(sim.Config{}).Run(set, p); err != nil {

@@ -71,7 +71,7 @@ func TestReInitReproducesSchedule(t *testing.T) {
 	cfg := workload.Default(0.95, 21).WithWorkflows(4, 2).WithWeights()
 	cfg.N = 400
 	workflows := workload.MustGenerate(cfg)
-	independent := workload.NewSpec(0.95, 21).WithN(400).WithWeights().MustBuild()
+	independent := workload.MustGenerate(workload.Default(0.95, 21).WithN(400).WithWeights())
 	for _, tc := range []struct {
 		name string
 		set  *txn.Set
@@ -129,13 +129,13 @@ func TestInitBytes(t *testing.T) {
 	const n = 100_000
 	for _, c := range []struct {
 		name string
-		spec workload.Spec
+		spec workload.Config
 		max  float64
 	}{
-		{"independent", workload.NewSpec(0.95, 5).WithN(n), 32},
-		{"workflows(5,1)", workload.NewSpec(0.95, 5).WithN(n).WithWorkflows(5, 1), 115},
+		{"independent", workload.Default(0.95, 5).WithN(n), 32},
+		{"workflows(5,1)", workload.Default(0.95, 5).WithN(n).WithWorkflows(5, 1), 115},
 	} {
-		got := initBytesPerTxn(c.spec.MustBuild())
+		got := initBytesPerTxn(workload.MustGenerate(c.spec))
 		t.Logf("%s: %.1f B/txn", c.name, got)
 		if got > c.max {
 			t.Errorf("%s: Init allocates %.1f B/txn, want <= %v", c.name, got, c.max)
@@ -165,7 +165,7 @@ func runBytesPerTxn(t *testing.T, set *txn.Set, s *ASETSStar) float64 {
 // metrics. Measured at about 31 B/txn; keeping every entity until the run
 // ends costs about 195.
 func TestRunBytes(t *testing.T) {
-	set := workload.NewSpec(0.95, 1).WithN(200_000).MustBuild()
+	set := workload.MustGenerate(workload.Default(0.95, 1).WithN(200_000))
 	got := runBytesPerTxn(t, set, New())
 	t.Logf("%.1f B/txn", got)
 	if got > 48 {
@@ -178,7 +178,7 @@ func TestRunBytes(t *testing.T) {
 // readies dependents reuses the ready tracker's buffer.
 func TestWorkflowRunAllocs(t *testing.T) {
 	const n = 20_000
-	set := workload.NewSpec(0.9, 13).WithN(n).WithWeights().WithWorkflows(5, 1).MustBuild()
+	set := workload.MustGenerate(workload.Default(0.9, 13).WithN(n).WithWeights().WithWorkflows(5, 1))
 	runner := sim.New(sim.Config{})
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := runner.Run(set, New()); err != nil {

@@ -24,7 +24,7 @@ func TestCheckedUnderSimActivations(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, servers := range []int{1, 4} {
-				set := workload.NewSpec(0.95*float64(servers), 1).WithN(400).WithWeights().WithWorkflows(4, 2).MustBuild()
+				set := workload.MustGenerate(workload.Default(0.95*float64(servers), 1).WithN(400).WithWeights().WithWorkflows(4, 2))
 				checked := core.NewChecked(core.New(c.opt))
 				if _, err := sim.New(sim.Config{Servers: servers}).Run(set, checked); err != nil {
 					t.Fatal(err)

@@ -137,7 +137,7 @@ func TestRandomWorkloadsAllPoliciesValid(t *testing.T) {
 	mkPolicies := func() []sched.Scheduler {
 		return []sched.Scheduler{
 			sched.NewFCFS(), sched.NewEDF(), sched.NewSRPT(), sched.NewLS(),
-			sched.NewHDF(), sched.NewHVF(), sched.NewMIX(0.3),
+			sched.NewHDF(), sched.NewHVF(), sched.NewMIX(),
 			New(), NewReady(),
 			New(WithRule(RuleSymmetric), WithName("sym")),
 			New(WithHeadExcludedRep(), WithName("tail")),

@@ -16,7 +16,7 @@ func TestRunAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation count over 10k-transaction runs")
 	}
-	set := workload.NewSpec(0.95, 1).WithN(10000).MustBuild()
+	set := workload.MustGenerate(workload.Default(0.95, 1).WithN(10000))
 	for _, c := range []struct {
 		name string
 		new  func() sched.Scheduler

@@ -51,7 +51,7 @@ func TestLiveReplayBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation figures of 30k-transaction replays")
 	}
-	set := workload.NewSpec(0.8, 1).WithWeights().WithWorkflows(5, 1).WithN(30_000).MustBuild()
+	set := workload.MustGenerate(workload.Default(0.8, 1).WithWeights().WithWorkflows(5, 1).WithN(30_000))
 	liveReplay(t, set)()
 	run := liveReplay(t, set)
 	runtime.GC()

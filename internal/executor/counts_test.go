@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	. "repro/internal/executor"
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 // TestStatsAgreeWithSummary: the kernel's running counts, read through
@@ -24,7 +25,7 @@ import (
 func TestStatsAgreeWithSummary(t *testing.T) {
 	var seen Stats
 	for _, seed := range []uint64{1, 2, 3} {
-		set, err := matrixSpec(seed).WithContention(matrixKeys).Build()
+		set, err := workload.Generate(matrixSpec(seed).WithContention(matrixKeys))
 		if err != nil {
 			t.Fatal(err)
 		}

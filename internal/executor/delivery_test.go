@@ -16,6 +16,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/txn"
+	"repro/internal/workload"
 )
 
 // batchLens is a BatchSink that records the length of every delivery: the
@@ -35,13 +36,13 @@ func TestInstantReplayBatchesAsSim(t *testing.T) {
 		for _, p := range matrixPolicies {
 			t.Run(fmt.Sprintf("%s/%s", c.name, p.name), func(t *testing.T) {
 				simSink := &batchLens{}
-				set := c.spec(1).MustBuild()
+				set := workload.MustGenerate(c.spec(1))
 				plan, ctrl, sc := c.layers()
 				if _, err := sim.New(sim.Config{Sink: simSink, Faults: plan, Admit: ctrl, SLO: sc}).Run(set, p.new()); err != nil {
 					t.Fatalf("sim: %v", err)
 				}
 				exSink := &batchLens{}
-				set = c.spec(1).MustBuild()
+				set = workload.MustGenerate(c.spec(1))
 				plan, ctrl, sc = c.layers()
 				ex := New(p.new(), set, Options{
 					TimeScale: time.Millisecond, Clock: NewFakeClock(time.Unix(0, 0)),
@@ -167,7 +168,7 @@ func TestWaitingClockDeliversBeforeSleep(t *testing.T) {
 	for _, c := range matrixCells {
 		t.Run(c.name, func(t *testing.T) {
 			ref := &obs.Collector{}
-			set := c.spec(1).MustBuild()
+			set := workload.MustGenerate(c.spec(1))
 			plan, ctrl, sc := c.layers()
 			if _, err := sim.New(sim.Config{Sink: ref, Faults: plan, Admit: ctrl, SLO: sc}).Run(set, core.New()); err != nil {
 				t.Fatalf("sim: %v", err)
@@ -175,7 +176,7 @@ func TestWaitingClockDeliversBeforeSleep(t *testing.T) {
 			want := ref.Events()
 
 			col := &obs.Collector{}
-			set = c.spec(1).MustBuild()
+			set = workload.MustGenerate(c.spec(1))
 			plan, ctrl, sc = c.layers()
 			clk := &waitingClock{fake: NewFakeClock(time.Unix(0, 0))}
 			ex := New(core.New(), set, Options{
@@ -236,12 +237,12 @@ func TestFleetDeliveryFollowsClock(t *testing.T) {
 	for _, c := range clusterCells {
 		t.Run(c.name, func(t *testing.T) {
 			simSink, ref := &batchLens{}, &obs.Collector{}
-			if _, err := cluster.New(config(c, obs.Tee(simSink, ref))).Run(c.spec(1).MustBuild()); err != nil {
+			if _, err := cluster.New(config(c, obs.Tee(simSink, ref))).Run(workload.MustGenerate(c.spec(1))); err != nil {
 				t.Fatalf("cluster: %v", err)
 			}
 			want := ref.Events()
 			fleetSink := &batchLens{}
-			fleet := cluster.NewFleet(config(c, fleetSink), c.spec(1).MustBuild(), cluster.FleetOptions{
+			fleet := cluster.NewFleet(config(c, fleetSink), workload.MustGenerate(c.spec(1)), cluster.FleetOptions{
 				TimeScale: time.Millisecond, Clock: NewFakeClock(time.Unix(0, 0)),
 			})
 			if _, err := fleet.Run(context.Background()); err != nil {
@@ -253,7 +254,7 @@ func TestFleetDeliveryFollowsClock(t *testing.T) {
 
 			col := &obs.Collector{}
 			clk := &waitingClock{fake: NewFakeClock(time.Unix(0, 0))}
-			fleet = cluster.NewFleet(config(c, col), c.spec(1).MustBuild(), cluster.FleetOptions{TimeScale: time.Millisecond, Clock: clk})
+			fleet = cluster.NewFleet(config(c, col), workload.MustGenerate(c.spec(1)), cluster.FleetOptions{TimeScale: time.Millisecond, Clock: clk})
 			sleeps := 0
 			clk.check = func() {
 				sleeps++

@@ -39,9 +39,9 @@
 // it steps the kernel and releases it only around each pacing sleep, so
 // Stats, Probe, Done and AdmissionDegraded read the kernel and the
 // admission controller themselves, at the instant the replay pauses. The
-// same lock serializes every controller call. Sinks and Options.OnComplete
-// run on the replay goroutine with the lock held, so they must not call
-// back into the executor.
+// same lock serializes every controller call. Sinks run on the replay
+// goroutine with the lock held, so they must not call back into the
+// executor.
 //
 // Faults and overload protection (docs/ROBUSTNESS.md) are the kernel's, so
 // they thread through the same event-time model: Options.Faults injects
@@ -76,11 +76,6 @@ type Options struct {
 	// TimeScale is the wall-clock duration of one simulated time unit;
 	// default DefaultTimeScale.
 	TimeScale time.Duration
-	// OnComplete, when non-nil, is called from the executor goroutine after
-	// every completion with the transaction and its finish time in
-	// simulated units. It runs with the executor's lock held, so it must
-	// not call Stats, Probe, Done or AdmissionDegraded.
-	OnComplete func(t *txn.Transaction, finish float64)
 	// Clock paces the replay. Nil selects RealClock. Injecting a FakeClock
 	// makes Run instantaneous and bit-for-bit deterministic — the only
 	// wall-clock access in the executor goes through this seam.
@@ -230,7 +225,7 @@ func (e *Executor) Probe(t *txn.Transaction) (bool, Stats) {
 	if e.ctrl == nil {
 		return true, st
 	}
-	return e.ctrl.Admit(t, e.k.Counts().AdmitState(1)), st
+	return e.ctrl.Admit(t, e.k.AdmitState()), st
 }
 
 // AdmissionDegraded reports whether the admission controller is currently in
@@ -285,11 +280,7 @@ func (e *Executor) Run(ctx context.Context) (int, error) {
 		if err != nil {
 			break
 		}
-		for _, t := range k.Advance(at) {
-			if e.opts.OnComplete != nil {
-				e.opts.OnComplete(t, at)
-			}
-		}
+		k.Advance(at)
 		arr.Deliver(k)
 	}
 	// Drain the instrumentation and finish the SLO engine before the run is

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/txn"
@@ -55,29 +55,25 @@ func TestRunCompletesEverything(t *testing.T) {
 
 func TestPrecedenceHonoredLive(t *testing.T) {
 	set := smallWorkload(t, 0.9, true)
-	var mu sync.Mutex
-	finished := map[txn.ID]bool{}
-	var violation string
-	ex := New(core.New(), set, Options{
-		TimeScale: fastScale,
-		OnComplete: func(tx *txn.Transaction, finish float64) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, d := range tx.Deps {
-				if !finished[d] {
-					violation = tx.String()
-				}
-			}
-			finished[tx.ID] = true
-		},
-	})
+	col := &obs.Collector{}
+	ex := New(core.New(), set, Options{TimeScale: fastScale, Sink: col})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := ex.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if violation != "" {
-		t.Fatalf("dependency violated for %s", violation)
+	finished := map[txn.ID]bool{}
+	for _, ev := range col.Events() {
+		if ev.Kind != obs.KindCompletion {
+			continue
+		}
+		tx := set.ByID(ev.Txn)
+		for _, d := range tx.Deps {
+			if !finished[d] {
+				t.Fatalf("dependency violated for %s", tx)
+			}
+		}
+		finished[tx.ID] = true
 	}
 }
 
@@ -239,13 +235,11 @@ func replayConfig(seed uint64) workload.Config {
 func replayTranscript(t *testing.T, seed uint64) string {
 	t.Helper()
 	set := workload.MustGenerate(replayConfig(seed))
-	var sb strings.Builder
+	col := &obs.Collector{}
 	ex := New(core.New(), set, Options{
 		TimeScale: time.Millisecond,
 		Clock:     NewFakeClock(time.Unix(0, 0)),
-		OnComplete: func(tx *txn.Transaction, finish float64) {
-			fmt.Fprintf(&sb, "T%d@%x\n", tx.ID, finish)
-		},
+		Sink:      col,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -253,6 +247,18 @@ func replayTranscript(t *testing.T, seed uint64) string {
 		t.Fatal(err)
 	} else if n != set.Len() {
 		t.Fatalf("completed %d of %d", n, set.Len())
+	}
+	return completionTranscript(col)
+}
+
+// completionTranscript renders every completion event collected as
+// "T<id>@<finish bits>".
+func completionTranscript(col *obs.Collector) string {
+	var sb strings.Builder
+	for _, ev := range col.Events() {
+		if ev.Kind == obs.KindCompletion {
+			fmt.Fprintf(&sb, "T%d@%x\n", ev.Txn, ev.Time)
+		}
 	}
 	return sb.String()
 }

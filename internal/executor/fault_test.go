@@ -2,16 +2,14 @@ package executor
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -40,22 +38,20 @@ func faultConfig(seed uint64) workload.Config {
 func faultReplayTranscript(t *testing.T, seed uint64) (string, Stats) {
 	t.Helper()
 	set := workload.MustGenerate(faultConfig(seed))
-	var sb strings.Builder
+	col := &obs.Collector{}
 	ex := New(core.New(), set, Options{
 		TimeScale: time.Millisecond,
 		Clock:     NewFakeClock(time.Unix(0, 0)),
 		Faults:    faultPlan(),
 		Admit:     admit.QueueCap{Max: 12},
-		OnComplete: func(tx *txn.Transaction, finish float64) {
-			fmt.Fprintf(&sb, "T%d@%x\n", tx.ID, finish)
-		},
+		Sink:      col,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := ex.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	return sb.String(), ex.Stats()
+	return completionTranscript(col), ex.Stats()
 }
 
 // TestFaultReplayDeterministic: under a FakeClock, two replays with the same

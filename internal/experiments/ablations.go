@@ -74,7 +74,7 @@ func Fig15Extended(opts Options) (*Result, error) {
 		{Name: "EDF", New: sched.NewEDF},
 		{Name: "HDF", New: sched.NewHDF},
 		{Name: "HVF", New: sched.NewHVF},
-		{Name: "MIX(0.5)", New: func() sched.Scheduler { return sched.NewMIX(0.5) }},
+		{Name: "MIX(0.5)", New: sched.NewMIX},
 		asetsPolicy(),
 	}
 	res, err := sweep(opts, xs, fixed(policies...), func(x float64, seed uint64) workload.Config {

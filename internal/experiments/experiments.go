@@ -29,8 +29,8 @@ type Options struct {
 	// N overrides the number of transactions per workload (paper: 1000).
 	N int
 	// Parallelism bounds concurrent simulation workers (runner.Pool.Workers):
-	// 0 means GOMAXPROCS, 1 forces the serial legacy path. Results are
-	// bit-identical for every value (docs/PARALLELISM.md).
+	// 0 means GOMAXPROCS, 1 runs the grid's jobs one at a time on the same
+	// pool. Results are bit-identical for every value (docs/PARALLELISM.md).
 	Parallelism int
 	// Validate enables per-run schedule validation via the trace package,
 	// for every experiment but Sessions (see its doc comment).

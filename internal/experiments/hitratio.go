@@ -20,7 +20,7 @@ func HitRatio(opts Options) (*Result, error) {
 	policies := []Policy{
 		{Name: "EDF", New: sched.NewEDF},
 		{Name: "AED", New: func() sched.Scheduler { return sched.NewAED(0xAED) }},
-		{Name: "MIX(0.5)", New: func() sched.Scheduler { return sched.NewMIX(0.5) }},
+		{Name: "MIX(0.5)", New: sched.NewMIX},
 		asetsPolicy(),
 	}
 	res, err := sweep(opts, xs, fixed(policies...),

@@ -123,9 +123,7 @@ func TestRunReportSerialParallelStable(t *testing.T) {
 			cols[i] = col
 			jobs[i] = runner.Job{
 				Gen: func(sd uint64) (*txn.Set, error) {
-					cfg := workload.Default(1.4, sd).WithWeights()
-					cfg.N = 200
-					return workload.Spec{Config: cfg}.Build()
+					return workload.Generate(workload.Default(1.4, sd).WithWeights().WithN(200))
 				},
 				Seed: &seed,
 				New:  sched.NewEDF,

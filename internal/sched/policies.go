@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"repro/internal/pq"
 	"repro/internal/txn"
 )
@@ -157,17 +155,13 @@ func NewHVF() Scheduler {
 	})
 }
 
-// NewMIX returns the static hybrid of [3]: a linear combination of absolute
-// deadline and value, prioritizing small beta*d_i - (1-beta)*w_i. Unlike
-// ASETS*, the blend is a fixed system parameter — the contrast the paper
-// draws in Section V. beta must lie in [0, 1]: beta=1 degenerates to EDF and
-// beta=0 to HVF.
-func NewMIX(beta float64) Scheduler {
-	if beta < 0 || beta > 1 {
-		panic(fmt.Sprintf("sched: NewMIX beta %v outside [0, 1]", beta))
-	}
-	name := fmt.Sprintf("MIX(%.2f)", beta)
-	return NewPriorityPolicy(name, func(a, b *txn.Transaction) bool {
+// NewMIX returns the static hybrid of [3] at blend 0.5: a linear
+// combination of absolute deadline and value, prioritizing small
+// (d_i - w_i)/2. Unlike ASETS*, the blend is a fixed system parameter — the
+// contrast the paper draws in Section V.
+func NewMIX() Scheduler {
+	const beta = 0.5
+	return NewPriorityPolicy("MIX(0.50)", func(a, b *txn.Transaction) bool {
 		ka := beta*a.Deadline - (1-beta)*a.Weight
 		kb := beta*b.Deadline - (1-beta)*b.Weight
 		if ka != kb {

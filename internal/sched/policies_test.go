@@ -112,28 +112,16 @@ func TestHVFOrder(t *testing.T) {
 	wantOrder(t, NewHVF(), set, 1, 2, 0)
 }
 
-func TestMIXExtremes(t *testing.T) {
-	mkset := func() *txn.Set {
-		a := mk(0, 0, 10, 5) // earliest deadline, low weight
-		b := mk(1, 0, 90, 5)
-		b.Weight = 10 // highest value, late deadline
-		return mustSet(t, a, b)
-	}
-	wantOrder(t, NewMIX(1), mkset(), 0, 1) // beta=1: pure EDF
-	wantOrder(t, NewMIX(0), mkset(), 1, 0) // beta=0: pure HVF
-}
-
-func TestMIXRejectsBadBeta(t *testing.T) {
-	for _, beta := range []float64{-0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewMIX(%v) did not panic", beta)
-				}
-			}()
-			NewMIX(beta)
-		}()
-	}
+// TestMIXOrder: the blend 0.5 orders by (d_i - w_i)/2, which here is
+// neither EDF's order (0, 2, 1) nor HVF's (1, 0, 2).
+func TestMIXOrder(t *testing.T) {
+	a := mk(0, 0, 10, 5) // key 4
+	a.Weight = 2
+	b := mk(1, 0, 20, 5) // key 5
+	b.Weight = 10
+	c := mk(2, 0, 12, 5) // key 5.5
+	set := mustSet(t, a, b, c)
+	wantOrder(t, NewMIX(), set, 0, 1, 2)
 }
 
 func TestPriorityPolicyHonorsDependencies(t *testing.T) {
@@ -274,8 +262,8 @@ func TestPolicyNames(t *testing.T) {
 			t.Errorf("Name = %q, want %q", s.Name(), want)
 		}
 	}
-	if NewMIX(0.25).Name() != "MIX(0.25)" {
-		t.Errorf("MIX name = %q", NewMIX(0.25).Name())
+	if NewMIX().Name() != "MIX(0.50)" {
+		t.Errorf("MIX name = %q", NewMIX().Name())
 	}
 }
 

@@ -76,11 +76,19 @@ type Server struct {
 	spans     *obs.SpanBuilder
 	ov        *obs.Overhead
 	g         obsGauges
+	done      *completions
+}
+
+// completions is the /api/recent ring: a sink that keeps the last
+// completionRing completion events of the replay.
+type completions struct {
+	set *txn.Set
 
 	mu     sync.Mutex
-	recent []Completion // ring buffer, next points at the oldest slot; guarded by mu
-	next   int          // guarded by mu
-	total  int          // guarded by mu
+	recent [completionRing]Completion // guarded by mu
+	// n counts the filled slots and next is the slot the next completion
+	// fills; both guarded by mu.
+	n, next int
 }
 
 // New builds a server that will replay set under the given scheduler. cfg
@@ -93,6 +101,7 @@ func New(policy sched.Scheduler, set *txn.Set, cfg *workload.Config, opts execut
 		policy:    policy.Name(),
 		admitName: "none",
 		timeScale: opts.TimeScale,
+		done:      &completions{set: set},
 	}
 	if opts.Admit != nil {
 		s.admitName = opts.Admit.Name()
@@ -100,17 +109,10 @@ func New(policy sched.Scheduler, set *txn.Set, cfg *workload.Config, opts execut
 	if s.timeScale <= 0 {
 		s.timeScale = executor.DefaultTimeScale
 	}
-	userComplete := opts.OnComplete
-	opts.OnComplete = func(t *txn.Transaction, finish float64) {
-		s.record(t, finish)
-		if userComplete != nil {
-			userComplete(t, finish)
-		}
-	}
-
 	// Observability: the server always instruments its executor — the
-	// registry backs /metrics, the event ring backs /events. A caller's own
-	// registry and sink keep working alongside.
+	// registry backs /metrics, the event ring backs /events, the completion
+	// events fill /api/recent. A caller's own registry and sink keep working
+	// alongside.
 	opts.Metrics = s.reg
 	s.ov = obs.NewOverhead()
 	s.spans = obs.NewSpanBuilder(set, obs.SpanOptions{
@@ -125,7 +127,7 @@ func New(policy sched.Scheduler, set *txn.Set, cfg *workload.Config, opts execut
 	if clk == nil {
 		clk = executor.RealClock{}
 	}
-	opts.Sink = obs.NewTimed(obs.Tee(opts.Sink, s.ring, s.spans, s.sse), s.ov, clk.Now)
+	opts.Sink = obs.NewTimed(obs.Tee(opts.Sink, s.ring, s.spans, s.sse, s.done), s.ov, clk.Now)
 	s.g = newObsGauges(s.reg)
 
 	s.exec = executor.New(policy, set, opts)
@@ -145,37 +147,36 @@ func New(policy sched.Scheduler, set *txn.Set, cfg *workload.Config, opts execut
 	return s
 }
 
-func (s *Server) record(t *txn.Transaction, finish float64) {
+// Emit implements obs.Sink: a completion event enters the ring.
+func (s *completions) Emit(ev obs.Event) {
+	if ev.Kind != obs.KindCompletion {
+		return
+	}
 	c := Completion{
-		ID:        t.ID,
-		Finish:    finish,
-		Deadline:  t.Deadline,
-		Tardiness: t.Tardiness(),
-		Weight:    t.Weight,
+		ID:        ev.Txn,
+		Finish:    ev.Time,
+		Deadline:  ev.Deadline,
+		Tardiness: ev.Tardiness,
+		Weight:    s.set.ByID(ev.Txn).Weight,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.recent) < completionRing {
-		s.recent = append(s.recent, c)
-	} else {
-		s.recent[s.next] = c
-		s.next = (s.next + 1) % completionRing
-	}
-	s.total++
+	s.recent[s.next] = c
+	s.next = (s.next + 1) % completionRing
+	s.n = min(s.n+1, completionRing)
 }
 
-// recentSnapshot returns up to limit completions, newest first.
-func (s *Server) recentSnapshot(limit int) []Completion {
+// snapshot returns up to limit completions, newest first.
+func (s *completions) snapshot(limit int) []Completion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.recent)
-	if limit <= 0 || limit > n {
-		limit = n
+	if limit <= 0 || limit > s.n {
+		limit = s.n
 	}
 	out := make([]Completion, 0, limit)
 	for i := 0; i < limit; i++ {
-		// Newest element sits just before next (mod n).
-		idx := (s.next - 1 - i + 2*n) % n
+		// The newest completion sits just before next.
+		idx := (s.next - 1 - i + completionRing) % completionRing
 		out = append(out, s.recent[idx])
 	}
 	return out
@@ -314,7 +315,7 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, s.recentSnapshot(limit))
+	writeJSON(w, s.done.snapshot(limit))
 }
 
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
@@ -453,7 +454,7 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	data := struct {
 		Stats  statsPayload
 		Recent []Completion
-	}{s.statsNow(), s.recentSnapshot(20)}
+	}{s.statsNow(), s.done.snapshot(20)}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := dashboardTmpl.Execute(w, data); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -201,7 +201,7 @@ func TestRecentRingWraps(t *testing.T) {
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	recent := s.recentSnapshot(0)
+	recent := s.done.snapshot(0)
 	if len(recent) != completionRing {
 		t.Fatalf("ring holds %d", len(recent))
 	}

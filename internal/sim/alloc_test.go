@@ -17,7 +17,7 @@ func TestRunAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation count over 10k-transaction runs")
 	}
-	set := workload.NewSpec(0.95, 1).WithN(10000).MustBuild()
+	set := workload.MustGenerate(workload.Default(0.95, 1).WithN(10000))
 	for _, c := range []struct {
 		name string
 		new  func() sched.Scheduler
@@ -47,7 +47,7 @@ func TestRunBytes(t *testing.T) {
 	}
 	const budget = 25.0
 	for _, n := range []int{20_000, 80_000} {
-		set := workload.NewSpec(0.95, 1).WithN(n).MustBuild()
+		set := workload.MustGenerate(workload.Default(0.95, 1).WithN(n))
 		sim := New(Config{})
 		run := func() { sim.MustRun(set, core.New()) }
 		run() // warm-up

@@ -40,7 +40,7 @@ func nestedBursts(horizon float64) *fault.Plan {
 // itself and leaves it untouched; on a set a burst plan reordered it equals
 // the sorted copy, and the set still stays in ID order.
 func TestNewArrivalsView(t *testing.T) {
-	set := workload.NewSpec(0.9, 3).WithN(400).WithWorkflows(4, 1).MustBuild()
+	set := workload.MustGenerate(workload.Default(0.9, 3).WithN(400).WithWorkflows(4, 1))
 	before := slices.Clone(set.Txns)
 	arr := NewArrivals(set)
 	if len(arr) != set.Len() || &arr[0] != &set.Txns[0] {

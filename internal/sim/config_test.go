@@ -44,14 +44,14 @@ func TestServersValidatedBeforeDefaulting(t *testing.T) {
 func TestStepCap(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		spec workload.Spec
+		spec workload.Config
 		cfg  Config
 		want int
 	}{
-		{"plain", workload.NewSpec(0.5, 1).WithN(20), Config{}, 8*20 + 64},
-		{"faults+keys", workload.NewSpec(0.5, 1).WithN(20).WithContention(keepKeys), Config{Faults: hammerPlan()}, 2*((8*20+64)*4+16*2) + 2*20*20},
+		{"plain", workload.Default(0.5, 1).WithN(20), Config{}, 8*20 + 64},
+		{"faults+keys", workload.Default(0.5, 1).WithN(20).WithContention(keepKeys), Config{Faults: hammerPlan()}, 2*((8*20+64)*4+16*2) + 2*20*20},
 	} {
-		set := c.spec.MustBuild()
+		set := workload.MustGenerate(c.spec)
 		k, err := NewKernel(c.cfg, set, sched.NewEDF())
 		if err != nil {
 			t.Fatal(err)
@@ -60,7 +60,7 @@ func TestStepCap(t *testing.T) {
 			t.Fatalf("%s: cap %d, want %d", c.name, k.maxSteps, c.want)
 		}
 	}
-	set := workload.NewSpec(0.5, 1).WithN(20).MustBuild()
+	set := workload.MustGenerate(workload.Default(0.5, 1).WithN(20))
 	k, err := NewKernel(Config{}, set, sched.NewEDF())
 	if err != nil {
 		t.Fatal(err)

@@ -102,18 +102,18 @@ var keepKeys = contention.Keyspace{Keys: 64, Alpha: 0.9, Reads: 3, Writes: 2, Re
 // differential test.
 type decideCase struct {
 	name   string
-	spec   func(seed uint64) workload.Spec
+	spec   func(seed uint64) workload.Config
 	faults bool
 }
 
 // decideCases are the differential test's cases: independent and workflow
 // sets, each plain, contended and under faults.
 func decideCases() []decideCase {
-	independent := func(seed uint64) workload.Spec { return workload.NewSpec(1.1, seed).WithN(120).WithWeights() }
-	workflows := func(seed uint64) workload.Spec { return independent(seed).WithWorkflows(4, 1) }
+	independent := func(seed uint64) workload.Config { return workload.Default(1.1, seed).WithN(120).WithWeights() }
+	workflows := func(seed uint64) workload.Config { return independent(seed).WithWorkflows(4, 1) }
 	var cases []decideCase
 	for _, set := range []decideCase{{name: "independent", spec: independent}, {name: "workflows", spec: workflows}} {
-		contended := func(seed uint64) workload.Spec { return set.spec(seed).WithContention(keepKeys) }
+		contended := func(seed uint64) workload.Config { return set.spec(seed).WithContention(keepKeys) }
 		cases = append(cases,
 			set,
 			decideCase{name: set.name + "+contended", spec: contended},
@@ -136,7 +136,7 @@ type decideRun struct {
 // runDecideCase runs c under p with every layer wrapped by wrap.
 func runDecideCase(t *testing.T, c decideCase, seed uint64, servers int, p decidePolicy, wrap wrapper) decideRun {
 	t.Helper()
-	set := c.spec(seed).MustBuild()
+	set := workload.MustGenerate(c.spec(seed))
 	col := &obs.Collector{}
 	cfg := Config{Servers: servers, Sink: col}
 	if c.faults {
@@ -260,19 +260,19 @@ func TestPreemptCounts(t *testing.T) {
 	const n = 20_000
 	for _, c := range []struct {
 		name    string
-		spec    workload.Spec
+		spec    workload.Config
 		servers int
 		policy  func() sched.Scheduler
 		max     float64
 	}{
-		{"table1", workload.NewSpec(0.95, 1).WithN(n), 1, func() sched.Scheduler { return core.New() }, 0.35},
-		{"live-replay", workload.NewSpec(0.8, 1).WithWeights().WithWorkflows(5, 1).WithN(n), 1, func() sched.Scheduler { return core.New() }, 0.2},
-		{"time-activation", workload.NewSpec(0.95, 1).WithN(n), 1, func() sched.Scheduler { return core.New(core.WithTimeActivation(0.01)) }, 0.39},
-		{"AED", workload.NewSpec(0.95, 1).WithN(n), 1, func() sched.Scheduler { return sched.NewAED(1) }, 0.14},
-		{"shared-workflows", workload.NewSpec(0.95, 1).WithWeights().WithWorkflows(5, 3).WithN(n), 1, func() sched.Scheduler { return core.New() }, 0.1},
-		{"CA-ASETS*", workload.NewSpec(3.4, 1).WithN(2500).WithContention(keepKeys), 4, func() sched.Scheduler { return contention.NewDeferring(core.New(), 0) }, 0.96},
+		{"table1", workload.Default(0.95, 1).WithN(n), 1, func() sched.Scheduler { return core.New() }, 0.35},
+		{"live-replay", workload.Default(0.8, 1).WithWeights().WithWorkflows(5, 1).WithN(n), 1, func() sched.Scheduler { return core.New() }, 0.2},
+		{"time-activation", workload.Default(0.95, 1).WithN(n), 1, func() sched.Scheduler { return core.New(core.WithTimeActivation(0.01)) }, 0.39},
+		{"AED", workload.Default(0.95, 1).WithN(n), 1, func() sched.Scheduler { return sched.NewAED(1) }, 0.14},
+		{"shared-workflows", workload.Default(0.95, 1).WithWeights().WithWorkflows(5, 3).WithN(n), 1, func() sched.Scheduler { return core.New() }, 0.1},
+		{"CA-ASETS*", workload.Default(3.4, 1).WithN(2500).WithContention(keepKeys), 4, func() sched.Scheduler { return contention.NewDeferring(core.New(), 0) }, 0.96},
 	} {
-		set := c.spec.MustBuild()
+		set := workload.MustGenerate(c.spec)
 		reg, col := obs.NewRegistry(), &obs.Collector{}
 		if _, err := New(Config{Servers: c.servers, Metrics: reg, Sink: col}).Run(set, c.policy()); err != nil {
 			t.Fatal(err)
@@ -317,7 +317,7 @@ func TestDecisionCalls(t *testing.T) {
 		var n calls
 		txns := 0
 		for j := range uint64(16) {
-			set := workload.NewSpec(3.4, rng.Derive(1, j)).WithN(2500).WithContention(sweepKeys).MustBuild()
+			set := workload.MustGenerate(workload.Default(3.4, rng.Derive(1, j)).WithN(2500).WithContention(sweepKeys))
 			var s sched.Scheduler = forward{hide{core.New(), &n}}
 			if c.ca {
 				s = contention.NewDeferring(s, 0)

@@ -103,11 +103,8 @@ type Kernel struct {
 
 // Counts is a snapshot of a kernel's progress.
 type Counts struct {
-	// Now is the kernel's simulated time; Running counts the transactions
-	// checked out onto servers; Live counts the transactions the kernel
-	// holds (admitted or adopted, not yet committed or drained).
-	Now           float64
-	Running, Live int
+	// Now is the kernel's simulated time.
+	Now float64
 	// Admitted, Done and Shed count arrivals the scheduler accepted,
 	// transactions that committed, and arrivals the admission controller
 	// rejected; Misses counts commits past the deadline.
@@ -263,11 +260,10 @@ func (k *Kernel) Running() []*txn.Transaction { return k.running }
 // SLO returns the kernel's SLO engine, or nil without an SLO config.
 func (k *Kernel) SLO() *slo.Engine { return k.slo }
 
-// Counts returns a snapshot of the run's progress counters. A running set
-// due to re-decide counts as queued, as it would after a Return.
+// Counts returns a snapshot of the run's progress counters.
 func (k *Kernel) Counts() Counts {
 	c := k.c
-	c.Now, c.Running, c.Live = k.now, k.busy(), k.live
+	c.Now = k.now
 	if k.inj != nil {
 		c.Aborts, c.Restarts, c.Stalls, c.Held = k.inj.Aborts(), k.inj.Restarts(), k.inj.StallsEntered(), k.inj.Held()
 	}
@@ -292,13 +288,13 @@ func (k *Kernel) Load() (running, queued int, backlog float64) {
 	return running, queued, k.c.Backlog
 }
 
-// AdmitState is the admission controller's view of a backend with servers
-// servers in state c: the executor's Probe mid-step. The kernel's own
-// arrivals build the same view from its fields (Arrive).
-func (c Counts) AdmitState(servers int) admit.State {
+// AdmitState is the admission controller's view of the kernel: the one its
+// own arrivals consult (Arrive), and the executor's Probe mid-step.
+func (k *Kernel) AdmitState() admit.State {
+	running := k.busy()
 	return admit.State{
-		Now: c.Now, Queued: c.Live - c.Running, Running: c.Running, Servers: servers,
-		Backlog: c.Backlog, Completed: c.Done, Misses: c.Misses,
+		Now: k.now, Queued: k.live - running, Running: running, Servers: k.servers,
+		Backlog: k.c.Backlog, Completed: k.c.Done, Misses: k.c.Misses,
 	}
 }
 
@@ -666,12 +662,7 @@ func (k *Kernel) Arrive(t *txn.Transaction) bool {
 			k.o.Note(k.now, obs.KindShed, t, t.Remaining, "cascade")
 			return false
 		}
-		running := k.busy()
-		st := admit.State{
-			Now: k.now, Queued: k.live - running, Running: running, Servers: k.servers,
-			Backlog: k.c.Backlog, Completed: k.c.Done, Misses: k.c.Misses,
-		}
-		if !k.ctrl.Admit(t, st) {
+		if !k.ctrl.Admit(t, k.AdmitState()) {
 			k.shedDFS = admit.CascadeShed(k.set, t, k.shedDFS)
 			k.c.Shed++
 			k.o.Note(k.now, obs.KindShed, t, t.Remaining, k.shedBy)

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -119,5 +121,40 @@ func TestMultiServerReducesTardiness(t *testing.T) {
 	two := New(Config{Servers: 2}).MustRun(workload.MustGenerate(cfg), core.New())
 	if two.AvgTardiness >= one.AvgTardiness {
 		t.Fatalf("2 servers (%v) not better than 1 (%v)", two.AvgTardiness, one.AvgTardiness)
+	}
+}
+
+// TestMultiServerTraceUnfragmented: on 2 and 4 servers the recorder keeps
+// one slice per contiguous execution — no transaction has two slices where
+// one ends as the next begins — and counts no more preemptions than the
+// event stream reports.
+func TestMultiServerTraceUnfragmented(t *testing.T) {
+	for _, servers := range []int{2, 4} {
+		for _, p := range []sched.Scheduler{sched.NewEDF(), core.New()} {
+			set := workload.MustGenerate(workload.Default(0.9*float64(servers), 3).WithN(300).WithWeights())
+			rec, col := &trace.Recorder{}, &obs.Collector{}
+			if _, err := New(Config{Servers: servers, Recorder: rec, Sink: col}).Run(set, p); err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.ValidateN(set, servers); err != nil {
+				t.Fatalf("%d servers, %s: %v", servers, p.Name(), err)
+			}
+			lastEnd := map[txn.ID]float64{}
+			for _, s := range rec.Slices {
+				if end, ok := lastEnd[s.ID]; ok && end == s.Start {
+					t.Fatalf("%d servers, %s: transaction %d fragmented at %v", servers, p.Name(), s.ID, s.Start)
+				}
+				lastEnd[s.ID] = s.End
+			}
+			preempts := 0
+			for _, ev := range col.Events() {
+				if ev.Kind == obs.KindPreempt {
+					preempts++
+				}
+			}
+			if got := rec.Preemptions(set); got > preempts {
+				t.Fatalf("%d servers, %s: trace counts %d preemptions, the stream %d", servers, p.Name(), got, preempts)
+			}
+		}
 	}
 }

@@ -49,7 +49,7 @@ func TestReinitMatchesFresh(t *testing.T) {
 	)
 	ks := contention.Keyspace{Keys: 64, Alpha: 0.9, Reads: 2, Writes: 1}
 	build := func(n int, seed uint64) func() *txn.Set {
-		spec := workload.NewSpec(0.9*2, seed).WithN(n).WithWeights().WithWorkflows(4, 1).WithContention(ks)
+		spec := workload.Default(0.9*2, seed).WithN(n).WithWeights().WithWorkflows(4, 1).WithContention(ks)
 		return spec.MustBuild
 	}
 	first, second := build(300, 1), build(200, 2)

@@ -13,7 +13,7 @@ import (
 // spec on short windows, delivering the stream to sink.
 func sloRun(t *testing.T, sink obs.Sink) {
 	t.Helper()
-	set := workload.NewSpec(1.4, 5).WithN(400).WithWeights().MustBuild()
+	set := workload.MustGenerate(workload.Default(1.4, 5).WithN(400).WithWeights())
 	cfg := Config{Sink: sink, SLO: &slo.Config{Spec: slo.DefaultSpec(), Window: 20}}
 	if _, err := New(cfg).Run(set, sched.NewEDF()); err != nil {
 		t.Fatal(err)

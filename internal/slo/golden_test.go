@@ -40,7 +40,7 @@ func goldenStream(t *testing.T, newSched func() sched.Scheduler, seed uint64) []
 	cfg := workload.Default(1.4, seed) // past saturation: the budget burns
 	cfg.N = 300
 	cfg = cfg.WithWeights()
-	set, err := workload.Spec{Config: cfg}.Build()
+	set, err := workload.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSerialParallelAlertStreams(t *testing.T) {
 						cfg := workload.Default(1.4, sd)
 						cfg.N = 200
 						cfg = cfg.WithWeights()
-						return workload.Spec{Config: cfg}.Build()
+						return workload.Generate(cfg)
 					},
 					Seed:   &seed,
 					New:    pol.New,

@@ -36,31 +36,42 @@ func (s Slice) Duration() float64 { return s.End - s.Start }
 
 // Recorder accumulates execution slices during a simulation run. The zero
 // value is ready to use. The simulator records one slice per running
-// transaction per event step, so adjacent slices of the same transaction are
-// merged: a transaction that runs across decision points (an arrival that
-// does not change the running set) stays one slice.
+// transaction per event step, so a slice that continues its transaction's
+// latest one is merged into it: a transaction that runs across decision
+// points (an arrival that does not change the running set) stays one slice,
+// on any number of servers.
 type Recorder struct {
 	Slices []Slice
+	// latest holds, per transaction ID, one past the index of its latest
+	// slice (0: none yet).
+	latest []int
 }
 
-// Record appends a slice, merging it with the previous one when contiguous.
-// Contiguity is judged within the package tolerance: event times accumulate
-// float64 error, so an exact == test would let drifted-but-adjacent slices
-// fragment the trace.
+// Record appends a slice, merging it into the transaction's latest slice
+// when contiguous. Contiguity is judged within the package tolerance: event
+// times accumulate float64 error, so an exact == test would let
+// drifted-but-adjacent slices fragment the trace.
 func (r *Recorder) Record(id txn.ID, start, end float64) {
-	if n := len(r.Slices); n > 0 {
-		last := &r.Slices[n-1]
-		if last.ID == id && math.Abs(start-last.End) <= tolerance {
-			last.End = end
+	if int(id) < len(r.latest) {
+		if i := r.latest[id] - 1; i >= 0 && i < len(r.Slices) && r.Slices[i].ID == id &&
+			math.Abs(start-r.Slices[i].End) <= tolerance {
+			r.Slices[i].End = end
 			return
 		}
+	} else {
+		//lint:ignore hotpath-alloc grows once per new highest transaction ID, amortized like the slices
+		r.latest = append(r.latest, make([]int, int(id)+1-len(r.latest))...)
 	}
 	//lint:ignore hotpath-alloc the trace is the product: one slice per contiguous execution, merged when adjacent
 	r.Slices = append(r.Slices, Slice{ID: id, Start: start, End: end})
+	r.latest[id] = len(r.Slices)
 }
 
 // Reset clears the recorder for reuse.
-func (r *Recorder) Reset() { r.Slices = r.Slices[:0] }
+func (r *Recorder) Reset() {
+	r.Slices = r.Slices[:0]
+	clear(r.latest)
+}
 
 // tolerance absorbs float64 accumulation error across many small slices.
 const tolerance = 1e-6

@@ -12,12 +12,12 @@ import (
 // reverse-edge table read 187.
 func TestBuildBytes(t *testing.T) {
 	const n, budget = 2_500, 125.0
-	spec := NewSpec(0.95, 1).WithN(n)
-	spec.MustBuild() // warm-up
+	spec := Default(0.95, 1).WithN(n)
+	MustGenerate(spec) // warm-up
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	spec.MustBuild()
+	MustGenerate(spec)
 	runtime.ReadMemStats(&after)
 	got := float64(after.TotalAlloc-before.TotalAlloc) / n
 	t.Logf("%.1f bytes per transaction", got)

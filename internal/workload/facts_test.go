@@ -32,13 +32,13 @@ func TestSetFactsMatchScan(t *testing.T) {
 		set               *txn.Set
 		independent, keys bool
 	}{
-		{"table I", NewSpec(0.95, 1).WithN(300).MustBuild(), true, false},
-		{"weights", NewSpec(0.9, 2).WithN(300).WithWeights().MustBuild(), true, false},
-		{"workflows", NewSpec(0.8, 3).WithN(300).WithWeights().WithWorkflows(5, 1).MustBuild(), false, false},
-		{"shared workflows", NewSpec(0.8, 4).WithN(300).WithWorkflows(4, 3).MustBuild(), false, false},
+		{"table I", MustGenerate(Default(0.95, 1).WithN(300)), true, false},
+		{"weights", MustGenerate(Default(0.9, 2).WithN(300).WithWeights()), true, false},
+		{"workflows", MustGenerate(Default(0.8, 3).WithN(300).WithWeights().WithWorkflows(5, 1)), false, false},
+		{"shared workflows", MustGenerate(Default(0.8, 4).WithN(300).WithWorkflows(4, 3)), false, false},
 		{"sessions", sessions, false, false},
-		{"contention", NewSpec(0.85*4, 5).WithN(300).WithContention(keys).MustBuild(), true, true},
-		{"contended workflows", NewSpec(0.8, 6).WithN(300).WithWorkflows(4, 1).WithContention(keys).MustBuild(), false, true},
+		{"contention", MustGenerate(Default(0.85*4, 5).WithN(300).WithContention(keys)), true, true},
+		{"contended workflows", MustGenerate(Default(0.8, 6).WithN(300).WithWorkflows(4, 1).WithContention(keys)), false, true},
 	} {
 		var buf bytes.Buffer
 		if err := WriteJSON(&buf, c.set, nil); err != nil {

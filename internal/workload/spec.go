@@ -1,118 +1,17 @@
 package workload
 
-import (
-	"repro/internal/contention"
-	"repro/internal/rng"
-	"repro/internal/txn"
-)
+import "repro/internal/txn"
 
-// contentionSeedStream separates the derived key-draw seed from the
-// workload's arrival/length stream when a Spec leaves Keyspace.Seed unset.
-const contentionSeedStream = 0xc0_17e4d
+// Spec is Config under the name the benchmark harness builds its sets
+// through; NewSpec, Build and MustBuild forward to Default, Generate and
+// MustGenerate.
+type Spec = Config
 
-// Spec is the single validated entry point for building workloads: plain
-// Table-I sets, workflow-shaped sets, and contended sets with read/write
-// key assignments all construct through one Build call. It replaces the
-// accreted pattern of chaining Config builders into Generate and then
-// hand-assigning extras, and is the construction surface the root facade
-// re-exports.
-//
-//	set, err := workload.NewSpec(0.9, 42).
-//		WithWorkflows(5, 2).
-//		WithContention(contention.Keyspace{Keys: 64, Alpha: 0.9, Reads: 4, Writes: 2}).
-//		Build()
-type Spec struct {
-	// Config carries the Table-I generator parameters; Spec's builder
-	// methods mirror Config's so call chains never drop out of Spec.
-	Config
-	// Contention, when non-nil, draws Zipf-skewed read/write sets over the
-	// keyspace for every generated transaction, switching the run loops to
-	// commit-time validation (docs/CONTENTION.md).
-	Contention *contention.Keyspace
-}
+// NewSpec is Default.
+func NewSpec(utilization float64, seed uint64) Config { return Default(utilization, seed) }
 
-// NewSpec returns the Table-I default workload specification at the given
-// target utilization: independent, unweighted, uncontended.
-func NewSpec(utilization float64, seed uint64) Spec {
-	return Spec{Config: Default(utilization, seed)}
-}
+// Build is Generate(c), for builder chains.
+func (c Config) Build() (*txn.Set, error) { return Generate(c) }
 
-// WithN returns a copy generating n transactions.
-func (s Spec) WithN(n int) Spec {
-	s.N = n
-	return s
-}
-
-// WithWeights returns a copy with weights drawn from [1, 10] (Table I).
-func (s Spec) WithWeights() Spec {
-	s.Config = s.Config.WithWeights()
-	return s
-}
-
-// WithWorkflows returns a copy generating dependency chains with the given
-// maximum length and per-transaction membership bound.
-func (s Spec) WithWorkflows(maxLen, maxMembership int) Spec {
-	s.Config = s.Config.WithWorkflows(maxLen, maxMembership)
-	return s
-}
-
-// WithCache returns a copy where each transaction is a cache hit with the
-// given probability, costing speedup times its drawn length.
-func (s Spec) WithCache(hitRatio, speedup float64) Spec {
-	s.Config = s.Config.WithCache(hitRatio, speedup)
-	return s
-}
-
-// WithContention returns a copy drawing read/write sets over ks. A zero
-// ks.Seed derives the key-draw seed from the workload seed, so one seed
-// still pins the whole workload.
-func (s Spec) WithContention(ks contention.Keyspace) Spec {
-	s.Contention = &ks
-	return s
-}
-
-// Validate reports the first invalid parameter across the generator and
-// contention layers.
-func (s Spec) Validate() error {
-	if err := s.Config.Validate(); err != nil {
-		return err
-	}
-	if s.Contention != nil {
-		if err := s.Contention.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Build generates the validated transaction set: Table-I generation first,
-// then key assignment when contention is configured.
-func (s Spec) Build() (*txn.Set, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	set, err := Generate(s.Config)
-	if err != nil {
-		return nil, err
-	}
-	if s.Contention != nil {
-		ks := *s.Contention
-		if ks.Seed == 0 {
-			ks.Seed = rng.Derive(s.Seed, contentionSeedStream)
-		}
-		if err := contention.Assign(set, ks); err != nil {
-			return nil, err
-		}
-	}
-	return set, nil
-}
-
-// MustBuild is Build but panics on error, for benchmarks and examples with
-// constant specifications.
-func (s Spec) MustBuild() *txn.Set {
-	set, err := s.Build()
-	if err != nil {
-		panic(err)
-	}
-	return set
-}
+// MustBuild is MustGenerate(c), for builder chains.
+func (c Config) MustBuild() *txn.Set { return MustGenerate(c) }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/contention"
 	"repro/internal/rng"
 	"repro/internal/txn"
 )
@@ -97,8 +98,13 @@ const (
 )
 
 // Config holds every generator parameter of Table I plus the workflow-shape
-// parameters of Section IV-A. The zero value is not valid; start from
-// Default and override.
+// parameters of Section IV-A and the optional contention keyspace. The zero
+// value is not valid; start from Default and override with the With*
+// builders:
+//
+//	set, err := workload.Generate(workload.Default(0.9, 42).
+//		WithWorkflows(5, 2).
+//		WithContention(contention.Keyspace{Keys: 64, Alpha: 0.9, Reads: 4, Writes: 2}))
 type Config struct {
 	// N is the number of transactions (paper: 1000).
 	N int
@@ -142,6 +148,11 @@ type Config struct {
 	// Seed drives all randomness; equal configs with equal seeds generate
 	// identical workloads on any platform.
 	Seed uint64
+	// Contention, when non-nil, draws Zipf-skewed read/write sets over the
+	// keyspace for every generated transaction, switching the run loops to
+	// commit-time validation (docs/CONTENTION.md). It is left out of the
+	// JSON file format, which carries no key sets.
+	Contention *contention.Keyspace `json:"-"`
 }
 
 // Default returns Table I's default configuration: an independent,
@@ -160,6 +171,12 @@ func Default(utilization float64, seed uint64) Config {
 		MaxMembership:     1,
 		Seed:              seed,
 	}
+}
+
+// WithN returns a copy generating n transactions.
+func (c Config) WithN(n int) Config {
+	c.N = n
+	return c
 }
 
 // WithWeights returns a copy with weights drawn from [1, 10] (Table I).
@@ -182,6 +199,14 @@ func (c Config) WithWorkflows(maxLen, maxMembership int) Config {
 func (c Config) WithCache(hitRatio, speedup float64) Config {
 	c.CacheHitRatio = hitRatio
 	c.CacheSpeedup = speedup
+	return c
+}
+
+// WithContention returns a copy drawing read/write sets over ks. The
+// key-draw seed derives from the workload seed, so one seed still pins the
+// whole workload.
+func (c Config) WithContention(ks contention.Keyspace) Config {
+	c.Contention = &ks
 	return c
 }
 
@@ -208,11 +233,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: cache hit ratio %v outside [0, 1]", c.CacheHitRatio)
 	case c.CacheHitRatio > 0 && (c.CacheSpeedup <= 0 || c.CacheSpeedup > 1):
 		return fmt.Errorf("workload: cache speedup %v outside (0, 1]", c.CacheSpeedup)
+	case c.Contention != nil:
+		return c.Contention.Validate()
 	}
 	return nil
 }
 
-// Generate produces a validated transaction set from the configuration.
+// contentionSeedStream separates the key-draw seed from the workload's
+// arrival/length stream.
+const contentionSeedStream = 0xc0_17e4d
+
+// Generate produces a validated transaction set from the configuration:
+// the Table I draw first, then, under a keyspace, the read/write sets from
+// their own stream derived from cfg.Seed.
 func Generate(cfg Config) (*txn.Set, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -263,7 +296,14 @@ func Generate(cfg Config) (*txn.Set, error) {
 		assignArrivals(cfg, src, txns, nil, totalLen)
 	}
 
-	return txn.NewSet(txns)
+	set, err := txn.NewSet(txns)
+	if err != nil || cfg.Contention == nil {
+		return set, err
+	}
+	if err := contention.Assign(set, *cfg.Contention, rng.Derive(cfg.Seed, contentionSeedStream)); err != nil {
+		return nil, err
+	}
+	return set, nil
 }
 
 // MustGenerate is Generate but panics on error, for benchmarks and examples

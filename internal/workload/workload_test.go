@@ -1,10 +1,16 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/contention"
 	"repro/internal/txn"
 )
 
@@ -29,6 +35,7 @@ func TestValidateRejections(t *testing.T) {
 		func(c *Config) { c.WeightMax = 0 },
 		func(c *Config) { c.MaxWorkflowLength = -1 },
 		func(c *Config) { c.MaxWorkflowLength = 5; c.MaxMembership = 0 },
+		func(c *Config) { c.Contention = &contention.Keyspace{} },
 	}
 	for i, mutate := range cases {
 		cfg := base
@@ -36,6 +43,51 @@ func TestValidateRejections(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestContendedKeySetsPinned pins the read/write sets Generate draws for a
+// contended workflow workload: the key-draw seed derives from the workload
+// seed, so a change of that derivation moves them.
+func TestContendedKeySetsPinned(t *testing.T) {
+	ks := contention.Keyspace{Keys: 64, Alpha: 0.9, Reads: 3, Writes: 2, ReadOnlyProb: 0.3}
+	set := MustGenerate(Default(0.85*4, 9).WithN(300).WithWorkflows(4, 2).WithContention(ks))
+	want := [][2][]txn.Key{
+		{{0, 1, 10}, {11, 16}},
+		{{43, 53, 58}, {16, 19}},
+		{{7, 20, 33}, {4, 24}},
+		{{0, 6, 10}, {1, 3}},
+	}
+	for i, w := range want {
+		id := txn.ID(i)
+		if got := [2][]txn.Key{set.Reads(id), set.Writes(id)}; !reflect.DeepEqual(got, w) {
+			t.Errorf("txn %d: reads/writes %v, want %v", i, got, w)
+		}
+	}
+	h := fnv.New64a()
+	for i := range set.Len() {
+		fmt.Fprint(h, set.Reads(txn.ID(i)), set.Writes(txn.ID(i)))
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != "ddec65421ae7bcdd" {
+		t.Errorf("key-set digest %s, want ddec65421ae7bcdd", got)
+	}
+}
+
+// TestContentionNotInJSON: the keyspace is left out of a config's JSON, so
+// saved workloads and /api/workload read the same with and without it.
+func TestContentionNotInJSON(t *testing.T) {
+	plain := Default(0.8, 3)
+	contended := plain.WithContention(contention.Keyspace{Keys: 64, Reads: 2, Writes: 1})
+	a, err := json.Marshal(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(contended)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("contended config JSON %s, want %s", b, a)
 	}
 }
 
